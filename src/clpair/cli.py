@@ -30,7 +30,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from .measures import (
     PURITY_QUAD,
     MeasureResult,
@@ -236,6 +236,8 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
         if phase_variant not in ("zero", "polar_linear", "radial_kc", "radial_dk"):
             raise ConfigError(f"unknown phase variant {phase_variant!r}")
         phase_xi = _float(p, "xi", "phase") if "xi" in p else 0.0
+        if not phase_xi >= 0.0:
+            raise ConfigError(f"[phase] xi must be non-negative, got {phase_xi!r}")
 
     th = dict(parser["thresholds"]) if "thresholds" in parser else {}
     qd = dict(parser["quadrature"]) if "quadrature" in parser else {}
@@ -309,7 +311,12 @@ def config_hash(cfg: RunConfig) -> str:
 # sweep machinery
 
 def _cell_row(args) -> dict:
-    """Evaluate one sweep cell; failures become an 'error' row."""
+    """Evaluate one sweep cell; failures become an 'error' row.
+
+    A failed row keeps its reason under `error` and, for a quadrature
+    that did not converge, its last two estimates; these keys go to the
+    JSON record only, not to the CSV.
+    """
     cfg, dq_perp, dk_ph = args
     base = {"dq_perp_um_inv": dq_perp, "dk_ph_um_inv": dk_ph}
     try:
@@ -320,8 +327,8 @@ def _cell_row(args) -> dict:
             cfg.thresholds(),
             cfg.quadrature(),
         )
-    except (DomainError, ConvergenceError) as exc:
-        return {
+    except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
+        row = {
             **base,
             "purity_sc": math.nan,
             "purity_z": math.nan,
@@ -331,8 +338,12 @@ def _cell_row(args) -> dict:
             "schmidt_number": math.nan,
             "regime": "error",
             "longitudinal_entangled": "",
-            "_error": str(exc),
+            "error": str(exc),
         }
+        for key in ("best_estimate", "previous_estimate"):
+            if getattr(exc, key, None) is not None:
+                row[key] = getattr(exc, key)
+        return row
     return {**base, **result_to_row(result)}
 
 
@@ -423,7 +434,12 @@ def _threads(cli_threads: Optional[int]) -> int:
     if cli_threads is not None:
         return max(1, cli_threads)
     env = os.environ.get("CLPAIR_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise ConfigError(f"CLPAIR_THREADS must be an integer, got {env!r}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -493,11 +509,11 @@ def sweep(config_path, out, threads):
     (out_path / "sweep.csv").write_text(rows_to_csv(rows))
     _write_json(
         out_path / "sweep.json",
-        _provenance(cfg, rows=[{k: _fmt(v) for k, v in r.items() if not k.startswith("_")} for r in rows]),
+        _provenance(cfg, rows=[{k: _fmt(v) for k, v in r.items()} for r in rows]),
     )
     failures = [r for r in rows if r["regime"] == "error"]
     for r in failures:
-        click.echo(f"cell ({r['dq_perp_um_inv']}, {r['dk_ph_um_inv']}) failed: {r.get('_error')}", err=True)
+        click.echo(f"cell ({r['dq_perp_um_inv']}, {r['dk_ph_um_inv']}) failed: {r['error']}", err=True)
     click.echo(f"wrote {len(rows)} cells to {out_path / 'sweep.csv'}")
     if failures:
         sys.exit(1)

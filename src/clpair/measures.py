@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, i0e
+from scipy.special import erf, j0, spherical_jn
 
 from .errors import ConvergenceError, DomainError
 from .model import (
@@ -36,9 +36,17 @@ TWO_PI = 2.0 * math.pi
 
 #: Default tolerances for the purity quadrature. The refinement check is
 #: absolute-dominated: the Monte Carlo oracle at 1e6 samples resolves
-#: purity to a few 1e-4, and the narrow-kernel path carries a small
-#: square-root-edge error that caps useful relative accuracy.
+#: purity to a few 1e-4, so tighter defaults would buy nothing it can see.
 PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
+
+# t-grid of the purity integral: exp(-b^2 t^2) < 1e-21 beyond t = 7/b;
+# at least 8 nodes per oscillation period of J0; t-nodes per block, which
+# bounds the (n_k, block) matrices held at once.
+_T_SPAN = 7.0
+_NODES_PER_PERIOD = 8
+_T_BLOCK = 4096
+# below this argument _sonine_h uses its Taylor series
+_H_SMALL_X = 1e-2
 
 
 class Regime(enum.Enum):
@@ -87,88 +95,105 @@ def _filter_fold(spectrum: SpectrumModel, k, theta):
     return filt.n_f * (filt.weight(k, theta) + filt.weight(k, math.pi - theta))
 
 
-def _purity_alpha_path(beam, spectrum, kn, kw, n_alpha, chunk=16):
-    """Polar-angle tensor contraction; spectrally accurate for wide kernels."""
-    g = eval_g(spectrum, kn)
-    r = kw * kn**2 * g
-    an, aw = gauss_legendre_panels(0.0, math.pi / 2.0, max(2, n_alpha // 16), 16)
-    fold = _filter_fold(spectrum, kn[:, None], an[None, :])
-    # a[i, m]: angular weight at (k_i, alpha_m); `fold` carries both
-    # hemispheres (2 unfiltered, n_f (w(theta) + w(pi - theta)) filtered)
-    a_w = np.broadcast_to(
-        aw[None, :] * fold * eval_f(an)[None, :] * np.sin(an)[None, :],
-        (len(kn), len(an)),
-    )
-    u = kn[:, None] * np.sin(an)[None, :]
-    b2 = beam.dq_perp**2
-    elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
-    nk = len(kn)
-    total = 0.0
-    for i0 in range(0, nk, chunk):
-        ui = u[i0 : i0 + chunk][:, :, None, None]
-        ek = np.exp(-((ui - u[None, None, :, :]) ** 2) / (4.0 * b2)) * i0e(ui * u[None, None, :, :] / (2.0 * b2))
-        s = np.einsum("im,imjn,jn->ij", a_w[i0 : i0 + chunk], ek, a_w, optimize=True)
-        total += np.einsum("i,j,ij,ij->", r[i0 : i0 + chunk], r, elong[i0 : i0 + chunk], s)
-    return (TWO_PI) ** 2 * float(total)
+def _sonine_h(x) -> np.ndarray:
+    """Polar factor h(x) = int_0^pi f(alpha) sin(alpha) J0(x sin(alpha)) d alpha.
+
+    Sonine's first finite integral (Watson 12.11) gives both hemispheres
+    in closed form, (15/4pi)(j1(x)/x - 3 j2(x)/x^2), with h(0) = 1/2pi.
+    Below _H_SMALL_X the ratio (0/0 at x = 0) is replaced by its series
+    2/15 - 2x^2/105 + x^4/1260, whose next term is below 1e-16 relative.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < _H_SMALL_X
+    xs = np.where(small, 1.0, x)
+    ratio = spherical_jn(1, xs) / xs - 3.0 * spherical_jn(2, xs) / xs**2
+    x2 = x**2
+    series = 2.0 / 15.0 - 2.0 * x2 / 105.0 + x2**2 / 1260.0
+    return (15.0 / (4.0 * math.pi)) * np.where(small, series, ratio)
 
 
-def _purity_u_path(beam, spectrum, kn, kw, kmax, n_u):
-    """Common transverse-wavenumber grid; fast for narrow kernels."""
-    g = eval_g(spectrum, kn)
-    r = kw * kn**2 * g
-    un, uw = gauss_legendre_panels(0.0, kmax, max(8, n_u // 16), 16)
-    b2 = beam.dq_perp**2
-    ksq = kn[:, None] ** 2 - un[None, :] ** 2
-    # angular weight recast in u = k sin(theta): (15/8pi) u^3 sqrt(k^2-u^2)/k^5
-    # per hemisphere; `fold` carries both hemispheres (2 unfiltered)
-    with np.errstate(invalid="ignore"):
-        theta = np.arcsin(np.clip(un[None, :] / kn[:, None], 0.0, 1.0))
-    fold = _filter_fold(spectrum, kn[:, None], theta)
-    w = np.where(
-        ksq > 0.0,
-        fold * (15.0 / (8.0 * math.pi)) * un[None, :] ** 3 * np.sqrt(np.maximum(ksq, 0.0)) / kn[:, None] ** 5,
-        0.0,
-    )
-    a = w * uw[None, :]
-    # A E A^T with the (n_u, n_u) kernel built in row blocks to bound memory
-    inner = np.zeros((len(kn), len(kn)))
-    block = 1024
-    for u0 in range(0, un.size, block):
-        ub = un[u0 : u0 + block]
-        ek = np.exp(-((ub[:, None] - un[None, :]) ** 2) / (4.0 * b2)) * i0e(ub[:, None] * un[None, :] / (2.0 * b2))
-        inner += a[:, u0 : u0 + block] @ ek @ a.T
-    elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
-    return (TWO_PI) ** 2 * float(np.einsum("i,j,ij,ij->", r, r, elong, inner))
+def _polar_factor(spectrum: SpectrumModel, kn, t, x_max: float, refine: float) -> np.ndarray:
+    """Polar integral of the (filtered) angular weight times J0(k t sin alpha).
+
+    Shape (n_k, n_t). Unfiltered spectra use the closed form `_sonine_h`;
+    filtered ones sum both hemispheres numerically on an alpha-grid that
+    resolves J0 up to the argument x_max, at n_k * n_alpha * n_t cost.
+    """
+    x = kn[:, None] * t[None, :]
+    if spectrum.filter is None:
+        return _sonine_h(x)
+    n_alpha = refine * _NODES_PER_PERIOD * x_max / TWO_PI
+    an, aw = gauss_legendre_panels(0.0, math.pi / 2.0, max(2, math.ceil(n_alpha / 16)), 16)
+    sin_a = np.sin(an)
+    wa = aw * eval_f(an) * sin_a * _filter_fold(spectrum, kn[:, None], an[None, :])
+    out = np.zeros_like(x)
+    for m, s in enumerate(sin_a):
+        out += wa[:, m, None] * j0(s * x)
+    return out
 
 
 def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
+    """8 pi^2 b^2 sum_t w_t t exp(-b^2 t^2) H_t^T E H_t on one resolution.
+
+    Weber's second exponential integral (Watson 13.31, DLMF 10.22.67)
+    writes the azimuthally reduced transverse kernel
+    exp(-(u^2 + u'^2)/4b^2) I0(u u'/2b^2) as
+    2b^2 int_0^inf t exp(-b^2 t^2) J0(u t) J0(u' t) dt, which factorizes
+    the double integral over the two photon wavevectors at each t.
+    """
     kn, kw, kmax = _radial_nodes(spectrum, quad, n_rad)
-    n_alpha = 16 * math.ceil(refine * max(2.0, 0.5 * kmax / beam.dq_perp))
-    if n_alpha <= 16 * math.ceil(refine * 6):
-        return _purity_alpha_path(beam, spectrum, kn, kw, n_alpha)
-    n_u = int(np.clip(refine * max(8.0 * kmax / beam.dq_perp, 512.0), 512, 8192))
-    return _purity_u_path(beam, spectrum, kn, kw, kmax, n_u)
+    b = beam.dq_perp
+    t_max = _T_SPAN / b
+    # h(k t) oscillates with period 2 pi / k in t
+    n_t = refine * _NODES_PER_PERIOD * kmax * t_max / TWO_PI
+    tn, tw = gauss_legendre_panels(0.0, t_max, max(2, math.ceil(n_t / 16)), 16)
+    ct = tw * tn * np.exp(-((b * tn) ** 2))
+    r = kw * kn**2 * eval_g(spectrum, kn)
+    elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
+    total = 0.0
+    for s in range(0, tn.size, _T_BLOCK):
+        h = r[:, None] * _polar_factor(spectrum, kn, tn[s : s + _T_BLOCK], kmax * t_max, refine)
+        total += float(ct[s : s + _T_BLOCK] @ np.einsum("it,it->t", h, elong @ h))
+    return 8.0 * math.pi**2 * b**2 * total
+
+
+def _checked_purity(what: str, base: float, refined: float, quad: QuadratureSpec) -> float:
+    """The refined estimate once it agrees with the base one.
+
+    Raises ConvergenceError (carrying both estimates) if the two differ by
+    more than the tolerance, if the value is not positive, or if it
+    exceeds one by more than max(abs_tol, rel_tol); within that band a
+    value above one is clipped to one.
+    """
+    if abs(refined - base) > max(quad.abs_tol, quad.rel_tol * abs(refined)):
+        raise ConvergenceError(
+            f"{what} did not converge (estimates {base:.6e}, {refined:.6e})",
+            best_estimate=refined,
+            previous_estimate=base,
+        )
+    if refined <= 0.0 or refined > 1.0 + max(quad.abs_tol, quad.rel_tol):
+        raise ConvergenceError(
+            f"{what} produced {refined:.6e}, outside (0, 1]",
+            best_estimate=refined,
+            previous_estimate=base,
+        )
+    return min(refined, 1.0)
 
 
 def purity_sc(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = PURITY_QUAD) -> float:
     """Subsystem purity of the scattered state, Tr[(Tr_ph rho)^2].
 
     The 6D double integral over photon wavevectors reduces by azimuthal
-    symmetry to four dimensions with an exponentially scaled Bessel
-    kernel; evaluated on Gauss grids with one refinement pass.
+    symmetry and Weber's integral to one t-integral of a quadratic form
+    in the radial nodes (`_purity_once`); the polar integral is the
+    closed-form `_sonine_h`, or a numeric alpha-sum for filtered spectra.
+    Evaluated at n_rad 64 with the base t-grid and at n_rad 96 with a
+    1.5x finer one; their difference is the convergence check. A result
+    above one within max(abs_tol, rel_tol) is clipped to one.
     """
     base = _purity_once(beam, spectrum, quad, n_rad=64)
     refined = _purity_once(beam, spectrum, quad, n_rad=96, refine=1.5)
-    err = abs(refined - base)
-    if err > max(quad.abs_tol, quad.rel_tol * abs(refined)):
-        raise ConvergenceError(
-            f"purity quadrature did not converge (estimates {base:.6e}, {refined:.6e})",
-            best_estimate=refined,
-            previous_estimate=base,
-        )
-    if refined <= 0.0:
-        raise ConvergenceError("purity quadrature produced a non-positive value", best_estimate=refined)
-    return min(refined, 1.0)
+    return _checked_purity("purity quadrature", base, refined, quad)
 
 
 def _radial_marginal(spectrum: SpectrumModel, kn):
@@ -203,14 +228,7 @@ def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = P
             -beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2)
         )
         values.append(float(dens @ elong @ dens))
-    base, refined = values
-    if abs(refined - base) > max(quad.abs_tol, quad.rel_tol * abs(refined)):
-        raise ConvergenceError(
-            f"longitudinal purity did not converge (estimates {base:.6e}, {refined:.6e})",
-            best_estimate=refined,
-            previous_estimate=base,
-        )
-    return min(refined, 1.0)
+    return _checked_purity("longitudinal purity", *values, quad)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,12 @@ def gamma_cartesian_derivatives(spectrum: SpectrumModel, k_vec):
 # ---------------------------------------------------------------------------
 # phase models
 
+def _check_xi(name: str, value: float) -> None:
+    # a squared amplitude: a negative value would make D_eta negative
+    if not value >= 0.0:
+        raise DomainError(f"{name} must be non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ZeroPhase:
     """eta(k) identically zero; D_eta = 0 exactly."""
@@ -290,6 +296,9 @@ class PolarLinearPhase:
 
     eta1: Callable[[np.ndarray], np.ndarray]
     xi1: float
+
+    def __post_init__(self):
+        _check_xi("xi1", self.xi1)
 
     @classmethod
     def from_eta(cls, eta1: Callable[[np.ndarray], np.ndarray]) -> "PolarLinearPhase":
@@ -310,12 +319,18 @@ class RadialKcPhase:
 
     xi2: float
 
+    def __post_init__(self):
+        _check_xi("xi2", self.xi2)
+
 
 @dataclass(frozen=True)
 class RadialDkPhase:
     """eta(k) = sqrt(xi2) k / dk_ph."""
 
     xi2: float
+
+    def __post_init__(self):
+        _check_xi("xi2", self.xi2)
 
 
 PhaseModel = Union[ZeroPhase, PolarLinearPhase, RadialKcPhase, RadialDkPhase]

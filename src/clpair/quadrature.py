@@ -1,7 +1,7 @@
 """Integration engines: adaptive 1D, tensor-product nD, seeded Monte Carlo.
 
 The integrands in this package are smooth Gaussians times polynomials
-(plus a scaled Bessel factor), so high-order Gauss-Legendre panels with
+(plus Bessel factors), so high-order Gauss-Legendre panels with
 worst-panel bisection converge quickly. The Monte Carlo engine samples
 photon wavevectors exactly from the spectral density via a tabulated
 inverse CDF in k and rejection in theta.

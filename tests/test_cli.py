@@ -18,7 +18,8 @@ from clpair.cli import (
     rows_to_csv,
     run_sweep,
 )
-from clpair.errors import ConfigError
+from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
+from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase
 
 BASE_INI = """\
 [beam]
@@ -220,3 +221,69 @@ class TestCommands:
         meta = json.loads((tmp_path / "o" / "dist.json").read_text())
         assert abs(meta["momentum_integral"] - 1.0) < 0.01
         assert abs(meta["position_integral"] - 1.0) < 0.01
+
+
+class TestSweepFailures:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ConsistencyError("kernel symmetry violated"),
+            ResolutionError("grid too coarse"),
+            ConvergenceError("did not converge", best_estimate=0.25, previous_estimate=0.5),
+        ],
+        ids=["consistency", "resolution", "convergence"],
+    )
+    def test_failed_cell_keeps_reason(self, runner, tmp_path, monkeypatch, exc):
+        import clpair.cli as cli
+
+        real = cli.evaluate_point
+
+        def flaky(beam, spectrum, *args):
+            if beam.dq_perp == 1.0 and spectrum.dk_ph == 0.5:
+                raise exc
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(cli, "evaluate_point", flaky)
+        monkeypatch.delenv("CLPAIR_THREADS", raising=False)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert f"cell (1.0, 0.5) failed: {exc}" in res.output
+        rows = json.loads((out / "sweep.json").read_text())["rows"]
+        failed = [r for r in rows if r["regime"] == "error"]
+        assert len(rows) == 4 and len(failed) == 1
+        assert failed[0]["error"] == str(exc)
+        if isinstance(exc, ConvergenceError):
+            assert failed[0]["best_estimate"] == "0.25"
+            assert failed[0]["previous_estimate"] == "0.5"
+        else:
+            assert "best_estimate" not in failed[0]
+        assert all("error" not in r for r in rows if r["regime"] != "error")
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[1] == "1.0,0.5,nan,nan,nan,nan,nan,nan,error,"
+        assert all(len(line.split(",")) == len(CSV_HEADER) for line in lines)
+
+
+class TestInputValidation:
+    def test_non_integer_threads_env_exits_2(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("CLPAIR_THREADS", "abc")
+        res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "CLPAIR_THREADS" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("variant", ["polar_linear", "radial_kc", "radial_dk"])
+    def test_negative_xi_exits_2(self, runner, tmp_path, variant):
+        cfg = write(tmp_path, BASE_INI + f"\n[phase]\nvariant = {variant}\nxi = -5\n")
+        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "xi" in res.output
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: PolarLinearPhase(eta1=lambda t: t, xi1=-1.0), lambda: RadialKcPhase(-5.0), lambda: RadialDkPhase(-0.1)],
+        ids=["polar_linear", "radial_kc", "radial_dk"],
+    )
+    def test_negative_xi_rejected_by_phase(self, make):
+        with pytest.raises(DomainError):
+            make()

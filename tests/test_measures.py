@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from clpair import (
     BeamParams,
@@ -13,7 +14,9 @@ from clpair import (
     ZeroPhase,
 )
 from clpair.measures import (
+    _H_SMALL_X,
     PURITY_QUAD,
+    _sonine_h,
     Regime,
     RegimeThresholds,
     classify_regime,
@@ -31,7 +34,11 @@ from clpair.model import (
     QuadratureSpec,
     RadialDkPhase,
     RadialKcPhase,
+    apply_filter,
+    eval_f,
 )
+from clpair.oracles import mc_purity
+from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C
 
@@ -43,6 +50,25 @@ PURITY_ANCHORS = [
     (3.0, 0.3, 0.158434),
     (1.0, 1.0, 0.023484),
     (0.3, 3.0, 0.001364),
+]
+
+# purity_sc on the (dq_perp, dk_ph) panel {0.1, 1, 10, 100} x {0.1, 1, 30}
+# plus the README point (3, 0.3), as the former Bessel-kernel quadrature
+# gave them
+PANEL_REFERENCE = [
+    (0.1, 0.1, 0.00029518119761437164),
+    (0.1, 1.0, 0.0002551185375333166),
+    (0.1, 30.0, 3.4039067195524472e-06),
+    (1.0, 0.1, 0.026179541146301923),
+    (1.0, 1.0, 0.023489752169231715),
+    (1.0, 30.0, 0.0003361427325433028),
+    (10.0, 0.1, 0.6727274123103455),
+    (10.0, 1.0, 0.6391315268852065),
+    (10.0, 30.0, 0.021332500540646407),
+    (100.0, 0.1, 0.9950624476975216),
+    (100.0, 1.0, 0.9545051854816619),
+    (100.0, 30.0, 0.14256514823827843),
+    (3.0, 0.3, 0.15843415015592632),
 ]
 
 
@@ -69,10 +95,69 @@ class TestPuritySc:
         assert 0.0 < p <= 1.0
 
     def test_unattainable_tolerance_raises(self, make_beam, make_spectrum):
-        quad = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
+        quad = QuadratureSpec(rel_tol=1e-18, abs_tol=0.0)
         with pytest.raises(ConvergenceError) as err:
             purity_sc(make_beam(1.0), make_spectrum(1.0), quad)
         assert err.value.best_estimate is not None
+
+    @pytest.mark.parametrize("excess,clipped", [(0.5 * PURITY_QUAD.rel_tol, True), (2.0 * PURITY_QUAD.rel_tol, False)])
+    def test_value_above_one(self, excess, clipped, make_beam, make_spectrum, monkeypatch):
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "_purity_once", lambda *args, **kw: 1.0 + excess)
+        if clipped:
+            assert purity_sc(make_beam(1.0), make_spectrum(1.0)) == 1.0
+        else:
+            with pytest.raises(ConvergenceError) as err:
+                purity_sc(make_beam(1.0), make_spectrum(1.0))
+            assert err.value.best_estimate == 1.0 + excess
+
+
+class TestPurityScPanel:
+    """The ROADMAP's 12-point panel plus the README point, pinned to the
+    values of the former Bessel-kernel quadrature (alpha and u paths)."""
+
+    @pytest.mark.parametrize("dq_perp,dk,expected", PANEL_REFERENCE)
+    def test_matches_frozen_panel(self, dq_perp, dk, expected, make_beam, make_spectrum):
+        p = purity_sc(make_beam(dq_perp), make_spectrum(dk))
+        assert abs(p - expected) <= max(PURITY_QUAD.abs_tol, PURITY_QUAD.rel_tol * expected)
+
+
+class TestSonineH:
+    @staticmethod
+    def _numeric(x):
+        # both hemispheres of f(alpha) sin(alpha) J0(x sin(alpha))
+        an, aw = gauss_legendre_panels(0.0, math.pi, 64, 16)
+        return float(np.sum(aw * eval_f(an) * np.sin(an) * j0(x * np.sin(an))))
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 1e-4, np.nextafter(_H_SMALL_X, 0.0), _H_SMALL_X, 0.5, 3.0, 40.0],
+        ids=["0", "1e-4", "below_cutoff", "cutoff", "0.5", "3", "40"],
+    )
+    def test_matches_alpha_quadrature(self, x):
+        assert float(_sonine_h(x)) == pytest.approx(self._numeric(x), rel=1e-11, abs=1e-15)
+
+
+class TestFilteredPuritySc:
+    def test_constant_weight_equals_unfiltered(self, make_beam, make_spectrum):
+        s0 = make_spectrum(0.3)
+        s1 = apply_filter(s0, lambda k, th: 0.5 * np.ones(np.broadcast(k, th).shape))
+        b = make_beam(3.0)
+        assert purity_sc(b, s1) == pytest.approx(purity_sc(b, s0), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            lambda k, th: (th < 0.5 * math.pi).astype(float),
+            lambda k, th: np.sin(th) ** 4 + 0.0 * k,
+        ],
+        ids=["hemisphere", "sin4"],
+    )
+    def test_agrees_with_monte_carlo(self, weight, make_beam, make_spectrum):
+        s = apply_filter(make_spectrum(0.3), weight)
+        rep = mc_purity(make_beam(3.0), s, n=200_000, seed=5)
+        assert rep.passed, rep
 
 
 class TestPurityZ:

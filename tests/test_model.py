@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, i0e
+from scipy.special import erf, i0e, spherical_jn
 
 from clpair import (
     BeamParams,
@@ -39,12 +39,12 @@ from clpair.model import (
 from clpair.quadrature import gauss_legendre_panels, integrate_1d
 
 from conftest import DQ_PAR, K_C
-from reference_tables import ERF_TABLE, I0E_TABLE
+from reference_tables import ERF_TABLE, I0E_TABLE, SPHERICAL_JN_TABLE
 
 
 class TestSpecialFunctionPins:
-    """The package leans on scipy's erf and i0e; pin them to frozen
-    mpmath values so a broken environment fails loudly."""
+    """Pin scipy's erf, i0e and spherical_jn to frozen mpmath values so a
+    broken environment fails loudly."""
 
     def test_erf_table(self):
         for x, ref in ERF_TABLE:
@@ -53,6 +53,10 @@ class TestSpecialFunctionPins:
     def test_i0e_table(self):
         for b, ref in I0E_TABLE:
             assert i0e(b) == pytest.approx(ref, rel=1e-13)
+
+    def test_spherical_jn_table(self):
+        for n, x, ref in SPHERICAL_JN_TABLE:
+            assert spherical_jn(n, x) == pytest.approx(ref, rel=1e-13), (n, x)
 
 
 class TestKinematics:
