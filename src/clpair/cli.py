@@ -8,7 +8,8 @@ sweep CSV).
 The config file is an INI-style key-value document; the only
 environment overrides are CLPAIR_OUT (output directory) and
 CLPAIR_THREADS (worker count). Exit codes: 0 success, 1 cell or oracle
-failure, 2 configuration error.
+failure, 2 configuration error; `_Main.invoke` maps errors to them for
+every command.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,6 +31,7 @@ import click
 import numpy as np
 
 from . import __version__
+from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, TWO_PI
 from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from .measures import (
     PURITY_QUAD,
@@ -63,8 +65,6 @@ CSV_HEADER = [
     "longitudinal_entangled",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class SweepAxes:
@@ -80,8 +80,8 @@ class SweepAxes:
             (self.dq_perp_min, self.dq_perp_max, self.dq_perp_steps),
             (self.dk_ph_min, self.dk_ph_max, self.dk_ph_steps),
         ):
-            if not (0.0 < lo < hi):
-                raise ConfigError("sweep ranges must be positive with min < max")
+            if not (0.0 < lo < hi < math.inf):
+                raise ConfigError("sweep ranges must be positive and finite with min < max")
             if n < 2:
                 raise ConfigError("sweep steps must be at least 2")
 
@@ -94,6 +94,12 @@ class SweepAxes:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's parameters; construction rejects inadmissible values.
+
+    The quadrature tolerances and regime thresholds are the library's own
+    `QuadratureSpec` and `RegimeThresholds`, which check themselves.
+    """
+
     kinetic_energy_kev: float
     dq_par: float
     k_c: float
@@ -102,14 +108,24 @@ class RunConfig:
     phase_variant: str = "zero"
     phase_xi: float = 0.0
     sweep: Optional[SweepAxes] = None
-    purity_threshold: float = 2.0 / 3.0
-    epr_threshold: float = 1.0
-    rel_tol: float = PURITY_QUAD.rel_tol
-    abs_tol: float = PURITY_QUAD.abs_tol
-    truncation_sigmas: float = 8.0
-    mc_samples: int = 200_000
-    mc_seed: int = 20260824
+    thresholds: RegimeThresholds = RegimeThresholds()
+    quadrature: QuadratureSpec = PURITY_QUAD
+    mc_samples: int = MC_SAMPLES
+    mc_seed: int = MC_SEED
     out_dir: str = "."
+
+    def __post_init__(self):
+        if not 0.0 <= self.phase_xi < math.inf:
+            raise ConfigError(f"[phase] xi must be non-negative and finite, got {self.phase_xi!r}")
+        if not self.mc_samples >= MC_MIN_SAMPLES:
+            raise ConfigError(f"[quadrature] mc_samples must be at least {MC_MIN_SAMPLES}, got {self.mc_samples!r}")
+        if not self.mc_seed >= 0:
+            raise ConfigError(f"the Monte Carlo seed must be non-negative, got {self.mc_seed!r}")
+        # fail fast with the model's own checks; a sweep supplies dq_perp per
+        # cell, so without one dq_par stands in to check the energy and dq_par
+        self.spectrum()
+        self.phase()
+        self.beam(self.dq_perp if self.dq_perp is not None else self.dq_par)
 
     def beam(self, dq_perp: Optional[float] = None) -> BeamParams:
         dq = dq_perp if dq_perp is not None else self.dq_perp
@@ -131,18 +147,6 @@ class RunConfig:
             return RadialDkPhase(xi2=self.phase_xi)
         raise ConfigError(f"unknown phase variant {self.phase_variant!r}")
 
-    def thresholds(self) -> RegimeThresholds:
-        return RegimeThresholds(self.purity_threshold, self.epr_threshold)
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            truncation_sigmas=self.truncation_sigmas,
-            mc_samples=self.mc_samples,
-            mc_seed=self.mc_seed,
-        )
-
 
 def _identity(theta):
     return theta
@@ -151,11 +155,19 @@ def _identity(theta):
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _exclusive(section, base: dict, name_a: str, name_b: str, convert_a, where: str) -> float:
-    has_a, has_b = name_a in base, name_b in base
-    if has_a == has_b:
-        raise ConfigError(f"[{where}] needs exactly one of {name_a} / {name_b}")
-    return convert_a(_float(base, name_a, where)) if has_a else _float(base, name_b, where)
+def _exclusive(section: dict, length: str, wavenumber: str, where: str) -> float:
+    """A wavenumber (um^-1) given either as `wavenumber` or as a `length` (um)."""
+    if (length in section) == (wavenumber in section):
+        raise ConfigError(f"[{where}] needs exactly one of {length} / {wavenumber}")
+    return _reciprocal(section, length, where) if length in section else _float(section, wavenumber, where)
+
+
+def _reciprocal(section: dict, key: str, where: str) -> float:
+    """2 pi / value: a length as a wavenumber, or a wavenumber as a length."""
+    value = _float(section, key, where)
+    if not value > 0.0:
+        raise ConfigError(f"[{where}] {key} must be positive, got {value!r}")
+    return TWO_PI / value
 
 
 def _float(section: dict, key: str, where: str) -> float:
@@ -165,13 +177,22 @@ def _float(section: dict, key: str, where: str) -> float:
         raise ConfigError(f"[{where}] {key}: missing or not a number") from exc
 
 
-def _int(section: dict, key: str, where: str, default: Optional[int] = None) -> int:
-    if key not in section and default is not None:
-        return default
+def _int(section: dict, key: str, where: str) -> int:
     try:
         return int(section[key])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"[{where}] {key}: missing or not an integer") from exc
+
+
+def _str(section: dict, key: str, where: str) -> str:
+    return section[key]
+
+
+def _given(parser: configparser.ConfigParser, where: str, keys: dict) -> dict:
+    """{field: value} for the optional `keys` ({key: (field, reader)}) present
+    in section `where`; an absent key keeps its field's default."""
+    section = dict(parser[where]) if where in parser else {}
+    return {name: read(section, key, where) for key, (name, read) in keys.items() if key in section}
 
 
 def load_config(path: str) -> RunConfig:
@@ -185,6 +206,8 @@ def load_config(path: str) -> RunConfig:
         return parse_config(parser)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:  # a value whose derived quantities overflow
+        raise ConfigError(f"a parameter is out of range: {exc}") from exc
 
 
 def parse_config(parser: configparser.ConfigParser) -> RunConfig:
@@ -193,29 +216,19 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
     beam = dict(parser["beam"])
     spec = dict(parser["spectrum"])
 
-    dq_par = _exclusive(parser, beam, "l_par_um", "dq_par_um_inv", lambda v: TWO_PI / v, "beam")
+    dq_par = _exclusive(beam, "l_par_um", "dq_par_um_inv", "beam")
     dq_perp = None
     if "l_perp_um" in beam or "dq_perp_um_inv" in beam:
-        dq_perp = _exclusive(parser, beam, "l_perp_um", "dq_perp_um_inv", lambda v: TWO_PI / v, "beam")
+        dq_perp = _exclusive(beam, "l_perp_um", "dq_perp_um_inv", "beam")
 
-    if ("lambda_c_um" in spec) == ("k_c_um_inv" in spec):
-        raise ConfigError("[spectrum] needs exactly one of lambda_c_um / k_c_um_inv")
+    k_c = _exclusive(spec, "lambda_c_um", "k_c_um_inv", "spectrum")
     if ("dlambda_um" in spec) == ("dk_ph_um_inv" in spec):
         raise ConfigError("[spectrum] needs exactly one of dlambda_um / dk_ph_um_inv")
-    if "lambda_c_um" in spec:
-        lam = _float(spec, "lambda_c_um", "spectrum")
-        if "dlambda_um" in spec:
-            k_c, dk_ph = wavelength_to_wavenumbers(lam, _float(spec, "dlambda_um", "spectrum"))
-        else:
-            k_c = TWO_PI / lam
-            dk_ph = _float(spec, "dk_ph_um_inv", "spectrum")
+    if "dlambda_um" in spec:
+        lam = _float(spec, "lambda_c_um", "spectrum") if "lambda_c_um" in spec else _reciprocal(spec, "k_c_um_inv", "spectrum")
+        _, dk_ph = wavelength_to_wavenumbers(lam, _float(spec, "dlambda_um", "spectrum"))
     else:
-        k_c = _float(spec, "k_c_um_inv", "spectrum")
-        if "dlambda_um" in spec:
-            lam = TWO_PI / k_c
-            _, dk_ph = wavelength_to_wavenumbers(lam, _float(spec, "dlambda_um", "spectrum"))
-        else:
-            dk_ph = _float(spec, "dk_ph_um_inv", "spectrum")
+        dk_ph = _float(spec, "dk_ph_um_inv", "spectrum")
 
     sweep = None
     if "sweep" in parser:
@@ -229,44 +242,21 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
             _int(s, "dk_ph_steps", "sweep"),
         )
 
-    phase_variant, phase_xi = "zero", 0.0
-    if "phase" in parser:
-        p = dict(parser["phase"])
-        phase_variant = p.get("variant", "zero")
-        if phase_variant not in ("zero", "polar_linear", "radial_kc", "radial_dk"):
-            raise ConfigError(f"unknown phase variant {phase_variant!r}")
-        phase_xi = _float(p, "xi", "phase") if "xi" in p else 0.0
-        if not phase_xi >= 0.0:
-            raise ConfigError(f"[phase] xi must be non-negative, got {phase_xi!r}")
-
-    th = dict(parser["thresholds"]) if "thresholds" in parser else {}
-    qd = dict(parser["quadrature"]) if "quadrature" in parser else {}
-    out = dict(parser["output"]) if "output" in parser else {}
-
-    cfg = RunConfig(
+    thresholds = _given(parser, "thresholds", {"purity": ("purity_threshold", _float), "epr": ("epr_threshold", _float)})
+    tolerances = _given(parser, "quadrature", {key: (key, _float) for key in ("rel_tol", "abs_tol", "truncation_sigmas")})
+    return RunConfig(
         kinetic_energy_kev=_float(beam, "kinetic_energy_kev", "beam"),
         dq_par=dq_par,
         k_c=k_c,
         dk_ph=dk_ph,
         dq_perp=dq_perp,
-        phase_variant=phase_variant,
-        phase_xi=phase_xi,
         sweep=sweep,
-        purity_threshold=_float(th, "purity", "thresholds") if "purity" in th else 2.0 / 3.0,
-        epr_threshold=_float(th, "epr", "thresholds") if "epr" in th else 1.0,
-        rel_tol=_float(qd, "rel_tol", "quadrature") if "rel_tol" in qd else PURITY_QUAD.rel_tol,
-        abs_tol=_float(qd, "abs_tol", "quadrature") if "abs_tol" in qd else PURITY_QUAD.abs_tol,
-        truncation_sigmas=_float(qd, "truncation_sigmas", "quadrature") if "truncation_sigmas" in qd else 8.0,
-        mc_samples=_int(qd, "mc_samples", "quadrature", 200_000),
-        mc_seed=_int(qd, "mc_seed", "quadrature", 20260824),
-        out_dir=out.get("out_dir", "."),
+        thresholds=RegimeThresholds(**thresholds),
+        quadrature=replace(PURITY_QUAD, **tolerances),
+        **_given(parser, "phase", {"variant": ("phase_variant", _str), "xi": ("phase_xi", _float)}),
+        **_given(parser, "quadrature", {"mc_samples": ("mc_samples", _int), "mc_seed": ("mc_seed", _int)}),
+        **_given(parser, "output", {"out_dir": ("out_dir", _str)}),
     )
-    # fail fast on inadmissible parameters
-    cfg.spectrum()
-    cfg.quadrature()
-    cfg.thresholds()
-    cfg.phase()
-    return cfg
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -289,11 +279,11 @@ def dump_config(cfg: RunConfig) -> str:
             "dk_ph_max": repr(cfg.sweep.dk_ph_max),
             "dk_ph_steps": str(cfg.sweep.dk_ph_steps),
         }
-    parser["thresholds"] = {"purity": repr(cfg.purity_threshold), "epr": repr(cfg.epr_threshold)}
+    parser["thresholds"] = {"purity": repr(cfg.thresholds.purity_threshold), "epr": repr(cfg.thresholds.epr_threshold)}
     parser["quadrature"] = {
-        "rel_tol": repr(cfg.rel_tol),
-        "abs_tol": repr(cfg.abs_tol),
-        "truncation_sigmas": repr(cfg.truncation_sigmas),
+        "rel_tol": repr(cfg.quadrature.rel_tol),
+        "abs_tol": repr(cfg.quadrature.abs_tol),
+        "truncation_sigmas": repr(cfg.quadrature.truncation_sigmas),
         "mc_samples": str(cfg.mc_samples),
         "mc_seed": str(cfg.mc_seed),
     }
@@ -324,8 +314,8 @@ def _cell_row(args) -> dict:
             cfg.beam(dq_perp),
             cfg.spectrum(dk_ph),
             cfg.phase(),
-            cfg.thresholds(),
-            cfg.quadrature(),
+            cfg.thresholds,
+            cfg.quadrature,
         )
     except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
         row = {
@@ -396,14 +386,19 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 def csv_to_rows(text: str) -> list[dict]:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
     if header != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header {header!r}")
     rows = []
-    for rec in reader:
+    for line, rec in enumerate(reader, start=2):
+        if len(rec) != len(header):
+            raise ConfigError(f"CSV line {line} has {len(rec)} fields, expected {len(header)}")
         row = dict(zip(header, rec))
-        for key in CSV_HEADER[:-2]:
-            row[key] = float(row[key])
+        try:
+            for key in CSV_HEADER[:-2]:
+                row[key] = float(row[key])
+        except ValueError as exc:
+            raise ConfigError(f"CSV line {line}: {exc}") from exc
         row["longitudinal_entangled"] = row["longitudinal_entangled"] == "true"
         rows.append(row)
     return rows
@@ -449,7 +444,25 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-@click.group()
+class _Main(click.Group):
+    """The command group; the one place where errors become exit codes.
+
+    A bad config or input file exits 2 with `config error: ...`; a
+    domain or convergence failure exits 1 with `<command> failed: ...`.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        except (DomainError, ConvergenceError) as exc:
+            click.echo(f"{ctx.invoked_subcommand} failed: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Electron-photon pair entanglement diagnostics."""
 
@@ -459,34 +472,18 @@ _out_opt = click.option("--out", "out", default=None, type=click.Path(), help="O
 _threads_opt = click.option("--threads", default=None, type=int, help="Worker process count.")
 
 
-def _load(config_path: str) -> RunConfig:
-    try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-
-
 @main.command()
 @_config_opt
 @_out_opt
 def measure(config_path, out):
     """Evaluate all diagnostics at the configured single point."""
-    cfg = _load(config_path)
-    try:
-        row = {
-            "dq_perp_um_inv": cfg.beam().dq_perp,
-            "dk_ph_um_inv": cfg.dk_ph,
-            **result_to_row(
-                evaluate_point(cfg.beam(), cfg.spectrum(), cfg.phase(), cfg.thresholds(), cfg.quadrature())
-            ),
-        }
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except (DomainError, ConvergenceError) as exc:
-        click.echo(f"measurement failed: {exc}", err=True)
-        sys.exit(1)
+    cfg = load_config(config_path)
+    beam = cfg.beam()
+    row = {
+        "dq_perp_um_inv": beam.dq_perp,
+        "dk_ph_um_inv": cfg.dk_ph,
+        **result_to_row(evaluate_point(beam, cfg.spectrum(), cfg.phase(), cfg.thresholds, cfg.quadrature)),
+    }
     out_path = _out_dir(cfg, out)
     (out_path / "measure.csv").write_text(rows_to_csv([row]))
     _write_json(out_path / "measure.json", _provenance(cfg, rows=[{k: _fmt(v) for k, v in row.items()}]))
@@ -499,12 +496,8 @@ def measure(config_path, out):
 @_threads_opt
 def sweep(config_path, out, threads):
     """Evaluate the configured parameter-plane sweep to CSV + JSON."""
-    cfg = _load(config_path)
-    try:
-        rows = run_sweep(cfg, _threads(threads))
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    cfg = load_config(config_path)
+    rows = run_sweep(cfg, _threads(threads))
     out_path = _out_dir(cfg, out)
     (out_path / "sweep.csv").write_text(rows_to_csv(rows))
     _write_json(
@@ -526,17 +519,10 @@ def dist(config_path, out):
     """Emit the joint momentum and joint position distribution grids."""
     from .distributions import joint_position, momentum_grid
 
-    cfg = _load(config_path)
-    try:
-        beam = cfg.beam()
-        mg = momentum_grid(beam, cfg.spectrum(), cfg.quadrature())
-        pg = joint_position(beam, cfg.spectrum(), cfg.quadrature())
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except (DomainError, ConvergenceError) as exc:
-        click.echo(f"distribution failed: {exc}", err=True)
-        sys.exit(1)
+    cfg = load_config(config_path)
+    beam, spectrum = cfg.beam(), cfg.spectrum()
+    mg = momentum_grid(beam, spectrum, cfg.quadrature)
+    pg = joint_position(beam, spectrum, cfg.quadrature)
     out_path = _out_dir(cfg, out)
     for name, grid in (("momentum", mg), ("position", pg)):
         buf = io.StringIO()
@@ -564,12 +550,8 @@ def dist(config_path, out):
 @_threads_opt
 def regime_map(config_path, out, threads):
     """Sweep the plane and render the categorical regime map SVG."""
-    cfg = _load(config_path)
-    try:
-        rows = run_sweep(cfg, _threads(threads))
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    cfg = load_config(config_path)
+    rows = run_sweep(cfg, _threads(threads))
     out_path = _out_dir(cfg, out)
     (out_path / "regime_map.csv").write_text(rows_to_csv(rows))
     svg = _render_rows(rows, "regime", cfg)
@@ -587,25 +569,15 @@ def validate(config_path, seed, out):
     """Run the oracle suite at the configured point."""
     from .oracles import run_suite
 
-    cfg = _load(config_path)
-    try:
-        reports = run_suite(
-            cfg.beam(),
-            cfg.spectrum(),
-            cfg.quadrature(),
-            seed=seed if seed is not None else cfg.mc_seed,
-            mc_samples=cfg.mc_samples,
-        )
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except (DomainError, ConvergenceError) as exc:
-        click.echo(f"oracle failure: {exc}", err=True)
-        sys.exit(1)
+    cfg = load_config(config_path)
+    # the override meets the same checks as [quadrature] mc_seed; the
+    # provenance keeps the config as written, with the seed beside it
+    seed = (cfg if seed is None else replace(cfg, mc_seed=seed)).mc_seed
+    reports = run_suite(cfg.beam(), cfg.spectrum(), cfg.quadrature, seed=seed, mc_samples=cfg.mc_samples)
     out_path = _out_dir(cfg, out)
     payload = _provenance(
         cfg,
-        seed=seed if seed is not None else cfg.mc_seed,
+        seed=seed,
         reports=[
             {
                 "quantity": r.quantity,
@@ -634,39 +606,34 @@ def validate(config_path, seed, out):
 @_out_opt
 def render(config_path, field_name, input_csv, out):
     """Render a heatmap SVG of one field from an existing sweep CSV."""
-    cfg = _load(config_path)
+    cfg = load_config(config_path)
     out_path = _out_dir(cfg, out)
     src = Path(input_csv) if input_csv else out_path / "sweep.csv"
     if not src.exists():
-        click.echo(f"config error: sweep CSV not found at {src}", err=True)
-        sys.exit(2)
-    try:
-        rows = csv_to_rows(src.read_text())
-        svg = _render_rows(rows, field_name, cfg)
-    except (ConfigError, DomainError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+        raise ConfigError(f"sweep CSV not found at {src}")
+    svg = _render_rows(csv_to_rows(src.read_text()), field_name, cfg)
     (out_path / f"render_{field_name}.svg").write_text(svg)
     click.echo(f"wrote {out_path / f'render_{field_name}.svg'}")
 
 
 def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
     if field_name not in CSV_HEADER[2:]:
-        raise DomainError(f"unknown field {field_name!r}; choose from {CSV_HEADER[2:]}")
+        raise ConfigError(f"unknown field {field_name!r}; choose from {CSV_HEADER[2:]}")
     xs = sorted({row["dq_perp_um_inv"] for row in rows})
     ys = sorted({row["dk_ph_um_inv"] for row in rows})
     index = {(row["dq_perp_um_inv"], row["dk_ph_um_inv"]): row for row in rows}
     if len(index) != len(xs) * len(ys):
-        raise DomainError("sweep CSV does not cover a full rectangular grid")
+        raise ConfigError("sweep CSV does not cover a full rectangular grid")
 
     def grid_of(key):
         return np.array([[_as_float(index[(x, y)][key]) for y in ys] for x in xs])
 
     d2 = grid_of("d2")
     purity = grid_of("purity_sc")
+    th = cfg.thresholds
     contours = [
-        ContourSpec(d2, cfg.epr_threshold, "#ffffff", f"d2 = {cfg.epr_threshold:g}"),
-        ContourSpec(purity, cfg.purity_threshold, "#ff00ff", f"purity = {cfg.purity_threshold:.3g}"),
+        ContourSpec(d2, th.epr_threshold, "#ffffff", f"d2 = {th.epr_threshold:g}"),
+        ContourSpec(purity, th.purity_threshold, "#ff00ff", f"purity = {th.purity_threshold:.3g}"),
     ]
     if field_name == "regime":
         cats = [str(index[(x, y)]["regime"]) for x in xs for y in ys]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import ANGULAR_NORM
 from .errors import ConsistencyError, DomainError, ResolutionError
 from .measures import rel_pos_variance_closed
 from .model import (
@@ -32,9 +33,6 @@ from .model import (
     psi_ini_x_sq,
 )
 from .quadrature import gauss_legendre_panels
-
-TWO_PI = 2.0 * math.pi
-ANGULAR_NORM = 15.0 / (8.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, j0, spherical_jn
 
+from .constants import TWO_PI
 from .errors import ConvergenceError, DomainError
 from .model import (
     BeamParams,
@@ -31,8 +32,6 @@ from .model import (
     gamma_cartesian_derivatives,
 )
 from .quadrature import gauss_legendre_panels
-
-TWO_PI = 2.0 * math.pi
 
 #: Default tolerances for the purity quadrature. The refinement check is
 #: absolute-dominated: the Monte Carlo oracle at 1e6 samples resolves
@@ -63,7 +62,9 @@ class RegimeThresholds:
 
     def __post_init__(self):
         if not 0.0 < self.purity_threshold < 1.0:
-            raise DomainError("purity threshold must lie in (0, 1)")
+            raise DomainError(f"purity threshold must lie in (0, 1), got {self.purity_threshold!r}")
+        if not 0.0 < self.epr_threshold < math.inf:
+            raise DomainError(f"epr threshold must be positive and finite, got {self.epr_threshold!r}")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.special import erf
 
-from .constants import ELECTRON_REST_KEV, HBARC_KEV_UM
+from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TWO_PI
 from .errors import DomainError, EmptyFilterError, SingularPointError
-
-TWO_PI = 2.0 * math.pi
-ANGULAR_NORM = 15.0 / (8.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +30,8 @@ def derive_kinematics(kinetic_energy_kev: float) -> tuple[float, float]:
     Relativistic kinematics: the momentum satisfies
     (pc)^2 = K^2 + 2 mc^2 K and c/v = (K + mc^2) / (pc).
     """
-    if not kinetic_energy_kev > 0.0:
-        raise DomainError(f"kinetic energy must be positive, got {kinetic_energy_kev}")
+    if not 0.0 < kinetic_energy_kev < math.inf:
+        raise DomainError(f"kinetic energy must be positive and finite, got {kinetic_energy_kev}")
     pc = math.sqrt(kinetic_energy_kev**2 + 2.0 * ELECTRON_REST_KEV * kinetic_energy_kev)
     q0 = pc / HBARC_KEV_UM
     c_over_vz = (kinetic_energy_kev + ELECTRON_REST_KEV) / pc
@@ -165,8 +162,8 @@ class SpectrumModel:
     filter: Optional[SpectrumFilter] = None
 
     def __post_init__(self):
-        if not (self.k_c > 0.0 and self.dk_ph > 0.0):
-            raise DomainError("k_c and dk_ph must be positive")
+        if not (0.0 < self.k_c < math.inf and 0.0 < self.dk_ph < math.inf):
+            raise DomainError(f"k_c and dk_ph must be positive and finite, got {self.k_c!r}, {self.dk_ph!r}")
         if self.n_g == 0.0:
             object.__setattr__(self, "n_g", spectrum_normalization(self.k_c, self.dk_ph))
 
@@ -276,8 +273,8 @@ def gamma_cartesian_derivatives(spectrum: SpectrumModel, k_vec):
 
 def _check_xi(name: str, value: float) -> None:
     # a squared amplitude: a negative value would make D_eta negative
-    if not value >= 0.0:
-        raise DomainError(f"{name} must be non-negative, got {value!r}")
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -383,14 +380,15 @@ class QuadratureSpec:
     abs_tol: float = 1e-9
     max_evals: int = 2_000_000
     truncation_sigmas: float = 8.0
-    mc_samples: int = 100_000
-    mc_seed: int = 20260824
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
-        if self.truncation_sigmas < 5.0:
-            raise DomainError("truncation_sigmas must be at least 5")
+        # written as `not ...` so that nan fails every check
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be non-negative and finite, got {self.abs_tol!r}")
+        if not 5.0 <= self.truncation_sigmas < math.inf:
+            raise DomainError(f"truncation_sigmas must be finite and at least 5, got {self.truncation_sigmas!r}")
 
 
 @dataclass(frozen=True)

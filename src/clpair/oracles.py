@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED
 from .distributions import JointGrid, joint_position, momentum_grid, photon_marginal_kx
 from .errors import DomainError, ResolutionError
 from .measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
@@ -51,7 +52,7 @@ def mc_purity(
     beam: BeamParams,
     spectrum: SpectrumModel,
     n: int = 1_000_000,
-    seed: int = 20260824,
+    seed: int = MC_SEED,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> OracleReport:
     """Purity as a sampled expectation over independent photon pairs.
@@ -60,8 +61,8 @@ def mc_purity(
     double-Gaussian overlap factor; agrees with the quadrature purity
     within 3 standard errors by construction of the estimator.
     """
-    if n < 10_000:
-        raise DomainError("mc_purity requires at least 10^4 sample pairs")
+    if n < MC_MIN_SAMPLES:
+        raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
     sampler = GammaSampler(spectrum, quad)
     rng = np.random.default_rng(seed)
     k1 = sampler.sample_cartesian(n, rng)
@@ -284,8 +285,8 @@ def run_suite(
     beam: BeamParams,
     spectrum: SpectrumModel,
     quad: QuadratureSpec = QuadratureSpec(),
-    seed: int = 20260824,
-    mc_samples: int = 200_000,
+    seed: int = MC_SEED,
+    mc_samples: int = MC_SAMPLES,
 ) -> list[OracleReport]:
     """All oracles at one parameter point; deterministic for fixed inputs."""
     reports = [

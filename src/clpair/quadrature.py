@@ -1,10 +1,12 @@
-"""Integration engines: adaptive 1D, tensor-product nD, seeded Monte Carlo.
+"""Integration engines: adaptive 1D Gauss-Legendre and a spectral sampler.
 
 The integrands in this package are smooth Gaussians times polynomials
 (plus Bessel factors), so high-order Gauss-Legendre panels with
-worst-panel bisection converge quickly. The Monte Carlo engine samples
-photon wavevectors exactly from the spectral density via a tabulated
-inverse CDF in k and rejection in theta.
+worst-panel bisection converge quickly; `gauss_legendre_panels` gives
+the fixed composite rules the measures build their grids from.
+`GammaSampler` draws photon wavevectors exactly from the spectral
+density via a tabulated inverse CDF in k and rejection in theta; the
+Monte Carlo oracles average over its draws.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, DomainError
-from .model import QuadratureSpec, SpectrumModel, eval_f, eval_g
+from .model import QuadratureSpec, SpectrumModel, eval_g
 
 
 @dataclass(frozen=True)
@@ -88,49 +90,6 @@ def integrate_1d(f, a: float, b: float, quad: QuadratureSpec = QuadratureSpec(),
             heapq.heappush(heap, (-abs(v32 - v16), qa, qb, v32, abs(v32 - v16)))
 
 
-def integrate_nd(f, box, quad: QuadratureSpec = QuadratureSpec(), *, order: int = 8, vectorized: bool = True) -> IntegrationResult:
-    """Tensor Gauss rule over a box with dyadic panel refinement.
-
-    `f` maps an (n, dim) array of points to n values. Successive dyadic
-    refinements (doubling panels per axis) must agree within tolerance;
-    otherwise ConvergenceError with both estimates.
-    """
-    box = [(float(a), float(b)) for a, b in box]
-    dim = len(box)
-    if dim not in (2, 3, 4, 5):
-        raise DomainError("integrate_nd supports dimensions 2-5")
-
-    def tensor_value(n_panels):
-        axes = [gauss_legendre_panels(a, b, n_panels, order) for a, b in box]
-        grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = axes[0][1]
-        for ax in axes[1:]:
-            wts = np.multiply.outer(wts, ax[1])
-        if vectorized:
-            vals = np.asarray(f(pts), dtype=float)
-        else:
-            vals = np.array([f(p) for p in pts], dtype=float)
-        return float(np.dot(wts.ravel(), vals)), pts.shape[0]
-
-    prev, evals = tensor_value(1)
-    n_panels = 2
-    while True:
-        cur, n = tensor_value(n_panels)
-        evals += n
-        err = abs(cur - prev)
-        if err <= max(quad.abs_tol, quad.rel_tol * abs(cur)):
-            return IntegrationResult(cur, err, evals)
-        if evals + (n_panels * 2 * order) ** dim > quad.max_evals:
-            raise ConvergenceError(
-                f"integrate_nd did not converge (last estimates {prev:.9e}, {cur:.9e})",
-                best_estimate=IntegrationResult(cur, err, evals),
-                previous_estimate=prev,
-            )
-        prev = cur
-        n_panels *= 2
-
-
 class GammaSampler:
     """Draws photon wavevectors from the spectral density.
 
@@ -183,19 +142,3 @@ class GammaSampler:
         k, theta, phi = self.sample_spherical(n, rng)
         st = np.sin(theta)
         return np.stack([k * st * np.cos(phi), k * st * np.sin(phi), k * np.cos(theta)], axis=-1)
-
-
-def mc_integrate(f, sampler: GammaSampler, n: int, seed: int) -> IntegrationResult:
-    """Monte Carlo expectation of f(k_vec) under the spectral density.
-
-    Deterministic for a fixed seed; the reported error is the standard
-    error of the mean.
-    """
-    if n < 1000:
-        raise DomainError("mc_integrate requires at least 1000 samples")
-    rng = np.random.default_rng(seed)
-    pts = sampler.sample_cartesian(n, rng)
-    vals = np.asarray(f(pts), dtype=float)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return IntegrationResult(mean, stderr, n)

@@ -15,7 +15,7 @@ K_C = 2.0 * math.pi / 0.5
 DQ_PAR = 2.0 * math.pi / 1.3
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def make_beam():
     def _make(dq_perp: float, dq_par: float = DQ_PAR) -> BeamParams:
         return BeamParams.create(K_KEV, dq_perp, dq_par)
@@ -23,7 +23,7 @@ def make_beam():
     return _make
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def make_spectrum():
     def _make(dk_ph: float, k_c: float = K_C) -> SpectrumModel:
         return SpectrumModel.create(k_c, dk_ph)

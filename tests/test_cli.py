@@ -1,9 +1,13 @@
 import configparser
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from clpair.cli import (
     CSV_HEADER,
@@ -52,6 +56,12 @@ def write(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def assert_config_error(res):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "config error: " in res.output and "Traceback" not in res.output
 
 
 class TestConfigParsing:
@@ -116,6 +126,15 @@ class TestCsvRoundTrip:
     def test_header_rejected(self):
         with pytest.raises(ConfigError):
             csv_to_rows("a,b\n1,2\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", ",".join(CSV_HEADER) + "\n1.0,0.5\n", ",".join(CSV_HEADER) + "\n1.0,0.5,abc,1,1,1,1,1,A,true\n"],
+        ids=["empty", "short_row", "not_a_number"],
+    )
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ConfigError):
+            csv_to_rows(text)
 
 
 class TestSweepDeterminism:
@@ -287,3 +306,238 @@ class TestInputValidation:
     def test_negative_xi_rejected_by_phase(self, make):
         with pytest.raises(DomainError):
             make()
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("kinetic_energy_kev = 200.0", "kinetic_energy_kev = -200.0"),
+            ("l_par_um = 1.3", "l_par_um = 0"),
+            ("l_par_um = 1.3", "l_par_um = -1.3"),
+            ("dq_perp_um_inv = 3.0", "dq_perp_um_inv = nan"),
+            ("lambda_c_um = 0.5", "lambda_c_um = 0"),
+            ("dk_ph_um_inv = 1.0", "dk_ph_um_inv = inf"),
+            ("lambda_c_um = 0.5", "lambda_c_um = 1e-300"),
+        ],
+        ids=["negative_energy", "zero_l_par", "negative_l_par", "nan_dq_perp", "zero_lambda", "inf_dk", "overflowing_k_c"],
+    )
+    def test_beam_and_spectrum(self, runner, tmp_path, old, new):
+        cfg = write(tmp_path, BASE_INI.replace(old, new))
+        assert_config_error(runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")]))
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "[quadrature]\ntruncation_sigmas = nan",
+            "[quadrature]\ntruncation_sigmas = 4",
+            "[quadrature]\nabs_tol = nan",
+            "[quadrature]\nabs_tol = -1",
+            "[quadrature]\nrel_tol = inf",
+            "[thresholds]\nepr = nan",
+            "[thresholds]\nepr = 0",
+            "[thresholds]\npurity = nan",
+            "[quadrature]\nmc_samples = 5000",
+            "[quadrature]\nmc_seed = -1",
+            "[phase]\nvariant = radial_kc\nxi = inf",
+            "[phase]\nxi = nan",
+        ],
+    )
+    def test_tolerances_thresholds_and_mc(self, runner, tmp_path, section):
+        cfg = write(tmp_path, BASE_INI + "\n" + section + "\n")
+        for argv in (["measure"], ["validate"]):
+            assert_config_error(runner.invoke(main, [*argv, "--config", cfg, "--out", str(tmp_path / "o")]))
+
+    def test_negative_seed_option(self, runner, tmp_path):
+        cfg = write(tmp_path, BASE_INI)
+        res = runner.invoke(main, ["validate", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "seed" in res.output
+
+    def test_sample_floor_is_shared(self):
+        from clpair.constants import MC_MIN_SAMPLES
+        from clpair.oracles import mc_purity
+
+        parser = configparser.ConfigParser()
+        parser.read_string(BASE_INI + f"\n[quadrature]\nmc_samples = {MC_MIN_SAMPLES}\n")
+        cfg = parse_config(parser)
+        assert cfg.mc_samples == MC_MIN_SAMPLES
+        with pytest.raises(DomainError):
+            mc_purity(cfg.beam(), cfg.spectrum(), n=MC_MIN_SAMPLES - 1)
+        with pytest.raises(ConfigError):
+            replace(cfg, mc_samples=MC_MIN_SAMPLES - 1)
+
+
+class TestProvenancePinned:
+    @pytest.mark.parametrize(
+        "text,digest",
+        [
+            (BASE_INI, "f9e8b9c51f76a1b75b1a5f9e0ea3943ec8ccd90e53039e358b9bb784ec9e3d19"),
+            (SWEEP_INI, "95b7eb55a411fb13afa60981760694a49db62068baeedfcad5b4282c9baeca64"),
+        ],
+        ids=["base", "sweep"],
+    )
+    def test_config_hash(self, tmp_path, text, digest):
+        assert config_hash(load_config(write(tmp_path, text))) == digest
+
+
+class TestExitMapping:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure"],
+            ["sweep"],
+            ["dist"],
+            ["regime-map"],
+            ["validate"],
+            ["render", "--field", "d2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_maps_bad_config_to_2(self, runner, tmp_path, argv):
+        cfg = write(tmp_path, SWEEP_INI.replace("l_par_um = 1.3", "l_par_um = 1.3\ndq_par_um_inv = 4.8"))
+        assert_config_error(runner.invoke(main, [*argv, "--config", cfg, "--out", str(tmp_path / "o")]))
+
+    @pytest.mark.parametrize("argv", [["measure"], ["dist"], ["validate"]], ids=lambda argv: argv[0])
+    def test_point_commands_need_dq_perp(self, runner, tmp_path, argv):
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0\n", ""))
+        res = runner.invoke(main, [*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "l_perp_um" in res.output
+
+    def test_render_bad_csv_exits_2(self, runner, tmp_path):
+        cfg = write(tmp_path, SWEEP_INI)
+        ragged = rows_to_csv(run_sweep(load_config(cfg), threads=1)).splitlines()[:-1]
+        src = tmp_path / "ragged.csv"
+        src.write_text("\n".join(ragged) + "\n")
+        res = runner.invoke(main, ["render", "--config", cfg, "--field", "d2", "--input", str(src), "--out", str(tmp_path)])
+        assert_config_error(res)
+        assert "rectangular" in res.output
+
+    def test_measure_convergence_failure_exits_1(self, runner, tmp_path, monkeypatch):
+        import clpair.cli as cli
+
+        def fail(*args):
+            raise ConvergenceError("purity did not converge", best_estimate=0.25)
+
+        monkeypatch.setattr(cli, "evaluate_point", fail)
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, BASE_INI), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "measure failed: purity did not converge" in res.output
+        assert not (tmp_path / "o" / "measure.csv").exists()
+
+    def test_dist_domain_failure_exits_1(self, runner, tmp_path, monkeypatch):
+        import clpair.distributions as distributions
+
+        def fail(*args):
+            raise DomainError("grid out of range")
+
+        monkeypatch.setattr(distributions, "momentum_grid", fail)
+        res = runner.invoke(main, ["dist", "--config", write(tmp_path, BASE_INI), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "dist failed: grid out of range" in res.output
+
+    def test_subprocess_prints_no_traceback(self, tmp_path):
+        import subprocess
+        import sys
+
+        cfg = write(tmp_path, BASE_INI.replace("kinetic_energy_kev = 200.0", "kinetic_energy_kev = -200.0"))
+        res = subprocess.run(
+            [sys.executable, "-c", "from clpair.cli import main; main()", "measure", "--config", cfg, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("config error: ") and "Traceback" not in res.stderr
+
+
+_WILD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-(10**6), max_value=10**7).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "abc", "", "0", "-1", "1e400", "1e-320"]),
+)
+_WIDTH = st.floats(min_value=0.05, max_value=60.0).map(repr)
+_STEPS = st.integers(min_value=1, max_value=30).map(str)
+
+# every documented key with the values a user would plausibly write
+_DOCUMENTED_KEYS = {
+    "beam": {
+        "kinetic_energy_kev": st.floats(min_value=1.0, max_value=3000.0).map(repr),
+        "l_par_um": _WIDTH,
+        "dq_par_um_inv": _WIDTH,
+        "l_perp_um": _WIDTH,
+        "dq_perp_um_inv": _WIDTH,
+    },
+    "spectrum": {"lambda_c_um": _WIDTH, "k_c_um_inv": _WIDTH, "dlambda_um": _WIDTH, "dk_ph_um_inv": _WIDTH},
+    "sweep": {
+        "dq_perp_min": _WIDTH,
+        "dq_perp_max": _WIDTH,
+        "dq_perp_steps": _STEPS,
+        "dk_ph_min": _WIDTH,
+        "dk_ph_max": _WIDTH,
+        "dk_ph_steps": _STEPS,
+    },
+    "phase": {
+        "variant": st.sampled_from(["zero", "polar_linear", "radial_kc", "radial_dk", "spiral"]),
+        "xi": st.floats(min_value=0.0, max_value=200.0).map(repr),
+    },
+    "thresholds": {
+        "purity": st.floats(min_value=0.01, max_value=1.2).map(repr),
+        "epr": st.floats(min_value=0.0, max_value=3.0).map(repr),
+    },
+    "quadrature": {
+        "rel_tol": st.floats(min_value=0.0, max_value=1e-2).map(repr),
+        "abs_tol": st.floats(min_value=0.0, max_value=1e-3).map(repr),
+        "truncation_sigmas": st.floats(min_value=4.0, max_value=12.0).map(repr),
+        "mc_samples": st.integers(min_value=5_000, max_value=10**6).map(str),
+        "mc_seed": st.integers(min_value=-5, max_value=2**32).map(str),
+    },
+}
+# alternatives of which a config must give at most (beam width: exactly) one
+_ALTERNATIVES = {"l_par_um": "dq_par_um_inv", "l_perp_um": "dq_perp_um_inv", "lambda_c_um": "k_c_um_inv", "dlambda_um": "dk_ph_um_inv"}
+
+
+@st.composite
+def config_texts(draw):
+    """INI text over the documented keys: plausible values mostly, one in
+    twenty wild (nan, inf, negative, huge, tiny or not a number); optional
+    sections and keys may be missing, alternatives may clash."""
+    lines = []
+    for section, keys in _DOCUMENTED_KEYS.items():
+        if section not in ("beam", "spectrum") and not draw(st.booleans()):
+            continue
+        lines.append(f"[{section}]")
+        for key, plausible in keys.items():
+            if key in _ALTERNATIVES.values():
+                continue  # drawn with its alternative
+            if key in _ALTERNATIVES:
+                other = _ALTERNATIVES[key]
+                chosen = draw(st.sampled_from([[key], [other]] * 4 + [[key, other], []]))
+            else:
+                chosen = [key] if draw(st.integers(0, 9)) else []
+            for name in chosen:
+                value = _WILD if draw(st.integers(0, 19)) == 0 else (keys[name] if name in keys else plausible)
+                lines.append(f"{name} = {draw(value)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigProperty:
+    @given(text=config_texts())
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_parses_to_admissible_config_or_config_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "property.ini"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small-recoil warnings on extreme widths
+            try:
+                cfg = load_config(str(path))
+            except ConfigError:
+                return
+            cfg.spectrum()
+            cfg.phase()
+            if cfg.dq_perp is not None:
+                cfg.beam()
+            parser = configparser.ConfigParser()
+            parser.read_string(dump_config(cfg))
+            assert parse_config(parser) == cfg

@@ -113,9 +113,10 @@ class TestMomentumGrid:
             momentum_grid(make_beam(1.0), make_spectrum(1.0), n_kx=16)
 
 
-@pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2], ids=["wide", "mid", "narrow"])
+@pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2], ids=["wide", "mid", "narrow"], scope="class")
 class TestJointPosition:
-    @pytest.fixture()
+    # one joint_position grid (about 3 s) per width, shared by the class's tests
+    @pytest.fixture(scope="class")
     def grid_and_params(self, l_perp, make_beam, make_spectrum):
         b = make_beam(2.0 * math.pi / l_perp)
         s = make_spectrum(0.3)

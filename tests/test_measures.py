@@ -271,6 +271,11 @@ class TestClassifyRegime:
     def test_threshold_validation(self):
         with pytest.raises(DomainError):
             RegimeThresholds(purity_threshold=1.5)
+        for bad in (math.nan, 0.0, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                RegimeThresholds(epr_threshold=bad)
+        with pytest.raises(DomainError):
+            RegimeThresholds(purity_threshold=math.nan)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):

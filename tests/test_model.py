@@ -85,6 +85,9 @@ class TestKinematics:
             derive_kinematics(0.0)
         with pytest.raises(DomainError):
             derive_kinematics(-5.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                derive_kinematics(bad)
 
     @given(st.floats(min_value=1.0, max_value=1e4))
     @settings(max_examples=50, deadline=None)
@@ -164,6 +167,33 @@ class TestSpectrumModel:
             SpectrumModel.create(-1.0, 0.3)
         with pytest.raises(DomainError):
             SpectrumModel.create(12.0, 0.0)
+        for k_c, dk in ((math.inf, 0.3), (12.0, math.inf), (math.nan, 0.3), (12.0, math.nan)):
+            with pytest.raises(DomainError):
+                SpectrumModel.create(k_c, dk)
+
+
+class TestQuadratureSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rel_tol": 0.0},
+            {"rel_tol": math.nan},
+            {"rel_tol": math.inf},
+            {"abs_tol": -1.0},
+            {"abs_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"truncation_sigmas": 4.0},
+            {"truncation_sigmas": math.nan},
+            {"truncation_sigmas": math.inf},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejects_inadmissible(self, kwargs):
+        with pytest.raises(DomainError):
+            QuadratureSpec(**kwargs)
+
+    def test_zero_abs_tol_allowed(self):
+        assert QuadratureSpec(abs_tol=0.0).abs_tol == 0.0
 
 
 class TestGammaDerivatives:

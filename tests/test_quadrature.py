@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from clpair import ConvergenceError, DomainError, SpectrumModel, apply_filter
 from clpair.model import QuadratureSpec, eval_g
-from clpair.quadrature import (
-    GammaSampler,
-    gauss_legendre_panels,
-    integrate_1d,
-    integrate_nd,
-    mc_integrate,
-)
+from clpair.quadrature import GammaSampler, gauss_legendre_panels, integrate_1d
 
 
 class TestIntegrate1D:
@@ -60,36 +54,6 @@ class TestIntegrate1D:
         assert res.value == pytest.approx(exact, rel=1e-10, abs=1e-9)
 
 
-class TestIntegrateND:
-    def test_unit_square_xy(self):
-        res = integrate_nd(lambda p: p[:, 0] * p[:, 1], [(0.0, 1.0), (0.0, 1.0)])
-        assert res.value == pytest.approx(0.25, abs=1e-12)
-
-    def test_3d_gamma_normalization(self):
-        s = SpectrumModel.create(12.566, 1.0)
-        kmin, kmax = s.radial_support()
-
-        def integrand(p):
-            from clpair.model import eval_gamma
-
-            k, th, ph = p[:, 0], p[:, 1], p[:, 2]
-            return k**2 * np.sin(th) * eval_gamma(s, k, th)
-
-        res = integrate_nd(integrand, [(kmin, kmax), (0.0, math.pi), (0.0, 2.0 * math.pi)])
-        assert res.value == pytest.approx(1.0, abs=1e-6)
-
-    def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            integrate_nd(lambda p: p[:, 0], [(0.0, 1.0)])
-
-    def test_budget_error_carries_both_estimates(self):
-        quad = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300, max_evals=2000)
-        with pytest.raises(ConvergenceError) as err:
-            integrate_nd(lambda p: np.abs(p[:, 0] - 0.3) ** 0.1, [(0.0, 1.0), (0.0, 1.0)], quad)
-        assert err.value.best_estimate is not None
-        assert err.value.previous_estimate is not None
-
-
 class TestGammaSampler:
     def test_cos2_theta_moment(self):
         s = SpectrumModel.create(12.566, 1.0)
@@ -123,25 +87,6 @@ class TestGammaSampler:
         _, theta, _ = sampler.sample_spherical(50_000, np.random.default_rng(5))
         assert np.all(theta < math.pi / 2.0)
         assert np.mean(np.cos(theta) ** 2) == pytest.approx(3.0 / 7.0, abs=0.01)
-
-
-class TestMCIntegrate:
-    def test_constant(self):
-        s = SpectrumModel.create(12.566, 1.0)
-        res = mc_integrate(lambda p: np.ones(p.shape[0]), GammaSampler(s), 2000, seed=1)
-        assert res.value == 1.0 and res.error_estimate == 0.0
-
-    def test_sample_floor(self):
-        s = SpectrumModel.create(12.566, 1.0)
-        with pytest.raises(DomainError):
-            mc_integrate(lambda p: np.ones(p.shape[0]), GammaSampler(s), 10, seed=1)
-
-    def test_stderr_scaling(self):
-        s = SpectrumModel.create(12.566, 1.0)
-        f = lambda p: p[:, 2] ** 2
-        r1 = mc_integrate(f, GammaSampler(s), 20_000, seed=2)
-        r2 = mc_integrate(f, GammaSampler(s), 80_000, seed=2)
-        assert r2.error_estimate == pytest.approx(r1.error_estimate / 2.0, rel=0.1)
 
 
 class TestPanels:
