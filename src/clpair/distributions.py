@@ -158,66 +158,57 @@ def momentum_grid(
 # ---------------------------------------------------------------------------
 # joint position distribution
 
-def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, kxg: np.ndarray, quad: QuadratureSpec,
-                     n_rho: int = 48, n_beta: int = 24) -> np.ndarray:
-    """Symmetric kernel M(k_x, k_x') on the given k_x grid (um^2 entries).
+def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+    """Kernel M(k_x, k_x') (um^2 entries) on the grid that mirrors the
+    ascending positive half-axis `ax`, i.e. on [-ax[::-1], ax].
 
     M = int dk_y dk_z sqrt(Gamma(k) Gamma(k')) exp(-(c/v)^2 (k-k')^2 /
-    (8 dq_par^2)) with k' sharing (k_y, k_z). Evaluated per unordered
-    pair of |k_x| values (M is even and symmetric) in polar (rho, beta)
-    coordinates.
+    (8 dq_par^2)) with k' sharing (k_y, k_z). In polar (rho, beta)
+    coordinates on the (k_y, k_z) plane, with k_a = sqrt(a^2 + rho^2) and
+    cos(theta) = (rho / k_a) sin(beta), the integrand factorizes except
+    for the longitudinal Gaussian, so on one rho grid shared by all pairs
+
+        M(a, b) = sum_r w_r 4 ANGULAR_NORM r (F_r diag(w_beta sin^2 beta) F_r^T)[a, b]
+                  * exp(-(c/v)^2 (k_a - k_b)^2 / (8 dq_par^2)),
+        F_r[a, beta] = sqrt(g(k_a)) (r / k_a) sqrt(1 - (r / k_a)^2 sin^2 beta),
+
+    one Gram matrix per radial node. A row is zero where k_a leaves the
+    truncated window [kmin, kmax]; at each node the live rows are one
+    contiguous band of `ax`, so each Gram matrix is band x band. M depends
+    on |k_x| and |k_x'| only, so it is computed on the half-axis and
+    expanded by flips, which makes it exactly even: m == m[::-1, ::-1].
     """
     kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    ax = np.unique(np.abs(kxg))
-    na = ax.size
-    ii, jj = np.triu_indices(na)
-    a = ax[ii]  # |kx|  <= |kx'|
-    b = ax[jj]
-    lo2 = np.maximum(0.0, kmin**2 - a**2)
-    hi2 = np.maximum(lo2, kmax**2 - b**2)
-    rn, rw = gauss_legendre_panels(0.0, 1.0, max(1, n_rho // 16), 16)
-    bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, max(1, n_beta // 8), 8)
+    # 16-node Gauss-Legendre panels no wider than dk_ph; with 8-node
+    # panels the diagonal check already fails at dk_ph = 3.29, dq_perp = 1
+    r_max = math.sqrt(kmax**2 - ax[0] ** 2)
+    rn, rw = gauss_legendre_panels(0.0, r_max, max(1, math.ceil(r_max / spectrum.dk_ph)), 16)
+    bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 3, 8)
     sb2 = np.sin(bn) ** 2
-    vals = np.zeros(a.size)
-    chunk = 4096
-    for s in range(0, a.size, chunk):
-        sl = slice(s, min(s + chunk, a.size))
-        lo = np.sqrt(lo2[sl])[:, None]
-        hi = np.sqrt(hi2[sl])[:, None]
-        rho = lo + (hi - lo) * rn[None, :]
-        wr = (hi - lo) * rw[None, :]
-        k = np.sqrt(a[sl][:, None] ** 2 + rho**2)
-        kp = np.sqrt(b[sl][:, None] ** 2 + rho**2)
-        radial = (
-            np.sqrt(eval_g(spectrum, k) * eval_g(spectrum, kp))
-            * np.exp(-beam.c_over_vz**2 * (k - kp) ** 2 / (8.0 * beam.dq_par**2))
-            * ANGULAR_NORM
-            * rho**3
-            / (k * kp)
-        )
-        c2 = (rho[:, :, None] / k[:, :, None]) ** 2 * sb2[None, None, :]
-        c2p = (rho[:, :, None] / kp[:, :, None]) ** 2 * sb2[None, None, :]
-        ang = 4.0 * np.sum(
-            bw[None, None, :] * sb2[None, None, :] * np.sqrt(np.maximum((1.0 - c2) * (1.0 - c2p), 0.0)),
-            axis=2,
-        )
-        vals[sl] = np.sum(wr * radial * ang, axis=1)
-    msym = np.zeros((na, na))
-    msym[ii, jj] = vals
-    msym[jj, ii] = vals
-    # expand from |kx| half-axis back to the signed grid
-    idx = np.searchsorted(ax, np.abs(kxg))
-    m = msym[np.ix_(idx, idx)]
+    # F_r scaled by sqrt(w_beta sin^2 beta) on both sides, so the Gram
+    # matrix F F^T needs no diagonal weight and is exactly symmetric
+    wb = np.sqrt(bw) * np.sin(bn)
+    alpha = beam.c_over_vz**2 / (8.0 * beam.dq_par**2)
+    lo = np.searchsorted(ax, np.sqrt(np.maximum(kmin**2 - rn**2, 0.0)), side="left")
+    hi = np.searchsorted(ax, np.sqrt(kmax**2 - rn**2), side="right")
+    h = np.zeros((ax.size, ax.size))
+    for r, w, i0, i1 in zip(rn, rw, lo, hi):
+        k = np.sqrt(ax[i0:i1] ** 2 + r**2)
+        c = r / k
+        f = (np.sqrt(eval_g(spectrum, k)) * c)[:, None] * wb * np.sqrt(1.0 - c[:, None] ** 2 * sb2)
+        # einsum contracts in one thread; a BLAS product would start
+        # threads that cost more CPU than they save at these sizes
+        gram = np.einsum("ib,jb->ij", f, f)
+        h[i0:i1, i0:i1] += (4.0 * ANGULAR_NORM * w * r) * gram * np.exp(-alpha * (k[:, None] - k[None, :]) ** 2)
 
     # diagonal consistency: M(kx, kx) must reproduce the marginal G(kx)
-    diag = np.diagonal(m)
-    g_ref = photon_marginal_kx(spectrum, kxg, quad)
+    g_ref = photon_marginal_kx(spectrum, ax, quad)
     scale = float(np.max(g_ref))
-    if scale > 0.0 and float(np.max(np.abs(diag - g_ref))) > 1e-8 * scale:
+    if scale > 0.0 and float(np.max(np.abs(np.diagonal(h) - g_ref))) > 1e-8 * scale:
         raise ConsistencyError("position kernel diagonal disagrees with the photon marginal")
-    if float(np.max(np.abs(m - m.T))) > 1e-10:
+    if float(np.max(np.abs(h - h.T))) > 1e-10:
         raise ConsistencyError("position kernel is not symmetric")
-    return m
+    return np.block([[h[::-1, ::-1], h[::-1, :]], [h[:, ::-1], h]])
 
 
 def joint_position(
@@ -231,22 +222,29 @@ def joint_position(
 
     Gaussian envelope (dq_perp / sqrt(2 pi^3)) exp(-2 dq_perp^2 x_el^2)
     times T(x_el - x_ph), the double cosine transform of the kernel
-    M(k_x, k_x'). M is precomputed on a uniform k_x grid; T is summed
-    over the kernel's anti-diagonals (uniform spacing makes k_x - k_x'
-    take only 2 n - 1 values).
+    M(k_x, k_x'). M is precomputed on a uniform, exactly mirrored k_x
+    grid of even size `n_kx`, as one Gram matrix per radial node on a rho
+    grid shared by all pairs (see `_position_kernel`); T is summed over
+    the kernel's diagonals (uniform spacing makes k_x - k_x' take only
+    2 n - 1 values). M is even and symmetric, so the diagonal sums C_m
+    are even in m and T is even in the lag: both are evaluated for
+    m >= 0 and lags >= 0 only.
     """
     if spectrum.filter is not None:
         raise DomainError("joint position distribution requires the unfiltered model")
+    if n_kx % 2:
+        raise DomainError(f"n_kx must be even, got {n_kx}")
     _, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    # midpoint grid: symmetric, uniform, excludes the exact endpoints
+    # midpoint grid: uniform, excludes the exact endpoints; its positive
+    # half is built once and mirrored, so the grid is exactly odd
     dkx = 2.0 * kmax / n_kx
-    kxg = -kmax + (np.arange(n_kx) + 0.5) * dkx
-    m = _position_kernel(beam, spectrum, kxg, quad)
+    m = _position_kernel(beam, spectrum, (np.arange(n_kx // 2) + 0.5) * dkx, quad)
 
-    # anti-diagonal sums: T(s) = sum_m C_m cos(m dkx s)
+    # diagonal sums: T(s) = C_0 + 2 sum_{m > 0} C_m cos(m dkx s)
     mw = m * dkx**2
-    c = np.array([np.trace(mw, offset=off) for off in range(-(n_kx - 1), n_kx)])
-    modes = np.arange(-(n_kx - 1), n_kx) * dkx
+    c = np.array([np.trace(mw, offset=off) for off in range(n_kx)])
+    c[1:] *= 2.0
+    modes = np.arange(n_kx) * dkx
 
     sig_el = 1.0 / (2.0 * beam.dq_perp)
     sig_t = math.sqrt(rel_pos_variance_closed(beam, spectrum, ZeroPhase()))
@@ -260,8 +258,8 @@ def joint_position(
     x_el = np.arange(-i_el, i_el + 1) * (m_el * h)
     x_ph = np.arange(-i_ph, i_ph + 1) * (m_ph * h)
     lag_max = i_el * m_el + i_ph * m_ph
-    lags = np.arange(-lag_max, lag_max + 1)
-    t_lat = np.cos(np.multiply.outer(lags * h, modes)) @ c
+    t_half = np.cos(np.multiply.outer(np.arange(lag_max + 1) * h, modes)) @ c
+    t_lat = np.concatenate([t_half[:0:-1], t_half])
     lag_idx = (np.arange(-i_el, i_el + 1)[:, None] * m_el - np.arange(-i_ph, i_ph + 1)[None, :] * m_ph) + lag_max
     t = t_lat[lag_idx]
     dens = (beam.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * beam.dq_perp**2 * x_el[:, None] ** 2) * t

@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts: each must import and parse its
-options, and the regime map, which builds a `RunConfig` and renders
-through the CLI's helpers, must run end to end on a 2x2 plane."""
+options; the regime map, which builds a `RunConfig` and renders through
+the CLI's helpers, must run end to end on a 2x2 plane, and the joint
+distributions script end to end at its three beams."""
 
 import os
 import subprocess
@@ -36,3 +37,11 @@ def test_regime_map_runs(tmp_path):
     assert "wrote 4 cells" in res.stdout
     for name in ("regime", "purity_sc", "d2", "purity_z"):
         assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
+
+
+def test_joint_distributions_runs(tmp_path):
+    res = run(ROOT / "scripts" / "joint_distributions.py", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
+        f"{kind}_{label}.csv" for kind in ("momentum", "position") for label in ("wide", "mid", "narrow")
+    )
