@@ -6,7 +6,7 @@ reference 200 keV scenario, writes the sweep CSV, the categorical
 regime-map SVG, and heatmap SVGs of the purity and the uncertainty
 product.
 
-Usage: python scripts/regime_map.py [--out OUT] [--steps N] [--threads T]
+Usage: python scripts/regime_map.py [--out OUT] [--steps N]
 """
 
 import argparse
@@ -28,7 +28,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/regime_map", help="output directory")
     ap.add_argument("--steps", type=int, default=25, help="grid steps per axis")
-    ap.add_argument("--threads", type=int, default=4, help="worker processes")
     args = ap.parse_args()
 
     cfg = RunConfig(
@@ -38,7 +37,7 @@ def main() -> None:
         dk_ph=0.3,
         sweep=SweepAxes(0.1, 100.0, args.steps, 0.1, 30.0, args.steps),
     )
-    rows = run_sweep(cfg, threads=args.threads)
+    rows = run_sweep(cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

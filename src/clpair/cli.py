@@ -6,10 +6,11 @@ Subcommands (one verb per artifact): `measure` (single point), `sweep`
 sweep CSV).
 
 The config file is an INI-style key-value document; the only
-environment overrides are CLPAIR_OUT (output directory) and
-CLPAIR_THREADS (worker count). Exit codes: 0 success, 1 cell or oracle
-failure, 2 configuration error; `_Main.invoke` maps errors to them for
-every command.
+environment override is CLPAIR_OUT (output directory). A sweep
+evaluates its cells in row-major order in one process; `--threads` is
+accepted on `sweep` and `regime-map` and ignored. Exit codes: 0 success,
+1 cell or oracle failure, 2 configuration error; `_Main.invoke` maps
+errors to them for every command.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -140,16 +140,14 @@ class RunConfig:
         if self.phase_variant == "zero":
             return ZeroPhase()
         if self.phase_variant == "polar_linear":
-            return PolarLinearPhase(eta1=_identity, xi1=self.phase_xi)
+            # eta1 = a theta has xi1 = (3/14) a^2 (PolarLinearPhase's docstring)
+            a = math.sqrt(14.0 * self.phase_xi / 3.0)
+            return PolarLinearPhase(eta1=lambda theta: a * theta, xi1=self.phase_xi)
         if self.phase_variant == "radial_kc":
             return RadialKcPhase(xi2=self.phase_xi)
         if self.phase_variant == "radial_dk":
             return RadialDkPhase(xi2=self.phase_xi)
         raise ConfigError(f"unknown phase variant {self.phase_variant!r}")
-
-
-def _identity(theta):
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +298,13 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
-def _cell_row(args) -> dict:
+def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
     """Evaluate one sweep cell; failures become an 'error' row.
 
     A failed row keeps its reason under `error` and, for a quadrature
     that did not converge, its last two estimates; these keys go to the
     JSON record only, not to the CSV.
     """
-    cfg, dq_perp, dk_ph = args
     base = {"dq_perp_um_inv": dq_perp, "dk_ph_um_inv": dk_ph}
     try:
         result = evaluate_point(
@@ -350,21 +347,24 @@ def result_to_row(result: MeasureResult) -> dict:
     }
 
 
-def run_sweep(cfg: RunConfig, threads: int = 1) -> list[dict]:
-    """Evaluate every sweep cell in deterministic row-major order."""
+def run_sweep(cfg: RunConfig) -> list[dict]:
+    """Evaluate every sweep cell in row-major order, in this process."""
     if cfg.sweep is None:
         raise ConfigError("sweep commands need a [sweep] section")
-    cells = [
-        (cfg, float(dqp), float(dkp))
+    return [
+        _cell_row(cfg, float(dqp), float(dkp))
         for dqp in cfg.sweep.dq_perp_values()
         for dkp in cfg.sweep.dk_ph_values()
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_cell_row, cells, chunksize=4))
-    else:
-        rows = [_cell_row(c) for c in cells]
-    return rows
+
+
+def _report_failures(rows: list[dict]) -> None:
+    """Name each failed cell and its reason on stderr; exit 1 if any failed."""
+    failures = [r for r in rows if r["regime"] == "error"]
+    for r in failures:
+        click.echo(f"cell ({r['dq_perp_um_inv']}, {r['dk_ph_um_inv']}) failed: {r['error']}", err=True)
+    if failures:
+        sys.exit(1)
 
 
 def _fmt(value) -> str:
@@ -425,18 +425,6 @@ def _out_dir(cfg: RunConfig, cli_out: Optional[str]) -> Path:
     return path
 
 
-def _threads(cli_threads: Optional[int]) -> int:
-    if cli_threads is not None:
-        return max(1, cli_threads)
-    env = os.environ.get("CLPAIR_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise ConfigError(f"CLPAIR_THREADS must be an integer, got {env!r}") from exc
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -469,7 +457,8 @@ def main():
 
 _config_opt = click.option("--config", "config_path", required=True, type=click.Path(), help="Config file path.")
 _out_opt = click.option("--out", "out", default=None, type=click.Path(), help="Output directory.")
-_threads_opt = click.option("--threads", default=None, type=int, help="Worker process count.")
+# accepted for old command lines and ignored: a sweep runs in one process
+_threads_opt = click.option("--threads", type=int, hidden=True, expose_value=False)
 
 
 @main.command()
@@ -494,22 +483,18 @@ def measure(config_path, out):
 @_config_opt
 @_out_opt
 @_threads_opt
-def sweep(config_path, out, threads):
+def sweep(config_path, out):
     """Evaluate the configured parameter-plane sweep to CSV + JSON."""
     cfg = load_config(config_path)
-    rows = run_sweep(cfg, _threads(threads))
+    rows = run_sweep(cfg)
     out_path = _out_dir(cfg, out)
     (out_path / "sweep.csv").write_text(rows_to_csv(rows))
     _write_json(
         out_path / "sweep.json",
         _provenance(cfg, rows=[{k: _fmt(v) for k, v in r.items()} for r in rows]),
     )
-    failures = [r for r in rows if r["regime"] == "error"]
-    for r in failures:
-        click.echo(f"cell ({r['dq_perp_um_inv']}, {r['dk_ph_um_inv']}) failed: {r['error']}", err=True)
     click.echo(f"wrote {len(rows)} cells to {out_path / 'sweep.csv'}")
-    if failures:
-        sys.exit(1)
+    _report_failures(rows)
 
 
 @main.command()
@@ -548,17 +533,16 @@ def dist(config_path, out):
 @_config_opt
 @_out_opt
 @_threads_opt
-def regime_map(config_path, out, threads):
+def regime_map(config_path, out):
     """Sweep the plane and render the categorical regime map SVG."""
     cfg = load_config(config_path)
-    rows = run_sweep(cfg, _threads(threads))
+    rows = run_sweep(cfg)
     out_path = _out_dir(cfg, out)
     (out_path / "regime_map.csv").write_text(rows_to_csv(rows))
     svg = _render_rows(rows, "regime", cfg)
     (out_path / "regime_map.svg").write_text(svg)
     click.echo(f"wrote {out_path / 'regime_map.svg'}")
-    if any(r["regime"] == "error" for r in rows):
-        sys.exit(1)
+    _report_failures(rows)
 
 
 @main.command()

@@ -130,7 +130,7 @@ def joint_momentum(beam: BeamParams, spectrum: SpectrumModel, qx, kx, quad: Quad
     q_x + k_x times the photon marginal; independent of the phase."""
     qx = np.asarray(qx, dtype=float)
     kxa = np.asarray(kx, dtype=float)
-    return psi_ini_x_sq(beam, qx + kxa) * photon_marginal_kx(spectrum, kxa, quad)
+    return psi_ini_x_sq(beam.dq_perp, qx + kxa) * photon_marginal_kx(spectrum, kxa, quad)
 
 
 def momentum_grid(

@@ -40,10 +40,11 @@ PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
 
 # t-grid of the purity integral: exp(-b^2 t^2) < 1e-21 beyond t = 7/b;
 # at least 8 nodes per oscillation period of J0; t-nodes per block, which
-# bounds the (n_k, block) matrices held at once.
+# bounds the (n_k, block) matrices held at once (a 96 x 1024 block keeps
+# one call's peak allocation near 6 MB).
 _T_SPAN = 7.0
 _NODES_PER_PERIOD = 8
-_T_BLOCK = 4096
+_T_BLOCK = 1024
 # below this argument _sonine_h uses its Taylor series
 _H_SMALL_X = 1e-2
 

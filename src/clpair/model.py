@@ -126,10 +126,11 @@ def eval_psi_ini(beam: BeamParams, q_vec) -> np.ndarray:
     return norm * np.exp(expo)
 
 
-def psi_ini_x_sq(beam: BeamParams, qx) -> np.ndarray:
-    """|psi_ini^(x)(qx)|^2, the 1D transverse momentum density (um)."""
+def psi_ini_x_sq(dq_perp: float, qx) -> np.ndarray:
+    """|psi_ini^(x)(qx)|^2 (um), the normalized 1D transverse momentum
+    density of an electron beam of transverse width `dq_perp`."""
     qx = np.asarray(qx, dtype=float)
-    return np.exp(-(qx**2) / (2.0 * beam.dq_perp**2)) / (math.sqrt(TWO_PI) * beam.dq_perp)
+    return np.exp(-(qx**2) / (2.0 * dq_perp**2)) / (math.sqrt(TWO_PI) * dq_perp)
 
 
 # ---------------------------------------------------------------------------

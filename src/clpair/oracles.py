@@ -17,7 +17,7 @@ import numpy as np
 from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED
 from .distributions import JointGrid, joint_position, momentum_grid, photon_marginal_kx
 from .errors import DomainError, ResolutionError
-from .measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
+from .measures import PURITY_QUAD, purity_sc, rel_pos_variance_closed, total_wavevector_variance
 from .model import (
     BeamParams,
     QuadratureSpec,
@@ -53,13 +53,14 @@ def mc_purity(
     spectrum: SpectrumModel,
     n: int = 1_000_000,
     seed: int = MC_SEED,
-    quad: QuadratureSpec = QuadratureSpec(),
+    quad: QuadratureSpec = PURITY_QUAD,
 ) -> OracleReport:
     """Purity as a sampled expectation over independent photon pairs.
 
     Draws k, k' i.i.d. from the spectral density and averages the
     double-Gaussian overlap factor; agrees with the quadrature purity
-    within 3 standard errors by construction of the estimator.
+    within 3 standard errors by construction of the estimator. `quad`
+    sets the sampler's truncation and the primary `purity_sc` alike.
     """
     if n < MC_MIN_SAMPLES:
         raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
@@ -76,7 +77,7 @@ def mc_purity(
     )
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    primary = purity_sc(beam, spectrum)
+    primary = purity_sc(beam, spectrum, quad)
     return OracleReport.compare(
         "purity_sc_mc", primary, estimate, 3.0 * stderr, n=n, seed=seed, stderr=stderr
     )
@@ -112,8 +113,7 @@ def schmidt_purity_1d(
     if sig_g > 0.0 and dk > sig_g / 8.0:
         raise ResolutionError("k grid under-resolves the spectral marginal")
 
-    # electron factor shares the transverse-envelope convention
-    beam_env = np.sqrt(psi_ini_x_sq_1d(dq_perp, qx[:, None] + kx[None, :]))
+    beam_env = np.sqrt(psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :]))
     amp = beam_env * np.sqrt(np.maximum(gk, 0.0))[None, :] * math.sqrt(dq * dk)
     s = np.linalg.svd(amp, compute_uv=False)
     s2 = s**2
@@ -131,12 +131,6 @@ def schmidt_purity_1d(
     return OracleReport.compare(
         "schmidt_purity_1d", overlap, svd_purity, 1e-3, n_q=qx.size, n_k=kx.size
     )
-
-
-def psi_ini_x_sq_1d(dq_perp: float, qx) -> np.ndarray:
-    """Normalized 1D transverse momentum density with width dq_perp."""
-    qx = np.asarray(qx, dtype=float)
-    return np.exp(-(qx**2) / (2.0 * dq_perp**2)) / (math.sqrt(2.0 * math.pi) * dq_perp)
 
 
 def schmidt_gaussian_closed(sig_g: float, dq_perp: float) -> float:
@@ -271,8 +265,8 @@ def momentum_factorization_check(
         g_direct = float(yw @ eval_gamma_cartesian(spectrum, pts) @ yw)
         g_primary = photon_marginal_kx(spectrum, kx, quad).item()
         for qx in qx_pts:
-            direct = float(psi_ini_x_sq(beam, qx + kx)) * g_direct
-            primary = float(psi_ini_x_sq(beam, qx + kx)) * g_primary
+            direct = float(psi_ini_x_sq(beam.dq_perp, qx + kx)) * g_direct
+            primary = float(psi_ini_x_sq(beam.dq_perp, qx + kx)) * g_primary
             if direct > 1e-12:
                 worst = max(worst, abs(primary - direct) / direct)
     return OracleReport.compare("momentum_factorization", 0.0, worst, 1e-8, n_1d=yn.size)
@@ -284,7 +278,7 @@ def momentum_factorization_check(
 def run_suite(
     beam: BeamParams,
     spectrum: SpectrumModel,
-    quad: QuadratureSpec = QuadratureSpec(),
+    quad: QuadratureSpec = PURITY_QUAD,
     seed: int = MC_SEED,
     mc_samples: int = MC_SAMPLES,
 ) -> list[OracleReport]:

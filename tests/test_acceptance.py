@@ -220,7 +220,6 @@ class TestCriterion12Determinism:
             dk_ph=0.3,
             sweep=SweepAxes(0.5, 20.0, 3, 0.3, 3.0, 2),
         )
-        first = rows_to_csv(run_sweep(cfg, threads=2))
-        second = rows_to_csv(run_sweep(cfg, threads=2))
+        first = rows_to_csv(run_sweep(cfg))
+        second = rows_to_csv(run_sweep(cfg))
         assert first == second
-        assert first == rows_to_csv(run_sweep(cfg, threads=1))

@@ -117,7 +117,7 @@ class TestConfigParsing:
 class TestCsvRoundTrip:
     def test_exact(self, tmp_path):
         cfg = load_config(write(tmp_path, SWEEP_INI))
-        rows = run_sweep(cfg, threads=1)
+        rows = run_sweep(cfg)
         text = rows_to_csv(rows)
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
         back = csv_to_rows(text)
@@ -138,11 +138,18 @@ class TestCsvRoundTrip:
 
 
 class TestSweepDeterminism:
-    def test_serial_equals_parallel(self, tmp_path):
-        cfg = load_config(write(tmp_path, SWEEP_INI))
-        a = rows_to_csv(run_sweep(cfg, threads=1))
-        b = rows_to_csv(run_sweep(cfg, threads=2))
-        assert a == b
+    def test_threads_option_is_ignored(self, runner, tmp_path):
+        cfg = write(tmp_path, SWEEP_INI)
+        plain = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "a")])
+        threaded = runner.invoke(main, ["sweep", "--threads", "2", "--config", cfg, "--out", str(tmp_path / "b")])
+        assert plain.exit_code == 0 and threaded.exit_code == 0, (plain.output, threaded.output)
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["sweep", "regime-map"])
+    def test_non_integer_threads_exits_2(self, runner, tmp_path, command):
+        res = runner.invoke(main, [command, "--threads", "abc", "--config", write(tmp_path, SWEEP_INI)])
+        assert res.exit_code == 2
+        assert "--threads" in res.output
 
     def test_degenerate_sweep_matches_measure(self, runner, tmp_path):
         single = write(tmp_path, BASE_INI, "single.ini")
@@ -263,7 +270,6 @@ class TestSweepFailures:
             return real(beam, spectrum, *args)
 
         monkeypatch.setattr(cli, "evaluate_point", flaky)
-        monkeypatch.delenv("CLPAIR_THREADS", raising=False)
         out = tmp_path / "o"
         res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
         assert res.exit_code == 1, res.output
@@ -283,14 +289,26 @@ class TestSweepFailures:
         assert lines[1] == "1.0,0.5,nan,nan,nan,nan,nan,nan,error,"
         assert all(len(line.split(",")) == len(CSV_HEADER) for line in lines)
 
+    def test_regime_map_names_failed_cells(self, runner, tmp_path, monkeypatch):
+        import clpair.cli as cli
+
+        real = cli.evaluate_point
+
+        def flaky(beam, spectrum, *args):
+            if beam.dq_perp == 10.0 and spectrum.dk_ph == 2.0:
+                raise ResolutionError("grid too coarse")
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(cli, "evaluate_point", flaky)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["regime-map", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "cell (10.0, 2.0) failed: grid too coarse" in res.output
+        assert res.output.count(" failed: ") == 1
+        assert (out / "regime_map.svg").read_text().startswith("<svg")
+
 
 class TestInputValidation:
-    def test_non_integer_threads_env_exits_2(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLPAIR_THREADS", "abc")
-        res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(tmp_path / "o")])
-        assert res.exit_code == 2
-        assert "CLPAIR_THREADS" in res.output and "Traceback" not in res.output
-
     @pytest.mark.parametrize("variant", ["polar_linear", "radial_kc", "radial_dk"])
     def test_negative_xi_exits_2(self, runner, tmp_path, variant):
         cfg = write(tmp_path, BASE_INI + f"\n[phase]\nvariant = {variant}\nxi = -5\n")
@@ -306,6 +324,18 @@ class TestInputValidation:
     def test_negative_xi_rejected_by_phase(self, make):
         with pytest.raises(DomainError):
             make()
+
+    def test_polar_linear_phase_is_consistent(self, tmp_path):
+        from clpair.measures import rel_pos_variance_closed, rel_pos_variance_quadrature
+
+        ini = BASE_INI.replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 0.3") + "\n[phase]\nvariant = polar_linear\nxi = 1.0\n"
+        cfg = load_config(write(tmp_path, ini))
+        beam, spectrum, phase = cfg.beam(), cfg.spectrum(), cfg.phase()
+        # the closed form reads xi1, the quadrature differentiates eta1
+        assert PolarLinearPhase.from_eta(phase.eta1).xi1 == pytest.approx(1.0, rel=1e-8)
+        assert rel_pos_variance_quadrature(beam, spectrum, phase) == pytest.approx(
+            rel_pos_variance_closed(beam, spectrum, phase), rel=1e-8
+        )
 
     @pytest.mark.parametrize(
         "old,new",
@@ -405,7 +435,7 @@ class TestExitMapping:
 
     def test_render_bad_csv_exits_2(self, runner, tmp_path):
         cfg = write(tmp_path, SWEEP_INI)
-        ragged = rows_to_csv(run_sweep(load_config(cfg), threads=1)).splitlines()[:-1]
+        ragged = rows_to_csv(run_sweep(load_config(cfg))).splitlines()[:-1]
         src = tmp_path / "ragged.csv"
         src.write_text("\n".join(ragged) + "\n")
         res = runner.invoke(main, ["render", "--config", cfg, "--field", "d2", "--input", str(src), "--out", str(tmp_path)])

@@ -112,6 +112,19 @@ class TestPuritySc:
                 purity_sc(make_beam(1.0), make_spectrum(1.0))
             assert err.value.best_estimate == 1.0 + excess
 
+    def test_peak_allocation_bounded(self, make_beam, make_spectrum):
+        # the t-blocks bound one call's temporaries, which set a sweep's peak RSS
+        import tracemalloc
+
+        beam, spectrum = make_beam(0.1), make_spectrum(1.73)
+        tracemalloc.start()
+        try:
+            purity_sc(beam, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
 
 class TestPurityScPanel:
     """The ROADMAP's 12-point panel plus the README point, pinned to the

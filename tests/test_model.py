@@ -282,7 +282,7 @@ class TestBeam:
     def test_psi_x_sq_normalized(self):
         b = BeamParams.create(200.0, 2.0, 3.0)
         qx, wx = gauss_legendre_panels(-16.0, 16.0, 8, 16)
-        assert np.sum(wx * psi_ini_x_sq(b, qx)) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(wx * psi_ini_x_sq(b.dq_perp, qx)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPhases:

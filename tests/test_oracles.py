@@ -6,13 +6,14 @@ import pytest
 from clpair import DomainError, apply_filter
 from clpair.distributions import momentum_grid
 from clpair.errors import ResolutionError
+from clpair.measures import purity_sc
+from clpair.model import QuadratureSpec
 from clpair.oracles import (
     OracleReport,
     fd_gradient_check,
     longitudinal_term_identity,
     mc_purity,
     momentum_factorization_check,
-    psi_ini_x_sq_1d,
     run_suite,
     schmidt_gaussian_closed,
     schmidt_purity_1d,
@@ -36,6 +37,11 @@ class TestMcPurity:
     def test_sample_floor(self, make_beam, make_spectrum):
         with pytest.raises(DomainError):
             mc_purity(make_beam(3.0), make_spectrum(1.0), n=100)
+
+    def test_primary_value_uses_given_quadrature(self, make_beam, make_spectrum):
+        b, s = make_beam(1.0), make_spectrum(3.0)
+        quad = QuadratureSpec(rel_tol=1e-3, abs_tol=5e-4, truncation_sigmas=5.0)
+        assert mc_purity(b, s, n=20_000, quad=quad).value == purity_sc(b, s, quad)
 
     def test_stderr_scaling(self, make_beam, make_spectrum):
         b, s = make_beam(3.0), make_spectrum(1.0)
@@ -81,10 +87,6 @@ class TestSchmidt1D:
     def test_tiny_grids_rejected(self):
         with pytest.raises(ResolutionError):
             schmidt_purity_1d(1.0, self._gaussian_density(1.0), np.linspace(-1, 1, 8), np.linspace(-1, 1, 8))
-
-    def test_psi_ini_1d_normalized(self):
-        q = np.linspace(-40.0, 40.0, 4001)
-        assert np.trapezoid(psi_ini_x_sq_1d(2.0, q), q) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestVarianceFromGrid:

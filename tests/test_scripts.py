@@ -32,7 +32,7 @@ def test_help(script):
 
 
 def test_regime_map_runs(tmp_path):
-    res = run(ROOT / "scripts" / "regime_map.py", "--steps", "2", "--threads", "1", "--out", str(tmp_path))
+    res = run(ROOT / "scripts" / "regime_map.py", "--steps", "2", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert "wrote 4 cells" in res.stdout
     for name in ("regime", "purity_sc", "d2", "purity_z"):
