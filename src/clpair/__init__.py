@@ -13,7 +13,6 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     DomainError,
-    EmptyFilterError,
     ResolutionError,
     SingularPointError,
 )
@@ -24,15 +23,10 @@ from .model import (
     QuadratureSpec,
     RadialDkPhase,
     RadialKcPhase,
-    ScatteredState,
-    SpectrumFilter,
     SpectrumModel,
     ZeroPhase,
-    apply_filter,
     derive_kinematics,
     eval_gamma,
-    eval_psi_ini,
-    eval_psi_sc,
     spectrum_normalization,
     wavelength_to_wavenumbers,
 )

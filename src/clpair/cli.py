@@ -22,7 +22,9 @@ import io
 import json
 import math
 import os
+import platform
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -384,6 +386,17 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def grid_to_csv(grid) -> str:
+    """A JointGrid as CSV: the axis-2 values as header, one row per axis-1
+    value, every number as its shortest round-trip repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"{grid.axis1_name}\\{grid.axis2_name}", *map(repr, grid.axis2.tolist())])
+    for a1, drow in zip(grid.axis1.tolist(), grid.density):
+        writer.writerow([repr(a1), *map(repr, drow.tolist())])
+    return buf.getvalue()
+
+
 def csv_to_rows(text: str) -> list[dict]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -405,13 +418,13 @@ def csv_to_rows(text: str) -> list[dict]:
 
 
 def _provenance(cfg: RunConfig, **extra) -> dict:
-    import numpy
-    import scipy
-
+    """Versions, config and the command's wall time so far; the CSVs
+    carry none of it, so repeated runs still write identical CSVs."""
     return {
         "package_version": __version__,
-        "numpy_version": numpy.__version__,
-        "scipy_version": scipy.__version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "wall_seconds": time.perf_counter() - click.get_current_context().meta[_STARTED],
         "config_hash": config_hash(cfg),
         "config": dump_config(cfg),
         **extra,
@@ -432,6 +445,10 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+# context key of the command's start time, read by _provenance
+_STARTED = "clpair.started"
+
+
 class _Main(click.Group):
     """The command group; the one place where errors become exit codes.
 
@@ -440,6 +457,7 @@ class _Main(click.Group):
     """
 
     def invoke(self, ctx):
+        ctx.meta[_STARTED] = time.perf_counter()
         try:
             return super().invoke(ctx)
         except ConfigError as exc:
@@ -510,12 +528,7 @@ def dist(config_path, out):
     pg = joint_position(beam, spectrum, cfg.quadrature)
     out_path = _out_dir(cfg, out)
     for name, grid in (("momentum", mg), ("position", pg)):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"{grid.axis1_name}\\{grid.axis2_name}"] + [repr(v) for v in grid.axis2.tolist()])
-        for a1, drow in zip(grid.axis1.tolist(), grid.density):
-            writer.writerow([repr(a1)] + [repr(float(v)) for v in drow])
-        (out_path / f"dist_{name}.csv").write_text(buf.getvalue())
+        (out_path / f"dist_{name}.csv").write_text(grid_to_csv(grid))
     _write_json(
         out_path / "dist.json",
         _provenance(

@@ -29,7 +29,6 @@ from .model import (
     SpectrumModel,
     ZeroPhase,
     eval_g,
-    eval_gamma,
     psi_ini_x_sq,
 )
 from .quadrature import gauss_legendre_panels
@@ -91,8 +90,6 @@ def photon_marginal_kx(spectrum: SpectrumModel, kx, quad: QuadratureSpec = Quadr
 
         G(kx) = (15/8) int k g(k) [p/k^2 - (3/4) p^2/k^4] dk,
         p = k^2 - kx^2.
-
-    For a filtered spectrum the beta integral is done numerically.
     """
     kx = np.atleast_1d(np.asarray(kx, dtype=float))
     kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
@@ -107,18 +104,8 @@ def photon_marginal_kx(spectrum: SpectrumModel, kx, quad: QuadratureSpec = Quadr
     kk = lo[:, None] + (kmax - lo)[:, None] * base_n[None, :]
     ww = (kmax - lo)[:, None] * base_w[None, :]
     p = kk**2 - kxl[:, None] ** 2
-    if spectrum.filter is None:
-        vals = (15.0 / 8.0) * kk * eval_g(spectrum, kk) * (p / kk**2 - 0.75 * p**2 / kk**4)
-        out[live] = np.sum(ww * vals, axis=1)
-    else:
-        bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 4, 16)
-        rho = np.sqrt(np.maximum(p, 0.0))
-        # theta from cos(theta) = rho sin(beta) / k; quadrant folded x4
-        ct = np.clip(rho[:, :, None] * np.sin(bn)[None, None, :] / kk[:, :, None], -1.0, 1.0)
-        theta = np.arccos(ct)
-        gam = eval_gamma(spectrum, kk[:, :, None], theta)
-        beta_int = 4.0 * np.sum(bw[None, None, :] * gam, axis=2)
-        out[live] = np.sum(ww * kk * beta_int, axis=1)
+    vals = (15.0 / 8.0) * kk * eval_g(spectrum, kk) * (p / kk**2 - 0.75 * p**2 / kk**4)
+    out[live] = np.sum(ww * vals, axis=1)
     return out
 
 
@@ -230,8 +217,6 @@ def joint_position(
     are even in m and T is even in the lag: both are evaluated for
     m >= 0 and lags >= 0 only.
     """
-    if spectrum.filter is not None:
-        raise DomainError("joint position distribution requires the unfiltered model")
     if n_kx % 2:
         raise DomainError(f"n_kx must be even, got {n_kx}")
     _, kmax = spectrum.radial_support(quad.truncation_sigmas)

@@ -17,10 +17,6 @@ class ConvergenceError(RuntimeError):
         self.previous_estimate = previous_estimate
 
 
-class EmptyFilterError(ValueError):
-    """Filter weight vanishes on the support of the spectrum."""
-
-
 class SingularPointError(ValueError):
     """Evaluation requested at a singular point (e.g. k = 0)."""
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, j0, spherical_jn
 
 from .constants import TWO_PI
 from .errors import ConvergenceError, DomainError
@@ -26,7 +25,6 @@ from .model import (
     RadialKcPhase,
     SpectrumModel,
     ZeroPhase,
-    eval_f,
     eval_g,
     eta_transverse_gradient_sq,
     gamma_cartesian_derivatives,
@@ -39,14 +37,19 @@ from .quadrature import gauss_legendre_panels
 PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
 
 # t-grid of the purity integral: exp(-b^2 t^2) < 1e-21 beyond t = 7/b;
-# at least 8 nodes per oscillation period of J0; t-nodes per block, which
-# bounds the (n_k, block) matrices held at once (a 96 x 1024 block keeps
-# one call's peak allocation near 6 MB).
+# at least 8 nodes per oscillation period of h(k t); t-nodes per block,
+# which bounds the (n_k, block) matrices held at once (a 96 x 1024 block
+# keeps one call's peak allocation near 6 MB).
 _T_SPAN = 7.0
 _NODES_PER_PERIOD = 8
 _T_BLOCK = 1024
-# below this argument _sonine_h uses its Taylor series
-_H_SMALL_X = 1e-2
+# below this argument _sonine_h sums ten terms of its Taylor series,
+# (-x^2/2)^k / k! * (2k + 2) / (2k + 5)!!, which are within 3e-16 of h(0)
+# there; above it the elementary form's cancellation costs under 3e-15 h(0)
+_H_SMALL_X = 1.5
+_H_SERIES = tuple(
+    (-0.5) ** k / math.factorial(k) * (2 * k + 2) / math.prod(range(1, 2 * k + 6, 2)) for k in range(10)
+)
 
 
 class Regime(enum.Enum):
@@ -89,49 +92,30 @@ def _radial_nodes(spectrum: SpectrumModel, quad: QuadratureSpec, n_rad: int):
     return kn, kw, kmax
 
 
-def _filter_fold(spectrum: SpectrumModel, k, theta):
-    """n_f * (w(k, theta) + w(k, pi - theta)) for theta in [0, pi/2], or 2."""
-    if spectrum.filter is None:
-        return 2.0
-    filt = spectrum.filter
-    return filt.n_f * (filt.weight(k, theta) + filt.weight(k, math.pi - theta))
-
-
 def _sonine_h(x) -> np.ndarray:
     """Polar factor h(x) = int_0^pi f(alpha) sin(alpha) J0(x sin(alpha)) d alpha.
 
     Sonine's first finite integral (Watson 12.11) gives both hemispheres
-    in closed form, (15/4pi)(j1(x)/x - 3 j2(x)/x^2), with h(0) = 1/2pi.
-    Below _H_SMALL_X the ratio (0/0 at x = 0) is replaced by its series
-    2/15 - 2x^2/105 + x^4/1260, whose next term is below 1e-16 relative.
+    in closed form, (15/4pi)(j1(x)/x - 3 j2(x)/x^2), with h(0) = 1/2pi;
+    with the elementary j1 and j2 (DLMF 10.49.3) the bracket is
+    4 sin x/x^3 - cos x/x^2 - 9 sin x/x^5 + 9 cos x/x^4. That form cancels
+    as 1/x^4 for small x, so below _H_SMALL_X the Taylor series
+    `_H_SERIES` in x^2 replaces it.
     """
     x = np.asarray(x, dtype=float)
     small = x < _H_SMALL_X
-    xs = np.where(small, 1.0, x)
-    ratio = spherical_jn(1, xs) / xs - 3.0 * spherical_jn(2, xs) / xs**2
-    x2 = x**2
-    series = 2.0 / 15.0 - 2.0 * x2 / 105.0 + x2**2 / 1260.0
-    return (15.0 / (4.0 * math.pi)) * np.where(small, series, ratio)
-
-
-def _polar_factor(spectrum: SpectrumModel, kn, t, x_max: float, refine: float) -> np.ndarray:
-    """Polar integral of the (filtered) angular weight times J0(k t sin alpha).
-
-    Shape (n_k, n_t). Unfiltered spectra use the closed form `_sonine_h`;
-    filtered ones sum both hemispheres numerically on an alpha-grid that
-    resolves J0 up to the argument x_max, at n_k * n_alpha * n_t cost.
-    """
-    x = kn[:, None] * t[None, :]
-    if spectrum.filter is None:
-        return _sonine_h(x)
-    n_alpha = refine * _NODES_PER_PERIOD * x_max / TWO_PI
-    an, aw = gauss_legendre_panels(0.0, math.pi / 2.0, max(2, math.ceil(n_alpha / 16)), 16)
-    sin_a = np.sin(an)
-    wa = aw * eval_f(an) * sin_a * _filter_fold(spectrum, kn[:, None], an[None, :])
-    out = np.zeros_like(x)
-    for m, s in enumerate(sin_a):
-        out += wa[:, m, None] * j0(s * x)
-    return out
+    xs = np.where(small, _H_SMALL_X, x)
+    inv = 1.0 / xs
+    inv2 = inv * inv
+    # asarray: a 0-d input must stay an array for the masked assignment
+    out = np.asarray(inv2 * ((4.0 * inv - 9.0 * inv2 * inv) * np.sin(xs) + (9.0 * inv2 - 1.0) * np.cos(xs)))
+    if np.any(small):
+        x2 = x[small] ** 2
+        series = np.zeros_like(x2)
+        for c in reversed(_H_SERIES):
+            series = series * x2 + c
+        out[small] = series
+    return (15.0 / (4.0 * math.pi)) * out
 
 
 def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
@@ -154,7 +138,7 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
     total = 0.0
     for s in range(0, tn.size, _T_BLOCK):
-        h = r[:, None] * _polar_factor(spectrum, kn, tn[s : s + _T_BLOCK], kmax * t_max, refine)
+        h = r[:, None] * _sonine_h(np.multiply.outer(kn, tn[s : s + _T_BLOCK]))
         total += float(ct[s : s + _T_BLOCK] @ np.einsum("it,it->t", h, elong @ h))
     return 8.0 * math.pi**2 * b**2 * total
 
@@ -188,7 +172,7 @@ def purity_sc(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = 
     The 6D double integral over photon wavevectors reduces by azimuthal
     symmetry and Weber's integral to one t-integral of a quadratic form
     in the radial nodes (`_purity_once`); the polar integral is the
-    closed-form `_sonine_h`, or a numeric alpha-sum for filtered spectra.
+    closed-form `_sonine_h`.
     Evaluated at n_rad 64 with the base t-grid and at n_rad 96 with a
     1.5x finer one; their difference is the convergence check. A result
     above one within max(abs_tol, rel_tol) is clipped to one.
@@ -196,20 +180,6 @@ def purity_sc(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = 
     base = _purity_once(beam, spectrum, quad, n_rad=64)
     refined = _purity_once(beam, spectrum, quad, n_rad=96, refine=1.5)
     return _checked_purity("purity quadrature", base, refined, quad)
-
-
-def _radial_marginal(spectrum: SpectrumModel, kn):
-    """Radial probability density of |k| under the (filtered) spectrum."""
-    base = kn**2 * eval_g(spectrum, kn)
-    if spectrum.filter is None:
-        return base
-    an, aw = gauss_legendre_panels(0.0, math.pi, 12, 16)
-    filt = spectrum.filter
-    ang = TWO_PI * np.sum(
-        aw[None, :] * np.sin(an)[None, :] * eval_f(an)[None, :] * filt.n_f * filt.weight(kn[:, None], an[None, :]),
-        axis=1,
-    )
-    return base * ang
 
 
 def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = PURITY_QUAD) -> float:
@@ -225,7 +195,8 @@ def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = P
     values = []
     for n_rad in (n_base, math.ceil(5 * n_base / 3)):
         kn, kw, _ = _radial_nodes(spectrum, quad, n_rad)
-        dens = _radial_marginal(spectrum, kn) * kw
+        # radial probability density of |k|
+        dens = kn**2 * eval_g(spectrum, kn) * kw
         elong = np.exp(
             -beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2)
         )
@@ -242,7 +213,7 @@ def d_eta(phase: PhaseModel, spectrum: SpectrumModel) -> float:
         return 0.0
     if isinstance(phase, PolarLinearPhase):
         z = spectrum.k_c / (math.sqrt(2.0) * spectrum.dk_ph)
-        return float(phase.xi1 * math.sqrt(math.pi / 2.0) * spectrum.n_g * spectrum.dk_ph * (erf(z) + 1.0))
+        return float(phase.xi1 * math.sqrt(math.pi / 2.0) * spectrum.n_g * spectrum.dk_ph * (math.erf(z) + 1.0))
     if isinstance(phase, RadialKcPhase):
         return 2.0 * phase.xi2 / (7.0 * spectrum.k_c**2)
     if isinstance(phase, RadialDkPhase):
@@ -252,12 +223,10 @@ def d_eta(phase: PhaseModel, spectrum: SpectrumModel) -> float:
 
 def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = ZeroPhase()) -> float:
     """Closed-form variance of x_el - x_ph (um^2) on the model family."""
-    if spectrum.filter is not None:
-        raise DomainError("closed-form variance is only defined for the unfiltered model")
     kc, dk, ng = spectrum.k_c, spectrum.dk_ph, spectrum.n_g
     z = kc / (math.sqrt(2.0) * dk)
     angular = (
-        math.sqrt(TWO_PI) * ng / 56.0 * (19.0 * dk + 2.0 * kc**2 / dk) * (erf(z) + 1.0)
+        math.sqrt(TWO_PI) * ng / 56.0 * (19.0 * dk + 2.0 * kc**2 / dk) * (math.erf(z) + 1.0)
         + ng / 14.0 * kc * math.exp(-(z**2))
     )
     longitudinal = beam.c_over_vz**2 / (14.0 * beam.dq_par**2)
@@ -276,9 +245,6 @@ def rel_pos_variance_quadrature(
     the analytic Cartesian partials of the spectral density plus the
     transverse phase-gradient term for non-trivial phases.
     """
-    if spectrum.filter is not None:
-        raise DomainError("variance quadrature requires the unfiltered model")
-
     def value(n_rad, n_theta):
         kn, kw, _ = _radial_nodes(spectrum, quad, n_rad)
         tn, tw = gauss_legendre_panels(0.0, math.pi, max(2, n_theta // 16), 16)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
-from scipy.special import erf
 
 from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TWO_PI
-from .errors import DomainError, EmptyFilterError, SingularPointError
+from .errors import DomainError, SingularPointError
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,7 @@ def spectrum_normalization(k_c: float, dk_ph: float) -> float:
         raise DomainError("k_c and dk_ph must be positive")
     z = k_c / (math.sqrt(2.0) * dk_ph)
     inv = (
-        math.sqrt(math.pi / 2.0) * dk_ph * (dk_ph**2 + k_c**2) * (erf(z) + 1.0)
+        math.sqrt(math.pi / 2.0) * dk_ph * (dk_ph**2 + k_c**2) * (math.erf(z) + 1.0)
         + k_c * dk_ph**2 * math.exp(-(z**2))
     )
     return 1.0 / inv
@@ -110,22 +109,6 @@ class BeamParams:
         return cls.create(kinetic_energy_kev, TWO_PI / l_perp, TWO_PI / l_par)
 
 
-def eval_psi_ini(beam: BeamParams, q_vec) -> np.ndarray:
-    """Initial electron amplitude (um^{3/2}) at wavevector(s) q.
-
-    Real product of three Gaussians centered at (0, 0, q0), widths
-    (dq_perp, dq_perp, dq_par). `q_vec` has shape (..., 3).
-    """
-    q = np.asarray(q_vec, dtype=float)
-    qx, qy, qz = q[..., 0], q[..., 1], q[..., 2]
-    norm = (TWO_PI) ** (-0.75) / (beam.dq_perp * math.sqrt(beam.dq_par))
-    expo = (
-        -(qx**2 + qy**2) / (4.0 * beam.dq_perp**2)
-        - (qz - beam.q0) ** 2 / (4.0 * beam.dq_par**2)
-    )
-    return norm * np.exp(expo)
-
-
 def psi_ini_x_sq(dq_perp: float, qx) -> np.ndarray:
     """|psi_ini^(x)(qx)|^2 (um), the normalized 1D transverse momentum
     density of an electron beam of transverse width `dq_perp`."""
@@ -137,30 +120,12 @@ def psi_ini_x_sq(dq_perp: float, qx) -> np.ndarray:
 # spectrum
 
 @dataclass(frozen=True)
-class SpectrumFilter:
-    """Multiplicative photonic filter weight w(k, theta) >= 0.
-
-    `bound` is a sup bound for w over the spectrum support, used for
-    rejection sampling; `n_f` renormalizes the filtered density.
-    """
-
-    weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    n_f: float
-    bound: float
-
-
-@dataclass(frozen=True)
 class SpectrumModel:
-    """Parametric luminescence spectrum Gamma(k) = g(k) f(theta).
-
-    Optionally carries a multiplicative filter; the filtered density is
-    n_f * w(k, theta) * Gamma(k) and integrates to one.
-    """
+    """Parametric luminescence spectrum Gamma(k) = g(k) f(theta)."""
 
     k_c: float
     dk_ph: float
     n_g: float = field(default=0.0)
-    filter: Optional[SpectrumFilter] = None
 
     def __post_init__(self):
         if not (0.0 < self.k_c < math.inf and 0.0 < self.dk_ph < math.inf):
@@ -194,11 +159,8 @@ def eval_f(theta) -> np.ndarray:
 
 
 def eval_gamma(spectrum: SpectrumModel, k, theta) -> np.ndarray:
-    """Spectral density Gamma(k, theta) (um^3), including any filter."""
-    out = eval_g(spectrum, k) * eval_f(theta)
-    if spectrum.filter is not None:
-        out = out * spectrum.filter.n_f * spectrum.filter.weight(np.asarray(k, dtype=float), np.asarray(theta, dtype=float))
-    return out
+    """Spectral density Gamma(k, theta) (um^3)."""
+    return eval_g(spectrum, k) * eval_f(theta)
 
 
 def eval_gamma_cartesian(spectrum: SpectrumModel, k_vec) -> np.ndarray:
@@ -215,10 +177,8 @@ def gamma_cartesian_derivatives(spectrum: SpectrumModel, k_vec):
 
     Returns (Gamma, dGx, dGy, d2Gxx, d2Gyy), each of the input's batch
     shape. Analytic chain rule through (k, theta); exact on the model
-    family. Filters are not supported here (no analytic weight partials).
+    family.
     """
-    if spectrum.filter is not None:
-        raise DomainError("analytic derivatives are only defined for the unfiltered model")
     k_vec = np.asarray(k_vec, dtype=float)
     kx, ky, kz = (np.array(k_vec[..., i], dtype=float) for i in range(3))
     k = np.sqrt(kx**2 + ky**2 + kz**2)
@@ -371,7 +331,7 @@ def eta_transverse_gradient_sq(phase: PhaseModel, spectrum: SpectrumModel, k, th
 
 
 # ---------------------------------------------------------------------------
-# scattered state and quadrature control
+# quadrature control
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -390,87 +350,3 @@ class QuadratureSpec:
             raise DomainError(f"abs_tol must be non-negative and finite, got {self.abs_tol!r}")
         if not 5.0 <= self.truncation_sigmas < math.inf:
             raise DomainError(f"truncation_sigmas must be finite and at least 5, got {self.truncation_sigmas!r}")
-
-
-@dataclass(frozen=True)
-class ScatteredState:
-    """Full electron-photon scattered state: beam + spectrum + phase."""
-
-    beam: BeamParams
-    spectrum: SpectrumModel
-    phase: PhaseModel = field(default_factory=ZeroPhase)
-
-
-def eval_psi_sc(state: ScatteredState, q_vec, k_vec) -> np.ndarray:
-    """Scattered amplitude psi_sc(q, k) (complex, um^3).
-
-    psi_ini evaluated at (q_perp + k_perp, q_z + (c/v_z) k) times
-    sqrt(Gamma(k)) exp(i eta(k)).
-    """
-    q = np.asarray(q_vec, dtype=float)
-    kv = np.asarray(k_vec, dtype=float)
-    shifted = np.stack(
-        [
-            q[..., 0] + kv[..., 0],
-            q[..., 1] + kv[..., 1],
-            q[..., 2] + state.beam.c_over_vz * np.sqrt(np.sum(kv**2, axis=-1)),
-        ],
-        axis=-1,
-    )
-    k = np.sqrt(np.sum(kv**2, axis=-1))
-    theta = np.arctan2(np.sqrt(kv[..., 0] ** 2 + kv[..., 1] ** 2), kv[..., 2])
-    amp = eval_psi_ini(state.beam, shifted) * np.sqrt(eval_gamma(state.spectrum, k, theta))
-    return amp * np.exp(1j * eval_eta(state.phase, state.spectrum, k, theta))
-
-
-def apply_filter(
-    spectrum: SpectrumModel,
-    weight: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    quad: QuadratureSpec = QuadratureSpec(),
-    bound: Optional[float] = None,
-) -> SpectrumModel:
-    """Attach a multiplicative filter weight and renormalize numerically.
-
-    n_f^-1 = int d3k w(k, theta) Gamma(k); composing onto an existing
-    filter multiplies the weights. Raises EmptyFilterError if the weight
-    vanishes (numerically) on the support of Gamma.
-    """
-    from .quadrature import gauss_legendre_panels, integrate_1d
-
-    if spectrum.filter is not None:
-        prev = spectrum.filter
-
-        def total_weight(k, theta, _w=weight, _p=prev.weight):
-            return _w(k, theta) * _p(k, theta)
-
-        base_nf = prev.n_f
-    else:
-        total_weight = weight
-        base_nf = 1.0
-
-    kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    th_nodes, th_wts = gauss_legendre_panels(0.0, math.pi, 12, 16)
-    ang = th_wts * np.sin(th_nodes) * eval_f(th_nodes)
-
-    def radial_integrand(k):
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        w = total_weight(k[:, None], th_nodes[None, :])
-        inner = np.sum(np.broadcast_to(w, (k.size, th_nodes.size)) * ang[None, :], axis=1)
-        return TWO_PI * k**2 * eval_g(spectrum, k) * base_nf * inner
-
-    res = integrate_1d(radial_integrand, kmin, kmax, quad, vectorized=True)
-    if res.value <= 1e-12:
-        raise EmptyFilterError("filter weight vanishes on the spectrum support")
-    n_f = 1.0 / res.value
-
-    if bound is None:
-        kk = np.linspace(kmin, kmax, 513)
-        tt = np.linspace(0.0, math.pi, 257)
-        bound = float(np.max(total_weight(kk[:, None], tt[None, :]))) * 1.0000001
-
-    return SpectrumModel(
-        spectrum.k_c,
-        spectrum.dk_ph,
-        spectrum.n_g,
-        SpectrumFilter(weight=total_weight, n_f=n_f, bound=bound),
-    )

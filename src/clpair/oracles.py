@@ -187,8 +187,6 @@ def fd_gradient_check(
     points; reports the maximum relative error against the local density
     scale.
     """
-    if spectrum.filter is not None:
-        raise DomainError("finite-difference check requires the unfiltered model")
     if not step < spectrum.dk_ph / 10.0:
         raise DomainError("step must be small compared with the spectral width")
     pts = np.asarray(points, dtype=float)
@@ -303,9 +301,8 @@ def run_suite(
 
     mg = momentum_grid(beam, spectrum, quad)
     reports.append(variance_from_grid(mg, "total_wavevector", beam))
-    if spectrum.filter is None:
-        pg = joint_position(beam, spectrum, quad)
-        reports.append(variance_from_grid(pg, "relative_position", beam, spectrum))
+    pg = joint_position(beam, spectrum, quad)
+    reports.append(variance_from_grid(pg, "relative_position", beam, spectrum))
 
     # Schmidt oracle on the model's own transverse marginal
     kx = np.linspace(-kmax, kmax, 512)

@@ -1,9 +1,11 @@
 import configparser
 import json
 import math
+import platform
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -16,12 +18,14 @@ from clpair.cli import (
     config_hash,
     csv_to_rows,
     dump_config,
+    grid_to_csv,
     load_config,
     main,
     parse_config,
     rows_to_csv,
     run_sweep,
 )
+from clpair.distributions import JointGrid
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase
 
@@ -182,8 +186,10 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "o" / "measure.csv").exists()
         prov = json.loads((tmp_path / "o" / "measure.json").read_text())
-        assert prov["config_hash"] and prov["package_version"]
-        assert "timestamp" not in prov
+        assert prov["config_hash"] and prov["package_version"] and prov["numpy_version"]
+        assert prov["python_version"] == platform.python_version()
+        assert 0.0 < prov["wall_seconds"] < 600.0
+        assert "timestamp" not in prov and "scipy_version" not in prov
 
     def test_bad_config_exits_2(self, runner, tmp_path):
         cfg = write(tmp_path, BASE_INI.replace("l_par_um = 1.3", ""))
@@ -394,6 +400,43 @@ class TestInputValidation:
             mc_purity(cfg.beam(), cfg.spectrum(), n=MC_MIN_SAMPLES - 1)
         with pytest.raises(ConfigError):
             replace(cfg, mc_samples=MC_MIN_SAMPLES - 1)
+
+
+class TestGridCsv:
+    def test_bytes_match_per_value_float_repr(self):
+        # dist once wrote each cell as repr(float(v)); the list form must
+        # give the same bytes
+        a1 = np.array([-1.5, -1e-300, 0.1, 3.0])
+        a2 = np.array([-2.0, 0.0, 1.0 / 3.0])
+        dens = np.array([[0.0, 5e-324, 1e-17], [0.1, 2.0, 1e300], [np.pi, 1.0 / 7.0, 123456789.0], [0.3, 1e-5, 7.0]])
+        grid = JointGrid(a1, a2, dens, axis1_name="x_el_um", axis2_name="x_ph_um")
+        lines = ["x_el_um\\x_ph_um," + ",".join(repr(v) for v in a2.tolist())]
+        for a, row in zip(a1.tolist(), dens):
+            lines.append(",".join([repr(a)] + [repr(float(v)) for v in row]))
+        assert grid_to_csv(grid) == "\n".join(lines) + "\n"
+
+
+class TestRuntimeImports:
+    def test_measure_loads_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: a CLI call at the README point,
+        # and importing every clpair module, must not load it
+        import subprocess
+        import sys
+
+        cfg = write(tmp_path, BASE_INI.replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 0.3"))
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "import clpair\n"
+            "from clpair.cli import main\n"
+            f"main(['measure', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}], standalone_mode=False)\n"
+            "for info in pkgutil.iter_modules(clpair.__path__):\n"
+            "    importlib.import_module('clpair.' + info.name)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "o" / "measure.csv").exists()
 
 
 class TestProvenancePinned:

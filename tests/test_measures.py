@@ -34,10 +34,8 @@ from clpair.model import (
     QuadratureSpec,
     RadialDkPhase,
     RadialKcPhase,
-    apply_filter,
     eval_f,
 )
-from clpair.oracles import mc_purity
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C
@@ -152,27 +150,6 @@ class TestSonineH:
         assert float(_sonine_h(x)) == pytest.approx(self._numeric(x), rel=1e-11, abs=1e-15)
 
 
-class TestFilteredPuritySc:
-    def test_constant_weight_equals_unfiltered(self, make_beam, make_spectrum):
-        s0 = make_spectrum(0.3)
-        s1 = apply_filter(s0, lambda k, th: 0.5 * np.ones(np.broadcast(k, th).shape))
-        b = make_beam(3.0)
-        assert purity_sc(b, s1) == pytest.approx(purity_sc(b, s0), rel=1e-6)
-
-    @pytest.mark.parametrize(
-        "weight",
-        [
-            lambda k, th: (th < 0.5 * math.pi).astype(float),
-            lambda k, th: np.sin(th) ** 4 + 0.0 * k,
-        ],
-        ids=["hemisphere", "sin4"],
-    )
-    def test_agrees_with_monte_carlo(self, weight, make_beam, make_spectrum):
-        s = apply_filter(make_spectrum(0.3), weight)
-        rep = mc_purity(make_beam(3.0), s, n=200_000, seed=5)
-        assert rep.passed, rep
-
-
 class TestPurityZ:
     def test_high_purity_below_knee(self, make_beam, make_spectrum):
         # probe at a tenth of the kernel scale dq_par * v_z / c; see the
@@ -224,25 +201,14 @@ class TestRelPosVariance:
         assert r == pytest.approx(4.0, rel=0.1)
 
     def test_longitudinal_term_dominates_large_dk(self, make_beam, make_spectrum):
-        from scipy.special import erf
-
         b, s = make_beam(1.0), make_spectrum(30.0)
         z = s.k_c / (math.sqrt(2.0) * s.dk_ph)
         angular = (
-            math.sqrt(2.0 * math.pi) * s.n_g / 56.0 * (19.0 * s.dk_ph + 2.0 * s.k_c**2 / s.dk_ph) * (erf(z) + 1.0)
+            math.sqrt(2.0 * math.pi) * s.n_g / 56.0 * (19.0 * s.dk_ph + 2.0 * s.k_c**2 / s.dk_ph) * (math.erf(z) + 1.0)
             + s.n_g / 14.0 * s.k_c * math.exp(-(z**2))
         )
         rest = rel_pos_variance_closed(b, s) - angular
         assert rest == pytest.approx(b.c_over_vz**2 / (14.0 * b.dq_par**2), rel=1e-12)
-
-    def test_quadrature_rejects_filter(self, make_beam, make_spectrum):
-        from clpair import apply_filter
-
-        s = apply_filter(make_spectrum(0.5), lambda k, th: np.ones(np.broadcast(k, th).shape))
-        with pytest.raises(DomainError):
-            rel_pos_variance_quadrature(make_beam(1.0), s)
-        with pytest.raises(DomainError):
-            rel_pos_variance_closed(make_beam(1.0), s)
 
 
 class TestTotalWavevectorVariance:

@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, i0e, spherical_jn
+from scipy.integrate import quad
+from scipy.special import spherical_jn
 
 from clpair import (
     BeamParams,
     DomainError,
-    EmptyFilterError,
-    ScatteredState,
     SingularPointError,
     SpectrumModel,
     ZeroPhase,
-    apply_filter,
     derive_kinematics,
-    eval_psi_ini,
-    eval_psi_sc,
     spectrum_normalization,
     wavelength_to_wavenumbers,
 )
@@ -36,27 +32,52 @@ from clpair.model import (
     gamma_cartesian_derivatives,
     psi_ini_x_sq,
 )
-from clpair.quadrature import gauss_legendre_panels, integrate_1d
+from clpair.measures import _H_SMALL_X, _sonine_h
+from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C
-from reference_tables import ERF_TABLE, I0E_TABLE, SPHERICAL_JN_TABLE
+from reference_tables import ERF_TABLE, SPHERICAL_JN_TABLE
+
+H0 = 1.0 / (2.0 * math.pi)
+
+
+def sonine_h_scipy(x):
+    """h(x) = (15/4pi)(j1(x)/x - 3 j2(x)/x^2) from scipy's spherical_jn."""
+    return (15.0 / (4.0 * math.pi)) * (spherical_jn(1, x) / x - 3.0 * spherical_jn(2, x) / x**2)
 
 
 class TestSpecialFunctionPins:
-    """Pin scipy's erf, i0e and spherical_jn to frozen mpmath values so a
-    broken environment fails loudly."""
+    """Pin the special functions the package evaluates (math.erf and the
+    elementary Sonine factor) to frozen mpmath values, and pin scipy's
+    spherical_jn, the reference the dense Sonine check leans on."""
 
     def test_erf_table(self):
         for x, ref in ERF_TABLE:
-            assert erf(x) == pytest.approx(ref, rel=1e-14, abs=1e-15)
-
-    def test_i0e_table(self):
-        for b, ref in I0E_TABLE:
-            assert i0e(b) == pytest.approx(ref, rel=1e-13)
+            assert math.erf(x) == pytest.approx(ref, rel=1e-14, abs=1e-15)
 
     def test_spherical_jn_table(self):
         for n, x, ref in SPHERICAL_JN_TABLE:
             assert spherical_jn(n, x) == pytest.approx(ref, rel=1e-13), (n, x)
+
+    def test_sonine_h_table(self):
+        j = {(n, x): ref for n, x, ref in SPHERICAL_JN_TABLE}
+        for x in sorted({x for _, x, _ in SPHERICAL_JN_TABLE}):
+            ref = (15.0 / (4.0 * math.pi)) * (j[1, x] / x - 3.0 * j[2, x] / x**2)
+            assert float(_sonine_h(x)) == pytest.approx(ref, rel=1e-13), x
+
+    def test_sonine_h_dense_grid(self):
+        # straddles the switch from the series to the elementary form
+        x = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(1e-6, 4.0, 40001),
+                    np.geomspace(4.0, 1e4, 20001),
+                    np.nextafter(_H_SMALL_X, [0.0, np.inf]),
+                ]
+            )
+        )
+        assert np.max(np.abs(_sonine_h(x) - sonine_h_scipy(x))) <= 1e-13 * H0
+        assert float(_sonine_h(0.0)) == pytest.approx(H0, rel=1e-15)
 
 
 class TestKinematics:
@@ -121,13 +142,9 @@ class TestSpectrumNormalization:
     @pytest.mark.parametrize("dk", [0.1, 1.0, 10.0, 30.0])
     def test_radial_quadrature_unity(self, dk, make_spectrum):
         s = make_spectrum(dk)
-        res = integrate_1d(
-            lambda k: k**2 * eval_g(s, k),
-            *s.radial_support(10.0),
-            QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14),
-            vectorized=True,
-        )
-        assert res.value == pytest.approx(1.0, abs=1e-10)
+        kmin, kmax = s.radial_support(10.0)
+        value, _ = quad(lambda k: k**2 * eval_g(s, k), kmin, kmax, points=[s.k_c], epsabs=1e-14, epsrel=1e-12, limit=200)
+        assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_narrow_limit(self):
         k_c = 12.566
@@ -138,8 +155,8 @@ class TestSpectrumNormalization:
     def test_matches_independent_quadrature_inverse(self):
         k_c, dk = 12.566, 1.0
         raw = lambda k: k**2 * np.exp(-((k - k_c) ** 2) / (2.0 * dk**2))
-        res = integrate_1d(raw, 0.0, k_c + 12.0 * dk, QuadratureSpec(rel_tol=1e-12), vectorized=True)
-        assert spectrum_normalization(k_c, dk) == pytest.approx(1.0 / res.value, rel=1e-9)
+        value, _ = quad(raw, 0.0, k_c + 12.0 * dk, epsabs=1e-9, epsrel=1e-12, limit=200)
+        assert spectrum_normalization(k_c, dk) == pytest.approx(1.0 / value, rel=1e-9)
 
 
 class TestSpectrumModel:
@@ -236,11 +253,6 @@ class TestGammaDerivatives:
         with pytest.raises(SingularPointError):
             gamma_cartesian_derivatives(make_spectrum(1.0), np.array([[0.0, 0.0, 0.0]]))
 
-    def test_filtered_rejected(self, make_spectrum):
-        s = apply_filter(make_spectrum(1.0), lambda k, th: np.ones(np.broadcast(k, th).shape))
-        with pytest.raises(DomainError):
-            gamma_cartesian_derivatives(s, np.array([[1.0, 1.0, 1.0]]))
-
 
 class TestBeam:
     def test_create_consistency(self):
@@ -264,20 +276,12 @@ class TestBeam:
         with pytest.warns(UserWarning):
             BeamParams.create(200.0, q0 / 5.0, 1.0)
 
-    def test_psi_ini_normalized(self):
-        b = BeamParams.create(200.0, 2.0, 3.0)
-        qx, wx = gauss_legendre_panels(-8.0 * b.dq_perp, 8.0 * b.dq_perp, 8, 16)
-        qz, wz = gauss_legendre_panels(b.q0 - 8.0 * b.dq_par, b.q0 + 8.0 * b.dq_par, 8, 16)
-        grid = np.stack(np.meshgrid(qx, qx, qz, indexing="ij"), axis=-1)
-        vals = eval_psi_ini(b, grid) ** 2
-        total = np.einsum("ijk,i,j,k->", vals, wx, wx, wz)
-        assert total == pytest.approx(1.0, abs=1e-10)
-
     def test_psi_ini_peak_and_parity(self):
+        # the transverse density |psi_ini^(x)|^2 peaks at 1/(sqrt(2 pi) dq_perp)
         b = BeamParams.create(200.0, 2.0, 3.0)
-        peak = (2.0 * math.pi) ** (-0.75) / (b.dq_perp * math.sqrt(b.dq_par))
-        assert eval_psi_ini(b, [0.0, 0.0, b.q0]) == pytest.approx(peak, rel=1e-12)
-        assert eval_psi_ini(b, [1.0, -2.0, b.q0]) == eval_psi_ini(b, [-1.0, 2.0, b.q0])
+        peak = 1.0 / (math.sqrt(2.0 * math.pi) * b.dq_perp)
+        assert psi_ini_x_sq(b.dq_perp, 0.0) == pytest.approx(peak, rel=1e-12)
+        assert psi_ini_x_sq(b.dq_perp, 1.5) == psi_ini_x_sq(b.dq_perp, -1.5)
 
     def test_psi_x_sq_normalized(self):
         b = BeamParams.create(200.0, 2.0, 3.0)
@@ -313,61 +317,3 @@ class TestPhases:
         assert got == pytest.approx(4.0 / s.k_c**2 * math.sin(th) ** 2, rel=1e-10)
         got = eta_transverse_gradient_sq(PolarLinearPhase(lambda t: t, 3.0 / 14.0), s, k, th)
         assert got == pytest.approx((math.cos(th) / k) ** 2, rel=1e-4)
-
-
-class TestFilter:
-    def test_identity_filter(self, make_spectrum):
-        s = apply_filter(make_spectrum(0.5), lambda k, th: np.ones(np.broadcast(k, th).shape))
-        assert s.filter.n_f == pytest.approx(1.0, abs=1e-8)
-
-    def test_band_indicator(self, make_spectrum):
-        s0 = make_spectrum(0.5)
-        ind = lambda k, th: ((np.abs(k - s0.k_c) <= s0.dk_ph) * np.ones(np.broadcast(k, th).shape)).astype(float)
-        s = apply_filter(s0, ind)
-        band = integrate_1d(
-            lambda k: k**2 * eval_g(s0, k),
-            s0.k_c - s0.dk_ph,
-            s0.k_c + s0.dk_ph,
-            QuadratureSpec(rel_tol=1e-10),
-            vectorized=True,
-        )
-        assert 1.0 / s.filter.n_f == pytest.approx(band.value, rel=1e-6)
-
-    def test_gaussian_filter_narrows_spectrum(self, make_spectrum):
-        s0 = make_spectrum(1.0)
-        w = lambda k, th: np.exp(-((k - s0.k_c) ** 2) / (2.0 * 0.5**2)) * np.ones(np.broadcast(k, th).shape)
-        s1 = apply_filter(s0, w)
-
-        def k_variance(spec):
-            kn, kw = gauss_legendre_panels(*s0.radial_support(10.0), 16, 16)
-            tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
-            dens = 2.0 * math.pi * np.einsum(
-                "j,ij->i", tw * np.sin(tn), eval_gamma(spec, kn[:, None], tn[None, :])
-            ) * kn**2
-            m0 = np.sum(kw * dens)
-            m1 = np.sum(kw * dens * kn) / m0
-            return np.sum(kw * dens * (kn - m1) ** 2) / m0
-
-        assert k_variance(s1) < k_variance(s0)
-
-    def test_empty_filter(self, make_spectrum):
-        with pytest.raises(EmptyFilterError):
-            apply_filter(make_spectrum(0.5), lambda k, th: np.zeros(np.broadcast(k, th).shape))
-
-
-class TestScatteredState:
-    def test_amplitude_factorization(self, make_beam, make_spectrum):
-        b = make_beam(3.0)
-        s = make_spectrum(0.5)
-        state = ScatteredState(b, s, RadialKcPhase(4.0))
-        q = np.array([1.0, -0.5, b.q0])
-        kv = np.array([2.0, 1.0, 8.0])
-        k = float(np.linalg.norm(kv))
-        theta = math.acos(kv[2] / k)
-        shifted = np.array([q[0] + kv[0], q[1] + kv[1], q[2] + b.c_over_vz * k])
-        expect = (
-            float(eval_psi_ini(b, shifted))
-            * math.sqrt(float(eval_gamma(s, k, theta)))
-            * np.exp(1j * 2.0 * k / s.k_c)
-        )
-        assert complex(eval_psi_sc(state, q, kv)) == pytest.approx(expect, rel=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clpair import DomainError, apply_filter
+from clpair import DomainError
 from clpair.distributions import momentum_grid
 from clpair.errors import ResolutionError
 from clpair.measures import purity_sc
@@ -129,11 +129,6 @@ class TestFdGradient:
         e1 = fd_gradient_check(s, pts, step=4e-3).oracle_value
         e2 = fd_gradient_check(s, pts, step=2e-3).oracle_value
         assert e1 / e2 == pytest.approx(4.0, rel=0.3)
-
-    def test_filtered_rejected(self, make_spectrum):
-        s = apply_filter(make_spectrum(1.0), lambda k, th: np.ones(np.broadcast(k, th).shape))
-        with pytest.raises(DomainError):
-            fd_gradient_check(s, np.array([[1.0, 2.0, 3.0]]))
 
     def test_large_step_rejected(self, make_spectrum):
         with pytest.raises(DomainError):
