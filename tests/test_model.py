@@ -32,10 +32,12 @@ from clpair.model import (
     gamma_cartesian_derivatives,
     psi_ini_x_sq,
 )
+from clpair.distributions import joint_momentum
 from clpair.measures import _H_SMALL_X, _sonine_h
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C
+from reference_quadrature import integrate_1d
 from reference_tables import ERF_TABLE, SPHERICAL_JN_TABLE
 
 H0 = 1.0 / (2.0 * math.pi)
@@ -276,6 +278,17 @@ class TestBeam:
         with pytest.warns(UserWarning):
             BeamParams.create(200.0, q0 / 5.0, 1.0)
 
+    def test_psi_ini_normalized(self):
+        # |psi_ini(q)|^2 is the product of the transverse densities in qx, qy
+        # and the longitudinal one (same Gaussian form, width dq_par) in qz
+        b = BeamParams.create(200.0, 2.0, 3.0)
+        qx, wx = gauss_legendre_panels(-8.0 * b.dq_perp, 8.0 * b.dq_perp, 8, 16)
+        qz, wz = gauss_legendre_panels(b.q0 - 8.0 * b.dq_par, b.q0 + 8.0 * b.dq_par, 8, 16)
+        rx = psi_ini_x_sq(b.dq_perp, qx)
+        vals = rx[:, None, None] * rx[None, :, None] * psi_ini_x_sq(b.dq_par, qz - b.q0)[None, None, :]
+        total = np.einsum("ijk,i,j,k->", vals, wx, wx, wz)
+        assert total == pytest.approx(1.0, abs=1e-10)
+
     def test_psi_ini_peak_and_parity(self):
         # the transverse density |psi_ini^(x)|^2 peaks at 1/(sqrt(2 pi) dq_perp)
         b = BeamParams.create(200.0, 2.0, 3.0)
@@ -317,3 +330,79 @@ class TestPhases:
         assert got == pytest.approx(4.0 / s.k_c**2 * math.sin(th) ** 2, rel=1e-10)
         got = eta_transverse_gradient_sq(PolarLinearPhase(lambda t: t, 3.0 / 14.0), s, k, th)
         assert got == pytest.approx((math.cos(th) / k) ** 2, rel=1e-4)
+
+
+def filter_norm(spectrum, weight, quad=QuadratureSpec(rel_tol=1e-10)):
+    """n_f = 1 / int d3k w(k, theta) Gamma(k, theta) for a filter weight w."""
+    th_nodes, th_wts = gauss_legendre_panels(0.0, math.pi, 12, 16)
+    ang = th_wts * np.sin(th_nodes) * eval_f(th_nodes)
+
+    def radial(k):
+        w = np.broadcast_to(weight(k[:, None], th_nodes[None, :]), (k.size, th_nodes.size))
+        return 2.0 * math.pi * k**2 * eval_g(spectrum, k) * (w @ ang)
+
+    return 1.0 / integrate_1d(radial, *spectrum.radial_support(quad.truncation_sigmas), quad, vectorized=True).value
+
+
+class TestFilter:
+    """A photonic filter multiplies Gamma by a weight w(k, theta) and
+    renormalizes by n_f. The package carries no filter; these tests check
+    the model's Gamma under such weights, and that a Gaussian band-pass
+    centred on the line keeps the spectrum inside the model family."""
+
+    def test_identity_filter(self, make_spectrum):
+        n_f = filter_norm(make_spectrum(0.5), lambda k, th: np.ones(np.broadcast(k, th).shape))
+        assert n_f == pytest.approx(1.0, abs=1e-8)
+
+    def test_band_indicator(self, make_spectrum):
+        s0 = make_spectrum(0.5)
+        ind = lambda k, th: ((np.abs(k - s0.k_c) <= s0.dk_ph) * np.ones(np.broadcast(k, th).shape)).astype(float)
+        # int_{|k - k_c| <= a} k^2 g(k) dk in closed form, a = dk_ph = sigma
+        a = sig = s0.dk_ph
+        band = s0.n_g * (
+            (s0.k_c**2 + sig**2) * sig * math.sqrt(2.0 * math.pi) * math.erf(a / (math.sqrt(2.0) * sig))
+            - 2.0 * a * sig**2 * math.exp(-(a**2) / (2.0 * sig**2))
+        )
+        assert 1.0 / filter_norm(s0, ind) == pytest.approx(band, rel=1e-6)
+
+    def test_gaussian_filter_narrows_spectrum(self, make_spectrum):
+        s0 = make_spectrum(1.0)
+        sigma = 0.5
+        w = lambda k, th: np.exp(-((k - s0.k_c) ** 2) / (2.0 * sigma**2)) * np.ones(np.broadcast(k, th).shape)
+        n_f = filter_norm(s0, w)
+        # the filtered line is the model's Gaussian of width (dk^-2 + sigma^-2)^(-1/2)
+        s1 = SpectrumModel.create(s0.k_c, (s0.dk_ph**-2 + sigma**-2) ** -0.5)
+        kk = np.linspace(*s0.radial_support(6.0), 97)
+        np.testing.assert_allclose(n_f * w(kk, 0.0) * eval_g(s0, kk), eval_g(s1, kk), rtol=1e-8)
+
+        def k_variance(density):
+            kn, kw = gauss_legendre_panels(*s0.radial_support(10.0), 16, 16)
+            tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
+            dens = 2.0 * math.pi * np.einsum("j,ij->i", tw * np.sin(tn), density(kn[:, None], tn[None, :])) * kn**2
+            m0 = np.sum(kw * dens)
+            m1 = np.sum(kw * dens * kn) / m0
+            return np.sum(kw * dens * (kn - m1) ** 2) / m0
+
+        filtered = k_variance(lambda k, th: n_f * w(k, th) * eval_gamma(s0, k, th))
+        assert filtered < k_variance(lambda k, th: eval_gamma(s0, k, th))
+        assert filtered == pytest.approx(k_variance(lambda k, th: eval_gamma(s1, k, th)), rel=1e-8)
+
+
+class TestScatteredState:
+    def test_amplitude_factorization(self, make_beam, make_spectrum):
+        # psi_sc(q, k) = psi_ini(q_perp + k_perp, q_z + (c/v_z) k) sqrt(Gamma(k)) exp(i eta);
+        # the phase drops out of |psi_sc|^2 and qy, qz integrate the electron
+        # density to one, so P(qx, kx) = |psi_ini^(x)(qx + kx)|^2 int dky dkz Gamma
+        b = make_beam(3.0)
+        s = make_spectrum(0.5)
+        kmin, kmax = s.radial_support()
+        bn, bw = gauss_legendre_panels(0.0, 2.0 * math.pi, 8, 16)
+        for qx, kx in ((8.0, -9.0), (-1.0, 2.0), (-6.0, 7.5)):
+            rn, rw = gauss_legendre_panels(math.sqrt(max(kmin**2 - kx**2, 0.0)), math.sqrt(kmax**2 - kx**2), 16, 16)
+            kv = np.stack(
+                np.broadcast_arrays(kx, rn[:, None] * np.cos(bn)[None, :], rn[:, None] * np.sin(bn)[None, :]),
+                axis=-1,
+            )
+            marginal = np.einsum("i,j,ij->", rw * rn, bw, eval_gamma_cartesian(s, kv))
+            expect = float(psi_ini_x_sq(b.dq_perp, qx + kx)) * marginal
+            assert joint_momentum(b, s, qx, kx)[0] == pytest.approx(expect, rel=1e-8), (qx, kx)
