@@ -36,11 +36,14 @@ from .quadrature import gauss_legendre_panels
 #: purity to a few 1e-4, so tighter defaults would buy nothing it can see.
 PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
 
-# t-grid of the purity integral: exp(-b^2 t^2) < 1e-21 beyond t = 7/b;
+# t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
+# 1e-21, is t = 7/b, but the sum stops at the first panel edge past which
+# the certified tail bound of `_t_cut` is below _TAIL_FRACTION * abs_tol;
 # at least 8 nodes per oscillation period of h(k t); t-nodes per block,
 # which bounds the (n_k, block) matrices held at once (a 96 x 1024 block
 # keeps one call's peak allocation near 6 MB).
 _T_SPAN = 7.0
+_TAIL_FRACTION = 1e-3
 _NODES_PER_PERIOD = 8
 _T_BLOCK = 1024
 # below this argument _sonine_h sums ten terms of its Taylor series,
@@ -49,6 +52,13 @@ _T_BLOCK = 1024
 _H_SMALL_X = 1.5
 _H_SERIES = tuple(
     (-0.5) ** k / math.factorial(k) * (2 * k + 2) / math.prod(range(1, 2 * k + 6, 2)) for k in range(10)
+)
+# envelope of the polar factor: |h(x)| <= h(0) = 1/2pi everywhere (|J0| <= 1
+# and f >= 0), and |h(x)| <= _H_TAIL_C / x^2 for x >= _H_SMALL_X, bounding
+# each term of the elementary bracket by its value at x = _H_SMALL_X
+_H0 = 1.0 / TWO_PI
+_H_TAIL_C = (15.0 / (4.0 * math.pi)) * (
+    1.0 + 4.0 / _H_SMALL_X + 9.0 / _H_SMALL_X**2 + 9.0 / _H_SMALL_X**3
 )
 
 
@@ -118,6 +128,32 @@ def _sonine_h(x) -> np.ndarray:
     return (15.0 / (4.0 * math.pi)) * out
 
 
+def _t_cut(kn, r, b, t_max, n_panels, target):
+    """Number of t-panels after which the purity integral's tail is below target.
+
+    With |h(x)| <= min(h(0), c/x^2) (`_H_TAIL_C`) and every entry of the
+    longitudinal kernel at most one, |H_t^T E H_t| <= S(t)^2, where
+    S(t) = sum_k r_k min(h(0), c/(k t)^2) decreases in t. The integral
+    beyond T is then at most 4 pi^2 S(T)^2 exp(-b^2 T^2), which decreases
+    in T, so the first panel edge where it is below target is found by
+    bisection, one n_k-vector per probe. Returns n_panels (the outer
+    limit) when no earlier edge qualifies, as for a target of zero.
+    """
+    def tail(p):
+        t = t_max * p / n_panels
+        s = r @ np.minimum(_H0, _H_TAIL_C / (kn * t) ** 2)
+        return 4.0 * math.pi**2 * s * s * math.exp(-((b * t) ** 2))
+
+    lo, hi = 1, n_panels
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail(mid) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     """8 pi^2 b^2 sum_t w_t t exp(-b^2 t^2) H_t^T E H_t on one resolution.
 
@@ -126,15 +162,21 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     exp(-(u^2 + u'^2)/4b^2) I0(u u'/2b^2) as
     2b^2 int_0^inf t exp(-b^2 t^2) J0(u t) J0(u' t) dt, which factorizes
     the double integral over the two photon wavevectors at each t.
+    The t-grid spans [0, 7/b]; the sum stops at the first panel edge past
+    which the tail bound of `_t_cut` is below _TAIL_FRACTION * abs_tol
+    (an abs_tol of zero keeps the whole grid).
     """
     kn, kw, kmax = _radial_nodes(spectrum, quad, n_rad)
     b = beam.dq_perp
     t_max = _T_SPAN / b
     # h(k t) oscillates with period 2 pi / k in t
     n_t = refine * _NODES_PER_PERIOD * kmax * t_max / TWO_PI
-    tn, tw = gauss_legendre_panels(0.0, t_max, max(2, math.ceil(n_t / 16)), 16)
-    ct = tw * tn * np.exp(-((b * tn) ** 2))
+    n_panels = max(2, math.ceil(n_t / 16))
     r = kw * kn**2 * eval_g(spectrum, kn)
+    n_keep = 16 * _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * quad.abs_tol)
+    tn, tw = gauss_legendre_panels(0.0, t_max, n_panels, 16)
+    tn, tw = tn[:n_keep], tw[:n_keep]
+    ct = tw * tn * np.exp(-((b * tn) ** 2))
     elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
     total = 0.0
     for s in range(0, tn.size, _T_BLOCK):
@@ -172,7 +214,8 @@ def purity_sc(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = 
     The 6D double integral over photon wavevectors reduces by azimuthal
     symmetry and Weber's integral to one t-integral of a quadratic form
     in the radial nodes (`_purity_once`); the polar integral is the
-    closed-form `_sonine_h`.
+    closed-form `_sonine_h`. The t-integral stops where a bound on its
+    tail falls below 1e-3 abs_tol.
     Evaluated at n_rad 64 with the base t-grid and at n_rad 96 with a
     1.5x finer one; their difference is the convergence check. A result
     above one within max(abs_tol, rel_tol) is clipped to one.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from clpair import (
 )
 from clpair.measures import (
     _H_SMALL_X,
+    _H_TAIL_C,
     PURITY_QUAD,
+    _purity_once,
     _sonine_h,
     Regime,
     RegimeThresholds,
@@ -148,6 +151,69 @@ class TestSonineH:
     )
     def test_matches_alpha_quadrature(self, x):
         assert float(_sonine_h(x)) == pytest.approx(self._numeric(x), rel=1e-11, abs=1e-15)
+
+    @staticmethod
+    def _envelope_excess(c):
+        # largest |h(x)| - min(h(0), c/x^2) on a dense grid over [0, 1e4]
+        x = np.unique(np.concatenate([np.linspace(0.0, 50.0, 200_001), np.geomspace(50.0, 1e4, 100_001), [_H_SMALL_X]]))
+        with np.errstate(divide="ignore"):
+            envelope = np.minimum(1.0 / (2.0 * math.pi), c / x**2)
+        return float(np.max(np.abs(_sonine_h(x)) - envelope))
+
+    def test_envelope(self):
+        assert self._envelope_excess(_H_TAIL_C) <= 0.0
+
+    def test_envelope_planted_defect(self):
+        # _H_TAIL_C is 31/3 times the sharp constant 15/4pi, the limit of
+        # x^2 |h(x)| as x grows, so a constant smaller by a factor 11 must fail
+        assert self._envelope_excess(_H_TAIL_C / 11.0) > 0.0
+
+
+class TestPurityTailCut:
+    """The t-sum stops where a bound on the integral's tail is below
+    1e-3 abs_tol; an abs_tol of zero keeps the whole 7/b grid."""
+
+    RESOLUTIONS = [(64, 1.0), (96, 1.5)]  # purity_sc's base and refined passes
+    UNCUT = dataclasses.replace(PURITY_QUAD, abs_tol=0.0)
+
+    def _cut_error(self, beam, spectrum, n_rad, refine):
+        cut = _purity_once(beam, spectrum, PURITY_QUAD, n_rad, refine)
+        return abs(cut - _purity_once(beam, spectrum, self.UNCUT, n_rad, refine))
+
+    @pytest.mark.parametrize("n_rad,refine", RESOLUTIONS)
+    @pytest.mark.parametrize("dq_perp,dk,expected", PANEL_REFERENCE)
+    def test_cut_within_fraction_of_abs_tol(self, dq_perp, dk, expected, n_rad, refine, make_beam, make_spectrum):
+        err = self._cut_error(make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
+        assert err <= 1e-3 * PURITY_QUAD.abs_tol
+
+    def test_planted_defect_in_envelope(self, make_beam, make_spectrum, monkeypatch):
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "_H_TAIL_C", _H_TAIL_C / 100.0)
+        worst = max(
+            self._cut_error(make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
+            for dq_perp, dk, _ in PANEL_REFERENCE
+            for n_rad, refine in self.RESOLUTIONS
+        )
+        assert worst > 1e-3 * PURITY_QUAD.abs_tol
+
+    def test_refined_pass_evaluates_under_a_quarter_of_the_grid(self, make_beam, make_spectrum, monkeypatch):
+        # a count of the t-columns passed to _sonine_h, not a timing
+        import clpair.measures as measures
+
+        columns = []
+
+        def counting(x):
+            columns.append(np.shape(x)[1])
+            return _sonine_h(x)
+
+        monkeypatch.setattr(measures, "_sonine_h", counting)
+        beam, spectrum = make_beam(0.1), make_spectrum(30.0)
+        _purity_once(beam, spectrum, self.UNCUT, 96, 1.5)
+        assert sum(columns) == 33_776
+        columns.clear()
+        _purity_once(beam, spectrum, PURITY_QUAD, 96, 1.5)
+        assert sum(columns) <= 0.25 * 33_776
 
 
 class TestPurityZ:
