@@ -7,6 +7,14 @@ subsystem purity, the Schmidt number, and an EPR-type uncertainty
 product for the (relative position, total transverse wavevector) pair.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy first loads it. The products here
+# are small (at most a few hundred rows), and a second BLAS thread costs
+# more CPU than it saves on them: it roughly doubles a sweep's CPU time at
+# no wall gain. A value already set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constants import ELECTRON_REST_KEV, HBARC_KEV_UM
 from .errors import (
     ConfigError,

@@ -183,10 +183,16 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray, 
         k = np.sqrt(ax[i0:i1] ** 2 + r**2)
         c = r / k
         f = (np.sqrt(eval_g(spectrum, k)) * c)[:, None] * wb * np.sqrt(1.0 - c[:, None] ** 2 * sb2)
-        # einsum contracts in one thread; a BLAS product would start
-        # threads that cost more CPU than they save at these sizes
-        gram = np.einsum("ib,jb->ij", f, f)
-        h[i0:i1, i0:i1] += (4.0 * ANGULAR_NORM * w * r) * gram * np.exp(-alpha * (k[:, None] - k[None, :]) ** 2)
+        # the band update is built in place in one band x band buffer, with
+        # no further temporaries; f @ f.T is a BLAS syrk, so the Gram
+        # matrix, and with it h, is exactly symmetric
+        band = np.subtract.outer(k, k)
+        np.square(band, out=band)
+        band *= -alpha
+        np.exp(band, out=band)
+        band *= f @ f.T
+        band *= 4.0 * ANGULAR_NORM * w * r
+        h[i0:i1, i0:i1] += band
 
     # diagonal consistency: M(kx, kx) must reproduce the marginal G(kx)
     g_ref = photon_marginal_kx(spectrum, ax, quad)

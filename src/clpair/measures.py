@@ -54,12 +54,15 @@ _H_SERIES = tuple(
     (-0.5) ** k / math.factorial(k) * (2 * k + 2) / math.prod(range(1, 2 * k + 6, 2)) for k in range(10)
 )
 # envelope of the polar factor: |h(x)| <= h(0) = 1/2pi everywhere (|J0| <= 1
-# and f >= 0), and |h(x)| <= _H_TAIL_C / x^2 for x >= _H_SMALL_X, bounding
-# each term of the elementary bracket by its value at x = _H_SMALL_X
+# and f >= 0), and |h(x)| <= _H_TAIL_C / x^2 for x >= _H_TAIL_X. The
+# elementary bracket is a sin x + b cos x with a^2 + b^2 =
+# x^-4 - 2x^-6 + 9x^-8 + 81x^-10, which is at most x^-4 exactly when
+# 2x^4 - 9x^2 - 81 >= 0, i.e. x >= 3; _H_TAIL_C = 15/4pi is sharp, the
+# limit of x^2 |h(x)|. Below 3 the bound c/x^2 is not proven, so h(0) is
+# used; c/9 < h(0), so the piecewise envelope never increases.
 _H0 = 1.0 / TWO_PI
-_H_TAIL_C = (15.0 / (4.0 * math.pi)) * (
-    1.0 + 4.0 / _H_SMALL_X + 9.0 / _H_SMALL_X**2 + 9.0 / _H_SMALL_X**3
-)
+_H_TAIL_X = 3.0
+_H_TAIL_C = 15.0 / (4.0 * math.pi)
 
 
 class Regime(enum.Enum):
@@ -131,9 +134,10 @@ def _sonine_h(x) -> np.ndarray:
 def _t_cut(kn, r, b, t_max, n_panels, target):
     """Number of t-panels after which the purity integral's tail is below target.
 
-    With |h(x)| <= min(h(0), c/x^2) (`_H_TAIL_C`) and every entry of the
-    longitudinal kernel at most one, |H_t^T E H_t| <= S(t)^2, where
-    S(t) = sum_k r_k min(h(0), c/(k t)^2) decreases in t. The integral
+    With |h(x)| <= env(x), env = h(0) below _H_TAIL_X and c/x^2
+    (`_H_TAIL_C`) from there on, and every entry of the longitudinal
+    kernel at most one, |H_t^T E H_t| <= S(t)^2, where
+    S(t) = sum_k r_k env(k t) does not increase in t. The integral
     beyond T is then at most 4 pi^2 S(T)^2 exp(-b^2 T^2), which decreases
     in T, so the first panel edge where it is below target is found by
     bisection, one n_k-vector per probe. Returns n_panels (the outer
@@ -141,7 +145,8 @@ def _t_cut(kn, r, b, t_max, n_panels, target):
     """
     def tail(p):
         t = t_max * p / n_panels
-        s = r @ np.minimum(_H0, _H_TAIL_C / (kn * t) ** 2)
+        x = kn * t
+        s = r @ np.where(x >= _H_TAIL_X, _H_TAIL_C / x**2, _H0)
         return 4.0 * math.pi**2 * s * s * math.exp(-((b * t) ** 2))
 
     lo, hi = 1, n_panels

@@ -438,6 +438,22 @@ class TestRuntimeImports:
         assert res.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "o" / "measure.csv").exists()
 
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+    def test_blas_threads_default_to_one(self, preset, expected):
+        # importing clpair pins OpenBLAS to one thread unless the
+        # environment already chose a count
+        import os
+        import subprocess
+        import sys
+
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, clpair\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == expected
+
 
 class TestProvenancePinned:
     @pytest.mark.parametrize(

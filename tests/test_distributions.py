@@ -194,6 +194,8 @@ class TestPositionKernel:
         assert np.array_equal(m, m[::-1, ::-1])
         # M(-a, b) = M(a, b): the block at (-ax, +ax) is the row-flipped (+ax, +ax) block
         assert np.array_equal(m[:256, 256:], m[256:, 256:][::-1, :])
+        # each radial node's Gram matrix is one BLAS syrk, symmetric bit for bit
+        assert np.array_equal(m, m.T)
 
     @pytest.mark.parametrize("dk_ph", [0.1, 0.5, 1.6, 2.0, 2.5, 3.0, 3.25, 3.29])
     def test_diagonal_check_envelope(self, make_beam, make_spectrum, dk_ph):

@@ -17,6 +17,7 @@ from clpair import (
 from clpair.measures import (
     _H_SMALL_X,
     _H_TAIL_C,
+    _H_TAIL_X,
     PURITY_QUAD,
     _purity_once,
     _sonine_h,
@@ -154,19 +155,25 @@ class TestSonineH:
 
     @staticmethod
     def _envelope_excess(c):
-        # largest |h(x)| - min(h(0), c/x^2) on a dense grid over [0, 1e4]
-        x = np.unique(np.concatenate([np.linspace(0.0, 50.0, 200_001), np.geomspace(50.0, 1e4, 100_001), [_H_SMALL_X]]))
+        # largest |h(x)| - env(x) on a dense grid over [0, 1e4], with
+        # env = h(0) below _H_TAIL_X and c/x^2 from there on
+        x = np.unique(
+            np.concatenate(
+                [np.linspace(0.0, 50.0, 200_001), np.geomspace(50.0, 1e4, 100_001),
+                 [_H_SMALL_X, np.nextafter(_H_TAIL_X, 0.0), _H_TAIL_X]]
+            )
+        )
         with np.errstate(divide="ignore"):
-            envelope = np.minimum(1.0 / (2.0 * math.pi), c / x**2)
+            envelope = np.where(x >= _H_TAIL_X, c / x**2, 1.0 / (2.0 * math.pi))
         return float(np.max(np.abs(_sonine_h(x)) - envelope))
 
     def test_envelope(self):
         assert self._envelope_excess(_H_TAIL_C) <= 0.0
 
     def test_envelope_planted_defect(self):
-        # _H_TAIL_C is 31/3 times the sharp constant 15/4pi, the limit of
-        # x^2 |h(x)| as x grows, so a constant smaller by a factor 11 must fail
-        assert self._envelope_excess(_H_TAIL_C / 11.0) > 0.0
+        # 15/4pi is the limit of x^2 |h(x)| as x grows, so 0.99 _H_TAIL_C
+        # must fail; this also keeps _H_TAIL_C within 1% of that sharp value
+        assert self._envelope_excess(0.99 * _H_TAIL_C) > 0.0
 
 
 class TestPurityTailCut:
