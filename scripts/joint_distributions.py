@@ -10,11 +10,11 @@ Usage: python scripts/joint_distributions.py [--out OUT]
 """
 
 import argparse
-import csv
 import math
 from pathlib import Path
 
 from clpair import BeamParams, SpectrumModel
+from clpair.cli import write_grid_csv
 from clpair.distributions import JointGrid, joint_position, momentum_grid
 from clpair.measures import rel_pos_variance_closed
 
@@ -23,11 +23,9 @@ DQ_PAR = 2.0 * math.pi / 1.3
 
 
 def write_grid(path: Path, grid: JointGrid) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{grid.axis1_name}\\{grid.axis2_name}"] + [repr(v) for v in grid.axis2.tolist()])
-        for a1, row in zip(grid.axis1.tolist(), grid.density):
-            writer.writerow([repr(a1)] + [repr(float(v)) for v in row])
+    # the CLI's grid CSV with csv.writer's default "\r\n" line ends
+    with open(path, "w", newline="\r\n") as fh:
+        write_grid_csv(grid, fh)
 
 
 def main() -> None:

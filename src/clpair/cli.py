@@ -386,15 +386,14 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def grid_to_csv(grid) -> str:
-    """A JointGrid as CSV: the axis-2 values as header, one row per axis-1
-    value, every number as its shortest round-trip repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"{grid.axis1_name}\\{grid.axis2_name}", *map(repr, grid.axis2.tolist())])
+def write_grid_csv(grid, stream) -> None:
+    """Write a JointGrid as CSV to a text stream, one line at a time: the
+    axis-2 values as header, one row per axis-1 value, every number as its
+    shortest round-trip repr. No field holds a comma, quote or newline, so
+    the lines are what csv.writer would write, without its quoting pass."""
+    stream.write(",".join([f"{grid.axis1_name}\\{grid.axis2_name}", *map(repr, grid.axis2.tolist())]) + "\n")
     for a1, drow in zip(grid.axis1.tolist(), grid.density):
-        writer.writerow([repr(a1), *map(repr, drow.tolist())])
-    return buf.getvalue()
+        stream.write(",".join([repr(a1), *map(repr, drow.tolist())]) + "\n")
 
 
 def csv_to_rows(text: str) -> list[dict]:
@@ -528,7 +527,8 @@ def dist(config_path, out):
     pg = joint_position(beam, spectrum, cfg.quadrature)
     out_path = _out_dir(cfg, out)
     for name, grid in (("momentum", mg), ("position", pg)):
-        (out_path / f"dist_{name}.csv").write_text(grid_to_csv(grid))
+        with (out_path / f"dist_{name}.csv").open("w") as fh:
+            write_grid_csv(grid, fh)
     _write_json(
         out_path / "dist.json",
         _provenance(

@@ -60,15 +60,42 @@ class JointGrid:
 
     def integral(self) -> float:
         """Trapezoidal double integral of the density."""
-        return float(np.trapezoid(np.trapezoid(self.density, self.axis2, axis=1), self.axis1))
+        return float(_trapezoid_weights(self.axis1) @ (self.density @ _trapezoid_weights(self.axis2)))
 
     def moments(self, combine) -> tuple[float, float]:
-        """Mean and variance of combine(axis1, axis2) under the density."""
-        v = combine(self.axis1[:, None], self.axis2[None, :])
+        """Mean and variance of combine(axis1, axis2) under the density.
+
+        `combine` is evaluated on one block of rows at a time, a
+        1/_MOMENT_BLOCKS share of the grid, so no temporary is larger.
+        """
+        w1, w2 = _trapezoid_weights(self.axis1), _trapezoid_weights(self.axis2)
+        rows = max(1, -(-self.axis1.size // _MOMENT_BLOCKS))
+        first = second = 0.0
+        for i in range(0, self.axis1.size, rows):
+            v = combine(self.axis1[i : i + rows, None], self.axis2[None, :])
+            dv = self.density[i : i + rows] * v
+            first += float(w1[i : i + rows] @ (dv @ w2))
+            dv *= v
+            second += float(w1[i : i + rows] @ (dv @ w2))
+            # freed here, or they would still be held while the next
+            # block's are built
+            del v, dv
         norm = self.integral()
-        mean = float(np.trapezoid(np.trapezoid(self.density * v, self.axis2, axis=1), self.axis1)) / norm
-        second = float(np.trapezoid(np.trapezoid(self.density * v**2, self.axis2, axis=1), self.axis1)) / norm
-        return mean, second - mean**2
+        mean = first / norm
+        return mean, second / norm - mean**2
+
+
+# JointGrid.moments splits the rows into this many blocks
+_MOMENT_BLOCKS = 16
+
+
+def _trapezoid_weights(x) -> np.ndarray:
+    """Weights w with w @ y the trapezoidal integral of samples y on the axis x."""
+    half = 0.5 * np.diff(x)
+    w = np.zeros(len(x))
+    w[:-1] += half
+    w[1:] += half
+    return w
 
 
 def _check_normalized(grid: JointGrid, what: str, tol: float = 0.01) -> JointGrid:
@@ -116,8 +143,13 @@ def joint_momentum(beam: BeamParams, spectrum: SpectrumModel, qx, kx, quad: Quad
     """Joint density P(q_x, k_x) (um^2): electron momentum envelope at
     q_x + k_x times the photon marginal; independent of the phase."""
     qx = np.asarray(qx, dtype=float)
-    kxa = np.asarray(kx, dtype=float)
-    return psi_ini_x_sq(beam.dq_perp, qx + kxa) * photon_marginal_kx(spectrum, kxa, quad)
+    kxa = np.atleast_1d(np.asarray(kx, dtype=float))
+    # one full-size buffer besides the sum q_x + k_x: the envelope, scaled
+    # by the marginal in place
+    g = photon_marginal_kx(spectrum, kxa, quad)
+    dens = psi_ini_x_sq(beam.dq_perp, qx + kxa)
+    dens *= g
+    return dens
 
 
 def momentum_grid(

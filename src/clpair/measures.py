@@ -118,17 +118,29 @@ def _sonine_h(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     small = x < _H_SMALL_X
     xs = np.where(small, _H_SMALL_X, x)
-    inv = 1.0 / xs
-    inv2 = inv * inv
-    # asarray: a 0-d input must stay an array for the masked assignment
-    out = np.asarray(inv2 * ((4.0 * inv - 9.0 * inv2 * inv) * np.sin(xs) + (9.0 * inv2 - 1.0) * np.cos(xs)))
+    # inv^2 ((4 inv - 9 inv^2 inv) sin + (9 inv^2 - 1) cos), operation for
+    # operation, in four buffers; the explicit outputs keep a 0-d input an
+    # array for the masked assignment
+    out = np.divide(1.0, xs, out=np.empty_like(xs))
+    inv2 = np.multiply(out, out, out=np.empty_like(xs))
+    tmp = np.multiply(inv2, 9.0, out=np.empty_like(xs))
+    tmp *= out
+    out *= 4.0
+    out -= tmp
+    out *= np.sin(xs, out=tmp)
+    np.multiply(inv2, 9.0, out=tmp)
+    tmp -= 1.0
+    tmp *= np.cos(xs, out=xs)
+    out += tmp
+    out *= inv2
     if np.any(small):
         x2 = x[small] ** 2
         series = np.zeros_like(x2)
         for c in reversed(_H_SERIES):
             series = series * x2 + c
         out[small] = series
-    return (15.0 / (4.0 * math.pi)) * out
+    out *= 15.0 / (4.0 * math.pi)
+    return out
 
 
 def _t_cut(kn, r, b, t_max, n_panels, target):
@@ -185,7 +197,8 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
     total = 0.0
     for s in range(0, tn.size, _T_BLOCK):
-        h = r[:, None] * _sonine_h(np.multiply.outer(kn, tn[s : s + _T_BLOCK]))
+        h = _sonine_h(np.multiply.outer(kn, tn[s : s + _T_BLOCK]))
+        h *= r[:, None]
         total += float(ct[s : s + _T_BLOCK] @ np.einsum("it,it->t", h, elong @ h))
     return 8.0 * math.pi**2 * b**2 * total
 

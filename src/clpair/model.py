@@ -113,7 +113,13 @@ def psi_ini_x_sq(dq_perp: float, qx) -> np.ndarray:
     """|psi_ini^(x)(qx)|^2 (um), the normalized 1D transverse momentum
     density of an electron beam of transverse width `dq_perp`."""
     qx = np.asarray(qx, dtype=float)
-    return np.exp(-(qx**2) / (2.0 * dq_perp**2)) / (math.sqrt(TWO_PI) * dq_perp)
+    # one output buffer, built in place; x^2 / (-c) is the same double as
+    # -(x^2) / c, since negation is exact
+    out = np.square(qx, out=np.empty_like(qx))
+    out /= -2.0 * dq_perp**2
+    np.exp(out, out=out)
+    out /= math.sqrt(TWO_PI) * dq_perp
+    return out
 
 
 # ---------------------------------------------------------------------------

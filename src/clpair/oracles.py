@@ -1,7 +1,7 @@
 """Independent brute-force validators for the closed-form machinery.
 
 Each oracle recomputes a quantity by a method sharing no code path with
-the primary implementation (Monte Carlo sampling, dense SVD, discrete
+the primary implementation (Monte Carlo sampling, singular values, discrete
 grid moments, finite differences) and reports the discrepancy against
 the primary value with an explicit tolerance.
 """
@@ -66,15 +66,30 @@ def mc_purity(
         raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
     sampler = GammaSampler(spectrum, quad)
     rng = np.random.default_rng(seed)
-    k1 = sampler.sample_cartesian(n, rng)
-    k2 = sampler.sample_cartesian(n, rng)
-    dperp2 = (k1[:, 0] - k2[:, 0]) ** 2 + (k1[:, 1] - k2[:, 1]) ** 2
-    r1 = np.linalg.norm(k1, axis=1)
-    r2 = np.linalg.norm(k2, axis=1)
-    vals = np.exp(
-        -dperp2 / (4.0 * beam.dq_perp**2)
-        - beam.c_over_vz**2 * (r1 - r2) ** 2 / (4.0 * beam.dq_par**2)
-    )
+    k1, th1, ph1 = sampler.sample_spherical(n, rng)
+    k2, th2, ph2 = sampler.sample_spherical(n, rng)
+    # in place on the draws: |k| is the drawn k, and with a = k sin(theta)
+    # the transverse distance is (a1 - a2)^2 + 4 a1 a2 sin^2((phi1 - phi2)/2),
+    # the law of cosines in the form that does not cancel for close pairs
+    a1 = np.sin(th1, out=th1)
+    a1 *= k1
+    a2 = np.sin(th2, out=th2)
+    a2 *= k2
+    vals = np.subtract(ph1, ph2, out=ph1)
+    vals *= 0.5
+    np.sin(vals, out=vals)
+    np.square(vals, out=vals)
+    vals *= a1
+    vals *= a2
+    vals *= 4.0
+    a1 -= a2
+    vals += np.square(a1, out=a1)
+    vals /= -4.0 * beam.dq_perp**2
+    k1 -= k2
+    np.square(k1, out=k1)
+    k1 *= beam.c_over_vz**2 / (4.0 * beam.dq_par**2)
+    vals -= k1
+    np.exp(vals, out=vals)
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
     primary = purity_sc(beam, spectrum, quad)
@@ -84,7 +99,7 @@ def mc_purity(
 
 
 # ---------------------------------------------------------------------------
-# 1D Schmidt / SVD purity
+# 1D Schmidt purity
 
 def schmidt_purity_1d(
     dq_perp: float,
@@ -92,7 +107,7 @@ def schmidt_purity_1d(
     kx_grid: np.ndarray,
     qx_grid: np.ndarray,
 ) -> OracleReport:
-    """SVD purity of the 1D amplitude psi(q, k) = psi_x(q + k) sqrt(G(k)).
+    """Schmidt purity of the 1D amplitude psi(q, k) = psi_x(q + k) sqrt(G(k)).
 
     Compares the singular-value purity sum(s^4)/sum(s^2)^2 against the
     overlap formula int int G(k) G(k') exp(-(k - k')^2 / (4 dq_perp^2)).
@@ -113,11 +128,15 @@ def schmidt_purity_1d(
     if sig_g > 0.0 and dk > sig_g / 8.0:
         raise ResolutionError("k grid under-resolves the spectral marginal")
 
-    beam_env = np.sqrt(psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :]))
-    amp = beam_env * np.sqrt(np.maximum(gk, 0.0))[None, :] * math.sqrt(dq * dk)
-    s = np.linalg.svd(amp, compute_uv=False)
-    s2 = s**2
-    svd_purity = float(np.sum(s2**2) / np.sum(s2) ** 2)
+    amp = psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :])
+    np.sqrt(amp, out=amp)
+    amp *= np.sqrt(np.maximum(gk, 0.0))
+    amp *= math.sqrt(dq * dk)
+    # the singular values s of amp are the square roots of the eigenvalues
+    # of amp^T amp, so sum(s^2) is its trace and sum(s^4) its squared
+    # Frobenius norm: no SVD is needed
+    gram = amp.T @ amp
+    schmidt = float(np.sum(gram * gram) / np.trace(gram) ** 2)
 
     overlap = float(
         np.sum(
@@ -129,7 +148,7 @@ def schmidt_purity_1d(
         * dk
     )
     return OracleReport.compare(
-        "schmidt_purity_1d", overlap, svd_purity, 1e-3, n_q=qx.size, n_k=kx.size
+        "schmidt_purity_1d", overlap, schmidt, 1e-3, n_q=qx.size, n_k=kx.size
     )
 
 
@@ -299,10 +318,9 @@ def run_suite(
     )
     reports.append(fd_gradient_check(spectrum, pts))
 
-    mg = momentum_grid(beam, spectrum, quad)
-    reports.append(variance_from_grid(mg, "total_wavevector", beam))
-    pg = joint_position(beam, spectrum, quad)
-    reports.append(variance_from_grid(pg, "relative_position", beam, spectrum))
+    # each grid is dropped once its variance is taken, so no two are held
+    reports.append(variance_from_grid(momentum_grid(beam, spectrum, quad), "total_wavevector", beam))
+    reports.append(variance_from_grid(joint_position(beam, spectrum, quad), "relative_position", beam, spectrum))
 
     # Schmidt oracle on the model's own transverse marginal
     kx = np.linspace(-kmax, kmax, 512)

@@ -58,7 +58,13 @@ class GammaSampler:
 
     def sample_spherical(self, n: int, rng: np.random.Generator):
         """Return (k, theta, phi) arrays of n exact draws."""
-        k = np.interp(rng.random(n), self._cdf, self._ktab)
+        # the inverse-CDF lookup runs on the uniforms in ascending order,
+        # where each search starts next to the last one, and is scattered
+        # back into draw order in the buffer of the sorted uniforms
+        u = rng.random(n)
+        order = np.argsort(u)
+        k = u[order]
+        k[order] = np.interp(k, self._cdf, self._ktab)
         theta = np.empty(n)
         filled = 0
         while filled < n:
@@ -71,8 +77,3 @@ class GammaSampler:
             filled += take
         phi = rng.random(n) * 2.0 * math.pi
         return k, theta, phi
-
-    def sample_cartesian(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        k, theta, phi = self.sample_spherical(n, rng)
-        st = np.sin(theta)
-        return np.stack([k * st * np.cos(phi), k * st * np.sin(phi), k * np.cos(theta)], axis=-1)

@@ -1,4 +1,5 @@
 import configparser
+import io
 import json
 import math
 import platform
@@ -18,12 +19,12 @@ from clpair.cli import (
     config_hash,
     csv_to_rows,
     dump_config,
-    grid_to_csv,
     load_config,
     main,
     parse_config,
     rows_to_csv,
     run_sweep,
+    write_grid_csv,
 )
 from clpair.distributions import JointGrid
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
@@ -413,7 +414,9 @@ class TestGridCsv:
         lines = ["x_el_um\\x_ph_um," + ",".join(repr(v) for v in a2.tolist())]
         for a, row in zip(a1.tolist(), dens):
             lines.append(",".join([repr(a)] + [repr(float(v)) for v in row]))
-        assert grid_to_csv(grid) == "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        write_grid_csv(grid, buf)
+        assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 class TestRuntimeImports:

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy import integrate
 from scipy.signal import argrelextrema
 
 from clpair import DomainError
+from clpair.cli import write_grid_csv
 from clpair.constants import ANGULAR_NORM
 from clpair.distributions import (
     JointGrid,
@@ -105,6 +108,66 @@ class TestMomentumGrid:
     def test_resolution_guard(self, make_beam, make_spectrum):
         with pytest.raises(ResolutionError):
             momentum_grid(make_beam(1.0), make_spectrum(1.0), n_kx=16)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while fn runs, above what was allocated before;
+    numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridMemory:
+    """The grid path holds about one grid-sized buffer at a time, at the
+    benchmark's narrow-spectrum dist point (a 962 x 512 momentum grid)."""
+
+    @pytest.fixture(scope="class")
+    def beam_spectrum_grid(self, make_beam, make_spectrum):
+        b, s = make_beam(0.263474), make_spectrum(0.210945)
+        return b, s, momentum_grid(b, s)
+
+    def test_momentum_grid_peak(self, beam_spectrum_grid):
+        # the density and one temporary of its size, the sum q_x + k_x
+        b, s, g = beam_spectrum_grid
+        assert _traced_peak(lambda: momentum_grid(b, s)) <= 2.2 * g.density.nbytes
+
+    def test_integral_peak(self, beam_spectrum_grid):
+        _, _, g = beam_spectrum_grid
+        assert _traced_peak(g.integral) <= 0.25 * g.density.nbytes
+
+    def test_moments_peak(self, beam_spectrum_grid):
+        _, _, g = beam_spectrum_grid
+        assert _traced_peak(lambda: g.moments(lambda qx, kx: qx + kx)) <= 0.25 * g.density.nbytes
+
+    def test_csv_streaming_peak(self, beam_spectrum_grid):
+        _, _, g = beam_spectrum_grid
+
+        def write():
+            with open(os.devnull, "w") as fh:
+                write_grid_csv(g, fh)
+
+        assert _traced_peak(write) <= 2**20
+
+    def test_moments_match_full_grid_trapezoid(self, beam_spectrum_grid):
+        # the blocked moments against the full-grid form they replace
+        _, _, g = beam_spectrum_grid
+        v = g.axis1[:, None] + g.axis2[None, :]
+
+        def trap(f):
+            return float(np.trapezoid(np.trapezoid(f, g.axis2, axis=1), g.axis1))
+
+        norm = trap(g.density)
+        mean = trap(g.density * v) / norm
+        var = trap(g.density * v**2) / norm - mean**2
+        got_mean, got_var = g.moments(lambda qx, kx: qx + kx)
+        assert g.integral() == pytest.approx(norm, rel=1e-13)
+        assert got_mean == pytest.approx(mean, rel=1e-10, abs=1e-13)
+        assert got_var == pytest.approx(var, rel=1e-12)
 
 
 @pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2], ids=["wide", "mid", "narrow"], scope="class")

@@ -15,6 +15,7 @@ from clpair import (
     ZeroPhase,
 )
 from clpair.measures import (
+    _H_SERIES,
     _H_SMALL_X,
     _H_TAIL_C,
     _H_TAIL_X,
@@ -154,21 +155,48 @@ class TestSonineH:
         assert float(_sonine_h(x)) == pytest.approx(self._numeric(x), rel=1e-11, abs=1e-15)
 
     @staticmethod
-    def _envelope_excess(c):
-        # largest |h(x)| - env(x) on a dense grid over [0, 1e4], with
-        # env = h(0) below _H_TAIL_X and c/x^2 from there on
-        x = np.unique(
+    def _grid():
+        # dense over [0, 1e4], with the series cut-off and the tail edge
+        return np.unique(
             np.concatenate(
                 [np.linspace(0.0, 50.0, 200_001), np.geomspace(50.0, 1e4, 100_001),
                  [_H_SMALL_X, np.nextafter(_H_TAIL_X, 0.0), _H_TAIL_X]]
             )
         )
+
+    @classmethod
+    def _envelope_excess(cls, c):
+        # largest |h(x)| - env(x) on the dense grid, with env = h(0) below
+        # _H_TAIL_X and c/x^2 from there on
+        x = cls._grid()
         with np.errstate(divide="ignore"):
             envelope = np.where(x >= _H_TAIL_X, c / x**2, 1.0 / (2.0 * math.pi))
         return float(np.max(np.abs(_sonine_h(x)) - envelope))
 
     def test_envelope(self):
         assert self._envelope_excess(_H_TAIL_C) <= 0.0
+
+    @staticmethod
+    def _expression(x):
+        # the out-of-place form that the in-place _sonine_h replaced
+        x = np.asarray(x, dtype=float)
+        small = x < _H_SMALL_X
+        xs = np.where(small, _H_SMALL_X, x)
+        inv = 1.0 / xs
+        inv2 = inv * inv
+        out = np.asarray(inv2 * ((4.0 * inv - 9.0 * inv2 * inv) * np.sin(xs) + (9.0 * inv2 - 1.0) * np.cos(xs)))
+        if np.any(small):
+            x2 = x[small] ** 2
+            series = np.zeros_like(x2)
+            for c in reversed(_H_SERIES):
+                series = series * x2 + c
+            out[small] = series
+        return (15.0 / (4.0 * math.pi)) * out
+
+    def test_in_place_matches_expression(self):
+        x = self._grid()
+        assert np.max(np.abs(_sonine_h(x) - self._expression(x))) <= 1e-15 / (2.0 * math.pi)
+        assert float(_sonine_h(2.0)) == float(self._expression(2.0))
 
     def test_envelope_planted_defect(self):
         # 15/4pi is the limit of x^2 |h(x)| as x grows, so 0.99 _H_TAIL_C

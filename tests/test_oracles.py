@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from clpair import DomainError
-from clpair.distributions import momentum_grid
+from clpair.distributions import momentum_grid, photon_marginal_kx
 from clpair.errors import ResolutionError
-from clpair.measures import purity_sc
-from clpair.model import QuadratureSpec
+from clpair.measures import PURITY_QUAD, purity_sc
+from clpair.model import QuadratureSpec, psi_ini_x_sq
 from clpair.oracles import (
     OracleReport,
     fd_gradient_check,
@@ -19,6 +19,7 @@ from clpair.oracles import (
     schmidt_purity_1d,
     variance_from_grid,
 )
+from clpair.quadrature import GammaSampler
 
 
 class TestOracleReport:
@@ -56,6 +57,28 @@ class TestMcPurity:
         ).oracle_value
 
 
+    @pytest.mark.parametrize("dq_perp,dk", [(0.3, 1.0), (10.0, 2.0), (0.1, 30.0)])
+    def test_matches_cartesian_estimate(self, dq_perp, dk, make_beam, make_spectrum):
+        # the estimate from the spherical draws against the Cartesian form
+        # of the same pairs: |k| as a vector norm, the transverse distance
+        # from the x and y components
+        b, s = make_beam(dq_perp), make_spectrum(dk)
+        n, seed = 20_000, 7
+        sampler = GammaSampler(s, PURITY_QUAD)
+        rng = np.random.default_rng(seed)
+        cart = []
+        for _ in range(2):
+            k, theta, phi = sampler.sample_spherical(n, rng)
+            st = np.sin(theta)
+            cart.append(np.stack([k * st * np.cos(phi), k * st * np.sin(phi), k * np.cos(theta)], axis=-1))
+        k1, k2 = cart
+        dperp2 = (k1[:, 0] - k2[:, 0]) ** 2 + (k1[:, 1] - k2[:, 1]) ** 2
+        r1, r2 = np.linalg.norm(k1, axis=1), np.linalg.norm(k2, axis=1)
+        vals = np.exp(-dperp2 / (4.0 * b.dq_perp**2) - b.c_over_vz**2 * (r1 - r2) ** 2 / (4.0 * b.dq_par**2))
+        rep = mc_purity(b, s, n=n, seed=seed)
+        assert rep.oracle_value == pytest.approx(float(np.mean(vals)), rel=1e-14)
+
+
 class TestSchmidt1D:
     @staticmethod
     def _gaussian_density(sig):
@@ -71,6 +94,21 @@ class TestSchmidt1D:
         assert closed == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
         assert rep.oracle_value == pytest.approx(closed, abs=1e-3)
         assert rep.value == pytest.approx(closed, abs=1e-3)
+
+    @pytest.mark.parametrize("dq_perp,dk", [(0.3, 1.0), (10.0, 2.0)])
+    def test_matches_svd(self, dq_perp, dk, make_beam, make_spectrum):
+        # the Gram-matrix purity against the singular values of the
+        # amplitude, on the grids the oracle suite uses
+        b, s = make_beam(dq_perp), make_spectrum(dk)
+        kmax = s.radial_support(PURITY_QUAD.truncation_sigmas)[1]
+        kx = np.linspace(-kmax, kmax, 512)
+        span = 6.0 * dq_perp + kmax
+        qx = np.linspace(-span, span, int(np.clip(math.ceil(2.0 * span / (dq_perp / 9.0)), 64, 3000)))
+        g = photon_marginal_kx(s, kx, PURITY_QUAD)
+        amp = np.sqrt(psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :]) * g) * math.sqrt((qx[1] - qx[0]) * (kx[1] - kx[0]))
+        s2 = np.linalg.svd(amp, compute_uv=False) ** 2
+        rep = schmidt_purity_1d(dq_perp, lambda k: photon_marginal_kx(s, k, PURITY_QUAD), kx, qx)
+        assert rep.oracle_value == pytest.approx(float(np.sum(s2**2) / np.sum(s2) ** 2), abs=1e-13)
 
     def test_coarse_q_grid_rejected(self):
         kx = np.linspace(-8.0, 8.0, 400)

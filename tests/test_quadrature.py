@@ -77,9 +77,19 @@ class TestGammaSampler:
     def test_determinism(self):
         s = SpectrumModel.create(12.566, 1.0)
         sampler = GammaSampler(s)
-        a = sampler.sample_cartesian(5000, np.random.default_rng(42))
-        b = sampler.sample_cartesian(5000, np.random.default_rng(42))
-        np.testing.assert_array_equal(a, b)
+        a = sampler.sample_spherical(5000, np.random.default_rng(42))
+        b = sampler.sample_spherical(5000, np.random.default_rng(42))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+    def test_sorted_lookup_matches_plain_interp(self):
+        # the ascending-order lookup must give bitwise the draws of a
+        # direct np.interp on the same uniforms
+        s = SpectrumModel.create(12.566, 1.0)
+        sampler = GammaSampler(s)
+        u = np.random.default_rng(11).random(200_000)
+        k, _, _ = sampler.sample_spherical(200_000, np.random.default_rng(11))
+        np.testing.assert_array_equal(k, np.interp(u, sampler._cdf, sampler._ktab))
 
     def test_filtered_sampling(self):
         s = SpectrumModel.create(12.566, 1.0)
