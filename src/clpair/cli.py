@@ -52,7 +52,6 @@ from .model import (
     ZeroPhase,
     wavelength_to_wavenumbers,
 )
-from .render import ContourSpec, render_heatmap
 
 CSV_HEADER = [
     "dq_perp_um_inv",
@@ -387,13 +386,22 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def write_grid_csv(grid, stream) -> None:
-    """Write a JointGrid as CSV to a text stream, one line at a time: the
-    axis-2 values as header, one row per axis-1 value, every number as its
-    shortest round-trip repr. No field holds a comma, quote or newline, so
-    the lines are what csv.writer would write, without its quoting pass."""
-    stream.write(",".join([f"{grid.axis1_name}\\{grid.axis2_name}", *map(repr, grid.axis2.tolist())]) + "\n")
-    for a1, drow in zip(grid.axis1.tolist(), grid.density):
-        stream.write(",".join([repr(a1), *map(repr, drow.tolist())]) + "\n")
+    """Write a JointGrid as CSV to a text stream, a block of rows at a
+    time: the axis-2 values as header, one row per axis-1 value, every
+    number as its shortest round-trip repr. No field holds a comma, quote
+    or newline, so the lines are what csv.writer would write, without its
+    quoting pass."""
+    from ._floatrepr import repr_rows
+
+    stream.write(f"{grid.axis1_name}\\{grid.axis2_name}," + repr_rows(grid.axis2[None, :]))
+    rows = -(-_CSV_BLOCK_VALUES // (grid.axis2.size + 1))
+    for i in range(0, grid.axis1.size, rows):
+        stream.write(repr_rows(np.column_stack((grid.axis1[i : i + rows], grid.density[i : i + rows]))))
+
+
+# write_grid_csv formats about this many values at once; the kernel's
+# temporaries peak near 160 bytes a value, 0.65 MiB a block
+_CSV_BLOCK_VALUES = 4096
 
 
 def csv_to_rows(text: str) -> list[dict]:
@@ -523,22 +531,19 @@ def dist(config_path, out):
 
     cfg = load_config(config_path)
     beam, spectrum = cfg.beam(), cfg.spectrum()
-    mg = momentum_grid(beam, spectrum, cfg.quadrature)
-    pg = joint_position(beam, spectrum, cfg.quadrature)
-    out_path = _out_dir(cfg, out)
-    for name, grid in (("momentum", mg), ("position", pg)):
+    # one grid at a time: each is built, written and summarized, then
+    # dropped before the next is built. The position grid goes first, so
+    # that a failure in joint_position leaves no CSV behind.
+    summary = {}
+    for name, build in (("position", joint_position), ("momentum", momentum_grid)):
+        grid = build(beam, spectrum, cfg.quadrature)
+        out_path = _out_dir(cfg, out)
         with (out_path / f"dist_{name}.csv").open("w") as fh:
             write_grid_csv(grid, fh)
-    _write_json(
-        out_path / "dist.json",
-        _provenance(
-            cfg,
-            momentum_shape=list(mg.density.shape),
-            position_shape=list(pg.density.shape),
-            momentum_integral=mg.integral(),
-            position_integral=pg.integral(),
-        ),
-    )
+        summary[f"{name}_shape"] = list(grid.density.shape)
+        summary[f"{name}_integral"] = grid.integral()
+        del grid
+    _write_json(out_path / "dist.json", _provenance(cfg, **summary))
     click.echo(f"wrote distribution grids to {out_path}")
 
 
@@ -614,6 +619,8 @@ def render(config_path, field_name, input_csv, out):
 
 
 def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
+    from .render import ContourSpec, render_heatmap
+
     if field_name not in CSV_HEADER[2:]:
         raise ConfigError(f"unknown field {field_name!r}; choose from {CSV_HEADER[2:]}")
     xs = sorted({row["dq_perp_um_inv"] for row in rows})

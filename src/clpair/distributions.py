@@ -51,12 +51,14 @@ class JointGrid:
 
     def __post_init__(self):
         a1, a2, d = map(np.asarray, (self.axis1, self.axis2, self.density))
-        if d.shape != (a1.size, a2.size):
-            raise DomainError("density shape must be (len(axis1), len(axis2))")
-        if np.any(np.diff(a1) <= 0) or np.any(np.diff(a2) <= 0):
-            raise DomainError("grid axes must be strictly increasing")
-        if np.any(d < 0.0):
-            raise DomainError("density must be non-negative")
+        if d.shape != (a1.size, a2.size) or d.size == 0:
+            raise DomainError("density shape must be (len(axis1), len(axis2)), with no empty axis")
+        # every test below fails on a nan; min and max propagate it, so
+        # the density needs no temporary of its size
+        if not all(np.all(np.diff(a) > 0.0) and -math.inf < a[0] and a[-1] < math.inf for a in (a1, a2)):
+            raise DomainError("grid axes must be finite and strictly increasing")
+        if not (d.min() >= 0.0 and d.max() < math.inf):
+            raise DomainError("density must be finite and non-negative")
 
     def integral(self) -> float:
         """Trapezoidal double integral of the density."""
@@ -100,7 +102,7 @@ def _trapezoid_weights(x) -> np.ndarray:
 
 def _check_normalized(grid: JointGrid, what: str, tol: float = 0.01) -> JointGrid:
     total = grid.integral()
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ConsistencyError(f"{what} integrates to {total:.6f}, outside 1 +/- {tol}")
     return grid
 
@@ -144,10 +146,11 @@ def joint_momentum(beam: BeamParams, spectrum: SpectrumModel, qx, kx, quad: Quad
     q_x + k_x times the photon marginal; independent of the phase."""
     qx = np.asarray(qx, dtype=float)
     kxa = np.atleast_1d(np.asarray(kx, dtype=float))
-    # one full-size buffer besides the sum q_x + k_x: the envelope, scaled
-    # by the marginal in place
+    # one full-size buffer: the sum q_x + k_x, turned into the envelope
+    # and scaled by the marginal in place
     g = photon_marginal_kx(spectrum, kxa, quad)
-    dens = psi_ini_x_sq(beam.dq_perp, qx + kxa)
+    dens = qx + kxa
+    psi_ini_x_sq(beam.dq_perp, dens, out=dens)
     dens *= g
     return dens
 

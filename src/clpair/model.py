@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -109,13 +109,14 @@ class BeamParams:
         return cls.create(kinetic_energy_kev, TWO_PI / l_perp, TWO_PI / l_par)
 
 
-def psi_ini_x_sq(dq_perp: float, qx) -> np.ndarray:
+def psi_ini_x_sq(dq_perp: float, qx, out: Optional[np.ndarray] = None) -> np.ndarray:
     """|psi_ini^(x)(qx)|^2 (um), the normalized 1D transverse momentum
-    density of an electron beam of transverse width `dq_perp`."""
+    density of an electron beam of transverse width `dq_perp`, written to
+    `out` (which may be `qx` itself) or to a new array."""
     qx = np.asarray(qx, dtype=float)
     # one output buffer, built in place; x^2 / (-c) is the same double as
     # -(x^2) / c, since negation is exact
-    out = np.square(qx, out=np.empty_like(qx))
+    out = np.square(qx, out=np.empty_like(qx) if out is None else out)
     out /= -2.0 * dq_perp**2
     np.exp(out, out=out)
     out /= math.sqrt(TWO_PI) * dq_perp

@@ -173,7 +173,7 @@ def variance_from_grid(
     of x_el - x_ph on a position grid, closed form with zero phase, 2%).
     """
     total = grid.integral()
-    if abs(total - 1.0) > 0.01:
+    if not abs(total - 1.0) <= 0.01:
         raise DomainError(f"grid is not normalized (integral {total:.4f})")
     if which == "total_wavevector":
         mean, var = grid.moments(lambda a, b: a + b)

@@ -29,6 +29,7 @@ from clpair.cli import (
 from clpair.distributions import JointGrid
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase
+from reference_grid_csv import write_grid_csv_per_value
 
 BASE_INI = """\
 [beam]
@@ -405,24 +406,26 @@ class TestInputValidation:
 
 class TestGridCsv:
     def test_bytes_match_per_value_float_repr(self):
-        # dist once wrote each cell as repr(float(v)); the list form must
-        # give the same bytes
+        # the per-value writer's bytes, on values at repr's edges: the
+        # least subnormal, huge and tiny exponents, both notations
         a1 = np.array([-1.5, -1e-300, 0.1, 3.0])
         a2 = np.array([-2.0, 0.0, 1.0 / 3.0])
         dens = np.array([[0.0, 5e-324, 1e-17], [0.1, 2.0, 1e300], [np.pi, 1.0 / 7.0, 123456789.0], [0.3, 1e-5, 7.0]])
         grid = JointGrid(a1, a2, dens, axis1_name="x_el_um", axis2_name="x_ph_um")
-        lines = ["x_el_um\\x_ph_um," + ",".join(repr(v) for v in a2.tolist())]
-        for a, row in zip(a1.tolist(), dens):
-            lines.append(",".join([repr(a)] + [repr(float(v)) for v in row]))
-        buf = io.StringIO()
+        expected, buf = io.StringIO(), io.StringIO()
+        write_grid_csv_per_value(grid, expected)
         write_grid_csv(grid, buf)
-        assert buf.getvalue() == "\n".join(lines) + "\n"
+        assert buf.getvalue() == expected.getvalue()
 
 
 class TestRuntimeImports:
+    # the modules that only some commands need, imported when they run
+    LAZY = ("clpair.render", "clpair.distributions", "clpair.oracles", "clpair._floatrepr")
+
     def test_measure_loads_no_scipy(self, tmp_path):
         # scipy is a test dependency only: a CLI call at the README point,
-        # and importing every clpair module, must not load it
+        # and importing every clpair module, must not load it; the call
+        # itself loads none of the lazily imported modules
         import subprocess
         import sys
 
@@ -432,14 +435,30 @@ class TestRuntimeImports:
             "import clpair\n"
             "from clpair.cli import main\n"
             f"main(['measure', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}], standalone_mode=False)\n"
+            f"print(sorted(m for m in {self.LAZY!r} if m in sys.modules))\n"
             "for info in pkgutil.iter_modules(clpair.__path__):\n"
             "    importlib.import_module('clpair.' + info.name)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[]"
+        assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
         assert (tmp_path / "o" / "measure.csv").exists()
+
+    def test_dist_loads_the_grid_writer(self, tmp_path):
+        import subprocess
+        import sys
+
+        cfg = write(tmp_path, BASE_INI)
+        code = (
+            "import sys\n"
+            "from clpair.cli import main\n"
+            f"main(['dist', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}], standalone_mode=False)\n"
+            f"print(sorted(m for m in {self.LAZY!r} if m in sys.modules))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == str(sorted(["clpair._floatrepr", "clpair.distributions"]))
 
     @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
     def test_blas_threads_default_to_one(self, preset, expected):
@@ -517,17 +536,25 @@ class TestExitMapping:
         assert "measure failed: purity did not converge" in res.output
         assert not (tmp_path / "o" / "measure.csv").exists()
 
-    def test_dist_domain_failure_exits_1(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "failing,left",
+        [("joint_position", []), ("momentum_grid", ["dist_position.csv"])],
+        ids=["position", "momentum"],
+    )
+    def test_dist_domain_failure_exits_1(self, runner, tmp_path, monkeypatch, failing, left):
+        # dist builds and writes the position grid first, then the
+        # momentum grid: a failure leaves the CSVs written before it
         import clpair.distributions as distributions
 
         def fail(*args):
             raise DomainError("grid out of range")
 
-        monkeypatch.setattr(distributions, "momentum_grid", fail)
+        monkeypatch.setattr(distributions, failing, fail)
         res = runner.invoke(main, ["dist", "--config", write(tmp_path, BASE_INI), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert "dist failed: grid out of range" in res.output
+        assert sorted(p.name for p in (tmp_path / "o").glob("*")) == left
 
     def test_subprocess_prints_no_traceback(self, tmp_path):
         import subprocess

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import tracemalloc
@@ -12,17 +13,19 @@ from clpair.cli import write_grid_csv
 from clpair.constants import ANGULAR_NORM
 from clpair.distributions import (
     JointGrid,
+    _check_normalized,
     _position_kernel,
     joint_momentum,
     joint_position,
     momentum_grid,
     photon_marginal_kx,
 )
-from clpair.errors import ResolutionError
+from clpair.errors import ConsistencyError, ResolutionError
 from clpair.measures import rel_pos_variance_closed
 from clpair.model import QuadratureSpec, eval_g
 
 from conftest import DQ_PAR
+from reference_grid_csv import write_grid_csv_per_value
 
 
 class TestJointGrid:
@@ -39,6 +42,28 @@ class TestJointGrid:
         d[1, 1] = -1.0
         with pytest.raises(DomainError):
             JointGrid(np.arange(3.0), np.arange(3.0), d)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["axis1", "axis2", "density"])
+    def test_non_finite_rejected(self, where, bad):
+        # a planted value at the end of an axis, or inside the density; a
+        # nan fails every comparison, so no ordering test catches it
+        arrays = {"axis1": np.arange(3.0), "axis2": np.arange(3.0), "density": np.ones((3, 3))}
+        arrays[where][(1, 1) if where == "density" else -1] = bad
+        with pytest.raises(DomainError):
+            JointGrid(**arrays)
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(DomainError):
+            JointGrid(np.arange(0.0), np.arange(3.0), np.zeros((0, 3)))
+
+    def test_normalization_check_rejects_nan(self):
+        # a nan planted after construction makes the integral nan
+        x = np.linspace(0.0, 1.0, 5)
+        g = JointGrid(x, x, np.ones((5, 5)))
+        g.density[2, 2] = math.nan
+        with pytest.raises(ConsistencyError):
+            _check_normalized(g, "planted grid")
 
     def test_integral_and_moments(self):
         # separable bilinear density on the unit square
@@ -110,6 +135,12 @@ class TestMomentumGrid:
             momentum_grid(make_beam(1.0), make_spectrum(1.0), n_kx=16)
 
 
+def _csv(writer, grid) -> str:
+    buf = io.StringIO()
+    writer(grid, buf)
+    return buf.getvalue()
+
+
 def _traced_peak(fn) -> int:
     """Peak bytes traced while fn runs, above what was allocated before;
     numpy reports its array buffers to tracemalloc."""
@@ -168,6 +199,17 @@ class TestGridMemory:
         assert g.integral() == pytest.approx(norm, rel=1e-13)
         assert got_mean == pytest.approx(mean, rel=1e-10, abs=1e-13)
         assert got_var == pytest.approx(var, rel=1e-12)
+
+
+class TestGridCsvBytes:
+    """write_grid_csv writes the per-value writer's bytes on real grids,
+    at the benchmark's narrow-spectrum dist point and the README point."""
+
+    @pytest.mark.parametrize("dq_perp,dk_ph", [(0.263474, 0.210945), (3.0, 0.3)], ids=["g0", "readme"])
+    @pytest.mark.parametrize("build", [momentum_grid, joint_position], ids=["momentum", "position"])
+    def test_matches_per_value_writer(self, make_beam, make_spectrum, dq_perp, dk_ph, build):
+        g = build(make_beam(dq_perp), make_spectrum(dk_ph))
+        assert _csv(write_grid_csv, g) == _csv(write_grid_csv_per_value, g)
 
 
 @pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2], ids=["wide", "mid", "narrow"], scope="class")

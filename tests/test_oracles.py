@@ -152,6 +152,14 @@ class TestVarianceFromGrid:
         with pytest.raises(DomainError):
             variance_from_grid(g, "total_wavevector", b)
 
+    def test_nan_grid_rejected(self, make_beam, make_spectrum):
+        # a nan planted after construction makes the integral nan
+        b, s = make_beam(4.19), make_spectrum(0.3)
+        g = momentum_grid(b, s)
+        g.density[g.density.shape[0] // 2, 0] = np.nan
+        with pytest.raises(DomainError):
+            variance_from_grid(g, "total_wavevector", b)
+
 
 class TestFdGradient:
     def test_passes_on_random_points(self, make_spectrum):

@@ -45,3 +45,8 @@ def test_joint_distributions_runs(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
         f"{kind}_{label}.csv" for kind in ("momentum", "position") for label in ("wide", "mid", "narrow")
     )
+    for path in tmp_path.glob("*.csv"):
+        # csv.writer's line ends: every line ends in \r\n, with no bare \n
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n"), path.name
+        assert data.count(b"\n") == data.count(b"\r\n"), path.name
