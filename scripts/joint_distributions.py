@@ -36,8 +36,8 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     for label, l_perp in (("wide", 20.0), ("mid", 1.5), ("narrow", 0.2)):
-        beam = BeamParams.create(200.0, 2.0 * math.pi / l_perp, DQ_PAR)
-        spectrum = SpectrumModel.create(K_C, 0.3)
+        beam = BeamParams(200.0, 2.0 * math.pi / l_perp, DQ_PAR)
+        spectrum = SpectrumModel(K_C, 0.3)
 
         mg = momentum_grid(beam, spectrum)
         pg = joint_position(beam, spectrum)

@@ -36,9 +36,9 @@ def main() -> None:
         writer.writerow(["l_par_um", "dq_par_um_inv", "dk_ph_um_inv", "purity_z"])
         for l_par in (0.13, 1.3, 13.0):
             dq_par = 2.0 * math.pi / l_par
-            beam = BeamParams.create(200.0, 1.0, dq_par)
+            beam = BeamParams(200.0, 1.0, dq_par)
             dks = dq_par * np.logspace(-1.5, 1.5, args.points)
-            values = [purity_z(beam, SpectrumModel.create(K_C, dk)) for dk in dks]
+            values = [purity_z(beam, SpectrumModel(K_C, dk)) for dk in dks]
             for dk, p in zip(dks, values):
                 writer.writerow([l_par, repr(dq_par), repr(float(dk)), repr(p)])
             crossing = next(

@@ -27,7 +27,7 @@ DQ_PAR = 2.0 * math.pi / 1.3
 
 PHASES = [
     ("zero", ZeroPhase()),
-    ("polar_linear_xi1_3_14", PolarLinearPhase.from_eta(lambda theta: theta)),
+    ("polar_linear_xi1_3_14", PolarLinearPhase(3.0 / 14.0)),
     ("radial_kc_xi2_1", RadialKcPhase(1.0)),
     ("radial_kc_xi2_100", RadialKcPhase(100.0)),
     ("radial_dk_xi2_1", RadialDkPhase(1.0)),
@@ -43,7 +43,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    beam = BeamParams.create(200.0, 1.0, DQ_PAR)
+    beam = BeamParams(200.0, 1.0, DQ_PAR)
     dks = np.logspace(-1.5, 2.5, args.points)
 
     with open(out / "epr_contour.csv", "w", newline="") as fh:
@@ -52,7 +52,7 @@ def main() -> None:
         for name, phase in PHASES:
             contour = np.array(
                 [
-                    1.0 / math.sqrt(rel_pos_variance_closed(beam, SpectrumModel.create(K_C, dk), phase))
+                    1.0 / math.sqrt(rel_pos_variance_closed(beam, SpectrumModel(K_C, dk), phase))
                     for dk in dks
                 ]
             )

@@ -49,7 +49,6 @@ from .measures import (
     rel_pos_variance_closed,
     rel_pos_variance_quadrature,
     total_wavevector_variance,
-    uncertainty_product,
 )
 
 __version__ = "0.1.0"

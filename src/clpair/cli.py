@@ -132,18 +132,16 @@ class RunConfig:
         dq = dq_perp if dq_perp is not None else self.dq_perp
         if dq is None:
             raise ConfigError("this command needs beam.l_perp_um or beam.dq_perp_um_inv")
-        return BeamParams.create(self.kinetic_energy_kev, dq, self.dq_par)
+        return BeamParams(self.kinetic_energy_kev, dq, self.dq_par)
 
     def spectrum(self, dk_ph: Optional[float] = None) -> SpectrumModel:
-        return SpectrumModel.create(self.k_c, dk_ph if dk_ph is not None else self.dk_ph)
+        return SpectrumModel(self.k_c, dk_ph if dk_ph is not None else self.dk_ph)
 
     def phase(self) -> PhaseModel:
         if self.phase_variant == "zero":
             return ZeroPhase()
         if self.phase_variant == "polar_linear":
-            # eta1 = a theta has xi1 = (3/14) a^2 (PolarLinearPhase's docstring)
-            a = math.sqrt(14.0 * self.phase_xi / 3.0)
-            return PolarLinearPhase(eta1=lambda theta: a * theta, xi1=self.phase_xi)
+            return PolarLinearPhase(xi1=self.phase_xi)
         if self.phase_variant == "radial_kc":
             return RadialKcPhase(xi2=self.phase_xi)
         if self.phase_variant == "radial_dk":
@@ -498,10 +496,11 @@ def measure(config_path, out):
         "dk_ph_um_inv": cfg.dk_ph,
         **result_to_row(evaluate_point(beam, cfg.spectrum(), cfg.phase(), cfg.thresholds, cfg.quadrature)),
     }
+    text = rows_to_csv([row])
     out_path = _out_dir(cfg, out)
-    (out_path / "measure.csv").write_text(rows_to_csv([row]))
+    (out_path / "measure.csv").write_text(text)
     _write_json(out_path / "measure.json", _provenance(cfg, rows=[{k: _fmt(v) for k, v in row.items()}]))
-    click.echo(rows_to_csv([row]), nl=False)
+    click.echo(text, nl=False)
 
 
 @main.command()
@@ -647,16 +646,10 @@ def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
 
 
 def _as_float(value) -> float:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, str):
-        if value in ("true", "false", ""):
-            return 1.0 if value == "true" else 0.0
-        try:
-            return float(value)
-        except ValueError:
-            return math.nan
-    return float(value)
+    # a number or a bool; the one string is the empty
+    # longitudinal_entangled of a failed cell in a fresh sweep (a CSV read
+    # back holds a bool there), drawn as false
+    return float(value or 0.0)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ANGULAR_NORM
-from .errors import ConsistencyError, DomainError, ResolutionError
+from .errors import ConsistencyError, DomainError
 from .measures import rel_pos_variance_closed
 from .model import (
     BeamParams,
@@ -32,6 +32,12 @@ from .model import (
     psi_ini_x_sq,
 )
 from .quadrature import gauss_legendre_panels
+
+# points of the k_x grid of both joint grids; even, so that the position
+# kernel's grid mirrors exactly about zero
+N_KX = 512
+# least number of x_el points of the position grid
+N_X_EL = 141
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ def photon_marginal_kx(spectrum: SpectrumModel, kx, quad: QuadratureSpec = Quadr
     out = np.zeros_like(kx)
     live = np.abs(kx) < kmax
     if not np.any(live):
-        return out if out.shape else float(out)
+        return out
     kxl = np.abs(kx[live])
     lo = np.maximum(kmin, kxl)
     # per-point Gauss-Legendre nodes mapped onto [lo, kmax]
@@ -159,13 +165,10 @@ def momentum_grid(
     beam: BeamParams,
     spectrum: SpectrumModel,
     quad: QuadratureSpec = QuadratureSpec(),
-    n_kx: int = 512,
 ) -> JointGrid:
     """P(q_x, k_x) on a grid covering the support of both factors."""
-    if n_kx < 64:
-        raise ResolutionError("n_kx must be at least 64")
     _, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    kxg = np.linspace(-kmax, kmax, n_kx)
+    kxg = np.linspace(-kmax, kmax, N_KX)
     sig = beam.dq_perp
     span = kmax + 6.0 * sig
     n_q = int(np.clip(math.ceil(2.0 * span / (sig / 8.0)), 65, 4001))
@@ -243,34 +246,30 @@ def joint_position(
     beam: BeamParams,
     spectrum: SpectrumModel,
     quad: QuadratureSpec = QuadratureSpec(),
-    n_kx: int = 512,
-    n_x_el: int = 141,
 ) -> JointGrid:
     """P(x_el, x_ph) (um^-2) with the photonic phase neglected.
 
     Gaussian envelope (dq_perp / sqrt(2 pi^3)) exp(-2 dq_perp^2 x_el^2)
     times T(x_el - x_ph), the double cosine transform of the kernel
     M(k_x, k_x'). M is precomputed on a uniform, exactly mirrored k_x
-    grid of even size `n_kx`, as one Gram matrix per radial node on a rho
+    grid of even size N_KX, as one Gram matrix per radial node on a rho
     grid shared by all pairs (see `_position_kernel`); T is summed over
     the kernel's diagonals (uniform spacing makes k_x - k_x' take only
-    2 n - 1 values). M is even and symmetric, so the diagonal sums C_m
+    2 N_KX - 1 values). M is even and symmetric, so the diagonal sums C_m
     are even in m and T is even in the lag: both are evaluated for
     m >= 0 and lags >= 0 only.
     """
-    if n_kx % 2:
-        raise DomainError(f"n_kx must be even, got {n_kx}")
     _, kmax = spectrum.radial_support(quad.truncation_sigmas)
     # midpoint grid: uniform, excludes the exact endpoints; its positive
     # half is built once and mirrored, so the grid is exactly odd
-    dkx = 2.0 * kmax / n_kx
-    m = _position_kernel(beam, spectrum, (np.arange(n_kx // 2) + 0.5) * dkx, quad)
+    dkx = 2.0 * kmax / N_KX
+    m = _position_kernel(beam, spectrum, (np.arange(N_KX // 2) + 0.5) * dkx, quad)
 
     # diagonal sums: T(s) = C_0 + 2 sum_{m > 0} C_m cos(m dkx s)
     mw = m * dkx**2
-    c = np.array([np.trace(mw, offset=off) for off in range(n_kx)])
+    c = np.array([np.trace(mw, offset=off) for off in range(N_KX)])
     c[1:] *= 2.0
-    modes = np.arange(n_kx) * dkx
+    modes = np.arange(N_KX) * dkx
 
     sig_el = 1.0 / (2.0 * beam.dq_perp)
     sig_t = math.sqrt(rel_pos_variance_closed(beam, spectrum, ZeroPhase()))
@@ -279,7 +278,7 @@ def joint_position(
     h = min(sig_el, sig_t) / 10.0
     m_el = max(1, int(sig_el / (10.0 * h)))
     m_ph = max(1, int(sig_t / (10.0 * h)))
-    i_el = max(n_x_el // 2, math.ceil(7.0 * sig_el / (m_el * h)))
+    i_el = max(N_X_EL // 2, math.ceil(7.0 * sig_el / (m_el * h)))
     i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
     x_el = np.arange(-i_el, i_el + 1) * (m_el * h)
     x_ph = np.arange(-i_ph, i_ph + 1) * (m_ph * h)

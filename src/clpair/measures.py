@@ -19,14 +19,10 @@ from .errors import ConvergenceError, DomainError
 from .model import (
     BeamParams,
     PhaseModel,
-    PolarLinearPhase,
     QuadratureSpec,
-    RadialDkPhase,
-    RadialKcPhase,
     SpectrumModel,
     ZeroPhase,
     eval_g,
-    eta_transverse_gradient_sq,
     gamma_cartesian_derivatives,
 )
 from .quadrature import gauss_legendre_panels
@@ -268,20 +264,6 @@ def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = P
 # ---------------------------------------------------------------------------
 # EPR uncertainty product
 
-def d_eta(phase: PhaseModel, spectrum: SpectrumModel) -> float:
-    """Phase contribution D_eta (um^2) to the relative-position variance."""
-    if isinstance(phase, ZeroPhase):
-        return 0.0
-    if isinstance(phase, PolarLinearPhase):
-        z = spectrum.k_c / (math.sqrt(2.0) * spectrum.dk_ph)
-        return float(phase.xi1 * math.sqrt(math.pi / 2.0) * spectrum.n_g * spectrum.dk_ph * (math.erf(z) + 1.0))
-    if isinstance(phase, RadialKcPhase):
-        return 2.0 * phase.xi2 / (7.0 * spectrum.k_c**2)
-    if isinstance(phase, RadialDkPhase):
-        return 2.0 * phase.xi2 / (7.0 * spectrum.dk_ph**2)
-    raise TypeError(f"unknown phase model {phase!r}")
-
-
 def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = ZeroPhase()) -> float:
     """Closed-form variance of x_el - x_ph (um^2) on the model family."""
     kc, dk, ng = spectrum.k_c, spectrum.dk_ph, spectrum.n_g
@@ -291,7 +273,7 @@ def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: Ph
         + ng / 14.0 * kc * math.exp(-(z**2))
     )
     longitudinal = beam.c_over_vz**2 / (14.0 * beam.dq_par**2)
-    return float(angular + longitudinal + d_eta(phase, spectrum))
+    return float(angular + longitudinal + phase.d_eta(spectrum))
 
 
 def rel_pos_variance_quadrature(
@@ -323,7 +305,7 @@ def rel_pos_variance_quadrature(
             - 2.0 * (gxx + gyy)
             + beam.c_over_vz**2 * kperp**2 * gam / (beam.dq_par**2 * kk**2)
         ) / 8.0
-        core = core + 0.5 * gam * eta_transverse_gradient_sq(phase, spectrum, kk, tt)
+        core = core + 0.5 * gam * phase.gradient_sq(spectrum, kk, tt)
         meas = kw[:, None] * tw[None, :] * kk**2 * np.sin(tt)
         return TWO_PI * float(np.sum(meas * core))
 
@@ -345,11 +327,6 @@ def total_wavevector_variance(beam: BeamParams) -> float:
     that of the initial electron state regardless of spectrum and phase.
     """
     return beam.dq_perp**2
-
-
-def uncertainty_product(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = ZeroPhase()) -> float:
-    """EPR product D^2; values below one certify entanglement."""
-    return rel_pos_variance_closed(beam, spectrum, phase) * total_wavevector_variance(beam)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -65,28 +65,26 @@ def spectrum_normalization(k_c: float, dk_ph: float) -> float:
 class BeamParams:
     """Electron kinematics plus transverse/longitudinal wavenumber widths.
 
-    `q0` and `c_over_vz` are derived from the kinetic energy; use
-    `BeamParams.create` (or `from_coherence_lengths`) instead of the raw
-    constructor so they stay consistent.
+    `q0` and `c_over_vz` are derived from the kinetic energy at
+    construction and cannot be set.
     """
 
     kinetic_energy_kev: float
-    q0: float
-    c_over_vz: float
     dq_perp: float
     dq_par: float
+    q0: float = field(init=False)
+    c_over_vz: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("kinetic_energy_kev", "q0", "c_over_vz", "dq_perp", "dq_par"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
-        q0_check, _ = derive_kinematics(self.kinetic_energy_kev)
-        if not math.isclose(q0_check, self.q0, rel_tol=1e-9):
-            raise DomainError("q0 inconsistent with kinetic energy")
+        q0, c_over_vz = derive_kinematics(self.kinetic_energy_kev)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "c_over_vz", c_over_vz)
         # Small-recoil admissibility: dq << q0. Warn if dq exceeds q0/10,
         # reject outright if it exceeds q0 itself.
         for name in ("dq_perp", "dq_par"):
             dq = getattr(self, name)
+            if not dq > 0.0:
+                raise DomainError(f"{name} must be positive")
             if dq >= self.q0:
                 raise DomainError(f"{name} = {dq} violates small-recoil assumption (q0 = {self.q0})")
             if dq > self.q0 / 10.0:
@@ -95,18 +93,6 @@ class BeamParams:
                     "small-recoil approximation is marginal",
                     stacklevel=2,
                 )
-
-    @classmethod
-    def create(cls, kinetic_energy_kev: float, dq_perp: float, dq_par: float) -> "BeamParams":
-        q0, c_over_vz = derive_kinematics(kinetic_energy_kev)
-        return cls(kinetic_energy_kev, q0, c_over_vz, dq_perp, dq_par)
-
-    @classmethod
-    def from_coherence_lengths(cls, kinetic_energy_kev: float, l_perp: float, l_par: float) -> "BeamParams":
-        """Build from coherence lengths (um) via dq = 2 pi / L."""
-        if not (l_perp > 0.0 and l_par > 0.0):
-            raise DomainError("coherence lengths must be positive")
-        return cls.create(kinetic_energy_kev, TWO_PI / l_perp, TWO_PI / l_par)
 
 
 def psi_ini_x_sq(dq_perp: float, qx, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -128,27 +114,19 @@ def psi_ini_x_sq(dq_perp: float, qx, out: Optional[np.ndarray] = None) -> np.nda
 
 @dataclass(frozen=True)
 class SpectrumModel:
-    """Parametric luminescence spectrum Gamma(k) = g(k) f(theta)."""
+    """Parametric luminescence spectrum Gamma(k) = g(k) f(theta); the
+    normalization `n_g` is derived from k_c and dk_ph and cannot be set."""
 
     k_c: float
     dk_ph: float
-    n_g: float = field(default=0.0)
+    n_g: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.k_c < math.inf and 0.0 < self.dk_ph < math.inf):
             raise DomainError(f"k_c and dk_ph must be positive and finite, got {self.k_c!r}, {self.dk_ph!r}")
-        if self.n_g == 0.0:
-            object.__setattr__(self, "n_g", spectrum_normalization(self.k_c, self.dk_ph))
+        object.__setattr__(self, "n_g", spectrum_normalization(self.k_c, self.dk_ph))
 
-    @classmethod
-    def create(cls, k_c: float, dk_ph: float) -> "SpectrumModel":
-        return cls(k_c, dk_ph)
-
-    @classmethod
-    def from_wavelength(cls, lambda_c: float, dlambda: float) -> "SpectrumModel":
-        return cls(*wavelength_to_wavenumbers(lambda_c, dlambda))
-
-    def radial_support(self, sigmas: float = 8.0) -> tuple[float, float]:
+    def radial_support(self, sigmas: float) -> tuple[float, float]:
         """Truncated radial window [max(0, k_c - s dk), k_c + s dk]."""
         return max(0.0, self.k_c - sigmas * self.dk_ph), self.k_c + sigmas * self.dk_ph
 
@@ -249,92 +227,74 @@ def _check_xi(name: str, value: float) -> None:
 class ZeroPhase:
     """eta(k) identically zero; D_eta = 0 exactly."""
 
+    def d_eta(self, spectrum: SpectrumModel) -> float:
+        """Phase contribution D_eta (um^2) to the relative-position variance."""
+        return 0.0
+
+    def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
+        """(d eta/d k_x)^2 + (d eta/d k_y)^2 at (k, theta), here zero."""
+        return np.zeros(np.broadcast(k, theta).shape)
+
 
 @dataclass(frozen=True)
 class PolarLinearPhase:
-    """eta depends on the polar angle only: eta(k) = eta1(theta).
+    """eta depends linearly on the polar angle: eta(k) = a theta.
 
     `xi1` is the dimensionless angular integral
-    pi * int sin(theta) cos^2(theta) f(theta) eta1'(theta)^2 dtheta,
-    precomputed at construction (3/14 for eta1(theta) = theta).
+    pi * int sin(theta) cos^2(theta) f(theta) (d eta/d theta)^2 dtheta
+    = (3/14) a^2, so a^2 = 14 xi1 / 3.
     """
 
-    eta1: Callable[[np.ndarray], np.ndarray]
     xi1: float
 
     def __post_init__(self):
         _check_xi("xi1", self.xi1)
 
-    @classmethod
-    def from_eta(cls, eta1: Callable[[np.ndarray], np.ndarray]) -> "PolarLinearPhase":
-        from .quadrature import gauss_legendre_panels
+    def d_eta(self, spectrum: SpectrumModel) -> float:
+        """Phase contribution D_eta (um^2) to the relative-position variance."""
+        z = spectrum.k_c / (math.sqrt(2.0) * spectrum.dk_ph)
+        return float(self.xi1 * math.sqrt(math.pi / 2.0) * spectrum.n_g * spectrum.dk_ph * (math.erf(z) + 1.0))
 
-        nodes, wts = gauss_legendre_panels(0.0, math.pi, 24, 16)
-        h = 1e-6
-        deta = (eta1(nodes + h) - eta1(nodes - h)) / (2.0 * h)
-        xi1 = math.pi * float(
-            np.sum(wts * np.sin(nodes) * np.cos(nodes) ** 2 * eval_f(nodes) * deta**2)
-        )
-        return cls(eta1, xi1)
+    def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
+        """(d eta/d k_x)^2 + (d eta/d k_y)^2 = (a cos(theta) / k)^2."""
+        return (14.0 * self.xi1 / 3.0) * (np.cos(theta) / k) ** 2
 
 
 @dataclass(frozen=True)
-class RadialKcPhase:
+class _RadialPhase:
+    """eta(k) = sqrt(xi2) k / s, with s the spectrum's field named `_SCALE`."""
+
+    _SCALE: ClassVar[str]
+    xi2: float
+
+    def __post_init__(self):
+        _check_xi("xi2", self.xi2)
+
+    def d_eta(self, spectrum: SpectrumModel) -> float:
+        """Phase contribution D_eta (um^2) to the relative-position variance."""
+        return 2.0 * self.xi2 / (7.0 * getattr(spectrum, self._SCALE) ** 2)
+
+    def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
+        """(d eta/d k_x)^2 + (d eta/d k_y)^2 = (xi2 / s^2) sin^2(theta)."""
+        _, theta = np.broadcast_arrays(k, theta)
+        return (self.xi2 / getattr(spectrum, self._SCALE) ** 2) * np.sin(theta) ** 2
+
+
+@dataclass(frozen=True)
+class RadialKcPhase(_RadialPhase):
     """eta(k) = sqrt(xi2) k / k_c."""
 
-    xi2: float
-
-    def __post_init__(self):
-        _check_xi("xi2", self.xi2)
+    _SCALE = "k_c"
 
 
 @dataclass(frozen=True)
-class RadialDkPhase:
+class RadialDkPhase(_RadialPhase):
     """eta(k) = sqrt(xi2) k / dk_ph."""
 
-    xi2: float
-
-    def __post_init__(self):
-        _check_xi("xi2", self.xi2)
+    _SCALE = "dk_ph"
 
 
 PhaseModel = Union[ZeroPhase, PolarLinearPhase, RadialKcPhase, RadialDkPhase]
-
-
-def eval_eta(phase: PhaseModel, spectrum: SpectrumModel, k, theta) -> np.ndarray:
-    """Phase eta at (k, theta); independent of azimuth by symmetry."""
-    k = np.asarray(k, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(phase, ZeroPhase):
-        return np.zeros(np.broadcast(k, theta).shape)
-    if isinstance(phase, PolarLinearPhase):
-        return np.broadcast_to(np.asarray(phase.eta1(theta), dtype=float), np.broadcast(k, theta).shape).copy()
-    if isinstance(phase, RadialKcPhase):
-        return np.broadcast_to(math.sqrt(phase.xi2) * k / spectrum.k_c, np.broadcast(k, theta).shape).copy()
-    if isinstance(phase, RadialDkPhase):
-        return np.broadcast_to(math.sqrt(phase.xi2) * k / spectrum.dk_ph, np.broadcast(k, theta).shape).copy()
-    raise TypeError(f"unknown phase model {phase!r}")
-
-
-def eta_transverse_gradient_sq(phase: PhaseModel, spectrum: SpectrumModel, k, theta) -> np.ndarray:
-    """(d eta/d k_x)^2 + (d eta/d k_y)^2 at (k, theta).
-
-    Equals (eta_k sin(theta) + eta_theta cos(theta) / k)^2 for an
-    azimuth-independent phase.
-    """
-    k = np.asarray(k, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(phase, ZeroPhase):
-        return np.zeros(np.broadcast(k, theta).shape)
-    if isinstance(phase, PolarLinearPhase):
-        h = 1e-6
-        deta = (np.asarray(phase.eta1(theta + h)) - np.asarray(phase.eta1(theta - h))) / (2.0 * h)
-        return (deta * np.cos(theta) / k) ** 2 + 0.0 * k
-    if isinstance(phase, RadialKcPhase):
-        return np.broadcast_to((phase.xi2 / spectrum.k_c**2) * np.sin(theta) ** 2, np.broadcast(k, theta).shape).copy()
-    if isinstance(phase, RadialDkPhase):
-        return np.broadcast_to((phase.xi2 / spectrum.dk_ph**2) * np.sin(theta) ** 2, np.broadcast(k, theta).shape).copy()
-    raise TypeError(f"unknown phase model {phase!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +302,10 @@ def eta_transverse_gradient_sq(phase: PhaseModel, spectrum: SpectrumModel, k, th
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the numeric integrators."""
+    """Tolerances and truncation for the numeric integrators."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    max_evals: int = 2_000_000
     truncation_sigmas: float = 8.0
 
     def __post_init__(self):

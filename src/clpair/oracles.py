@@ -1,9 +1,9 @@
 """Independent brute-force validators for the closed-form machinery.
 
 Each oracle recomputes a quantity by a method sharing no code path with
-the primary implementation (Monte Carlo sampling, singular values, discrete
-grid moments, finite differences) and reports the discrepancy against
-the primary value with an explicit tolerance.
+the primary implementation (Monte Carlo sampling, the Gram-matrix Schmidt
+purity, discrete grid moments, finite differences) and reports the
+discrepancy against the primary value with an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class OracleReport:
 def mc_purity(
     beam: BeamParams,
     spectrum: SpectrumModel,
-    n: int = 1_000_000,
+    n: int = MC_SAMPLES,
     seed: int = MC_SEED,
     quad: QuadratureSpec = PURITY_QUAD,
 ) -> OracleReport:
@@ -150,11 +150,6 @@ def schmidt_purity_1d(
     return OracleReport.compare(
         "schmidt_purity_1d", overlap, schmidt, 1e-3, n_q=qx.size, n_k=kx.size
     )
-
-
-def schmidt_gaussian_closed(sig_g: float, dq_perp: float) -> float:
-    """Closed purity (1 + sig_g^2/dq_perp^2)^(-1/2) for a Gaussian marginal."""
-    return 1.0 / math.sqrt(1.0 + sig_g**2 / dq_perp**2)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ _RAMP = [
     (1.0, 255, 255, 255),
 ]
 
+# document size (px) and axis labels of every heatmap
+_WIDTH, _HEIGHT = 640, 520
+_X_LABEL = "dq_perp (1/um)"
+_Y_LABEL = "dk_ph (1/um)"
+
 REGIME_COLORS = {
     "A": "#3b528b",
     "B": "#21918c",
@@ -97,12 +102,8 @@ def render_heatmap(
     y_values: Sequence[float],
     values: np.ndarray,
     field: str,
-    x_label: str = "dq_perp (1/um)",
-    y_label: str = "dk_ph (1/um)",
     contours: Sequence[ContourSpec] = (),
     categories: Optional[Sequence[str]] = None,
-    width: int = 640,
-    height: int = 520,
 ) -> str:
     """SVG heatmap of `values` over log-log axes (x_values, y_values).
 
@@ -122,7 +123,7 @@ def render_heatmap(
     lx, ly = np.log10(x), np.log10(y)
     xe, ye = _edges(lx), _edges(ly)
     ml, mr, mt, mb = 70, 110, 30, 55
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def sx(u):
         return ml + (u - xe[0]) / (xe[-1] - xe[0]) * pw
@@ -140,9 +141,9 @@ def render_heatmap(
     vspan = vmax - vmin
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     cats = None
     if categories is not None:
@@ -180,7 +181,7 @@ def render_heatmap(
     )
     for d in range(math.ceil(xe[0]), math.floor(xe[-1]) + 1):
         out.append(
-            f'<text x="{sx(d):.2f}" y="{height - mb + 18}" font-size="12" text-anchor="middle" '
+            f'<text x="{sx(d):.2f}" y="{_HEIGHT - mb + 18}" font-size="12" text-anchor="middle" '
             f'font-family="sans-serif">1e{d}</text>'
         )
         out.append(
@@ -193,16 +194,16 @@ def render_heatmap(
         )
         out.append(f'<line x1="{ml - 4}" y1="{sy(d):.2f}" x2="{ml}" y2="{sy(d):.2f}" stroke="#000"/>')
     out.append(
-        f'<text x="{ml + pw / 2:.2f}" y="{height - 12}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif">{x_label}</text>'
+        f'<text x="{ml + pw / 2:.2f}" y="{_HEIGHT - 12}" font-size="13" text-anchor="middle" '
+        f'font-family="sans-serif">{_X_LABEL}</text>'
     )
     out.append(
         f'<text x="16" y="{mt + ph / 2:.2f}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 16 {mt + ph / 2:.2f})">{y_label}</text>'
+        f'font-family="sans-serif" transform="rotate(-90 16 {mt + ph / 2:.2f})">{_Y_LABEL}</text>'
     )
 
     # legend
-    lg_x = width - mr + 18
+    lg_x = _WIDTH - mr + 18
     if cats is not None:
         used = sorted({str(c) for c in cats.ravel()})
         for n, name in enumerate(used):
@@ -233,7 +234,7 @@ def render_heatmap(
             f'<text x="{lg_x}" y="{mt - 8}" font-size="12" font-family="sans-serif">{field}</text>'
         )
     for n, spec in enumerate(contours):
-        yy = height - 30 + 14 * n
+        yy = _HEIGHT - 30 + 14 * n
         out.append(
             f'<line x1="{lg_x}" y1="{yy}" x2="{lg_x + 14}" y2="{yy}" stroke="{spec.color}" stroke-width="2"/>'
         )

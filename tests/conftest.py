@@ -15,10 +15,16 @@ K_C = 2.0 * math.pi / 0.5
 DQ_PAR = 2.0 * math.pi / 1.3
 
 
+def schmidt_gaussian_closed(sig_g: float, dq_perp: float) -> float:
+    """Closed 1D Schmidt purity (1 + sig_g^2/dq_perp^2)^(-1/2) of a Gaussian
+    marginal of width sig_g: the reference for the Schmidt oracle."""
+    return 1.0 / math.sqrt(1.0 + sig_g**2 / dq_perp**2)
+
+
 @pytest.fixture(scope="session")
 def make_beam():
     def _make(dq_perp: float, dq_par: float = DQ_PAR) -> BeamParams:
-        return BeamParams.create(K_KEV, dq_perp, dq_par)
+        return BeamParams(K_KEV, dq_perp, dq_par)
 
     return _make
 
@@ -26,6 +32,6 @@ def make_beam():
 @pytest.fixture(scope="session")
 def make_spectrum():
     def _make(dk_ph: float, k_c: float = K_C) -> SpectrumModel:
-        return SpectrumModel.create(k_c, dk_ph)
+        return SpectrumModel(k_c, dk_ph)
 
     return _make

@@ -41,12 +41,20 @@ def _panel_estimates(f, a, b, vectorized):
     return vals[0], vals[1], 48
 
 
-def integrate_1d(f, a: float, b: float, quad: QuadratureSpec = QuadratureSpec(), *, vectorized: bool = False) -> IntegrationResult:
+def integrate_1d(
+    f,
+    a: float,
+    b: float,
+    quad: QuadratureSpec = QuadratureSpec(),
+    *,
+    vectorized: bool = False,
+    max_evals: int = 2_000_000,
+) -> IntegrationResult:
     """Adaptive 1D quadrature with a nested GL32/GL16 error estimate.
 
     Bisects the worst panel until the summed error estimate meets
-    max(abs_tol, rel_tol * |value|) or the evaluation budget runs out
-    (ConvergenceError carrying the best estimate).
+    max(abs_tol, rel_tol * |value|) or `max_evals` integrand evaluations
+    are spent (ConvergenceError carrying the best estimate).
     """
     if not a < b:
         raise DomainError("integration interval must satisfy a < b")
@@ -59,7 +67,7 @@ def integrate_1d(f, a: float, b: float, quad: QuadratureSpec = QuadratureSpec(),
         err = sum(item[4] for item in heap)
         if err <= max(quad.abs_tol, quad.rel_tol * abs(total)):
             return IntegrationResult(total, err, evals)
-        if evals + 96 > quad.max_evals:
+        if evals + 96 > max_evals:
             raise ConvergenceError(
                 f"integrate_1d did not converge (error {err:.3e} after {evals} evals)",
                 best_estimate=IntegrationResult(total, err, evals),

@@ -22,22 +22,21 @@ from clpair.measures import (
     rel_pos_variance_closed,
     rel_pos_variance_quadrature,
 )
-from clpair.model import PolarLinearPhase, RadialKcPhase, ZeroPhase, eval_f, eval_g
+from clpair.model import RadialKcPhase, ZeroPhase, eval_f, eval_g
 from clpair.oracles import (
     longitudinal_term_identity,
     mc_purity,
-    schmidt_gaussian_closed,
     schmidt_purity_1d,
 )
 from clpair.quadrature import gauss_legendre_panels
 
-from conftest import DQ_PAR, K_C, K_KEV
+from conftest import DQ_PAR, K_C, K_KEV, schmidt_gaussian_closed
 
 
 class TestCriterion01Normalization:
     @pytest.mark.parametrize("dk", [0.1, 1.0, 10.0, 30.0])
     def test_gamma_integrates_to_one(self, dk):
-        s = SpectrumModel.create(12.566, dk)
+        s = SpectrumModel(12.566, dk)
         kmin, kmax = s.radial_support(10.0)
         kn, kw = gauss_legendre_panels(kmin, kmax, 16, 16)
         tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
@@ -49,8 +48,8 @@ class TestCriterion01Normalization:
 class TestCriterion02TotalMomentumVariance:
     @pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2])
     def test_grid_variance_equals_dq_perp_squared(self, l_perp):
-        beam = BeamParams.create(K_KEV, 2.0 * math.pi / l_perp, DQ_PAR)
-        grid = momentum_grid(beam, SpectrumModel.create(K_C, 0.3))
+        beam = BeamParams(K_KEV, 2.0 * math.pi / l_perp, DQ_PAR)
+        grid = momentum_grid(beam, SpectrumModel(K_C, 0.3))
         _, var = grid.moments(lambda qx, kx: qx + kx)
         assert var == pytest.approx(beam.dq_perp**2, rel=0.005)
 
@@ -59,8 +58,8 @@ class TestCriterion03ClosedFormVariance:
     def test_closed_matches_quadrature_on_random_points(self):
         rng = np.random.default_rng(20260824)
         for _ in range(20):
-            beam = BeamParams.create(K_KEV, 1.0, float(rng.uniform(0.5, 50.0)))
-            s = SpectrumModel.create(
+            beam = BeamParams(K_KEV, 1.0, float(rng.uniform(0.5, 50.0)))
+            s = SpectrumModel(
                 float(rng.uniform(5.0, 20.0)), float(10.0 ** rng.uniform(-1.3, 1.3))
             )
             closed = rel_pos_variance_closed(beam, s, ZeroPhase())
@@ -131,22 +130,22 @@ class TestCriterion08LongitudinalPurityCurves:
     @pytest.mark.parametrize("l_par", L_PAR)
     def test_unity_below_knee_and_monotone(self, l_par):
         dq_par = 2.0 * math.pi / l_par
-        beam = BeamParams.create(K_KEV, 1.0, dq_par)
+        beam = BeamParams(K_KEV, 1.0, dq_par)
         # probe at a tenth of the kernel scale dq_par * v_z / c (see the
         # decisions ledger: the bare ratio 0.1 gives 0.9898 at 200 keV)
-        assert purity_z(beam, SpectrumModel.create(K_C, 0.1 * dq_par / beam.c_over_vz)) > 0.99
+        assert purity_z(beam, SpectrumModel(K_C, 0.1 * dq_par / beam.c_over_vz)) > 0.99
         dks = dq_par * np.logspace(-1.0, 1.0, 9)
-        values = [purity_z(beam, SpectrumModel.create(K_C, dk)) for dk in dks]
+        values = [purity_z(beam, SpectrumModel(K_C, dk)) for dk in dks]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("l_par", L_PAR)
     def test_knee_near_dq_par(self, l_par):
         dq_par = 2.0 * math.pi / l_par
-        beam = BeamParams.create(K_KEV, 1.0, dq_par)
+        beam = BeamParams(K_KEV, 1.0, dq_par)
         lo, hi = 0.01 * dq_par, 100.0 * dq_par
         for _ in range(40):
             mid = math.sqrt(lo * hi)
-            if purity_z(beam, SpectrumModel.create(K_C, mid)) > 2.0 / 3.0:
+            if purity_z(beam, SpectrumModel(K_C, mid)) > 2.0 / 3.0:
                 lo = mid
             else:
                 hi = mid
@@ -157,8 +156,8 @@ class TestCriterion08LongitudinalPurityCurves:
 def epr_contour_dq_perp(dk, phase=ZeroPhase()):
     """dq_perp on the D^2 = 1 contour: the relative-position variance is
     independent of dq_perp, so dq_perp* = var^(-1/2) exactly."""
-    beam = BeamParams.create(K_KEV, 1.0, DQ_PAR)
-    return 1.0 / math.sqrt(rel_pos_variance_closed(beam, SpectrumModel.create(K_C, dk), phase))
+    beam = BeamParams(K_KEV, 1.0, DQ_PAR)
+    return 1.0 / math.sqrt(rel_pos_variance_closed(beam, SpectrumModel(K_C, dk), phase))
 
 
 class TestCriterion09ContourScaling:
@@ -175,8 +174,10 @@ class TestCriterion09ContourScaling:
 
 class TestCriterion10PhaseInfluence:
     def test_xi1_value(self):
-        phase = PolarLinearPhase.from_eta(lambda theta: theta)
-        assert phase.xi1 == pytest.approx(3.0 / 14.0, abs=1e-10)
+        # eta1 = theta: xi1 = pi int sin(theta) cos^2(theta) f(theta) dtheta
+        tn, tw = gauss_legendre_panels(0.0, math.pi, 24, 16)
+        xi1 = math.pi * float(np.sum(tw * np.sin(tn) * np.cos(tn) ** 2 * eval_f(tn)))
+        assert xi1 == pytest.approx(3.0 / 14.0, abs=1e-10)
 
     def test_radial_kc_phase_lengthens_vertical_segment(self):
         # count dk cells whose contour dq_perp lies within 10% of the
@@ -196,7 +197,7 @@ class TestCriterion10PhaseInfluence:
 
 class TestCriterion11BimodalMarginal:
     def test_symmetric_bimodal(self):
-        s = SpectrumModel.create(K_C, 0.3)
+        s = SpectrumModel(K_C, 0.3)
         kx = np.linspace(-14.0, 14.0, 2801)
         g = photon_marginal_kx(s, kx)
         centre = g[kx.size // 2]

@@ -326,7 +326,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: PolarLinearPhase(eta1=lambda t: t, xi1=-1.0), lambda: RadialKcPhase(-5.0), lambda: RadialDkPhase(-0.1)],
+        [lambda: PolarLinearPhase(xi1=-1.0), lambda: RadialKcPhase(-5.0), lambda: RadialDkPhase(-0.1)],
         ids=["polar_linear", "radial_kc", "radial_dk"],
     )
     def test_negative_xi_rejected_by_phase(self, make):
@@ -339,8 +339,9 @@ class TestInputValidation:
         ini = BASE_INI.replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 0.3") + "\n[phase]\nvariant = polar_linear\nxi = 1.0\n"
         cfg = load_config(write(tmp_path, ini))
         beam, spectrum, phase = cfg.beam(), cfg.spectrum(), cfg.phase()
-        # the closed form reads xi1, the quadrature differentiates eta1
-        assert PolarLinearPhase.from_eta(phase.eta1).xi1 == pytest.approx(1.0, rel=1e-8)
+        # the closed form integrates the radial factor of D_eta, the
+        # quadrature the gradient (a cos(theta) / k)^2 with a^2 = 14 xi1 / 3
+        assert phase == PolarLinearPhase(1.0)
         assert rel_pos_variance_quadrature(beam, spectrum, phase) == pytest.approx(
             rel_pos_variance_closed(beam, spectrum, phase), rel=1e-8
         )

@@ -20,7 +20,7 @@ from clpair.distributions import (
     momentum_grid,
     photon_marginal_kx,
 )
-from clpair.errors import ConsistencyError, ResolutionError
+from clpair.errors import ConsistencyError
 from clpair.measures import rel_pos_variance_closed
 from clpair.model import QuadratureSpec, eval_g
 
@@ -129,10 +129,6 @@ class TestMomentumGrid:
         assert g.density[i, j] == pytest.approx(
             joint_momentum(b, s, g.axis1[i], g.axis2[j]).item(), rel=1e-12
         )
-
-    def test_resolution_guard(self, make_beam, make_spectrum):
-        with pytest.raises(ResolutionError):
-            momentum_grid(make_beam(1.0), make_spectrum(1.0), n_kx=16)
 
 
 def _csv(writer, grid) -> str:
@@ -249,12 +245,6 @@ class TestJointPosition:
         assert np.array_equal(g.axis1, -g.axis1[::-1])
         assert np.array_equal(g.axis2, -g.axis2[::-1])
         assert np.array_equal(g.density, g.density[::-1, ::-1])
-
-
-class TestJointPositionGuards:
-    def test_odd_n_kx_rejected(self, make_beam, make_spectrum):
-        with pytest.raises(DomainError):
-            joint_position(make_beam(1.0), make_spectrum(0.3), n_kx=511)
 
 
 QUAD = QuadratureSpec()

@@ -25,14 +25,12 @@ from clpair.measures import (
     Regime,
     RegimeThresholds,
     classify_regime,
-    d_eta,
     evaluate_point,
     purity_sc,
     purity_z,
     rel_pos_variance_closed,
     rel_pos_variance_quadrature,
     total_wavevector_variance,
-    uncertainty_product,
 )
 from clpair.model import (
     PolarLinearPhase,
@@ -83,9 +81,7 @@ class TestPuritySc:
 
     def test_separable_limit(self, make_spectrum):
         # both kernels flat across the spectrum -> purity -> 1
-        beam = BeamParams(
-            200.0, *__import__("clpair").derive_kinematics(200.0), 2.0e4, 2.0e4
-        )
+        beam = BeamParams(200.0, 2.0e4, 2.0e4)
         assert purity_sc(beam, make_spectrum(0.3)) == pytest.approx(1.0, abs=2e-3)
 
     def test_monotone_in_dq_perp(self, make_beam, make_spectrum):
@@ -266,7 +262,7 @@ class TestPurityZ:
         assert a == b
 
     def test_wide_longitudinal_limit(self, make_spectrum):
-        beam = BeamParams.create(200.0, 1.0, 5.0e4)
+        beam = BeamParams(200.0, 1.0, 5.0e4)
         assert purity_z(beam, make_spectrum(0.5)) == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_decreasing_in_dk(self, make_beam, make_spectrum):
@@ -284,7 +280,7 @@ class TestRelPosVariance:
 
     @pytest.mark.parametrize(
         "phase",
-        [PolarLinearPhase.from_eta(lambda t: t), RadialKcPhase(3.0), RadialDkPhase(0.4)],
+        [PolarLinearPhase(3.0 / 14.0), RadialKcPhase(3.0), RadialDkPhase(0.4)],
         ids=["polar", "radial_kc", "radial_dk"],
     )
     def test_closed_matches_quadrature_with_phase(self, phase, make_beam, make_spectrum):
@@ -317,18 +313,20 @@ class TestTotalWavevectorVariance:
         assert total_wavevector_variance(make_beam(0.314)) == pytest.approx(0.0986, rel=1e-3)
 
     def test_spectrum_independent(self, make_beam, make_spectrum):
+        # D^2 is the relative-position variance times dq_perp^2 whatever the spectrum
         b = make_beam(2.0)
-        assert uncertainty_product(b, make_spectrum(0.5)) / rel_pos_variance_closed(
-            b, make_spectrum(0.5)
-        ) == uncertainty_product(b, make_spectrum(5.0)) / rel_pos_variance_closed(b, make_spectrum(5.0))
+        for dk in (0.5, 5.0):
+            r = evaluate_point(b, make_spectrum(dk))
+            assert r.var_tot_wavevector == b.dq_perp**2
+            assert r.d2 == r.var_rel_pos * b.dq_perp**2
 
 
 class TestEntanglementWitness:
     def test_epr_transition_in_transverse_coherence(self, make_spectrum):
         s = make_spectrum(3.0)
-        b_small = BeamParams.create(200.0, 2.0 * math.pi / 0.5, DQ_PAR)
-        b_large = BeamParams.create(200.0, 2.0 * math.pi / 5.0, DQ_PAR)
-        assert uncertainty_product(b_large, s) < 1.0 < uncertainty_product(b_small, s)
+        b_small = BeamParams(200.0, 2.0 * math.pi / 0.5, DQ_PAR)
+        b_large = BeamParams(200.0, 2.0 * math.pi / 5.0, DQ_PAR)
+        assert evaluate_point(b_large, s).d2 < 1.0 < evaluate_point(b_small, s).d2
 
 
 class TestClassifyRegime:
@@ -364,12 +362,12 @@ class TestClassifyRegime:
 
 class TestDEta:
     def test_zero(self, make_spectrum):
-        assert d_eta(ZeroPhase(), make_spectrum(0.5)) == 0.0
+        assert ZeroPhase().d_eta(make_spectrum(0.5)) == 0.0
 
     def test_radial_kc_value(self):
-        s = SpectrumModel.create(12.566, 0.3)
-        assert d_eta(RadialKcPhase(100.0), s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
-        assert d_eta(RadialKcPhase(100.0), s) == pytest.approx(0.1809, rel=1e-3)
+        s = SpectrumModel(12.566, 0.3)
+        assert RadialKcPhase(100.0).d_eta(s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
+        assert RadialKcPhase(100.0).d_eta(s) == pytest.approx(0.1809, rel=1e-3)
 
 
 class TestEvaluatePoint:
@@ -393,7 +391,7 @@ class TestEvaluatePoint:
         from conftest import K_KEV
 
         r = evaluate_point(
-            BeamParams.create(K_KEV, dq_perp, DQ_PAR), SpectrumModel.create(K_C, dk)
+            BeamParams(K_KEV, dq_perp, DQ_PAR), SpectrumModel(K_C, dk)
         )
         assert 0.0 < r.purity_sc <= 1.0
         assert 0.0 < r.purity_z <= 1.0

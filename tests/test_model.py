@@ -23,12 +23,10 @@ from clpair.model import (
     QuadratureSpec,
     RadialDkPhase,
     RadialKcPhase,
-    eval_eta,
     eval_f,
     eval_g,
     eval_gamma,
     eval_gamma_cartesian,
-    eta_transverse_gradient_sq,
     gamma_cartesian_derivatives,
     psi_ini_x_sq,
 )
@@ -183,12 +181,19 @@ class TestSpectrumModel:
 
     def test_rejects_bad_params(self):
         with pytest.raises(DomainError):
-            SpectrumModel.create(-1.0, 0.3)
+            SpectrumModel(-1.0, 0.3)
         with pytest.raises(DomainError):
-            SpectrumModel.create(12.0, 0.0)
+            SpectrumModel(12.0, 0.0)
         for k_c, dk in ((math.inf, 0.3), (12.0, math.inf), (math.nan, 0.3), (12.0, math.nan)):
             with pytest.raises(DomainError):
-                SpectrumModel.create(k_c, dk)
+                SpectrumModel(k_c, dk)
+
+    def test_normalization_not_settable(self):
+        # n_g follows from k_c and dk_ph; a given one would silently change
+        # every moment of the spectrum
+        with pytest.raises(TypeError):
+            SpectrumModel(12.566, 0.3, n_g=0.01)
+        assert SpectrumModel(12.566, 0.3).n_g == spectrum_normalization(12.566, 0.3)
 
 
 class TestQuadratureSpec:
@@ -258,30 +263,30 @@ class TestGammaDerivatives:
 
 class TestBeam:
     def test_create_consistency(self):
-        b = BeamParams.create(200.0, 4.0, 4.8)
+        b = BeamParams(200.0, 4.0, 4.8)
         q0, cv = derive_kinematics(200.0)
         assert b.q0 == q0 and b.c_over_vz == cv
 
-    def test_coherence_lengths(self):
-        b = BeamParams.from_coherence_lengths(200.0, 1.5, 1.3)
-        assert b.dq_perp == pytest.approx(2.0 * math.pi / 1.5, rel=1e-12)
-        assert b.dq_par == pytest.approx(2.0 * math.pi / 1.3, rel=1e-12)
-
     def test_inconsistent_q0_rejected(self):
-        with pytest.raises(DomainError):
-            BeamParams(200.0, 1.0, 1.4382, 1.0, 1.0)
+        # q0 and c/v follow from the kinetic energy; neither is accepted,
+        # by position or by keyword
+        q0, cv = derive_kinematics(200.0)
+        with pytest.raises(TypeError):
+            BeamParams(200.0, q0, 5.0, 3.0, 4.833)
+        with pytest.raises(TypeError):
+            BeamParams(200.0, 3.0, 4.833, q0=q0, c_over_vz=cv)
 
     def test_small_recoil_guard(self):
         q0, _ = derive_kinematics(200.0)
         with pytest.raises(DomainError):
-            BeamParams.create(200.0, q0 * 1.5, 1.0)
+            BeamParams(200.0, q0 * 1.5, 1.0)
         with pytest.warns(UserWarning):
-            BeamParams.create(200.0, q0 / 5.0, 1.0)
+            BeamParams(200.0, q0 / 5.0, 1.0)
 
     def test_psi_ini_normalized(self):
         # |psi_ini(q)|^2 is the product of the transverse densities in qx, qy
         # and the longitudinal one (same Gaussian form, width dq_par) in qz
-        b = BeamParams.create(200.0, 2.0, 3.0)
+        b = BeamParams(200.0, 2.0, 3.0)
         qx, wx = gauss_legendre_panels(-8.0 * b.dq_perp, 8.0 * b.dq_perp, 8, 16)
         qz, wz = gauss_legendre_panels(b.q0 - 8.0 * b.dq_par, b.q0 + 8.0 * b.dq_par, 8, 16)
         rx = psi_ini_x_sq(b.dq_perp, qx)
@@ -291,45 +296,51 @@ class TestBeam:
 
     def test_psi_ini_peak_and_parity(self):
         # the transverse density |psi_ini^(x)|^2 peaks at 1/(sqrt(2 pi) dq_perp)
-        b = BeamParams.create(200.0, 2.0, 3.0)
+        b = BeamParams(200.0, 2.0, 3.0)
         peak = 1.0 / (math.sqrt(2.0 * math.pi) * b.dq_perp)
         assert psi_ini_x_sq(b.dq_perp, 0.0) == pytest.approx(peak, rel=1e-12)
         assert psi_ini_x_sq(b.dq_perp, 1.5) == psi_ini_x_sq(b.dq_perp, -1.5)
 
     def test_psi_x_sq_normalized(self):
-        b = BeamParams.create(200.0, 2.0, 3.0)
+        b = BeamParams(200.0, 2.0, 3.0)
         qx, wx = gauss_legendre_panels(-16.0, 16.0, 8, 16)
         assert np.sum(wx * psi_ini_x_sq(b.dq_perp, qx)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPhases:
-    def test_xi1_for_linear_eta(self):
-        phase = PolarLinearPhase.from_eta(lambda t: t)
-        assert phase.xi1 == pytest.approx(3.0 / 14.0, abs=1e-10)
+    def test_xi1_for_linear_eta(self, make_spectrum):
+        # eta = theta: xi1 = pi int sin cos^2 f (d eta/d theta)^2 = 3/14 by
+        # quadrature, and the phase built from that xi1 has the gradient
+        # (d eta/d theta cos(theta) / k)^2 = (cos(theta) / k)^2
+        tn, tw = gauss_legendre_panels(0.0, math.pi, 24, 16)
+        xi1 = math.pi * float(np.sum(tw * np.sin(tn) * np.cos(tn) ** 2 * eval_f(tn)))
+        assert xi1 == pytest.approx(3.0 / 14.0, abs=1e-10)
+        k, th = np.array([[10.0], [12.0]]), np.array([[0.3, 0.7, 2.5]])
+        got = PolarLinearPhase(xi1).gradient_sq(make_spectrum(0.3), k, th)
+        np.testing.assert_allclose(got, (np.cos(th) / k) ** 2, rtol=1e-10)
 
     def test_radial_kc_substitution(self, make_spectrum):
-        from clpair.measures import d_eta
-
-        s = SpectrumModel.create(12.566, 0.3)
-        assert d_eta(RadialKcPhase(100.0), s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
-        assert d_eta(RadialDkPhase(5.0), s) == pytest.approx(10.0 / (7.0 * 0.09), rel=1e-10)
-
-    def test_eval_eta_variants(self, make_spectrum):
-        s = make_spectrum(0.3)
-        k = np.array([10.0, 12.0])
-        th = np.array([0.5, 1.0])
-        assert np.all(eval_eta(ZeroPhase(), s, k, th) == 0.0)
-        np.testing.assert_allclose(eval_eta(PolarLinearPhase(lambda t: 2 * t, 0.1), s, k, th), 2 * th)
-        np.testing.assert_allclose(eval_eta(RadialKcPhase(4.0), s, k, th), 2.0 * k / s.k_c)
-        np.testing.assert_allclose(eval_eta(RadialDkPhase(9.0), s, k, th), 3.0 * k / s.dk_ph)
+        s = SpectrumModel(12.566, 0.3)
+        assert RadialKcPhase(100.0).d_eta(s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
+        assert RadialDkPhase(5.0).d_eta(s) == pytest.approx(10.0 / (7.0 * 0.09), rel=1e-10)
 
     def test_transverse_gradient_sq(self, make_spectrum):
         s = make_spectrum(0.3)
         k, th = 10.0, 0.7
-        got = eta_transverse_gradient_sq(RadialKcPhase(4.0), s, k, th)
+        got = RadialKcPhase(4.0).gradient_sq(s, k, th)
         assert got == pytest.approx(4.0 / s.k_c**2 * math.sin(th) ** 2, rel=1e-10)
-        got = eta_transverse_gradient_sq(PolarLinearPhase(lambda t: t, 3.0 / 14.0), s, k, th)
-        assert got == pytest.approx((math.cos(th) / k) ** 2, rel=1e-4)
+        got = RadialDkPhase(9.0).gradient_sq(s, k, th)
+        assert got == pytest.approx(9.0 / s.dk_ph**2 * math.sin(th) ** 2, rel=1e-10)
+        got = PolarLinearPhase(3.0 / 14.0).gradient_sq(s, k, th)
+        assert got == pytest.approx((math.cos(th) / k) ** 2, rel=1e-12)
+
+    def test_gradient_sq_shape(self, make_spectrum):
+        # every variant gives the broadcast shape of (k, theta)
+        s = make_spectrum(0.3)
+        k, th = np.array([[10.0], [12.0]]), np.array([[0.5, 1.0, 2.0]])
+        for phase in (ZeroPhase(), PolarLinearPhase(0.1), RadialKcPhase(4.0), RadialDkPhase(9.0)):
+            assert phase.gradient_sq(s, k, th).shape == (2, 3), phase
+        assert np.all(ZeroPhase().gradient_sq(s, k, th) == 0.0)
 
 
 def filter_norm(spectrum, weight, quad=QuadratureSpec(rel_tol=1e-10)):
@@ -371,7 +382,7 @@ class TestFilter:
         w = lambda k, th: np.exp(-((k - s0.k_c) ** 2) / (2.0 * sigma**2)) * np.ones(np.broadcast(k, th).shape)
         n_f = filter_norm(s0, w)
         # the filtered line is the model's Gaussian of width (dk^-2 + sigma^-2)^(-1/2)
-        s1 = SpectrumModel.create(s0.k_c, (s0.dk_ph**-2 + sigma**-2) ** -0.5)
+        s1 = SpectrumModel(s0.k_c, (s0.dk_ph**-2 + sigma**-2) ** -0.5)
         kk = np.linspace(*s0.radial_support(6.0), 97)
         np.testing.assert_allclose(n_f * w(kk, 0.0) * eval_g(s0, kk), eval_g(s1, kk), rtol=1e-8)
 
@@ -395,7 +406,7 @@ class TestScatteredState:
         # density to one, so P(qx, kx) = |psi_ini^(x)(qx + kx)|^2 int dky dkz Gamma
         b = make_beam(3.0)
         s = make_spectrum(0.5)
-        kmin, kmax = s.radial_support()
+        kmin, kmax = s.radial_support(8.0)
         bn, bw = gauss_legendre_panels(0.0, 2.0 * math.pi, 8, 16)
         for qx, kx in ((8.0, -9.0), (-1.0, 2.0), (-6.0, 7.5)):
             rn, rw = gauss_legendre_panels(math.sqrt(max(kmin**2 - kx**2, 0.0)), math.sqrt(kmax**2 - kx**2), 16, 16)

@@ -15,11 +15,12 @@ from clpair.oracles import (
     mc_purity,
     momentum_factorization_check,
     run_suite,
-    schmidt_gaussian_closed,
     schmidt_purity_1d,
     variance_from_grid,
 )
 from clpair.quadrature import GammaSampler
+
+from conftest import schmidt_gaussian_closed
 
 
 class TestOracleReport:
