@@ -22,6 +22,13 @@ Two steps, both on whole numpy arrays:
    offset in one exact-size byte buffer, and the sign, digits, dot and
    exponent are placed with fancy indexing into it.
 
+Both steps see only the values whose bits are not all zero. An exact
++0.0 is always "0.0": the buffer starts as '0's, so it needs only its
+dot and its separator, placed with those of every other +0.0. Its cost
+is then a few bytes of bookkeeping, and a grid that is mostly zeros
+formats in time proportional to its other values. -0.0 takes the full
+path and keeps its sign.
+
 Every bit operation runs on np.uint64 operands on both sides, so no
 result depends on numpy's type-promotion rules.
 """
@@ -135,7 +142,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite double x (given by its bits), f without trailing zeros."""
     bq = bits >> _U(52)
     bq &= _EXP_MASK
-    if bq.max() == _EXP_MASK:
+    if bq.max(initial=_0) == _EXP_MASK:
         raise ValueError("only finite values have a shortest decimal")
     c = bits & _T_MASK
     irregular = (c == _0) & (bq > _1)
@@ -209,26 +216,34 @@ def repr_rows(values: np.ndarray) -> str:
     Raises ValueError on a nan or an infinity."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     bits = x.reshape(-1).view(np.uint64)
-    f, decpt = _shortest(bits)
+    # +0.0 is "0.0"; the fields formatted below are all the others
+    zero = bits == _0
+    nonzero = np.flatnonzero(~zero)
+    f, decpt = _shortest(bits[nonzero])
     n = np.searchsorted(_POW10[1:], f, side="right") + 1  # digits of f
     decpt += n  # |x| = 0.d1..dn 10^decpt
     sci = (decpt <= -4) | (decpt > 16)
-    neg = (bits >> _63) == _1
+    neg = (bits[nonzero] >> _63) == _1
     xp = np.abs(decpt - 1)  # the exponent of d.ddde-XX, unsigned
     xp_long = xp >= 100  # with three digits
 
     # each field's separator column, and the column of its first
-    # character after the sign
-    length = np.where(sci, n + (n > 1) + 4 + xp_long, np.maximum(decpt, 1) + 1 + np.maximum(n - decpt, 1))
-    length += neg
-    length += 1
+    # character after the sign; a +0.0 field is "0.0" and its separator
+    width = np.where(sci, n + (n > 1) + 4 + xp_long, np.maximum(decpt, 1) + 1 + np.maximum(n - decpt, 1))
+    width += neg
+    width += 1
+    length = np.full(bits.size, 4)
+    length[nonzero] = width
     end = np.cumsum(length)
     end -= 1
-    head = end - length
-    head += 1 + neg
     del length
+    end_nz = end[nonzero]
+    head = end_nz - width
+    head += 1 + neg
+    del width, nonzero
     # every byte not placed below is a '0': the "0." and the zeros after
-    # it in 0.000ddd, the trailing zeros of ddd00.0 and its final digit
+    # it in 0.000ddd, the trailing zeros of ddd00.0 and its final digit,
+    # and both zeros of a +0.0
     buf = np.full(int(end[-1]) + 1, ord("0"), np.uint8)
 
     # the sign and the dot go in unconditionally, each before a write
@@ -239,6 +254,8 @@ def repr_rows(values: np.ndarray) -> str:
     sep = np.full(x.shape, ord(","), np.uint8)
     sep[:, -1] = ord("\n")
     buf[end] = sep.reshape(-1)
+    buf[end[zero] - 2] = ord(".")
+    del sep, end, zero
     buf[head + np.where(sci, 1, np.maximum(decpt, 1))] = ord(".")
     i = np.flatnonzero(sci)
     e_col = head[i] + n[i] + (n[i] > 1)
@@ -256,16 +273,16 @@ def repr_rows(values: np.ndarray) -> str:
     f -= whole * scale
     value = np.concatenate((whole, f, xp.astype(np.uint64)))
     del whole, f, scale
-    last = np.concatenate((head + n_int - 1, head + n + np.where(sci, 0, np.maximum(1 - decpt, 0)), end - 1))
+    last = np.concatenate((head + n_int - 1, head + n + np.where(sci, 0, np.maximum(1 - decpt, 0)), end_nz - 1))
     count = np.concatenate((n_int, n_frac, np.where(sci, 2 + xp_long, 0))).astype(np.uint8)
-    del n_int, n_frac, head, end, n, decpt, sci, xp, xp_long, neg
+    del n_int, n_frac, head, end_nz, n, decpt, sci, xp, xp_long, neg
     # longest run first, so that the runs still writing in the r-th pass
     # are a prefix
     order = np.argsort(_MAX_RUN - count, kind="stable")
     value, last = value[order], last[order]
     del order
     longer = count.size - np.cumsum(np.bincount(count, minlength=_MAX_RUN + 1))
-    for live in longer[: int(count.max())].tolist():
+    for live in longer[: int(count.max(initial=0))].tolist():
         value, last = value[:live], last[:live]
         q = value // _10
         value -= q * _10

@@ -39,7 +39,10 @@ from .measures import (
     PURITY_QUAD,
     MeasureResult,
     RegimeThresholds,
+    _point_result,
     evaluate_point,
+    purity_sc,
+    purity_z,
 )
 from .model import (
     BeamParams,
@@ -297,22 +300,24 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
-def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
-    """Evaluate one sweep cell; failures become an 'error' row.
+def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float, p_z: dict) -> dict:
+    """Evaluate one sweep cell, as `evaluate_point` does; failures become
+    an 'error' row.
 
+    `purity_z` does not depend on dq_perp, so `p_z` keeps it by dk_ph and
+    each column computes it once. It is still taken after the cell's
+    `purity_sc`, so a cell where both fail reports the `purity_sc` error.
     A failed row keeps its reason under `error` and, for a quadrature
     that did not converge, its last two estimates; these keys go to the
     JSON record only, not to the CSV.
     """
     base = {"dq_perp_um_inv": dq_perp, "dk_ph_um_inv": dk_ph}
     try:
-        result = evaluate_point(
-            cfg.beam(dq_perp),
-            cfg.spectrum(dk_ph),
-            cfg.phase(),
-            cfg.thresholds,
-            cfg.quadrature,
-        )
+        beam, spectrum, phase = cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase()
+        p_sc = purity_sc(beam, spectrum, cfg.quadrature)
+        if dk_ph not in p_z:
+            p_z[dk_ph] = purity_z(beam, spectrum, cfg.quadrature)
+        result = _point_result(beam, spectrum, phase, cfg.thresholds, p_sc, p_z[dk_ph])
     except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
         row = {
             **base,
@@ -350,8 +355,9 @@ def run_sweep(cfg: RunConfig) -> list[dict]:
     """Evaluate every sweep cell in row-major order, in this process."""
     if cfg.sweep is None:
         raise ConfigError("sweep commands need a [sweep] section")
+    p_z = {}
     return [
-        _cell_row(cfg, float(dqp), float(dkp))
+        _cell_row(cfg, float(dqp), float(dkp), p_z)
         for dqp in cfg.sweep.dq_perp_values()
         for dkp in cfg.sweep.dk_ph_values()
     ]
@@ -392,14 +398,31 @@ def write_grid_csv(grid, stream) -> None:
     from ._floatrepr import repr_rows
 
     stream.write(f"{grid.axis1_name}\\{grid.axis2_name}," + repr_rows(grid.axis2[None, :]))
-    rows = -(-_CSV_BLOCK_VALUES // (grid.axis2.size + 1))
-    for i in range(0, grid.axis1.size, rows):
-        stream.write(repr_rows(np.column_stack((grid.axis1[i : i + rows], grid.density[i : i + rows]))))
+    # a row costs one for each value that enters the kernel and
+    # 1/_CSV_ZERO_SHARE for each +0.0; the non-zeros are counted a few rows
+    # at a time, with no grid-sized mask
+    n, m = grid.density.shape
+    step = -(-_CSV_BLOCK_VALUES // m)
+    nonzero = np.concatenate([np.count_nonzero(grid.density[i : i + step], axis=1) for i in range(0, n, step)])
+    # cost[i]: the cost of the rows before row i
+    cost = np.concatenate(([0.0], np.cumsum(nonzero + 1 + (m - nonzero) / _CSV_ZERO_SHARE)))
+    i = 0
+    while i < n:
+        # the block ends with the row that brings its cost to the budget, so
+        # a grid with no +0.0 gets blocks of one shape, whose freed buffers
+        # malloc reuses; blocks cut at fixed cost multiples, of varying row
+        # counts, raised the peak RSS of dist by 1 MB at (0.263474, 0.210945)
+        j = min(n, int(np.searchsorted(cost, cost[i] + _CSV_BLOCK_VALUES)))
+        stream.write(repr_rows(np.column_stack((grid.axis1[i:j], grid.density[i:j]))))
+        i = j
 
 
-# write_grid_csv formats about this many values at once; the kernel's
-# temporaries peak near 160 bytes a value, 0.65 MiB a block
+# write_grid_csv cuts its rows into blocks of about this cost. Formatting
+# peaks near 160 bytes for each value that enters the kernel (0.65 MiB a
+# block) and near 30 bytes for each +0.0, which skips it; counted at that
+# share, an all-zero grid is not one block
 _CSV_BLOCK_VALUES = 4096
+_CSV_ZERO_SHARE = 5
 
 
 def csv_to_rows(text: str) -> list[dict]:

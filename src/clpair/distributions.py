@@ -220,7 +220,9 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray, 
     for r, w, i0, i1 in zip(rn, rw, lo, hi):
         k = np.sqrt(ax[i0:i1] ** 2 + r**2)
         c = r / k
-        f = (np.sqrt(eval_g(spectrum, k)) * c)[:, None] * wb * np.sqrt(1.0 - c[:, None] ** 2 * sb2)
+        # the node weight 4 ANGULAR_NORM w r enters F as its square root
+        f = np.sqrt(4.0 * ANGULAR_NORM * w * r * eval_g(spectrum, k)) * c
+        f = f[:, None] * wb * np.sqrt(1.0 - c[:, None] ** 2 * sb2)
         # the band update is built in place in one band x band buffer, with
         # no further temporaries; f @ f.T is a BLAS syrk, so the Gram
         # matrix, and with it h, is exactly symmetric
@@ -229,7 +231,6 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray, 
         band *= -alpha
         np.exp(band, out=band)
         band *= f @ f.T
-        band *= 4.0 * ANGULAR_NORM * w * r
         h[i0:i1, i0:i1] += band
 
     # diagonal consistency: M(kx, kx) must reproduce the marginal G(kx)
@@ -265,9 +266,12 @@ def joint_position(
     dkx = 2.0 * kmax / N_KX
     m = _position_kernel(beam, spectrum, (np.arange(N_KX // 2) + 0.5) * dkx, quad)
 
-    # diagonal sums: T(s) = C_0 + 2 sum_{m > 0} C_m cos(m dkx s)
-    mw = m * dkx**2
-    c = np.array([np.trace(mw, offset=off) for off in range(N_KX)])
+    # diagonal sums C_m = dkx^2 sum_i M[i, i + m], row i adding to
+    # C_0 .. C_{N_KX - 1 - i}: T(s) = C_0 + 2 sum_{m > 0} C_m cos(m dkx s)
+    c = np.zeros(N_KX)
+    for i, row in enumerate(m):
+        c[: N_KX - i] += row[i:]
+    c *= dkx**2
     c[1:] *= 2.0
     modes = np.arange(N_KX) * dkx
 

@@ -361,7 +361,18 @@ def evaluate_point(
 ) -> MeasureResult:
     """All diagnostics at a single parameter point."""
     p_sc = purity_sc(beam, spectrum, quad)
-    p_z = purity_z(beam, spectrum, quad)
+    return _point_result(beam, spectrum, phase, thresholds, p_sc, purity_z(beam, spectrum, quad))
+
+
+def _point_result(
+    beam: BeamParams,
+    spectrum: SpectrumModel,
+    phase: PhaseModel,
+    thresholds: RegimeThresholds,
+    p_sc: float,
+    p_z: float,
+) -> MeasureResult:
+    """The diagnostics at a point, given its two purities."""
     var_x = rel_pos_variance_closed(beam, spectrum, phase)
     var_q = total_wavevector_variance(beam)
     d2 = var_x * var_q

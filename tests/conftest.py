@@ -1,10 +1,12 @@
 import math
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 from clpair import BeamParams, SpectrumModel
 
@@ -13,6 +15,14 @@ from clpair import BeamParams, SpectrumModel
 K_KEV = 200.0
 K_C = 2.0 * math.pi / 0.5
 DQ_PAR = 2.0 * math.pi / 1.3
+
+
+def src_env(env=None) -> dict:
+    """A copy of `env` (by default os.environ) with this checkout's src/
+    first on PYTHONPATH, for child interpreters that import clpair."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def schmidt_gaussian_closed(sig_g: float, dq_perp: float) -> float:

@@ -29,6 +29,7 @@ from clpair.cli import (
 from clpair.distributions import JointGrid
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase
+from conftest import src_env
 from reference_grid_csv import write_grid_csv_per_value
 
 BASE_INI = """\
@@ -270,14 +271,14 @@ class TestSweepFailures:
     def test_failed_cell_keeps_reason(self, runner, tmp_path, monkeypatch, exc):
         import clpair.cli as cli
 
-        real = cli.evaluate_point
+        real = cli.purity_sc
 
         def flaky(beam, spectrum, *args):
             if beam.dq_perp == 1.0 and spectrum.dk_ph == 0.5:
                 raise exc
             return real(beam, spectrum, *args)
 
-        monkeypatch.setattr(cli, "evaluate_point", flaky)
+        monkeypatch.setattr(cli, "purity_sc", flaky)
         out = tmp_path / "o"
         res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
         assert res.exit_code == 1, res.output
@@ -300,20 +301,69 @@ class TestSweepFailures:
     def test_regime_map_names_failed_cells(self, runner, tmp_path, monkeypatch):
         import clpair.cli as cli
 
-        real = cli.evaluate_point
+        real = cli.purity_sc
 
         def flaky(beam, spectrum, *args):
             if beam.dq_perp == 10.0 and spectrum.dk_ph == 2.0:
                 raise ResolutionError("grid too coarse")
             return real(beam, spectrum, *args)
 
-        monkeypatch.setattr(cli, "evaluate_point", flaky)
+        monkeypatch.setattr(cli, "purity_sc", flaky)
         out = tmp_path / "o"
         res = runner.invoke(main, ["regime-map", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
         assert res.exit_code == 1, res.output
         assert "cell (10.0, 2.0) failed: grid too coarse" in res.output
         assert res.output.count(" failed: ") == 1
         assert (out / "regime_map.svg").read_text().startswith("<svg")
+
+    def test_purity_z_once_per_column(self, tmp_path, monkeypatch):
+        import clpair.cli as cli
+        from clpair.measures import evaluate_point
+
+        calls = []
+        real = cli.purity_z
+
+        def counting(beam, spectrum, *args):
+            calls.append(spectrum.dk_ph)
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(cli, "purity_z", counting)
+        cfg = load_config(write(tmp_path, SWEEP_INI))
+        rows = run_sweep(cfg)
+        assert calls == [0.5, 2.0]
+        for r in rows:
+            dq, dk = r["dq_perp_um_inv"], r["dk_ph_um_inv"]
+            full = cli.result_to_row(evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase(), cfg.thresholds, cfg.quadrature))
+            assert r == {"dq_perp_um_inv": dq, "dk_ph_um_inv": dk, **full}
+
+    def test_failed_column_keeps_purity_sc_reason_first(self, tmp_path, monkeypatch):
+        # purity_z fails in the dk_ph = 2 column and purity_sc at one of its
+        # cells: that cell reports purity_sc, the other cell purity_z, and a
+        # failed purity_z is not kept for the next cell of its column
+        import clpair.cli as cli
+
+        real_sc, calls = cli.purity_sc, []
+
+        def flaky_sc(beam, spectrum, *args):
+            if beam.dq_perp == 10.0 and spectrum.dk_ph == 2.0:
+                raise ConvergenceError("purity_sc did not converge")
+            return real_sc(beam, spectrum, *args)
+
+        def flaky_z(beam, spectrum, *args):
+            calls.append(beam.dq_perp)
+            raise ConsistencyError("purity_z failed")
+
+        monkeypatch.setattr(cli, "purity_sc", flaky_sc)
+        monkeypatch.setattr(cli, "purity_z", flaky_z)
+        rows = run_sweep(load_config(write(tmp_path, SWEEP_INI)))
+        errors = {(r["dq_perp_um_inv"], r["dk_ph_um_inv"]): r["error"] for r in rows}
+        assert errors == {
+            (1.0, 0.5): "purity_z failed",
+            (1.0, 2.0): "purity_z failed",
+            (10.0, 0.5): "purity_z failed",
+            (10.0, 2.0): "purity_sc did not converge",
+        }
+        assert calls == [1.0, 1.0, 10.0]
 
 
 class TestInputValidation:
@@ -441,7 +491,7 @@ class TestRuntimeImports:
             "    importlib.import_module('clpair.' + info.name)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
         assert (tmp_path / "o" / "measure.csv").exists()
@@ -457,7 +507,7 @@ class TestRuntimeImports:
             f"main(['dist', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}], standalone_mode=False)\n"
             f"print(sorted(m for m in {self.LAZY!r} if m in sys.modules))\n"
         )
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == str(sorted(["clpair._floatrepr", "clpair.distributions"]))
 
@@ -473,7 +523,7 @@ class TestRuntimeImports:
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         code = "import os, clpair\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(env), timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == expected
 
@@ -566,6 +616,7 @@ class TestExitMapping:
             [sys.executable, "-c", "from clpair.cli import main; main()", "measure", "--config", cfg, "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=src_env(),
             timeout=120,
         )
         assert res.returncode == 2

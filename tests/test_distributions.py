@@ -171,8 +171,16 @@ class TestGridMemory:
         _, _, g = beam_spectrum_grid
         assert _traced_peak(lambda: g.moments(lambda qx, kx: qx + kx)) <= 0.25 * g.density.nbytes
 
-    def test_csv_streaming_peak(self, beam_spectrum_grid):
+    # the g0 grid is 44% +0.0, which the writer counts as a fraction of a
+    # value when it sizes its blocks; the bound holds at both extremes too,
+    # every value +0.0 or none, each non-zero with 17 digits and an exponent
+    @pytest.mark.parametrize("values", ["g0", "all-zero", "no-zero"])
+    def test_csv_streaming_peak(self, beam_spectrum_grid, values):
         _, _, g = beam_spectrum_grid
+        if values != "g0":
+            rng = np.random.default_rng(5)
+            density = np.zeros_like(g.density) if values == "all-zero" else (1.0 + rng.random(g.density.shape)) * 1e-200
+            g = JointGrid(g.axis1, g.axis2, density)
 
         def write():
             with open(os.devnull, "w") as fh:
@@ -199,12 +207,19 @@ class TestGridMemory:
 
 class TestGridCsvBytes:
     """write_grid_csv writes the per-value writer's bytes on real grids,
-    at the benchmark's narrow-spectrum dist point and the README point."""
+    at the benchmark's two dist points and the README point."""
 
     @pytest.mark.parametrize("dq_perp,dk_ph", [(0.263474, 0.210945), (3.0, 0.3)], ids=["g0", "readme"])
     @pytest.mark.parametrize("build", [momentum_grid, joint_position], ids=["momentum", "position"])
     def test_matches_per_value_writer(self, make_beam, make_spectrum, dq_perp, dk_ph, build):
         g = build(make_beam(dq_perp), make_spectrum(dk_ph))
+        assert _csv(write_grid_csv, g) == _csv(write_grid_csv_per_value, g)
+
+    def test_wide_spectrum_momentum(self, make_beam, make_spectrum):
+        # the benchmark's wide-spectrum dist point, whose position kernel
+        # fails its check: nearly every momentum value enters the kernel
+        g = momentum_grid(make_beam(31.2763), make_spectrum(9.61536))
+        assert np.count_nonzero(g.density == 0.0) < 0.01 * g.density.size
         assert _csv(write_grid_csv, g) == _csv(write_grid_csv_per_value, g)
 
 

@@ -3,8 +3,10 @@
 The inputs: a million random 64-bit patterns (the finite ones), every
 subnormal with significand below 10^5, both zeros, the powers of 2 and
 10 with both neighbours, and the values where `repr` switches between
-positional and scientific notation. Mutated copies of the kernel show
-that the comparison catches a wrong rounding rule.
+positional and scientific notation, and blocks where +0.0, which skips
+the kernel, stands in runs, alone, or next to -0.0 and the subnormals.
+Mutated copies of the kernel show that the comparison catches a wrong
+rounding rule or a -0.0 taken for +0.0.
 """
 
 import inspect
@@ -76,6 +78,41 @@ def test_row_layout():
     assert repr_rows(values) == "0.0,-0.0,1.5\n1e-05,1e+16,-2.5e-308\n"
 
 
+def _per_value(values: np.ndarray) -> str:
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+
+
+# +0.0 skips both steps of the kernel; these blocks put it at every place
+# in a row and next to the values nearest to it
+ZERO_BLOCKS = {
+    "runs-at-ends": [[0.0, 0.0, 0.0, 1.5, 2.25, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7e-300]],
+    "all-zero-row": [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]],
+    "no-non-zero": np.zeros((4, 5)),
+    "signed-zeros": [
+        [0.0, -0.0, 5e-324, 0.0, 1e16, -0.0, 0.0],
+        [-5e-324, 0.0, 2.2250738585072014e-308, -0.0, 0.0, -1e16, -0.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("block", ZERO_BLOCKS.values(), ids=ZERO_BLOCKS.keys())
+def test_zero_blocks(block):
+    values = np.array(block, dtype=np.float64)
+    assert repr_rows(values) == _per_value(values)
+
+
+def test_matches_repr_between_zeros():
+    # the inputs with about half of them replaced by +0.0, in runs and alone
+    rng = np.random.default_rng(7)
+    values = INPUTS[: 2**18].copy()
+    values[rng.random(values.size) < 0.3] = 0.0
+    starts = rng.integers(0, values.size - 3 * WIDTH, 64)
+    for start, n in zip(starts, rng.integers(1, 3 * WIDTH, 64)):
+        values[start : start + n] = 0.0
+    assert np.count_nonzero(values == 0.0) > values.size // 3
+    assert _mismatches(_floatrepr, values) == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_raises(bad):
     with pytest.raises(ValueError):
@@ -91,8 +128,10 @@ def test_non_finite_raises(bad):
         ("odd = c & _1", "odd = np.ones_like(c)"),
         # ... or included for every significand
         ("odd = c & _1", "odd = np.zeros_like(c)"),
+        # the +0.0 fast path also takes -0.0, which it writes as 0.0
+        ("zero = bits == _0", "zero = (bits << _1) == _0"),
     ],
-    ids=["ties-up", "ends-excluded", "ends-included"],
+    ids=["ties-up", "ends-excluded", "ends-included", "negative-zero-as-zero"],
 )
 def test_planted_defects_are_caught(old, new):
     assert _mismatches(_mutant(old, new), INPUTS, limit=1) != []

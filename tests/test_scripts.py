@@ -3,21 +3,20 @@ options; the regime map, which builds a `RunConfig` and renders through
 the CLI's helpers, must run end to end on a 2x2 plane, and the joint
 distributions script end to end at its three beams."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def run(script: Path, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True, env=src_env(), cwd=ROOT, timeout=300)
 
 
 def test_scripts_found():
