@@ -155,6 +155,18 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # config parsing
 
+# every section and key parse_config reads; any other is a config error
+_CONFIG_KEYS = {
+    "beam": ("kinetic_energy_kev", "l_par_um", "dq_par_um_inv", "l_perp_um", "dq_perp_um_inv"),
+    "spectrum": ("lambda_c_um", "k_c_um_inv", "dlambda_um", "dk_ph_um_inv"),
+    "sweep": ("dq_perp_min", "dq_perp_max", "dq_perp_steps", "dk_ph_min", "dk_ph_max", "dk_ph_steps"),
+    "phase": ("variant", "xi"),
+    "thresholds": ("purity", "epr"),
+    "quadrature": ("rel_tol", "abs_tol", "mc_samples", "mc_seed"),
+    "output": ("out_dir",),
+}
+
+
 def _exclusive(section: dict, length: str, wavenumber: str, where: str) -> float:
     """A wavenumber (um^-1) given either as `wavenumber` or as a `length` (um)."""
     if (length in section) == (wavenumber in section):
@@ -210,7 +222,22 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"a parameter is out of range: {exc}") from exc
 
 
+def _check_known_keys(parser: configparser.ConfigParser) -> None:
+    """Reject a section or key that parse_config does not read, so that a
+    misspelt one is not silently dropped."""
+    if parser.defaults():
+        # configparser would copy these keys into every section
+        raise ConfigError(f"[DEFAULT] is not read; move {', '.join(parser.defaults())} into its section")
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"[{section}]: unknown section (known: {', '.join(_CONFIG_KEYS)})")
+        for key in parser[section]:
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key (known: {', '.join(_CONFIG_KEYS[section])})")
+
+
 def parse_config(parser: configparser.ConfigParser) -> RunConfig:
+    _check_known_keys(parser)
     if "beam" not in parser or "spectrum" not in parser:
         raise ConfigError("config must contain [beam] and [spectrum] sections")
     beam = dict(parser["beam"])
@@ -243,7 +270,7 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
         )
 
     thresholds = _given(parser, "thresholds", {"purity": ("purity_threshold", _float), "epr": ("epr_threshold", _float)})
-    tolerances = _given(parser, "quadrature", {key: (key, _float) for key in ("rel_tol", "abs_tol", "truncation_sigmas")})
+    tolerances = _given(parser, "quadrature", {key: (key, _float) for key in ("rel_tol", "abs_tol")})
     return RunConfig(
         kinetic_energy_kev=_float(beam, "kinetic_energy_kev", "beam"),
         dq_par=dq_par,
@@ -283,7 +310,6 @@ def dump_config(cfg: RunConfig) -> str:
     parser["quadrature"] = {
         "rel_tol": repr(cfg.quadrature.rel_tol),
         "abs_tol": repr(cfg.quadrature.abs_tol),
-        "truncation_sigmas": repr(cfg.quadrature.truncation_sigmas),
         "mc_samples": str(cfg.mc_samples),
         "mc_seed": str(cfg.mc_seed),
     }
@@ -558,7 +584,7 @@ def dist(config_path, out):
     # that a failure in joint_position leaves no CSV behind.
     summary = {}
     for name, build in (("position", joint_position), ("momentum", momentum_grid)):
-        grid = build(beam, spectrum, cfg.quadrature)
+        grid = build(beam, spectrum)
         out_path = _out_dir(cfg, out)
         with (out_path / f"dist_{name}.csv").open("w") as fh:
             write_grid_csv(grid, fh)

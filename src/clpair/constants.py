@@ -18,6 +18,11 @@ TWO_PI = 2.0 * math.pi
 # Normalization of the angular profile (15/8pi) (sin(theta) cos(theta))^2.
 ANGULAR_NORM = 15.0 / (8.0 * math.pi)
 
+# Half-width, in units of dk_ph, of the radial window [k_c - 8 dk_ph,
+# k_c + 8 dk_ph] (cut at zero) on which every integral over the spectrum
+# runs; the Gaussian beyond it is below exp(-32) of its peak.
+TRUNCATION_SIGMAS = 8.0
+
 # Monte Carlo oracle: default seed, default sample pairs of the oracle
 # suite, and the fewest pairs whose standard error is meaningful.
 MC_SEED = 20260824

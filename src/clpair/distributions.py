@@ -23,14 +23,7 @@ import numpy as np
 from .constants import ANGULAR_NORM
 from .errors import ConsistencyError, DomainError
 from .measures import rel_pos_variance_closed
-from .model import (
-    BeamParams,
-    QuadratureSpec,
-    SpectrumModel,
-    ZeroPhase,
-    eval_g,
-    psi_ini_x_sq,
-)
+from .model import BeamParams, SpectrumModel, ZeroPhase, eval_g, psi_ini_x_sq
 from .quadrature import gauss_legendre_panels
 
 # points of the k_x grid of both joint grids; even, so that the position
@@ -38,6 +31,9 @@ from .quadrature import gauss_legendre_panels
 N_KX = 512
 # least number of x_el points of the position grid
 N_X_EL = 141
+# lags of the position grid's T-lattice per block of its cosine sum, which
+# bounds the (block, N_KX) matrix held at once to 8 MB
+_LAG_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,7 @@ def _check_normalized(grid: JointGrid, what: str, tol: float = 0.01) -> JointGri
 # ---------------------------------------------------------------------------
 # photon transverse-momentum marginal
 
-def photon_marginal_kx(spectrum: SpectrumModel, kx, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+def photon_marginal_kx(spectrum: SpectrumModel, kx) -> np.ndarray:
     """Marginal G(k_x) (um) of the spectral density over (k_y, k_z).
 
     In polar coordinates (rho, beta) on the (k_y, k_z) plane the beta
@@ -127,7 +123,7 @@ def photon_marginal_kx(spectrum: SpectrumModel, kx, quad: QuadratureSpec = Quadr
         p = k^2 - kx^2.
     """
     kx = np.atleast_1d(np.asarray(kx, dtype=float))
-    kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
+    kmin, kmax = spectrum.kmin, spectrum.kmax
     out = np.zeros_like(kx)
     live = np.abs(kx) < kmax
     if not np.any(live):
@@ -147,33 +143,29 @@ def photon_marginal_kx(spectrum: SpectrumModel, kx, quad: QuadratureSpec = Quadr
 # ---------------------------------------------------------------------------
 # joint momentum distribution
 
-def joint_momentum(beam: BeamParams, spectrum: SpectrumModel, qx, kx, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+def joint_momentum(beam: BeamParams, spectrum: SpectrumModel, qx, kx) -> np.ndarray:
     """Joint density P(q_x, k_x) (um^2): electron momentum envelope at
     q_x + k_x times the photon marginal; independent of the phase."""
     qx = np.asarray(qx, dtype=float)
     kxa = np.atleast_1d(np.asarray(kx, dtype=float))
     # one full-size buffer: the sum q_x + k_x, turned into the envelope
     # and scaled by the marginal in place
-    g = photon_marginal_kx(spectrum, kxa, quad)
+    g = photon_marginal_kx(spectrum, kxa)
     dens = qx + kxa
     psi_ini_x_sq(beam.dq_perp, dens, out=dens)
     dens *= g
     return dens
 
 
-def momentum_grid(
-    beam: BeamParams,
-    spectrum: SpectrumModel,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> JointGrid:
+def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     """P(q_x, k_x) on a grid covering the support of both factors."""
-    _, kmax = spectrum.radial_support(quad.truncation_sigmas)
+    kmax = spectrum.kmax
     kxg = np.linspace(-kmax, kmax, N_KX)
     sig = beam.dq_perp
     span = kmax + 6.0 * sig
     n_q = int(np.clip(math.ceil(2.0 * span / (sig / 8.0)), 65, 4001))
     qxg = np.linspace(-span, span, n_q)
-    dens = joint_momentum(beam, spectrum, qxg[:, None], kxg[None, :], quad)
+    dens = joint_momentum(beam, spectrum, qxg[:, None], kxg[None, :])
     return _check_normalized(
         JointGrid(qxg, kxg, dens, axis1_name="qx_um_inv", axis2_name="kx_um_inv"),
         "joint momentum grid",
@@ -183,9 +175,9 @@ def momentum_grid(
 # ---------------------------------------------------------------------------
 # joint position distribution
 
-def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """Kernel M(k_x, k_x') (um^2 entries) on the grid that mirrors the
-    ascending positive half-axis `ax`, i.e. on [-ax[::-1], ax].
+def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) -> np.ndarray:
+    """Kernel M(k_x, k_x') (um^2 entries) on the ascending positive
+    half-axis `ax`, as the block h[a, b] = M(ax[a], ax[b]).
 
     M = int dk_y dk_z sqrt(Gamma(k) Gamma(k')) exp(-(c/v)^2 (k-k')^2 /
     (8 dq_par^2)) with k' sharing (k_y, k_z). In polar (rho, beta)
@@ -198,12 +190,12 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray, 
         F_r[a, beta] = sqrt(g(k_a)) (r / k_a) sqrt(1 - (r / k_a)^2 sin^2 beta),
 
     one Gram matrix per radial node. A row is zero where k_a leaves the
-    truncated window [kmin, kmax]; at each node the live rows are one
+    spectrum's radial window [kmin, kmax]; at each node the live rows are one
     contiguous band of `ax`, so each Gram matrix is band x band. M depends
-    on |k_x| and |k_x'| only, so it is computed on the half-axis and
-    expanded by flips, which makes it exactly even: m == m[::-1, ::-1].
+    on |k_x| and |k_x'| only, so h holds the kernel on the whole grid
+    [-ax[::-1], ax] that mirrors `ax` (see `_diagonal_sums`).
     """
-    kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
+    kmin, kmax = spectrum.kmin, spectrum.kmax
     # 16-node Gauss-Legendre panels no wider than dk_ph; with 8-node
     # panels the diagonal check already fails at dk_ph = 3.29, dq_perp = 1
     r_max = math.sqrt(kmax**2 - ax[0] ** 2)
@@ -234,43 +226,59 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray, 
         h[i0:i1, i0:i1] += band
 
     # diagonal consistency: M(kx, kx) must reproduce the marginal G(kx)
-    g_ref = photon_marginal_kx(spectrum, ax, quad)
+    g_ref = photon_marginal_kx(spectrum, ax)
     scale = float(np.max(g_ref))
     if scale > 0.0 and float(np.max(np.abs(np.diagonal(h) - g_ref))) > 1e-8 * scale:
         raise ConsistencyError("position kernel diagonal disagrees with the photon marginal")
     if float(np.max(np.abs(h - h.T))) > 1e-10:
         raise ConsistencyError("position kernel is not symmetric")
-    return np.block([[h[::-1, ::-1], h[::-1, :]], [h[:, ::-1], h]])
+    return h
 
 
-def joint_position(
-    beam: BeamParams,
-    spectrum: SpectrumModel,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> JointGrid:
+def _diagonal_sums(h: np.ndarray) -> np.ndarray:
+    """Diagonal sums C_m = sum_p M[p, p + m], m = 0 .. 2n - 1, of the
+    kernel M on the mirrored grid of 2n points whose positive half-axis
+    block is the symmetric n x n `h`.
+
+    Pairs in the same half give the diagonals of h, once for each half
+    (M(-a, -b) = M(a, b)); pairs (-a, b) across zero lie a + b + 1
+    points apart and give its anti-diagonals:
+    C_m = 2 sum_i h[i, i + m] + sum_{a + b = m - 1} h[a, b].
+    The rows of M are added in grid order, -ax[n - 1] first, each as the
+    two pieces of h it is made of, so every C_m is summed in the same
+    order as over the expanded 2n x 2n kernel, to the same bits.
+    """
+    n = h.shape[0]
+    c = np.zeros(2 * n)
+    for a in range(n - 1, -1, -1):
+        # row -ax[a] of M is h[a, ::-1] then h[a]: its pairs (-a, -b),
+        # b <= a, lie a - b apart, its pairs (-a, b) a + b + 1
+        c[: a + 1] += h[a, a::-1]
+        c[a + 1 : a + 1 + n] += h[a]
+    for i in range(n):
+        c[: n - i] += h[i, i:]
+    return c
+
+
+def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     """P(x_el, x_ph) (um^-2) with the photonic phase neglected.
 
     Gaussian envelope (dq_perp / sqrt(2 pi^3)) exp(-2 dq_perp^2 x_el^2)
     times T(x_el - x_ph), the double cosine transform of the kernel
-    M(k_x, k_x'). M is precomputed on a uniform, exactly mirrored k_x
-    grid of even size N_KX, as one Gram matrix per radial node on a rho
-    grid shared by all pairs (see `_position_kernel`); T is summed over
-    the kernel's diagonals (uniform spacing makes k_x - k_x' take only
-    2 N_KX - 1 values). M is even and symmetric, so the diagonal sums C_m
-    are even in m and T is even in the lag: both are evaluated for
-    m >= 0 and lags >= 0 only.
+    M(k_x, k_x'). M is precomputed on the positive half of a uniform,
+    exactly mirrored k_x grid of even size N_KX, as one Gram matrix per
+    radial node on a rho grid shared by all pairs (see
+    `_position_kernel`); T is summed over the kernel's diagonals (uniform
+    spacing makes k_x - k_x' take only 2 N_KX - 1 values), taken from the
+    half-axis block without expanding it. M is even and symmetric, so the
+    diagonal sums C_m are even in m and T is even in the lag: both are
+    evaluated for m >= 0 and lags >= 0 only.
     """
-    _, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    # midpoint grid: uniform, excludes the exact endpoints; its positive
-    # half is built once and mirrored, so the grid is exactly odd
-    dkx = 2.0 * kmax / N_KX
-    m = _position_kernel(beam, spectrum, (np.arange(N_KX // 2) + 0.5) * dkx, quad)
-
-    # diagonal sums C_m = dkx^2 sum_i M[i, i + m], row i adding to
-    # C_0 .. C_{N_KX - 1 - i}: T(s) = C_0 + 2 sum_{m > 0} C_m cos(m dkx s)
-    c = np.zeros(N_KX)
-    for i, row in enumerate(m):
-        c[: N_KX - i] += row[i:]
+    # midpoint grid: uniform, excludes the exact endpoints; only its
+    # positive half is built, so the grid is exactly odd
+    dkx = 2.0 * spectrum.kmax / N_KX
+    # T(s) = C_0 + 2 sum_{m > 0} C_m cos(m dkx s), C_m scaled by dkx^2
+    c = _diagonal_sums(_position_kernel(beam, spectrum, (np.arange(N_KX // 2) + 0.5) * dkx))
     c *= dkx**2
     c[1:] *= 2.0
     modes = np.arange(N_KX) * dkx
@@ -287,7 +295,10 @@ def joint_position(
     x_el = np.arange(-i_el, i_el + 1) * (m_el * h)
     x_ph = np.arange(-i_ph, i_ph + 1) * (m_ph * h)
     lag_max = i_el * m_el + i_ph * m_ph
-    t_half = np.cos(np.multiply.outer(np.arange(lag_max + 1) * h, modes)) @ c
+    t_half = np.empty(lag_max + 1)
+    for s in range(0, lag_max + 1, _LAG_BLOCK):
+        phase = np.multiply.outer(np.arange(s, min(s + _LAG_BLOCK, lag_max + 1)) * h, modes)
+        t_half[s : s + _LAG_BLOCK] = np.cos(phase, out=phase) @ c
     t_lat = np.concatenate([t_half[:0:-1], t_half])
     lag_idx = (np.arange(-i_el, i_el + 1)[:, None] * m_el - np.arange(-i_ph, i_ph + 1)[None, :] * m_ph) + lag_max
     t = t_lat[lag_idx]

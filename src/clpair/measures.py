@@ -95,10 +95,8 @@ class MeasureResult:
 # ---------------------------------------------------------------------------
 # purity
 
-def _radial_nodes(spectrum: SpectrumModel, quad: QuadratureSpec, n_rad: int):
-    kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    kn, kw = gauss_legendre_panels(kmin, kmax, max(1, n_rad // 16), 16)
-    return kn, kw, kmax
+def _radial_nodes(spectrum: SpectrumModel, n_rad: int):
+    return gauss_legendre_panels(spectrum.kmin, spectrum.kmax, max(1, n_rad // 16), 16)
 
 
 def _sonine_h(x) -> np.ndarray:
@@ -179,11 +177,11 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     which the tail bound of `_t_cut` is below _TAIL_FRACTION * abs_tol
     (an abs_tol of zero keeps the whole grid).
     """
-    kn, kw, kmax = _radial_nodes(spectrum, quad, n_rad)
+    kn, kw = _radial_nodes(spectrum, n_rad)
     b = beam.dq_perp
     t_max = _T_SPAN / b
     # h(k t) oscillates with period 2 pi / k in t
-    n_t = refine * _NODES_PER_PERIOD * kmax * t_max / TWO_PI
+    n_t = refine * _NODES_PER_PERIOD * spectrum.kmax * t_max / TWO_PI
     n_panels = max(2, math.ceil(n_t / 16))
     r = kw * kn**2 * eval_g(spectrum, kn)
     n_keep = 16 * _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * quad.abs_tol)
@@ -247,11 +245,10 @@ def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = P
     """
     # resolve the kernel: its width dq_par * v_z / c can be much narrower
     # than the radial support for wide spectra
-    kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    n_base = int(np.clip(4.0 * (kmax - kmin) * beam.c_over_vz / beam.dq_par, 96, 4096))
+    n_base = int(np.clip(4.0 * (spectrum.kmax - spectrum.kmin) * beam.c_over_vz / beam.dq_par, 96, 4096))
     values = []
     for n_rad in (n_base, math.ceil(5 * n_base / 3)):
-        kn, kw, _ = _radial_nodes(spectrum, quad, n_rad)
+        kn, kw = _radial_nodes(spectrum, n_rad)
         # radial probability density of |k|
         dens = kn**2 * eval_g(spectrum, kn) * kw
         elong = np.exp(
@@ -289,7 +286,7 @@ def rel_pos_variance_quadrature(
     transverse phase-gradient term for non-trivial phases.
     """
     def value(n_rad, n_theta):
-        kn, kw, _ = _radial_nodes(spectrum, quad, n_rad)
+        kn, kw = _radial_nodes(spectrum, n_rad)
         tn, tw = gauss_legendre_panels(0.0, math.pi, max(2, n_theta // 16), 16)
         kk = kn[:, None]
         tt = tn[None, :]

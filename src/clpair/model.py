@@ -16,7 +16,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TWO_PI
+from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TRUNCATION_SIGMAS, TWO_PI
 from .errors import DomainError, SingularPointError
 
 
@@ -114,21 +114,26 @@ def psi_ini_x_sq(dq_perp: float, qx, out: Optional[np.ndarray] = None) -> np.nda
 
 @dataclass(frozen=True)
 class SpectrumModel:
-    """Parametric luminescence spectrum Gamma(k) = g(k) f(theta); the
-    normalization `n_g` is derived from k_c and dk_ph and cannot be set."""
+    """Parametric luminescence spectrum Gamma(k) = g(k) f(theta).
+
+    Derived from k_c and dk_ph at construction, and not settable: the
+    normalization `n_g` and the radial window [`kmin`, `kmax`] =
+    [max(0, k_c - s dk_ph), k_c + s dk_ph], s = TRUNCATION_SIGMAS, on
+    which every integral over the spectrum runs.
+    """
 
     k_c: float
     dk_ph: float
     n_g: float = field(init=False)
+    kmin: float = field(init=False)
+    kmax: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.k_c < math.inf and 0.0 < self.dk_ph < math.inf):
             raise DomainError(f"k_c and dk_ph must be positive and finite, got {self.k_c!r}, {self.dk_ph!r}")
         object.__setattr__(self, "n_g", spectrum_normalization(self.k_c, self.dk_ph))
-
-    def radial_support(self, sigmas: float) -> tuple[float, float]:
-        """Truncated radial window [max(0, k_c - s dk), k_c + s dk]."""
-        return max(0.0, self.k_c - sigmas * self.dk_ph), self.k_c + sigmas * self.dk_ph
+        object.__setattr__(self, "kmin", max(0.0, self.k_c - TRUNCATION_SIGMAS * self.dk_ph))
+        object.__setattr__(self, "kmax", self.k_c + TRUNCATION_SIGMAS * self.dk_ph)
 
 
 def eval_g(spectrum: SpectrumModel, k) -> np.ndarray:
@@ -302,11 +307,10 @@ PhaseModel = Union[ZeroPhase, PolarLinearPhase, RadialKcPhase, RadialDkPhase]
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation for the numeric integrators."""
+    """Tolerances for the numeric integrators."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    truncation_sigmas: float = 8.0
 
     def __post_init__(self):
         # written as `not ...` so that nan fails every check
@@ -314,5 +318,3 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if not 0.0 <= self.abs_tol < math.inf:
             raise DomainError(f"abs_tol must be non-negative and finite, got {self.abs_tol!r}")
-        if not 5.0 <= self.truncation_sigmas < math.inf:
-            raise DomainError(f"truncation_sigmas must be finite and at least 5, got {self.truncation_sigmas!r}")

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED
-from .distributions import JointGrid, joint_position, momentum_grid, photon_marginal_kx
+from .distributions import N_KX, JointGrid, joint_position, momentum_grid, photon_marginal_kx
 from .errors import DomainError, ResolutionError
 from .measures import PURITY_QUAD, purity_sc, rel_pos_variance_closed, total_wavevector_variance
 from .model import (
@@ -60,11 +60,11 @@ def mc_purity(
     Draws k, k' i.i.d. from the spectral density and averages the
     double-Gaussian overlap factor; agrees with the quadrature purity
     within 3 standard errors by construction of the estimator. `quad`
-    sets the sampler's truncation and the primary `purity_sc` alike.
+    sets the tolerances of the primary `purity_sc`.
     """
     if n < MC_MIN_SAMPLES:
         raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
-    sampler = GammaSampler(spectrum, quad)
+    sampler = GammaSampler(spectrum)
     rng = np.random.default_rng(seed)
     k1, th1, ph1 = sampler.sample_spherical(n, rng)
     k2, th2, ph2 = sampler.sample_spherical(n, rng)
@@ -227,14 +227,13 @@ def fd_gradient_check(
 # ---------------------------------------------------------------------------
 # closed-form identity for the longitudinal variance term
 
-def longitudinal_term_identity(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = QuadratureSpec()) -> OracleReport:
+def longitudinal_term_identity(beam: BeamParams, spectrum: SpectrumModel) -> OracleReport:
     """(1/8) int (c/v)^2 kperp^2 Gamma / (dq_par^2 k^2) d3k = (c/v)^2 / (14 dq_par^2).
 
     The angular average of kperp^2/k^2 over the emission profile is 4/7;
     verified here by direct spherical quadrature.
     """
-    kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
-    kn, kw = gauss_legendre_panels(kmin, kmax, 8, 16)
+    kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, 8, 16)
     tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
     from .model import eval_f, eval_g
 
@@ -248,18 +247,14 @@ def longitudinal_term_identity(beam: BeamParams, spectrum: SpectrumModel, quad: 
 # ---------------------------------------------------------------------------
 # factorized momentum density vs direct marginalization
 
-def momentum_factorization_check(
-    beam: BeamParams,
-    spectrum: SpectrumModel,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> OracleReport:
+def momentum_factorization_check(beam: BeamParams, spectrum: SpectrumModel) -> OracleReport:
     """Factorized P(q_x, k_x) versus direct Cartesian (k_y, k_z) quadrature.
 
     The direct path integrates the spectral density over a fine Cartesian
     (k_y, k_z) tensor grid, independent of the polar reduction used by
     the marginal.
     """
-    _, kmax = spectrum.radial_support(quad.truncation_sigmas)
+    kmax = spectrum.kmax
     kx_pts = np.array([0.0, 0.35 * kmax, 0.8 * kmax])
     qx_pts = np.array([-0.5 * beam.dq_perp, 0.0, 1.5 * beam.dq_perp])
     n1d = int(np.clip(12.0 * kmax / spectrum.dk_ph, 256, 4096))
@@ -275,7 +270,7 @@ def momentum_factorization_check(
             axis=-1,
         )
         g_direct = float(yw @ eval_gamma_cartesian(spectrum, pts) @ yw)
-        g_primary = photon_marginal_kx(spectrum, kx, quad).item()
+        g_primary = photon_marginal_kx(spectrum, kx).item()
         for qx in qx_pts:
             direct = float(psi_ini_x_sq(beam.dq_perp, qx + kx)) * g_direct
             primary = float(psi_ini_x_sq(beam.dq_perp, qx + kx)) * g_primary
@@ -297,12 +292,12 @@ def run_suite(
     """All oracles at one parameter point; deterministic for fixed inputs."""
     reports = [
         mc_purity(beam, spectrum, n=mc_samples, seed=seed, quad=quad),
-        longitudinal_term_identity(beam, spectrum, quad),
-        momentum_factorization_check(beam, spectrum, quad),
+        longitudinal_term_identity(beam, spectrum),
+        momentum_factorization_check(beam, spectrum),
     ]
 
     rng = np.random.default_rng(seed)
-    kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
+    kmax = spectrum.kmax
     pts = np.stack(
         [
             rng.uniform(-kmax, kmax, 100),
@@ -314,13 +309,13 @@ def run_suite(
     reports.append(fd_gradient_check(spectrum, pts))
 
     # each grid is dropped once its variance is taken, so no two are held
-    reports.append(variance_from_grid(momentum_grid(beam, spectrum, quad), "total_wavevector", beam))
-    reports.append(variance_from_grid(joint_position(beam, spectrum, quad), "relative_position", beam, spectrum))
+    reports.append(variance_from_grid(momentum_grid(beam, spectrum), "total_wavevector", beam))
+    reports.append(variance_from_grid(joint_position(beam, spectrum), "relative_position", beam, spectrum))
 
     # Schmidt oracle on the model's own transverse marginal
-    kx = np.linspace(-kmax, kmax, 512)
+    kx = np.linspace(-kmax, kmax, N_KX)
     span = 6.0 * beam.dq_perp + kmax
     n_q = int(np.clip(math.ceil(2.0 * span / (beam.dq_perp / 9.0)), 64, 3000))
     qx = np.linspace(-span, span, n_q)
-    reports.append(schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k, quad), kx, qx))
+    reports.append(schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k), kx, qx))
     return reports

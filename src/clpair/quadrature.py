@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .model import QuadratureSpec, SpectrumModel, eval_g
+from .model import SpectrumModel, eval_g
 
 
 @lru_cache(maxsize=32)
@@ -40,13 +40,12 @@ class GammaSampler:
     """Draws photon wavevectors from the spectral density.
 
     Radial part: 4096-point tabulated inverse CDF of k^2 g(k) on the
-    truncated support. Polar part: rejection against the exact
+    spectrum's radial window. Polar part: rejection against the exact
     sin(theta)^3 cos(theta)^2 profile; azimuth uniform.
     """
 
-    def __init__(self, spectrum: SpectrumModel, quad: QuadratureSpec = QuadratureSpec()):
-        kmin, kmax = spectrum.radial_support(quad.truncation_sigmas)
-        kk = np.linspace(kmin, kmax, 4096)
+    def __init__(self, spectrum: SpectrumModel):
+        kk = np.linspace(spectrum.kmin, spectrum.kmax, 4096)
         pdf = kk**2 * eval_g(spectrum, kk)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(kk))])
         if cdf[-1] <= 0.0:

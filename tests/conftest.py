@@ -25,6 +25,13 @@ def src_env(env=None) -> dict:
     return env
 
 
+def window(spectrum: SpectrumModel, sigmas: float) -> tuple[float, float]:
+    """The radial window [max(0, k_c - s dk_ph), k_c + s dk_ph] for s =
+    `sigmas`, for reference integrals that take their own window rather
+    than the spectrum's [kmin, kmax]."""
+    return max(0.0, spectrum.k_c - sigmas * spectrum.dk_ph), spectrum.k_c + sigmas * spectrum.dk_ph
+
+
 def schmidt_gaussian_closed(sig_g: float, dq_perp: float) -> float:
     """Closed 1D Schmidt purity (1 + sig_g^2/dq_perp^2)^(-1/2) of a Gaussian
     marginal of width sig_g: the reference for the Schmidt oracle."""

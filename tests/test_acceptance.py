@@ -30,14 +30,14 @@ from clpair.oracles import (
 )
 from clpair.quadrature import gauss_legendre_panels
 
-from conftest import DQ_PAR, K_C, K_KEV, schmidt_gaussian_closed
+from conftest import DQ_PAR, K_C, K_KEV, schmidt_gaussian_closed, window
 
 
 class TestCriterion01Normalization:
     @pytest.mark.parametrize("dk", [0.1, 1.0, 10.0, 30.0])
     def test_gamma_integrates_to_one(self, dk):
         s = SpectrumModel(12.566, dk)
-        kmin, kmax = s.radial_support(10.0)
+        kmin, kmax = window(s, 10.0)
         kn, kw = gauss_legendre_panels(kmin, kmax, 16, 16)
         tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
         radial = float(np.sum(kw * kn**2 * eval_g(s, kn)))

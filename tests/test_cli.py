@@ -3,8 +3,10 @@ import io
 import json
 import math
 import platform
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clpair.cli import (
+    _CONFIG_KEYS,
     CSV_HEADER,
     RunConfig,
     SweepAxes,
@@ -532,8 +535,8 @@ class TestProvenancePinned:
     @pytest.mark.parametrize(
         "text,digest",
         [
-            (BASE_INI, "f9e8b9c51f76a1b75b1a5f9e0ea3943ec8ccd90e53039e358b9bb784ec9e3d19"),
-            (SWEEP_INI, "95b7eb55a411fb13afa60981760694a49db62068baeedfcad5b4282c9baeca64"),
+            (BASE_INI, "1edd93abfa0e4dcb16129c43f5b0a80678ef28c0b92f373be55b05987f30f89a"),
+            (SWEEP_INI, "eca4bbcfe1c59fae816b013466a112d689e8aaa5fd3628acca8d7c43059002e5"),
         ],
         ids=["base", "sweep"],
     )
@@ -660,10 +663,10 @@ _DOCUMENTED_KEYS = {
     "quadrature": {
         "rel_tol": st.floats(min_value=0.0, max_value=1e-2).map(repr),
         "abs_tol": st.floats(min_value=0.0, max_value=1e-3).map(repr),
-        "truncation_sigmas": st.floats(min_value=4.0, max_value=12.0).map(repr),
         "mc_samples": st.integers(min_value=5_000, max_value=10**6).map(str),
         "mc_seed": st.integers(min_value=-5, max_value=2**32).map(str),
     },
+    "output": {"out_dir": st.sampled_from(["out", "runs/a", "."])},
 }
 # alternatives of which a config must give at most (beam width: exactly) one
 _ALTERNATIVES = {"l_par_um": "dq_par_um_inv", "l_perp_um": "dq_perp_um_inv", "lambda_c_um": "k_c_um_inv", "dlambda_um": "dk_ph_um_inv"}
@@ -712,3 +715,70 @@ class TestConfigProperty:
             parser = configparser.ConfigParser()
             parser.read_string(dump_config(cfg))
             assert parse_config(parser) == cfg
+
+
+class TestUnknownKeys:
+    """A section or key that the parser does not read is a config error
+    (exit 2) naming it, not silently dropped."""
+
+    @pytest.mark.parametrize(
+        "section,line",
+        [
+            ("beam", "dq_prep_um_inv = 3.0"),
+            ("spectrum", "dk_ph_um = 1.0"),
+            ("sweep", "dk_ph_step = 2"),
+            ("phase", "varient = zero"),
+            ("thresholds", "eprr = 1.0"),
+            ("quadrature", "rel_tl = 1e-4"),
+            ("quadrature", "truncation_sigmas = 8.0"),
+            ("output", "outdir = o"),
+        ],
+        ids=["beam", "spectrum", "sweep", "phase", "thresholds", "quadrature", "truncation_sigmas", "output"],
+    )
+    def test_unknown_key_exits_2(self, runner, tmp_path, section, line):
+        header = f"[{section}]\n"
+        text = SWEEP_INI.replace(header, header + line + "\n") if header in SWEEP_INI else SWEEP_INI + "\n" + header + line + "\n"
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert f"[{section}] {line.split(' = ')[0]}: unknown key" in res.output
+
+    def test_unknown_section_exits_2(self, runner, tmp_path):
+        text = BASE_INI + "\n[quadratur]\nrel_tol = 1e-4\n"
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[quadratur]: unknown section" in res.output
+
+    def test_default_section_exits_2(self, runner, tmp_path):
+        # configparser copies [DEFAULT] keys into every section
+        text = "[DEFAULT]\nrel_tol = 1e-4\n\n" + BASE_INI
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[DEFAULT]" in res.output and "rel_tol" in res.output
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_keys() -> dict:
+    """{section: keys} of README's config block, with the exclusive
+    alternatives that the text above the block names (`a` xor `b`)."""
+    prose, block = README.read_text().split("### Config format", 1)[1].split("```ini", 1)
+    keys, current = {}, None
+    for line in block.split("```", 1)[0].splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            current = keys.setdefault(line.strip("[]"), set())
+        elif "=" in line:
+            current.add(line.split("=", 1)[0].strip())
+    for pair in re.findall(r"`(\w+)` xor `(\w+)`", prose):
+        (section,) = [s for s, names in keys.items() if names & set(pair)]
+        keys[section] |= set(pair)
+    return keys
+
+
+def test_documented_keys_match_the_parser():
+    # a key added to or removed from the parser fails here until README's
+    # config block and the property suite's key table say so too
+    parser_keys = {section: set(names) for section, names in _CONFIG_KEYS.items()}
+    assert readme_config_keys() == parser_keys
+    assert {section: set(names) for section, names in _DOCUMENTED_KEYS.items()} == parser_keys

@@ -11,9 +11,11 @@ from scipy.signal import argrelextrema
 from clpair import DomainError
 from clpair.cli import write_grid_csv
 from clpair.constants import ANGULAR_NORM
+import clpair.distributions as distributions
 from clpair.distributions import (
     JointGrid,
     _check_normalized,
+    _diagonal_sums,
     _position_kernel,
     joint_momentum,
     joint_position,
@@ -22,7 +24,7 @@ from clpair.distributions import (
 )
 from clpair.errors import ConsistencyError
 from clpair.measures import rel_pos_variance_closed
-from clpair.model import QuadratureSpec, eval_g
+from clpair.model import eval_g
 
 from conftest import DQ_PAR
 from reference_grid_csv import write_grid_csv_per_value
@@ -262,19 +264,15 @@ class TestJointPosition:
         assert np.array_equal(g.density, g.density[::-1, ::-1])
 
 
-QUAD = QuadratureSpec()
-
-
 def half_axis(spectrum, n_kx=512):
     """Positive half of joint_position's midpoint k_x grid."""
-    _, kmax = spectrum.radial_support(QUAD.truncation_sigmas)
-    return (np.arange(n_kx // 2) + 0.5) * (2.0 * kmax / n_kx)
+    return (np.arange(n_kx // 2) + 0.5) * (2.0 * spectrum.kmax / n_kx)
 
 
 def kernel_entry_quad(beam, spectrum, a, b):
     """M(a, b) by nested scipy quad over rho in [lo(a), hi(b)] and beta,
     with a <= b taken as |k_x| values."""
-    kmin, kmax = spectrum.radial_support(QUAD.truncation_sigmas)
+    kmin, kmax = spectrum.kmin, spectrum.kmax
     a, b = sorted((abs(a), abs(b)))
     lo = math.sqrt(max(0.0, kmin**2 - a**2))
     hi = math.sqrt(max(lo**2, kmax**2 - b**2))
@@ -296,23 +294,31 @@ def kernel_entry_quad(beam, spectrum, a, b):
     return integrate.quad(radial, lo, hi, points=pts, epsabs=0.0, epsrel=1e-11, limit=200)[0]
 
 
+def diagonal_sums_expanded(h):
+    """C_m = sum_p M[p, p + m], m >= 0, of the kernel M expanded from its
+    half-axis block h by flips onto the mirrored grid [-ax[::-1], ax],
+    with row p adding to C_0 .. C_{2n - 1 - p} in turn."""
+    m = np.block([[h[::-1, ::-1], h[::-1, :]], [h[:, ::-1], h]])
+    c = np.zeros(m.shape[0])
+    for p, row in enumerate(m):
+        c[: c.size - p] += row[p:]
+    return c
+
+
 class TestPositionKernel:
-    def test_exactly_even(self, make_beam, make_spectrum):
+    def test_exactly_symmetric(self, make_beam, make_spectrum):
         s = make_spectrum(0.3)
-        m = _position_kernel(make_beam(1.0), s, half_axis(s), QUAD)
-        assert m.shape == (512, 512)
-        assert np.array_equal(m, m[::-1, ::-1])
-        # M(-a, b) = M(a, b): the block at (-ax, +ax) is the row-flipped (+ax, +ax) block
-        assert np.array_equal(m[:256, 256:], m[256:, 256:][::-1, :])
+        h = _position_kernel(make_beam(1.0), s, half_axis(s))
+        assert h.shape == (256, 256)
         # each radial node's Gram matrix is one BLAS syrk, symmetric bit for bit
-        assert np.array_equal(m, m.T)
+        assert np.array_equal(h, h.T)
 
     @pytest.mark.parametrize("dk_ph", [0.1, 0.5, 1.6, 2.0, 2.5, 3.0, 3.25, 3.29])
     def test_diagonal_check_envelope(self, make_beam, make_spectrum, dk_ph):
         # the seed's quadrature passes the diagonal check up to dk_ph = 3.291
         # at dq_perp = 1; an under-sized rho grid fails it below that
         s = make_spectrum(dk_ph)
-        _position_kernel(make_beam(1.0), s, half_axis(s), QUAD)
+        _position_kernel(make_beam(1.0), s, half_axis(s))
 
 
 # The 24-node beta rule does not resolve sqrt(1 - (rho/k)^2 sin^2 beta)
@@ -327,7 +333,7 @@ class TestPositionKernelOffDiagonal:
     def kernel(self, request, make_beam, make_spectrum):
         b, s = make_beam(request.param[0]), make_spectrum(request.param[1])
         ax = half_axis(s)
-        return b, s, ax, _position_kernel(b, s, ax, QUAD)
+        return b, s, ax, _position_kernel(b, s, ax)
 
     # near and far neighbours, pairs whose k leaves the window inside the
     # rho range, and the small-|k_x| rows
@@ -337,6 +343,33 @@ class TestPositionKernelOffDiagonal:
          pytest.param(1, 54, marks=BETA_RULE), pytest.param(10, 40, marks=BETA_RULE)],
     )
     def test_matches_nested_quad(self, kernel, i, j):
-        b, s, ax, m = kernel
+        b, s, ax, h = kernel
         ref = kernel_entry_quad(b, s, ax[i], ax[j])
-        assert abs(m[256 + i, 256 + j] - ref) <= 1e-8 * float(np.max(np.abs(m)))
+        assert abs(h[i, j] - ref) <= 1e-8 * float(np.max(np.abs(h)))
+
+
+class TestDiagonalSums:
+    @pytest.mark.parametrize(
+        "dq_perp,dk_ph", [(0.263474, 0.210945), (1.0, 0.3), (10.0, 2.0)], ids=["g0", "1-0.3", "10-2"]
+    )
+    def test_matches_expanded_kernel(self, make_beam, make_spectrum, dq_perp, dk_ph):
+        # the same additions in the same order, so the same bits
+        s = make_spectrum(dk_ph)
+        h = _position_kernel(make_beam(dq_perp), s, half_axis(s))
+        np.testing.assert_array_equal(_diagonal_sums(h), diagonal_sums_expanded(h))
+
+
+class TestLagBlocks:
+    def test_blocks_do_not_change_the_grid(self, make_beam, make_spectrum, monkeypatch):
+        # g0's T-lattice has under 900 lags, one block by default; in
+        # blocks of 100 every block boundary is crossed
+        b, s = make_beam(0.263474), make_spectrum(0.210945)
+        whole = joint_position(b, s)
+        monkeypatch.setattr(distributions, "_LAG_BLOCK", 100)
+        np.testing.assert_array_equal(joint_position(b, s).density, whole.density)
+
+    def test_peak_at_wide_beam_narrow_spectrum(self, make_beam, make_spectrum):
+        # the README plane's (100, 0.1) corner has 37,985 lags; in one piece
+        # their 37,985 x 512 cosine matrix and its argument took 298 MiB
+        b, s = make_beam(100.0), make_spectrum(0.1)
+        assert _traced_peak(lambda: joint_position(b, s)) <= 32 * 2**20

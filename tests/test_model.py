@@ -34,7 +34,7 @@ from clpair.distributions import joint_momentum
 from clpair.measures import _H_SMALL_X, _sonine_h
 from clpair.quadrature import gauss_legendre_panels
 
-from conftest import DQ_PAR, K_C
+from conftest import DQ_PAR, K_C, window
 from reference_quadrature import integrate_1d
 from reference_tables import ERF_TABLE, SPHERICAL_JN_TABLE
 
@@ -142,7 +142,7 @@ class TestSpectrumNormalization:
     @pytest.mark.parametrize("dk", [0.1, 1.0, 10.0, 30.0])
     def test_radial_quadrature_unity(self, dk, make_spectrum):
         s = make_spectrum(dk)
-        kmin, kmax = s.radial_support(10.0)
+        kmin, kmax = window(s, 10.0)
         value, _ = quad(lambda k: k**2 * eval_g(s, k), kmin, kmax, points=[s.k_c], epsabs=1e-14, epsrel=1e-12, limit=200)
         assert value == pytest.approx(1.0, abs=1e-10)
 
@@ -168,7 +168,7 @@ class TestSpectrumModel:
 
     def test_full_3d_normalization(self, make_spectrum):
         s = make_spectrum(1.0)
-        kn, kw = gauss_legendre_panels(*s.radial_support(10.0), 16, 16)
+        kn, kw = gauss_legendre_panels(*window(s, 10.0), 16, 16)
         tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
         total = 2.0 * math.pi * np.einsum(
             "i,j,ij->", kw * kn**2, tw * np.sin(tn), eval_gamma(s, kn[:, None], tn[None, :])
@@ -195,6 +195,16 @@ class TestSpectrumModel:
             SpectrumModel(12.566, 0.3, n_g=0.01)
         assert SpectrumModel(12.566, 0.3).n_g == spectrum_normalization(12.566, 0.3)
 
+    @pytest.mark.parametrize("k_c,dk_ph", [(12.566, 0.3), (12.566, 30.0)], ids=["narrow", "cut-at-zero"])
+    def test_radial_window_derived(self, k_c, dk_ph):
+        # the window every integral over the spectrum runs on: 8 dk_ph
+        # about k_c, cut at k = 0, and not settable
+        s = SpectrumModel(k_c, dk_ph)
+        assert (s.kmin, s.kmax) == (max(0.0, k_c - 8.0 * dk_ph), k_c + 8.0 * dk_ph)
+        for name in ("kmin", "kmax"):
+            with pytest.raises(TypeError):
+                SpectrumModel(k_c, dk_ph, **{name: 1.0})
+
 
 class TestQuadratureSpec:
     @pytest.mark.parametrize(
@@ -206,9 +216,6 @@ class TestQuadratureSpec:
             {"abs_tol": -1.0},
             {"abs_tol": math.nan},
             {"abs_tol": math.inf},
-            {"truncation_sigmas": 4.0},
-            {"truncation_sigmas": math.nan},
-            {"truncation_sigmas": math.inf},
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
@@ -352,7 +359,7 @@ def filter_norm(spectrum, weight, quad=QuadratureSpec(rel_tol=1e-10)):
         w = np.broadcast_to(weight(k[:, None], th_nodes[None, :]), (k.size, th_nodes.size))
         return 2.0 * math.pi * k**2 * eval_g(spectrum, k) * (w @ ang)
 
-    return 1.0 / integrate_1d(radial, *spectrum.radial_support(quad.truncation_sigmas), quad, vectorized=True).value
+    return 1.0 / integrate_1d(radial, spectrum.kmin, spectrum.kmax, quad, vectorized=True).value
 
 
 class TestFilter:
@@ -383,11 +390,11 @@ class TestFilter:
         n_f = filter_norm(s0, w)
         # the filtered line is the model's Gaussian of width (dk^-2 + sigma^-2)^(-1/2)
         s1 = SpectrumModel(s0.k_c, (s0.dk_ph**-2 + sigma**-2) ** -0.5)
-        kk = np.linspace(*s0.radial_support(6.0), 97)
+        kk = np.linspace(*window(s0, 6.0), 97)
         np.testing.assert_allclose(n_f * w(kk, 0.0) * eval_g(s0, kk), eval_g(s1, kk), rtol=1e-8)
 
         def k_variance(density):
-            kn, kw = gauss_legendre_panels(*s0.radial_support(10.0), 16, 16)
+            kn, kw = gauss_legendre_panels(*window(s0, 10.0), 16, 16)
             tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
             dens = 2.0 * math.pi * np.einsum("j,ij->i", tw * np.sin(tn), density(kn[:, None], tn[None, :])) * kn**2
             m0 = np.sum(kw * dens)
@@ -406,7 +413,7 @@ class TestScatteredState:
         # density to one, so P(qx, kx) = |psi_ini^(x)(qx + kx)|^2 int dky dkz Gamma
         b = make_beam(3.0)
         s = make_spectrum(0.5)
-        kmin, kmax = s.radial_support(8.0)
+        kmin, kmax = s.kmin, s.kmax
         bn, bw = gauss_legendre_panels(0.0, 2.0 * math.pi, 8, 16)
         for qx, kx in ((8.0, -9.0), (-1.0, 2.0), (-6.0, 7.5)):
             rn, rw = gauss_legendre_panels(math.sqrt(max(kmin**2 - kx**2, 0.0)), math.sqrt(kmax**2 - kx**2), 16, 16)

@@ -6,7 +6,7 @@ import pytest
 from clpair import DomainError
 from clpair.distributions import momentum_grid, photon_marginal_kx
 from clpair.errors import ResolutionError
-from clpair.measures import PURITY_QUAD, purity_sc
+from clpair.measures import purity_sc
 from clpair.model import QuadratureSpec, psi_ini_x_sq
 from clpair.oracles import (
     OracleReport,
@@ -42,7 +42,7 @@ class TestMcPurity:
 
     def test_primary_value_uses_given_quadrature(self, make_beam, make_spectrum):
         b, s = make_beam(1.0), make_spectrum(3.0)
-        quad = QuadratureSpec(rel_tol=1e-3, abs_tol=5e-4, truncation_sigmas=5.0)
+        quad = QuadratureSpec(rel_tol=1e-3, abs_tol=5e-4)
         assert mc_purity(b, s, n=20_000, quad=quad).value == purity_sc(b, s, quad)
 
     def test_stderr_scaling(self, make_beam, make_spectrum):
@@ -65,7 +65,7 @@ class TestMcPurity:
         # from the x and y components
         b, s = make_beam(dq_perp), make_spectrum(dk)
         n, seed = 20_000, 7
-        sampler = GammaSampler(s, PURITY_QUAD)
+        sampler = GammaSampler(s)
         rng = np.random.default_rng(seed)
         cart = []
         for _ in range(2):
@@ -101,14 +101,14 @@ class TestSchmidt1D:
         # the Gram-matrix purity against the singular values of the
         # amplitude, on the grids the oracle suite uses
         b, s = make_beam(dq_perp), make_spectrum(dk)
-        kmax = s.radial_support(PURITY_QUAD.truncation_sigmas)[1]
+        kmax = s.kmax
         kx = np.linspace(-kmax, kmax, 512)
         span = 6.0 * dq_perp + kmax
         qx = np.linspace(-span, span, int(np.clip(math.ceil(2.0 * span / (dq_perp / 9.0)), 64, 3000)))
-        g = photon_marginal_kx(s, kx, PURITY_QUAD)
+        g = photon_marginal_kx(s, kx)
         amp = np.sqrt(psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :]) * g) * math.sqrt((qx[1] - qx[0]) * (kx[1] - kx[0]))
         s2 = np.linalg.svd(amp, compute_uv=False) ** 2
-        rep = schmidt_purity_1d(dq_perp, lambda k: photon_marginal_kx(s, k, PURITY_QUAD), kx, qx)
+        rep = schmidt_purity_1d(dq_perp, lambda k: photon_marginal_kx(s, k), kx, qx)
         assert rep.oracle_value == pytest.approx(float(np.sum(s2**2) / np.sum(s2) ** 2), abs=1e-13)
 
     def test_coarse_q_grid_rejected(self):

@@ -10,6 +10,7 @@ from clpair import ConvergenceError, DomainError, SpectrumModel
 from clpair.model import QuadratureSpec, eval_g
 from clpair.quadrature import GammaSampler, gauss_legendre_panels
 
+from conftest import window
 from reference_quadrature import integrate_1d
 
 
@@ -29,7 +30,7 @@ class TestIntegrate1D:
 
     def test_spectrum_normalization(self):
         s = SpectrumModel(12.566, 1.0)
-        res = integrate_1d(lambda k: k**2 * eval_g(s, k), *s.radial_support(10.0), vectorized=True)
+        res = integrate_1d(lambda k: k**2 * eval_g(s, k), *window(s, 10.0), vectorized=True)
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
     def test_error_estimate_bounds_true_error(self):
@@ -71,7 +72,7 @@ class TestGammaSampler:
         sampler = GammaSampler(s)
         rng = np.random.default_rng(11)
         k, _, _ = sampler.sample_spherical(200_000, rng)
-        num, _ = quad(lambda kk: kk**3 * eval_g(s, kk), *s.radial_support(8.0), points=[s.k_c], epsabs=1e-12)
+        num, _ = quad(lambda kk: kk**3 * eval_g(s, kk), s.kmin, s.kmax, points=[s.k_c], epsabs=1e-12)
         assert np.mean(k) == pytest.approx(num, abs=4.0 * np.std(k) / math.sqrt(200_000))
 
     def test_determinism(self):
