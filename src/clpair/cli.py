@@ -11,6 +11,11 @@ evaluates its cells in row-major order in one process; `--threads` is
 accepted on `sweep` and `regime-map` and ignored. Exit codes: 0 success,
 1 cell or oracle failure, 2 configuration error; `_Main.invoke` maps
 errors to them for every command.
+
+The config layer here (`SweepAxes`, `RunConfig`, `load_config`,
+`dump_config`, `csv_to_rows`) and `render` use no numpy. A command
+imports its numerical modules only once its config has been read and
+checked, so `render`, `--help` and a config error never load numpy.
 """
 
 from __future__ import annotations
@@ -27,34 +32,31 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
-import numpy as np
 
 from . import __version__
 from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, TWO_PI
 from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
-from .measures import (
-    PURITY_QUAD,
-    MeasureResult,
-    RegimeThresholds,
-    _point_result,
-    evaluate_point,
-    purity_sc,
-    purity_z,
-)
 from .model import (
+    PURITY_QUAD,
     BeamParams,
     PhaseModel,
     PolarLinearPhase,
     QuadratureSpec,
     RadialDkPhase,
     RadialKcPhase,
+    RegimeThresholds,
     SpectrumModel,
     ZeroPhase,
     wavelength_to_wavenumbers,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .measures import MeasureResult
 
 CSV_HEADER = [
     "dq_perp_um_inv",
@@ -90,9 +92,13 @@ class SweepAxes:
                 raise ConfigError("sweep steps must be at least 2")
 
     def dq_perp_values(self) -> np.ndarray:
+        import numpy as np
+
         return np.logspace(math.log10(self.dq_perp_min), math.log10(self.dq_perp_max), self.dq_perp_steps)
 
     def dk_ph_values(self) -> np.ndarray:
+        import numpy as np
+
         return np.logspace(math.log10(self.dk_ph_min), math.log10(self.dk_ph_max), self.dk_ph_steps)
 
 
@@ -337,6 +343,8 @@ def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float, p_z: dict) -> dict:
     that did not converge, its last two estimates; these keys go to the
     JSON record only, not to the CSV.
     """
+    from .measures import _point_result, purity_sc, purity_z
+
     base = {"dq_perp_um_inv": dq_perp, "dk_ph_um_inv": dk_ph}
     try:
         beam, spectrum, phase = cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase()
@@ -421,6 +429,8 @@ def write_grid_csv(grid, stream) -> None:
     number as its shortest round-trip repr. No field holds a comma, quote
     or newline, so the lines are what csv.writer would write, without its
     quoting pass."""
+    import numpy as np
+
     from ._floatrepr import repr_rows
 
     stream.write(f"{grid.axis1_name}\\{grid.axis2_name}," + repr_rows(grid.axis2[None, :]))
@@ -477,7 +487,8 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
     return {
         "package_version": __version__,
         "python_version": platform.python_version(),
-        "numpy_version": np.__version__,
+        # every command that writes provenance has loaded numpy by now
+        "numpy_version": sys.modules["numpy"].__version__,
         "wall_seconds": time.perf_counter() - click.get_current_context().meta[_STARTED],
         "config_hash": config_hash(cfg),
         "config": dump_config(cfg),
@@ -540,6 +551,8 @@ def measure(config_path, out):
     """Evaluate all diagnostics at the configured single point."""
     cfg = load_config(config_path)
     beam = cfg.beam()
+    from .measures import evaluate_point
+
     row = {
         "dq_perp_um_inv": beam.dq_perp,
         "dk_ph_um_inv": cfg.dk_ph,
@@ -575,10 +588,10 @@ def sweep(config_path, out):
 @_out_opt
 def dist(config_path, out):
     """Emit the joint momentum and joint position distribution grids."""
-    from .distributions import joint_position, momentum_grid
-
     cfg = load_config(config_path)
     beam, spectrum = cfg.beam(), cfg.spectrum()
+    from .distributions import joint_position, momentum_grid
+
     # one grid at a time: each is built, written and summarized, then
     # dropped before the next is built. The position grid goes first, so
     # that a failure in joint_position leaves no CSV behind.
@@ -617,13 +630,14 @@ def regime_map(config_path, out):
 @_out_opt
 def validate(config_path, seed, out):
     """Run the oracle suite at the configured point."""
-    from .oracles import run_suite
-
     cfg = load_config(config_path)
     # the override meets the same checks as [quadrature] mc_seed; the
     # provenance keeps the config as written, with the seed beside it
     seed = (cfg if seed is None else replace(cfg, mc_seed=seed)).mc_seed
-    reports = run_suite(cfg.beam(), cfg.spectrum(), cfg.quadrature, seed=seed, mc_samples=cfg.mc_samples)
+    beam = cfg.beam()
+    from .oracles import run_suite
+
+    reports = run_suite(beam, cfg.spectrum(), cfg.quadrature, seed=seed, mc_samples=cfg.mc_samples)
     out_path = _out_dir(cfg, out)
     payload = _provenance(
         cfg,
@@ -678,7 +692,7 @@ def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
         raise ConfigError("sweep CSV does not cover a full rectangular grid")
 
     def grid_of(key):
-        return np.array([[_as_float(index[(x, y)][key]) for y in ys] for x in xs])
+        return [[_as_float(index[(x, y)][key]) for y in ys] for x in xs]
 
     d2 = grid_of("d2")
     purity = grid_of("purity_sc")
@@ -689,7 +703,7 @@ def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
     ]
     if field_name == "regime":
         cats = [str(index[(x, y)]["regime"]) for x in xs for y in ys]
-        return render_heatmap(xs, ys, np.zeros((len(xs), len(ys))), field_name, contours=contours, categories=cats)
+        return render_heatmap(xs, ys, [[0.0] * len(ys) for _ in xs], field_name, contours=contours, categories=cats)
     values = grid_of(field_name)
     return render_heatmap(xs, ys, values, field_name, contours=contours)
 

@@ -260,6 +260,15 @@ def _diagonal_sums(h: np.ndarray) -> np.ndarray:
     return c
 
 
+def _t_at_lags(c: np.ndarray, modes: np.ndarray, lags: np.ndarray, h: float) -> np.ndarray:
+    """T(s) = sum_m c_m cos(modes_m s) at s = lags * h, _LAG_BLOCK lags at a time."""
+    t = np.empty(lags.size)
+    for i in range(0, lags.size, _LAG_BLOCK):
+        phase = np.multiply.outer(lags[i : i + _LAG_BLOCK] * h, modes)
+        t[i : i + _LAG_BLOCK] = np.cos(phase, out=phase) @ c
+    return t
+
+
 def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     """P(x_el, x_ph) (um^-2) with the photonic phase neglected.
 
@@ -294,14 +303,16 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
     x_el = np.arange(-i_el, i_el + 1) * (m_el * h)
     x_ph = np.arange(-i_ph, i_ph + 1) * (m_ph * h)
-    lag_max = i_el * m_el + i_ph * m_ph
-    t_half = np.empty(lag_max + 1)
-    for s in range(0, lag_max + 1, _LAG_BLOCK):
-        phase = np.multiply.outer(np.arange(s, min(s + _LAG_BLOCK, lag_max + 1)) * h, modes)
-        t_half[s : s + _LAG_BLOCK] = np.cos(phase, out=phase) @ c
-    t_lat = np.concatenate([t_half[:0:-1], t_half])
-    lag_idx = (np.arange(-i_el, i_el + 1)[:, None] * m_el - np.arange(-i_ph, i_ph + 1)[None, :] * m_ph) + lag_max
-    t = t_lat[lag_idx]
+    # |x_el - x_ph| in units of h at every grid point; T is even, so it is
+    # evaluated once at each distinct |lag| the grid holds, ascending
+    lag = np.arange(-i_el, i_el + 1)[:, None] * m_el - np.arange(-i_ph, i_ph + 1)[None, :] * m_ph
+    np.abs(lag, out=lag)
+    used = np.zeros(i_el * m_el + i_ph * m_ph + 1, dtype=bool)
+    used[lag] = True
+    t = _t_at_lags(c, modes, np.flatnonzero(used), h)
+    # the rank of each |lag| among the used ones indexes its T
+    rank = np.cumsum(used) - 1
+    t = t[np.take(rank, lag, out=lag)]
     dens = (beam.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * beam.dq_perp**2 * x_el[:, None] ** 2) * t
     floor = float(np.min(dens))
     if floor < -1e-9:

@@ -17,20 +17,17 @@ import numpy as np
 from .constants import TWO_PI
 from .errors import ConvergenceError, DomainError
 from .model import (
+    PURITY_QUAD,
     BeamParams,
     PhaseModel,
     QuadratureSpec,
+    RegimeThresholds,
     SpectrumModel,
     ZeroPhase,
     eval_g,
     gamma_cartesian_derivatives,
 )
 from .quadrature import gauss_legendre_panels
-
-#: Default tolerances for the purity quadrature. The refinement check is
-#: absolute-dominated: the Monte Carlo oracle at 1e6 samples resolves
-#: purity to a few 1e-4, so tighter defaults would buy nothing it can see.
-PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
 
 # t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
 # 1e-21, is t = 7/b, but the sum stops at the first panel edge past which
@@ -66,18 +63,6 @@ class Regime(enum.Enum):
     B = "B"  # particle-like: entangled by purity only
     C = "C"  # classical: neither measure detects entanglement
     ANOMALOUS = "anomalous"  # purity above threshold yet D^2 < 1; not in the taxonomy
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    purity_threshold: float = 2.0 / 3.0
-    epr_threshold: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.purity_threshold < 1.0:
-            raise DomainError(f"purity threshold must lie in (0, 1), got {self.purity_threshold!r}")
-        if not 0.0 < self.epr_threshold < math.inf:
-            raise DomainError(f"epr threshold must be positive and finite, got {self.epr_threshold!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ in keV. The luminescence spectrum is a Gaussian in |k| centered at k_c
 with width dk_ph, times the transition-radiation angular profile
 (15/8pi) (sin(theta) cos(theta))^2, normalized so that the full 3D
 integral of the density is one.
+
+The parameter types, kinematics and checks use only `math`, so building a
+run's parameters loads no numpy; the densities and phase gradients, which
+take arrays, import it when they are called.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Optional, Union
 
 from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TRUNCATION_SIGMAS, TWO_PI
 from .errors import DomainError, SingularPointError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +104,8 @@ def psi_ini_x_sq(dq_perp: float, qx, out: Optional[np.ndarray] = None) -> np.nda
     """|psi_ini^(x)(qx)|^2 (um), the normalized 1D transverse momentum
     density of an electron beam of transverse width `dq_perp`, written to
     `out` (which may be `qx` itself) or to a new array."""
+    import numpy as np
+
     qx = np.asarray(qx, dtype=float)
     # one output buffer, built in place; x^2 / (-c) is the same double as
     # -(x^2) / c, since negation is exact
@@ -138,12 +145,16 @@ class SpectrumModel:
 
 def eval_g(spectrum: SpectrumModel, k) -> np.ndarray:
     """Radial factor g(k) = N_g exp(-(k - k_c)^2 / (2 dk^2)) (um^3)."""
+    import numpy as np
+
     k = np.asarray(k, dtype=float)
     return spectrum.n_g * np.exp(-((k - spectrum.k_c) ** 2) / (2.0 * spectrum.dk_ph**2))
 
 
 def eval_f(theta) -> np.ndarray:
     """Angular profile f(theta) = (15/8pi) (sin theta cos theta)^2 (sr^-1)."""
+    import numpy as np
+
     theta = np.asarray(theta, dtype=float)
     return ANGULAR_NORM * (np.sin(theta) * np.cos(theta)) ** 2
 
@@ -155,6 +166,8 @@ def eval_gamma(spectrum: SpectrumModel, k, theta) -> np.ndarray:
 
 def eval_gamma_cartesian(spectrum: SpectrumModel, k_vec) -> np.ndarray:
     """Gamma evaluated at Cartesian wavevector(s), shape (..., 3)."""
+    import numpy as np
+
     k_vec = np.asarray(k_vec, dtype=float)
     kx, ky, kz = k_vec[..., 0], k_vec[..., 1], k_vec[..., 2]
     k = np.sqrt(kx**2 + ky**2 + kz**2)
@@ -169,6 +182,8 @@ def gamma_cartesian_derivatives(spectrum: SpectrumModel, k_vec):
     shape. Analytic chain rule through (k, theta); exact on the model
     family.
     """
+    import numpy as np
+
     k_vec = np.asarray(k_vec, dtype=float)
     kx, ky, kz = (np.array(k_vec[..., i], dtype=float) for i in range(3))
     k = np.sqrt(kx**2 + ky**2 + kz**2)
@@ -238,6 +253,8 @@ class ZeroPhase:
 
     def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
         """(d eta/d k_x)^2 + (d eta/d k_y)^2 at (k, theta), here zero."""
+        import numpy as np
+
         return np.zeros(np.broadcast(k, theta).shape)
 
 
@@ -262,6 +279,8 @@ class PolarLinearPhase:
 
     def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
         """(d eta/d k_x)^2 + (d eta/d k_y)^2 = (a cos(theta) / k)^2."""
+        import numpy as np
+
         return (14.0 * self.xi1 / 3.0) * (np.cos(theta) / k) ** 2
 
 
@@ -281,6 +300,8 @@ class _RadialPhase:
 
     def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
         """(d eta/d k_x)^2 + (d eta/d k_y)^2 = (xi2 / s^2) sin^2(theta)."""
+        import numpy as np
+
         _, theta = np.broadcast_arrays(k, theta)
         return (self.xi2 / getattr(spectrum, self._SCALE) ** 2) * np.sin(theta) ** 2
 
@@ -303,7 +324,7 @@ PhaseModel = Union[ZeroPhase, PolarLinearPhase, RadialKcPhase, RadialDkPhase]
 
 
 # ---------------------------------------------------------------------------
-# quadrature control
+# quadrature control and regime thresholds
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -318,3 +339,23 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if not 0.0 <= self.abs_tol < math.inf:
             raise DomainError(f"abs_tol must be non-negative and finite, got {self.abs_tol!r}")
+
+
+#: Default tolerances for the purity quadrature. The refinement check is
+#: absolute-dominated: the Monte Carlo oracle at 1e6 samples resolves
+#: purity to a few 1e-4, so tighter defaults would buy nothing it can see.
+PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
+
+
+@dataclass(frozen=True)
+class RegimeThresholds:
+    """Thresholds of the A/B/C regime classification."""
+
+    purity_threshold: float = 2.0 / 3.0
+    epr_threshold: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.purity_threshold < 1.0:
+            raise DomainError(f"purity threshold must lie in (0, 1), got {self.purity_threshold!r}")
+        if not 0.0 < self.epr_threshold < math.inf:
+            raise DomainError(f"epr threshold must be positive and finite, got {self.epr_threshold!r}")

@@ -17,8 +17,9 @@ import numpy as np
 from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED
 from .distributions import N_KX, JointGrid, joint_position, momentum_grid, photon_marginal_kx
 from .errors import DomainError, ResolutionError
-from .measures import PURITY_QUAD, purity_sc, rel_pos_variance_closed, total_wavevector_variance
+from .measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
 from .model import (
+    PURITY_QUAD,
     BeamParams,
     QuadratureSpec,
     SpectrumModel,
@@ -128,7 +129,9 @@ def schmidt_purity_1d(
     if sig_g > 0.0 and dk > sig_g / 8.0:
         raise ResolutionError("k grid under-resolves the spectral marginal")
 
-    amp = psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :])
+    # one n_q x n_k buffer: the sum q + k, turned into the amplitude in place
+    amp = qx[:, None] + kx[None, :]
+    psi_ini_x_sq(dq_perp, amp, out=amp)
     np.sqrt(amp, out=amp)
     amp *= np.sqrt(np.maximum(gk, 0.0))
     amp *= math.sqrt(dq * dk)
@@ -136,17 +139,20 @@ def schmidt_purity_1d(
     # of amp^T amp, so sum(s^2) is its trace and sum(s^4) its squared
     # Frobenius norm: no SVD is needed
     gram = amp.T @ amp
-    schmidt = float(np.sum(gram * gram) / np.trace(gram) ** 2)
+    del amp
+    trace = np.trace(gram)
+    schmidt = float(np.sum(np.square(gram, out=gram)) / trace**2)
+    del gram
 
-    overlap = float(
-        np.sum(
-            gk[:, None]
-            * gk[None, :]
-            * np.exp(-((kx[:, None] - kx[None, :]) ** 2) / (4.0 * dq_perp**2))
-        )
-        * dk
-        * dk
-    )
+    # G(k) G(k') exp(-(k - k')^2 / (4 dq_perp^2)), built in place in one
+    # n_k x n_k buffer
+    pairs = np.subtract.outer(kx, kx)
+    np.square(pairs, out=pairs)
+    np.negative(pairs, out=pairs)
+    pairs /= 4.0 * dq_perp**2
+    np.exp(pairs, out=pairs)
+    pairs *= np.multiply.outer(gk, gk)
+    overlap = float(np.sum(pairs) * dk * dk)
     return OracleReport.compare(
         "schmidt_purity_1d", overlap, schmidt, 1e-3, n_q=qx.size, n_k=kx.size
     )

@@ -64,15 +64,28 @@ class GammaSampler:
         order = np.argsort(u)
         k = u[order]
         k[order] = np.interp(k, self._cdf, self._ktab)
+        del u, order
+        # the rejection test y < sin^3 cos^2 and phi are computed in place,
+        # the same operations in the same order as the plain expressions
         theta = np.empty(n)
         filled = 0
         while filled < n:
             m = n - filled
-            cand = rng.random(m) * math.pi
-            y = rng.random(m) * self._theta_bound
-            acc = cand[y < np.sin(cand) ** 3 * np.cos(cand) ** 2]
+            cand = rng.random(m)
+            cand *= math.pi
+            y = rng.random(m)
+            y *= self._theta_bound
+            bound = np.sin(cand)
+            bound **= 3
+            cos2 = np.cos(cand)
+            np.square(cos2, out=cos2)
+            bound *= cos2
+            del cos2
+            acc = cand[y < bound]
             take = min(len(acc), m)
             theta[filled : filled + take] = acc[:take]
             filled += take
-        phi = rng.random(n) * 2.0 * math.pi
+        phi = rng.random(n)
+        phi *= 2.0
+        phi *= math.pi
         return k, theta, phi

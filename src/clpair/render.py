@@ -3,7 +3,8 @@
 Produces self-contained SVG 1.1 documents: log-log heatmaps of any
 sweep field with per-cell rectangles, optional iso-contours (marching
 squares on cell centers), and a color legend. Pure functions of their
-inputs — identical inputs give identical documents.
+inputs — identical inputs give identical documents. Plain Python on
+`math` and lists: the grids are small, and `render` loads no numpy.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -56,32 +55,42 @@ def _color(t: float) -> str:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    values: np.ndarray  # same shape as the heatmap values
+    values: Sequence[Sequence[float]]  # same shape as the heatmap values
     level: float
     color: str
     label: str
 
 
-def _edges(log_centers: np.ndarray) -> np.ndarray:
+def _edges(log_centers: list) -> list:
     """Cell edges around log-spaced centers (midpoints, clamped ends)."""
     c = log_centers
-    if c.size == 1:
-        return np.array([c[0] - 0.5, c[0] + 0.5])
-    mid = 0.5 * (c[:-1] + c[1:])
-    return np.concatenate([[c[0] - (mid[0] - c[0])], mid, [c[-1] + (c[-1] - mid[-1])]])
+    if len(c) == 1:
+        return [c[0] - 0.5, c[0] + 0.5]
+    mid = [0.5 * (a + b) for a, b in zip(c, c[1:])]
+    return [c[0] - (mid[0] - c[0]), *mid, c[-1] + (c[-1] - mid[-1])]
+
+
+def _grid(values, nx: int, ny: int, what: str) -> list:
+    """`values` (an array or nested sequences) as nx lists of ny floats."""
+    try:
+        rows = [[float(v) for v in row] for row in values]
+    except TypeError:  # a row that is a number, not a sequence
+        rows = []
+    if len(rows) != nx or any(len(row) != ny for row in rows):
+        raise DomainError(f"{what} shape must be (len(x_values), len(y_values))")
+    return rows
 
 
 def _marching_squares(xc, yc, vals, level):
     """Line segments of the iso-contour on the cell-center lattice."""
     segs = []
-    nx, ny = vals.shape
-    for i in range(nx - 1):
-        for j in range(ny - 1):
+    for i in range(len(xc) - 1):
+        for j in range(len(yc) - 1):
             corners = [
-                (xc[i], yc[j], vals[i, j]),
-                (xc[i + 1], yc[j], vals[i + 1, j]),
-                (xc[i + 1], yc[j + 1], vals[i + 1, j + 1]),
-                (xc[i], yc[j + 1], vals[i, j + 1]),
+                (xc[i], yc[j], vals[i][j]),
+                (xc[i + 1], yc[j], vals[i + 1][j]),
+                (xc[i + 1], yc[j + 1], vals[i + 1][j + 1]),
+                (xc[i], yc[j + 1], vals[i][j + 1]),
             ]
             if any(not math.isfinite(c[2]) for c in corners):
                 continue
@@ -100,27 +109,26 @@ def _marching_squares(xc, yc, vals, level):
 def render_heatmap(
     x_values: Sequence[float],
     y_values: Sequence[float],
-    values: np.ndarray,
+    values: Sequence[Sequence[float]],
     field: str,
     contours: Sequence[ContourSpec] = (),
     categories: Optional[Sequence[str]] = None,
 ) -> str:
     """SVG heatmap of `values` over log-log axes (x_values, y_values).
 
-    `values` has shape (len(x_values), len(y_values)). If `categories`
-    is given, `values` is ignored for coloring and cells are painted by
-    category name (flattened row-major); otherwise a continuous ramp is
-    used, logarithmic for fields in LOG_FIELDS. NaN cells render grey.
+    `values` has shape (len(x_values), len(y_values)), as an array or
+    as nested sequences. If `categories` is given, `values` is ignored
+    for coloring and cells are painted by category name (flattened
+    row-major); otherwise a continuous ramp is used, logarithmic for
+    fields in LOG_FIELDS. NaN cells render grey.
     """
-    x = np.asarray(x_values, dtype=float)
-    y = np.asarray(y_values, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if v.shape != (x.size, y.size):
-        raise DomainError("values shape must be (len(x_values), len(y_values))")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
+    x = [float(u) for u in x_values]
+    y = [float(u) for u in y_values]
+    v = _grid(values, len(x), len(y), "values")
+    if any(not u > 0.0 for u in (*x, *y)):
         raise DomainError("log-log axes require positive coordinates")
 
-    lx, ly = np.log10(x), np.log10(y)
+    lx, ly = [math.log10(u) for u in x], [math.log10(u) for u in y]
     xe, ye = _edges(lx), _edges(ly)
     ml, mr, mt, mb = 70, 110, 30, 55
     pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
@@ -131,11 +139,11 @@ def render_heatmap(
     def sy(u):
         return mt + (ye[-1] - u) / (ye[-1] - ye[0]) * ph
 
-    finite = v[np.isfinite(v)]
-    use_log = field in LOG_FIELDS and finite.size > 0 and np.all(finite > 0.0)
-    if finite.size:
-        tv = np.log10(finite) if use_log else finite
-        vmin, vmax = float(np.min(tv)), float(np.max(tv))
+    finite = [u for row in v for u in row if math.isfinite(u)]
+    use_log = field in LOG_FIELDS and len(finite) > 0 and all(u > 0.0 for u in finite)
+    if finite:
+        tv = [math.log10(u) for u in finite] if use_log else finite
+        vmin, vmax = min(tv), max(tv)
     else:
         vmin, vmax = 0.0, 1.0
     vspan = vmax - vmin
@@ -147,17 +155,19 @@ def render_heatmap(
     ]
     cats = None
     if categories is not None:
-        cats = np.asarray(categories, dtype=object).reshape(x.size, y.size)
-    for i in range(x.size):
-        for j in range(y.size):
+        cats = [str(c) for c in categories]
+        if len(cats) != len(x) * len(y):
+            raise DomainError("categories must hold len(x_values) * len(y_values) names")
+    for i in range(len(x)):
+        for j in range(len(y)):
             if cats is not None:
-                fill = REGIME_COLORS.get(str(cats[i, j]), "#808080")
-            elif not math.isfinite(v[i, j]):
+                fill = REGIME_COLORS.get(cats[i * len(y) + j], "#808080")
+            elif not math.isfinite(v[i][j]):
                 fill = "#808080"
             elif vspan == 0.0:
                 fill = _color(0.5)
             else:
-                t = (math.log10(v[i, j]) if use_log else v[i, j]) - vmin
+                t = (math.log10(v[i][j]) if use_log else v[i][j]) - vmin
                 fill = _color(t / vspan)
             x0, x1 = sx(xe[i]), sx(xe[i + 1])
             y1, y0 = sy(ye[j]), sy(ye[j + 1])
@@ -166,9 +176,7 @@ def render_heatmap(
             )
 
     for spec in contours:
-        cv = np.asarray(spec.values, dtype=float)
-        if cv.shape != v.shape:
-            raise DomainError("contour grid shape must match the heatmap")
+        cv = _grid(spec.values, len(x), len(y), "contour grid")
         for (xa, ya), (xb, yb) in _marching_squares(lx, ly, cv, spec.level):
             out.append(
                 f'<line x1="{sx(xa):.2f}" y1="{sy(ya):.2f}" x2="{sx(xb):.2f}" y2="{sy(yb):.2f}" '
@@ -205,7 +213,7 @@ def render_heatmap(
     # legend
     lg_x = _WIDTH - mr + 18
     if cats is not None:
-        used = sorted({str(c) for c in cats.ravel()})
+        used = sorted(set(cats))
         for n, name in enumerate(used):
             yy = mt + 18 * n
             out.append(

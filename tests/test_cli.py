@@ -32,7 +32,7 @@ from clpair.cli import (
 from clpair.distributions import JointGrid
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase
-from conftest import src_env
+from conftest import PLANE_CSV, src_env
 from reference_grid_csv import write_grid_csv_per_value
 
 BASE_INI = """\
@@ -272,16 +272,16 @@ class TestSweepFailures:
         ids=["consistency", "resolution", "convergence"],
     )
     def test_failed_cell_keeps_reason(self, runner, tmp_path, monkeypatch, exc):
-        import clpair.cli as cli
+        import clpair.measures as measures
 
-        real = cli.purity_sc
+        real = measures.purity_sc
 
         def flaky(beam, spectrum, *args):
             if beam.dq_perp == 1.0 and spectrum.dk_ph == 0.5:
                 raise exc
             return real(beam, spectrum, *args)
 
-        monkeypatch.setattr(cli, "purity_sc", flaky)
+        monkeypatch.setattr(measures, "purity_sc", flaky)
         out = tmp_path / "o"
         res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
         assert res.exit_code == 1, res.output
@@ -302,16 +302,16 @@ class TestSweepFailures:
         assert all(len(line.split(",")) == len(CSV_HEADER) for line in lines)
 
     def test_regime_map_names_failed_cells(self, runner, tmp_path, monkeypatch):
-        import clpair.cli as cli
+        import clpair.measures as measures
 
-        real = cli.purity_sc
+        real = measures.purity_sc
 
         def flaky(beam, spectrum, *args):
             if beam.dq_perp == 10.0 and spectrum.dk_ph == 2.0:
                 raise ResolutionError("grid too coarse")
             return real(beam, spectrum, *args)
 
-        monkeypatch.setattr(cli, "purity_sc", flaky)
+        monkeypatch.setattr(measures, "purity_sc", flaky)
         out = tmp_path / "o"
         res = runner.invoke(main, ["regime-map", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
         assert res.exit_code == 1, res.output
@@ -321,31 +321,31 @@ class TestSweepFailures:
 
     def test_purity_z_once_per_column(self, tmp_path, monkeypatch):
         import clpair.cli as cli
-        from clpair.measures import evaluate_point
+        import clpair.measures as measures
 
         calls = []
-        real = cli.purity_z
+        real = measures.purity_z
 
         def counting(beam, spectrum, *args):
             calls.append(spectrum.dk_ph)
             return real(beam, spectrum, *args)
 
-        monkeypatch.setattr(cli, "purity_z", counting)
+        monkeypatch.setattr(measures, "purity_z", counting)
         cfg = load_config(write(tmp_path, SWEEP_INI))
         rows = run_sweep(cfg)
         assert calls == [0.5, 2.0]
         for r in rows:
             dq, dk = r["dq_perp_um_inv"], r["dk_ph_um_inv"]
-            full = cli.result_to_row(evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase(), cfg.thresholds, cfg.quadrature))
+            full = cli.result_to_row(measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase(), cfg.thresholds, cfg.quadrature))
             assert r == {"dq_perp_um_inv": dq, "dk_ph_um_inv": dk, **full}
 
     def test_failed_column_keeps_purity_sc_reason_first(self, tmp_path, monkeypatch):
         # purity_z fails in the dk_ph = 2 column and purity_sc at one of its
         # cells: that cell reports purity_sc, the other cell purity_z, and a
         # failed purity_z is not kept for the next cell of its column
-        import clpair.cli as cli
+        import clpair.measures as measures
 
-        real_sc, calls = cli.purity_sc, []
+        real_sc, calls = measures.purity_sc, []
 
         def flaky_sc(beam, spectrum, *args):
             if beam.dq_perp == 10.0 and spectrum.dk_ph == 2.0:
@@ -356,8 +356,8 @@ class TestSweepFailures:
             calls.append(beam.dq_perp)
             raise ConsistencyError("purity_z failed")
 
-        monkeypatch.setattr(cli, "purity_sc", flaky_sc)
-        monkeypatch.setattr(cli, "purity_z", flaky_z)
+        monkeypatch.setattr(measures, "purity_sc", flaky_sc)
+        monkeypatch.setattr(measures, "purity_z", flaky_z)
         rows = run_sweep(load_config(write(tmp_path, SWEEP_INI)))
         errors = {(r["dq_perp_um_inv"], r["dk_ph_um_inv"]): r["error"] for r in rows}
         assert errors == {
@@ -514,6 +514,117 @@ class TestRuntimeImports:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == str(sorted(["clpair._floatrepr", "clpair.distributions"]))
 
+    def test_no_numpy_before_numerical_work(self, tmp_path):
+        # `render`, `--help`, and a config error in any command, whether in
+        # the file or found once it is read, exit before anything computes:
+        # none of them loads numpy, and neither does importing the package
+        import subprocess
+        import sys
+
+        (tmp_path / "sweep.csv").write_text(PLANE_CSV)
+        good = write(tmp_path, BASE_INI, "good.ini")
+        bad = write(tmp_path, SWEEP_INI.replace("l_par_um = 1.3", "l_par_um = 1.3\ndq_par_um_inv = 4.8"), "bad.ini")
+        no_dq_perp = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0\n", ""), "no_dq_perp.ini")
+        out = ["--out", str(tmp_path)]
+        # (argv, exit status)
+        calls = [
+            (["--help"], 0),
+            (["render", "--config", good, "--field", "d2", *out], 0),
+            (["render", "--config", good, "--field", "regime", *out], 0),
+            *(([cmd, "--config", bad, *out], 2) for cmd in ("measure", "sweep", "dist", "regime-map", "validate")),
+            (["render", "--config", bad, "--field", "d2", *out], 2),
+            *(([cmd, "--config", no_dq_perp, *out], 2) for cmd in ("measure", "dist", "validate")),
+            *(([cmd, "--config", good, *out], 2) for cmd in ("sweep", "regime-map")),
+            (["render", "--config", good, "--field", "nonesuch", *out], 2),
+        ]
+        code = (
+            "import sys\n"
+            "import clpair\n"
+            "from clpair.cli import main\n"
+            "print('@import', 0, 'numpy' in sys.modules)\n"
+            f"for argv in {[argv for argv, _ in calls]!r}:\n"
+            "    try:\n"
+            "        status = main(argv, standalone_mode=False) or 0\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "    print('@' + argv[0], status, 'numpy' in sys.modules)\n"
+            "import clpair.measures\n"
+            "print('@measures', 0, 'numpy' in sys.modules)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120)
+        assert res.returncode == 0, res.stderr
+        # the last line shows that the check sees numpy once it is loaded
+        expected = [
+            "@import 0 False",
+            *(f"@{argv[0]} {status} False" for argv, status in calls),
+            "@measures 0 True",
+        ]
+        assert [line for line in res.stdout.splitlines() if line.startswith("@")] == expected
+        assert (tmp_path / "render_regime.svg").exists()
+
+    def test_package_names_resolve_lazily(self):
+        import importlib
+        import subprocess
+        import sys
+
+        import clpair
+
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, clpair\nprint('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+        for module, names in self.EXPORTED.items():
+            for name in names:
+                assert name in dir(clpair)
+                assert getattr(clpair, name) is getattr(importlib.import_module(f"clpair.{module}"), name)
+        assert sorted(clpair.__all__) == sorted(["__version__", *(n for names in self.EXPORTED.values() for n in names)])
+        with pytest.raises(AttributeError):
+            clpair.nonesuch
+
+    # every name the package exported when its __init__ imported them all
+    EXPORTED = {
+        "constants": ("ELECTRON_REST_KEV", "HBARC_KEV_UM"),
+        "errors": (
+            "ConfigError",
+            "ConsistencyError",
+            "ConvergenceError",
+            "DomainError",
+            "ResolutionError",
+            "SingularPointError",
+        ),
+        "model": (
+            "BeamParams",
+            "PhaseModel",
+            "PolarLinearPhase",
+            "QuadratureSpec",
+            "RadialDkPhase",
+            "RadialKcPhase",
+            "RegimeThresholds",
+            "SpectrumModel",
+            "ZeroPhase",
+            "derive_kinematics",
+            "eval_gamma",
+            "spectrum_normalization",
+            "wavelength_to_wavenumbers",
+        ),
+        "measures": (
+            "MeasureResult",
+            "Regime",
+            "classify_regime",
+            "evaluate_point",
+            "purity_sc",
+            "purity_z",
+            "rel_pos_variance_closed",
+            "rel_pos_variance_quadrature",
+            "total_wavevector_variance",
+        ),
+    }
+
     @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
     def test_blas_threads_default_to_one(self, preset, expected):
         # importing clpair pins OpenBLAS to one thread unless the
@@ -578,12 +689,12 @@ class TestExitMapping:
         assert "rectangular" in res.output
 
     def test_measure_convergence_failure_exits_1(self, runner, tmp_path, monkeypatch):
-        import clpair.cli as cli
+        import clpair.measures as measures
 
         def fail(*args):
             raise ConvergenceError("purity did not converge", best_estimate=0.25)
 
-        monkeypatch.setattr(cli, "evaluate_point", fail)
+        monkeypatch.setattr(measures, "evaluate_point", fail)
         res = runner.invoke(main, ["measure", "--config", write(tmp_path, BASE_INI), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)

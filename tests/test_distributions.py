@@ -369,7 +369,48 @@ class TestLagBlocks:
         np.testing.assert_array_equal(joint_position(b, s).density, whole.density)
 
     def test_peak_at_wide_beam_narrow_spectrum(self, make_beam, make_spectrum):
-        # the README plane's (100, 0.1) corner has 37,985 lags; in one piece
-        # their 37,985 x 512 cosine matrix and its argument took 298 MiB
+        # the README plane's (100, 0.1) corner spans 37,985 lags; in one
+        # piece their 37,985 x 512 cosine matrix and its argument took 298 MiB
         b, s = make_beam(100.0), make_spectrum(0.1)
         assert _traced_peak(lambda: joint_position(b, s)) <= 32 * 2**20
+
+
+class TestLatticeLags:
+    def test_only_the_lags_the_grid_reads(self, make_beam, make_spectrum, monkeypatch):
+        # at (100, 0.1) the 141 x 143 grid reads 10,082 distinct |lag|s of
+        # the 37,985 up to its largest: T is evaluated at those alone, and
+        # the grid is the one that T at every lag gives, to rounding
+        b, s = make_beam(100.0), make_spectrum(0.1)
+        t_at_lags = distributions._t_at_lags
+        seen = []
+
+        def counting(c, modes, lags, h):
+            seen.append((lags, h))
+            return t_at_lags(c, modes, lags, h)
+
+        def every_lag(c, modes, lags, h):
+            return t_at_lags(c, modes, np.arange(lags[-1] + 1), h)[lags]
+
+        monkeypatch.setattr(distributions, "_t_at_lags", counting)
+        grid = joint_position(b, s)
+        monkeypatch.setattr(distributions, "_t_at_lags", every_lag)
+        full = joint_position(b, s)
+
+        (lags, h), = seen
+        read = np.unique(np.abs(np.rint(np.subtract.outer(grid.axis1, grid.axis2) / h)))
+        np.testing.assert_array_equal(lags, read)
+        assert grid.density.shape == (141, 143) and lags.size == 10_082 and lags[-1] < 37_985
+        np.testing.assert_allclose(grid.density, full.density, rtol=0.0, atol=1e-15 * full.density.max())
+
+    def test_every_lag_read_at_the_benchmark_points(self, make_beam, make_spectrum, monkeypatch):
+        # g0's grid reads every lag up to its largest, 280, so T is
+        # evaluated at the lags 0, 1, ..., 280, as over the whole lattice
+        t_at_lags, seen = distributions._t_at_lags, []
+
+        def counting(c, modes, lags, h):
+            seen.append(lags)
+            return t_at_lags(c, modes, lags, h)
+
+        monkeypatch.setattr(distributions, "_t_at_lags", counting)
+        joint_position(make_beam(0.263474), make_spectrum(0.210945))
+        np.testing.assert_array_equal(seen[0], np.arange(281))

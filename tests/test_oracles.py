@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ class TestMcPurity:
         r1 = mc_purity(b, s, n=50_000, seed=3)
         r2 = mc_purity(b, s, n=200_000, seed=3)
         assert r2.metadata["stderr"] == pytest.approx(r1.metadata["stderr"] / 2.0, rel=0.1)
+
+    def test_traced_peak(self, make_beam, make_spectrum):
+        # two draws of the default 200,000 pairs, each sampled into reused
+        # buffers: 13.8 MiB at (0.3, 1), where a new array for every step
+        # of the theta rejection test and of phi peaked at 16.9 MiB
+        b, s = make_beam(0.3), make_spectrum(1.0)
+        mc_purity(b, s, seed=7)
+        tracemalloc.start()
+        try:
+            mc_purity(b, s, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 2**20
 
     def test_deterministic(self, make_beam, make_spectrum):
         b, s = make_beam(3.0), make_spectrum(1.0)
@@ -110,6 +125,24 @@ class TestSchmidt1D:
         s2 = np.linalg.svd(amp, compute_uv=False) ** 2
         rep = schmidt_purity_1d(dq_perp, lambda k: photon_marginal_kx(s, k), kx, qx)
         assert rep.oracle_value == pytest.approx(float(np.sum(s2**2) / np.sum(s2) ** 2), abs=1e-13)
+
+    def test_traced_peak(self, make_beam, make_spectrum):
+        # at (0.3, 1) on the suite's grids (1342 x 512) the amplitude is one
+        # 5.2 MiB buffer, dropped before the n_k x n_k overlap is built:
+        # 7.3 MiB, where the amplitude's own temporary and the overlap's
+        # made 13.3 MiB
+        b, s = make_beam(0.3), make_spectrum(1.0)
+        kmax = s.kmax
+        kx = np.linspace(-kmax, kmax, 512)
+        span = 6.0 * b.dq_perp + kmax
+        qx = np.linspace(-span, span, int(np.clip(math.ceil(2.0 * span / (b.dq_perp / 9.0)), 64, 3000)))
+        tracemalloc.start()
+        try:
+            schmidt_purity_1d(b.dq_perp, lambda k: photon_marginal_kx(s, k), kx, qx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qx.size == 1342 and peak <= 9 * 2**20
 
     def test_coarse_q_grid_rejected(self):
         kx = np.linspace(-8.0, 8.0, 400)
