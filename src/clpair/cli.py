@@ -2,8 +2,9 @@
 
 Subcommands (one verb per artifact): `measure` (single point), `sweep`
 (parameter-plane CSV), `dist` (joint distribution grids), `regime-map`
-(categorical map), `validate` (oracle suite), `render` (SVG from a
-sweep CSV).
+(`sweep`'s CSV and JSON plus `render --field regime`'s SVG), `validate`
+(oracle suite), `render` (SVG from a sweep CSV). `measure`, `sweep` and
+`regime-map` write their rows through one function, `_write_rows`.
 
 The config file is an INI-style key-value document; the only
 environment override is CLPAIR_OUT (output directory). A sweep
@@ -355,12 +356,7 @@ def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float, p_z: dict) -> dict:
     except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
         row = {
             **base,
-            "purity_sc": math.nan,
-            "purity_z": math.nan,
-            "var_rel_pos_um2": math.nan,
-            "var_tot_wv_um_inv2": math.nan,
-            "d2": math.nan,
-            "schmidt_number": math.nan,
+            **dict.fromkeys(CSV_HEADER[2:-2], math.nan),
             "regime": "error",
             "longitudinal_entangled": "",
             "error": str(exc),
@@ -507,6 +503,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_rows(out_path: Path, name: str, cfg: RunConfig, rows: list[dict]) -> str:
+    """Write `<name>.csv` and `<name>.json`: the CSV columns of `rows`, and
+    the provenance with every key of every row, so that a failed cell
+    keeps its reason. Returns the CSV text."""
+    text = rows_to_csv(rows)
+    (out_path / f"{name}.csv").write_text(text)
+    _write_json(out_path / f"{name}.json", _provenance(cfg, rows=[{k: _fmt(v) for k, v in r.items()} for r in rows]))
+    return text
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -558,11 +564,7 @@ def measure(config_path, out):
         "dk_ph_um_inv": cfg.dk_ph,
         **result_to_row(evaluate_point(beam, cfg.spectrum(), cfg.phase(), cfg.thresholds, cfg.quadrature)),
     }
-    text = rows_to_csv([row])
-    out_path = _out_dir(cfg, out)
-    (out_path / "measure.csv").write_text(text)
-    _write_json(out_path / "measure.json", _provenance(cfg, rows=[{k: _fmt(v) for k, v in row.items()}]))
-    click.echo(text, nl=False)
+    click.echo(_write_rows(_out_dir(cfg, out), "measure", cfg, [row]), nl=False)
 
 
 @main.command()
@@ -571,15 +573,20 @@ def measure(config_path, out):
 @_threads_opt
 def sweep(config_path, out):
     """Evaluate the configured parameter-plane sweep to CSV + JSON."""
-    cfg = load_config(config_path)
+    _sweep(load_config(config_path), out, "sweep")
+
+
+def _sweep(cfg: RunConfig, out: Optional[str], name: str, field_name: Optional[str] = None) -> None:
+    """Run the sweep, write `<name>.csv` and `<name>.json`, and render the
+    CSV's `field_name` to `<name>.svg` as `render` does; then name each
+    failed cell and exit 1 if any failed."""
     rows = run_sweep(cfg)
     out_path = _out_dir(cfg, out)
-    (out_path / "sweep.csv").write_text(rows_to_csv(rows))
-    _write_json(
-        out_path / "sweep.json",
-        _provenance(cfg, rows=[{k: _fmt(v) for k, v in r.items()} for r in rows]),
-    )
-    click.echo(f"wrote {len(rows)} cells to {out_path / 'sweep.csv'}")
+    text = _write_rows(out_path, name, cfg, rows)
+    click.echo(f"wrote {len(rows)} cells to {out_path / f'{name}.csv'}")
+    if field_name is not None:
+        (out_path / f"{name}.svg").write_text(_render_csv(text, field_name, cfg))
+        click.echo(f"wrote {out_path / f'{name}.svg'}")
     _report_failures(rows)
 
 
@@ -613,15 +620,8 @@ def dist(config_path, out):
 @_out_opt
 @_threads_opt
 def regime_map(config_path, out):
-    """Sweep the plane and render the categorical regime map SVG."""
-    cfg = load_config(config_path)
-    rows = run_sweep(cfg)
-    out_path = _out_dir(cfg, out)
-    (out_path / "regime_map.csv").write_text(rows_to_csv(rows))
-    svg = _render_rows(rows, "regime", cfg)
-    (out_path / "regime_map.svg").write_text(svg)
-    click.echo(f"wrote {out_path / 'regime_map.svg'}")
-    _report_failures(rows)
+    """Sweep the plane to CSV + JSON and render the categorical regime map SVG."""
+    _sweep(load_config(config_path), out, "regime_map", "regime")
 
 
 @main.command()
@@ -675,14 +675,16 @@ def render(config_path, field_name, input_csv, out):
     src = Path(input_csv) if input_csv else out_path / "sweep.csv"
     if not src.exists():
         raise ConfigError(f"sweep CSV not found at {src}")
-    svg = _render_rows(csv_to_rows(src.read_text()), field_name, cfg)
+    svg = _render_csv(src.read_text(), field_name, cfg)
     (out_path / f"render_{field_name}.svg").write_text(svg)
     click.echo(f"wrote {out_path / f'render_{field_name}.svg'}")
 
 
-def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
+def _render_csv(text: str, field_name: str, cfg: RunConfig) -> str:
+    """The SVG of one field of a sweep CSV, with the threshold contours."""
     from .render import ContourSpec, render_heatmap
 
+    rows = csv_to_rows(text)
     if field_name not in CSV_HEADER[2:]:
         raise ConfigError(f"unknown field {field_name!r}; choose from {CSV_HEADER[2:]}")
     xs = sorted({row["dq_perp_um_inv"] for row in rows})
@@ -692,7 +694,7 @@ def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
         raise ConfigError("sweep CSV does not cover a full rectangular grid")
 
     def grid_of(key):
-        return [[_as_float(index[(x, y)][key]) for y in ys] for x in xs]
+        return [[float(index[(x, y)][key]) for y in ys] for x in xs]
 
     d2 = grid_of("d2")
     purity = grid_of("purity_sc")
@@ -706,13 +708,6 @@ def _render_rows(rows: list[dict], field_name: str, cfg: RunConfig) -> str:
         return render_heatmap(xs, ys, [[0.0] * len(ys) for _ in xs], field_name, contours=contours, categories=cats)
     values = grid_of(field_name)
     return render_heatmap(xs, ys, values, field_name, contours=contours)
-
-
-def _as_float(value) -> float:
-    # a number or a bool; the one string is the empty
-    # longitudinal_entangled of a failed cell in a fresh sweep (a CSV read
-    # back holds a bool there), drawn as false
-    return float(value or 0.0)
 
 
 if __name__ == "__main__":

@@ -196,6 +196,8 @@ class TestCommands:
         assert prov["python_version"] == platform.python_version()
         assert 0.0 < prov["wall_seconds"] < 600.0
         assert "timestamp" not in prov and "scipy_version" not in prov
+        header, line = (tmp_path / "o" / "measure.csv").read_text().splitlines()
+        assert [{k: row[k] for k in CSV_HEADER} for row in prov["rows"]] == [dict(zip(header.split(","), line.split(",")))]
 
     def test_bad_config_exits_2(self, runner, tmp_path):
         cfg = write(tmp_path, BASE_INI.replace("l_par_um = 1.3", ""))
@@ -225,12 +227,34 @@ class TestCommands:
         assert res.exit_code == 2
 
     def test_regime_map(self, runner, tmp_path):
+        # regime-map writes what sweep and then render --field regime write
         cfg = write(tmp_path, SWEEP_INI)
-        out = str(tmp_path / "o")
-        res = runner.invoke(main, ["regime-map", "--config", cfg, "--out", out])
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["regime-map", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, res.output
-        svg = (tmp_path / "o" / "regime_map.svg").read_text()
-        assert svg.startswith("<svg")
+        for argv in (["sweep"], ["render", "--field", "regime"]):
+            res = runner.invoke(main, [*argv, "--config", cfg, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        assert (out / "regime_map.svg").read_text().startswith("<svg")
+        assert (out / "regime_map.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+        assert (out / "regime_map.svg").read_bytes() == (out / "render_regime.svg").read_bytes()
+        mapped, swept = (json.loads((out / f"{name}.json").read_text()) for name in ("regime_map", "sweep"))
+        assert mapped.keys() == swept.keys()
+        assert mapped["config_hash"] == config_hash(load_config(cfg))
+        assert mapped["rows"] == swept["rows"] and len(mapped["rows"]) == 4
+
+    def test_regime_map_csv_renders(self, runner, tmp_path):
+        # the purity and D^2 maps of a regime map come from its CSV
+        cfg = write(tmp_path, SWEEP_INI)
+        out = tmp_path / "o"
+        assert runner.invoke(main, ["regime-map", "--config", cfg, "--out", str(out)]).exit_code == 0
+        svgs = set()
+        for field in ("purity_sc", "d2", "purity_z"):
+            argv = ["render", "--config", cfg, "--input", str(out / "regime_map.csv"), "--field", field, "--out", str(out)]
+            res = runner.invoke(main, argv)
+            assert res.exit_code == 0, res.output
+            svgs.add((out / f"render_{field}.svg").read_text())
+        assert len(svgs) == 3 and all(svg.startswith("<svg") for svg in svgs)
 
     def test_env_out_override(self, runner, tmp_path, monkeypatch):
         cfg = write(tmp_path, BASE_INI)
@@ -318,6 +342,36 @@ class TestSweepFailures:
         assert "cell (10.0, 2.0) failed: grid too coarse" in res.output
         assert res.output.count(" failed: ") == 1
         assert (out / "regime_map.svg").read_text().startswith("<svg")
+
+    def test_regime_map_json_keeps_failed_cell(self, runner, tmp_path, monkeypatch):
+        import clpair.measures as measures
+
+        real = measures.purity_sc
+
+        def flaky(beam, spectrum, *args):
+            if beam.dq_perp == 1.0 and spectrum.dk_ph == 0.5:
+                raise ConvergenceError("did not converge", best_estimate=0.25, previous_estimate=0.5)
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(measures, "purity_sc", flaky)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["regime-map", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "cell (1.0, 0.5) failed: did not converge" in res.output
+        rows = json.loads((out / "regime_map.json").read_text())["rows"]
+        assert len(rows) == 4
+        assert [r for r in rows if r["regime"] == "error"] == [
+            {
+                "dq_perp_um_inv": "1.0",
+                "dk_ph_um_inv": "0.5",
+                **dict.fromkeys(CSV_HEADER[2:-2], "nan"),
+                "regime": "error",
+                "longitudinal_entangled": "",
+                "error": "did not converge",
+                "best_estimate": "0.25",
+                "previous_estimate": "0.5",
+            }
+        ]
 
     def test_purity_z_once_per_column(self, tmp_path, monkeypatch):
         import clpair.cli as cli
@@ -893,3 +947,19 @@ def test_documented_keys_match_the_parser():
     parser_keys = {section: set(names) for section, names in _CONFIG_KEYS.items()}
     assert readme_config_keys() == parser_keys
     assert {section: set(names) for section, names in _DOCUMENTED_KEYS.items()} == parser_keys
+
+
+def readme_section(heading: str) -> str:
+    return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_every_command():
+    # README's CLI block shows each command once, and no other
+    block = readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1] for line in block.splitlines() if line.startswith("clpair ")]
+    assert sorted(commands) == sorted(main.commands)
+
+
+def test_readme_lists_every_script():
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    assert set(re.findall(r"`(\w+\.py)`", readme_section("Scripts"))) == {p.name for p in scripts.glob("*.py")}

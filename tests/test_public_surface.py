@@ -84,6 +84,6 @@ def test_detector():
 
 def test_every_public_name_has_a_caller():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert {"cli", "model", "measures", "regime_map"} <= trees.keys()
+    assert {"cli", "model", "measures"} <= trees.keys()
     # an allowed name that gains a caller leaves the list
     assert unreferenced(trees) == ALLOWED
