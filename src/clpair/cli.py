@@ -32,6 +32,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -128,6 +129,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 <= self.phase_xi < math.inf:
             raise ConfigError(f"[phase] xi must be non-negative and finite, got {self.phase_xi!r}")
+        if self.phase_variant == "zero" and self.phase_xi != 0.0:
+            raise ConfigError(f"[phase] xi = {self.phase_xi!r} needs a variant other than zero")
         if not self.mc_samples >= MC_MIN_SAMPLES:
             raise ConfigError(f"[quadrature] mc_samples must be at least {MC_MIN_SAMPLES}, got {self.mc_samples!r}")
         if not self.mc_seed >= 0:
@@ -162,60 +165,64 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # config parsing
 
-# every section and key parse_config reads; any other is a config error
-_CONFIG_KEYS = {
-    "beam": ("kinetic_energy_kev", "l_par_um", "dq_par_um_inv", "l_perp_um", "dq_perp_um_inv"),
-    "spectrum": ("lambda_c_um", "k_c_um_inv", "dlambda_um", "dk_ph_um_inv"),
-    "sweep": ("dq_perp_min", "dq_perp_max", "dq_perp_steps", "dk_ph_min", "dk_ph_max", "dk_ph_steps"),
-    "phase": ("variant", "xi"),
-    "thresholds": ("purity", "epr"),
-    "quadrature": ("rel_tol", "abs_tol", "mc_samples", "mc_seed"),
-    "output": ("out_dir",),
-}
 
-
-def _exclusive(section: dict, length: str, wavenumber: str, where: str) -> float:
-    """A wavenumber (um^-1) given either as `wavenumber` or as a `length` (um)."""
-    if (length in section) == (wavenumber in section):
-        raise ConfigError(f"[{where}] needs exactly one of {length} / {wavenumber}")
-    return _reciprocal(section, length, where) if length in section else _float(section, wavenumber, where)
-
-
-def _reciprocal(section: dict, key: str, where: str) -> float:
-    """2 pi / value: a length as a wavenumber, or a wavenumber as a length."""
-    value = _float(section, key, where)
+def _length(text: str) -> float:
+    """A length (um) read as its wavenumber, 2 pi / length (um^-1)."""
+    value = float(text)
     if not value > 0.0:
-        raise ConfigError(f"[{where}] {key} must be positive, got {value!r}")
+        raise ValueError(value)
     return TWO_PI / value
 
 
-def _float(section: dict, key: str, where: str) -> float:
-    try:
-        return float(section[key])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"[{where}] {key}: missing or not a number") from exc
-
-
-def _int(section: dict, key: str, where: str) -> int:
-    try:
-        return int(section[key])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"[{where}] {key}: missing or not an integer") from exc
-
-
-def _str(section: dict, key: str, where: str) -> str:
-    return section[key]
-
-
-def _given(parser: configparser.ConfigParser, where: str, keys: dict) -> dict:
-    """{field: value} for the optional `keys` ({key: (field, reader)}) present
-    in section `where`; an absent key keeps its field's default."""
-    section = dict(parser[where]) if where in parser else {}
-    return {name: read(section, key, where) for key, (name, read) in keys.items() if key in section}
+# every section and key of the config file, in the order dump_config
+# writes them, each with the RunConfig field it fills (or "field.attribute"
+# of the object a field holds) and how its text is read. A length fills the
+# field of the wavenumber after it, the form dump_config writes.
+_CONFIG_KEYS = {
+    "beam": {
+        "kinetic_energy_kev": ("kinetic_energy_kev", float),
+        "l_par_um": ("dq_par", _length),
+        "dq_par_um_inv": ("dq_par", float),
+        "l_perp_um": ("dq_perp", _length),
+        "dq_perp_um_inv": ("dq_perp", float),
+    },
+    "spectrum": {
+        "lambda_c_um": ("k_c", _length),
+        "k_c_um_inv": ("k_c", float),
+        "dlambda_um": ("dk_ph", _length),  # a width: parse_config rescales it
+        "dk_ph_um_inv": ("dk_ph", float),
+    },
+    "phase": {"variant": ("phase_variant", str), "xi": ("phase_xi", float)},
+    "sweep": {
+        "dq_perp_min": ("sweep.dq_perp_min", float),
+        "dq_perp_max": ("sweep.dq_perp_max", float),
+        "dq_perp_steps": ("sweep.dq_perp_steps", int),
+        "dk_ph_min": ("sweep.dk_ph_min", float),
+        "dk_ph_max": ("sweep.dk_ph_max", float),
+        "dk_ph_steps": ("sweep.dk_ph_steps", int),
+    },
+    "thresholds": {"purity": ("thresholds.purity_threshold", float), "epr": ("thresholds.epr_threshold", float)},
+    "quadrature": {
+        "rel_tol": ("quadrature.rel_tol", float),
+        "abs_tol": ("quadrature.abs_tol", float),
+        "mc_samples": ("mc_samples", int),
+        "mc_seed": ("mc_seed", int),
+    },
+    "output": {"out_dir": ("out_dir", str)},
+}
+# the fields that each section must fill when present; [beam] and [spectrum] must be
+_REQUIRED = {
+    "beam": ("kinetic_energy_kev", "dq_par"),
+    "spectrum": ("k_c", "dk_ph"),
+    "sweep": tuple(field for field, _ in _CONFIG_KEYS["sweep"].values()),
+}
+# how parse_config builds each object that a RunConfig field holds
+_HOLDERS = {"sweep": SweepAxes, "thresholds": RegimeThresholds, "quadrature": partial(replace, PURITY_QUAD)}
+_NOUNS = {float: "a number", int: "an integer", _length: "a positive number"}
 
 
 def load_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a % in a value is itself
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -247,80 +254,43 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
     _check_known_keys(parser)
     if "beam" not in parser or "spectrum" not in parser:
         raise ConfigError("config must contain [beam] and [spectrum] sections")
-    beam = dict(parser["beam"])
-    spec = dict(parser["spectrum"])
-
-    dq_par = _exclusive(beam, "l_par_um", "dq_par_um_inv", "beam")
-    dq_perp = None
-    if "l_perp_um" in beam or "dq_perp_um_inv" in beam:
-        dq_perp = _exclusive(beam, "l_perp_um", "dq_perp_um_inv", "beam")
-
-    k_c = _exclusive(spec, "lambda_c_um", "k_c_um_inv", "spectrum")
-    if ("dlambda_um" in spec) == ("dk_ph_um_inv" in spec):
-        raise ConfigError("[spectrum] needs exactly one of dlambda_um / dk_ph_um_inv")
-    if "dlambda_um" in spec:
-        lam = _float(spec, "lambda_c_um", "spectrum") if "lambda_c_um" in spec else _reciprocal(spec, "k_c_um_inv", "spectrum")
-        _, dk_ph = wavelength_to_wavenumbers(lam, _float(spec, "dlambda_um", "spectrum"))
-    else:
-        dk_ph = _float(spec, "dk_ph_um_inv", "spectrum")
-
-    sweep = None
-    if "sweep" in parser:
-        s = dict(parser["sweep"])
-        sweep = SweepAxes(
-            _float(s, "dq_perp_min", "sweep"),
-            _float(s, "dq_perp_max", "sweep"),
-            _int(s, "dq_perp_steps", "sweep"),
-            _float(s, "dk_ph_min", "sweep"),
-            _float(s, "dk_ph_max", "sweep"),
-            _int(s, "dk_ph_steps", "sweep"),
-        )
-
-    thresholds = _given(parser, "thresholds", {"purity": ("purity_threshold", _float), "epr": ("epr_threshold", _float)})
-    tolerances = _given(parser, "quadrature", {key: (key, _float) for key in ("rel_tol", "abs_tol")})
-    return RunConfig(
-        kinetic_energy_kev=_float(beam, "kinetic_energy_kev", "beam"),
-        dq_par=dq_par,
-        k_c=k_c,
-        dk_ph=dk_ph,
-        dq_perp=dq_perp,
-        sweep=sweep,
-        thresholds=RegimeThresholds(**thresholds),
-        quadrature=replace(PURITY_QUAD, **tolerances),
-        **_given(parser, "phase", {"variant": ("phase_variant", _str), "xi": ("phase_xi", _float)}),
-        **_given(parser, "quadrature", {"mc_samples": ("mc_samples", _int), "mc_seed": ("mc_seed", _int)}),
-        **_given(parser, "output", {"out_dir": ("out_dir", _str)}),
-    )
+    held, given = {"": {}}, {}  # {holder: {attribute: value}}, {field: its key}
+    for where in parser.sections():
+        keys, section = _CONFIG_KEYS[where], parser[where]
+        for key, (field, read) in keys.items():
+            if key not in section:
+                continue
+            if field in given:
+                raise ConfigError(f"[{where}] needs exactly one of {given[field]} / {key}")
+            holder, _, name = field.rpartition(".")
+            try:
+                held.setdefault(holder, {})[name] = read(section[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{where}] {key}: not {_NOUNS[read]}") from exc
+            given[field] = key
+        for field in _REQUIRED.get(where, ()):
+            if field not in given:
+                raise ConfigError(f"[{where}] {' / '.join(k for k, (f, _) in keys.items() if f == field)}: missing")
+    fields, spectrum = held.pop(""), parser["spectrum"]
+    if "dlambda_um" in spectrum:
+        # dk_ph = 2 pi dlambda / lambda_c^2, with lambda_c as given if it was
+        lam = float(spectrum["lambda_c_um"]) if "lambda_c_um" in spectrum else TWO_PI / fields["k_c"]
+        _, fields["dk_ph"] = wavelength_to_wavenumbers(lam, float(spectrum["dlambda_um"]))
+    return RunConfig(**fields, **{holder: _HOLDERS[holder](**attrs) for holder, attrs in held.items()})
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical config text; parse(dump(cfg)) == cfg."""
-    parser = configparser.ConfigParser()
-    parser["beam"] = {
-        "kinetic_energy_kev": repr(cfg.kinetic_energy_kev),
-        "dq_par_um_inv": repr(cfg.dq_par),
-    }
-    if cfg.dq_perp is not None:
-        parser["beam"]["dq_perp_um_inv"] = repr(cfg.dq_perp)
-    parser["spectrum"] = {"k_c_um_inv": repr(cfg.k_c), "dk_ph_um_inv": repr(cfg.dk_ph)}
-    parser["phase"] = {"variant": cfg.phase_variant, "xi": repr(cfg.phase_xi)}
-    if cfg.sweep is not None:
-        parser["sweep"] = {
-            "dq_perp_min": repr(cfg.sweep.dq_perp_min),
-            "dq_perp_max": repr(cfg.sweep.dq_perp_max),
-            "dq_perp_steps": str(cfg.sweep.dq_perp_steps),
-            "dk_ph_min": repr(cfg.sweep.dk_ph_min),
-            "dk_ph_max": repr(cfg.sweep.dk_ph_max),
-            "dk_ph_steps": str(cfg.sweep.dk_ph_steps),
-        }
-    parser["thresholds"] = {"purity": repr(cfg.thresholds.purity_threshold), "epr": repr(cfg.thresholds.epr_threshold)}
-    parser["quadrature"] = {
-        "rel_tol": repr(cfg.quadrature.rel_tol),
-        "abs_tol": repr(cfg.quadrature.abs_tol),
-        "mc_samples": str(cfg.mc_samples),
-        "mc_seed": str(cfg.mc_seed),
-    }
-    parser["output"] = {"out_dir": cfg.out_dir}
+    parser = configparser.ConfigParser(interpolation=None)
+    for where, keys in _CONFIG_KEYS.items():
+        given = {}
+        for key, (field, read) in keys.items():
+            holder, _, name = field.rpartition(".")
+            obj = getattr(cfg, holder) if holder else cfg
+            if read is not _length and obj is not None and getattr(obj, name) is not None:
+                given[key] = _fmt(getattr(obj, name))
+        if given:
+            parser[where] = given
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -689,7 +659,11 @@ def _render_csv(text: str, field_name: str, cfg: RunConfig) -> str:
         raise ConfigError(f"unknown field {field_name!r}; choose from {CSV_HEADER[2:]}")
     xs = sorted({row["dq_perp_um_inv"] for row in rows})
     ys = sorted({row["dk_ph_um_inv"] for row in rows})
+    if not all(0.0 < v < math.inf for v in xs + ys):
+        raise ConfigError("sweep CSV coordinates must be positive and finite")
     index = {(row["dq_perp_um_inv"], row["dk_ph_um_inv"]): row for row in rows}
+    if len(index) != len(rows):
+        raise ConfigError("sweep CSV repeats a (dq_perp_um_inv, dk_ph_um_inv) cell")
     if len(index) != len(xs) * len(ys):
         raise ConfigError("sweep CSV does not cover a full rectangular grid")
 

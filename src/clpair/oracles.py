@@ -1,9 +1,12 @@
-"""Independent brute-force validators for the closed-form machinery.
+"""Brute-force validators for the closed-form machinery.
 
-Each oracle recomputes a quantity by a method sharing no code path with
-the primary implementation (Monte Carlo sampling, the Gram-matrix Schmidt
-purity, discrete grid moments, finite differences) and reports the
-discrepancy against the primary value with an explicit tolerance.
+Each oracle recomputes a quantity (Monte Carlo sampling, the Gram-matrix
+Schmidt purity, discrete grid moments, finite differences) and reports
+the discrepancy against the primary value with an explicit tolerance.
+Most share no code path with the primary implementation. The Schmidt
+purity does: it compares the Gram-matrix purity with the overlap double
+sum, two sums over the same `photon_marginal_kx` samples, so it cannot
+detect a defect in the marginal.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import platform
 import re
 import warnings
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,85 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.ini")
+
+    @pytest.mark.parametrize("name", ["out%1", "out%%1"])
+    def test_percent_is_literal(self, runner, tmp_path, monkeypatch, name):
+        monkeypatch.delenv("CLPAIR_OUT", raising=False)
+        out = tmp_path / name
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, BASE_INI + f"\n[output]\nout_dir = {out}\n")])
+        assert res.exit_code == 0, res.output
+        assert f"out_dir = {out}\n" in json.loads((out / "measure.json").read_text())["config"]
+
+    def test_no_substitution(self, runner, tmp_path):
+        text = BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = %(kinetic_energy_kev)s")
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[beam] dq_perp_um_inv: not a number" in res.output
+
+
+# every config key with a value unlike its default, and the RunConfig
+# attribute that it must fill. It is written out apart from cli's key
+# table: parse(dump(cfg)) == cfg cannot catch two keys swapped there,
+# because dump and parse would share the swap. A length fills the
+# attribute of the wavenumber it stands for.
+KEY_TARGETS = {
+    "beam": {
+        "kinetic_energy_kev": ("150.0", "kinetic_energy_kev", 150.0),
+        "l_par_um": ("1.25", "dq_par", 2.0 * math.pi / 1.25),
+        "dq_par_um_inv": ("4.5", "dq_par", 4.5),
+        "l_perp_um": ("0.8", "dq_perp", 2.0 * math.pi / 0.8),
+        "dq_perp_um_inv": ("2.5", "dq_perp", 2.5),
+    },
+    "spectrum": {
+        "lambda_c_um": ("0.55", "k_c", 2.0 * math.pi / 0.55),
+        "k_c_um_inv": ("11.0", "k_c", 11.0),
+        "dlambda_um": ("0.01", "dk_ph", 2.0 * math.pi * 0.01 / 0.55**2),
+        "dk_ph_um_inv": ("0.35", "dk_ph", 0.35),
+    },
+    "sweep": {
+        "dq_perp_min": ("0.2", "sweep.dq_perp_min", 0.2),
+        "dq_perp_max": ("20.0", "sweep.dq_perp_max", 20.0),
+        "dq_perp_steps": ("3", "sweep.dq_perp_steps", 3),
+        "dk_ph_min": ("0.3", "sweep.dk_ph_min", 0.3),
+        "dk_ph_max": ("3.0", "sweep.dk_ph_max", 3.0),
+        "dk_ph_steps": ("4", "sweep.dk_ph_steps", 4),
+    },
+    "phase": {"variant": ("radial_kc", "phase_variant", "radial_kc"), "xi": ("2.5", "phase_xi", 2.5)},
+    "thresholds": {
+        "purity": ("0.5", "thresholds.purity_threshold", 0.5),
+        "epr": ("0.75", "thresholds.epr_threshold", 0.75),
+    },
+    "quadrature": {
+        "rel_tol": ("0.0002", "quadrature.rel_tol", 2e-4),
+        "abs_tol": ("3e-05", "quadrature.abs_tol", 3e-5),
+        "mc_samples": ("12345", "mc_samples", 12345),
+        "mc_seed": ("42", "mc_seed", 42),
+    },
+    "output": {"out_dir": ("runs/x", "out_dir", "runs/x")},
+}
+# each length and the wavenumber it stands for
+LENGTHS = {"l_par_um": "dq_par_um_inv", "l_perp_um": "dq_perp_um_inv", "lambda_c_um": "k_c_um_inv", "dlambda_um": "dk_ph_um_inv"}
+
+
+class TestKeyTargets:
+    @pytest.mark.parametrize("form", ["wavenumbers", "lengths"])
+    def test_each_key_fills_its_own_attribute(self, tmp_path, form):
+        left_out = set(LENGTHS.values()) if form == "lengths" else set(LENGTHS)
+        lines, expected = [], {}
+        for section, keys in KEY_TARGETS.items():
+            lines.append(f"[{section}]")
+            for key, (text, attribute, value) in keys.items():
+                if key not in left_out:
+                    lines.append(f"{key} = {text}")
+                    expected[attribute] = value
+        cfg = load_config(write(tmp_path, "\n".join(lines) + "\n"))
+        for attribute, value in expected.items():
+            assert attrgetter(attribute)(cfg) == pytest.approx(value, rel=1e-15), attribute
+
+    def test_every_key_is_covered(self):
+        assert {section: set(keys) for section, keys in KEY_TARGETS.items()} == {
+            section: set(keys) for section, keys in _CONFIG_KEYS.items()
+        }
 
 
 class TestCsvRoundTrip:
@@ -440,6 +520,18 @@ class TestInputValidation:
         with pytest.raises(DomainError):
             make()
 
+    @pytest.mark.parametrize("variant", ["", "variant = zero\n"], ids=["default", "zero"])
+    def test_xi_under_zero_variant_exits_2(self, runner, tmp_path, variant):
+        cfg = write(tmp_path, BASE_INI + f"\n[phase]\n{variant}xi = 100\n")
+        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[phase] xi = 100.0 needs a variant other than zero" in res.output
+
+    def test_zero_variant_with_zero_xi_round_trips(self, tmp_path):
+        cfg = load_config(write(tmp_path, BASE_INI + "\n[phase]\nvariant = zero\nxi = 0.0\n"))
+        assert "[phase]\nvariant = zero\nxi = 0.0\n" in dump_config(cfg)
+        assert load_config(write(tmp_path, dump_config(cfg), "dumped.ini")) == cfg
+
     def test_polar_linear_phase_is_consistent(self, tmp_path):
         from clpair.measures import rel_pos_variance_closed, rel_pos_variance_quadrature
 
@@ -741,6 +833,25 @@ class TestExitMapping:
         res = runner.invoke(main, ["render", "--config", cfg, "--field", "d2", "--input", str(src), "--out", str(tmp_path)])
         assert_config_error(res)
         assert "rectangular" in res.output
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda lines: lines + lines[1:2], "repeats"),
+            (lambda lines: [re.sub(r"^1\.0,", "-1.0,", line) for line in lines], "positive and finite"),
+            (lambda lines: [re.sub(r"^1\.0,", "0.0,", line) for line in lines], "positive and finite"),
+            (lambda lines: [re.sub(r"^1\.0,", "inf,", line) for line in lines], "positive and finite"),
+        ],
+        ids=["repeated_cell", "negative", "zero", "infinite"],
+    )
+    def test_render_bad_cells_exit_2(self, runner, tmp_path, edit, message):
+        cfg = write(tmp_path, SWEEP_INI)
+        lines = rows_to_csv(run_sweep(load_config(cfg))).splitlines()
+        src = tmp_path / "bad.csv"
+        src.write_text("\n".join(edit(lines)) + "\n")
+        res = runner.invoke(main, ["render", "--config", cfg, "--field", "d2", "--input", str(src), "--out", str(tmp_path)])
+        assert_config_error(res)
+        assert message in res.output
 
     def test_measure_convergence_failure_exits_1(self, runner, tmp_path, monkeypatch):
         import clpair.measures as measures
