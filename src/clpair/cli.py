@@ -72,6 +72,9 @@ CSV_HEADER = [
     "regime",
     "longitudinal_entangled",
 ]
+# the regime cells rows_to_csv writes: a Regime value, or "error" for a
+# failed cell, whose longitudinal_entangled cell is empty
+_REGIME_CELLS = ("A", "B", "C", "anomalous", "error")
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         return parse_config(parser)
@@ -442,7 +445,12 @@ def csv_to_rows(text: str) -> list[dict]:
                 row[key] = float(row[key])
         except ValueError as exc:
             raise ConfigError(f"CSV line {line}: {exc}") from exc
-        row["longitudinal_entangled"] = row["longitudinal_entangled"] == "true"
+        regime, flag = row["regime"], row["longitudinal_entangled"]
+        if regime not in _REGIME_CELLS:
+            raise ConfigError(f"CSV line {line}: regime {regime!r} is not one of {', '.join(_REGIME_CELLS)}")
+        if flag not in ("true", "false") and not (flag == "" and regime == "error"):
+            raise ConfigError(f"CSV line {line}: longitudinal_entangled {flag!r} is not true or false")
+        row["longitudinal_entangled"] = flag == "true"
         rows.append(row)
     return rows
 
@@ -463,9 +471,13 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
 
 
 def _out_dir(cfg: RunConfig, cli_out: Optional[str]) -> Path:
-    out = cli_out or os.environ.get("CLPAIR_OUT") or cfg.out_dir
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, made if missing; every command calls this
+    right after its config loads, so an unusable path costs no compute."""
+    path = Path(cli_out or os.environ.get("CLPAIR_OUT") or cfg.out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
     return path
 
 
@@ -527,6 +539,7 @@ def measure(config_path, out):
     """Evaluate all diagnostics at the configured single point."""
     cfg = load_config(config_path)
     beam = cfg.beam()
+    out_path = _out_dir(cfg, out)
     from .measures import evaluate_point
 
     row = {
@@ -534,7 +547,7 @@ def measure(config_path, out):
         "dk_ph_um_inv": cfg.dk_ph,
         **result_to_row(evaluate_point(beam, cfg.spectrum(), cfg.phase(), cfg.thresholds, cfg.quadrature)),
     }
-    click.echo(_write_rows(_out_dir(cfg, out), "measure", cfg, [row]), nl=False)
+    click.echo(_write_rows(out_path, "measure", cfg, [row]), nl=False)
 
 
 @main.command()
@@ -550,8 +563,8 @@ def _sweep(cfg: RunConfig, out: Optional[str], name: str, field_name: Optional[s
     """Run the sweep, write `<name>.csv` and `<name>.json`, and render the
     CSV's `field_name` to `<name>.svg` as `render` does; then name each
     failed cell and exit 1 if any failed."""
-    rows = run_sweep(cfg)
     out_path = _out_dir(cfg, out)
+    rows = run_sweep(cfg)
     text = _write_rows(out_path, name, cfg, rows)
     click.echo(f"wrote {len(rows)} cells to {out_path / f'{name}.csv'}")
     if field_name is not None:
@@ -567,6 +580,7 @@ def dist(config_path, out):
     """Emit the joint momentum and joint position distribution grids."""
     cfg = load_config(config_path)
     beam, spectrum = cfg.beam(), cfg.spectrum()
+    out_path = _out_dir(cfg, out)
     from .distributions import joint_position, momentum_grid
 
     # one grid at a time: each is built, written and summarized, then
@@ -575,7 +589,6 @@ def dist(config_path, out):
     summary = {}
     for name, build in (("position", joint_position), ("momentum", momentum_grid)):
         grid = build(beam, spectrum)
-        out_path = _out_dir(cfg, out)
         with (out_path / f"dist_{name}.csv").open("w") as fh:
             write_grid_csv(grid, fh)
         summary[f"{name}_shape"] = list(grid.density.shape)
@@ -605,10 +618,10 @@ def validate(config_path, seed, out):
     # provenance keeps the config as written, with the seed beside it
     seed = (cfg if seed is None else replace(cfg, mc_seed=seed)).mc_seed
     beam = cfg.beam()
+    out_path = _out_dir(cfg, out)
     from .oracles import run_suite
 
     reports = run_suite(beam, cfg.spectrum(), cfg.quadrature, seed=seed, mc_samples=cfg.mc_samples)
-    out_path = _out_dir(cfg, out)
     payload = _provenance(
         cfg,
         seed=seed,
@@ -643,9 +656,11 @@ def render(config_path, field_name, input_csv, out):
     cfg = load_config(config_path)
     out_path = _out_dir(cfg, out)
     src = Path(input_csv) if input_csv else out_path / "sweep.csv"
-    if not src.exists():
-        raise ConfigError(f"sweep CSV not found at {src}")
-    svg = _render_csv(src.read_text(), field_name, cfg)
+    try:
+        text = src.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read sweep CSV {src}: {exc}") from exc
+    svg = _render_csv(text, field_name, cfg)
     (out_path / f"render_{field_name}.svg").write_text(svg)
     click.echo(f"wrote {out_path / f'render_{field_name}.svg'}")
 

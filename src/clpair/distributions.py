@@ -27,12 +27,12 @@ from .model import BeamParams, SpectrumModel, ZeroPhase, eval_g, psi_ini_x_sq
 from .quadrature import gauss_legendre_panels
 
 # points of the k_x grid of both joint grids; even, so that the position
-# kernel's grid mirrors exactly about zero
+# grid's T is a quadratic form of the kernel on the N_KX / 2 point half-axis
 N_KX = 512
 # least number of x_el points of the position grid
 N_X_EL = 141
-# lags of the position grid's T-lattice per block of its cosine sum, which
-# bounds the (block, N_KX) matrix held at once to 8 MB
+# lags of the position grid's T-lattice per block of its quadratic form,
+# which bounds its two (block, N_KX / 2) matrices held at once to 8 MB
 _LAG_BLOCK = 2048
 
 
@@ -192,8 +192,8 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
     one Gram matrix per radial node. A row is zero where k_a leaves the
     spectrum's radial window [kmin, kmax]; at each node the live rows are one
     contiguous band of `ax`, so each Gram matrix is band x band. M depends
-    on |k_x| and |k_x'| only, so h holds the kernel on the whole grid
-    [-ax[::-1], ax] that mirrors `ax` (see `_diagonal_sums`).
+    on |k_x| and |k_x'| only, so h holds the kernel on the whole mirrored
+    grid [-ax[::-1], ax], and T is a quadratic form of h (see `joint_position`).
     """
     kmin, kmax = spectrum.kmin, spectrum.kmax
     # 16-node Gauss-Legendre panels no wider than dk_ph; with 8-node
@@ -235,62 +235,32 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
     return h
 
 
-def _diagonal_sums(h: np.ndarray) -> np.ndarray:
-    """Diagonal sums C_m = sum_p M[p, p + m], m = 0 .. 2n - 1, of the
-    kernel M on the mirrored grid of 2n points whose positive half-axis
-    block is the symmetric n x n `h`.
-
-    Pairs in the same half give the diagonals of h, once for each half
-    (M(-a, -b) = M(a, b)); pairs (-a, b) across zero lie a + b + 1
-    points apart and give its anti-diagonals:
-    C_m = 2 sum_i h[i, i + m] + sum_{a + b = m - 1} h[a, b].
-    The rows of M are added in grid order, -ax[n - 1] first, each as the
-    two pieces of h it is made of, so every C_m is summed in the same
-    order as over the expanded 2n x 2n kernel, to the same bits.
-    """
-    n = h.shape[0]
-    c = np.zeros(2 * n)
-    for a in range(n - 1, -1, -1):
-        # row -ax[a] of M is h[a, ::-1] then h[a]: its pairs (-a, -b),
-        # b <= a, lie a - b apart, its pairs (-a, b) a + b + 1
-        c[: a + 1] += h[a, a::-1]
-        c[a + 1 : a + 1 + n] += h[a]
-    for i in range(n):
-        c[: n - i] += h[i, i:]
-    return c
-
-
-def _t_at_lags(c: np.ndarray, modes: np.ndarray, lags: np.ndarray, h: float) -> np.ndarray:
-    """T(s) = sum_m c_m cos(modes_m s) at s = lags * h, _LAG_BLOCK lags at a time."""
+def _t_at_lags(kernel: np.ndarray, ax: np.ndarray, lags: np.ndarray, h: float) -> np.ndarray:
+    """u^T kernel u with u = cos(ax s) at s = lags * h, _LAG_BLOCK lags at a
+    time; a lone last lag joins the block before it, since a one-row
+    u @ kernel is a BLAS gemv, whose last bit differs from gemm's."""
     t = np.empty(lags.size)
-    for i in range(0, lags.size, _LAG_BLOCK):
-        phase = np.multiply.outer(lags[i : i + _LAG_BLOCK] * h, modes)
-        t[i : i + _LAG_BLOCK] = np.cos(phase, out=phase) @ c
+    ends = list(range(_LAG_BLOCK, lags.size - 1, _LAG_BLOCK)) + [lags.size]
+    for i, j in zip([0] + ends, ends):
+        u = np.cos(np.multiply.outer(lags[i:j] * h, ax))
+        t[i:j] = np.einsum("ij,ij->i", u @ kernel, u)
     return t
 
 
 def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
-    """P(x_el, x_ph) (um^-2) with the photonic phase neglected.
-
-    Gaussian envelope (dq_perp / sqrt(2 pi^3)) exp(-2 dq_perp^2 x_el^2)
-    times T(x_el - x_ph), the double cosine transform of the kernel
-    M(k_x, k_x'). M is precomputed on the positive half of a uniform,
-    exactly mirrored k_x grid of even size N_KX, as one Gram matrix per
-    radial node on a rho grid shared by all pairs (see
-    `_position_kernel`); T is summed over the kernel's diagonals (uniform
-    spacing makes k_x - k_x' take only 2 N_KX - 1 values), taken from the
-    half-axis block without expanding it. M is even and symmetric, so the
-    diagonal sums C_m are even in m and T is even in the lag: both are
-    evaluated for m >= 0 and lags >= 0 only.
+    """P(x_el, x_ph) (um^-2) with the photonic phase neglected: the envelope
+    (dq_perp / sqrt(2 pi^3)) exp(-2 dq_perp^2 x_el^2) times, at s = x_el - x_ph,
+    T(s) = dkx^2 sum_pq M(k_p, k_q) cos((k_p - k_q) s) over N_KX k_x points
+    mirrored exactly about zero. M is even in each argument and
+    cos(A - B) + cos(A + B) = 2 cos A cos B, so T(s) = 4 dkx^2 u^T h u with
+    u = cos(ax s) and h the kernel on the positive half-axis `ax` (see
+    `_position_kernel`). T is even, so it is evaluated at lags >= 0 only.
     """
     # midpoint grid: uniform, excludes the exact endpoints; only its
     # positive half is built, so the grid is exactly odd
     dkx = 2.0 * spectrum.kmax / N_KX
-    # T(s) = C_0 + 2 sum_{m > 0} C_m cos(m dkx s), C_m scaled by dkx^2
-    c = _diagonal_sums(_position_kernel(beam, spectrum, (np.arange(N_KX // 2) + 0.5) * dkx))
-    c *= dkx**2
-    c[1:] *= 2.0
-    modes = np.arange(N_KX) * dkx
+    ax = (np.arange(N_KX // 2) + 0.5) * dkx
+    kernel = _position_kernel(beam, spectrum, ax)
 
     sig_el = 1.0 / (2.0 * beam.dq_perp)
     sig_t = math.sqrt(rel_pos_variance_closed(beam, spectrum, ZeroPhase()))
@@ -309,7 +279,7 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     np.abs(lag, out=lag)
     used = np.zeros(i_el * m_el + i_ph * m_ph + 1, dtype=bool)
     used[lag] = True
-    t = _t_at_lags(c, modes, np.flatnonzero(used), h)
+    t = 4.0 * dkx**2 * _t_at_lags(kernel, ax, np.flatnonzero(used), h)
     # the rank of each |lag| among the used ones indexes its T
     rank = np.cumsum(used) - 1
     t = t[np.take(rank, lag, out=lag)]

@@ -226,6 +226,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             csv_to_rows(text)
 
+    def test_error_row_accepted(self):
+        # a failed cell's row, as rows_to_csv writes it: an empty flag
+        (row,) = csv_to_rows(",".join(CSV_HEADER) + "\n1.0,0.5,nan,nan,nan,nan,nan,nan,error,\n")
+        assert row["regime"] == "error" and row["longitudinal_entangled"] is False
+
+    def test_regime_cells_are_the_regimes(self):
+        # the config layer loads no numpy, so it keeps its own copy of the
+        # Regime values that a CSV may hold
+        import clpair.cli as cli
+        from clpair.measures import Regime
+
+        assert cli._REGIME_CELLS == (*(r.value for r in Regime), "error")
+
 
 class TestSweepDeterminism:
     def test_threads_option_is_ignored(self, runner, tmp_path):
@@ -662,7 +675,8 @@ class TestRuntimeImports:
 
     def test_no_numpy_before_numerical_work(self, tmp_path):
         # `render`, `--help`, and a config error in any command, whether in
-        # the file or found once it is read, exit before anything computes:
+        # the file, found once it is read or in its output directory, exit
+        # before anything computes:
         # none of them loads numpy, and neither does importing the package
         import subprocess
         import sys
@@ -671,7 +685,10 @@ class TestRuntimeImports:
         good = write(tmp_path, BASE_INI, "good.ini")
         bad = write(tmp_path, SWEEP_INI.replace("l_par_um = 1.3", "l_par_um = 1.3\ndq_par_um_inv = 4.8"), "bad.ini")
         no_dq_perp = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0\n", ""), "no_dq_perp.ini")
+        swept = write(tmp_path, SWEEP_INI, "sweep.ini")
         out = ["--out", str(tmp_path)]
+        # an output directory that cannot be made: a path under a file
+        bad_out = ["--out", str(tmp_path / "good.ini" / "o")]
         # (argv, exit status)
         calls = [
             (["--help"], 0),
@@ -682,6 +699,7 @@ class TestRuntimeImports:
             *(([cmd, "--config", no_dq_perp, *out], 2) for cmd in ("measure", "dist", "validate")),
             *(([cmd, "--config", good, *out], 2) for cmd in ("sweep", "regime-map")),
             (["render", "--config", good, "--field", "nonesuch", *out], 2),
+            *(([cmd, "--config", swept, *bad_out], 2) for cmd in ("measure", "sweep", "dist", "regime-map", "validate")),
         ]
         code = (
             "import sys\n"
@@ -801,6 +819,17 @@ class TestProvenancePinned:
         assert config_hash(load_config(write(tmp_path, text))) == digest
 
 
+def _last_cells(regime, flag):
+    """An edit of a sweep CSV's lines that sets the regime and
+    longitudinal_entangled cells of its first row to these CSV fields."""
+
+    def edit(lines):
+        head = lines[1].rsplit(",", 2)[0]
+        return [lines[0], f"{head},{regime},{flag}", *lines[2:]]
+
+    return edit
+
+
 class TestExitMapping:
     @pytest.mark.parametrize(
         "argv",
@@ -825,6 +854,51 @@ class TestExitMapping:
         assert_config_error(res)
         assert "l_perp_um" in res.output
 
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure"], ["sweep"], ["dist"], ["regime-map"], ["validate"], ["render", "--field", "d2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unusable_out_exits_2(self, runner, tmp_path, argv, where):
+        # --out naming a file (FileExistsError) or a path under one
+        # (NotADirectoryError)
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" if where == "file" else tmp_path / "f" / "o"
+        res = runner.invoke(main, [*argv, "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
+        assert_config_error(res)
+        assert "cannot use output directory" in res.output
+
+    def test_unusable_out_skips_the_sweep(self, runner, tmp_path, monkeypatch):
+        # the output directory is checked before the sweep runs, not after
+        import clpair.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: calls.append(cfg) or [])
+        (tmp_path / "f").write_text("")
+        res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(tmp_path / "f")])
+        assert_config_error(res)
+        assert calls == []
+
+    def test_config_not_utf8_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(BASE_INI.encode() + b"# \xff\xfe\n")
+        res = runner.invoke(main, ["measure", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "cannot read config" in res.output
+
+    @pytest.mark.parametrize("what", ["directory", "not_utf8"])
+    def test_render_unreadable_input_exits_2(self, runner, tmp_path, what):
+        cfg = write(tmp_path, SWEEP_INI)
+        src = tmp_path / "in.csv"
+        if what == "directory":
+            src.mkdir()
+        else:
+            src.write_bytes(",".join(CSV_HEADER).encode() + b"\n\xff\xfe\n")
+        res = runner.invoke(main, ["render", "--config", cfg, "--field", "d2", "--input", str(src), "--out", str(tmp_path)])
+        assert_config_error(res)
+        assert "cannot read sweep CSV" in res.output
+
     def test_render_bad_csv_exits_2(self, runner, tmp_path):
         cfg = write(tmp_path, SWEEP_INI)
         ragged = rows_to_csv(run_sweep(load_config(cfg))).splitlines()[:-1]
@@ -841,8 +915,16 @@ class TestExitMapping:
             (lambda lines: [re.sub(r"^1\.0,", "-1.0,", line) for line in lines], "positive and finite"),
             (lambda lines: [re.sub(r"^1\.0,", "0.0,", line) for line in lines], "positive and finite"),
             (lambda lines: [re.sub(r"^1\.0,", "inf,", line) for line in lines], "positive and finite"),
+            # rows_to_csv writes a Regime value or error, and true/false,
+            # empty only on an error row
+            (_last_cells('"<g onload=""x"">"', "false"), "is not one of"),
+            (_last_cells("D", "false"), "is not one of"),
+            (_last_cells("A", "yes"), "is not true or false"),
+            (_last_cells("A", "True"), "is not true or false"),
+            (_last_cells("A", ""), "is not true or false"),
         ],
-        ids=["repeated_cell", "negative", "zero", "infinite"],
+        ids=["repeated_cell", "negative", "zero", "infinite", "markup_regime", "unknown_regime", "yes_flag",
+             "capital_flag", "empty_flag_on_a_result"],
     )
     def test_render_bad_cells_exit_2(self, runner, tmp_path, edit, message):
         cfg = write(tmp_path, SWEEP_INI)

@@ -15,8 +15,8 @@ import clpair.distributions as distributions
 from clpair.distributions import (
     JointGrid,
     _check_normalized,
-    _diagonal_sums,
     _position_kernel,
+    _t_at_lags,
     joint_momentum,
     joint_position,
     momentum_grid,
@@ -294,17 +294,6 @@ def kernel_entry_quad(beam, spectrum, a, b):
     return integrate.quad(radial, lo, hi, points=pts, epsabs=0.0, epsrel=1e-11, limit=200)[0]
 
 
-def diagonal_sums_expanded(h):
-    """C_m = sum_p M[p, p + m], m >= 0, of the kernel M expanded from its
-    half-axis block h by flips onto the mirrored grid [-ax[::-1], ax],
-    with row p adding to C_0 .. C_{2n - 1 - p} in turn."""
-    m = np.block([[h[::-1, ::-1], h[::-1, :]], [h[:, ::-1], h]])
-    c = np.zeros(m.shape[0])
-    for p, row in enumerate(m):
-        c[: c.size - p] += row[p:]
-    return c
-
-
 class TestPositionKernel:
     def test_exactly_symmetric(self, make_beam, make_spectrum):
         s = make_spectrum(0.3)
@@ -348,29 +337,45 @@ class TestPositionKernelOffDiagonal:
         assert abs(h[i, j] - ref) <= 1e-8 * float(np.max(np.abs(h)))
 
 
-class TestDiagonalSums:
+class TestQuadraticForm:
     @pytest.mark.parametrize(
         "dq_perp,dk_ph", [(0.263474, 0.210945), (1.0, 0.3), (10.0, 2.0)], ids=["g0", "1-0.3", "10-2"]
     )
-    def test_matches_expanded_kernel(self, make_beam, make_spectrum, dq_perp, dk_ph):
-        # the same additions in the same order, so the same bits
-        s = make_spectrum(dk_ph)
-        h = _position_kernel(make_beam(dq_perp), s, half_axis(s))
-        np.testing.assert_array_equal(_diagonal_sums(h), diagonal_sums_expanded(h))
+    def test_matches_expanded_cosine_sum(self, make_beam, make_spectrum, dq_perp, dk_ph):
+        # T(s) = dkx^2 sum_pq M_pq cos((k_p - k_q) s) over the kernel
+        # expanded by flips onto the mirrored grid [-ax[::-1], ax], at the
+        # lattice pitch joint_position uses there
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        ax = half_axis(s)
+        dkx = 2.0 * ax[0]
+        h = _position_kernel(b, s, ax)
+        m = np.block([[h[::-1, ::-1], h[::-1, :]], [h[:, ::-1], h]])
+        k = np.concatenate((-ax[::-1], ax))
+        pitch = min(1.0 / (2.0 * b.dq_perp), math.sqrt(rel_pos_variance_closed(b, s))) / 10.0
+        lags = np.array([0, 1, 2, 7, 50, 280, 1000])
+        ref = np.array([dkx**2 * np.sum(m * np.cos(np.subtract.outer(k, k) * lag * pitch)) for lag in lags])
+        got = 4.0 * dkx**2 * _t_at_lags(h, ax, lags, pitch)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 class TestLagBlocks:
-    def test_blocks_do_not_change_the_grid(self, make_beam, make_spectrum, monkeypatch):
-        # g0's T-lattice has under 900 lags, one block by default; in
-        # blocks of 100 every block boundary is crossed
+    @pytest.fixture(scope="class")
+    def g0_grid(self, make_beam, make_spectrum):
         b, s = make_beam(0.263474), make_spectrum(0.210945)
-        whole = joint_position(b, s)
-        monkeypatch.setattr(distributions, "_LAG_BLOCK", 100)
+        return b, s, joint_position(b, s)
+
+    # g0's T-lattice has 281 lags, one block by default; in blocks of 100
+    # every block boundary is crossed, and blocks of 280 and 140 leave one
+    # lag over, which joins the block before it
+    @pytest.mark.parametrize("block", [100, 280, 140])
+    def test_blocks_do_not_change_the_grid(self, g0_grid, monkeypatch, block):
+        b, s, whole = g0_grid
+        monkeypatch.setattr(distributions, "_LAG_BLOCK", block)
         np.testing.assert_array_equal(joint_position(b, s).density, whole.density)
 
     def test_peak_at_wide_beam_narrow_spectrum(self, make_beam, make_spectrum):
-        # the README plane's (100, 0.1) corner spans 37,985 lags; in one
-        # piece their 37,985 x 512 cosine matrix and its argument took 298 MiB
+        # the README plane's (100, 0.1) corner reads 10,082 lags; in one
+        # piece their 10,082 x 256 matrices u and u @ kernel would take 39 MiB
         b, s = make_beam(100.0), make_spectrum(0.1)
         assert _traced_peak(lambda: joint_position(b, s)) <= 32 * 2**20
 
@@ -384,12 +389,12 @@ class TestLatticeLags:
         t_at_lags = distributions._t_at_lags
         seen = []
 
-        def counting(c, modes, lags, h):
+        def counting(kernel, ax, lags, h):
             seen.append((lags, h))
-            return t_at_lags(c, modes, lags, h)
+            return t_at_lags(kernel, ax, lags, h)
 
-        def every_lag(c, modes, lags, h):
-            return t_at_lags(c, modes, np.arange(lags[-1] + 1), h)[lags]
+        def every_lag(kernel, ax, lags, h):
+            return t_at_lags(kernel, ax, np.arange(lags[-1] + 1), h)[lags]
 
         monkeypatch.setattr(distributions, "_t_at_lags", counting)
         grid = joint_position(b, s)
@@ -407,9 +412,9 @@ class TestLatticeLags:
         # evaluated at the lags 0, 1, ..., 280, as over the whole lattice
         t_at_lags, seen = distributions._t_at_lags, []
 
-        def counting(c, modes, lags, h):
+        def counting(kernel, ax, lags, h):
             seen.append(lags)
-            return t_at_lags(c, modes, lags, h)
+            return t_at_lags(kernel, ax, lags, h)
 
         monkeypatch.setattr(distributions, "_t_at_lags", counting)
         joint_position(make_beam(0.263474), make_spectrum(0.210945))
