@@ -306,26 +306,16 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
-def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float, p_z: dict) -> dict:
-    """Evaluate one sweep cell, as `evaluate_point` does; failures become
-    an 'error' row.
-
-    `purity_z` does not depend on dq_perp, so `p_z` keeps it by dk_ph and
-    each column computes it once. It is still taken after the cell's
-    `purity_sc`, so a cell where both fail reports the `purity_sc` error.
-    A failed row keeps its reason under `error` and, for a quadrature
-    that did not converge, its last two estimates; these keys go to the
-    JSON record only, not to the CSV.
-    """
-    from .measures import _point_result, purity_sc, purity_z
+def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
+    """Evaluate one sweep cell with `evaluate_point`; a failure becomes an
+    'error' row that keeps its reason under `error` and, for a quadrature
+    that did not converge, its last two estimates (JSON only, not CSV)."""
+    from .measures import evaluate_point
 
     base = {"dq_perp_um_inv": dq_perp, "dk_ph_um_inv": dk_ph}
     try:
         beam, spectrum, phase = cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase()
-        p_sc = purity_sc(beam, spectrum, cfg.quadrature)
-        if dk_ph not in p_z:
-            p_z[dk_ph] = purity_z(beam, spectrum, cfg.quadrature)
-        result = _point_result(beam, spectrum, phase, cfg.thresholds, p_sc, p_z[dk_ph])
+        result = evaluate_point(beam, spectrum, phase, cfg.thresholds, cfg.quadrature)
     except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
         row = {
             **base,
@@ -355,12 +345,12 @@ def result_to_row(result: MeasureResult) -> dict:
 
 
 def run_sweep(cfg: RunConfig) -> list[dict]:
-    """Evaluate every sweep cell in row-major order, in this process."""
+    """Evaluate every sweep cell in row-major order, in this process, each
+    on its own through `_cell_row`: no value is shared between cells."""
     if cfg.sweep is None:
         raise ConfigError("sweep commands need a [sweep] section")
-    p_z = {}
     return [
-        _cell_row(cfg, float(dqp), float(dkp), p_z)
+        _cell_row(cfg, float(dqp), float(dkp))
         for dqp in cfg.sweep.dq_perp_values()
         for dkp in cfg.sweep.dk_ph_values()
     ]
@@ -431,6 +421,8 @@ _CSV_ZERO_SHARE = 5
 
 
 def csv_to_rows(text: str) -> list[dict]:
+    """The rows of a sweep CSV as `run_sweep` returns them, so that
+    rows_to_csv writes the text back."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_HEADER:
@@ -450,7 +442,8 @@ def csv_to_rows(text: str) -> list[dict]:
             raise ConfigError(f"CSV line {line}: regime {regime!r} is not one of {', '.join(_REGIME_CELLS)}")
         if flag not in ("true", "false") and not (flag == "" and regime == "error"):
             raise ConfigError(f"CSV line {line}: longitudinal_entangled {flag!r} is not true or false")
-        row["longitudinal_entangled"] = flag == "true"
+        if flag:  # an error row keeps its empty cell
+            row["longitudinal_entangled"] = flag == "true"
         rows.append(row)
     return rows
 
@@ -683,7 +676,9 @@ def _render_csv(text: str, field_name: str, cfg: RunConfig) -> str:
         raise ConfigError("sweep CSV does not cover a full rectangular grid")
 
     def grid_of(key):
-        return [[float(index[(x, y)][key]) for y in ys] for x in xs]
+        # an error row's empty longitudinal_entangled is a missing value
+        cells = [[index[(x, y)][key] for y in ys] for x in xs]
+        return [[math.nan if v == "" else float(v) for v in row] for row in cells]
 
     d2 = grid_of("d2")
     purity = grid_of("purity_sc")

@@ -229,7 +229,25 @@ class TestCsvRoundTrip:
     def test_error_row_accepted(self):
         # a failed cell's row, as rows_to_csv writes it: an empty flag
         (row,) = csv_to_rows(",".join(CSV_HEADER) + "\n1.0,0.5,nan,nan,nan,nan,nan,nan,error,\n")
-        assert row["regime"] == "error" and row["longitudinal_entangled"] is False
+        assert row["regime"] == "error" and row["longitudinal_entangled"] == ""
+
+    def test_failed_cell_round_trips(self, runner, tmp_path, monkeypatch):
+        # a sweep-written CSV with a failed cell: its empty flag stays empty
+        import clpair.measures as measures
+
+        real = measures.purity_sc
+
+        def flaky(beam, spectrum, *args):
+            if beam.dq_perp == 1.0 and spectrum.dk_ph == 2.0:
+                raise ConvergenceError("did not converge")
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(measures, "purity_sc", flaky)
+        res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        text = (tmp_path / "sweep.csv").read_text()
+        assert "1.0,2.0,nan,nan,nan,nan,nan,nan,error,\n" in text
+        assert rows_to_csv(csv_to_rows(text)) == text
 
     def test_regime_cells_are_the_regimes(self):
         # the config layer loads no numpy, so it keeps its own copy of the
@@ -466,21 +484,13 @@ class TestSweepFailures:
             }
         ]
 
-    def test_purity_z_once_per_column(self, tmp_path, monkeypatch):
+    def test_every_row_is_evaluate_point_row(self, tmp_path):
         import clpair.cli as cli
         import clpair.measures as measures
 
-        calls = []
-        real = measures.purity_z
-
-        def counting(beam, spectrum, *args):
-            calls.append(spectrum.dk_ph)
-            return real(beam, spectrum, *args)
-
-        monkeypatch.setattr(measures, "purity_z", counting)
         cfg = load_config(write(tmp_path, SWEEP_INI))
         rows = run_sweep(cfg)
-        assert calls == [0.5, 2.0]
+        assert len(rows) == 4
         for r in rows:
             dq, dk = r["dq_perp_um_inv"], r["dk_ph_um_inv"]
             full = cli.result_to_row(measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase(), cfg.thresholds, cfg.quadrature))

@@ -1,10 +1,14 @@
 import dataclasses
+import inspect
 import math
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import j0
 
 from clpair import (
@@ -21,6 +25,7 @@ from clpair.measures import (
     _H_TAIL_X,
     PURITY_QUAD,
     _purity_once,
+    _purity_z_once,
     _sonine_h,
     Regime,
     RegimeThresholds,
@@ -269,6 +274,93 @@ class TestPurityZ:
         b = make_beam(1.0)
         values = [purity_z(b, make_spectrum(dk)) for dk in np.logspace(-1, 1.3, 8)]
         assert all(x > y for x, y in zip(values, values[1:]))
+
+
+# (L_par um, dk_ph um^-1): kmin > 0 at the first and last, kmin = 0 at the
+# three whose spectrum reaches below k = 0 within 8 dk_ph
+PURITY_Z_POINTS = [(1.3, 1.0), (1.3, 30.0), (13.0, 30.0), (0.13, 1528.0), (13.0, 0.3)]
+
+
+def _purity_z_beam(l_par: float) -> BeamParams:
+    return BeamParams(200.0, 1.0, 2.0 * math.pi / l_par)
+
+
+def _purity_z_nested_quad(l_par: float, dk: float) -> float:
+    """P_z by scipy's nested adaptive quad, on the scalar densities."""
+    beam, s = _purity_z_beam(l_par), SpectrumModel(K_C, dk)
+    a = beam.c_over_vz**2 / (4.0 * beam.dq_par**2)
+
+    def dens(k):
+        return k * k * s.n_g * math.exp(-((k - s.k_c) ** 2) / (2.0 * dk**2))
+
+    def inner(k):
+        def f(kp):
+            return dens(kp) * math.exp(-a * (k - kp) ** 2)
+
+        return quad(f, s.kmin, s.kmax, points=[k, s.k_c], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    return quad(lambda k: dens(k) * inner(k), s.kmin, s.kmax, points=[s.k_c], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.fixture(scope="module")
+def purity_z_reference():
+    return {point: _purity_z_nested_quad(*point) for point in PURITY_Z_POINTS}
+
+
+def _purity_z_mutant(old: str, new: str):
+    """`_purity_z_once` with `old` (found once in its source) replaced by `new`."""
+    import clpair.measures as measures
+
+    source = textwrap.dedent(inspect.getsource(_purity_z_once))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(measures))
+    exec(compile(source.replace(old, new), "purity_z_mutant", "exec"), namespace)
+    return namespace["_purity_z_once"]
+
+
+class TestPurityZReference:
+    """The closed inner integral against scipy's nested quad."""
+
+    def test_kmin_cases_covered(self):
+        kmins = [SpectrumModel(K_C, dk).kmin for _, dk in PURITY_Z_POINTS]
+        assert 0.0 in kmins and any(k > 0.0 for k in kmins)
+
+    @pytest.mark.parametrize("point", PURITY_Z_POINTS, ids=[f"{l}-{dk}" for l, dk in PURITY_Z_POINTS])
+    def test_matches_nested_quad(self, point, purity_z_reference):
+        value = purity_z(_purity_z_beam(point[0]), SpectrumModel(K_C, point[1]))
+        assert abs(value - purity_z_reference[point]) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # the inner window widened to (-inf, inf): the kmin = 0 cut ignored
+            (
+                "lo, hi = spectrum.kmin - mu, spectrum.kmax - mu",
+                "lo, hi = np.full_like(mu, -50.0) / math.sqrt(big_a), np.full_like(mu, 50.0) / math.sqrt(big_a)",
+            ),
+            # the boundary term of the integration by parts dropped
+            (" - edge / (2.0 * big_a)", ""),
+        ],
+        ids=["infinite-window", "no-edge-term"],
+    )
+    def test_planted_defects_are_caught(self, old, new, purity_z_reference):
+        mutant = _purity_z_mutant(old, new)
+        errors = [
+            abs(mutant(_purity_z_beam(l_par), SpectrumModel(K_C, dk), 256) - purity_z_reference[(l_par, dk)])
+            for l_par, dk in PURITY_Z_POINTS
+        ]
+        assert max(errors) > 1e-13
+
+    def test_peak_allocation_under_1_mb(self):
+        beam, spectrum = _purity_z_beam(13.0), SpectrumModel(K_C, 30.0)
+        purity_z(beam, spectrum)  # the cached Gauss-Legendre rule is not counted
+        tracemalloc.start()
+        try:
+            purity_z(beam, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRelPosVariance:

@@ -115,6 +115,16 @@ class TestRenderHeatmap:
         assert render_heatmap(*args) == render_heatmap(*args)
 
 
+def render_plane(tmp_path, field: str) -> bytes:
+    """The SVG that `render --field <field>` writes for PLANE_CSV."""
+    cfg = tmp_path / "plane.ini"
+    cfg.write_text("[beam]\nkinetic_energy_kev = 200.0\nl_par_um = 1.3\n\n[spectrum]\nlambda_c_um = 0.5\ndk_ph_um_inv = 1.0\n")
+    (tmp_path / "sweep.csv").write_text(PLANE_CSV)
+    res = CliRunner().invoke(main, ["render", "--config", str(cfg), "--field", field, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    return (tmp_path / f"render_{field}.svg").read_bytes()
+
+
 class TestPinnedDocuments:
     # the documents `render` wrote for PLANE_CSV when it drew with numpy's
     # log10; it now draws with math.log10, which differs from it in the
@@ -128,12 +138,13 @@ class TestPinnedDocuments:
         ],
     )
     def test_render_bytes(self, tmp_path, field, digest):
-        cfg = tmp_path / "plane.ini"
-        cfg.write_text("[beam]\nkinetic_energy_kev = 200.0\nl_par_um = 1.3\n\n[spectrum]\nlambda_c_um = 0.5\ndk_ph_um_inv = 1.0\n")
-        (tmp_path / "sweep.csv").write_text(PLANE_CSV)
-        res = CliRunner().invoke(main, ["render", "--config", str(cfg), "--field", field, "--out", str(tmp_path)])
-        assert res.exit_code == 0, res.output
-        assert hashlib.sha256((tmp_path / f"render_{field}.svg").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(render_plane(tmp_path, field)).hexdigest() == digest
+
+    @pytest.mark.parametrize("field", ["purity_z", "longitudinal_entangled"])
+    def test_failed_cell_is_grey(self, tmp_path, field):
+        # PLANE_CSV has one failed cell; its empty flag is drawn grey too
+        rects = [e for e in parse(render_plane(tmp_path, field)).iter() if e.tag.endswith("rect")]
+        assert sum(e.get("fill") == "#808080" for e in rects) == 1
 
     @pytest.mark.parametrize("field", ["d2", "purity_sc", "regime"])
     def test_arrays_and_lists_give_one_document(self, field):

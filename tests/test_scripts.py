@@ -1,6 +1,7 @@
-"""Smoke tests of the experiment scripts: each must import and parse its
-options."""
+"""Tests of the experiment scripts: each parses its options, and each run
+writes its table and prints its summary."""
 
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,21 @@ def test_help(script):
     assert res.returncode == 0, res.stderr
     assert "usage:" in res.stdout
 
+
+def rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_longitudinal_purity_run(tmp_path):
+    res = run(ROOT / "scripts" / "longitudinal_purity.py", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert len(rows(tmp_path / "purity_z.csv")) == 123
+    crossings = [line.split("dk_ph = ")[1].split()[0] for line in res.stdout.splitlines() if "drops below 2/3" in line]
+    assert crossings == ["57.443", "4.833", "0.407"]
+
+
+def test_phase_influence_run(tmp_path):
+    res = run(ROOT / "scripts" / "phase_influence.py", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert len(rows(tmp_path / "epr_contour.csv")) == 366
