@@ -3,8 +3,8 @@
 
 Computes the purity of the electron's z degree of freedom as a
 function of dk_ph for several longitudinal coherence lengths, and
-reports where each curve crosses the 2/3 entanglement threshold
-relative to dq_par = 2 pi / L_par.
+reports where each curve crosses the entanglement threshold
+`clpair.constants.PURITY_THRESHOLD` (2/3), relative to dq_par = 2 pi / L_par.
 
 Usage: python scripts/longitudinal_purity.py [--out OUT]
 """
@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from clpair import BeamParams, SpectrumModel
+from clpair.constants import PURITY_THRESHOLD
 from clpair.measures import purity_z
 
 K_C = 2.0 * math.pi / 0.5
@@ -41,9 +42,7 @@ def main() -> None:
             values = [purity_z(beam, SpectrumModel(K_C, dk)) for dk in dks]
             for dk, p in zip(dks, values):
                 writer.writerow([l_par, repr(dq_par), repr(float(dk)), repr(p)])
-            crossing = next(
-                (dk for dk, p in zip(dks, values) if p < 2.0 / 3.0), None
-            )
+            crossing = next((dk for dk, p in zip(dks, values) if p < PURITY_THRESHOLD), None)
             if crossing is None:
                 print(f"L_par = {l_par:5} um: no 2/3 crossing in range")
             else:

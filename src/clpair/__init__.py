@@ -37,7 +37,6 @@ _EXPORTS = {
     "QuadratureSpec": "model",
     "RadialDkPhase": "model",
     "RadialKcPhase": "model",
-    "RegimeThresholds": "model",
     "SpectrumModel": "model",
     "ZeroPhase": "model",
     "derive_kinematics": "model",

@@ -4,7 +4,8 @@ Subcommands (one verb per artifact): `measure` (single point), `sweep`
 (parameter-plane CSV), `dist` (joint distribution grids), `regime-map`
 (`sweep`'s CSV and JSON plus `render --field regime`'s SVG), `validate`
 (oracle suite), `render` (SVG from a sweep CSV). `measure`, `sweep` and
-`regime-map` write their rows through one function, `_write_rows`.
+`regime-map` build each row with `_point_row` and write them through
+one function, `_write_rows`.
 
 The config file is an INI-style key-value document; the only
 environment override is CLPAIR_OUT (output directory). A sweep
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Optional
 import click
 
 from . import __version__
-from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, TWO_PI
+from .constants import EPR_THRESHOLD, MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, PURITY_THRESHOLD, TWO_PI
 from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from .model import (
     PURITY_QUAD,
@@ -49,7 +50,6 @@ from .model import (
     QuadratureSpec,
     RadialDkPhase,
     RadialKcPhase,
-    RegimeThresholds,
     SpectrumModel,
     ZeroPhase,
     wavelength_to_wavenumbers,
@@ -57,8 +57,6 @@ from .model import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .measures import MeasureResult
 
 CSV_HEADER = [
     "dq_perp_um_inv",
@@ -111,8 +109,8 @@ class SweepAxes:
 class RunConfig:
     """One run's parameters; construction rejects inadmissible values.
 
-    The quadrature tolerances and regime thresholds are the library's own
-    `QuadratureSpec` and `RegimeThresholds`, which check themselves.
+    The quadrature tolerances are the library's own `QuadratureSpec`,
+    which checks itself.
     """
 
     kinetic_energy_kev: float
@@ -123,10 +121,8 @@ class RunConfig:
     phase_variant: str = "zero"
     phase_xi: float = 0.0
     sweep: Optional[SweepAxes] = None
-    thresholds: RegimeThresholds = RegimeThresholds()
     quadrature: QuadratureSpec = PURITY_QUAD
     mc_samples: int = MC_SAMPLES
-    mc_seed: int = MC_SEED
     out_dir: str = "."
 
     def __post_init__(self):
@@ -136,8 +132,6 @@ class RunConfig:
             raise ConfigError(f"[phase] xi = {self.phase_xi!r} needs a variant other than zero")
         if not self.mc_samples >= MC_MIN_SAMPLES:
             raise ConfigError(f"[quadrature] mc_samples must be at least {MC_MIN_SAMPLES}, got {self.mc_samples!r}")
-        if not self.mc_seed >= 0:
-            raise ConfigError(f"the Monte Carlo seed must be non-negative, got {self.mc_seed!r}")
         # fail fast with the model's own checks; a sweep supplies dq_perp per
         # cell, so without one dq_par stands in to check the energy and dq_par
         self.spectrum()
@@ -204,12 +198,10 @@ _CONFIG_KEYS = {
         "dk_ph_max": ("sweep.dk_ph_max", float),
         "dk_ph_steps": ("sweep.dk_ph_steps", int),
     },
-    "thresholds": {"purity": ("thresholds.purity_threshold", float), "epr": ("thresholds.epr_threshold", float)},
     "quadrature": {
         "rel_tol": ("quadrature.rel_tol", float),
         "abs_tol": ("quadrature.abs_tol", float),
         "mc_samples": ("mc_samples", int),
-        "mc_seed": ("mc_seed", int),
     },
     "output": {"out_dir": ("out_dir", str)},
 }
@@ -220,7 +212,7 @@ _REQUIRED = {
     "sweep": tuple(field for field, _ in _CONFIG_KEYS["sweep"].values()),
 }
 # how parse_config builds each object that a RunConfig field holds
-_HOLDERS = {"sweep": SweepAxes, "thresholds": RegimeThresholds, "quadrature": partial(replace, PURITY_QUAD)}
+_HOLDERS = {"sweep": SweepAxes, "quadrature": partial(replace, PURITY_QUAD)}
 _NOUNS = {float: "a number", int: "an integer", _length: "a positive number"}
 
 
@@ -306,33 +298,15 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
-def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
-    """Evaluate one sweep cell with `evaluate_point`; a failure becomes an
-    'error' row that keeps its reason under `error` and, for a quadrature
-    that did not converge, its last two estimates (JSON only, not CSV)."""
+def _point_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
+    """The row of one point, as `measure` and a sweep cell write it: its
+    coordinates and `evaluate_point`'s diagnostics, keyed by CSV column."""
     from .measures import evaluate_point
 
-    base = {"dq_perp_um_inv": dq_perp, "dk_ph_um_inv": dk_ph}
-    try:
-        beam, spectrum, phase = cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase()
-        result = evaluate_point(beam, spectrum, phase, cfg.thresholds, cfg.quadrature)
-    except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
-        row = {
-            **base,
-            **dict.fromkeys(CSV_HEADER[2:-2], math.nan),
-            "regime": "error",
-            "longitudinal_entangled": "",
-            "error": str(exc),
-        }
-        for key in ("best_estimate", "previous_estimate"):
-            if getattr(exc, key, None) is not None:
-                row[key] = getattr(exc, key)
-        return row
-    return {**base, **result_to_row(result)}
-
-
-def result_to_row(result: MeasureResult) -> dict:
+    result = evaluate_point(cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase(), cfg.quadrature)
     return {
+        "dq_perp_um_inv": dq_perp,
+        "dk_ph_um_inv": dk_ph,
         "purity_sc": result.purity_sc,
         "purity_z": result.purity_z,
         "var_rel_pos_um2": result.var_rel_pos,
@@ -342,6 +316,27 @@ def result_to_row(result: MeasureResult) -> dict:
         "regime": result.regime.value,
         "longitudinal_entangled": result.longitudinal_entangled,
     }
+
+
+def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
+    """`_point_row` of one sweep cell; a failure becomes an 'error' row
+    that keeps its reason under `error` and, for a quadrature that did not
+    converge, its last two estimates (JSON only, not CSV)."""
+    try:
+        return _point_row(cfg, dq_perp, dk_ph)
+    except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
+        row = {
+            "dq_perp_um_inv": dq_perp,
+            "dk_ph_um_inv": dk_ph,
+            **dict.fromkeys(CSV_HEADER[2:-2], math.nan),
+            "regime": "error",
+            "longitudinal_entangled": "",
+            "error": str(exc),
+        }
+        for key in ("best_estimate", "previous_estimate"):
+            if getattr(exc, key, None) is not None:
+                row[key] = getattr(exc, key)
+        return row
 
 
 def run_sweep(cfg: RunConfig) -> list[dict]:
@@ -440,10 +435,13 @@ def csv_to_rows(text: str) -> list[dict]:
         regime, flag = row["regime"], row["longitudinal_entangled"]
         if regime not in _REGIME_CELLS:
             raise ConfigError(f"CSV line {line}: regime {regime!r} is not one of {', '.join(_REGIME_CELLS)}")
-        if flag not in ("true", "false") and not (flag == "" and regime == "error"):
-            raise ConfigError(f"CSV line {line}: longitudinal_entangled {flag!r} is not true or false")
-        if flag:  # an error row keeps its empty cell
+        if regime == "error":
+            if flag:  # an error row keeps its empty cell
+                raise ConfigError(f"CSV line {line}: longitudinal_entangled {flag!r} must be empty on an error row")
+        elif flag in ("true", "false"):
             row["longitudinal_entangled"] = flag == "true"
+        else:
+            raise ConfigError(f"CSV line {line}: longitudinal_entangled {flag!r} is not true or false")
         rows.append(row)
     return rows
 
@@ -533,13 +531,7 @@ def measure(config_path, out):
     cfg = load_config(config_path)
     beam = cfg.beam()
     out_path = _out_dir(cfg, out)
-    from .measures import evaluate_point
-
-    row = {
-        "dq_perp_um_inv": beam.dq_perp,
-        "dk_ph_um_inv": cfg.dk_ph,
-        **result_to_row(evaluate_point(beam, cfg.spectrum(), cfg.phase(), cfg.thresholds, cfg.quadrature)),
-    }
+    row = _point_row(cfg, beam.dq_perp, cfg.dk_ph)
     click.echo(_write_rows(out_path, "measure", cfg, [row]), nl=False)
 
 
@@ -561,7 +553,7 @@ def _sweep(cfg: RunConfig, out: Optional[str], name: str, field_name: Optional[s
     text = _write_rows(out_path, name, cfg, rows)
     click.echo(f"wrote {len(rows)} cells to {out_path / f'{name}.csv'}")
     if field_name is not None:
-        (out_path / f"{name}.svg").write_text(_render_csv(text, field_name, cfg))
+        (out_path / f"{name}.svg").write_text(_render_csv(text, field_name))
         click.echo(f"wrote {out_path / f'{name}.svg'}")
     _report_failures(rows)
 
@@ -602,14 +594,13 @@ def regime_map(config_path, out):
 
 @main.command()
 @_config_opt
-@click.option("--seed", default=None, type=int, help="Monte Carlo seed override.")
+@click.option("--seed", default=MC_SEED, show_default=True, type=int, help="Monte Carlo seed, non-negative.")
 @_out_opt
 def validate(config_path, seed, out):
     """Run the oracle suite at the configured point."""
     cfg = load_config(config_path)
-    # the override meets the same checks as [quadrature] mc_seed; the
-    # provenance keeps the config as written, with the seed beside it
-    seed = (cfg if seed is None else replace(cfg, mc_seed=seed)).mc_seed
+    if seed < 0:
+        raise ConfigError(f"the Monte Carlo seed must be non-negative, got {seed!r}")
     beam = cfg.beam()
     out_path = _out_dir(cfg, out)
     from .oracles import run_suite
@@ -653,12 +644,12 @@ def render(config_path, field_name, input_csv, out):
         text = src.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read sweep CSV {src}: {exc}") from exc
-    svg = _render_csv(text, field_name, cfg)
+    svg = _render_csv(text, field_name)
     (out_path / f"render_{field_name}.svg").write_text(svg)
     click.echo(f"wrote {out_path / f'render_{field_name}.svg'}")
 
 
-def _render_csv(text: str, field_name: str, cfg: RunConfig) -> str:
+def _render_csv(text: str, field_name: str) -> str:
     """The SVG of one field of a sweep CSV, with the threshold contours."""
     from .render import ContourSpec, render_heatmap
 
@@ -682,10 +673,9 @@ def _render_csv(text: str, field_name: str, cfg: RunConfig) -> str:
 
     d2 = grid_of("d2")
     purity = grid_of("purity_sc")
-    th = cfg.thresholds
     contours = [
-        ContourSpec(d2, th.epr_threshold, "#ffffff", f"d2 = {th.epr_threshold:g}"),
-        ContourSpec(purity, th.purity_threshold, "#ff00ff", f"purity = {th.purity_threshold:.3g}"),
+        ContourSpec(d2, EPR_THRESHOLD, "#ffffff", f"d2 = {EPR_THRESHOLD:g}"),
+        ContourSpec(purity, PURITY_THRESHOLD, "#ff00ff", f"purity = {PURITY_THRESHOLD:.3g}"),
     ]
     if field_name == "regime":
         cats = [str(index[(x, y)]["regime"]) for x in xs for y in ys]

@@ -23,6 +23,12 @@ ANGULAR_NORM = 15.0 / (8.0 * math.pi)
 # runs; the Gaussian beyond it is below exp(-32) of its peak.
 TRUNCATION_SIGMAS = 8.0
 
+# The paper's regime thresholds: a subsystem purity below 2/3, and an EPR
+# product D^2 below 1, the separability bound of Mancini et al., PRL 88
+# (2002) 120401 and Giovannetti et al., PRA 67 (2003) 022320.
+PURITY_THRESHOLD = 2.0 / 3.0
+EPR_THRESHOLD = 1.0
+
 # Monte Carlo oracle: default seed, default sample pairs of the oracle
 # suite, and the fewest pairs whose standard error is meaningful.
 MC_SEED = 20260824

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import EPR_THRESHOLD, PURITY_THRESHOLD, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .model import (
     PURITY_QUAD,
     BeamParams,
     PhaseModel,
     QuadratureSpec,
-    RegimeThresholds,
     SpectrumModel,
     ZeroPhase,
     eval_g,
@@ -223,18 +222,24 @@ def purity_sc(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = 
 
 
 def _purity_z_once(beam: BeamParams, spectrum: SpectrumModel, n_rad: int) -> float:
-    """P_z as a sum over `n_rad` radial nodes of the closed inner integral."""
-    kn, kw = _radial_nodes(spectrum, n_rad)
+    """P_z as a sum over `n_rad` radial nodes of the closed inner integral.
+
+    The nodes are in the offset u = k - k_c, and both Gaussians are formed
+    from u: k - k_c taken from nodes near k_c would keep their rounding
+    (about 1e-15), which a narrow spectrum amplifies to 2e-14 in P_z.
+    """
+    k_c = spectrum.k_c
+    un, uw = gauss_legendre_panels(spectrum.kmin - k_c, spectrum.kmax - k_c, max(1, n_rad // 16), 16)
     p, a = 0.5 / spectrum.dk_ph**2, beam.c_over_vz**2 / (4.0 * beam.dq_par**2)
     big_a = p + a
-    mu = (p * spectrum.k_c + a * kn) / big_a
+    mu = k_c + (a / big_a) * un
     lo, hi = spectrum.kmin - mu, spectrum.kmax - mu
     # numpy has no erf; the nodes are few
     erf = np.array([math.erf(v) - math.erf(u) for u, v in zip(math.sqrt(big_a) * lo, math.sqrt(big_a) * hi)])
     edge = (hi + 2.0 * mu) * np.exp(-big_a * hi**2) - (lo + 2.0 * mu) * np.exp(-big_a * lo**2)
     inner = (mu**2 + 0.5 / big_a) * 0.5 * math.sqrt(math.pi / big_a) * erf - edge / (2.0 * big_a)
-    inner *= spectrum.n_g * np.exp(-(p * a / big_a) * (kn - spectrum.k_c) ** 2)
-    return float((kw * kn**2 * eval_g(spectrum, kn)) @ inner)
+    inner *= spectrum.n_g * np.exp(-(p * a / big_a) * un**2)
+    return float((uw * (k_c + un) ** 2 * spectrum.n_g * np.exp(-p * un**2)) @ inner)
 
 
 def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = PURITY_QUAD) -> float:
@@ -325,8 +330,9 @@ def total_wavevector_variance(beam: BeamParams) -> float:
 # ---------------------------------------------------------------------------
 # classification
 
-def classify_regime(purity: float, d2: float, thresholds: RegimeThresholds = RegimeThresholds()) -> Regime:
-    """Map (purity, D^2) to the A/B/C taxonomy.
+def classify_regime(purity: float, d2: float) -> Regime:
+    """Map (purity, D^2) to the A/B/C taxonomy, at the paper's thresholds
+    PURITY_THRESHOLD and EPR_THRESHOLD.
 
     The combination (purity above threshold, D^2 below threshold) is not
     part of the taxonomy and is reported explicitly as ANOMALOUS rather
@@ -334,8 +340,8 @@ def classify_regime(purity: float, d2: float, thresholds: RegimeThresholds = Reg
     """
     if not (math.isfinite(purity) and math.isfinite(d2)):
         raise DomainError("regime classification requires finite inputs")
-    low_purity = purity < thresholds.purity_threshold
-    epr = d2 < thresholds.epr_threshold
+    low_purity = purity < PURITY_THRESHOLD
+    epr = d2 < EPR_THRESHOLD
     if low_purity and epr:
         return Regime.A
     if low_purity:
@@ -349,7 +355,6 @@ def evaluate_point(
     beam: BeamParams,
     spectrum: SpectrumModel,
     phase: PhaseModel = ZeroPhase(),
-    thresholds: RegimeThresholds = RegimeThresholds(),
     quad: QuadratureSpec = PURITY_QUAD,
 ) -> MeasureResult:
     """All diagnostics at a single parameter point; a failed `purity_sc`
@@ -366,6 +371,6 @@ def evaluate_point(
         var_tot_wavevector=var_q,
         d2=d2,
         schmidt_number=1.0 / p_sc,
-        regime=classify_regime(p_sc, d2, thresholds),
-        longitudinal_entangled=p_z < thresholds.purity_threshold,
+        regime=classify_regime(p_sc, d2),
+        longitudinal_entangled=p_z < PURITY_THRESHOLD,
     )

@@ -324,7 +324,7 @@ PhaseModel = Union[ZeroPhase, PolarLinearPhase, RadialKcPhase, RadialDkPhase]
 
 
 # ---------------------------------------------------------------------------
-# quadrature control and regime thresholds
+# quadrature control
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -346,16 +346,3 @@ class QuadratureSpec:
 #: purity to a few 1e-4, so tighter defaults would buy nothing it can see.
 PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
 
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Thresholds of the A/B/C regime classification."""
-
-    purity_threshold: float = 2.0 / 3.0
-    epr_threshold: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.purity_threshold < 1.0:
-            raise DomainError(f"purity threshold must lie in (0, 1), got {self.purity_threshold!r}")
-        if not 0.0 < self.epr_threshold < math.inf:
-            raise DomainError(f"epr threshold must be positive and finite, got {self.epr_threshold!r}")

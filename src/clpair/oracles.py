@@ -33,6 +33,11 @@ from .model import (
 from .quadrature import GammaSampler, gauss_legendre_panels
 
 
+# the most q points the suite's Schmidt oracle takes: its amplitude is
+# n_q x N_KX doubles, 64 MiB at this size
+_SCHMIDT_MAX_Q = 16384
+
+
 @dataclass(frozen=True)
 class OracleReport:
     quantity: str
@@ -321,10 +326,13 @@ def run_suite(
     reports.append(variance_from_grid(momentum_grid(beam, spectrum), "total_wavevector", beam))
     reports.append(variance_from_grid(joint_position(beam, spectrum), "relative_position", beam, spectrum))
 
-    # Schmidt oracle on the model's own transverse marginal
+    # Schmidt oracle on the model's own transverse marginal, with 9 q points
+    # per electron width where schmidt_purity_1d needs 8
     kx = np.linspace(-kmax, kmax, N_KX)
     span = 6.0 * beam.dq_perp + kmax
-    n_q = int(np.clip(math.ceil(2.0 * span / (beam.dq_perp / 9.0)), 64, 3000))
+    n_q = max(64, math.ceil(2.0 * span / (beam.dq_perp / 9.0)))
+    if n_q > _SCHMIDT_MAX_Q:
+        raise ResolutionError(f"the Schmidt oracle needs {n_q} q points, more than its cap of {_SCHMIDT_MAX_Q}")
     qx = np.linspace(-span, span, n_q)
     reports.append(schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k), kx, qx))
     return reports

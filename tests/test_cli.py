@@ -167,15 +167,10 @@ KEY_TARGETS = {
         "dk_ph_steps": ("4", "sweep.dk_ph_steps", 4),
     },
     "phase": {"variant": ("radial_kc", "phase_variant", "radial_kc"), "xi": ("2.5", "phase_xi", 2.5)},
-    "thresholds": {
-        "purity": ("0.5", "thresholds.purity_threshold", 0.5),
-        "epr": ("0.75", "thresholds.epr_threshold", 0.75),
-    },
     "quadrature": {
         "rel_tol": ("0.0002", "quadrature.rel_tol", 2e-4),
         "abs_tol": ("3e-05", "quadrature.abs_tol", 3e-5),
         "mc_samples": ("12345", "mc_samples", 12345),
-        "mc_seed": ("42", "mc_seed", 42),
     },
     "output": {"out_dir": ("runs/x", "out_dir", "runs/x")},
 }
@@ -384,6 +379,16 @@ class TestCommands:
         assert payload["seed"] == 11
         assert all(r["passed"] for r in payload["reports"])
 
+    def test_validate_narrow_beam(self, runner, tmp_path):
+        # at dq_perp = 0.1 the Schmidt oracle's q grid needs 3810 points to
+        # keep 9 per electron width
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 0.1"))
+        res = runner.invoke(main, ["validate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((tmp_path / "o" / "validate.json").read_text())
+        (schmidt,) = [r for r in payload["reports"] if r["quantity"] == "schmidt_purity_1d"]
+        assert schmidt["metadata"]["n_q"] == "3810"
+
     def test_dist(self, runner, tmp_path):
         cfg = write(tmp_path, BASE_INI)
         out = str(tmp_path / "o")
@@ -485,7 +490,6 @@ class TestSweepFailures:
         ]
 
     def test_every_row_is_evaluate_point_row(self, tmp_path):
-        import clpair.cli as cli
         import clpair.measures as measures
 
         cfg = load_config(write(tmp_path, SWEEP_INI))
@@ -493,8 +497,19 @@ class TestSweepFailures:
         assert len(rows) == 4
         for r in rows:
             dq, dk = r["dq_perp_um_inv"], r["dk_ph_um_inv"]
-            full = cli.result_to_row(measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase(), cfg.thresholds, cfg.quadrature))
-            assert r == {"dq_perp_um_inv": dq, "dk_ph_um_inv": dk, **full}
+            res = measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase(), cfg.quadrature)
+            assert r == {
+                "dq_perp_um_inv": dq,
+                "dk_ph_um_inv": dk,
+                "purity_sc": res.purity_sc,
+                "purity_z": res.purity_z,
+                "var_rel_pos_um2": res.var_rel_pos,
+                "var_tot_wv_um_inv2": res.var_tot_wavevector,
+                "d2": res.d2,
+                "schmidt_number": res.schmidt_number,
+                "regime": res.regime.value,
+                "longitudinal_entangled": res.longitudinal_entangled,
+            }
 
     def test_failed_column_keeps_purity_sc_reason_first(self, tmp_path, monkeypatch):
         # purity_z fails in the dk_ph = 2 column and purity_sc at one of its
@@ -593,11 +608,7 @@ class TestInputValidation:
             "[quadrature]\nabs_tol = nan",
             "[quadrature]\nabs_tol = -1",
             "[quadrature]\nrel_tol = inf",
-            "[thresholds]\nepr = nan",
-            "[thresholds]\nepr = 0",
-            "[thresholds]\npurity = nan",
             "[quadrature]\nmc_samples = 5000",
-            "[quadrature]\nmc_seed = -1",
             "[phase]\nvariant = radial_kc\nxi = inf",
             "[phase]\nxi = nan",
         ],
@@ -778,7 +789,6 @@ class TestRuntimeImports:
             "QuadratureSpec",
             "RadialDkPhase",
             "RadialKcPhase",
-            "RegimeThresholds",
             "SpectrumModel",
             "ZeroPhase",
             "derive_kinematics",
@@ -820,8 +830,8 @@ class TestProvenancePinned:
     @pytest.mark.parametrize(
         "text,digest",
         [
-            (BASE_INI, "1edd93abfa0e4dcb16129c43f5b0a80678ef28c0b92f373be55b05987f30f89a"),
-            (SWEEP_INI, "eca4bbcfe1c59fae816b013466a112d689e8aaa5fd3628acca8d7c43059002e5"),
+            (BASE_INI, "4569ad5e8dc25a0250ff9db860214782db4f6c23d8994eddd9da14fc0746b8eb"),
+            (SWEEP_INI, "e82542ff5d6d72d969235cd2ead35915a0648e45c00979b4844c682ef46ddd35"),
         ],
         ids=["base", "sweep"],
     )
@@ -932,9 +942,11 @@ class TestExitMapping:
             (_last_cells("A", "yes"), "is not true or false"),
             (_last_cells("A", "True"), "is not true or false"),
             (_last_cells("A", ""), "is not true or false"),
+            (_last_cells("error", "true"), "must be empty on an error row"),
+            (_last_cells("error", "false"), "must be empty on an error row"),
         ],
         ids=["repeated_cell", "negative", "zero", "infinite", "markup_regime", "unknown_regime", "yes_flag",
-             "capital_flag", "empty_flag_on_a_result"],
+             "capital_flag", "empty_flag_on_a_result", "true_flag_on_an_error", "false_flag_on_an_error"],
     )
     def test_render_bad_cells_exit_2(self, runner, tmp_path, edit, message):
         cfg = write(tmp_path, SWEEP_INI)
@@ -1024,15 +1036,10 @@ _DOCUMENTED_KEYS = {
         "variant": st.sampled_from(["zero", "polar_linear", "radial_kc", "radial_dk", "spiral"]),
         "xi": st.floats(min_value=0.0, max_value=200.0).map(repr),
     },
-    "thresholds": {
-        "purity": st.floats(min_value=0.01, max_value=1.2).map(repr),
-        "epr": st.floats(min_value=0.0, max_value=3.0).map(repr),
-    },
     "quadrature": {
         "rel_tol": st.floats(min_value=0.0, max_value=1e-2).map(repr),
         "abs_tol": st.floats(min_value=0.0, max_value=1e-3).map(repr),
         "mc_samples": st.integers(min_value=5_000, max_value=10**6).map(str),
-        "mc_seed": st.integers(min_value=-5, max_value=2**32).map(str),
     },
     "output": {"out_dir": st.sampled_from(["out", "runs/a", "."])},
 }
@@ -1096,12 +1103,12 @@ class TestUnknownKeys:
             ("spectrum", "dk_ph_um = 1.0"),
             ("sweep", "dk_ph_step = 2"),
             ("phase", "varient = zero"),
-            ("thresholds", "eprr = 1.0"),
+            ("quadrature", "mc_seed = 20260824"),
             ("quadrature", "rel_tl = 1e-4"),
             ("quadrature", "truncation_sigmas = 8.0"),
             ("output", "outdir = o"),
         ],
-        ids=["beam", "spectrum", "sweep", "phase", "thresholds", "quadrature", "truncation_sigmas", "output"],
+        ids=["beam", "spectrum", "sweep", "phase", "mc_seed", "quadrature", "truncation_sigmas", "output"],
     )
     def test_unknown_key_exits_2(self, runner, tmp_path, section, line):
         header = f"[{section}]\n"
@@ -1115,6 +1122,13 @@ class TestUnknownKeys:
         res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
         assert_config_error(res)
         assert "[quadratur]: unknown section" in res.output
+
+    def test_thresholds_section_exits_2(self, runner, tmp_path):
+        # the regime thresholds are the paper's constants, not settings
+        text = BASE_INI + "\n[thresholds]\npurity = 0.5\n"
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[thresholds]: unknown section" in res.output
 
     def test_default_section_exits_2(self, runner, tmp_path):
         # configparser copies [DEFAULT] keys into every section
@@ -1161,6 +1175,15 @@ def test_readme_lists_every_command():
     block = readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [line.split()[1] for line in block.splitlines() if line.startswith("clpair ")]
     assert sorted(commands) == sorted(main.commands)
+
+
+def test_readme_library_example_runs(capsys):
+    # README's example must keep up with evaluate_point's signature
+    block = readme_section("Library").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    purity, d2, regime = capsys.readouterr().out.split()
+    assert 0.0 < float(purity) <= 1.0 < float(d2)
+    assert regime == "Regime.B"
 
 
 def test_readme_lists_every_script():

@@ -28,7 +28,6 @@ from clpair.measures import (
     _purity_z_once,
     _sonine_h,
     Regime,
-    RegimeThresholds,
     classify_regime,
     evaluate_point,
     purity_sc,
@@ -93,6 +92,16 @@ class TestPuritySc:
         s = make_spectrum(0.3)
         values = [purity_sc(make_beam(d), s) for d in (0.5, 2.0, 8.0, 32.0)]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("dk", [0.1, 1.0, 10.0])
+    def test_does_not_decrease_in_dq_perp(self, dk, make_beam, make_spectrum):
+        # every factor of the integrand is non-negative and non-decreasing in
+        # dq_perp, so P_sc is too, up to the quadrature's own tolerance; a
+        # root search for P_sc = 2/3 along a row relies on this
+        s, quad = make_spectrum(dk), PURITY_QUAD
+        values = [purity_sc(make_beam(float(d)), s) for d in np.logspace(-1.0, 2.0, 7)]
+        for lo, hi in zip(values, values[1:]):
+            assert hi >= lo - max(quad.abs_tol, quad.rel_tol * lo), values
 
     def test_bounded(self, make_beam, make_spectrum):
         p = purity_sc(make_beam(5.0), make_spectrum(2.0))
@@ -281,6 +290,19 @@ class TestPurityZ:
 PURITY_Z_POINTS = [(1.3, 1.0), (1.3, 30.0), (13.0, 30.0), (0.13, 1528.0), (13.0, 0.3)]
 
 
+# P_z at (L_par um, dk_ph um^-1), frozen from nested mpmath.quad at 40
+# digits over the spectrum's window [kmin, kmax]: the outer integral with a
+# breakpoint at k_c, the inner one with breakpoints at k_c and the outer k,
+# on the same beam and spectrum floats and the exact normalization N_g.
+# The closed inner integral, also at 40 digits, agrees to 30 digits.
+PURITY_Z_MPMATH = {
+    (13.0, 0.018): "0.998568654516872338099458863402",
+    (13.0, 0.05): "0.989112633637433823583429928532",
+    (1.3, 1.0): "0.958950792511066480209790857404",
+    (0.13, 30.0): "0.841647302895874164917925604932",
+}
+
+
 def _purity_z_beam(l_par: float) -> BeamParams:
     return BeamParams(200.0, 1.0, 2.0 * math.pi / l_par)
 
@@ -329,6 +351,12 @@ class TestPurityZReference:
     def test_matches_nested_quad(self, point, purity_z_reference):
         value = purity_z(_purity_z_beam(point[0]), SpectrumModel(K_C, point[1]))
         assert abs(value - purity_z_reference[point]) <= 1e-13
+
+    @pytest.mark.parametrize("point", list(PURITY_Z_MPMATH), ids=[f"{l}-{dk}" for l, dk in PURITY_Z_MPMATH])
+    def test_matches_mpmath(self, point):
+        # narrow spectra amplify the rounding of k - k_c at nodes near k_c
+        value = purity_z(_purity_z_beam(point[0]), SpectrumModel(K_C, point[1]))
+        assert abs(value - float(PURITY_Z_MPMATH[point])) <= 1e-15
 
     @pytest.mark.parametrize(
         "old,new",
@@ -434,18 +462,13 @@ class TestClassifyRegime:
     def test_quadrants(self, p, d2, expected):
         assert classify_regime(p, d2) == expected
 
-    def test_threshold_configurable(self):
-        th = RegimeThresholds(purity_threshold=0.95)
-        assert classify_regime(0.9, 5.0, th) == Regime.B
-
-    def test_threshold_validation(self):
-        with pytest.raises(DomainError):
-            RegimeThresholds(purity_threshold=1.5)
-        for bad in (math.nan, 0.0, -1.0, math.inf):
-            with pytest.raises(DomainError):
-                RegimeThresholds(epr_threshold=bad)
-        with pytest.raises(DomainError):
-            RegimeThresholds(purity_threshold=math.nan)
+    def test_thresholds_are_the_papers(self):
+        # a purity below 2/3 and a D^2 below 1 count; at the value itself, not
+        below_p, below_d2 = math.nextafter(2.0 / 3.0, 0.0), math.nextafter(1.0, 0.0)
+        assert classify_regime(below_p, below_d2) == Regime.A
+        assert classify_regime(below_p, 1.0) == Regime.B
+        assert classify_regime(2.0 / 3.0, 1.0) == Regime.C
+        assert classify_regime(2.0 / 3.0, below_d2) == Regime.ANOMALOUS
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):

@@ -241,3 +241,12 @@ class TestSuite:
         } <= names
         failed = [r for r in reports if not r.passed]
         assert not failed, failed
+
+    def test_schmidt_grid_cap_names_the_size(self, make_beam, make_spectrum, monkeypatch):
+        # at (3, 0.3) the Schmidt oracle needs 198 q points; below a cap of
+        # that many the suite refuses the grid rather than build it
+        import clpair.oracles as oracles
+
+        monkeypatch.setattr(oracles, "_SCHMIDT_MAX_Q", 197)
+        with pytest.raises(ResolutionError, match="needs 198 q points"):
+            run_suite(make_beam(3.0), make_spectrum(0.3), mc_samples=10_000)
