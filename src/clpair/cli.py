@@ -1,7 +1,7 @@
 """Command-line interface: config handling, sweeps, serialization.
 
 Subcommands (one verb per artifact): `measure` (single point), `sweep`
-(parameter-plane CSV), `dist` (joint distribution grids), `regime-map`
+(parameter-plane CSV), `dist` (the joint densities' 1D factors), `regime-map`
 (`sweep`'s CSV and JSON plus `render --field regime`'s SVG), `validate`
 (oracle suite), `render` (SVG from a sweep CSV). `measure`, `sweep` and
 `regime-map` build each row with `_point_row` and write them through
@@ -377,44 +377,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def write_grid_csv(grid, stream) -> None:
-    """Write a JointGrid as CSV to a text stream, a block of rows at a
-    time: the axis-2 values as header, one row per axis-1 value, every
-    number as its shortest round-trip repr. No field holds a comma, quote
-    or newline, so the lines are what csv.writer would write, without its
-    quoting pass."""
-    import numpy as np
-
-    from ._floatrepr import repr_rows
-
-    stream.write(f"{grid.axis1_name}\\{grid.axis2_name}," + repr_rows(grid.axis2[None, :]))
-    # a row costs one for each value that enters the kernel and
-    # 1/_CSV_ZERO_SHARE for each +0.0; the non-zeros are counted a few rows
-    # at a time, with no grid-sized mask
-    n, m = grid.density.shape
-    step = -(-_CSV_BLOCK_VALUES // m)
-    nonzero = np.concatenate([np.count_nonzero(grid.density[i : i + step], axis=1) for i in range(0, n, step)])
-    # cost[i]: the cost of the rows before row i
-    cost = np.concatenate(([0.0], np.cumsum(nonzero + 1 + (m - nonzero) / _CSV_ZERO_SHARE)))
-    i = 0
-    while i < n:
-        # the block ends with the row that brings its cost to the budget, so
-        # a grid with no +0.0 gets blocks of one shape, whose freed buffers
-        # malloc reuses; blocks cut at fixed cost multiples, of varying row
-        # counts, raised the peak RSS of dist by 1 MB at (0.263474, 0.210945)
-        j = min(n, int(np.searchsorted(cost, cost[i] + _CSV_BLOCK_VALUES)))
-        stream.write(repr_rows(np.column_stack((grid.axis1[i:j], grid.density[i:j]))))
-        i = j
-
-
-# write_grid_csv cuts its rows into blocks of about this cost. Formatting
-# peaks near 160 bytes for each value that enters the kernel (0.65 MiB a
-# block) and near 30 bytes for each +0.0, which skips it; counted at that
-# share, an all-zero grid is not one block
-_CSV_BLOCK_VALUES = 4096
-_CSV_ZERO_SHARE = 5
-
-
 def csv_to_rows(text: str) -> list[dict]:
     """The rows of a sweep CSV as `run_sweep` returns them, so that
     rows_to_csv writes the text back."""
@@ -474,6 +436,11 @@ def _out_dir(cfg: RunConfig, cli_out: Optional[str]) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_factor(path: Path, header: str, x: np.ndarray, y: np.ndarray) -> None:
+    """A two-column CSV of x and y, each value as its repr."""
+    path.write_text(header + "\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
 
 
 def _write_rows(out_path: Path, name: str, cfg: RunConfig, rows: list[dict]) -> str:
@@ -562,25 +529,37 @@ def _sweep(cfg: RunConfig, out: Optional[str], name: str, field_name: Optional[s
 @_config_opt
 @_out_opt
 def dist(config_path, out):
-    """Emit the joint momentum and joint position distribution grids."""
+    """Emit the 1D factors of the joint momentum and joint position densities."""
     cfg = load_config(config_path)
     beam, spectrum = cfg.beam(), cfg.spectrum()
     out_path = _out_dir(cfg, out)
-    from .distributions import joint_position, momentum_grid
+    from .distributions import joint_position, momentum_grid, photon_marginal_kx
 
-    # one grid at a time: each is built, written and summarized, then
-    # dropped before the next is built. The position grid goes first, so
-    # that a failure in joint_position leaves no CSV behind.
-    summary = {}
-    for name, build in (("position", joint_position), ("momentum", momentum_grid)):
-        grid = build(beam, spectrum)
-        with (out_path / f"dist_{name}.csv").open("w") as fh:
-            write_grid_csv(grid, fh)
-        summary[f"{name}_shape"] = list(grid.density.shape)
-        summary[f"{name}_integral"] = grid.integral()
-        del grid
-    _write_json(out_path / "dist.json", _provenance(cfg, **summary))
-    click.echo(f"wrote distribution grids to {out_path}")
+    # The position grid goes first, so that a failure in joint_position
+    # leaves no CSV behind. Each grid is summarized and dropped before its
+    # factor is written: the momentum grid and G's temporaries are never
+    # held at once.
+    grid, s, t = joint_position(beam, spectrum)
+    summary = {
+        "position_shape": list(grid.density.shape),
+        "position_integral": grid.integral(),
+        "x_el_um": grid.axis1.tolist(),
+        "x_ph_um": grid.axis2.tolist(),
+        # T is even: twice the trapezoid over s >= 0
+        "relative_integral": float((t[1:] + t[:-1]) @ (s[1:] - s[:-1])),
+    }
+    del grid
+    _write_factor(out_path / "dist_relative.csv", "s_um,T_um_inv", s, t)
+    grid = momentum_grid(beam, spectrum)
+    summary.update(
+        momentum_shape=list(grid.density.shape), momentum_integral=grid.integral(), qx_um_inv=grid.axis1.tolist()
+    )
+    kx = grid.axis2
+    del grid
+    _write_factor(out_path / "dist_marginal.csv", "kx_um_inv,G_um", kx, photon_marginal_kx(spectrum, kx))
+    # neither grid reads the config's [phase]
+    _write_json(out_path / "dist.json", _provenance(cfg, phase="neglected", **summary))
+    click.echo(f"wrote distribution factors to {out_path}")
 
 
 @main.command("regime-map")

@@ -247,7 +247,7 @@ def _t_at_lags(kernel: np.ndarray, ax: np.ndarray, lags: np.ndarray, h: float) -
     return t
 
 
-def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
+def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid, np.ndarray, np.ndarray]:
     """P(x_el, x_ph) (um^-2) with the photonic phase neglected: the envelope
     (dq_perp / sqrt(2 pi^3)) exp(-2 dq_perp^2 x_el^2) times, at s = x_el - x_ph,
     T(s) = dkx^2 sum_pq M(k_p, k_q) cos((k_p - k_q) s) over N_KX k_x points
@@ -255,6 +255,10 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     cos(A - B) + cos(A + B) = 2 cos A cos B, so T(s) = 4 dkx^2 u^T h u with
     u = cos(ax s) and h the kernel on the positive half-axis `ax` (see
     `_position_kernel`). T is even, so it is evaluated at lags >= 0 only.
+
+    Also returns T itself: the ascending distinct |x_el - x_ph| (um) that
+    the grid reads, and T (um^-1) at each, the values the envelope
+    multiplies.
     """
     # midpoint grid: uniform, excludes the exact endpoints; only its
     # positive half is built, so the grid is exactly odd
@@ -279,16 +283,15 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     np.abs(lag, out=lag)
     used = np.zeros(i_el * m_el + i_ph * m_ph + 1, dtype=bool)
     used[lag] = True
-    t = 4.0 * dkx**2 * _t_at_lags(kernel, ax, np.flatnonzero(used), h)
+    lags = np.flatnonzero(used)
+    t = 4.0 * dkx**2 * _t_at_lags(kernel, ax, lags, h)
     # the rank of each |lag| among the used ones indexes its T
     rank = np.cumsum(used) - 1
-    t = t[np.take(rank, lag, out=lag)]
-    dens = (beam.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * beam.dq_perp**2 * x_el[:, None] ** 2) * t
+    t_grid = t[np.take(rank, lag, out=lag)]
+    dens = (beam.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * beam.dq_perp**2 * x_el[:, None] ** 2) * t_grid
     floor = float(np.min(dens))
     if floor < -1e-9:
         raise ConsistencyError(f"joint position density has negative values down to {floor:.3e}")
     dens = np.maximum(dens, 0.0)
-    return _check_normalized(
-        JointGrid(x_el, x_ph, dens, axis1_name="x_el_um", axis2_name="x_ph_um"),
-        "joint position grid",
-    )
+    grid = JointGrid(x_el, x_ph, dens, axis1_name="x_el_um", axis2_name="x_ph_um")
+    return _check_normalized(grid, "joint position grid"), lags * h, t

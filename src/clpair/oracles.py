@@ -324,15 +324,20 @@ def run_suite(
 
     # each grid is dropped once its variance is taken, so no two are held
     reports.append(variance_from_grid(momentum_grid(beam, spectrum), "total_wavevector", beam))
-    reports.append(variance_from_grid(joint_position(beam, spectrum), "relative_position", beam, spectrum))
+    reports.append(variance_from_grid(joint_position(beam, spectrum)[0], "relative_position", beam, spectrum))
 
-    # Schmidt oracle on the model's own transverse marginal, with 9 q points
-    # per electron width where schmidt_purity_1d needs 8
-    kx = np.linspace(-kmax, kmax, N_KX)
+    # Schmidt oracle on the model's own transverse marginal
+    kx, qx = _schmidt_axes(beam, spectrum)
+    reports.append(schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k), kx, qx))
+    return reports
+
+
+def _schmidt_axes(beam: BeamParams, spectrum: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
+    """The suite's k_x and q_x axes for `schmidt_purity_1d`: N_KX points over
+    the spectrum, and 9 q points per electron width where it needs 8."""
+    kmax = spectrum.kmax
     span = 6.0 * beam.dq_perp + kmax
     n_q = max(64, math.ceil(2.0 * span / (beam.dq_perp / 9.0)))
     if n_q > _SCHMIDT_MAX_Q:
         raise ResolutionError(f"the Schmidt oracle needs {n_q} q points, more than its cap of {_SCHMIDT_MAX_Q}")
-    qx = np.linspace(-span, span, n_q)
-    reports.append(schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k), kx, qx))
-    return reports
+    return np.linspace(-kmax, kmax, N_KX), np.linspace(-span, span, n_q)

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 from clpair import BeamParams, SpectrumModel
 
@@ -42,6 +43,11 @@ def src_env(env=None) -> dict:
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def readme_section(heading: str) -> str:
+    """The text of README's `## heading` section."""
+    return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def window(spectrum: SpectrumModel, sigmas: float) -> tuple[float, float]:

@@ -1,5 +1,4 @@
 import configparser
-import io
 import json
 import math
 import platform
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from clpair.cli import (
     _CONFIG_KEYS,
     CSV_HEADER,
+    _write_factor,
     RunConfig,
     SweepAxes,
     config_hash,
@@ -28,13 +28,10 @@ from clpair.cli import (
     parse_config,
     rows_to_csv,
     run_sweep,
-    write_grid_csv,
 )
-from clpair.distributions import JointGrid
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase
-from conftest import PLANE_CSV, src_env
-from reference_grid_csv import write_grid_csv_per_value
+from conftest import PLANE_CSV, README, readme_section, src_env
 
 BASE_INI = """\
 [beam]
@@ -394,9 +391,11 @@ class TestCommands:
         out = str(tmp_path / "o")
         res = runner.invoke(main, ["dist", "--config", cfg, "--out", out])
         assert res.exit_code == 0, res.output
-        assert (tmp_path / "o" / "dist_momentum.csv").exists()
-        assert (tmp_path / "o" / "dist_position.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["dist.json", "dist_marginal.csv", "dist_relative.csv"]
+        assert (tmp_path / "o" / "dist_marginal.csv").read_text().startswith("kx_um_inv,G_um\n")
+        assert (tmp_path / "o" / "dist_relative.csv").read_text().startswith("s_um,T_um_inv\n0.0,")
         meta = json.loads((tmp_path / "o" / "dist.json").read_text())
+        assert meta["phase"] == "neglected"
         assert abs(meta["momentum_integral"] - 1.0) < 0.01
         assert abs(meta["position_integral"] - 1.0) < 0.01
 
@@ -638,23 +637,24 @@ class TestInputValidation:
             replace(cfg, mc_samples=MC_MIN_SAMPLES - 1)
 
 
-class TestGridCsv:
-    def test_bytes_match_per_value_float_repr(self):
-        # the per-value writer's bytes, on values at repr's edges: the
-        # least subnormal, huge and tiny exponents, both notations
-        a1 = np.array([-1.5, -1e-300, 0.1, 3.0])
-        a2 = np.array([-2.0, 0.0, 1.0 / 3.0])
-        dens = np.array([[0.0, 5e-324, 1e-17], [0.1, 2.0, 1e300], [np.pi, 1.0 / 7.0, 123456789.0], [0.3, 1e-5, 7.0]])
-        grid = JointGrid(a1, a2, dens, axis1_name="x_el_um", axis2_name="x_ph_um")
-        expected, buf = io.StringIO(), io.StringIO()
-        write_grid_csv_per_value(grid, expected)
-        write_grid_csv(grid, buf)
-        assert buf.getvalue() == expected.getvalue()
+class TestWriteFactor:
+    def test_values_read_back_exactly(self, tmp_path):
+        # each value as its repr, so every double reads back bit for bit: the
+        # least subnormal, -0.0, huge and tiny exponents, both notations
+        x = np.array([-1.5, -1e-300, -0.0, 0.1, 3.0, 1e16])
+        y = np.array([5e-324, 1e-17, 1.0 / 3.0, 1e300, 123456789.0, 0.0])
+        path = tmp_path / "f.csv"
+        _write_factor(path, "x,y", x, y)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x,y" and len(lines) == x.size + 1
+        assert lines[1:] == [f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())]
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(got.view(np.uint64), np.column_stack((x, y)).view(np.uint64))
 
 
 class TestRuntimeImports:
     # the modules that only some commands need, imported when they run
-    LAZY = ("clpair.render", "clpair.distributions", "clpair.oracles", "clpair._floatrepr")
+    LAZY = ("clpair.render", "clpair.distributions", "clpair.oracles")
 
     def test_measure_loads_no_scipy(self, tmp_path):
         # scipy is a test dependency only: a CLI call at the README point,
@@ -679,7 +679,7 @@ class TestRuntimeImports:
         assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
         assert (tmp_path / "o" / "measure.csv").exists()
 
-    def test_dist_loads_the_grid_writer(self, tmp_path):
+    def test_dist_loads_only_the_distributions(self, tmp_path):
         import subprocess
         import sys
 
@@ -692,7 +692,7 @@ class TestRuntimeImports:
         )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == str(sorted(["clpair._floatrepr", "clpair.distributions"]))
+        assert res.stdout.splitlines()[-1] == str(["clpair.distributions"])
 
     def test_no_numpy_before_numerical_work(self, tmp_path):
         # `render`, `--help`, and a config error in any command, whether in
@@ -972,12 +972,12 @@ class TestExitMapping:
 
     @pytest.mark.parametrize(
         "failing,left",
-        [("joint_position", []), ("momentum_grid", ["dist_position.csv"])],
+        [("joint_position", []), ("momentum_grid", ["dist_relative.csv"])],
         ids=["position", "momentum"],
     )
     def test_dist_domain_failure_exits_1(self, runner, tmp_path, monkeypatch, failing, left):
-        # dist builds and writes the position grid first, then the
-        # momentum grid: a failure leaves the CSVs written before it
+        # dist builds the position grid and writes its factor first, then
+        # the momentum grid's: a failure leaves the CSV written before it
         import clpair.distributions as distributions
 
         def fail(*args):
@@ -1138,9 +1138,6 @@ class TestUnknownKeys:
         assert "[DEFAULT]" in res.output and "rel_tol" in res.output
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
 def readme_config_keys() -> dict:
     """{section: keys} of README's config block, with the exclusive
     alternatives that the text above the block names (`a` xor `b`)."""
@@ -1164,10 +1161,6 @@ def test_documented_keys_match_the_parser():
     parser_keys = {section: set(names) for section, names in _CONFIG_KEYS.items()}
     assert readme_config_keys() == parser_keys
     assert {section: set(names) for section, names in _DOCUMENTED_KEYS.items()} == parser_keys
-
-
-def readme_section(heading: str) -> str:
-    return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_lists_every_command():

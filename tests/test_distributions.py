@@ -1,6 +1,5 @@
-import io
+import json
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ from scipy import integrate
 from scipy.signal import argrelextrema
 
 from clpair import DomainError
-from clpair.cli import write_grid_csv
+from clpair.cli import load_config, main
 from clpair.constants import ANGULAR_NORM
 import clpair.distributions as distributions
 from clpair.distributions import (
@@ -26,8 +25,7 @@ from clpair.errors import ConsistencyError
 from clpair.measures import rel_pos_variance_closed
 from clpair.model import eval_g
 
-from conftest import DQ_PAR
-from reference_grid_csv import write_grid_csv_per_value
+from conftest import DQ_PAR, readme_section
 
 
 class TestJointGrid:
@@ -133,10 +131,26 @@ class TestMomentumGrid:
         )
 
 
-def _csv(writer, grid) -> str:
-    buf = io.StringIO()
-    writer(grid, buf)
-    return buf.getvalue()
+DIST_INI = """\
+[beam]
+kinetic_energy_kev = 200.0
+l_par_um = 1.3
+dq_perp_um_inv = {dq_perp!r}
+
+[spectrum]
+lambda_c_um = 0.5
+dk_ph_um_inv = {dk_ph!r}
+"""
+
+
+def write_dist_config(tmp_path, dq_perp, dk_ph, extra="") -> str:
+    path = tmp_path / "dist.ini"
+    path.write_text(DIST_INI.format(dq_perp=dq_perp, dk_ph=dk_ph) + extra)
+    return str(path)
+
+
+def run_dist(cfg: str, out) -> None:
+    main(["dist", "--config", cfg, "--out", str(out)], standalone_mode=False)
 
 
 def _traced_peak(fn) -> int:
@@ -173,22 +187,37 @@ class TestGridMemory:
         _, _, g = beam_spectrum_grid
         assert _traced_peak(lambda: g.moments(lambda qx, kx: qx + kx)) <= 0.25 * g.density.nbytes
 
-    # the g0 grid is 44% +0.0, which the writer counts as a fraction of a
-    # value when it sizes its blocks; the bound holds at both extremes too,
-    # every value +0.0 or none, each non-zero with 17 digits and an exponent
-    @pytest.mark.parametrize("values", ["g0", "all-zero", "no-zero"])
-    def test_csv_streaming_peak(self, beam_spectrum_grid, values):
-        _, _, g = beam_spectrum_grid
-        if values != "g0":
-            rng = np.random.default_rng(5)
-            density = np.zeros_like(g.density) if values == "all-zero" else (1.0 + rng.random(g.density.shape)) * 1e-200
-            g = JointGrid(g.axis1, g.axis2, density)
+    def test_dist_peak(self, tmp_path):
+        # dist drops each grid before it computes and writes its factor:
+        # about the momentum grid alone, 3.76 MiB. G's temporaries on top of
+        # the held grid, or the grid's CSV text, would pass 4 MiB
+        cfg = write_dist_config(tmp_path, 0.263474, 0.210945)
+        assert _traced_peak(lambda: run_dist(cfg, tmp_path / "o")) <= 4 * 2**20
 
-        def write():
-            with open(os.devnull, "w") as fh:
-                write_grid_csv(g, fh)
+    @pytest.mark.parametrize("defect", ["marginal-beside-grid", "position-grid-kept"])
+    def test_dist_peak_catches_a_held_grid(self, tmp_path, monkeypatch, defect):
+        # the bound above fails when G is computed while the momentum grid
+        # is held (7.3 MiB), or when the position grid outlives its factor
+        # (4.5 MiB)
+        if defect == "marginal-beside-grid":
+            build = distributions.momentum_grid
 
-        assert _traced_peak(write) <= 2**20
+            def held(beam, spectrum):
+                grid = build(beam, spectrum)
+                distributions.photon_marginal_kx(spectrum, grid.axis2)
+                return grid
+
+            monkeypatch.setattr(distributions, "momentum_grid", held)
+        else:
+            build, kept = distributions.joint_position, []
+
+            def held(beam, spectrum):
+                kept.append(build(beam, spectrum))
+                return kept[-1]
+
+            monkeypatch.setattr(distributions, "joint_position", held)
+        cfg = write_dist_config(tmp_path, 0.263474, 0.210945)
+        assert _traced_peak(lambda: run_dist(cfg, tmp_path / "o")) > 4 * 2**20
 
     def test_moments_match_full_grid_trapezoid(self, beam_spectrum_grid):
         # the blocked moments against the full-grid form they replace
@@ -207,32 +236,19 @@ class TestGridMemory:
         assert got_var == pytest.approx(var, rel=1e-12)
 
 
-class TestGridCsvBytes:
-    """write_grid_csv writes the per-value writer's bytes on real grids,
-    at the benchmark's two dist points and the README point."""
-
-    @pytest.mark.parametrize("dq_perp,dk_ph", [(0.263474, 0.210945), (3.0, 0.3)], ids=["g0", "readme"])
-    @pytest.mark.parametrize("build", [momentum_grid, joint_position], ids=["momentum", "position"])
-    def test_matches_per_value_writer(self, make_beam, make_spectrum, dq_perp, dk_ph, build):
-        g = build(make_beam(dq_perp), make_spectrum(dk_ph))
-        assert _csv(write_grid_csv, g) == _csv(write_grid_csv_per_value, g)
-
-    def test_wide_spectrum_momentum(self, make_beam, make_spectrum):
-        # the benchmark's wide-spectrum dist point, whose position kernel
-        # fails its check: nearly every momentum value enters the kernel
-        g = momentum_grid(make_beam(31.2763), make_spectrum(9.61536))
-        assert np.count_nonzero(g.density == 0.0) < 0.01 * g.density.size
-        assert _csv(write_grid_csv, g) == _csv(write_grid_csv_per_value, g)
-
-
 @pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2], ids=["wide", "mid", "narrow"], scope="class")
 class TestJointPosition:
-    # one joint_position grid (about 3 s) per width, shared by the class's tests
+    # one joint_position call (about 3 s) per width, shared by the class's tests
     @pytest.fixture(scope="class")
-    def grid_and_params(self, l_perp, make_beam, make_spectrum):
+    def position_and_params(self, l_perp, make_beam, make_spectrum):
         b = make_beam(2.0 * math.pi / l_perp)
         s = make_spectrum(0.3)
         return b, s, joint_position(b, s)
+
+    @pytest.fixture(scope="class")
+    def grid_and_params(self, position_and_params):
+        b, s, (g, _, _) = position_and_params
+        return b, s, g
 
     def test_normalized(self, grid_and_params):
         _, _, g = grid_and_params
@@ -262,6 +278,36 @@ class TestJointPosition:
         assert np.array_equal(g.axis1, -g.axis1[::-1])
         assert np.array_equal(g.axis2, -g.axis2[::-1])
         assert np.array_equal(g.density, g.density[::-1, ::-1])
+
+    def test_factor_lags_are_the_grid_separations(self, position_and_params):
+        # s starts at 0, ascends on the lattice of pitch s[1], and holds
+        # each distinct |x_el - x_ph| of the grid once
+        _, _, (g, s, _) = position_and_params
+        assert s[0] == 0.0 and np.all(np.diff(s) > 0.0)
+        steps = s / s[1]
+        np.testing.assert_allclose(steps, np.rint(steps), rtol=0.0, atol=1e-9)
+        read = np.unique(np.rint(np.abs(np.subtract.outer(g.axis1, g.axis2)) / s[1]))
+        assert np.array_equal(read, np.rint(steps))
+
+    def test_grid_is_envelope_times_factor(self, position_and_params):
+        # the returned T is the array the envelope multiplies, bit for bit
+        b, _, (g, s, t) = position_and_params
+        rank = np.searchsorted(np.rint(s / s[1]), np.rint(np.abs(np.subtract.outer(g.axis1, g.axis2)) / s[1]))
+        envelope = (b.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * b.dq_perp**2 * g.axis1[:, None] ** 2)
+        assert np.array_equal(g.density, np.maximum(envelope * t[rank], 0.0))
+
+    def test_factor_peaks_at_zero_lag(self, position_and_params):
+        # M has non-negative entries and is a positive semidefinite kernel,
+        # so 0 <= T(s) <= T(0) up to rounding
+        _, _, (_, _, t) = position_and_params
+        assert np.argmax(t) == 0
+        assert np.min(t) >= -1e-12 * t[0]
+
+    def test_factor_integrates_to_two_pi(self, position_and_params):
+        # the integral of cos((k_p - k_q) s) over s is 2 pi delta(k_p - k_q),
+        # so the integral of T is 2 pi times that of G, which is 1
+        _, _, (_, s, t) = position_and_params
+        assert float((t[1:] + t[:-1]) @ np.diff(s)) == pytest.approx(2.0 * math.pi, rel=0.01)
 
 
 def half_axis(spectrum, n_kx=512):
@@ -362,7 +408,7 @@ class TestLagBlocks:
     @pytest.fixture(scope="class")
     def g0_grid(self, make_beam, make_spectrum):
         b, s = make_beam(0.263474), make_spectrum(0.210945)
-        return b, s, joint_position(b, s)
+        return b, s, joint_position(b, s)[0]
 
     # g0's T-lattice has 281 lags, one block by default; in blocks of 100
     # every block boundary is crossed, and blocks of 280 and 140 leave one
@@ -371,7 +417,7 @@ class TestLagBlocks:
     def test_blocks_do_not_change_the_grid(self, g0_grid, monkeypatch, block):
         b, s, whole = g0_grid
         monkeypatch.setattr(distributions, "_LAG_BLOCK", block)
-        np.testing.assert_array_equal(joint_position(b, s).density, whole.density)
+        np.testing.assert_array_equal(joint_position(b, s)[0].density, whole.density)
 
     def test_peak_at_wide_beam_narrow_spectrum(self, make_beam, make_spectrum):
         # the README plane's (100, 0.1) corner reads 10,082 lags; in one
@@ -397,9 +443,9 @@ class TestLatticeLags:
             return t_at_lags(kernel, ax, np.arange(lags[-1] + 1), h)[lags]
 
         monkeypatch.setattr(distributions, "_t_at_lags", counting)
-        grid = joint_position(b, s)
+        grid, _, _ = joint_position(b, s)
         monkeypatch.setattr(distributions, "_t_at_lags", every_lag)
-        full = joint_position(b, s)
+        full, _, _ = joint_position(b, s)
 
         (lags, h), = seen
         read = np.unique(np.abs(np.rint(np.subtract.outer(grid.axis1, grid.axis2) / h)))
@@ -419,3 +465,60 @@ class TestLatticeLags:
         monkeypatch.setattr(distributions, "_t_at_lags", counting)
         joint_position(make_beam(0.263474), make_spectrum(0.210945))
         np.testing.assert_array_equal(seen[0], np.arange(281))
+
+
+def readme_rebuild():
+    """README's `rebuild`: both joint densities from dist's three files."""
+    block = readme_section("Scripts").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    return namespace["rebuild"]
+
+
+class TestDistFactors:
+    @pytest.mark.parametrize(
+        "dq_perp,dk_ph", [(0.263474, 0.210945), (3.0, 0.3), (100.0, 0.1)], ids=["g0", "readme", "wide-beam"]
+    )
+    def test_factors_rebuild_the_grids(self, tmp_path, dq_perp, dk_ph):
+        cfg = write_dist_config(tmp_path, dq_perp, dk_ph)
+        run_dist(cfg, tmp_path / "o")
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["dist.json", "dist_marginal.csv", "dist_relative.csv"]
+        momentum, position = readme_rebuild()(tmp_path / "o")
+        run = load_config(cfg)
+        beam, spectrum = run.beam(), run.spectrum()
+        grid = momentum_grid(beam, spectrum)
+        assert np.array_equal(momentum, grid.density)
+        grid, _, _ = joint_position(beam, spectrum)
+        assert np.array_equal(position, grid.density)
+        info = json.loads((tmp_path / "o" / "dist.json").read_text())
+        assert info["position_shape"] == list(position.shape) and info["momentum_shape"] == list(momentum.shape)
+        # the envelope in x_el integrates to 1 / (2 pi), so T to 2 pi, to
+        # the 1% that each grid's normalization is held to
+        assert info["relative_integral"] == pytest.approx(2.0 * math.pi, rel=0.01)
+
+    @pytest.mark.parametrize("variant", ["polar_linear", "radial_kc", "radial_dk"])
+    def test_phase_is_neglected(self, tmp_path, variant):
+        # the grids never read [phase]: a non-zero phase writes the zero
+        # phase's factors, and dist.json says so
+        run_dist(write_dist_config(tmp_path, 3.0, 0.3), tmp_path / "zero")
+        run_dist(write_dist_config(tmp_path, 3.0, 0.3, f"\n[phase]\nvariant = {variant}\nxi = 0.5\n"), tmp_path / "on")
+        for name in ("dist_marginal.csv", "dist_relative.csv"):
+            assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
+        info = json.loads((tmp_path / "on" / "dist.json").read_text())
+        assert info["phase"] == "neglected" and f"variant = {variant}" in info["config"]
+
+    def test_benchmark_summary(self, tmp_path):
+        # the summary the benchmark compares at its narrow-spectrum point:
+        # the shapes exactly, the integrals to 1e-12
+        run_dist(write_dist_config(tmp_path, 0.263474, 0.210945), tmp_path)
+        info = json.loads((tmp_path / "dist.json").read_text())
+        assert info["momentum_shape"] == [962, 512] and info["position_shape"] == [211, 351]
+        assert info["momentum_integral"] == pytest.approx(0.9999999999999987, rel=0.0, abs=1e-12)
+        assert info["position_integral"] == pytest.approx(0.9999999999881559, rel=0.0, abs=1e-12)
+
+    def test_kernel_failure_writes_nothing(self, tmp_path):
+        # the benchmark's wide-spectrum point fails the position kernel's
+        # check before either factor is written
+        with pytest.raises(ConsistencyError, match="kernel diagonal"):
+            run_dist(write_dist_config(tmp_path, 31.2763, 9.61536), tmp_path / "o")
+        assert list((tmp_path / "o").iterdir()) == []

@@ -11,6 +11,7 @@ from clpair.measures import purity_sc
 from clpair.model import QuadratureSpec, psi_ini_x_sq
 from clpair.oracles import (
     OracleReport,
+    _schmidt_axes,
     fd_gradient_check,
     longitudinal_term_identity,
     mc_purity,
@@ -116,10 +117,7 @@ class TestSchmidt1D:
         # the Gram-matrix purity against the singular values of the
         # amplitude, on the grids the oracle suite uses
         b, s = make_beam(dq_perp), make_spectrum(dk)
-        kmax = s.kmax
-        kx = np.linspace(-kmax, kmax, 512)
-        span = 6.0 * dq_perp + kmax
-        qx = np.linspace(-span, span, int(np.clip(math.ceil(2.0 * span / (dq_perp / 9.0)), 64, 3000)))
+        kx, qx = _schmidt_axes(b, s)
         g = photon_marginal_kx(s, kx)
         amp = np.sqrt(psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :]) * g) * math.sqrt((qx[1] - qx[0]) * (kx[1] - kx[0]))
         s2 = np.linalg.svd(amp, compute_uv=False) ** 2
@@ -132,10 +130,7 @@ class TestSchmidt1D:
         # 7.3 MiB, where the amplitude's own temporary and the overlap's
         # made 13.3 MiB
         b, s = make_beam(0.3), make_spectrum(1.0)
-        kmax = s.kmax
-        kx = np.linspace(-kmax, kmax, 512)
-        span = 6.0 * b.dq_perp + kmax
-        qx = np.linspace(-span, span, int(np.clip(math.ceil(2.0 * span / (b.dq_perp / 9.0)), 64, 3000)))
+        kx, qx = _schmidt_axes(b, s)
         tracemalloc.start()
         try:
             schmidt_purity_1d(b.dq_perp, lambda k: photon_marginal_kx(s, k), kx, qx)
@@ -241,6 +236,17 @@ class TestSuite:
         } <= names
         failed = [r for r in reports if not r.passed]
         assert not failed, failed
+
+    @pytest.mark.parametrize("dq_perp,dk_ph", [(0.3, 1.0), (3.0, 0.3), (100.0, 0.1)])
+    def test_schmidt_axes(self, make_beam, make_spectrum, dq_perp, dk_ph):
+        # N_KX k points over the spectrum; over 6 electron widths beyond it on
+        # each side, 9 q points per width, where schmidt_purity_1d needs 8
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        kx, qx = _schmidt_axes(b, s)
+        assert kx.size == 512 and kx[0] == -s.kmax and kx[-1] == s.kmax
+        assert qx[-1] == -qx[0] == 6.0 * dq_perp + s.kmax
+        assert qx.size >= max(64, 9.0 * (qx[-1] - qx[0]) / dq_perp)
+        assert qx[1] - qx[0] <= dq_perp / 8.0
 
     def test_schmidt_grid_cap_names_the_size(self, make_beam, make_spectrum, monkeypatch):
         # at (3, 0.3) the Schmidt oracle needs 198 q points; below a cap of
