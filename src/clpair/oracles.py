@@ -75,15 +75,17 @@ def mc_purity(
         raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
     sampler = GammaSampler(spectrum)
     rng = np.random.default_rng(seed)
-    k1, th1, ph1 = sampler.sample_spherical(n, rng)
-    k2, th2, ph2 = sampler.sample_spherical(n, rng)
+    k1, a1, ph1 = sampler.sample_k_cos_phi(n, rng)
+    k2, a2, ph2 = sampler.sample_k_cos_phi(n, rng)
     # in place on the draws: |k| is the drawn k, and with a = k sin(theta)
-    # the transverse distance is (a1 - a2)^2 + 4 a1 a2 sin^2((phi1 - phi2)/2),
-    # the law of cosines in the form that does not cancel for close pairs
-    a1 = np.sin(th1, out=th1)
-    a1 *= k1
-    a2 = np.sin(th2, out=th2)
-    a2 *= k2
+    # = k sqrt(1 - cos^2(theta)) the transverse distance is
+    # (a1 - a2)^2 + 4 a1 a2 sin^2((phi1 - phi2)/2), the law of cosines in
+    # the form that does not cancel for close pairs
+    for a, k in ((a1, k1), (a2, k2)):
+        np.square(a, out=a)
+        np.subtract(1.0, a, out=a)
+        np.sqrt(a, out=a)
+        a *= k
     vals = np.subtract(ph1, ph2, out=ph1)
     vals *= 0.5
     np.sin(vals, out=vals)
@@ -334,10 +336,11 @@ def run_suite(
 
 def _schmidt_axes(beam: BeamParams, spectrum: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
     """The suite's k_x and q_x axes for `schmidt_purity_1d`: N_KX points over
-    the spectrum, and 9 q points per electron width where it needs 8."""
+    the spectrum, and 9 q points per electron width where it needs 8. The
+    q axis spans 2 (6 dq_perp + kmax), so it holds at least 108 points."""
     kmax = spectrum.kmax
     span = 6.0 * beam.dq_perp + kmax
-    n_q = max(64, math.ceil(2.0 * span / (beam.dq_perp / 9.0)))
+    n_q = math.ceil(2.0 * span / (beam.dq_perp / 9.0))
     if n_q > _SCHMIDT_MAX_Q:
         raise ResolutionError(f"the Schmidt oracle needs {n_q} q points, more than its cap of {_SCHMIDT_MAX_Q}")
     return np.linspace(-kmax, kmax, N_KX), np.linspace(-span, span, n_q)

@@ -5,8 +5,8 @@ The integrands in this package are smooth Gaussians times polynomials
 panels converge quickly; `gauss_legendre_panels` gives the composite
 rules the measures build their grids from.
 `GammaSampler` draws photon wavevectors exactly from the spectral
-density via a tabulated inverse CDF in k and rejection in theta; the
-Monte Carlo oracles average over its draws.
+density via a tabulated inverse CDF in k and rejection in cos(theta);
+the Monte Carlo oracles average over its draws.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ class GammaSampler:
     """Draws photon wavevectors from the spectral density.
 
     Radial part: 4096-point tabulated inverse CDF of k^2 g(k) on the
-    spectrum's radial window. Polar part: rejection against the exact
-    sin(theta)^3 cos(theta)^2 profile; azimuth uniform.
+    spectrum's radial window. Polar part: rejection in u = cos(theta)
+    against the exact profile (1 - u^2) u^2, the law sin^3(theta)
+    cos^2(theta) d(theta) written in u, with no trig; azimuth uniform.
     """
 
     def __init__(self, spectrum: SpectrumModel):
@@ -52,40 +53,34 @@ class GammaSampler:
             raise DomainError("spectral density vanishes on the truncated support")
         self._ktab = kk
         self._cdf = cdf / cdf[-1]
-        # sup of sin^3 cos^2 over [0, pi] at cos^2 = 2/5
-        self._theta_bound = (3.0 / 5.0) ** 1.5 * (2.0 / 5.0)
 
-    def sample_spherical(self, n: int, rng: np.random.Generator):
-        """Return (k, theta, phi) arrays of n exact draws."""
+    def sample_k_cos_phi(self, n: int, rng: np.random.Generator):
+        """Return (k, cos(theta), phi) arrays of n exact draws."""
         # the inverse-CDF lookup runs on the uniforms in ascending order,
         # where each search starts next to the last one, and is scattered
         # back into draw order in the buffer of the sorted uniforms
-        u = rng.random(n)
-        order = np.argsort(u)
-        k = u[order]
+        level = rng.random(n)
+        order = np.argsort(level)
+        k = level[order]
         k[order] = np.interp(k, self._cdf, self._ktab)
-        del u, order
-        # the rejection test y < sin^3 cos^2 and phi are computed in place,
-        # the same operations in the same order as the plain expressions
-        theta = np.empty(n)
+        del level, order
+        # each round draws one candidate u on [-1, 1) and then one height on
+        # [0, 1/4), the sup of (1 - u^2) u^2 at u^2 = 1/2, per draw still
+        # missing; 8 of 15 candidates are accepted
+        cos_theta = np.empty(n)
         filled = 0
         while filled < n:
             m = n - filled
-            cand = rng.random(m)
-            cand *= math.pi
-            y = rng.random(m)
-            y *= self._theta_bound
-            bound = np.sin(cand)
-            bound **= 3
-            cos2 = np.cos(cand)
-            np.square(cos2, out=cos2)
-            bound *= cos2
-            del cos2
+            cand = rng.uniform(-1.0, 1.0, m)
+            y = rng.uniform(0.0, 0.25, m)
+            u2 = np.square(cand)
+            bound = 1.0 - u2
+            bound *= u2
+            del u2
             acc = cand[y < bound]
-            take = min(len(acc), m)
-            theta[filled : filled + take] = acc[:take]
-            filled += take
+            cos_theta[filled : filled + acc.size] = acc
+            filled += acc.size
         phi = rng.random(n)
         phi *= 2.0
         phi *= math.pi
-        return k, theta, phi
+        return k, cos_theta, phi

@@ -26,6 +26,7 @@ from clpair.measures import rel_pos_variance_closed
 from clpair.model import eval_g
 
 from conftest import DQ_PAR, readme_section
+from reference_kernel import position_kernel_full_band
 
 
 class TestJointGrid:
@@ -345,7 +346,8 @@ class TestPositionKernel:
         s = make_spectrum(0.3)
         h = _position_kernel(make_beam(1.0), s, half_axis(s))
         assert h.shape == (256, 256)
-        # each radial node's Gram matrix is one BLAS syrk, symmetric bit for bit
+        # the upper triangle is summed and then mirrored, so h is
+        # symmetric bit for bit
         assert np.array_equal(h, h.T)
 
     @pytest.mark.parametrize("dk_ph", [0.1, 0.5, 1.6, 2.0, 2.5, 3.0, 3.25, 3.29])
@@ -354,6 +356,46 @@ class TestPositionKernel:
         # at dq_perp = 1; an under-sized rho grid fails it below that
         s = make_spectrum(dk_ph)
         _position_kernel(make_beam(1.0), s, half_axis(s))
+
+
+def assert_matches_full_band(h, ref):
+    """h is exactly symmetric and within 1e-15 max|h| of the full-band sum."""
+    assert np.array_equal(h, h.T)
+    assert float(np.max(np.abs(h - ref))) <= 1e-15 * float(np.max(np.abs(ref)))
+
+
+KERNEL_POINTS = pytest.mark.parametrize(
+    "dq_perp,dk_ph",
+    [(0.263474, 0.210945), (1.0, 0.3), (10.0, 2.0), (100.0, 0.1), (1.0, 3.29)],
+    ids=["g0", "1-0.3", "10-2-kmin0", "100-0.1", "1-3.29"],
+)
+
+
+class TestPositionKernelBlocks:
+    @KERNEL_POINTS
+    def test_matches_full_band(self, make_beam, make_spectrum, dq_perp, dk_ph):
+        # the upper triangle in row blocks, mirrored, against every node's
+        # whole band summed
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        ax = half_axis(s)
+        assert_matches_full_band(_position_kernel(b, s, ax), position_kernel_full_band(b, s, ax))
+
+    def test_catches_a_missing_mirror(self, make_beam, make_spectrum, monkeypatch):
+        # a planted defect: without the mirror the lower triangle holds only
+        # the diagonal blocks' partial sums
+        b, s = make_beam(1.0), make_spectrum(0.3)
+        ax = half_axis(s)
+        monkeypatch.setattr(distributions, "_mirror_upper", lambda h: None)
+        with pytest.raises(AssertionError):
+            assert_matches_full_band(_position_kernel(b, s, ax), position_kernel_full_band(b, s, ax))
+
+    @pytest.mark.parametrize("dq_perp,dk_ph", [(0.3, 1.0), (0.263474, 0.210945)], ids=["s0", "g0"])
+    def test_traced_peak(self, make_beam, make_spectrum, dq_perp, dk_ph):
+        # 2.28 MiB at s0 and 2.30 MiB at g0, as when each node summed its
+        # whole band: one (node, 256) array for all 1088 of g0's radial
+        # nodes would add 2.1 MiB
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        assert _traced_peak(lambda: _position_kernel(b, s, half_axis(s))) <= 2.5 * 2**20
 
 
 # The 24-node beta rule does not resolve sqrt(1 - (rho/k)^2 sin^2 beta)

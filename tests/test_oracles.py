@@ -55,8 +55,10 @@ class TestMcPurity:
 
     def test_traced_peak(self, make_beam, make_spectrum):
         # two draws of the default 200,000 pairs, each sampled into reused
-        # buffers: 13.8 MiB at (0.3, 1), where a new array for every step
-        # of the theta rejection test and of phi peaked at 16.9 MiB
+        # buffers: 14.47 MB at (0.3, 1), nine arrays of 200,000 doubles (the
+        # first draw, and the second's k, cos(theta) and first rejection
+        # round), where a new array for every step of the rejection test
+        # and of phi peaked at 17.7 MB; one more such array passes 14.5 MB
         b, s = make_beam(0.3), make_spectrum(1.0)
         mc_purity(b, s, seed=7)
         tracemalloc.start()
@@ -65,7 +67,7 @@ class TestMcPurity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15 * 2**20
+        assert peak <= 14.5e6
 
     def test_deterministic(self, make_beam, make_spectrum):
         b, s = make_beam(3.0), make_spectrum(1.0)
@@ -85,9 +87,9 @@ class TestMcPurity:
         rng = np.random.default_rng(seed)
         cart = []
         for _ in range(2):
-            k, theta, phi = sampler.sample_spherical(n, rng)
-            st = np.sin(theta)
-            cart.append(np.stack([k * st * np.cos(phi), k * st * np.sin(phi), k * np.cos(theta)], axis=-1))
+            k, cos_theta, phi = sampler.sample_k_cos_phi(n, rng)
+            st = np.sqrt(1.0 - cos_theta**2)
+            cart.append(np.stack([k * st * np.cos(phi), k * st * np.sin(phi), k * cos_theta], axis=-1))
         k1, k2 = cart
         dperp2 = (k1[:, 0] - k2[:, 0]) ** 2 + (k1[:, 1] - k2[:, 1]) ** 2
         r1, r2 = np.linalg.norm(k1, axis=1), np.linalg.norm(k2, axis=1)
@@ -237,15 +239,16 @@ class TestSuite:
         failed = [r for r in reports if not r.passed]
         assert not failed, failed
 
-    @pytest.mark.parametrize("dq_perp,dk_ph", [(0.3, 1.0), (3.0, 0.3), (100.0, 0.1)])
-    def test_schmidt_axes(self, make_beam, make_spectrum, dq_perp, dk_ph):
+    @pytest.mark.parametrize("dq_perp,dk_ph,n_q", [(0.3, 1.0, 1342), (3.0, 0.3, 198), (100.0, 0.1, 111)])
+    def test_schmidt_axes(self, make_beam, make_spectrum, dq_perp, dk_ph, n_q):
         # N_KX k points over the spectrum; over 6 electron widths beyond it on
-        # each side, 9 q points per width, where schmidt_purity_1d needs 8
+        # each side, 9 q points per width, where schmidt_purity_1d needs 8,
+        # so at least 9 * 12 = 108 points
         b, s = make_beam(dq_perp), make_spectrum(dk_ph)
         kx, qx = _schmidt_axes(b, s)
         assert kx.size == 512 and kx[0] == -s.kmax and kx[-1] == s.kmax
         assert qx[-1] == -qx[0] == 6.0 * dq_perp + s.kmax
-        assert qx.size >= max(64, 9.0 * (qx[-1] - qx[0]) / dq_perp)
+        assert qx.size == n_q >= 9.0 * (qx[-1] - qx[0]) / dq_perp >= 108
         assert qx[1] - qx[0] <= dq_perp / 8.0
 
     def test_schmidt_grid_cap_names_the_size(self, make_beam, make_spectrum, monkeypatch):

@@ -59,28 +59,45 @@ class TestIntegrate1D:
         assert res.value == pytest.approx(exact, rel=1e-10, abs=1e-9)
 
 
+def assert_cos_theta_law(u):
+    """The draws u = cos(theta) follow (15/4)(1 - u^2) u^2 on (-1, 1): its
+    moments E[u^2] = 3/7 and E[u^4] = 5/21, each within 4 standard errors."""
+    assert np.all(np.abs(u) < 1.0)
+    for power, mean in ((2, 3.0 / 7.0), (4, 5.0 / 21.0)):
+        v = u**power
+        assert np.mean(v) == pytest.approx(mean, abs=4.0 * np.std(v) / math.sqrt(u.size))
+
+
 class TestGammaSampler:
-    def test_cos2_theta_moment(self):
+    def test_cos_theta_moments(self):
         s = SpectrumModel(12.566, 1.0)
-        sampler = GammaSampler(s)
+        _, cos_theta, _ = GammaSampler(s).sample_k_cos_phi(200_000, np.random.default_rng(3))
+        assert_cos_theta_law(cos_theta)
+
+    def test_moments_catch_a_wrong_law(self):
+        # a planted defect: rejection against (1 - u^2) alone, the law of a
+        # profile without the cos^2(theta) factor, has E[u^2] = 1/5
         rng = np.random.default_rng(3)
-        _, theta, _ = sampler.sample_spherical(200_000, rng)
-        m = np.mean(np.cos(theta) ** 2)
-        assert m == pytest.approx(3.0 / 7.0, abs=4.0 * np.std(np.cos(theta) ** 2) / math.sqrt(200_000))
+        n = 200_000
+        u = rng.uniform(-1.0, 1.0, 4 * n)
+        u = u[rng.random(4 * n) < 1.0 - u**2][:n]
+        assert u.size == n
+        with pytest.raises(AssertionError):
+            assert_cos_theta_law(u)
 
     def test_radial_mean_matches_quadrature(self):
         s = SpectrumModel(12.566, 1.5)
         sampler = GammaSampler(s)
         rng = np.random.default_rng(11)
-        k, _, _ = sampler.sample_spherical(200_000, rng)
+        k, _, _ = sampler.sample_k_cos_phi(200_000, rng)
         num, _ = quad(lambda kk: kk**3 * eval_g(s, kk), s.kmin, s.kmax, points=[s.k_c], epsabs=1e-12)
         assert np.mean(k) == pytest.approx(num, abs=4.0 * np.std(k) / math.sqrt(200_000))
 
     def test_determinism(self):
         s = SpectrumModel(12.566, 1.0)
         sampler = GammaSampler(s)
-        a = sampler.sample_spherical(5000, np.random.default_rng(42))
-        b = sampler.sample_spherical(5000, np.random.default_rng(42))
+        a = sampler.sample_k_cos_phi(5000, np.random.default_rng(42))
+        b = sampler.sample_k_cos_phi(5000, np.random.default_rng(42))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -90,30 +107,30 @@ class TestGammaSampler:
         s = SpectrumModel(12.566, 1.0)
         sampler = GammaSampler(s)
         u = np.random.default_rng(11).random(200_000)
-        k, _, _ = sampler.sample_spherical(200_000, np.random.default_rng(11))
+        k, _, _ = sampler.sample_k_cos_phi(200_000, np.random.default_rng(11))
         np.testing.assert_array_equal(k, np.interp(u, sampler._cdf, sampler._ktab))
 
     def test_draws_pinned(self):
-        # sha256 of (k, theta, phi) for a fixed seed, taken with numpy 2.4
-        # on x86-64: a change to the sampler's operations or their order
+        # sha256 of (k, cos(theta), phi) for a fixed seed, taken with numpy
+        # 2.4 on x86-64: a change to the sampler's operations or their order
         # moves the draws, and with them every Monte Carlo oracle value
         sampler = GammaSampler(SpectrumModel(2.0 * math.pi / 0.5, 1.0))
-        k, theta, phi = sampler.sample_spherical(10_000, np.random.default_rng(20261018))
-        digest = hashlib.sha256(k.tobytes() + theta.tobytes() + phi.tobytes()).hexdigest()
-        assert digest == "55470f2cd0381989e384211526647c9b8a3367e46487b84a0300e6bf974c1bcc"
+        k, cos_theta, phi = sampler.sample_k_cos_phi(10_000, np.random.default_rng(20261018))
+        digest = hashlib.sha256(k.tobytes() + cos_theta.tobytes() + phi.tobytes()).hexdigest()
+        assert digest == "0d23ca2b03c798995fea866da2839fd56b89ac4070b8413cc787f9be34197022"
 
     def test_filtered_sampling(self):
         s = SpectrumModel(12.566, 1.0)
         sampler = GammaSampler(s)
         n = 50_000
-        _, theta, _ = sampler.sample_spherical(n, np.random.default_rng(5))
+        _, cos_theta, _ = sampler.sample_k_cos_phi(n, np.random.default_rng(5))
         # an upper-hemisphere filter applied to the draws: the polar law is
-        # even under theta -> pi - theta, so half the draws pass and they
-        # keep E[cos(theta)^2] = 3/7
-        kept = theta[theta < math.pi / 2.0]
-        assert np.all((theta > 0.0) & (theta < math.pi))
+        # even under cos(theta) -> -cos(theta), so half the draws pass and
+        # they keep E[cos(theta)^2] = 3/7
+        kept = cos_theta[cos_theta > 0.0]
+        assert np.all(np.abs(cos_theta) < 1.0)
         assert kept.size / n == pytest.approx(0.5, abs=4.0 * 0.5 / math.sqrt(n))
-        assert np.mean(np.cos(kept) ** 2) == pytest.approx(3.0 / 7.0, abs=0.01)
+        assert np.mean(kept**2) == pytest.approx(3.0 / 7.0, abs=0.01)
 
 
 class TestPanels:
