@@ -18,20 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from clpair import BeamParams, SpectrumModel
+from clpair import BeamParams, PhaseModel, SpectrumModel
 from clpair.measures import rel_pos_variance_closed
-from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase, ZeroPhase
 
 K_C = 2.0 * math.pi / 0.5
 DQ_PAR = 2.0 * math.pi / 1.3
 
 PHASES = [
-    ("zero", ZeroPhase()),
-    ("polar_linear_xi1_3_14", PolarLinearPhase(3.0 / 14.0)),
-    ("radial_kc_xi2_1", RadialKcPhase(1.0)),
-    ("radial_kc_xi2_100", RadialKcPhase(100.0)),
-    ("radial_dk_xi2_1", RadialDkPhase(1.0)),
-    ("radial_dk_xi2_100", RadialDkPhase(100.0)),
+    ("zero", PhaseModel()),
+    ("polar_linear_xi1_3_14", PhaseModel("polar_linear", 3.0 / 14.0)),
+    ("radial_kc_xi2_1", PhaseModel("radial_kc", 1.0)),
+    ("radial_kc_xi2_100", PhaseModel("radial_kc", 100.0)),
+    ("radial_dk_xi2_1", PhaseModel("radial_dk", 1.0)),
+    ("radial_dk_xi2_100", PhaseModel("radial_dk", 100.0)),
 ]
 
 

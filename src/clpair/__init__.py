@@ -33,12 +33,8 @@ _EXPORTS = {
     "SingularPointError": "errors",
     "BeamParams": "model",
     "PhaseModel": "model",
-    "PolarLinearPhase": "model",
     "QuadratureSpec": "model",
-    "RadialDkPhase": "model",
-    "RadialKcPhase": "model",
     "SpectrumModel": "model",
-    "ZeroPhase": "model",
     "derive_kinematics": "model",
     "eval_gamma": "model",
     "spectrum_normalization": "model",

@@ -42,18 +42,7 @@ import click
 from . import __version__
 from .constants import EPR_THRESHOLD, MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, PURITY_THRESHOLD, TWO_PI
 from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
-from .model import (
-    PURITY_QUAD,
-    BeamParams,
-    PhaseModel,
-    PolarLinearPhase,
-    QuadratureSpec,
-    RadialDkPhase,
-    RadialKcPhase,
-    SpectrumModel,
-    ZeroPhase,
-    wavelength_to_wavenumbers,
-)
+from .model import PURITY_QUAD, BeamParams, PhaseModel, QuadratureSpec, SpectrumModel, wavelength_to_wavenumbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,8 +98,8 @@ class SweepAxes:
 class RunConfig:
     """One run's parameters; construction rejects inadmissible values.
 
-    The quadrature tolerances are the library's own `QuadratureSpec`,
-    which checks itself.
+    The phase and the quadrature tolerances are the library's own
+    `PhaseModel` and `QuadratureSpec`, which check themselves.
     """
 
     kinetic_energy_kev: float
@@ -118,25 +107,22 @@ class RunConfig:
     k_c: float
     dk_ph: float
     dq_perp: Optional[float] = None
-    phase_variant: str = "zero"
-    phase_xi: float = 0.0
+    phase: PhaseModel = PhaseModel()
     sweep: Optional[SweepAxes] = None
     quadrature: QuadratureSpec = PURITY_QUAD
     mc_samples: int = MC_SAMPLES
     out_dir: str = "."
 
     def __post_init__(self):
-        if not 0.0 <= self.phase_xi < math.inf:
-            raise ConfigError(f"[phase] xi must be non-negative and finite, got {self.phase_xi!r}")
-        if self.phase_variant == "zero" and self.phase_xi != 0.0:
-            raise ConfigError(f"[phase] xi = {self.phase_xi!r} needs a variant other than zero")
         if not self.mc_samples >= MC_MIN_SAMPLES:
             raise ConfigError(f"[quadrature] mc_samples must be at least {MC_MIN_SAMPLES}, got {self.mc_samples!r}")
-        # fail fast with the model's own checks; a sweep supplies dq_perp per
-        # cell, so without one dq_par stands in to check the energy and dq_par
+        # fail fast with the model's own checks, at dq_perp and at the
+        # sweep's largest dq_perp (the small-recoil bound is an upper one);
+        # without either, dq_par stands in to check the energy and dq_par
         self.spectrum()
-        self.phase()
-        self.beam(self.dq_perp if self.dq_perp is not None else self.dq_par)
+        given = [dq for dq in (self.dq_perp, self.sweep and self.sweep.dq_perp_max) if dq is not None]
+        for dq in given or [self.dq_par]:
+            self.beam(dq)
 
     def beam(self, dq_perp: Optional[float] = None) -> BeamParams:
         dq = dq_perp if dq_perp is not None else self.dq_perp
@@ -146,17 +132,6 @@ class RunConfig:
 
     def spectrum(self, dk_ph: Optional[float] = None) -> SpectrumModel:
         return SpectrumModel(self.k_c, dk_ph if dk_ph is not None else self.dk_ph)
-
-    def phase(self) -> PhaseModel:
-        if self.phase_variant == "zero":
-            return ZeroPhase()
-        if self.phase_variant == "polar_linear":
-            return PolarLinearPhase(xi1=self.phase_xi)
-        if self.phase_variant == "radial_kc":
-            return RadialKcPhase(xi2=self.phase_xi)
-        if self.phase_variant == "radial_dk":
-            return RadialDkPhase(xi2=self.phase_xi)
-        raise ConfigError(f"unknown phase variant {self.phase_variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +164,7 @@ _CONFIG_KEYS = {
         "dlambda_um": ("dk_ph", _length),  # a width: parse_config rescales it
         "dk_ph_um_inv": ("dk_ph", float),
     },
-    "phase": {"variant": ("phase_variant", str), "xi": ("phase_xi", float)},
+    "phase": {"variant": ("phase.variant", str), "xi": ("phase.xi", float)},
     "sweep": {
         "dq_perp_min": ("sweep.dq_perp_min", float),
         "dq_perp_max": ("sweep.dq_perp_max", float),
@@ -212,7 +187,7 @@ _REQUIRED = {
     "sweep": tuple(field for field, _ in _CONFIG_KEYS["sweep"].values()),
 }
 # how parse_config builds each object that a RunConfig field holds
-_HOLDERS = {"sweep": SweepAxes, "quadrature": partial(replace, PURITY_QUAD)}
+_HOLDERS = {"sweep": SweepAxes, "phase": PhaseModel, "quadrature": partial(replace, PURITY_QUAD)}
 _NOUNS = {float: "a number", int: "an integer", _length: "a positive number"}
 
 
@@ -303,7 +278,7 @@ def _point_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
     coordinates and `evaluate_point`'s diagnostics, keyed by CSV column."""
     from .measures import evaluate_point
 
-    result = evaluate_point(cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase(), cfg.quadrature)
+    result = evaluate_point(cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase, cfg.quadrature)
     return {
         "dq_perp_um_inv": dq_perp,
         "dk_ph_um_inv": dk_ph,
@@ -464,7 +439,9 @@ class _Main(click.Group):
     """The command group; the one place where errors become exit codes.
 
     A bad config or input file exits 2 with `config error: ...`; a
-    domain or convergence failure exits 1 with `<command> failed: ...`.
+    domain, convergence or resolution failure exits 1 with
+    `<command> failed: ...`. A failed internal cross-check
+    (`ConsistencyError`) is a fault of the program and keeps its traceback.
     """
 
     def invoke(self, ctx):
@@ -474,7 +451,7 @@ class _Main(click.Group):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
-        except (DomainError, ConvergenceError) as exc:
+        except (DomainError, ConvergenceError, ResolutionError) as exc:
             click.echo(f"{ctx.invoked_subcommand} failed: {exc}", err=True)
             sys.exit(1)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .constants import ANGULAR_NORM
 from .errors import ConsistencyError, DomainError
 from .measures import rel_pos_variance_closed
-from .model import BeamParams, SpectrumModel, ZeroPhase, eval_g, psi_ini_x_sq
+from .model import BeamParams, SpectrumModel, eval_g, psi_ini_x_sq
 from .quadrature import gauss_legendre_panels
 
 # points of the k_x grid of both joint grids; even, so that the position
@@ -50,8 +50,6 @@ class JointGrid:
     axis1: np.ndarray
     axis2: np.ndarray
     density: np.ndarray
-    axis1_name: str = "axis1"
-    axis2_name: str = "axis2"
 
     def __post_init__(self):
         a1, a2, d = map(np.asarray, (self.axis1, self.axis2, self.density))
@@ -168,10 +166,7 @@ def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     n_q = int(np.clip(math.ceil(2.0 * span / (sig / 8.0)), 65, 4001))
     qxg = np.linspace(-span, span, n_q)
     dens = joint_momentum(beam, spectrum, qxg[:, None], kxg[None, :])
-    return _check_normalized(
-        JointGrid(qxg, kxg, dens, axis1_name="qx_um_inv", axis2_name="kx_um_inv"),
-        "joint momentum grid",
-    )
+    return _check_normalized(JointGrid(qxg, kxg, dens), "joint momentum grid")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,7 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     kernel = _position_kernel(beam, spectrum, ax)
 
     sig_el = 1.0 / (2.0 * beam.dq_perp)
-    sig_t = math.sqrt(rel_pos_variance_closed(beam, spectrum, ZeroPhase()))
+    sig_t = math.sqrt(rel_pos_variance_closed(beam, spectrum))
     # both axes live on a common lattice of pitch h so every difference
     # x_el - x_ph is itself a lattice point; T is evaluated once per lag
     h = min(sig_el, sig_t) / 10.0
@@ -314,5 +309,4 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     if floor < -1e-9:
         raise ConsistencyError(f"joint position density has negative values down to {floor:.3e}")
     dens = np.maximum(dens, 0.0)
-    grid = JointGrid(x_el, x_ph, dens, axis1_name="x_el_um", axis2_name="x_ph_um")
-    return _check_normalized(grid, "joint position grid"), lags * h, t
+    return _check_normalized(JointGrid(x_el, x_ph, dens), "joint position grid"), lags * h, t

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPR_THRESHOLD, PURITY_THRESHOLD, TWO_PI
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ResolutionError
 from .model import (
     PURITY_QUAD,
     BeamParams,
     PhaseModel,
     QuadratureSpec,
     SpectrumModel,
-    ZeroPhase,
     eval_g,
     gamma_cartesian_derivatives,
 )
@@ -38,6 +37,13 @@ _T_SPAN = 7.0
 _TAIL_FRACTION = 1e-3
 _NODES_PER_PERIOD = 8
 _T_BLOCK = 1024
+# the most t-nodes one pass may lay out: its node and weight arrays then
+# take at most 64 MiB, the budget of the Schmidt oracle's grid. That is
+# 124x the 33,776 of the finest pass on the README plane, at (0.1, 30), and
+# keeps points such as (1e-4, 1) computable, whose 2.75e6 nodes the tail
+# cut trims to 576. A finer grid is refused before it is built;
+# `dq_perp` 1e-7 would ask for 1.8e9 nodes, and numpy for 13.7 GiB.
+_T_MAX_NODES = 2**22
 # below this argument _sonine_h sums ten terms of its Taylor series,
 # (-x^2/2)^k / k! * (2k + 2) / (2k + 5)!!, which are within 3e-16 of h(0)
 # there; above it the elementary form's cancellation costs under 3e-15 h(0)
@@ -159,14 +165,18 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     the double integral over the two photon wavevectors at each t.
     The t-grid spans [0, 7/b]; the sum stops at the first panel edge past
     which the tail bound of `_t_cut` is below _TAIL_FRACTION * abs_tol
-    (an abs_tol of zero keeps the whole grid).
+    (an abs_tol of zero keeps the whole grid). A grid of more than
+    _T_MAX_NODES nodes raises ResolutionError before it is built.
     """
     kn, kw = _radial_nodes(spectrum, n_rad)
     b = beam.dq_perp
     t_max = _T_SPAN / b
     # h(k t) oscillates with period 2 pi / k in t
     n_t = refine * _NODES_PER_PERIOD * spectrum.kmax * t_max / TWO_PI
-    n_panels = max(2, math.ceil(n_t / 16))
+    # n_t is inf when t_max or the product overflows, and inf has no ceil
+    n_panels = max(2, math.ceil(n_t / 16)) if n_t < math.inf else math.inf
+    if 16 * n_panels > _T_MAX_NODES:
+        raise ResolutionError(f"the purity t-grid needs {16 * n_panels} nodes, more than its cap of {_T_MAX_NODES}")
     r = kw * kn**2 * eval_g(spectrum, kn)
     n_keep = 16 * _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * quad.abs_tol)
     tn, tw = gauss_legendre_panels(0.0, t_max, n_panels, 16)
@@ -262,7 +272,7 @@ def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = P
 # ---------------------------------------------------------------------------
 # EPR uncertainty product
 
-def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = ZeroPhase()) -> float:
+def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = PhaseModel()) -> float:
     """Closed-form variance of x_el - x_ph (um^2) on the model family."""
     kc, dk, ng = spectrum.k_c, spectrum.dk_ph, spectrum.n_g
     z = kc / (math.sqrt(2.0) * dk)
@@ -277,7 +287,7 @@ def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: Ph
 def rel_pos_variance_quadrature(
     beam: BeamParams,
     spectrum: SpectrumModel,
-    phase: PhaseModel = ZeroPhase(),
+    phase: PhaseModel = PhaseModel(),
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Relative-position variance by direct quadrature of the 3D integrand.
@@ -354,7 +364,7 @@ def classify_regime(purity: float, d2: float) -> Regime:
 def evaluate_point(
     beam: BeamParams,
     spectrum: SpectrumModel,
-    phase: PhaseModel = ZeroPhase(),
+    phase: PhaseModel = PhaseModel(),
     quad: QuadratureSpec = PURITY_QUAD,
 ) -> MeasureResult:
     """All diagnostics at a single parameter point; a failed `purity_sc`

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TRUNCATION_SIGMAS, TWO_PI
 from .errors import DomainError, SingularPointError
@@ -235,92 +235,63 @@ def gamma_cartesian_derivatives(spectrum: SpectrumModel, k_vec):
 
 
 # ---------------------------------------------------------------------------
-# phase models
+# phase model
 
-def _check_xi(name: str, value: float) -> None:
-    # a squared amplitude: a negative value would make D_eta negative
-    if not 0.0 <= value < math.inf:
-        raise DomainError(f"{name} must be non-negative and finite, got {value!r}")
+# the phase variants, each the form of eta(k) documented on PhaseModel
+_PHASE_VARIANTS = ("zero", "polar_linear", "radial_kc", "radial_dk")
 
 
 @dataclass(frozen=True)
-class ZeroPhase:
-    """eta(k) identically zero; D_eta = 0 exactly."""
+class PhaseModel:
+    """The photonic spectral phase eta(k), which the paper leaves open.
 
-    def d_eta(self, spectrum: SpectrumModel) -> float:
-        """Phase contribution D_eta (um^2) to the relative-position variance."""
-        return 0.0
-
-    def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
-        """(d eta/d k_x)^2 + (d eta/d k_y)^2 at (k, theta), here zero."""
-        import numpy as np
-
-        return np.zeros(np.broadcast(k, theta).shape)
-
-
-@dataclass(frozen=True)
-class PolarLinearPhase:
-    """eta depends linearly on the polar angle: eta(k) = a theta.
-
-    `xi1` is the dimensionless angular integral
-    pi * int sin(theta) cos^2(theta) f(theta) (d eta/d theta)^2 dtheta
-    = (3/14) a^2, so a^2 = 14 xi1 / 3.
+    `variant` picks the form of eta and `xi` >= 0 its strength:
+    - "zero": eta = 0, so D_eta = 0 exactly; xi must be 0;
+    - "polar_linear": eta = a theta, linear in the polar angle; xi is the
+      dimensionless angular integral
+      pi * int sin(theta) cos^2(theta) f(theta) (d eta/d theta)^2 dtheta
+      = (3/14) a^2, so a^2 = 14 xi / 3;
+    - "radial_kc": eta = sqrt(xi) k / k_c;
+    - "radial_dk": eta = sqrt(xi) k / dk_ph.
     """
 
-    xi1: float
+    variant: str = "zero"
+    xi: float = 0.0
 
     def __post_init__(self):
-        _check_xi("xi1", self.xi1)
+        if self.variant not in _PHASE_VARIANTS:
+            raise DomainError(f"unknown phase variant {self.variant!r} (known: {', '.join(_PHASE_VARIANTS)})")
+        # a squared amplitude: a negative value would make D_eta negative
+        if not 0.0 <= self.xi < math.inf:
+            raise DomainError(f"phase xi must be non-negative and finite, got {self.xi!r}")
+        if self.variant == "zero" and self.xi != 0.0:
+            raise DomainError(f"phase xi = {self.xi!r} needs a variant other than zero")
+
+    def _radial_scale(self, spectrum: SpectrumModel) -> float:
+        """s of a radial eta = sqrt(xi) k / s."""
+        return spectrum.k_c if self.variant == "radial_kc" else spectrum.dk_ph
 
     def d_eta(self, spectrum: SpectrumModel) -> float:
         """Phase contribution D_eta (um^2) to the relative-position variance."""
-        z = spectrum.k_c / (math.sqrt(2.0) * spectrum.dk_ph)
-        return float(self.xi1 * math.sqrt(math.pi / 2.0) * spectrum.n_g * spectrum.dk_ph * (math.erf(z) + 1.0))
+        if self.variant == "zero":
+            return 0.0
+        if self.variant == "polar_linear":
+            z = spectrum.k_c / (math.sqrt(2.0) * spectrum.dk_ph)
+            return float(self.xi * math.sqrt(math.pi / 2.0) * spectrum.n_g * spectrum.dk_ph * (math.erf(z) + 1.0))
+        return 2.0 * self.xi / (7.0 * self._radial_scale(spectrum) ** 2)
 
     def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
-        """(d eta/d k_x)^2 + (d eta/d k_y)^2 = (a cos(theta) / k)^2."""
+        """(d eta/d k_x)^2 + (d eta/d k_y)^2 at (k, theta), in the broadcast
+        shape of the two: zero, (a cos(theta) / k)^2 for polar_linear, and
+        (xi / s^2) sin^2(theta) for a radial eta."""
         import numpy as np
 
-        return (14.0 * self.xi1 / 3.0) * (np.cos(theta) / k) ** 2
-
-
-@dataclass(frozen=True)
-class _RadialPhase:
-    """eta(k) = sqrt(xi2) k / s, with s the spectrum's field named `_SCALE`."""
-
-    _SCALE: ClassVar[str]
-    xi2: float
-
-    def __post_init__(self):
-        _check_xi("xi2", self.xi2)
-
-    def d_eta(self, spectrum: SpectrumModel) -> float:
-        """Phase contribution D_eta (um^2) to the relative-position variance."""
-        return 2.0 * self.xi2 / (7.0 * getattr(spectrum, self._SCALE) ** 2)
-
-    def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
-        """(d eta/d k_x)^2 + (d eta/d k_y)^2 = (xi2 / s^2) sin^2(theta)."""
-        import numpy as np
-
+        if self.variant == "zero":
+            return np.zeros(np.broadcast(k, theta).shape)
+        if self.variant == "polar_linear":
+            return (14.0 * self.xi / 3.0) * (np.cos(theta) / k) ** 2
         _, theta = np.broadcast_arrays(k, theta)
-        return (self.xi2 / getattr(spectrum, self._SCALE) ** 2) * np.sin(theta) ** 2
-
-
-@dataclass(frozen=True)
-class RadialKcPhase(_RadialPhase):
-    """eta(k) = sqrt(xi2) k / k_c."""
-
-    _SCALE = "k_c"
-
-
-@dataclass(frozen=True)
-class RadialDkPhase(_RadialPhase):
-    """eta(k) = sqrt(xi2) k / dk_ph."""
-
-    _SCALE = "dk_ph"
-
-
-PhaseModel = Union[ZeroPhase, PolarLinearPhase, RadialKcPhase, RadialDkPhase]
+        return (self.xi / self._radial_scale(spectrum) ** 2) * np.sin(theta) ** 2
 
 
 # ---------------------------------------------------------------------------

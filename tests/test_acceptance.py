@@ -22,7 +22,7 @@ from clpair.measures import (
     rel_pos_variance_closed,
     rel_pos_variance_quadrature,
 )
-from clpair.model import RadialKcPhase, ZeroPhase, eval_f, eval_g
+from clpair.model import PhaseModel, eval_f, eval_g
 from clpair.oracles import (
     longitudinal_term_identity,
     mc_purity,
@@ -62,8 +62,8 @@ class TestCriterion03ClosedFormVariance:
             s = SpectrumModel(
                 float(rng.uniform(5.0, 20.0)), float(10.0 ** rng.uniform(-1.3, 1.3))
             )
-            closed = rel_pos_variance_closed(beam, s, ZeroPhase())
-            quad = rel_pos_variance_quadrature(beam, s, ZeroPhase())
+            closed = rel_pos_variance_closed(beam, s, PhaseModel())
+            quad = rel_pos_variance_quadrature(beam, s, PhaseModel())
             assert quad == pytest.approx(closed, rel=1e-4)
 
 
@@ -153,7 +153,7 @@ class TestCriterion08LongitudinalPurityCurves:
         assert dq_par / 3.0 < knee < 3.0 * dq_par
 
 
-def epr_contour_dq_perp(dk, phase=ZeroPhase()):
+def epr_contour_dq_perp(dk, phase=PhaseModel()):
     """dq_perp on the D^2 = 1 contour: the relative-position variance is
     independent of dq_perp, so dq_perp* = var^(-1/2) exactly."""
     beam = BeamParams(K_KEV, 1.0, DQ_PAR)
@@ -190,8 +190,8 @@ class TestCriterion10PhaseInfluence:
             asymptote = contour[-1]
             return int(np.sum(np.abs(contour / asymptote - 1.0) < 0.1))
 
-        n_zero = vertical_cells(ZeroPhase())
-        n_kc = vertical_cells(RadialKcPhase(100.0))
+        n_zero = vertical_cells(PhaseModel())
+        n_kc = vertical_cells(PhaseModel("radial_kc", 100.0))
         assert n_kc > n_zero
 
 

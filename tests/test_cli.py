@@ -30,7 +30,7 @@ from clpair.cli import (
     run_sweep,
 )
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
-from clpair.model import PolarLinearPhase, RadialDkPhase, RadialKcPhase
+from clpair.model import PhaseModel
 from conftest import PLANE_CSV, README, readme_section, src_env
 
 BASE_INI = """\
@@ -163,7 +163,7 @@ KEY_TARGETS = {
         "dk_ph_max": ("3.0", "sweep.dk_ph_max", 3.0),
         "dk_ph_steps": ("4", "sweep.dk_ph_steps", 4),
     },
-    "phase": {"variant": ("radial_kc", "phase_variant", "radial_kc"), "xi": ("2.5", "phase_xi", 2.5)},
+    "phase": {"variant": ("radial_kc", "phase.variant", "radial_kc"), "xi": ("2.5", "phase.xi", 2.5)},
     "quadrature": {
         "rel_tol": ("0.0002", "quadrature.rel_tol", 2e-4),
         "abs_tol": ("3e-05", "quadrature.abs_tol", 3e-5),
@@ -440,6 +440,24 @@ class TestSweepFailures:
         assert lines[1] == "1.0,0.5,nan,nan,nan,nan,nan,nan,error,"
         assert all(len(line.split(",")) == len(CSV_HEADER) for line in lines)
 
+    def test_too_fine_t_grid_cells_are_error_rows(self, runner, tmp_path):
+        # the dk_ph = 1e9 cells ask purity_sc for 3.6e10 t-nodes; they fail
+        # on their own and every other cell is still written
+        out = tmp_path / "o"
+        cfg = write(tmp_path, SWEEP_INI.replace("dk_ph_max = 2.0", "dk_ph_max = 1e9"))
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        rows = csv_to_rows((out / "sweep.csv").read_text())
+        assert [(r["dq_perp_um_inv"], r["dk_ph_um_inv"], r["regime"] == "error") for r in rows] == [
+            (1.0, 0.5, False),
+            (1.0, 1e9, True),
+            (10.0, 0.5, False),
+            (10.0, 1e9, True),
+        ]
+        for dq in (1.0, 10.0):
+            assert f"cell ({dq}, 1000000000.0) failed: the purity t-grid needs " in res.output
+        assert "Traceback" not in res.output
+
     def test_regime_map_names_failed_cells(self, runner, tmp_path, monkeypatch):
         import clpair.measures as measures
 
@@ -496,7 +514,7 @@ class TestSweepFailures:
         assert len(rows) == 4
         for r in rows:
             dq, dk = r["dq_perp_um_inv"], r["dk_ph_um_inv"]
-            res = measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase(), cfg.quadrature)
+            res = measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase, cfg.quadrature)
             assert r == {
                 "dq_perp_um_inv": dq,
                 "dk_ph_um_inv": dk,
@@ -548,21 +566,46 @@ class TestInputValidation:
         assert res.exit_code == 2
         assert "xi" in res.output
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: PolarLinearPhase(xi1=-1.0), lambda: RadialKcPhase(-5.0), lambda: RadialDkPhase(-0.1)],
-        ids=["polar_linear", "radial_kc", "radial_dk"],
-    )
-    def test_negative_xi_rejected_by_phase(self, make):
+    @pytest.mark.parametrize("variant,xi", [("polar_linear", -1.0), ("radial_kc", -5.0), ("radial_dk", -0.1)])
+    def test_negative_xi_rejected_by_phase(self, variant, xi):
         with pytest.raises(DomainError):
-            make()
+            PhaseModel(variant, xi)
+
+    @pytest.mark.parametrize(
+        "section,named",
+        [
+            ("variant = spiral", "variant"),
+            ("xi = 2.5", "xi"),
+            ("variant = radial_dk\nxi = -1", "xi"),
+            ("variant = polar_linear\nxi = inf", "xi"),
+            ("variant = radial_kc\nxi = nan", "xi"),
+            ("variant = spiral\nxi = 2.5", "variant"),
+        ],
+        ids=["unknown", "xi_without_variant", "negative", "inf", "nan", "unknown_with_xi"],
+    )
+    def test_bad_phase_exits_2_naming_it(self, runner, tmp_path, section, named):
+        cfg = write(tmp_path, BASE_INI + f"\n[phase]\n{section}\n")
+        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert named in res.output
+
+    @pytest.mark.parametrize("command", ["sweep", "regime-map"])
+    def test_sweep_dq_perp_beyond_small_recoil_exits_2(self, runner, tmp_path, command):
+        # the sweep's largest dq_perp is checked while the config loads, as
+        # measure checks its own, before any cell is computed
+        out = tmp_path / "o"
+        cfg = write(tmp_path, SWEEP_INI.replace("dq_perp_max = 10.0", "dq_perp_max = 1e7"))
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert_config_error(res)
+        assert "dq_perp = 10000000.0 violates small-recoil assumption" in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["", "variant = zero\n"], ids=["default", "zero"])
     def test_xi_under_zero_variant_exits_2(self, runner, tmp_path, variant):
         cfg = write(tmp_path, BASE_INI + f"\n[phase]\n{variant}xi = 100\n")
         res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
         assert_config_error(res)
-        assert "[phase] xi = 100.0 needs a variant other than zero" in res.output
+        assert "phase xi = 100.0 needs a variant other than zero" in res.output
 
     def test_zero_variant_with_zero_xi_round_trips(self, tmp_path):
         cfg = load_config(write(tmp_path, BASE_INI + "\n[phase]\nvariant = zero\nxi = 0.0\n"))
@@ -574,10 +617,10 @@ class TestInputValidation:
 
         ini = BASE_INI.replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 0.3") + "\n[phase]\nvariant = polar_linear\nxi = 1.0\n"
         cfg = load_config(write(tmp_path, ini))
-        beam, spectrum, phase = cfg.beam(), cfg.spectrum(), cfg.phase()
+        beam, spectrum, phase = cfg.beam(), cfg.spectrum(), cfg.phase
         # the closed form integrates the radial factor of D_eta, the
         # quadrature the gradient (a cos(theta) / k)^2 with a^2 = 14 xi1 / 3
-        assert phase == PolarLinearPhase(1.0)
+        assert phase == PhaseModel("polar_linear", 1.0)
         assert rel_pos_variance_quadrature(beam, spectrum, phase) == pytest.approx(
             rel_pos_variance_closed(beam, spectrum, phase), rel=1e-8
         )
@@ -785,12 +828,8 @@ class TestRuntimeImports:
         "model": (
             "BeamParams",
             "PhaseModel",
-            "PolarLinearPhase",
             "QuadratureSpec",
-            "RadialDkPhase",
-            "RadialKcPhase",
             "SpectrumModel",
-            "ZeroPhase",
             "derive_kinematics",
             "eval_gamma",
             "spectrum_normalization",
@@ -832,8 +871,21 @@ class TestProvenancePinned:
         [
             (BASE_INI, "4569ad5e8dc25a0250ff9db860214782db4f6c23d8994eddd9da14fc0746b8eb"),
             (SWEEP_INI, "e82542ff5d6d72d969235cd2ead35915a0648e45c00979b4844c682ef46ddd35"),
+            (BASE_INI + "\n[phase]\nvariant = zero\n", "4569ad5e8dc25a0250ff9db860214782db4f6c23d8994eddd9da14fc0746b8eb"),
+            (
+                BASE_INI + "\n[phase]\nvariant = polar_linear\nxi = 0.25\n",
+                "02971c96d7412190c2562f6069d0496f73c9f85e2311ba3e4475f31f7ea0831d",
+            ),
+            (
+                BASE_INI + "\n[phase]\nvariant = radial_kc\nxi = 100\n",
+                "b52596972214946737fbc896fe28d0a6fedcc840c6da8fcbb602e0ed7f0b60bd",
+            ),
+            (
+                BASE_INI + "\n[phase]\nvariant = radial_dk\nxi = 2.5\n",
+                "515b5c8bdc618eaed34a39de742cd7abe442a50bc5d2c02f51e2a091bca995f6",
+            ),
         ],
-        ids=["base", "sweep"],
+        ids=["base", "sweep", "zero", "polar_linear", "radial_kc", "radial_dk"],
     )
     def test_config_hash(self, tmp_path, text, digest):
         assert config_hash(load_config(write(tmp_path, text))) == digest
@@ -990,6 +1042,17 @@ class TestExitMapping:
         assert "dist failed: grid out of range" in res.output
         assert sorted(p.name for p in (tmp_path / "o").glob("*")) == left
 
+    def test_measure_too_fine_t_grid_exits_1(self, runner, tmp_path):
+        # dq_perp 1e-7 asks purity_sc for 1.8e9 t-nodes, which it refuses
+        # with a ResolutionError before building them
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-7"))
+        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "measure failed: the purity t-grid needs 1833014160 nodes, more than its cap of 4194304" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "o" / "measure.csv").exists()
+
     def test_subprocess_prints_no_traceback(self, tmp_path):
         import subprocess
         import sys
@@ -1084,9 +1147,12 @@ class TestConfigProperty:
             except ConfigError:
                 return
             cfg.spectrum()
-            cfg.phase()
+            replace(cfg.phase)  # PhaseModel checks itself again
             if cfg.dq_perp is not None:
                 cfg.beam()
+            if cfg.sweep is not None:
+                # every sweep cell's beam is admissible, the widest included
+                cfg.beam(cfg.sweep.dq_perp_max)
             parser = configparser.ConfigParser()
             parser.read_string(dump_config(cfg))
             assert parse_config(parser) == cfg

@@ -108,10 +108,9 @@ class TestPhotonMarginal:
 
 
 class TestMomentumGrid:
-    def test_normalized_and_named(self, make_beam, make_spectrum):
+    def test_normalized(self, make_beam, make_spectrum):
         g = momentum_grid(make_beam(4.19), make_spectrum(0.3))
         assert abs(g.integral() - 1.0) <= 0.01
-        assert g.axis1_name == "qx_um_inv" and g.axis2_name == "kx_um_inv"
 
     def test_total_momentum_variance(self, make_beam, make_spectrum):
         b = make_beam(4.19)

@@ -15,8 +15,9 @@ from clpair import (
     BeamParams,
     ConvergenceError,
     DomainError,
+    PhaseModel,
+    ResolutionError,
     SpectrumModel,
-    ZeroPhase,
 )
 from clpair.measures import (
     _H_SERIES,
@@ -36,13 +37,7 @@ from clpair.measures import (
     rel_pos_variance_quadrature,
     total_wavevector_variance,
 )
-from clpair.model import (
-    PolarLinearPhase,
-    QuadratureSpec,
-    RadialDkPhase,
-    RadialKcPhase,
-    eval_f,
-)
+from clpair.model import QuadratureSpec, eval_f
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C
@@ -137,6 +132,39 @@ class TestPuritySc:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    @pytest.mark.parametrize("cap,refused", [(79, True), (80, False)])
+    def test_t_grid_cap_names_the_size(self, make_beam, make_spectrum, monkeypatch, cap, refused):
+        # at (3, 0.3) the refined pass lays out 80 t-nodes (the base pass
+        # 48); below a cap of that many purity_sc refuses the grid
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "_T_MAX_NODES", cap)
+        if refused:
+            with pytest.raises(ResolutionError, match="the purity t-grid needs 80 nodes, more than its cap of 79"):
+                purity_sc(make_beam(3.0), make_spectrum(0.3))
+        else:
+            assert 0.0 < purity_sc(make_beam(3.0), make_spectrum(0.3)) <= 1.0
+
+    def test_fine_grid_under_the_cap_is_computed(self, make_beam, make_spectrum):
+        # the refined pass at (1e-4, 1) lays out 2.75e6 t-nodes, which the
+        # tail cut trims to 576: a cheap point, not one to refuse. The
+        # value is the one computed before the cap existed.
+        assert repr(purity_sc(make_beam(1e-4), make_spectrum(1.0))) == "2.5536443492252956e-10"
+
+    # dq_perp 1e-7 would ask for 1.8e9 t-nodes, 13.7 GiB per array; at
+    # 1e-320 the t-span 7/dq_perp overflows
+    @pytest.mark.parametrize("dq_perp,nodes", [(1e-7, "1833014160"), (1e-320, "inf")])
+    def test_too_fine_t_grid_is_refused_before_it_is_built(self, make_beam, make_spectrum, dq_perp, nodes):
+        beam, spectrum = make_beam(dq_perp), make_spectrum(1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError, match=f"needs {nodes} nodes"):
+                purity_sc(beam, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestPurityScPanel:
@@ -400,7 +428,7 @@ class TestRelPosVariance:
 
     @pytest.mark.parametrize(
         "phase",
-        [PolarLinearPhase(3.0 / 14.0), RadialKcPhase(3.0), RadialDkPhase(0.4)],
+        [PhaseModel("polar_linear", 3.0 / 14.0), PhaseModel("radial_kc", 3.0), PhaseModel("radial_dk", 0.4)],
         ids=["polar", "radial_kc", "radial_dk"],
     )
     def test_closed_matches_quadrature_with_phase(self, phase, make_beam, make_spectrum):
@@ -477,12 +505,12 @@ class TestClassifyRegime:
 
 class TestDEta:
     def test_zero(self, make_spectrum):
-        assert ZeroPhase().d_eta(make_spectrum(0.5)) == 0.0
+        assert PhaseModel().d_eta(make_spectrum(0.5)) == 0.0
 
     def test_radial_kc_value(self):
         s = SpectrumModel(12.566, 0.3)
-        assert RadialKcPhase(100.0).d_eta(s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
-        assert RadialKcPhase(100.0).d_eta(s) == pytest.approx(0.1809, rel=1e-3)
+        assert PhaseModel("radial_kc", 100.0).d_eta(s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
+        assert PhaseModel("radial_kc", 100.0).d_eta(s) == pytest.approx(0.1809, rel=1e-3)
 
 
 class TestEvaluatePoint:

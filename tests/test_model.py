@@ -10,19 +10,16 @@ from scipy.special import spherical_jn
 from clpair import (
     BeamParams,
     DomainError,
+    PhaseModel,
     SingularPointError,
     SpectrumModel,
-    ZeroPhase,
     derive_kinematics,
     spectrum_normalization,
     wavelength_to_wavenumbers,
 )
 from clpair.constants import ELECTRON_REST_KEV, HBARC_KEV_UM
 from clpair.model import (
-    PolarLinearPhase,
     QuadratureSpec,
-    RadialDkPhase,
-    RadialKcPhase,
     eval_f,
     eval_g,
     eval_gamma,
@@ -323,31 +320,93 @@ class TestPhases:
         xi1 = math.pi * float(np.sum(tw * np.sin(tn) * np.cos(tn) ** 2 * eval_f(tn)))
         assert xi1 == pytest.approx(3.0 / 14.0, abs=1e-10)
         k, th = np.array([[10.0], [12.0]]), np.array([[0.3, 0.7, 2.5]])
-        got = PolarLinearPhase(xi1).gradient_sq(make_spectrum(0.3), k, th)
+        got = PhaseModel("polar_linear", xi1).gradient_sq(make_spectrum(0.3), k, th)
         np.testing.assert_allclose(got, (np.cos(th) / k) ** 2, rtol=1e-10)
 
     def test_radial_kc_substitution(self, make_spectrum):
         s = SpectrumModel(12.566, 0.3)
-        assert RadialKcPhase(100.0).d_eta(s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
-        assert RadialDkPhase(5.0).d_eta(s) == pytest.approx(10.0 / (7.0 * 0.09), rel=1e-10)
+        assert PhaseModel("radial_kc", 100.0).d_eta(s) == pytest.approx(200.0 / (7.0 * 12.566**2), rel=1e-10)
+        assert PhaseModel("radial_dk", 5.0).d_eta(s) == pytest.approx(10.0 / (7.0 * 0.09), rel=1e-10)
 
     def test_transverse_gradient_sq(self, make_spectrum):
         s = make_spectrum(0.3)
         k, th = 10.0, 0.7
-        got = RadialKcPhase(4.0).gradient_sq(s, k, th)
+        got = PhaseModel("radial_kc", 4.0).gradient_sq(s, k, th)
         assert got == pytest.approx(4.0 / s.k_c**2 * math.sin(th) ** 2, rel=1e-10)
-        got = RadialDkPhase(9.0).gradient_sq(s, k, th)
+        got = PhaseModel("radial_dk", 9.0).gradient_sq(s, k, th)
         assert got == pytest.approx(9.0 / s.dk_ph**2 * math.sin(th) ** 2, rel=1e-10)
-        got = PolarLinearPhase(3.0 / 14.0).gradient_sq(s, k, th)
+        got = PhaseModel("polar_linear", 3.0 / 14.0).gradient_sq(s, k, th)
         assert got == pytest.approx((math.cos(th) / k) ** 2, rel=1e-12)
 
     def test_gradient_sq_shape(self, make_spectrum):
         # every variant gives the broadcast shape of (k, theta)
         s = make_spectrum(0.3)
         k, th = np.array([[10.0], [12.0]]), np.array([[0.5, 1.0, 2.0]])
-        for phase in (ZeroPhase(), PolarLinearPhase(0.1), RadialKcPhase(4.0), RadialDkPhase(9.0)):
+        for phase in (
+            PhaseModel(),
+            PhaseModel("polar_linear", 0.1),
+            PhaseModel("radial_kc", 4.0),
+            PhaseModel("radial_dk", 9.0),
+        ):
             assert phase.gradient_sq(s, k, th).shape == (2, 3), phase
-        assert np.all(ZeroPhase().gradient_sq(s, k, th) == 0.0)
+        assert np.all(PhaseModel().gradient_sq(s, k, th) == 0.0)
+
+    # d_eta at dk_ph 0.3 and 1.7 and gradient_sq at (k, theta) = (10, 0.3),
+    # (12.5, 1.1), (15, 2.5), for k_c = 4 pi, as the four phase classes
+    # that PhaseModel replaced computed them, each float as its repr
+    PINNED = [
+        ("zero", 0.0, ["0.0", "0.0"], [["0.0"] * 3, ["0.0"] * 3]),
+        (
+            "polar_linear",
+            3.0 / 14.0,
+            ["0.0013562071926531394", "0.0013325921835579692"],
+            [["0.009126678074548391", "0.0013167964247828936", "0.0028525826343627245"]] * 2,
+        ),
+        (
+            "radial_kc",
+            100.0,
+            ["0.18093068507560317", "0.18093068507560317"],
+            [["0.05530375699222652", "0.5029650419296489", "0.22681311017697303"]] * 2,
+        ),
+        (
+            "radial_dk",
+            0.4,
+            ["1.26984126984127", "0.03954522985664855"],
+            [
+                ["0.3881430779784926", "3.530002482789658", "1.59186181008172"],
+                ["0.012087500698292158", "0.10993087316645994", "0.0495735511790155"],
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize("variant,xi,d_eta,gradient_sq", PINNED, ids=[p[0] for p in PINNED])
+    def test_values_pinned(self, variant, xi, d_eta, gradient_sq):
+        phase = PhaseModel(variant, xi)
+        k, th = np.array([10.0, 12.5, 15.0]), np.array([0.3, 1.1, 2.5])
+        for dk, want_d, want_g in zip((0.3, 1.7), d_eta, gradient_sq):
+            s = SpectrumModel(4.0 * math.pi, dk)
+            assert repr(phase.d_eta(s)) == want_d
+            assert [repr(v) for v in phase.gradient_sq(s, k, th).tolist()] == want_g
+
+    @pytest.mark.parametrize(
+        "variant,xi,match",
+        [
+            ("spiral", 0.0, "unknown phase variant 'spiral'"),
+            ("radial_kc", -1.0, "xi must be non-negative and finite, got -1.0"),
+            ("polar_linear", math.inf, "xi must be non-negative and finite, got inf"),
+            ("radial_dk", math.nan, "xi must be non-negative and finite, got nan"),
+            ("zero", 100.0, "xi = 100.0 needs a variant other than zero"),
+        ],
+    )
+    def test_rejects(self, variant, xi, match):
+        with pytest.raises(DomainError, match=match):
+            PhaseModel(variant, xi)
+
+    @pytest.mark.parametrize("variant", ["zero", "polar_linear", "radial_kc", "radial_dk"])
+    def test_zero_xi_adds_nothing(self, variant, make_spectrum):
+        s = make_spectrum(0.3)
+        assert PhaseModel(variant).d_eta(s) == 0.0
+        assert np.all(PhaseModel(variant).gradient_sq(s, np.array([10.0, 12.0]), 0.7) == 0.0)
 
 
 def filter_norm(spectrum, weight, quad=QuadratureSpec(rel_tol=1e-10)):

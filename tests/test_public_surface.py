@@ -1,9 +1,11 @@
-"""Every public function, class and method of the package and the scripts
-has a caller there: no production code that only its own tests call.
+"""Every public function, class, method and dataclass field of the
+package and the scripts has a caller or reader there: no production code
+that only its own tests call or read.
 
 A name counts as referenced when it appears as a name or an attribute in
 any of those files outside an import statement; a definition is not a
-reference to itself. Click commands are called by click.
+reference to itself, nor is a field's annotated name in its class body.
+Click commands are called by click.
 """
 
 import ast
@@ -27,8 +29,9 @@ def _is_click_command(node) -> bool:
 
 
 def _public_definitions(tree):
-    """Public module-level functions and classes, and the public methods of
-    public classes, as (qualified name, bare name)."""
+    """Public module-level functions and classes, and the public methods and
+    fields (class-level annotated names) of public classes, as (qualified
+    name, bare name)."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
@@ -38,12 +41,28 @@ def _public_definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item.name
+                elif (field := _field_name(item)) and not field.startswith("_"):
+                    yield f"{node.name}.{field}", field
+
+
+def _field_name(item):
+    """The name a class-body statement declares as a field, or None."""
+    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+        return item.target.id
+    return None
 
 
 def _references(tree) -> set:
+    declared = {
+        id(item.target)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if _field_name(item)
+    }
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and id(node) not in declared:
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
@@ -69,7 +88,10 @@ def test_detector():
             "def used(): pass\n"
             "def unused(): used()\n"
             "class Box:\n"
-            "    def called(self): pass\n"
+            "    read: int = 0\n"
+            "    unread: int = 0\n"
+            "    _hidden: int = 0\n"
+            "    def called(self): return self.read\n"
             "    def uncalled(self): pass\n"
             "    def _private(self): pass\n"
             "@click.group()\n"
@@ -79,7 +101,7 @@ def test_detector():
         ),
         "b": ast.parse("from a import unused, Box\n"),
     }
-    assert unreferenced(trees) == {"a.unused", "a.Box.uncalled"}
+    assert unreferenced(trees) == {"a.unused", "a.Box.uncalled", "a.Box.unread"}
 
 
 def test_every_public_name_has_a_caller():
