@@ -24,7 +24,7 @@ from .constants import ANGULAR_NORM
 from .errors import ConsistencyError, DomainError
 from .measures import rel_pos_variance_closed
 from .model import BeamParams, SpectrumModel, eval_g, psi_ini_x_sq
-from .quadrature import gauss_legendre_panels
+from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 # points of the k_x grid of both joint grids; even, so that the position
 # grid's T is a quadratic form of the kernel on the N_KX / 2 point half-axis
@@ -34,8 +34,11 @@ N_X_EL = 141
 # lags of the position grid's T-lattice per block of its quadratic form,
 # which bounds its two (block, N_KX / 2) matrices held at once to 8 MB
 _LAG_BLOCK = 2048
-# rows of the position kernel's band per block of its upper triangle
-_KERNEL_ROWS = 64
+# radial nodes of the position kernel per batched pass, and rows of their
+# union band per block of its upper triangle: a (node, row, band) block of
+# 8 x 32 x 256 takes 0.5 MB
+_KERNEL_NODES = 8
+_KERNEL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,90 @@ def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
 # ---------------------------------------------------------------------------
 # joint position distribution
 
+def _rho_rule(spectrum: SpectrumModel, r_max: float):
+    """Gauss-Legendre nodes and weights of the position kernel's rho
+    integral on [0, r_max], in 16-node panels each no wider than
+    dk_ph max(1, kmin / rho) at its outer edge rho.
+
+    A row's integrand g(sqrt(a^2 + rho^2)) varies on the width dk_ph k / rho
+    in rho, and a live row has k >= kmin, so the bound never exceeds that
+    width. Below kmin - dk_ph each panel is the widest the bound allows,
+    w = dk_ph kmin / (e + w) from its inner edge e; from there on the
+    panels are equal and no wider than dk_ph. With kmin = 0 that is
+    ceil(r_max / dk_ph) equal panels.
+    """
+    kmin, dk = spectrum.kmin, spectrum.dk_ph
+    edges = [0.0]
+    while edges[-1] + dk < kmin:
+        e = edges[-1]
+        # the positive root of w (e + w) = dk kmin, in a form without cancellation
+        nxt = e + 2.0 * dk * kmin / (math.sqrt(e * e + 4.0 * dk * kmin) + e)
+        if nxt >= r_max:
+            break
+        edges.append(nxt)
+    e = edges.pop()
+    n = max(1, math.ceil((r_max - e) / dk))
+    return gauss_legendre_edges(np.concatenate((edges, np.linspace(e, r_max, n + 1))), 16)
+
+
+def _beta_rule():
+    """The position kernel's beta rule, 3 panels of 8 Gauss-Legendre nodes
+    on [0, pi/2], as sin^2 beta and sqrt(w_beta) sin beta at each node."""
+    bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 3, 8)
+    return np.sin(bn) ** 2, np.sqrt(bw) * np.sin(bn)
+
+
+def _kernel_nodes(spectrum: SpectrumModel, ax: np.ndarray):
+    """The rho nodes of `_rho_rule` on [0, sqrt(kmax^2 - ax[0]^2)],
+    _KERNEL_NODES consecutive ones at a time. For each group this yields
+    the start i0 of its union band of `ax` and, on that band, one row per
+    node of k = sqrt(ax^2 + rho^2), c^2 = (rho / k)^2 and
+    f^2 = 4 ANGULAR_NORM w_rho rho g(k) c^2, the last zero outside the
+    node's own band."""
+    kmax = spectrum.kmax
+    rn, rw = _rho_rule(spectrum, math.sqrt(kmax**2 - ax[0] ** 2))
+    lo = np.searchsorted(ax, np.sqrt(np.maximum(spectrum.kmin**2 - rn**2, 0.0)), side="left")
+    hi = np.searchsorted(ax, np.sqrt(kmax**2 - rn**2), side="right")
+    ax2, idx = ax**2, np.arange(ax.size)
+    for g in range(0, rn.size, _KERNEL_NODES):
+        nodes = slice(g, g + _KERNEL_NODES)
+        i0, i1 = int(lo[nodes].min()), int(hi[nodes].max())
+        r = rn[nodes, None]
+        k = np.sqrt(ax2[i0:i1] + r**2)
+        c2 = r / k
+        np.square(c2, out=c2)
+        f2 = (4.0 * ANGULAR_NORM) * rw[nodes, None] * r * eval_g(spectrum, k)
+        f2 *= c2
+        f2[(idx[i0:i1] < lo[nodes, None]) | (idx[i0:i1] >= hi[nodes, None])] = 0.0
+        yield i0, k, c2, f2
+
+
+def _kernel_diagonal(spectrum: SpectrumModel, ax: np.ndarray) -> np.ndarray:
+    """The position kernel's diagonal M(k_x, k_x) on `ax`, in closed form,
+    checked against the photon marginal G(k_x).
+
+    On the diagonal the longitudinal Gaussian is one and the beta sum of
+    F_r F_r^T is elementary: with c = rho / k and S_n = sum_beta w_beta
+    sin^(2n) beta, node rho adds f^2 (S_1 - c^2 S_2). M(k_x, k_x) = G(k_x)
+    exactly, so a sum more than 1e-8 max G from G raises ConsistencyError.
+    """
+    sb2, wb = _beta_rule()
+    s1, s2 = float(wb @ wb), float(wb @ (wb * sb2))
+    diag = np.zeros(ax.size)
+    for i0, _, c2, f2 in _kernel_nodes(spectrum, ax):
+        c2 *= -s2
+        c2 += s1
+        c2 *= f2
+        # node by node, the order in which h sums its diagonal
+        for node in c2:
+            diag[i0 : i0 + node.size] += node
+    g_ref = photon_marginal_kx(spectrum, ax)
+    scale = float(np.max(g_ref))
+    if scale > 0.0 and float(np.max(np.abs(diag - g_ref))) > 1e-8 * scale:
+        raise ConsistencyError("position kernel diagonal disagrees with the photon marginal")
+    return diag
+
+
 def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) -> np.ndarray:
     """Kernel M(k_x, k_x') (um^2 entries) on the ascending positive
     half-axis `ax`, as the block h[a, b] = M(ax[a], ax[b]).
@@ -186,57 +273,49 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
                   * exp(-(c/v)^2 (k_a - k_b)^2 / (8 dq_par^2)),
         F_r[a, beta] = sqrt(g(k_a)) (r / k_a) sqrt(1 - (r / k_a)^2 sin^2 beta),
 
-    one Gram matrix per radial node. A row is zero where k_a leaves the
-    spectrum's radial window [kmin, kmax]; at each node the live rows are one
-    contiguous band of `ax`, and only the band's upper triangle is summed,
-    in blocks of _KERNEL_ROWS rows; h is then mirrored, so it is exactly
-    symmetric. M depends on |k_x| and |k_x'| only, so h holds the kernel on
-    the whole mirrored grid [-ax[::-1], ax], and T is a quadratic form of h
-    (see `joint_position`).
+    one Gram matrix per radial node. The rho nodes are `_rho_rule`'s:
+    16-node panels, each no wider than dk_ph max(1, kmin / rho) at its
+    outer edge rho. A row is zero where k_a leaves the spectrum's radial
+    window [kmin, kmax]; at each node the live rows are one contiguous
+    band of `ax`.
+
+    The diagonal is summed first, in closed form, and checked against the
+    photon marginal (`_kernel_diagonal`), so a point that fails the check
+    raises ConsistencyError before any off-diagonal work. Then the nodes
+    of each group of `_kernel_nodes` are summed in one batched pass over
+    the group's union band, upper triangle only, _KERNEL_ROWS rows at a
+    time; the nodes' blocks are added to h one after another, so each
+    entry is summed in node order, as one node at a time would. h is
+    then mirrored, so it is exactly symmetric. M depends on |k_x| and
+    |k_x'| only, so h holds the kernel on the whole mirrored grid
+    [-ax[::-1], ax], and T is a quadratic form of h (see `joint_position`).
     """
-    kmin, kmax = spectrum.kmin, spectrum.kmax
-    # 16-node Gauss-Legendre panels no wider than dk_ph; with 8-node
-    # panels the diagonal check already fails at dk_ph = 3.29, dq_perp = 1
-    r_max = math.sqrt(kmax**2 - ax[0] ** 2)
-    rn, rw = gauss_legendre_panels(0.0, r_max, max(1, math.ceil(r_max / spectrum.dk_ph)), 16)
-    bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 3, 8)
-    sb2 = np.sin(bn) ** 2
-    # F_r scaled by sqrt(w_beta sin^2 beta) on both sides, so the Gram
-    # matrix F F^T needs no diagonal weight
-    wb = np.sqrt(bw) * np.sin(bn)
+    _kernel_diagonal(spectrum, ax)
+    sb2, wb = _beta_rule()
     alpha = beam.c_over_vz**2 / (8.0 * beam.dq_par**2)
-    lo = np.searchsorted(ax, np.sqrt(np.maximum(kmin**2 - rn**2, 0.0)), side="left")
-    hi = np.searchsorted(ax, np.sqrt(kmax**2 - rn**2), side="right")
     h = np.zeros((ax.size, ax.size))
-    for r, w, i0, i1 in zip(rn, rw, lo, hi):
-        k = np.sqrt(ax[i0:i1] ** 2 + r**2)
-        c = r / k
-        # the node weight 4 ANGULAR_NORM w r enters F as its square root;
-        # F is built transposed, as the contiguous (beta, band) array ft
-        f = np.sqrt(4.0 * ANGULAR_NORM * w * r * eval_g(spectrum, k)) * c
-        ft = np.multiply.outer(sb2, np.square(c, out=c))
-        np.subtract(1.0, ft, out=ft)
+    for i0, k, c2, f2 in _kernel_nodes(spectrum, ax):
+        # F of every node, transposed, as the (node, beta, band) array ft,
+        # scaled by sqrt(w_beta sin^2 beta) so that F F^T needs no weight
+        ft = c2[:, None, :] * -sb2[:, None]
+        ft += 1.0
+        ft *= f2[:, None, :]
         np.sqrt(ft, out=ft)
         ft *= wb[:, None]
-        ft *= f
-        # each block's Gram matrix is a GEMM against ft (F F^T in one call
-        # is a BLAS syrk, 1.5x slower at 24 columns), and its update is
-        # built in place in one block x band buffer
-        for j in range(0, i1 - i0, _KERNEL_ROWS):
-            rows = slice(j, j + _KERNEL_ROWS)
-            block = np.subtract.outer(k[rows], k[j:])
+        for j in range(0, k.shape[1], _KERNEL_ROWS):
+            # the block's Gram matrices, one per node, times the
+            # longitudinal Gaussian, built in place in one buffer
+            block = k[:, j : j + _KERNEL_ROWS, None] - k[:, None, j:]
             np.square(block, out=block)
             block *= -alpha
             np.exp(block, out=block)
-            block *= ft[:, rows].T @ ft[:, j:]
-            h[i0 + j : i0 + j + block.shape[0], i0 + j : i1] += block
+            block *= np.matmul(ft[:, :, j : j + _KERNEL_ROWS].transpose(0, 2, 1), ft[:, :, j:])
+            # a node's block is zero outside its own band, so adding the
+            # blocks one at a time sums each entry in node order
+            target = h[i0 + j : i0 + j + block.shape[1], i0 + j : i0 + k.shape[1]]
+            for node in block:
+                target += node
     _mirror_upper(h)
-
-    # diagonal consistency: M(kx, kx) must reproduce the marginal G(kx)
-    g_ref = photon_marginal_kx(spectrum, ax)
-    scale = float(np.max(g_ref))
-    if scale > 0.0 and float(np.max(np.abs(np.diagonal(h) - g_ref))) > 1e-8 * scale:
-        raise ConsistencyError("position kernel diagonal disagrees with the photon marginal")
     return h
 
 
@@ -271,6 +350,12 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     cos(A - B) + cos(A + B) = 2 cos A cos B, so T(s) = 4 dkx^2 u^T h u with
     u = cos(ax s) and h the kernel on the positive half-axis `ax` (see
     `_position_kernel`). T is even, so it is evaluated at lags >= 0 only.
+
+    The kernel's rho integral runs on 16-node panels no wider than
+    dk_ph max(1, kmin / rho) at their outer edge (`_rho_rule`). Its
+    diagonal is checked against the photon marginal first, so a point
+    that fails that check raises ConsistencyError before the kernel's
+    off-diagonal blocks, the lattice or T are built.
 
     Also returns T itself: the ascending distinct |x_el - x_ph| (um) that
     the grid reads, and T (um^-1) at each, the values the envelope

@@ -37,12 +37,12 @@ _T_SPAN = 7.0
 _TAIL_FRACTION = 1e-3
 _NODES_PER_PERIOD = 8
 _T_BLOCK = 1024
-# the most t-nodes one pass may lay out: its node and weight arrays then
-# take at most 64 MiB, the budget of the Schmidt oracle's grid. That is
-# 124x the 33,776 of the finest pass on the README plane, at (0.1, 30), and
-# keeps points such as (1e-4, 1) computable, whose 2.75e6 nodes the tail
-# cut trims to 576. A finer grid is refused before it is built;
-# `dq_perp` 1e-7 would ask for 1.8e9 nodes, and numpy for 13.7 GiB.
+# the most t-nodes one pass may keep and lay out: its node and weight
+# arrays then take at most 64 MiB, the budget of the Schmidt oracle's grid.
+# That is 124x the 33,776 of the finest pass on the README plane, at
+# (0.1, 30). Only the panels the tail cut keeps are built, so a fine grid
+# that the cut trims is cheap: at `dq_perp` 1e-7, `dk_ph` 1 the refined
+# pass spans 2.7e9 nodes and keeps 576. A t-span that overflows is refused.
 _T_MAX_NODES = 2**22
 # below this argument _sonine_h sums ten terms of its Taylor series,
 # (-x^2/2)^k / k! * (2k + 2) / (2k + 5)!!, which are within 3e-16 of h(0)
@@ -165,22 +165,25 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     the double integral over the two photon wavevectors at each t.
     The t-grid spans [0, 7/b]; the sum stops at the first panel edge past
     which the tail bound of `_t_cut` is below _TAIL_FRACTION * abs_tol
-    (an abs_tol of zero keeps the whole grid). A grid of more than
-    _T_MAX_NODES nodes raises ResolutionError before it is built.
+    (an abs_tol of zero keeps the whole grid), and only the panels before
+    that edge are laid out. More than _T_MAX_NODES kept nodes raise
+    ResolutionError before they are built.
     """
     kn, kw = _radial_nodes(spectrum, n_rad)
     b = beam.dq_perp
     t_max = _T_SPAN / b
     # h(k t) oscillates with period 2 pi / k in t
     n_t = refine * _NODES_PER_PERIOD * spectrum.kmax * t_max / TWO_PI
-    # n_t is inf when t_max or the product overflows, and inf has no ceil
-    n_panels = max(2, math.ceil(n_t / 16)) if n_t < math.inf else math.inf
-    if 16 * n_panels > _T_MAX_NODES:
-        raise ResolutionError(f"the purity t-grid needs {16 * n_panels} nodes, more than its cap of {_T_MAX_NODES}")
     r = kw * kn**2 * eval_g(spectrum, kn)
-    n_keep = 16 * _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * quad.abs_tol)
-    tn, tw = gauss_legendre_panels(0.0, t_max, n_panels, 16)
-    tn, tw = tn[:n_keep], tw[:n_keep]
+    # n_t is inf when t_max or the product overflows, and inf has no ceil
+    if n_t < math.inf:
+        n_panels = max(2, math.ceil(n_t / 16))
+        n_keep = _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * quad.abs_tol)
+    else:
+        n_panels = n_keep = math.inf
+    if 16 * n_keep > _T_MAX_NODES:
+        raise ResolutionError(f"the purity t-grid needs {16 * n_keep} nodes, more than its cap of {_T_MAX_NODES}")
+    tn, tw = gauss_legendre_panels(0.0, t_max, n_panels, 16, keep=n_keep)
     ct = tw * tn * np.exp(-((b * tn) ** 2))
     elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
     total = 0.0

@@ -1,11 +1,15 @@
 """The position kernel summed over each radial node's whole band, a
 reference for `distributions._position_kernel`.
 
-The same rho and beta rules as the kernel, but every node adds its full
+The same beta rule as the kernel and, by default, its own rho rule
+`_rho_rule`, imported rather than repeated; but every node adds its full
 band x band Gram matrix f @ f.T (a BLAS syrk, so each update is exactly
-symmetric) to h, with no blocks and no mirror. The kernel sums only the
-upper triangle in row blocks and mirrors it; `TestPositionKernelBlocks` in
-`test_distributions.py` checks the two agree.
+symmetric) to h, one node at a time, with no batches, no blocks and no
+mirror. The kernel sums only the upper triangle of batched node groups in
+row blocks and mirrors it; `TestPositionKernelBlocks` in
+`test_distributions.py` checks the two agree. Another `rho_rule`, such as
+equal panels finer than the kernel's, gives the references the rho rule
+is checked against.
 """
 
 from __future__ import annotations
@@ -15,15 +19,25 @@ import math
 import numpy as np
 
 from clpair.constants import ANGULAR_NORM
+from clpair.distributions import _rho_rule
 from clpair.model import eval_g
 from clpair.quadrature import gauss_legendre_panels
 
 
-def position_kernel_full_band(beam, spectrum, ax: np.ndarray) -> np.ndarray:
-    """h[a, b] = M(ax[a], ax[b]) on the ascending positive half-axis `ax`."""
+def uniform_rho_rule(width_in_dk: float):
+    """A rho rule of equal 16-node panels no wider than width_in_dk * dk_ph."""
+
+    def rule(spectrum, r_max):
+        return gauss_legendre_panels(0.0, r_max, max(1, math.ceil(r_max / (width_in_dk * spectrum.dk_ph))), 16)
+
+    return rule
+
+
+def position_kernel_full_band(beam, spectrum, ax: np.ndarray, rho_rule=_rho_rule) -> np.ndarray:
+    """h[a, b] = M(ax[a], ax[b]) on the ascending positive half-axis `ax`,
+    with the rho nodes rho_rule(spectrum, r_max)."""
     kmin, kmax = spectrum.kmin, spectrum.kmax
-    r_max = math.sqrt(kmax**2 - ax[0] ** 2)
-    rn, rw = gauss_legendre_panels(0.0, r_max, max(1, math.ceil(r_max / spectrum.dk_ph)), 16)
+    rn, rw = rho_rule(spectrum, math.sqrt(kmax**2 - ax[0] ** 2))
     bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 3, 8)
     sb2 = np.sin(bn) ** 2
     wb = np.sqrt(bw) * np.sin(bn)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from clpair.cli import (
@@ -30,7 +30,7 @@ from clpair.cli import (
     run_sweep,
 )
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
-from clpair.model import PhaseModel
+from clpair.model import PhaseModel, derive_kinematics
 from conftest import PLANE_CSV, README, readme_section, src_env
 
 BASE_INI = """\
@@ -440,9 +440,13 @@ class TestSweepFailures:
         assert lines[1] == "1.0,0.5,nan,nan,nan,nan,nan,nan,error,"
         assert all(len(line.split(",")) == len(CSV_HEADER) for line in lines)
 
-    def test_too_fine_t_grid_cells_are_error_rows(self, runner, tmp_path):
-        # the dk_ph = 1e9 cells ask purity_sc for 3.6e10 t-nodes; they fail
-        # on their own and every other cell is still written
+    def test_too_fine_t_grid_cells_are_error_rows(self, runner, tmp_path, monkeypatch):
+        # the dk_ph = 1e9 cells span 1.1e11 t-nodes and keep 2,784, above a
+        # cap of 1,000 (the dk_ph = 0.5 cells keep at most 96); they fail on
+        # their own and every other cell is still written
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "_T_MAX_NODES", 1000)
         out = tmp_path / "o"
         cfg = write(tmp_path, SWEEP_INI.replace("dk_ph_max = 2.0", "dk_ph_max = 1e9"))
         res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
@@ -1043,15 +1047,24 @@ class TestExitMapping:
         assert sorted(p.name for p in (tmp_path / "o").glob("*")) == left
 
     def test_measure_too_fine_t_grid_exits_1(self, runner, tmp_path):
-        # dq_perp 1e-7 asks purity_sc for 1.8e9 t-nodes, which it refuses
-        # with a ResolutionError before building them
-        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-7"))
+        # at dq_perp 1e-320 the t-span 7/dq_perp overflows, and purity_sc
+        # refuses it with a ResolutionError before building a node
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320"))
         res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
-        assert "measure failed: the purity t-grid needs 1833014160 nodes, more than its cap of 4194304" in res.output
+        assert "measure failed: the purity t-grid needs inf nodes, more than its cap of 4194304" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "o" / "measure.csv").exists()
+
+    def test_measure_wide_t_span_is_computed(self, runner, tmp_path):
+        # dq_perp 1e-7 spans 2.7e9 t-nodes, of which purity_sc keeps and
+        # lays out 576
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-7"))
+        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        row = csv_to_rows((tmp_path / "o" / "measure.csv").read_text())[0]
+        assert 0.0 < row["purity_sc"] < 1e-15
 
     def test_subprocess_prints_no_traceback(self, tmp_path):
         import subprocess
@@ -1134,8 +1147,31 @@ def config_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# a [sweep] whose widest dq_perp reaches q0 must be refused while the
+# config loads, also beside an admissible [beam] dq_perp; the strategy
+# seldom draws one, so these examples always run
+_SWEEP_AT = """[beam]
+kinetic_energy_kev = 200.0
+dq_par_um_inv = 4.8
+{dq_perp}[spectrum]
+k_c_um_inv = 12.5
+dk_ph_um_inv = 1.0
+[sweep]
+dq_perp_min = 1.0
+dq_perp_max = {dq_max!r}
+dq_perp_steps = 2
+dk_ph_min = 0.5
+dk_ph_max = 2.0
+dk_ph_steps = 2
+"""
+_Q0_200_KEV = derive_kinematics(200.0)[0]
+
+
 class TestConfigProperty:
     @given(text=config_texts())
+    @example(text=_SWEEP_AT.format(dq_perp="", dq_max=_Q0_200_KEV))
+    @example(text=_SWEEP_AT.format(dq_perp="dq_perp_um_inv = 1.0\n", dq_max=_Q0_200_KEV))
+    @example(text=_SWEEP_AT.format(dq_perp="dq_perp_um_inv = 1.0\n", dq_max=1e7))
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_parses_to_admissible_config_or_config_error(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "property.ini"

@@ -14,7 +14,9 @@ import clpair.distributions as distributions
 from clpair.distributions import (
     JointGrid,
     _check_normalized,
+    _kernel_diagonal,
     _position_kernel,
+    _rho_rule,
     _t_at_lags,
     joint_momentum,
     joint_position,
@@ -26,7 +28,7 @@ from clpair.measures import rel_pos_variance_closed
 from clpair.model import eval_g
 
 from conftest import DQ_PAR, readme_section
-from reference_kernel import position_kernel_full_band
+from reference_kernel import position_kernel_full_band, uniform_rho_rule
 
 
 class TestJointGrid:
@@ -390,11 +392,96 @@ class TestPositionKernelBlocks:
 
     @pytest.mark.parametrize("dq_perp,dk_ph", [(0.3, 1.0), (0.263474, 0.210945)], ids=["s0", "g0"])
     def test_traced_peak(self, make_beam, make_spectrum, dq_perp, dk_ph):
-        # 2.28 MiB at s0 and 2.30 MiB at g0, as when each node summed its
-        # whole band: one (node, 256) array for all 1088 of g0's radial
-        # nodes would add 2.1 MiB
+        # 2.27 MiB at s0 and 1.77 MiB at g0 with batches of 8 nodes by 32
+        # rows (2.28 and 2.30 when each node summed its whole band): one
+        # (node, 256) array for all 704 of g0's radial nodes would add
+        # 1.4 MiB
         b, s = make_beam(dq_perp), make_spectrum(dk_ph)
         assert _traced_peak(lambda: _position_kernel(b, s, half_axis(s))) <= 2.5 * 2**20
+
+
+class TestKernelDiagonalFirst:
+    """The kernel's diagonal is summed in closed form and checked against
+    the photon marginal before any off-diagonal work."""
+
+    @KERNEL_POINTS
+    def test_diagonal_is_the_checked_closed_form(self, make_beam, make_spectrum, dq_perp, dk_ph):
+        # the closed form sums each entry in node order, as h does: they
+        # agree within 7.0e-16 of max|h| at these points
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        ax = half_axis(s)
+        h = _position_kernel(b, s, ax)
+        assert float(np.max(np.abs(np.diagonal(h) - _kernel_diagonal(s, ax)))) <= 1e-15 * float(np.max(np.abs(h)))
+
+    # the check fails from dk_ph = 4.683 on, at any dq_perp
+    @pytest.mark.parametrize("dq_perp,dk_ph", [(1.0, 5.0), (31.2763, 9.61536)], ids=["1-5", "g1"])
+    def test_check_runs_before_the_blocks(self, make_beam, make_spectrum, monkeypatch, dq_perp, dk_ph):
+        # a planted defect after the block stage: a failing point raises
+        # ConsistencyError before it, so the mirror is never reached
+        def mirror(h):
+            raise AssertionError("the block stage ran before the diagonal check")
+
+        monkeypatch.setattr(distributions, "_mirror_upper", mirror)
+        s = make_spectrum(dk_ph)
+        with pytest.raises(ConsistencyError, match="position kernel diagonal disagrees with the photon marginal"):
+            _position_kernel(make_beam(dq_perp), s, half_axis(s))
+
+    def test_catches_a_marginal_off_by_1e_7(self, make_beam, make_spectrum, monkeypatch):
+        # a planted defect: the check compares to 1e-8 of the marginal's peak
+        exact = distributions.photon_marginal_kx
+        monkeypatch.setattr(distributions, "photon_marginal_kx", lambda s, kx: exact(s, kx) * (1.0 + 1e-7))
+        s = make_spectrum(0.210945)
+        with pytest.raises(ConsistencyError):
+            _position_kernel(make_beam(0.263474), s, half_axis(s))
+
+
+def rho_nodes(spectrum) -> int:
+    """Radial nodes `_rho_rule` lays out for the kernel on `half_axis`."""
+    return _rho_rule(spectrum, math.sqrt(spectrum.kmax**2 - half_axis(spectrum)[0] ** 2))[0].size
+
+
+class TestRhoRule:
+    # the equal panels of dk_ph that the rule replaced laid out 1088, 800,
+    # 2144 and 240 nodes; at kmin = 0 the rule is those equal panels
+    @pytest.mark.parametrize(
+        "dk_ph,nodes", [(0.210945, 704), (0.3, 560), (0.1, 1232), (2.0, 240)], ids=["g0", "3-0.3", "100-0.1", "s1"]
+    )
+    def test_node_counts(self, make_spectrum, dk_ph, nodes):
+        assert rho_nodes(make_spectrum(dk_ph)) == nodes
+
+    def test_panels_obey_the_width_bound(self, make_spectrum):
+        # every panel is no wider than dk_ph max(1, kmin / rho) at its
+        # outer edge rho; the 16 nodes of a panel are symmetric about its
+        # middle, so a panel's edges are recovered from its nodes' sums
+        for dk_ph in (0.210945, 0.3, 0.1, 2.0):
+            s = make_spectrum(dk_ph)
+            rn, rw = _rho_rule(s, s.kmax)
+            width = rw.reshape(-1, 16).sum(axis=1)
+            outer = np.cumsum(width)
+            assert outer[-1] == pytest.approx(s.kmax, rel=1e-12)
+            assert np.all(width <= dk_ph * np.maximum(1.0, s.kmin / outer) * (1.0 + 1e-12))
+
+    @pytest.fixture(scope="class", params=[(0.263474, 0.210945), (100.0, 0.1)], ids=["g0", "100-0.1"])
+    def kernels(self, request, make_beam, make_spectrum):
+        # the kernel and a reference on equal panels of dk_ph / 4
+        b, s = make_beam(request.param[0]), make_spectrum(request.param[1])
+        ax = half_axis(s)
+        return b, s, ax, _position_kernel(b, s, ax), position_kernel_full_band(b, s, ax, uniform_rho_rule(0.25))
+
+    @staticmethod
+    def deviation(h, fine) -> float:
+        return float(np.max(np.abs(h - fine))) / float(np.max(np.abs(fine)))
+
+    def test_matches_a_finer_uniform_rule(self, kernels):
+        # 2.9e-9 at g0 and 3.6e-9 at (100, 0.1); equal panels of dk_ph
+        # read 3.2e-9 at both
+        _, _, _, h, fine = kernels
+        assert self.deviation(h, fine) <= 4e-9
+
+    def test_catches_panels_of_twice_dk_ph(self, kernels):
+        # a planted defect: equal panels of 2 dk_ph read 5.1e-9 and 6.6e-9
+        b, s, ax, _, fine = kernels
+        assert self.deviation(position_kernel_full_band(b, s, ax, uniform_rho_rule(2.0)), fine) > 4e-9
 
 
 # The 24-node beta rule does not resolve sqrt(1 - (rho/k)^2 sin^2 beta)

@@ -133,29 +133,49 @@ class TestPuritySc:
             tracemalloc.stop()
         assert peak < 10e6
 
-    @pytest.mark.parametrize("cap,refused", [(79, True), (80, False)])
+    @pytest.mark.parametrize("cap,refused", [(47, True), (48, False)])
     def test_t_grid_cap_names_the_size(self, make_beam, make_spectrum, monkeypatch, cap, refused):
-        # at (3, 0.3) the refined pass lays out 80 t-nodes (the base pass
-        # 48); below a cap of that many purity_sc refuses the grid
+        # at (3, 0.3) the refined pass keeps and lays out 48 of its 80
+        # t-nodes (the base pass 32 of 48); below a cap of that many
+        # purity_sc refuses the grid
         import clpair.measures as measures
 
         monkeypatch.setattr(measures, "_T_MAX_NODES", cap)
         if refused:
-            with pytest.raises(ResolutionError, match="the purity t-grid needs 80 nodes, more than its cap of 79"):
+            with pytest.raises(ResolutionError, match="the purity t-grid needs 48 nodes, more than its cap of 47"):
                 purity_sc(make_beam(3.0), make_spectrum(0.3))
         else:
             assert 0.0 < purity_sc(make_beam(3.0), make_spectrum(0.3)) <= 1.0
 
     def test_fine_grid_under_the_cap_is_computed(self, make_beam, make_spectrum):
-        # the refined pass at (1e-4, 1) lays out 2.75e6 t-nodes, which the
+        # the refined pass at (1e-4, 1) spans 2.75e6 t-nodes, which the
         # tail cut trims to 576: a cheap point, not one to refuse. The
-        # value is the one computed before the cap existed.
+        # value is the one computed before the cap existed, when the whole
+        # span was laid out.
         assert repr(purity_sc(make_beam(1e-4), make_spectrum(1.0))) == "2.5536443492252956e-10"
 
-    # dq_perp 1e-7 would ask for 1.8e9 t-nodes, 13.7 GiB per array; at
-    # 1e-320 the t-span 7/dq_perp overflows
-    @pytest.mark.parametrize("dq_perp,nodes", [(1e-7, "1833014160"), (1e-320, "inf")])
-    def test_too_fine_t_grid_is_refused_before_it_is_built(self, make_beam, make_spectrum, dq_perp, nodes):
+    def test_span_beyond_the_cap_is_computed_on_its_kept_nodes(self, make_beam, make_spectrum):
+        # at (1e-7, 1) the refined pass spans 2.7e9 t-nodes, 20 GiB as
+        # arrays, and keeps 576; P_sc goes as dq_perp^2 for a beam this
+        # much narrower than the spectrum, so it is 1e-6 times (1e-4, 1)'s
+        beam, spectrum = make_beam(1e-7), make_spectrum(1.0)
+        tracemalloc.start()
+        try:
+            value = purity_sc(beam, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(1e-6 * purity_sc(make_beam(1e-4), spectrum), rel=1e-7)
+        assert peak < 4e6
+
+    # at 1e-320 the t-span 7/dq_perp overflows; at 1e-7 the base pass keeps
+    # 384 nodes, above a cap of 383
+    @pytest.mark.parametrize("dq_perp,cap,nodes", [(1e-320, None, "inf"), (1e-7, 383, "384")])
+    def test_too_fine_t_grid_is_refused_before_it_is_built(self, make_beam, make_spectrum, monkeypatch, dq_perp, cap, nodes):
+        import clpair.measures as measures
+
+        if cap is not None:
+            monkeypatch.setattr(measures, "_T_MAX_NODES", cap)
         beam, spectrum = make_beam(dq_perp), make_spectrum(1.0)
         tracemalloc.start()
         try:
@@ -164,6 +184,7 @@ class TestPuritySc:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # the refused base pass builds no t-node; 384 of them would take 6 kB
         assert peak < 1e6
 
 
