@@ -2,7 +2,8 @@
 
 Subcommands (one verb per artifact): `measure` (single point), `sweep`
 (parameter-plane CSV), `dist` (the joint densities' 1D factors), `regime-map`
-(`sweep`'s CSV and JSON plus `render --field regime`'s SVG), `validate`
+(`sweep`'s CSV and JSON, the JSON with the regime boundaries, plus
+`render --field regime`'s SVG), `validate`
 (oracle suite), `render` (SVG from a sweep CSV). `measure`, `sweep` and
 `regime-map` build each row with `_point_row` and write them through
 one function, `_write_rows`.
@@ -418,13 +419,19 @@ def _write_factor(path: Path, header: str, x: np.ndarray, y: np.ndarray) -> None
     path.write_text(header + "\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
 
 
-def _write_rows(out_path: Path, name: str, cfg: RunConfig, rows: list[dict]) -> str:
+def _write_rows(
+    out_path: Path, name: str, cfg: RunConfig, rows: list[dict], boundaries: Optional[dict] = None
+) -> str:
     """Write `<name>.csv` and `<name>.json`: the CSV columns of `rows`, and
     the provenance with every key of every row, so that a failed cell
-    keeps its reason. Returns the CSV text."""
+    keeps its reason, as strings, and `boundaries`, if given, as JSON
+    numbers. Returns the CSV text."""
     text = rows_to_csv(rows)
     (out_path / f"{name}.csv").write_text(text)
-    _write_json(out_path / f"{name}.json", _provenance(cfg, rows=[{k: _fmt(v) for k, v in r.items()} for r in rows]))
+    payload = _provenance(cfg, rows=[{k: _fmt(v) for k, v in r.items()} for r in rows])
+    if boundaries is not None:
+        payload["boundaries"] = boundaries
+    _write_json(out_path / f"{name}.json", payload)
     return text
 
 
@@ -488,16 +495,23 @@ def sweep(config_path, out):
     _sweep(load_config(config_path), out, "sweep")
 
 
-def _sweep(cfg: RunConfig, out: Optional[str], name: str, field_name: Optional[str] = None) -> None:
-    """Run the sweep, write `<name>.csv` and `<name>.json`, and render the
-    CSV's `field_name` to `<name>.svg` as `render` does; then name each
-    failed cell and exit 1 if any failed."""
+def _sweep(cfg: RunConfig, out: Optional[str], name: str, regimes: bool = False) -> None:
+    """Run the sweep and write `<name>.csv` and `<name>.json`; with
+    `regimes`, add the regime boundaries to the JSON and render the CSV's
+    regimes to `<name>.svg` as `render --field regime` does. Then name
+    each failed cell and exit 1 if any failed."""
     out_path = _out_dir(cfg, out)
     rows = run_sweep(cfg)
-    text = _write_rows(out_path, name, cfg, rows)
+    boundaries = None
+    if regimes:
+        from .measures import regime_boundaries
+
+        beam = cfg.beam(cfg.sweep.dq_perp_min)  # the boundaries do not depend on dq_perp
+        boundaries = regime_boundaries(beam, cfg.k_c, cfg.sweep.dk_ph_values().tolist(), cfg.phase, cfg.quadrature)
+    text = _write_rows(out_path, name, cfg, rows, boundaries)
     click.echo(f"wrote {len(rows)} cells to {out_path / f'{name}.csv'}")
-    if field_name is not None:
-        (out_path / f"{name}.svg").write_text(_render_csv(text, field_name))
+    if regimes:
+        (out_path / f"{name}.svg").write_text(_render_csv(text, "regime"))
         click.echo(f"wrote {out_path / f'{name}.svg'}")
     _report_failures(rows)
 
@@ -545,7 +559,7 @@ def dist(config_path, out):
 @_threads_opt
 def regime_map(config_path, out):
     """Sweep the plane to CSV + JSON and render the categorical regime map SVG."""
-    _sweep(load_config(config_path), out, "regime_map", "regime")
+    _sweep(load_config(config_path), out, "regime_map", regimes=True)
 
 
 @main.command()

@@ -26,7 +26,8 @@ class ResolutionError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Internal cross-check failed (e.g. kernel symmetry violation)."""
+    """Internal cross-check failed (e.g. the position kernel's diagonal
+    disagrees with the photon marginal)."""
 
 
 class ConfigError(ValueError):

@@ -2,8 +2,9 @@
 
 Quantities: full subsystem purity, longitudinal electron purity, the
 EPR uncertainty product (relative-position times total-wavevector
-variance), the phase variance contribution, Schmidt number, and the
-wave-like / particle-like / classical regime classification.
+variance), the phase variance contribution, Schmidt number, the
+wave-like / particle-like / classical regime classification, and its
+D^2 = 1 and longitudinal P_z = 2/3 boundaries.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ _H_SERIES = tuple(
 _H0 = 1.0 / TWO_PI
 _H_TAIL_X = 3.0
 _H_TAIL_C = 15.0 / (4.0 * math.pi)
+# relative width of the bracket at which `regime_boundaries` stops
+# bisecting for P_z = 2/3: about 33 halvings of a 300x dk_ph range
+_KNEE_REL_WIDTH = 1e-9
 
 
 class Regime(enum.Enum):
@@ -362,6 +366,58 @@ def classify_regime(purity: float, d2: float) -> Regime:
     if not epr:
         return Regime.C
     return Regime.ANOMALOUS
+
+
+def regime_boundaries(
+    beam: BeamParams,
+    k_c: float,
+    dk_values: list[float],
+    phase: PhaseModel = PhaseModel(),
+    quad: QuadratureSpec = PURITY_QUAD,
+) -> dict:
+    """The D^2 = 1 and P_z = 2/3 boundaries over the dk_ph values `dk_values`.
+
+    Neither D^2 / dq_perp^2 nor P_z depends on dq_perp, so `beam` gives
+    only the kinematics and dq_par. D^2 = V dq_perp^2, V =
+    `rel_pos_variance_closed` with the phase's D_eta, so at each dk_ph
+    D^2 = EPR_THRESHOLD at dq_perp = sqrt(EPR_THRESHOLD / V) exactly
+    ("d2"). V is the sweep's `var_rel_pos_um2` column, so this is
+    var_rel_pos_um2^(-1/2) at that dk_ph; it is given here as well for a
+    dk_ph whose every cell failed. P_z does not increase in dk_ph, so
+    P_z = PURITY_THRESHOLD is one root, bisected in log dk_ph on the range
+    of `dk_values` until its bracket [lo, hi], with P_z(lo) >= 2/3 >
+    P_z(hi), is narrower than _KNEE_REL_WIDTH relative ("purity_z"). A range with no crossing, or a
+    P_z that does not converge, gives that entry a `reason` instead.
+    """
+    d2 = [
+        {
+            "dk_ph_um_inv": dk,
+            "dq_perp_um_inv": math.sqrt(EPR_THRESHOLD / rel_pos_variance_closed(beam, SpectrumModel(k_c, dk), phase)),
+        }
+        for dk in dk_values
+    ]
+    knee = {"dq_par_um_inv": beam.dq_par}
+
+    def entangled(dk):
+        return purity_z(beam, SpectrumModel(k_c, dk), quad) < PURITY_THRESHOLD
+
+    lo, hi = min(dk_values), max(dk_values)
+    try:
+        if entangled(lo):
+            knee["reason"] = f"P_z is below 2/3 already at the smallest dk_ph, {lo!r}"
+        elif not entangled(hi):
+            knee["reason"] = f"P_z is not below 2/3 at the largest dk_ph, {hi!r}"
+        else:
+            while hi - lo > _KNEE_REL_WIDTH * lo:
+                mid = math.sqrt(lo * hi)
+                if entangled(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            knee.update(dk_ph_um_inv=math.sqrt(lo * hi), bracket_um_inv=[lo, hi])
+    except ConvergenceError as exc:
+        knee["reason"] = str(exc)
+    return {"d2": d2, "purity_z": knee}
 
 
 def evaluate_point(

@@ -26,6 +26,8 @@ from .model import (
     BeamParams,
     QuadratureSpec,
     SpectrumModel,
+    eval_f,
+    eval_g,
     eval_gamma_cartesian,
     gamma_cartesian_derivatives,
     psi_ini_x_sq,
@@ -251,8 +253,6 @@ def longitudinal_term_identity(beam: BeamParams, spectrum: SpectrumModel) -> Ora
     """
     kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, 8, 16)
     tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
-    from .model import eval_f, eval_g
-
     radial = float(np.sum(kw * kn**2 * eval_g(spectrum, kn)))
     angular = 2.0 * math.pi * float(np.sum(tw * np.sin(tn) ** 3 * eval_f(tn)))
     lhs = beam.c_over_vz**2 / (8.0 * beam.dq_par**2) * radial * angular

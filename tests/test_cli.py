@@ -6,7 +6,6 @@ import re
 import warnings
 from dataclasses import replace
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,7 +341,7 @@ class TestCommands:
         assert (out / "regime_map.csv").read_bytes() == (out / "sweep.csv").read_bytes()
         assert (out / "regime_map.svg").read_bytes() == (out / "render_regime.svg").read_bytes()
         mapped, swept = (json.loads((out / f"{name}.json").read_text()) for name in ("regime_map", "sweep"))
-        assert mapped.keys() == swept.keys()
+        assert mapped.keys() == swept.keys() | {"boundaries"}
         assert mapped["config_hash"] == config_hash(load_config(cfg))
         assert mapped["rows"] == swept["rows"] and len(mapped["rows"]) == 4
 
@@ -398,6 +397,45 @@ class TestCommands:
         assert meta["phase"] == "neglected"
         assert abs(meta["momentum_integral"] - 1.0) < 0.01
         assert abs(meta["position_integral"] - 1.0) < 0.01
+
+
+class TestRegimeBoundaries:
+    """regime_map.json's `boundaries`, against the sweep it maps."""
+
+    def boundaries(self, runner, tmp_path, text):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["regime-map", "--config", write(tmp_path, text), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = csv_to_rows((out / "regime_map.csv").read_text())
+        return json.loads((out / "regime_map.json").read_text())["boundaries"], rows
+
+    @pytest.mark.parametrize("phase", ["", "\n[phase]\nvariant = radial_kc\nxi = 100\n"], ids=["zero", "radial_kc-100"])
+    def test_d2_boundary_at_every_sweep_dk(self, runner, tmp_path, phase):
+        from clpair.measures import rel_pos_variance_closed
+
+        bounds, rows = self.boundaries(runner, tmp_path, SWEEP_INI + phase)
+        cfg = load_config(str(tmp_path / "cfg.ini"))
+        assert [e["dk_ph_um_inv"] for e in bounds["d2"]] == sorted({r["dk_ph_um_inv"] for r in rows})
+        for entry in bounds["d2"]:
+            dq = entry["dq_perp_um_inv"]
+            var = rel_pos_variance_closed(cfg.beam(dq), cfg.spectrum(entry["dk_ph_um_inv"]), cfg.phase)
+            assert abs(var * dq**2 - 1.0) <= 1e-12
+        # at L_par 1.3 um, P_z stays above 2/3 for dk_ph up to 2
+        assert bounds["purity_z"] == {
+            "dq_par_um_inv": cfg.dq_par,
+            "reason": "P_z is not below 2/3 at the largest dk_ph, 2.0",
+        }
+
+    def test_knee_lies_between_the_rows_that_flip(self, runner, tmp_path):
+        text = SWEEP_INI.replace("dq_perp_min = 1.0", "dq_perp_min = 5.0").replace("dk_ph_max = 2.0", "dk_ph_max = 10.0")
+        bounds, rows = self.boundaries(runner, tmp_path, text.replace("dk_ph_steps = 2", "dk_ph_steps = 5"))
+        flags = {r["dk_ph_um_inv"]: r["longitudinal_entangled"] for r in rows}
+        dks = sorted(flags)
+        (flip,) = [i for i in range(1, len(dks)) if flags[dks[i]] != flags[dks[i - 1]]]
+        assert not flags[dks[flip - 1]] and flags[dks[flip]]
+        knee = bounds["purity_z"]
+        lo, hi = knee["bracket_um_inv"]
+        assert dks[flip - 1] < lo <= knee["dk_ph_um_inv"] <= hi < dks[flip]
 
 
 class TestSweepFailures:
@@ -1279,8 +1317,3 @@ def test_readme_library_example_runs(capsys):
     purity, d2, regime = capsys.readouterr().out.split()
     assert 0.0 < float(purity) <= 1.0 < float(d2)
     assert regime == "Regime.B"
-
-
-def test_readme_lists_every_script():
-    scripts = Path(__file__).resolve().parents[1] / "scripts"
-    assert set(re.findall(r"`(\w+\.py)`", readme_section("Scripts"))) == {p.name for p in scripts.glob("*.py")}

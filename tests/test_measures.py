@@ -33,10 +33,12 @@ from clpair.measures import (
     evaluate_point,
     purity_sc,
     purity_z,
+    regime_boundaries,
     rel_pos_variance_closed,
     rel_pos_variance_quadrature,
     total_wavevector_variance,
 )
+from clpair.constants import PURITY_THRESHOLD
 from clpair.model import QuadratureSpec, eval_f
 from clpair.quadrature import gauss_legendre_panels
 
@@ -438,6 +440,58 @@ class TestPurityZReference:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+# P_z = 2/3 on the README spectrum at L_par 0.13, 1.3 and 13 um, bisected
+# to 1e-9 relative in dk_ph on dq_par * [10^-1.5, 10^1.5]
+PURITY_Z_KNEES = {0.13: 53.88787952538428, 1.3: 4.078740505078521, 13.0: 0.37606323757188337}
+
+
+def _knee_range(beam: BeamParams) -> list[float]:
+    return [beam.dq_par * 10**-1.5, beam.dq_par * 10**1.5]
+
+
+class TestRegimeBoundaries:
+    @pytest.mark.parametrize("l_par", list(PURITY_Z_KNEES))
+    def test_purity_z_decreases_in_dk(self, l_par):
+        # the knee's bisection relies on P_z not increasing in dk_ph, as a
+        # P_sc root along a row relies on
+        # TestPuritySc::test_does_not_decrease_in_dq_perp; on these grids it
+        # strictly decreases
+        beam = _purity_z_beam(l_par)
+        lo, hi = _knee_range(beam)
+        values = [purity_z(beam, SpectrumModel(K_C, float(dk))) for dk in np.geomspace(lo, hi, 301)]
+        for a, b in zip(values, values[1:]):
+            assert b < a, values
+
+    @pytest.mark.parametrize("l_par,knee", list(PURITY_Z_KNEES.items()))
+    def test_purity_z_knee(self, l_par, knee):
+        beam = _purity_z_beam(l_par)
+        found = regime_boundaries(beam, K_C, _knee_range(beam))["purity_z"]
+        assert found["dq_par_um_inv"] == beam.dq_par
+        assert found["dk_ph_um_inv"] == pytest.approx(knee, rel=1e-6)
+        lo, hi = found["bracket_um_inv"]
+        assert lo <= found["dk_ph_um_inv"] <= hi and hi - lo <= 1e-9 * lo
+        assert purity_z(beam, SpectrumModel(K_C, lo)) >= PURITY_THRESHOLD > purity_z(beam, SpectrumModel(K_C, hi))
+
+    @pytest.mark.parametrize(
+        "dks,reason",
+        [([0.1, 1.0], "not below 2/3 at the largest dk_ph, 1.0"), ([10.0, 30.0], "below 2/3 already at the smallest dk_ph, 10.0")],
+        ids=["above", "below"],
+    )
+    def test_no_crossing_gives_reason(self, dks, reason, make_beam):
+        found = regime_boundaries(make_beam(1.0), K_C, dks)["purity_z"]
+        assert found == {"dq_par_um_inv": DQ_PAR, "reason": f"P_z is {reason}"}
+
+    def test_unconverged_purity_z_gives_reason(self, make_beam, monkeypatch):
+        import clpair.measures as measures
+
+        def fails(beam, spectrum, quad):
+            raise ConvergenceError("longitudinal purity did not converge")
+
+        monkeypatch.setattr(measures, "purity_z", fails)
+        found = regime_boundaries(make_beam(1.0), K_C, [1.0, 10.0])["purity_z"]
+        assert found == {"dq_par_um_inv": DQ_PAR, "reason": "longitudinal purity did not converge"}
 
 
 class TestRelPosVariance:

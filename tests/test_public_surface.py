@@ -1,10 +1,11 @@
 """Every public function, class, method and dataclass field of the
-package and the scripts has a caller or reader there: no production code
-that only its own tests call or read.
+package has a caller or reader there: no production code that only its
+own tests call or read.
 
 A name counts as referenced when it appears as a name or an attribute in
-any of those files outside an import statement; a definition is not a
-reference to itself, nor is a field's annotated name in its class body.
+any of the package's files outside an import statement; a definition is
+not a reference to itself, nor is a field's annotated name in its class
+body.
 Click commands are called by click.
 """
 
@@ -12,7 +13,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "clpair").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "clpair").glob("*.py"))
 
 # rel_pos_variance_quadrature integrates the relative-position variance
 # directly; it is kept as the closed form's independent check, which the
