@@ -30,7 +30,6 @@ _EXPORTS = {
     "ConvergenceError": "errors",
     "DomainError": "errors",
     "ResolutionError": "errors",
-    "SingularPointError": "errors",
     "BeamParams": "model",
     "PhaseModel": "model",
     "QuadratureSpec": "model",

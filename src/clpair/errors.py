@@ -17,10 +17,6 @@ class ConvergenceError(RuntimeError):
         self.previous_estimate = previous_estimate
 
 
-class SingularPointError(ValueError):
-    """Evaluation requested at a singular point (e.g. k = 0)."""
-
-
 class ResolutionError(ValueError):
     """Grid too coarse to resolve the structure it must represent."""
 

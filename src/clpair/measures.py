@@ -24,7 +24,7 @@ from .model import (
     QuadratureSpec,
     SpectrumModel,
     eval_g,
-    gamma_cartesian_derivatives,
+    gamma_transverse_gradient,
 )
 from .quadrature import gauss_legendre_panels
 
@@ -299,9 +299,14 @@ def rel_pos_variance_quadrature(
 ) -> float:
     """Relative-position variance by direct quadrature of the 3D integrand.
 
-    Spherical coordinates with the azimuth integrated analytically; uses
-    the analytic Cartesian partials of the spectral density plus the
-    transverse phase-gradient term for non-trivial phases.
+    Spherical coordinates with the azimuth integrated analytically. The
+    integrand is (|grad_perp Gamma|^2 / Gamma + (c/v)^2 kperp^2 Gamma /
+    (dq_par^2 k^2)) / 8 from the analytic transverse gradient, plus the
+    transverse phase-gradient term for non-trivial phases. The variance's
+    other term, -2 laplacian_perp(Gamma) / 8, is a transverse divergence: it
+    integrates to the flux of grad_perp Gamma through the radial window's
+    edges, where g is exp(-TRUNCATION_SIGMAS^2 / 2) of its peak, so it is
+    not summed.
     """
     def value(n_rad, n_theta):
         kn, kw = _radial_nodes(spectrum, n_rad)
@@ -313,13 +318,9 @@ def rel_pos_variance_quadrature(
             [np.broadcast_to(kperp, kperp.shape), np.zeros_like(kperp), kk * np.cos(tt)],
             axis=-1,
         )
-        gam, gx, gy, gxx, gyy = gamma_cartesian_derivatives(spectrum, pts)
+        gam, gx, gy = gamma_transverse_gradient(spectrum, pts)
         grad_ratio = np.where(gam > 0.0, (gx**2 + gy**2) / np.where(gam > 0.0, gam, 1.0), 0.0)
-        core = (
-            grad_ratio
-            - 2.0 * (gxx + gyy)
-            + beam.c_over_vz**2 * kperp**2 * gam / (beam.dq_par**2 * kk**2)
-        ) / 8.0
+        core = (grad_ratio + beam.c_over_vz**2 * kperp**2 * gam / (beam.dq_par**2 * kk**2)) / 8.0
         core = core + 0.5 * gam * phase.gradient_sq(spectrum, kk, tt)
         meas = kw[:, None] * tw[None, :] * kk**2 * np.sin(tt)
         return TWO_PI * float(np.sum(meas * core))

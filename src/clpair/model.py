@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TRUNCATION_SIGMAS, TWO_PI
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -175,63 +175,31 @@ def eval_gamma_cartesian(spectrum: SpectrumModel, k_vec) -> np.ndarray:
     return eval_gamma(spectrum, k, theta)
 
 
-def gamma_cartesian_derivatives(spectrum: SpectrumModel, k_vec):
-    """Gamma and its transverse Cartesian partials at wavevector(s).
+def gamma_transverse_gradient(spectrum: SpectrumModel, k_vec):
+    """Gamma and its transverse partials (Gamma, dGamma/dk_x, dGamma/dk_y)
+    at Cartesian wavevector(s), each of the input's batch shape.
 
-    Returns (Gamma, dGx, dGy, d2Gxx, d2Gyy), each of the input's batch
-    shape. Analytic chain rule through (k, theta); exact on the model
-    family.
+    With f = C kperp^2 kz^2 / k^4 (C = 15/8pi), each partial is
+    k_a [g'(k) f / k + 2 C g(k) kz^2 (kz^2 - kperp^2) / k^6]: finite on the
+    polar axis, where both vanish. Gamma has no gradient at k = 0.
     """
     import numpy as np
 
     k_vec = np.asarray(k_vec, dtype=float)
-    kx, ky, kz = (np.array(k_vec[..., i], dtype=float) for i in range(3))
-    k = np.sqrt(kx**2 + ky**2 + kz**2)
-    if np.any(k == 0.0):
-        raise SingularPointError("Gamma derivatives are singular at k = 0")
-    kperp = np.sqrt(kx**2 + ky**2)
-    # On the polar axis the transverse partials have a direction-dependent
-    # limit; nudge kx so the (kx, 0) approach is used, which reproduces the
-    # correct transverse Laplacian.
-    on_axis = kperp == 0.0
-    if np.any(on_axis):
-        kx = np.where(on_axis, 1e-9 * k, kx)
-        kperp = np.sqrt(kx**2 + ky**2)
-        k = np.sqrt(kx**2 + ky**2 + kz**2)
-
-    # arctan2 keeps full precision for small polar angles, where
-    # arccos(kz/k) loses half the mantissa
-    theta = np.arctan2(kperp, kz)
+    kx, ky, kz = k_vec[..., 0], k_vec[..., 1], k_vec[..., 2]
+    kperp2 = kx**2 + ky**2
+    k2 = kperp2 + kz**2
+    if np.any(k2 == 0.0):
+        raise DomainError("Gamma has no gradient at k = 0")
+    k = np.sqrt(k2)
+    # cos^2 and sin^2 of the polar angle, each a ratio that keeps full
+    # precision near its own zero
+    cz2, sz2 = kz**2 / k2, kperp2 / k2
     g = eval_g(spectrum, k)
-    dk2 = spectrum.dk_ph**2
-    gp = -(k - spectrum.k_c) / dk2 * g
-    gpp = (((k - spectrum.k_c) / dk2) ** 2 - 1.0 / dk2) * g
-    c4 = ANGULAR_NORM
-    f = 0.25 * c4 * np.sin(2.0 * theta) ** 2
-    fp = 0.5 * c4 * np.sin(4.0 * theta)
-    fpp = 2.0 * c4 * np.cos(4.0 * theta)
-
-    gam = g * f
-    out_dg = []
-    out_d2g = []
-    for ka in (kx, ky):
-        dk_dka = ka / k
-        dth_dka = ka * kz / (k**2 * kperp)
-        d2k_dka2 = 1.0 / k - ka**2 / k**3
-        d2th_dka2 = (
-            kz / (k**2 * kperp)
-            - 2.0 * ka**2 * kz / (k**4 * kperp)
-            - ka**2 * kz / (k**2 * kperp**3)
-        )
-        out_dg.append(gp * f * dk_dka + g * fp * dth_dka)
-        out_d2g.append(
-            gpp * f * dk_dka**2
-            + gp * f * d2k_dka2
-            + 2.0 * gp * fp * dk_dka * dth_dka
-            + g * fpp * dth_dka**2
-            + g * fp * d2th_dka2
-        )
-    return gam, out_dg[0], out_dg[1], out_d2g[0], out_d2g[1]
+    gam = g * ANGULAR_NORM * sz2 * cz2
+    # the bracket of the docstring, which each partial is k_a times
+    bracket = -(k - spectrum.k_c) / spectrum.dk_ph**2 * gam / k + 2.0 * ANGULAR_NORM * g * cz2 * (cz2 - sz2) / k2
+    return gam, kx * bracket, ky * bracket
 
 
 # ---------------------------------------------------------------------------

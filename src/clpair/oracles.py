@@ -29,7 +29,7 @@ from .model import (
     eval_f,
     eval_g,
     eval_gamma_cartesian,
-    gamma_cartesian_derivatives,
+    gamma_transverse_gradient,
     psi_ini_x_sq,
 )
 from .quadrature import GammaSampler, gauss_legendre_panels
@@ -213,30 +213,23 @@ def fd_gradient_check(
     points: np.ndarray,
     step: float = 1e-4,
 ) -> OracleReport:
-    """Central differences of the spectral density vs analytic partials.
+    """Central differences of the spectral density vs its analytic
+    transverse gradient.
 
-    Checks first and second transverse partials at the given Cartesian
-    points; reports the maximum relative error against the local density
-    scale.
+    Checks dGamma/dk_x and dGamma/dk_y, every partial the library
+    computes, at the given Cartesian points; reports the maximum error of
+    each relative to that partial's largest magnitude over the points.
     """
     if not step < spectrum.dk_ph / 10.0:
         raise DomainError("step must be small compared with the spectral width")
     pts = np.asarray(points, dtype=float)
-    gam, gx, gy, gxx, gyy = gamma_cartesian_derivatives(spectrum, pts)
+    _, gx, gy = gamma_transverse_gradient(spectrum, pts)
     worst = 0.0
-    for axis, (d1, d2) in enumerate([(gx, gxx), (gy, gyy)]):
+    for axis, d1 in enumerate((gx, gy)):
         e = np.zeros(3)
         e[axis] = step
-        up = eval_gamma_cartesian(spectrum, pts + e)
-        dn = eval_gamma_cartesian(spectrum, pts - e)
-        fd1 = (up - dn) / (2.0 * step)
-        fd2 = (up - 2.0 * gam + dn) / step**2
-        # relative to the characteristic magnitude of each derivative order
-        worst = max(
-            worst,
-            float(np.max(np.abs(fd1 - d1))) / (float(np.max(np.abs(d1))) + 1e-300),
-            float(np.max(np.abs(fd2 - d2))) / (float(np.max(np.abs(d2))) + 1e-300),
-        )
+        fd1 = (eval_gamma_cartesian(spectrum, pts + e) - eval_gamma_cartesian(spectrum, pts - e)) / (2.0 * step)
+        worst = max(worst, float(np.max(np.abs(fd1 - d1))) / (float(np.max(np.abs(d1))) + 1e-300))
     return OracleReport.compare(
         "gamma_partials_fd", 0.0, worst, 1e-6, n_points=pts.shape[0], step=step
     )
@@ -263,36 +256,37 @@ def longitudinal_term_identity(beam: BeamParams, spectrum: SpectrumModel) -> Ora
 # ---------------------------------------------------------------------------
 # factorized momentum density vs direct marginalization
 
-def momentum_factorization_check(beam: BeamParams, spectrum: SpectrumModel) -> OracleReport:
-    """Factorized P(q_x, k_x) versus direct Cartesian (k_y, k_z) quadrature.
+def momentum_factorization_check(spectrum: SpectrumModel) -> OracleReport:
+    """The photon marginal G(k_x) versus direct quadrature of Gamma.
 
-    The direct path integrates the spectral density over a fine Cartesian
-    (k_y, k_z) tensor grid, independent of the polar reduction used by
-    the marginal.
+    psi(q_x + k_x) cancels from the factorized P(q_x, k_x), so G is
+    compared alone, at k_x = 0, 0.35 kmax and 0.8 kmax. The direct side
+    sums Cartesian Gamma over the marginal's own domain, the (k_y, k_z)
+    annulus sqrt(max(kmin^2 - k_x^2, 0)) <= rho <= sqrt(kmax^2 - k_x^2),
+    on 16-node rho panels no wider than dk_ph (at least 8) and 4 x 16
+    beta nodes on [0, 2 pi]; the marginal integrates beta in closed form.
     """
-    kmax = spectrum.kmax
+    kmin, kmax = spectrum.kmin, spectrum.kmax
     kx_pts = np.array([0.0, 0.35 * kmax, 0.8 * kmax])
-    qx_pts = np.array([-0.5 * beam.dq_perp, 0.0, 1.5 * beam.dq_perp])
-    n1d = int(np.clip(12.0 * kmax / spectrum.dk_ph, 256, 4096))
-    yn, yw = gauss_legendre_panels(-kmax, kmax, max(16, n1d // 16), 16)
+    bn, bw = gauss_legendre_panels(0.0, 2.0 * math.pi, 4, 16)
     worst = 0.0
+    n_rho = 0
     for kx in kx_pts:
+        lo, hi = math.sqrt(max(kmin**2 - kx**2, 0.0)), math.sqrt(kmax**2 - kx**2)
+        rn, rw = gauss_legendre_panels(lo, hi, max(8, math.ceil((hi - lo) / spectrum.dk_ph)), 16)
         pts = np.stack(
             [
-                np.full((yn.size, yn.size), kx),
-                np.broadcast_to(yn[:, None], (yn.size, yn.size)),
-                np.broadcast_to(yn[None, :], (yn.size, yn.size)),
+                np.full((rn.size, bn.size), kx),
+                rn[:, None] * np.cos(bn)[None, :],
+                rn[:, None] * np.sin(bn)[None, :],
             ],
             axis=-1,
         )
-        g_direct = float(yw @ eval_gamma_cartesian(spectrum, pts) @ yw)
-        g_primary = photon_marginal_kx(spectrum, kx).item()
-        for qx in qx_pts:
-            direct = float(psi_ini_x_sq(beam.dq_perp, qx + kx)) * g_direct
-            primary = float(psi_ini_x_sq(beam.dq_perp, qx + kx)) * g_primary
-            if direct > 1e-12:
-                worst = max(worst, abs(primary - direct) / direct)
-    return OracleReport.compare("momentum_factorization", 0.0, worst, 1e-8, n_1d=yn.size)
+        direct = float((rw * rn) @ eval_gamma_cartesian(spectrum, pts) @ bw)
+        primary = photon_marginal_kx(spectrum, kx).item()
+        worst = max(worst, abs(primary - direct) / direct)
+        n_rho = max(n_rho, rn.size)
+    return OracleReport.compare("momentum_factorization", 0.0, worst, 1e-8, n_rho=n_rho, n_beta=bn.size)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +303,7 @@ def run_suite(
     reports = [
         mc_purity(beam, spectrum, n=mc_samples, seed=seed, quad=quad),
         longitudinal_term_identity(beam, spectrum),
-        momentum_factorization_check(beam, spectrum),
+        momentum_factorization_check(spectrum),
     ]
 
     rng = np.random.default_rng(seed)

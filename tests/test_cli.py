@@ -865,7 +865,6 @@ class TestRuntimeImports:
             "ConvergenceError",
             "DomainError",
             "ResolutionError",
-            "SingularPointError",
         ),
         "model": (
             "BeamParams",

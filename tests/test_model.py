@@ -11,7 +11,6 @@ from clpair import (
     BeamParams,
     DomainError,
     PhaseModel,
-    SingularPointError,
     SpectrumModel,
     derive_kinematics,
     spectrum_normalization,
@@ -24,7 +23,7 @@ from clpair.model import (
     eval_g,
     eval_gamma,
     eval_gamma_cartesian,
-    gamma_cartesian_derivatives,
+    gamma_transverse_gradient,
     psi_ini_x_sq,
 )
 from clpair.distributions import joint_momentum
@@ -230,39 +229,32 @@ class TestGammaDerivatives:
         rng = np.random.default_rng(7)
         pts = rng.uniform(-14.0, 14.0, size=(50, 3))
         step = 1e-5 * s.k_c
-        gam, gx, gy, gxx, gyy = gamma_cartesian_derivatives(s, pts)
-        for axis, (d1, d2) in enumerate([(gx, gxx), (gy, gyy)]):
+        gam, gx, gy = gamma_transverse_gradient(s, pts)
+        np.testing.assert_allclose(gam, eval_gamma_cartesian(s, pts), rtol=1e-14, atol=0.0)
+        for axis, d1 in enumerate((gx, gy)):
             e = np.zeros(3)
             e[axis] = step
-            up = eval_gamma_cartesian(s, pts + e)
-            dn = eval_gamma_cartesian(s, pts - e)
-            fd1 = (up - dn) / (2.0 * step)
-            fd2 = (up - 2.0 * gam + dn) / step**2
+            fd1 = (eval_gamma_cartesian(s, pts + e) - eval_gamma_cartesian(s, pts - e)) / (2.0 * step)
             assert np.max(np.abs(fd1 - d1)) < 1e-6 * np.max(np.abs(d1))
-            assert np.max(np.abs(fd2 - d2)) < 1e-5 * np.max(np.abs(d2))
 
     def test_parity(self, make_spectrum):
         s = make_spectrum(1.0)
-        p = np.array([[3.0, 1.0, 9.0]])
-        m = np.array([[-3.0, 1.0, 9.0]])
-        _, gx_p, _, gxx_p, _ = gamma_cartesian_derivatives(s, p)
-        _, gx_m, _, gxx_m, _ = gamma_cartesian_derivatives(s, m)
-        assert gx_m[0] == pytest.approx(-gx_p[0], rel=1e-12)
-        assert gxx_m[0] == pytest.approx(gxx_p[0], rel=1e-12)
+        _, gx_p, gy_p = gamma_transverse_gradient(s, np.array([[3.0, 1.0, 9.0]]))
+        _, gx_m, gy_m = gamma_transverse_gradient(s, np.array([[-3.0, 1.0, 9.0]]))
+        assert gx_m[0] == -gx_p[0] != 0.0
+        assert gy_m[0] == gy_p[0]
 
-    def test_on_axis_transverse_laplacian(self, make_spectrum):
-        # on the polar axis the density vanishes quadratically; the
-        # transverse Laplacian limit is 4 g(k) C / k^2 with C = 15/8pi
-        s = make_spectrum(1.0)
-        kz = s.k_c
-        _, gx, gy, gxx, gyy = gamma_cartesian_derivatives(s, np.array([[0.0, 0.0, kz]]))
-        expected = 4.0 * float(eval_g(s, kz)) * 15.0 / (8.0 * math.pi) / kz**2
-        assert gx[0] == pytest.approx(0.0, abs=1e-12)
-        assert gxx[0] + gyy[0] == pytest.approx(expected, rel=1e-6)
+    @pytest.mark.parametrize("kz", [12.5, -3.0, 1e-3])
+    def test_vanishes_on_the_polar_axis(self, kz, make_spectrum):
+        # the density vanishes quadratically off the axis, so both
+        # transverse partials are zero there; the closed form divides by
+        # nothing that is zero on the axis, so no numpy warning is raised
+        gam, gx, gy = gamma_transverse_gradient(make_spectrum(1.0), np.array([[0.0, 0.0, kz]]))
+        assert gam[0] == gx[0] == gy[0] == 0.0
 
-    def test_singular_at_origin(self, make_spectrum):
-        with pytest.raises(SingularPointError):
-            gamma_cartesian_derivatives(make_spectrum(1.0), np.array([[0.0, 0.0, 0.0]]))
+    def test_origin_is_outside_the_domain(self, make_spectrum):
+        with pytest.raises(DomainError, match="k = 0"):
+            gamma_transverse_gradient(make_spectrum(1.0), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestBeam:

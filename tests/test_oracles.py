@@ -211,6 +211,25 @@ class TestFdGradient:
         with pytest.raises(DomainError):
             fd_gradient_check(make_spectrum(0.3), np.array([[1.0, 2.0, 3.0]]), step=0.1)
 
+    @pytest.mark.parametrize("dk", [2.0, 1.0])
+    def test_catches_a_planted_error_in_one_partial(self, dk, make_spectrum, monkeypatch):
+        # a planted defect: dGamma/dk_x off by 1e-5 of itself; at the
+        # suite's step the true partials agree within 4e-9 at (10, 2) and
+        # (0.3, 1) over seeds 0-59
+        import clpair.oracles as oracles
+
+        s = make_spectrum(dk)
+        pts = np.random.default_rng(7).uniform(-s.kmax, s.kmax, (100, 3))
+        assert fd_gradient_check(s, pts).passed
+        exact = oracles.gamma_transverse_gradient
+
+        def planted(spectrum, k_vec):
+            gam, gx, gy = exact(spectrum, k_vec)
+            return gam, gx * (1.0 + 1e-5), gy
+
+        monkeypatch.setattr(oracles, "gamma_transverse_gradient", planted)
+        assert not fd_gradient_check(s, pts).passed
+
 
 class TestIdentities:
     def test_longitudinal_term(self, make_beam, make_spectrum):
@@ -218,9 +237,25 @@ class TestIdentities:
         assert rep.passed
         assert rep.value == pytest.approx(rep.oracle_value, rel=1e-6)
 
-    def test_momentum_factorization(self, make_beam, make_spectrum):
-        rep = momentum_factorization_check(make_beam(2.0), make_spectrum(0.8))
-        assert rep.passed
+    # the check reads only the spectrum, so the three dk_ph columns cover
+    # the 12-point panel; on the marginal's own domain the two sides agree
+    # to rounding, where a square [-kmax, kmax]^2 on the direct side reads
+    # 5.2e-8 at dk_ph 2 and 4.5e-5 at dk_ph 30
+    @pytest.mark.parametrize("dk", [0.1, 1.0, 30.0, 0.8, 2.0, 10.0])
+    def test_momentum_factorization(self, dk, make_spectrum):
+        rep = momentum_factorization_check(make_spectrum(dk))
+        assert rep.passed, rep
+        assert rep.oracle_value <= 1e-14
+
+    @pytest.mark.parametrize("dk", [2.0, 0.3], ids=["kmin=0", "kmin>0"])
+    def test_momentum_factorization_catches_a_planted_marginal_error(self, dk, make_spectrum, monkeypatch):
+        # a planted defect: G(k_x) off by 1e-7 of itself, at a point whose
+        # window reaches k = 0 and at one whose window does not
+        import clpair.oracles as oracles
+
+        exact = oracles.photon_marginal_kx
+        monkeypatch.setattr(oracles, "photon_marginal_kx", lambda spectrum, kx: exact(spectrum, kx) * (1.0 + 1e-7))
+        assert not momentum_factorization_check(make_spectrum(dk)).passed
 
 
 class TestSuite:
@@ -237,6 +272,13 @@ class TestSuite:
             "variance_relative_position",
             "schmidt_purity_1d",
         ]
+        failed = [r for r in reports if not r.passed]
+        assert not failed, failed
+
+    def test_all_green_at_10_2(self, make_beam, make_spectrum):
+        # the suite of `validate --seed 7` at (10, 2), the benchmark's
+        # session point s1
+        reports = run_suite(make_beam(10.0), make_spectrum(2.0), seed=7)
         failed = [r for r in reports if not r.passed]
         assert not failed, failed
 
