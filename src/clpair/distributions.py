@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ANGULAR_NORM
+from .constants import ANGULAR_NORM, NORMALIZATION_TOL
 from .errors import ConsistencyError, DomainError
 from .measures import rel_pos_variance_closed
 from .model import BeamParams, SpectrumModel, eval_g, psi_ini_x_sq
@@ -105,10 +105,10 @@ def _trapezoid_weights(x) -> np.ndarray:
     return w
 
 
-def _check_normalized(grid: JointGrid, what: str, tol: float = 0.01) -> JointGrid:
+def _check_normalized(grid: JointGrid, what: str) -> JointGrid:
     total = grid.integral()
-    if not abs(total - 1.0) <= tol:
-        raise ConsistencyError(f"{what} integrates to {total:.6f}, outside 1 +/- {tol}")
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
+        raise ConsistencyError(f"{what} integrates to {total:.6f}, outside 1 +/- {NORMALIZATION_TOL}")
     return grid
 
 
@@ -161,7 +161,14 @@ def joint_momentum(beam: BeamParams, spectrum: SpectrumModel, qx, kx) -> np.ndar
 
 
 def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
-    """P(q_x, k_x) on a grid covering the support of both factors."""
+    """P(q_x, k_x) on a grid covering the support of both factors.
+
+    The q axis spans kmax + 6 dq_perp each side at 8 points per dq_perp,
+    clipped to 65..4001 points. The cap keeps the grid under 16 MiB and
+    changes no verdict: at (0.1, 30), where the uncapped rule would take
+    158 MiB, q points lie 1.27 dq_perp apart, and the variance of q_x + k_x
+    still misses dq_perp^2 by only 2.2e-6 of its 0.5% tolerance.
+    """
     kmax = spectrum.kmax
     kxg = np.linspace(-kmax, kmax, N_KX)
     sig = beam.dq_perp
@@ -320,14 +327,8 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
 
 
 def _mirror_upper(h: np.ndarray) -> None:
-    """Copy the upper triangle of the square h onto its lower triangle in
-    place, _KERNEL_ROWS rows at a time."""
-    for i in range(0, h.shape[0], _KERNEL_ROWS):
-        rows = slice(i, i + _KERNEL_ROWS)
-        h[rows, :i] = h[:i, rows].T
-        diag = h[rows, rows]
-        lower = np.tril_indices(diag.shape[0], -1)
-        diag[lower] = diag.T[lower]
+    """Copy the upper triangle of the square h onto its lower triangle in place."""
+    np.copyto(h, h.T, where=np.tri(h.shape[0], k=-1, dtype=bool))
 
 
 def _t_at_lags(kernel: np.ndarray, ax: np.ndarray, lags: np.ndarray, h: float) -> np.ndarray:

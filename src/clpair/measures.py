@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPR_THRESHOLD, PURITY_THRESHOLD, TWO_PI
+from .constants import EPR_THRESHOLD, MAX_ARRAY_BYTES, PURITY_THRESHOLD, TWO_PI
 from .errors import ConvergenceError, DomainError, ResolutionError
 from .model import (
     PURITY_QUAD,
@@ -39,12 +39,12 @@ _TAIL_FRACTION = 1e-3
 _NODES_PER_PERIOD = 8
 _T_BLOCK = 1024
 # the most t-nodes one pass may keep and lay out: its node and weight
-# arrays then take at most 64 MiB, the budget of the Schmidt oracle's grid.
-# That is 124x the 33,776 of the finest pass on the README plane, at
-# (0.1, 30). Only the panels the tail cut keeps are built, so a fine grid
-# that the cut trims is cheap: at `dq_perp` 1e-7, `dk_ph` 1 the refined
-# pass spans 2.7e9 nodes and keeps 576. A t-span that overflows is refused.
-_T_MAX_NODES = 2**22
+# arrays, two doubles a node, then fill MAX_ARRAY_BYTES. That is 124x the
+# 33,776 of the finest pass on the README plane, at (0.1, 30). Only the
+# panels the tail cut keeps are built, so a fine grid that the cut trims
+# is cheap: at `dq_perp` 1e-7, `dk_ph` 1 the refined pass spans 2.7e9
+# nodes and keeps 576. A t-span that overflows is refused.
+_T_MAX_NODES = MAX_ARRAY_BYTES // 16
 # below this argument _sonine_h sums ten terms of its Taylor series,
 # (-x^2/2)^k / k! * (2k + 2) / (2k + 5)!!, which are within 3e-16 of h(0)
 # there; above it the elementary form's cancellation costs under 3e-15 h(0)
@@ -198,20 +198,27 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     return 8.0 * math.pi**2 * b**2 * total
 
 
-def _checked_purity(what: str, base: float, refined: float, quad: QuadratureSpec) -> float:
-    """The refined estimate once it agrees with the base one.
-
-    Raises ConvergenceError (carrying both estimates) if the two differ by
-    more than the tolerance, if the value is not positive, or if it
-    exceeds one by more than max(abs_tol, rel_tol); within that band a
-    value above one is clipped to one.
-    """
+def _converged(what: str, base: float, refined: float, quad: QuadratureSpec) -> float:
+    """The refined estimate, if it is within max(abs_tol, rel_tol |refined|)
+    of the base one; otherwise ConvergenceError, carrying both estimates."""
     if abs(refined - base) > max(quad.abs_tol, quad.rel_tol * abs(refined)):
         raise ConvergenceError(
             f"{what} did not converge (estimates {base:.6e}, {refined:.6e})",
             best_estimate=refined,
             previous_estimate=base,
         )
+    return refined
+
+
+def _checked_purity(what: str, base: float, refined: float, quad: QuadratureSpec) -> float:
+    """The refined estimate once it has `_converged` on the base one.
+
+    Raises ConvergenceError (carrying both estimates) if the two differ by
+    more than the tolerance, if the value is not positive, or if it
+    exceeds one by more than max(abs_tol, rel_tol); within that band a
+    value above one is clipped to one.
+    """
+    _converged(what, base, refined, quad)
     if refined <= 0.0 or refined > 1.0 + max(quad.abs_tol, quad.rel_tol):
         raise ConvergenceError(
             f"{what} produced {refined:.6e}, outside (0, 1]",
@@ -306,7 +313,8 @@ def rel_pos_variance_quadrature(
     other term, -2 laplacian_perp(Gamma) / 8, is a transverse divergence: it
     integrates to the flux of grad_perp Gamma through the radial window's
     edges, where g is exp(-TRUNCATION_SIGMAS^2 / 2) of its peak, so it is
-    not summed.
+    not summed. Evaluated on 96 and on 144 nodes per axis; their
+    difference is the convergence check.
     """
     def value(n_rad, n_theta):
         kn, kw = _radial_nodes(spectrum, n_rad)
@@ -325,15 +333,7 @@ def rel_pos_variance_quadrature(
         meas = kw[:, None] * tw[None, :] * kk**2 * np.sin(tt)
         return TWO_PI * float(np.sum(meas * core))
 
-    base = value(96, 96)
-    refined = value(144, 144)
-    if abs(refined - base) > max(quad.abs_tol, quad.rel_tol * abs(refined)):
-        raise ConvergenceError(
-            f"variance quadrature did not converge (estimates {base:.9e}, {refined:.9e})",
-            best_estimate=refined,
-            previous_estimate=base,
-        )
-    return refined
+    return _converged("variance quadrature", value(96, 96), value(144, 144), quad)
 
 
 def total_wavevector_variance(beam: BeamParams) -> float:

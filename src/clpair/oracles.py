@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED
+from .constants import MAX_ARRAY_BYTES, MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, NORMALIZATION_TOL
 from .distributions import N_KX, JointGrid, joint_position, momentum_grid, photon_marginal_kx
 from .errors import DomainError, ResolutionError
 from .measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
@@ -35,9 +35,12 @@ from .model import (
 from .quadrature import GammaSampler, gauss_legendre_panels
 
 
-# the most q points the suite's Schmidt oracle takes: its amplitude is
-# n_q x N_KX doubles, 64 MiB at this size
-_SCHMIDT_MAX_Q = 16384
+# the most q points the suite's Schmidt oracle takes: its amplitude, n_q x
+# N_KX doubles, then fills MAX_ARRAY_BYTES
+_SCHMIDT_MAX_Q = MAX_ARRAY_BYTES // (8 * N_KX)
+# central-difference step of `fd_gradient_check`, in units of dk_ph: the
+# difference's error scales as (step / dk_ph)^2 at every spectral width
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -174,54 +177,38 @@ def schmidt_purity_1d(
 # grid moments
 
 def variance_from_grid(
+    quantity: str,
     grid: JointGrid,
-    which: str,
-    beam: BeamParams,
-    spectrum: Optional[SpectrumModel] = None,
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    reference: float,
+    rel_tol: float,
 ) -> OracleReport:
-    """Discrete grid variance versus the corresponding closed form.
+    """The discrete variance of combine(axis1, axis2) on `grid` versus its
+    closed form `reference`, within rel_tol of it; reported as `quantity`.
 
-    `which` is "total_wavevector" (variance of q_x + k_x on a momentum
-    grid, closed form dq_perp^2, 0.5%) or "relative_position" (variance
-    of x_el - x_ph on a position grid, closed form with zero phase, 2%).
+    A grid whose integral is not within NORMALIZATION_TOL of one, or is
+    nan, raises DomainError.
     """
     total = grid.integral()
-    if not abs(total - 1.0) <= 0.01:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise DomainError(f"grid is not normalized (integral {total:.4f})")
-    if which == "total_wavevector":
-        mean, var = grid.moments(lambda a, b: a + b)
-        ref = total_wavevector_variance(beam)
-        rel_tol = 0.005
-    elif which == "relative_position":
-        if spectrum is None:
-            raise DomainError("relative_position comparison needs the spectrum")
-        mean, var = grid.moments(lambda a, b: a - b)
-        ref = rel_pos_variance_closed(beam, spectrum)
-        rel_tol = 0.02
-    else:
-        raise DomainError(f"unknown variance target {which!r}")
-    return OracleReport.compare(
-        f"variance_{which}", ref, var, rel_tol * abs(ref), mean=mean
-    )
+    mean, var = grid.moments(combine)
+    return OracleReport.compare(quantity, reference, var, rel_tol * abs(reference), mean=mean)
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 
-def fd_gradient_check(
-    spectrum: SpectrumModel,
-    points: np.ndarray,
-    step: float = 1e-4,
-) -> OracleReport:
+def fd_gradient_check(spectrum: SpectrumModel, points: np.ndarray) -> OracleReport:
     """Central differences of the spectral density vs its analytic
     transverse gradient.
 
     Checks dGamma/dk_x and dGamma/dk_y, every partial the library
-    computes, at the given Cartesian points; reports the maximum error of
-    each relative to that partial's largest magnitude over the points.
+    computes, at the given Cartesian points, with the step _FD_STEP dk_ph;
+    reports the maximum error of each relative to that partial's largest
+    magnitude over the points, against a tolerance of 1e-6.
     """
-    if not step < spectrum.dk_ph / 10.0:
-        raise DomainError("step must be small compared with the spectral width")
+    step = _FD_STEP * spectrum.dk_ph
     pts = np.asarray(points, dtype=float)
     _, gx, gy = gamma_transverse_gradient(spectrum, pts)
     worst = 0.0
@@ -299,33 +286,23 @@ def run_suite(
     seed: int = MC_SEED,
     mc_samples: int = MC_SAMPLES,
 ) -> list[OracleReport]:
-    """All oracles at one parameter point; deterministic for fixed inputs."""
-    reports = [
+    """All oracles at one parameter point; deterministic for fixed inputs.
+    `seed` sets the Monte Carlo draw and the finite-difference check's 100
+    points, uniform in [-kmax, kmax]^3."""
+    kmax = spectrum.kmax
+    var_q, var_x = total_wavevector_variance(beam), rel_pos_variance_closed(beam, spectrum)
+    # in this order, which `validate` prints; each grid is dropped once its
+    # variance is taken, so no two are held
+    return [
         mc_purity(beam, spectrum, n=mc_samples, seed=seed, quad=quad),
         longitudinal_term_identity(beam, spectrum),
         momentum_factorization_check(spectrum),
+        fd_gradient_check(spectrum, np.random.default_rng(seed).uniform(-kmax, kmax, (3, 100)).T),
+        variance_from_grid("variance_total_wavevector", momentum_grid(beam, spectrum), np.add, var_q, 0.005),
+        variance_from_grid("variance_relative_position", joint_position(beam, spectrum)[0], np.subtract, var_x, 0.02),
+        # on the model's own transverse marginal
+        schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k), *_schmidt_axes(beam, spectrum)),
     ]
-
-    rng = np.random.default_rng(seed)
-    kmax = spectrum.kmax
-    pts = np.stack(
-        [
-            rng.uniform(-kmax, kmax, 100),
-            rng.uniform(-kmax, kmax, 100),
-            rng.uniform(-kmax, kmax, 100),
-        ],
-        axis=-1,
-    )
-    reports.append(fd_gradient_check(spectrum, pts))
-
-    # each grid is dropped once its variance is taken, so no two are held
-    reports.append(variance_from_grid(momentum_grid(beam, spectrum), "total_wavevector", beam))
-    reports.append(variance_from_grid(joint_position(beam, spectrum)[0], "relative_position", beam, spectrum))
-
-    # Schmidt oracle on the model's own transverse marginal
-    kx, qx = _schmidt_axes(beam, spectrum)
-    reports.append(schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k), kx, qx))
-    return reports
 
 
 def _schmidt_axes(beam: BeamParams, spectrum: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:

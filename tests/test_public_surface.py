@@ -1,6 +1,8 @@
 """Every public function, class, method and dataclass field of the
 package has a caller or reader there: no production code that only its
-own tests call or read.
+own tests call or read. Every private module-level function, class and
+constant is referenced there outside its own definition: no helper that
+a refactor left behind.
 
 A name counts as referenced when it appears as a name or an attribute in
 any of the package's files outside an import statement; a definition is
@@ -10,6 +12,7 @@ Click commands are called by click.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +85,43 @@ def unreferenced(trees: dict) -> set:
     }
 
 
+def _private_definitions(tree):
+    """Private (single-underscore) module-level functions, classes and
+    assigned names, as (name, defining statement)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _name_counts(tree) -> Counter:
+    """How often each name appears as a name or an attribute in `tree`."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def orphaned(trees: dict) -> set:
+    """Qualified names of the private module-level definitions in `trees`
+    ({module: ast}) that no tree refers to outside the definition itself."""
+    counts = sum(map(_name_counts, trees.values()), Counter())
+    return {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if counts[name] == _name_counts(node)[name]
+    }
+
+
 def test_detector():
     trees = {
         "a": ast.parse(
@@ -103,6 +143,30 @@ def test_detector():
         "b": ast.parse("from a import unused, Box\n"),
     }
     assert unreferenced(trees) == {"a.unused", "a.Box.uncalled", "a.Box.unread"}
+
+
+def test_orphan_detector():
+    trees = {
+        "a": ast.parse(
+            "_CAP = 4\n"
+            "_LEFT = 5\n"
+            "_A, _B = 1, 2\n"
+            "def _helper(n): return _helper(n - 1) if n else _CAP\n"
+            "def _stale(n): return _stale(n - 1) if n else _B\n"
+            "class _Kept: pass\n"
+            "class _Dropped: pass\n"
+            "__all__ = []\n"
+            "x = _Kept\n"
+        ),
+        "b": ast.parse("import a\nfrom a import _LEFT\ny = a._helper(3)\n"),
+    }
+    assert orphaned(trees) == {"a._LEFT", "a._A", "a._stale", "a._Dropped"}
+
+
+def test_no_private_name_is_orphaned():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert {"distributions", "oracles"} <= trees.keys()
+    assert orphaned(trees) == set()
 
 
 def test_every_public_name_has_a_caller():
