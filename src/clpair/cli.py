@@ -8,8 +8,9 @@ Subcommands (one verb per artifact): `measure` (single point), `sweep`
 `regime-map` build each row with `_point_row` and write them through
 one function, `_write_rows`.
 
-The config file is an INI-style key-value document; the only
-environment override is CLPAIR_OUT (output directory). A sweep
+The config file is an INI-style key-value document of the computation
+alone: `--out` (default: the current directory) is the one way to choose
+where a command writes, and no environment variable is read. A sweep
 evaluates its cells in row-major order in one process; `--threads` is
 accepted on `sweep` and `regime-map` and ignored. Exit codes: 0 success,
 1 cell or oracle failure, 2 configuration error; `_Main.invoke` maps
@@ -29,11 +30,10 @@ import hashlib
 import io
 import json
 import math
-import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -112,7 +112,6 @@ class RunConfig:
     sweep: Optional[SweepAxes] = None
     quadrature: QuadratureSpec = PURITY_QUAD
     mc_samples: int = MC_SAMPLES
-    out_dir: str = "."
 
     def __post_init__(self):
         if not self.mc_samples >= MC_MIN_SAMPLES:
@@ -179,7 +178,6 @@ _CONFIG_KEYS = {
         "abs_tol": ("quadrature.abs_tol", float),
         "mc_samples": ("mc_samples", int),
     },
-    "output": {"out_dir": ("out_dir", str)},
 }
 # the fields that each section must fill when present; [beam] and [spectrum] must be
 _REQUIRED = {
@@ -399,10 +397,10 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
     }
 
 
-def _out_dir(cfg: RunConfig, cli_out: Optional[str]) -> Path:
-    """The output directory, made if missing; every command calls this
+def _out_dir(out: str) -> Path:
+    """The `--out` directory, made if missing; every command calls this
     right after its config loads, so an unusable path costs no compute."""
-    path = Path(cli_out or os.environ.get("CLPAIR_OUT") or cfg.out_dir)
+    path = Path(out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -469,7 +467,7 @@ def main():
 
 
 _config_opt = click.option("--config", "config_path", required=True, type=click.Path(), help="Config file path.")
-_out_opt = click.option("--out", "out", default=None, type=click.Path(), help="Output directory.")
+_out_opt = click.option("--out", "out", default=".", type=click.Path(), help="Output directory.", show_default=True)
 # accepted for old command lines and ignored: a sweep runs in one process
 _threads_opt = click.option("--threads", type=int, hidden=True, expose_value=False)
 
@@ -481,7 +479,7 @@ def measure(config_path, out):
     """Evaluate all diagnostics at the configured single point."""
     cfg = load_config(config_path)
     beam = cfg.beam()
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out)
     row = _point_row(cfg, beam.dq_perp, cfg.dk_ph)
     click.echo(_write_rows(out_path, "measure", cfg, [row]), nl=False)
 
@@ -495,12 +493,12 @@ def sweep(config_path, out):
     _sweep(load_config(config_path), out, "sweep")
 
 
-def _sweep(cfg: RunConfig, out: Optional[str], name: str, regimes: bool = False) -> None:
+def _sweep(cfg: RunConfig, out: str, name: str, regimes: bool = False) -> None:
     """Run the sweep and write `<name>.csv` and `<name>.json`; with
     `regimes`, add the regime boundaries to the JSON and render the CSV's
     regimes to `<name>.svg` as `render --field regime` does. Then name
     each failed cell and exit 1 if any failed."""
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out)
     rows = run_sweep(cfg)
     boundaries = None
     if regimes:
@@ -523,7 +521,7 @@ def dist(config_path, out):
     """Emit the 1D factors of the joint momentum and joint position densities."""
     cfg = load_config(config_path)
     beam, spectrum = cfg.beam(), cfg.spectrum()
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out)
     from .distributions import joint_position, momentum_grid, photon_marginal_kx
 
     # The position grid goes first, so that a failure in joint_position
@@ -572,25 +570,14 @@ def validate(config_path, seed, out):
     if seed < 0:
         raise ConfigError(f"the Monte Carlo seed must be non-negative, got {seed!r}")
     beam = cfg.beam()
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out)
     from .oracles import run_suite
 
     reports = run_suite(beam, cfg.spectrum(), cfg.quadrature, seed=seed, mc_samples=cfg.mc_samples)
     payload = _provenance(
         cfg,
         seed=seed,
-        reports=[
-            {
-                "quantity": r.quantity,
-                "value": r.value,
-                "oracle_value": r.oracle_value,
-                "discrepancy": r.discrepancy,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "metadata": {k: _fmt(v) for k, v in r.metadata.items()},
-            }
-            for r in reports
-        ],
+        reports=[{**asdict(r), "metadata": {k: _fmt(v) for k, v in r.metadata.items()}} for r in reports],
     )
     _write_json(out_path / "validate.json", payload)
     for r in reports:
@@ -608,7 +595,7 @@ def validate(config_path, seed, out):
 def render(config_path, field_name, input_csv, out):
     """Render a heatmap SVG of one field from an existing sweep CSV."""
     cfg = load_config(config_path)
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out)
     src = Path(input_csv) if input_csv else out_path / "sweep.csv"
     try:
         text = src.read_text()

@@ -26,7 +26,7 @@ from .model import (
     eval_g,
     gamma_transverse_gradient,
 )
-from .quadrature import gauss_legendre_panels
+from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 # t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
 # 1e-21, is t = 7/b, but the sum stops at the first panel edge past which
@@ -187,7 +187,9 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
         n_panels = n_keep = math.inf
     if 16 * n_keep > _T_MAX_NODES:
         raise ResolutionError(f"the purity t-grid needs {16 * n_keep} nodes, more than its cap of {_T_MAX_NODES}")
-    tn, tw = gauss_legendre_panels(0.0, t_max, n_panels, 16, keep=n_keep)
+    # the leading n_keep + 1 edges of the n_panels equal panels, in
+    # linspace's arithmetic j * step, without building the others
+    tn, tw = gauss_legendre_edges(np.arange(n_keep + 1) * (t_max / n_panels), 16)
     ct = tw * tn * np.exp(-((b * tn) ** 2))
     elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
     total = 0.0

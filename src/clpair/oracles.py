@@ -38,8 +38,9 @@ from .quadrature import GammaSampler, gauss_legendre_panels
 # the most q points the suite's Schmidt oracle takes: its amplitude, n_q x
 # N_KX doubles, then fills MAX_ARRAY_BYTES
 _SCHMIDT_MAX_Q = MAX_ARRAY_BYTES // (8 * N_KX)
-# central-difference step of `fd_gradient_check`, in units of dk_ph: the
-# difference's error scales as (step / dk_ph)^2 at every spectral width
+# central-difference step of `fd_gradient_check`, in units of the scale on
+# which Gamma varies at the point, min(dk_ph, |k|): dk_ph radially, |k| in
+# angle. The difference's error then scales as _FD_STEP^2 everywhere.
 _FD_STEP = 1e-4
 
 
@@ -204,21 +205,22 @@ def fd_gradient_check(spectrum: SpectrumModel, points: np.ndarray) -> OracleRepo
     transverse gradient.
 
     Checks dGamma/dk_x and dGamma/dk_y, every partial the library
-    computes, at the given Cartesian points, with the step _FD_STEP dk_ph;
-    reports the maximum error of each relative to that partial's largest
-    magnitude over the points, against a tolerance of 1e-6.
+    computes, at the given (n, 3) Cartesian points, each with the step
+    _FD_STEP min(dk_ph, |k|); reports the maximum error of each relative
+    to that partial's largest magnitude over the points, against a
+    tolerance of 1e-6.
     """
-    step = _FD_STEP * spectrum.dk_ph
     pts = np.asarray(points, dtype=float)
+    step = _FD_STEP * np.minimum(spectrum.dk_ph, np.linalg.norm(pts, axis=-1))
     _, gx, gy = gamma_transverse_gradient(spectrum, pts)
     worst = 0.0
     for axis, d1 in enumerate((gx, gy)):
-        e = np.zeros(3)
-        e[axis] = step
+        e = np.zeros_like(pts)
+        e[:, axis] = step
         fd1 = (eval_gamma_cartesian(spectrum, pts + e) - eval_gamma_cartesian(spectrum, pts - e)) / (2.0 * step)
         worst = max(worst, float(np.max(np.abs(fd1 - d1))) / (float(np.max(np.abs(d1))) + 1e-300))
     return OracleReport.compare(
-        "gamma_partials_fd", 0.0, worst, 1e-6, n_points=pts.shape[0], step=step
+        "gamma_partials_fd", 0.0, worst, 1e-6, n_points=pts.shape[0], max_step=float(np.max(step))
     )
 
 
@@ -288,8 +290,11 @@ def run_suite(
 ) -> list[OracleReport]:
     """All oracles at one parameter point; deterministic for fixed inputs.
     `seed` sets the Monte Carlo draw and the finite-difference check's 100
-    points, uniform in [-kmax, kmax]^3."""
-    kmax = spectrum.kmax
+    points, which `GammaSampler` draws from Gamma itself, so that the
+    check looks where the density lives."""
+    k, cos_theta, phi = GammaSampler(spectrum).sample_k_cos_phi(100, np.random.default_rng(seed))
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    fd_points = k[:, None] * np.stack((sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta), axis=-1)
     var_q, var_x = total_wavevector_variance(beam), rel_pos_variance_closed(beam, spectrum)
     # in this order, which `validate` prints; each grid is dropped once its
     # variance is taken, so no two are held
@@ -297,7 +302,7 @@ def run_suite(
         mc_purity(beam, spectrum, n=mc_samples, seed=seed, quad=quad),
         longitudinal_term_identity(beam, spectrum),
         momentum_factorization_check(spectrum),
-        fd_gradient_check(spectrum, np.random.default_rng(seed).uniform(-kmax, kmax, (3, 100)).T),
+        fd_gradient_check(spectrum, fd_points),
         variance_from_grid("variance_total_wavevector", momentum_grid(beam, spectrum), np.add, var_q, 0.005),
         variance_from_grid("variance_relative_position", joint_position(beam, spectrum)[0], np.subtract, var_x, 0.02),
         # on the model's own transverse marginal

@@ -27,17 +27,10 @@ def _leggauss(order: int):
     return x, w
 
 
-def gauss_legendre_panels(a: float, b: float, n_panels: int, order: int = 16, keep: int | None = None):
+def gauss_legendre_panels(a: float, b: float, n_panels: int, order: int = 16):
     """Composite Gauss-Legendre nodes and weights on [a, b] in n_panels
-    equal panels. With `keep` below n_panels only the first `keep` panels
-    are laid out, on the first keep + 1 edges np.linspace(a, b, n_panels
-    + 1) gives, bit for bit, without building the others."""
-    if keep is None or keep >= n_panels:
-        edges = np.linspace(a, b, n_panels + 1)
-    else:
-        # linspace's own arithmetic: start + j * ((stop - start) / div)
-        edges = np.arange(keep + 1) * ((b - a) / n_panels) + a
-    return gauss_legendre_edges(edges, order)
+    equal panels."""
+    return gauss_legendre_edges(np.linspace(a, b, n_panels + 1), order)
 
 
 def gauss_legendre_edges(edges: np.ndarray, order: int = 16):

@@ -120,13 +120,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.ini")
 
-    @pytest.mark.parametrize("name", ["out%1", "out%%1"])
-    def test_percent_is_literal(self, runner, tmp_path, monkeypatch, name):
-        monkeypatch.delenv("CLPAIR_OUT", raising=False)
-        out = tmp_path / name
-        res = runner.invoke(main, ["measure", "--config", write(tmp_path, BASE_INI + f"\n[output]\nout_dir = {out}\n")])
-        assert res.exit_code == 0, res.output
-        assert f"out_dir = {out}\n" in json.loads((out / "measure.json").read_text())["config"]
+    @pytest.mark.parametrize("name", ["zero%1", "zero%%1"])
+    def test_percent_is_literal(self, runner, tmp_path, name):
+        # interpolation would refuse "%1" and read "%%" as "%"; the variant
+        # reaches PhaseModel as written, which names it in its refusal
+        res = runner.invoke(
+            main,
+            ["measure", "--config", write(tmp_path, BASE_INI + f"\n[phase]\nvariant = {name}\n"), "--out", str(tmp_path)],
+        )
+        assert_config_error(res)
+        assert f"unknown phase variant {name!r}" in res.output
 
     def test_no_substitution(self, runner, tmp_path):
         text = BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = %(kinetic_energy_kev)s")
@@ -168,7 +171,6 @@ KEY_TARGETS = {
         "abs_tol": ("3e-05", "quadrature.abs_tol", 3e-5),
         "mc_samples": ("12345", "mc_samples", 12345),
     },
-    "output": {"out_dir": ("runs/x", "out_dir", "runs/x")},
 }
 # each length and the wavenumber it stands for
 LENGTHS = {"l_par_um": "dq_par_um_inv", "l_perp_um": "dq_perp_um_inv", "lambda_c_um": "k_c_um_inv", "dlambda_um": "dk_ph_um_inv"}
@@ -358,12 +360,25 @@ class TestCommands:
             svgs.add((out / f"render_{field}.svg").read_text())
         assert len(svgs) == 3 and all(svg.startswith("<svg") for svg in svgs)
 
-    def test_env_out_override(self, runner, tmp_path, monkeypatch):
+    def test_out_is_not_provenance(self, runner, tmp_path):
+        # where a run writes changes no number, so the JSON's config text
+        # and hash are the same under any --out
         cfg = write(tmp_path, BASE_INI)
-        monkeypatch.setenv("CLPAIR_OUT", str(tmp_path / "envout"))
+        payloads = []
+        for out in (tmp_path / "a", tmp_path / "b" / "c"):
+            res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            payloads.append(json.loads((out / "measure.json").read_text()))
+        assert payloads[0]["config"] == payloads[1]["config"] == dump_config(load_config(cfg))
+        assert payloads[0]["config_hash"] == payloads[1]["config_hash"]
+        assert "[output]" not in payloads[0]["config"]
+
+    def test_out_defaults_to_the_current_directory(self, runner, tmp_path, monkeypatch):
+        cfg = write(tmp_path, BASE_INI)
+        monkeypatch.chdir(tmp_path)
         res = runner.invoke(main, ["measure", "--config", cfg])
         assert res.exit_code == 0, res.output
-        assert (tmp_path / "envout" / "measure.csv").exists()
+        assert (tmp_path / "measure.csv").exists() and (tmp_path / "measure.json").exists()
 
     def test_validate(self, runner, tmp_path):
         text = BASE_INI + "\n[quadrature]\nmc_samples = 20000\n"
@@ -910,20 +925,20 @@ class TestProvenancePinned:
     @pytest.mark.parametrize(
         "text,digest",
         [
-            (BASE_INI, "4569ad5e8dc25a0250ff9db860214782db4f6c23d8994eddd9da14fc0746b8eb"),
-            (SWEEP_INI, "e82542ff5d6d72d969235cd2ead35915a0648e45c00979b4844c682ef46ddd35"),
-            (BASE_INI + "\n[phase]\nvariant = zero\n", "4569ad5e8dc25a0250ff9db860214782db4f6c23d8994eddd9da14fc0746b8eb"),
+            (BASE_INI, "28ce9b34cdddc0fadf54c3b9bfdb4de6d217d0fe7e2e19e753fda9889f159efd"),
+            (SWEEP_INI, "31ad8814ff140206b6ebc512c364d997b5f33b6c5d851b56da644eeccf3f26c2"),
+            (BASE_INI + "\n[phase]\nvariant = zero\n", "28ce9b34cdddc0fadf54c3b9bfdb4de6d217d0fe7e2e19e753fda9889f159efd"),
             (
                 BASE_INI + "\n[phase]\nvariant = polar_linear\nxi = 0.25\n",
-                "02971c96d7412190c2562f6069d0496f73c9f85e2311ba3e4475f31f7ea0831d",
+                "e96af07ce2b8b74f7e0533788bbad2363abb648912564df0a65886ad1d6e4eff",
             ),
             (
                 BASE_INI + "\n[phase]\nvariant = radial_kc\nxi = 100\n",
-                "b52596972214946737fbc896fe28d0a6fedcc840c6da8fcbb602e0ed7f0b60bd",
+                "37097afa85428c83d7b19dbccbe3a665d9b8ee3c6966d049be6700beedd5288f",
             ),
             (
                 BASE_INI + "\n[phase]\nvariant = radial_dk\nxi = 2.5\n",
-                "515b5c8bdc618eaed34a39de742cd7abe442a50bc5d2c02f51e2a091bca995f6",
+                "5350b8ee0a7d25d571590930a86132d727d8fe3c3c5a8795c190a6eae0825ff8",
             ),
         ],
         ids=["base", "sweep", "zero", "polar_linear", "radial_kc", "radial_dk"],
@@ -1154,7 +1169,6 @@ _DOCUMENTED_KEYS = {
         "abs_tol": st.floats(min_value=0.0, max_value=1e-3).map(repr),
         "mc_samples": st.integers(min_value=5_000, max_value=10**6).map(str),
     },
-    "output": {"out_dir": st.sampled_from(["out", "runs/a", "."])},
 }
 # alternatives of which a config must give at most (beam width: exactly) one
 _ALTERNATIVES = {"l_par_um": "dq_par_um_inv", "l_perp_um": "dq_perp_um_inv", "lambda_c_um": "k_c_um_inv", "dlambda_um": "dk_ph_um_inv"}
@@ -1245,9 +1259,8 @@ class TestUnknownKeys:
             ("quadrature", "mc_seed = 20260824"),
             ("quadrature", "rel_tl = 1e-4"),
             ("quadrature", "truncation_sigmas = 8.0"),
-            ("output", "outdir = o"),
         ],
-        ids=["beam", "spectrum", "sweep", "phase", "mc_seed", "quadrature", "truncation_sigmas", "output"],
+        ids=["beam", "spectrum", "sweep", "phase", "mc_seed", "quadrature", "truncation_sigmas"],
     )
     def test_unknown_key_exits_2(self, runner, tmp_path, section, line):
         header = f"[{section}]\n"
@@ -1268,6 +1281,14 @@ class TestUnknownKeys:
         res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
         assert_config_error(res)
         assert "[thresholds]: unknown section" in res.output
+
+    def test_output_section_exits_2(self, runner, tmp_path):
+        # --out alone chooses the output directory
+        text = BASE_INI + "\n[output]\nout_dir = .\n"
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[output]: unknown section" in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_default_section_exits_2(self, runner, tmp_path):
         # configparser copies [DEFAULT] keys into every section

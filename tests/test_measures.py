@@ -42,7 +42,7 @@ from clpair.constants import PURITY_THRESHOLD
 from clpair.model import QuadratureSpec, eval_f
 from clpair.quadrature import gauss_legendre_panels
 
-from conftest import DQ_PAR, K_C
+from conftest import DQ_PAR, K_C, K_KEV
 
 # Regression anchors for the reference scenario, each cross-validated
 # against the 4x10^5-sample Monte Carlo oracle during development.
@@ -188,6 +188,45 @@ class TestPuritySc:
             tracemalloc.stop()
         # the refused base pass builds no t-node; 384 of them would take 6 kB
         assert peak < 1e6
+
+
+def t_edges(monkeypatch, beam, spectrum, quad=PURITY_QUAD):
+    """The t-panel edges that `purity_sc`'s base and refined passes lay out."""
+    import clpair.measures as measures
+
+    seen, exact = [], measures.gauss_legendre_edges
+    monkeypatch.setattr(measures, "gauss_legendre_edges", lambda edges, order: seen.append(edges) or exact(edges, order))
+    purity_sc(beam, spectrum, quad)
+    return seen
+
+
+class TestPurityTGrid:
+    """`_purity_once` lays out the leading panels that its tail cut keeps,
+    on the edges np.linspace(0, 7/b, n_panels + 1) gives, bit for bit."""
+
+    # at (3, 0.3) the base pass keeps 2 of 3 panels and the refined pass 3
+    # of 5; an abs_tol of zero keeps them all
+    @pytest.mark.parametrize("abs_tol,kept", [(PURITY_QUAD.abs_tol, (2, 3)), (0.0, (3, 5))])
+    def test_kept_panels_are_the_leading_ones(self, make_beam, make_spectrum, monkeypatch, abs_tol, kept):
+        quad = QuadratureSpec(rel_tol=PURITY_QUAD.rel_tol, abs_tol=abs_tol)
+        t_max = 7.0 / 3.0
+        for edges, n_keep, n_panels in zip(t_edges(monkeypatch, make_beam(3.0), make_spectrum(0.3), quad), kept, (3, 5)):
+            exact = min(n_keep + 1, n_panels)
+            assert edges.size == n_keep + 1
+            assert np.array_equal(edges[:exact], np.linspace(0.0, t_max, n_panels + 1)[:exact])
+            if n_keep == n_panels:
+                # n_panels * (t_max / n_panels), where linspace sets t_max
+                assert abs(edges[-1] - t_max) <= np.spacing(t_max)
+
+    def test_kept_panels_of_a_long_span(self, make_beam, make_spectrum, monkeypatch):
+        # at (1e-7, 1) the refined pass spans 1.7e8 panels (2.7e9 nodes) and
+        # keeps 36 (576 nodes), on linspace's own edges j * (t_max / n_panels)
+        # without the others; 8 nodes per period of h(k t) set n_panels
+        t_max = 7.0 / 1e-7
+        _, refined = t_edges(monkeypatch, make_beam(1e-7), make_spectrum(1.0))
+        n_panels = math.ceil(1.5 * 8.0 * make_spectrum(1.0).kmax * t_max / (2.0 * math.pi) / 16.0)
+        assert n_panels > 10**8 and refined.size == 37
+        assert refined.tolist() == [j * (t_max / n_panels) for j in range(37)]
 
 
 class TestPurityScPanel:
@@ -623,3 +662,51 @@ class TestEvaluatePoint:
         assert 0.0 < r.purity_z <= 1.0
         assert r.var_rel_pos > 0.0
         assert r.regime in (Regime.A, Regime.B, Regime.C, Regime.ANOMALOUS)
+
+    # the benchmark's session points s0, s1 and s2, the README point and
+    # the panel's narrowest-spectrum corner
+    @pytest.mark.parametrize("dq_perp,dk", [(0.3, 1.0), (10.0, 2.0), (1.0, 10.0), (3.0, 0.3), (100.0, 0.1)])
+    @pytest.mark.parametrize("scale", [0.1, 10.0, 1000.0])
+    def test_depends_only_on_wavenumber_ratios(self, make_beam, make_spectrum, dq_perp, dk, scale):
+        # every diagnostic is a function of ratios of wavenumbers, so
+        # scaling k_c, dk_ph, dq_perp and dq_par together moves none of
+        # them beyond rounding (2.8e-14 at worst, at (100, 0.1)); a rule
+        # with a hidden absolute scale fails here
+        r = evaluate_point(make_beam(dq_perp), make_spectrum(dk))
+        scaled = evaluate_point(make_beam(scale * dq_perp, scale * DQ_PAR), make_spectrum(scale * dk, scale * K_C))
+        for name in ("purity_sc", "purity_z", "d2"):
+            assert getattr(scaled, name) == pytest.approx(getattr(r, name), rel=1e-12, abs=0.0), name
+
+
+# the wide-beam limit of P_sc at each longitudinal coherence length (um)
+# and dk_ph where the quadrature converges; at L_par 13, dk_ph >= 3 raises
+# ConvergenceError (ROADMAP item 12)
+WIDE_BEAM_CASES = [(l_par, dk) for l_par in (0.13, 1.3) for dk in (0.1, 1.0, 3.0, 30.0)] + [(13.0, 0.1), (13.0, 1.0)]
+
+
+def wide_beam_falloff(p_sc, l_par, dk):
+    """|P_sc - P_z| / P_z at dq_perp 1e3 over its value at 1e4."""
+    spectrum = SpectrumModel(K_C, dk)
+    beams = [BeamParams(K_KEV, dq_perp, 2.0 * math.pi / l_par) for dq_perp in (1e3, 1e4)]
+    p_z = purity_z(beams[0], spectrum)
+    far, farther = (abs(p_sc(beam, spectrum) - p_z) / p_z for beam in beams)
+    return far / farther
+
+
+class TestWideBeamLimit:
+    """P_sc -> P_z as dq_perp -> infinity: the transverse overlap factor
+    tends to one, and its deficit goes as 1/dq_perp^2."""
+
+    @pytest.mark.parametrize("l_par,dk", WIDE_BEAM_CASES)
+    def test_p_sc_tends_to_p_z(self, l_par, dk):
+        # measured 99.91-100.00, with deviations at 1e4 of 4.5e-7 to 9.3e-6
+        assert wide_beam_falloff(purity_sc, l_par, dk) == pytest.approx(100.0, rel=0.01)
+
+    @pytest.mark.parametrize("l_par,dk", WIDE_BEAM_CASES)
+    def test_planted_defect_is_caught(self, l_par, dk):
+        # a planted defect: P_sc with twice the longitudinal width tends to
+        # another limit, so its deviation from P_z stops falling
+        def doubled(beam, spectrum):
+            return purity_sc(BeamParams(beam.kinetic_energy_kev, beam.dq_perp, 2.0 * beam.dq_par), spectrum)
+
+        assert wide_beam_falloff(doubled, l_par, dk) != pytest.approx(100.0, rel=0.01)

@@ -195,8 +195,11 @@ class TestVarianceFromGrid:
 
 
 def suite_points(spectrum, seed):
-    """run_suite's 100 points for the finite-difference check at `seed`."""
-    return np.random.default_rng(seed).uniform(-spectrum.kmax, spectrum.kmax, (3, 100)).T
+    """run_suite's 100 points for the finite-difference check at `seed`:
+    GammaSampler's draws of (k, cos(theta), phi), in Cartesian form."""
+    k, cos_theta, phi = GammaSampler(spectrum).sample_k_cos_phi(100, np.random.default_rng(seed))
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    return k[:, None] * np.column_stack((sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta))
 
 
 class TestFdGradient:
@@ -216,12 +219,14 @@ class TestFdGradient:
         for step in (4e-3, 2e-3):
             monkeypatch.setattr(oracles, "_FD_STEP", step)
             rep = fd_gradient_check(s, pts)
-            assert rep.metadata["step"] == step * s.dk_ph
+            # both points lie further than dk_ph from k = 0
+            assert rep.metadata["max_step"] == step * s.dk_ph
             errors.append(rep.oracle_value)
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.3)
 
     def test_suite_points(self, make_beam, make_spectrum, monkeypatch):
-        # `suite_points` is the draw run_suite hands the check
+        # `suite_points` is the draw run_suite hands the check, on Gamma's
+        # radial window
         import clpair.oracles as oracles
 
         s, seen = make_spectrum(1.0), []
@@ -229,17 +234,22 @@ class TestFdGradient:
         monkeypatch.setattr(oracles, "fd_gradient_check", lambda sp, pts: seen.append(pts) or exact(sp, pts))
         run_suite(make_beam(0.3), s, seed=7, mc_samples=10_000)
         assert np.array_equal(seen[0], suite_points(s, 7))
+        k = np.linalg.norm(seen[0], axis=1)
+        assert seen[0].shape == (100, 3) and np.all((s.kmin <= k) & (k <= s.kmax))
 
-    # the step is _FD_STEP dk_ph, so the difference's relative error does
-    # not grow as the spectrum narrows; a fixed step of 1e-4 failed 15 and
-    # 9 of these 20 seeds at dk_ph 0.03 and 0.05 (worst 1.8e-5 and 1.8e-6)
-    @pytest.mark.parametrize("dk", [0.03, 0.05])
-    def test_passes_at_narrow_spectra(self, dk, make_spectrum):
+    # each point's step is _FD_STEP min(dk_ph, |k|), so the difference's
+    # relative error grows neither as the spectrum narrows nor near k = 0.
+    # Over these 60 seeds the worst reads 9.2e-9 at dk_ph 0.003 and 8.5e-8
+    # at 100. A step of _FD_STEP dk_ph alone failed 5 and 7 of them at
+    # dk_ph 30 and 100, where the angular factor varies on the scale |k|;
+    # the former points, uniform in [-kmax, kmax]^3, failed 2 at dk_ph 0.003.
+    @pytest.mark.parametrize("dk", [0.003, 0.01, 0.1, 1.0, 2.0, 10.0, 30.0, 100.0])
+    def test_passes_over_seeds_at_every_width(self, dk, make_spectrum):
         s = make_spectrum(dk)
-        worst = max(fd_gradient_check(s, suite_points(s, seed)).oracle_value for seed in range(20))
+        worst = max(fd_gradient_check(s, suite_points(s, seed)).oracle_value for seed in range(60))
         assert worst <= 1e-6
 
-    @pytest.mark.parametrize("dk", [2.0, 1.0, 0.05, 30.0])
+    @pytest.mark.parametrize("dk", [2.0, 1.0, 0.05, 0.01, 30.0])
     def test_catches_a_planted_error_in_one_partial(self, dk, make_spectrum, monkeypatch):
         # a planted defect: dGamma/dk_x off by 1e-5 of itself; the true
         # partials pass the same points

@@ -9,6 +9,10 @@ any of the package's files outside an import statement; a definition is
 not a reference to itself, nor is a field's annotated name in its class
 body.
 Click commands are called by click.
+
+No module reads an environment variable, except that `__init__` sets
+OpenBLAS's thread count by default: a setting that the environment could
+change unseen would be missing from every artifact's provenance.
 """
 
 import ast
@@ -174,3 +178,61 @@ def test_every_public_name_has_a_caller():
     assert {"cli", "model", "measures"} <= trees.keys()
     # an allowed name that gains a caller leaves the list
     assert unreferenced(trees) == ALLOWED
+
+
+# the ways to reach the environment through os
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _is_blas_default(node) -> bool:
+    """Whether `node` is os.environ.setdefault("OPENBLAS_NUM_THREADS", ...)."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "setdefault"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "environ"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "OPENBLAS_NUM_THREADS"
+    )
+
+
+def environment_reads(trees: dict) -> set:
+    """`module:line` of each use of os.environ or os.getenv in `trees`
+    ({module: ast}), other than `__init__`'s OpenBLAS default."""
+    found = set()
+    for module, tree in trees.items():
+        allowed = {id(n.func.value) for n in ast.walk(tree) if module == "__init__" and _is_blas_default(n)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in _ENV_NAMES and id(node) not in allowed:
+                found.add(f"{module}:{node.lineno}")
+    return found
+
+
+def test_environment_detector():
+    trees = {
+        "__init__": ast.parse(
+            "import os\n"
+            "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')\n"
+            "os.environ.setdefault('OMP_NUM_THREADS', '1')\n"
+        ),
+        "a": ast.parse(
+            "import os\n"
+            "from os import environ, getenv\n"
+            "x = os.environ['A']\n"
+            "y = os.environ.get('B')\n"
+            "z = os.getenv('C')\n"
+            "w = environ.get('D') or getenv('E')\n"
+            "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')\n"
+            "v = os.path.join('environ', 'getenv')\n"
+        ),
+    }
+    assert environment_reads(trees) == {"__init__:3", "a:3", "a:4", "a:5", "a:6", "a:7"}
+
+
+def test_no_module_reads_the_environment():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert {"__init__", "cli"} <= trees.keys()
+    assert environment_reads(trees) == set()

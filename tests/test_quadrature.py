@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from clpair import ConvergenceError, DomainError, SpectrumModel
 from clpair.model import QuadratureSpec, eval_g
-from clpair.quadrature import GammaSampler, gauss_legendre_edges, gauss_legendre_panels
+from clpair.quadrature import GammaSampler, gauss_legendre_panels
 
 from conftest import window
 from reference_quadrature import integrate_1d
@@ -142,20 +142,3 @@ class TestPanels:
     def test_cosine_integral(self):
         nodes, wts = gauss_legendre_panels(0.0, math.pi, 4, 16)
         assert np.sum(wts * np.cos(nodes)) == pytest.approx(0.0, abs=1e-13)
-
-    @pytest.mark.parametrize(
-        "a,b,n_panels,keep", [(0.0, 70.0, 6, 2), (-2.0, 5.0, 7, 6), (0.0, math.pi, 3, 0), (1.5, 2.5, 4, 4)]
-    )
-    def test_kept_panels_are_the_leading_ones(self, a, b, n_panels, keep):
-        # the first `keep` panels of the whole rule, bit for bit
-        nodes, wts = gauss_legendre_panels(a, b, n_panels, 16, keep=keep)
-        whole_nodes, whole_wts = gauss_legendre_panels(a, b, n_panels, 16)
-        assert nodes.size == wts.size == 16 * min(keep, n_panels)
-        assert np.array_equal(nodes, whole_nodes[: nodes.size]) and np.array_equal(wts, whole_wts[: wts.size])
-
-    def test_kept_panels_of_a_long_span(self):
-        # on linspace's own edges, without building the other panels
-        n_panels, keep = 10**6 + 3, 36
-        nodes, wts = gauss_legendre_panels(0.0, 7.0 / 1e-7, n_panels, 16, keep=keep)
-        edges = np.linspace(0.0, 7.0 / 1e-7, n_panels + 1)[: keep + 1]
-        assert all(np.array_equal(x, y) for x, y in zip((nodes, wts), gauss_legendre_edges(edges, 16)))
