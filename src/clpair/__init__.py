@@ -32,7 +32,6 @@ _EXPORTS = {
     "ResolutionError": "errors",
     "BeamParams": "model",
     "PhaseModel": "model",
-    "QuadratureSpec": "model",
     "SpectrumModel": "model",
     "derive_kinematics": "model",
     "eval_gamma": "model",

@@ -9,12 +9,15 @@ Subcommands (one verb per artifact): `measure` (single point), `sweep`
 one function, `_write_rows`.
 
 The config file is an INI-style key-value document of the computation
-alone: `--out` (default: the current directory) is the one way to choose
-where a command writes, and no environment variable is read. A sweep
-evaluates its cells in row-major order in one process; `--threads` is
-accepted on `sweep` and `regime-map` and ignored. Exit codes: 0 success,
-1 cell or oracle failure, 2 configuration error; `_Main.invoke` maps
-errors to them for every command.
+alone: the beam, the spectrum, the phase and the sweep plane. The
+tolerances, the regime thresholds and the Monte Carlo sample count are
+the library's constants, which no input can set. `--out` (default: the
+current directory) is the one way to choose where a command writes, and
+no environment variable is read. A sweep evaluates its cells in
+row-major order in one process; `--threads` is accepted on `sweep` and
+`regime-map` and ignored. Exit codes: 0 success, 1 cell or oracle
+failure, 2 configuration error; `_Main.invoke` maps errors to them for
+every command.
 
 The config layer here (`SweepAxes`, `RunConfig`, `load_config`,
 `dump_config`, `csv_to_rows`) and `render` use no numpy. A command
@@ -33,17 +36,16 @@ import math
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
-from functools import partial
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import click
 
 from . import __version__
-from .constants import EPR_THRESHOLD, MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, PURITY_THRESHOLD, TWO_PI
+from .constants import EPR_THRESHOLD, MC_SEED, PURITY_THRESHOLD, TWO_PI
 from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
-from .model import PURITY_QUAD, BeamParams, PhaseModel, QuadratureSpec, SpectrumModel, wavelength_to_wavenumbers
+from .model import BeamParams, PhaseModel, SpectrumModel, wavelength_to_wavenumbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,8 +101,7 @@ class SweepAxes:
 class RunConfig:
     """One run's parameters; construction rejects inadmissible values.
 
-    The phase and the quadrature tolerances are the library's own
-    `PhaseModel` and `QuadratureSpec`, which check themselves.
+    The phase is the library's own `PhaseModel`, which checks itself.
     """
 
     kinetic_energy_kev: float
@@ -110,12 +111,8 @@ class RunConfig:
     dq_perp: Optional[float] = None
     phase: PhaseModel = PhaseModel()
     sweep: Optional[SweepAxes] = None
-    quadrature: QuadratureSpec = PURITY_QUAD
-    mc_samples: int = MC_SAMPLES
 
     def __post_init__(self):
-        if not self.mc_samples >= MC_MIN_SAMPLES:
-            raise ConfigError(f"[quadrature] mc_samples must be at least {MC_MIN_SAMPLES}, got {self.mc_samples!r}")
         # fail fast with the model's own checks, at dq_perp and at the
         # sweep's largest dq_perp (the small-recoil bound is an upper one);
         # without either, dq_par stands in to check the energy and dq_par
@@ -173,11 +170,6 @@ _CONFIG_KEYS = {
         "dk_ph_max": ("sweep.dk_ph_max", float),
         "dk_ph_steps": ("sweep.dk_ph_steps", int),
     },
-    "quadrature": {
-        "rel_tol": ("quadrature.rel_tol", float),
-        "abs_tol": ("quadrature.abs_tol", float),
-        "mc_samples": ("mc_samples", int),
-    },
 }
 # the fields that each section must fill when present; [beam] and [spectrum] must be
 _REQUIRED = {
@@ -186,7 +178,7 @@ _REQUIRED = {
     "sweep": tuple(field for field, _ in _CONFIG_KEYS["sweep"].values()),
 }
 # how parse_config builds each object that a RunConfig field holds
-_HOLDERS = {"sweep": SweepAxes, "phase": PhaseModel, "quadrature": partial(replace, PURITY_QUAD)}
+_HOLDERS = {"sweep": SweepAxes, "phase": PhaseModel}
 _NOUNS = {float: "a number", int: "an integer", _length: "a positive number"}
 
 
@@ -277,7 +269,7 @@ def _point_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
     coordinates and `evaluate_point`'s diagnostics, keyed by CSV column."""
     from .measures import evaluate_point
 
-    result = evaluate_point(cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase, cfg.quadrature)
+    result = evaluate_point(cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase)
     return {
         "dq_perp_um_inv": dq_perp,
         "dk_ph_um_inv": dk_ph,
@@ -505,7 +497,7 @@ def _sweep(cfg: RunConfig, out: str, name: str, regimes: bool = False) -> None:
         from .measures import regime_boundaries
 
         beam = cfg.beam(cfg.sweep.dq_perp_min)  # the boundaries do not depend on dq_perp
-        boundaries = regime_boundaries(beam, cfg.k_c, cfg.sweep.dk_ph_values().tolist(), cfg.phase, cfg.quadrature)
+        boundaries = regime_boundaries(beam, cfg.k_c, cfg.sweep.dk_ph_values().tolist(), cfg.phase)
     text = _write_rows(out_path, name, cfg, rows, boundaries)
     click.echo(f"wrote {len(rows)} cells to {out_path / f'{name}.csv'}")
     if regimes:
@@ -573,9 +565,11 @@ def validate(config_path, seed, out):
     out_path = _out_dir(out)
     from .oracles import run_suite
 
-    reports = run_suite(beam, cfg.spectrum(), cfg.quadrature, seed=seed, mc_samples=cfg.mc_samples)
+    reports = run_suite(beam, cfg.spectrum(), seed=seed)
+    # the suite runs at zero phase whatever [phase] says
     payload = _provenance(
         cfg,
+        phase="neglected",
         seed=seed,
         reports=[{**asdict(r), "metadata": {k: _fmt(v) for k, v in r.metadata.items()}} for r in reports],
     )

@@ -29,8 +29,16 @@ TRUNCATION_SIGMAS = 8.0
 PURITY_THRESHOLD = 2.0 / 3.0
 EPR_THRESHOLD = 1.0
 
-# Monte Carlo oracle: default seed, default sample pairs of the oracle
-# suite, and the fewest pairs whose standard error is meaningful.
+# Tolerances of the P_sc and P_z quadratures. They decide the convergence
+# verdict: the base and refined estimates must agree within
+# max(PURITY_ABS_TOL, PURITY_REL_TOL * P). A value above one by at most
+# max(PURITY_ABS_TOL, PURITY_REL_TOL) is clipped to one. P_sc's t-integral
+# stops where its certified tail bound is below 1e-3 * PURITY_ABS_TOL.
+PURITY_REL_TOL = 1e-4
+PURITY_ABS_TOL = 5e-5
+
+# Monte Carlo oracle: default seed, the oracle suite's sample pairs, and
+# the fewest pairs whose standard error is meaningful.
 MC_SEED = 20260824
 MC_SAMPLES = 200_000
 MC_MIN_SAMPLES = 10_000

@@ -15,25 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPR_THRESHOLD, MAX_ARRAY_BYTES, PURITY_THRESHOLD, TWO_PI
+from .constants import EPR_THRESHOLD, MAX_ARRAY_BYTES, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, TWO_PI
 from .errors import ConvergenceError, DomainError, ResolutionError
-from .model import (
-    PURITY_QUAD,
-    BeamParams,
-    PhaseModel,
-    QuadratureSpec,
-    SpectrumModel,
-    eval_g,
-    gamma_transverse_gradient,
-)
+from .model import BeamParams, PhaseModel, SpectrumModel, eval_g, gamma_transverse_gradient
 from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 # t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
 # 1e-21, is t = 7/b, but the sum stops at the first panel edge past which
-# the certified tail bound of `_t_cut` is below _TAIL_FRACTION * abs_tol;
-# at least 8 nodes per oscillation period of h(k t); t-nodes per block,
-# which bounds the (n_k, block) matrices held at once (a 96 x 1024 block
-# keeps one call's peak allocation near 6 MB).
+# the certified tail bound of `_t_cut` is below _TAIL_FRACTION *
+# PURITY_ABS_TOL; at least 8 nodes per oscillation period of h(k t);
+# t-nodes per block, which bounds the (n_k, block) matrices held at once
+# (a 96 x 1024 block keeps one call's peak allocation near 6 MB).
 _T_SPAN = 7.0
 _TAIL_FRACTION = 1e-3
 _NODES_PER_PERIOD = 8
@@ -62,6 +54,9 @@ _H_SERIES = tuple(
 _H0 = 1.0 / TWO_PI
 _H_TAIL_X = 3.0
 _H_TAIL_C = 15.0 / (4.0 * math.pi)
+# tolerances of `rel_pos_variance_quadrature`'s convergence check
+_VARIANCE_REL_TOL = 1e-6
+_VARIANCE_ABS_TOL = 1e-9
 # relative width of the bracket at which `regime_boundaries` stops
 # bisecting for P_z = 2/3: about 33 halvings of a 300x dk_ph range
 _KNEE_REL_WIDTH = 1e-9
@@ -159,7 +154,7 @@ def _t_cut(kn, r, b, t_max, n_panels, target):
     return lo
 
 
-def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
+def _purity_once(beam, spectrum, n_rad, refine=1.0):
     """8 pi^2 b^2 sum_t w_t t exp(-b^2 t^2) H_t^T E H_t on one resolution.
 
     Weber's second exponential integral (Watson 13.31, DLMF 10.22.67)
@@ -168,10 +163,10 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     2b^2 int_0^inf t exp(-b^2 t^2) J0(u t) J0(u' t) dt, which factorizes
     the double integral over the two photon wavevectors at each t.
     The t-grid spans [0, 7/b]; the sum stops at the first panel edge past
-    which the tail bound of `_t_cut` is below _TAIL_FRACTION * abs_tol
-    (an abs_tol of zero keeps the whole grid), and only the panels before
-    that edge are laid out. More than _T_MAX_NODES kept nodes raise
-    ResolutionError before they are built.
+    which the tail bound of `_t_cut` is below _TAIL_FRACTION *
+    PURITY_ABS_TOL (a tolerance of zero keeps the whole grid), and only
+    the panels before that edge are laid out. More than _T_MAX_NODES kept
+    nodes raise ResolutionError before they are built.
     """
     kn, kw = _radial_nodes(spectrum, n_rad)
     b = beam.dq_perp
@@ -182,7 +177,7 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     # n_t is inf when t_max or the product overflows, and inf has no ceil
     if n_t < math.inf:
         n_panels = max(2, math.ceil(n_t / 16))
-        n_keep = _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * quad.abs_tol)
+        n_keep = _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * PURITY_ABS_TOL)
     else:
         n_panels = n_keep = math.inf
     if 16 * n_keep > _T_MAX_NODES:
@@ -200,10 +195,10 @@ def _purity_once(beam, spectrum, quad, n_rad, refine=1.0):
     return 8.0 * math.pi**2 * b**2 * total
 
 
-def _converged(what: str, base: float, refined: float, quad: QuadratureSpec) -> float:
+def _converged(what: str, base: float, refined: float, rel_tol: float, abs_tol: float) -> float:
     """The refined estimate, if it is within max(abs_tol, rel_tol |refined|)
     of the base one; otherwise ConvergenceError, carrying both estimates."""
-    if abs(refined - base) > max(quad.abs_tol, quad.rel_tol * abs(refined)):
+    if abs(refined - base) > max(abs_tol, rel_tol * abs(refined)):
         raise ConvergenceError(
             f"{what} did not converge (estimates {base:.6e}, {refined:.6e})",
             best_estimate=refined,
@@ -212,16 +207,17 @@ def _converged(what: str, base: float, refined: float, quad: QuadratureSpec) -> 
     return refined
 
 
-def _checked_purity(what: str, base: float, refined: float, quad: QuadratureSpec) -> float:
-    """The refined estimate once it has `_converged` on the base one.
+def _checked_purity(what: str, base: float, refined: float) -> float:
+    """The refined estimate once it has `_converged` on the base one at
+    PURITY_REL_TOL and PURITY_ABS_TOL.
 
     Raises ConvergenceError (carrying both estimates) if the two differ by
     more than the tolerance, if the value is not positive, or if it
-    exceeds one by more than max(abs_tol, rel_tol); within that band a
-    value above one is clipped to one.
+    exceeds one by more than max(PURITY_ABS_TOL, PURITY_REL_TOL); within
+    that band a value above one is clipped to one.
     """
-    _converged(what, base, refined, quad)
-    if refined <= 0.0 or refined > 1.0 + max(quad.abs_tol, quad.rel_tol):
+    _converged(what, base, refined, PURITY_REL_TOL, PURITY_ABS_TOL)
+    if refined <= 0.0 or refined > 1.0 + max(PURITY_ABS_TOL, PURITY_REL_TOL):
         raise ConvergenceError(
             f"{what} produced {refined:.6e}, outside (0, 1]",
             best_estimate=refined,
@@ -230,21 +226,21 @@ def _checked_purity(what: str, base: float, refined: float, quad: QuadratureSpec
     return min(refined, 1.0)
 
 
-def purity_sc(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = PURITY_QUAD) -> float:
+def purity_sc(beam: BeamParams, spectrum: SpectrumModel) -> float:
     """Subsystem purity of the scattered state, Tr[(Tr_ph rho)^2].
 
     The 6D double integral over photon wavevectors reduces by azimuthal
     symmetry and Weber's integral to one t-integral of a quadratic form
     in the radial nodes (`_purity_once`); the polar integral is the
     closed-form `_sonine_h`. The t-integral stops where a bound on its
-    tail falls below 1e-3 abs_tol.
+    tail falls below 1e-3 PURITY_ABS_TOL.
     Evaluated at n_rad 64 with the base t-grid and at n_rad 96 with a
-    1.5x finer one; their difference is the convergence check. A result
-    above one within max(abs_tol, rel_tol) is clipped to one.
+    1.5x finer one; their difference is the convergence check of
+    `_checked_purity`, which also clips a result just above one.
     """
-    base = _purity_once(beam, spectrum, quad, n_rad=64)
-    refined = _purity_once(beam, spectrum, quad, n_rad=96, refine=1.5)
-    return _checked_purity("purity quadrature", base, refined, quad)
+    base = _purity_once(beam, spectrum, n_rad=64)
+    refined = _purity_once(beam, spectrum, n_rad=96, refine=1.5)
+    return _checked_purity("purity quadrature", base, refined)
 
 
 def _purity_z_once(beam: BeamParams, spectrum: SpectrumModel, n_rad: int) -> float:
@@ -268,7 +264,7 @@ def _purity_z_once(beam: BeamParams, spectrum: SpectrumModel, n_rad: int) -> flo
     return float((uw * (k_c + un) ** 2 * spectrum.n_g * np.exp(-p * un**2)) @ inner)
 
 
-def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = PURITY_QUAD) -> float:
+def purity_z(beam: BeamParams, spectrum: SpectrumModel) -> float:
     """Purity of the electron's longitudinal degree of freedom.
 
     Independent of dq_perp and of the phase: the integral of k^2 g(k) I(k)
@@ -282,7 +278,7 @@ def purity_z(beam: BeamParams, spectrum: SpectrumModel, quad: QuadratureSpec = P
     """
     base = _purity_z_once(beam, spectrum, 128)
     refined = _purity_z_once(beam, spectrum, 256)
-    return _checked_purity("longitudinal purity", base, refined, quad)
+    return _checked_purity("longitudinal purity", base, refined)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +296,7 @@ def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: Ph
     return float(angular + longitudinal + phase.d_eta(spectrum))
 
 
-def rel_pos_variance_quadrature(
-    beam: BeamParams,
-    spectrum: SpectrumModel,
-    phase: PhaseModel = PhaseModel(),
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def rel_pos_variance_quadrature(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = PhaseModel()) -> float:
     """Relative-position variance by direct quadrature of the 3D integrand.
 
     Spherical coordinates with the azimuth integrated analytically. The
@@ -316,7 +307,8 @@ def rel_pos_variance_quadrature(
     integrates to the flux of grad_perp Gamma through the radial window's
     edges, where g is exp(-TRUNCATION_SIGMAS^2 / 2) of its peak, so it is
     not summed. Evaluated on 96 and on 144 nodes per axis; their
-    difference is the convergence check.
+    difference is the convergence check, at _VARIANCE_REL_TOL and
+    _VARIANCE_ABS_TOL.
     """
     def value(n_rad, n_theta):
         kn, kw = _radial_nodes(spectrum, n_rad)
@@ -335,7 +327,7 @@ def rel_pos_variance_quadrature(
         meas = kw[:, None] * tw[None, :] * kk**2 * np.sin(tt)
         return TWO_PI * float(np.sum(meas * core))
 
-    return _converged("variance quadrature", value(96, 96), value(144, 144), quad)
+    return _converged("variance quadrature", value(96, 96), value(144, 144), _VARIANCE_REL_TOL, _VARIANCE_ABS_TOL)
 
 
 def total_wavevector_variance(beam: BeamParams) -> float:
@@ -371,13 +363,7 @@ def classify_regime(purity: float, d2: float) -> Regime:
     return Regime.ANOMALOUS
 
 
-def regime_boundaries(
-    beam: BeamParams,
-    k_c: float,
-    dk_values: list[float],
-    phase: PhaseModel = PhaseModel(),
-    quad: QuadratureSpec = PURITY_QUAD,
-) -> dict:
+def regime_boundaries(beam: BeamParams, k_c: float, dk_values: list[float], phase: PhaseModel = PhaseModel()) -> dict:
     """The D^2 = 1 and P_z = 2/3 boundaries over the dk_ph values `dk_values`.
 
     Neither D^2 / dq_perp^2 nor P_z depends on dq_perp, so `beam` gives
@@ -402,7 +388,7 @@ def regime_boundaries(
     knee = {"dq_par_um_inv": beam.dq_par}
 
     def entangled(dk):
-        return purity_z(beam, SpectrumModel(k_c, dk), quad) < PURITY_THRESHOLD
+        return purity_z(beam, SpectrumModel(k_c, dk)) < PURITY_THRESHOLD
 
     lo, hi = min(dk_values), max(dk_values)
     try:
@@ -423,16 +409,11 @@ def regime_boundaries(
     return {"d2": d2, "purity_z": knee}
 
 
-def evaluate_point(
-    beam: BeamParams,
-    spectrum: SpectrumModel,
-    phase: PhaseModel = PhaseModel(),
-    quad: QuadratureSpec = PURITY_QUAD,
-) -> MeasureResult:
+def evaluate_point(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = PhaseModel()) -> MeasureResult:
     """All diagnostics at a single parameter point; a failed `purity_sc`
     is reported before a failed `purity_z`."""
-    p_sc = purity_sc(beam, spectrum, quad)
-    p_z = purity_z(beam, spectrum, quad)
+    p_sc = purity_sc(beam, spectrum)
+    p_z = purity_z(beam, spectrum)
     var_x = rel_pos_variance_closed(beam, spectrum, phase)
     var_q = total_wavevector_variance(beam)
     d2 = var_x * var_q

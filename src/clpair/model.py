@@ -8,7 +8,8 @@ integral of the density is one.
 
 The parameter types, kinematics and checks use only `math`, so building a
 run's parameters loads no numpy; the densities and phase gradients, which
-take arrays, import it when they are called.
+take arrays, import it when they are called. No type here holds a
+numerical tolerance: those are constants of `constants`.
 """
 
 from __future__ import annotations
@@ -260,28 +261,3 @@ class PhaseModel:
             return (14.0 * self.xi / 3.0) * (np.cos(theta) / k) ** 2
         _, theta = np.broadcast_arrays(k, theta)
         return (self.xi / self._radial_scale(spectrum) ** 2) * np.sin(theta) ** 2
-
-
-# ---------------------------------------------------------------------------
-# quadrature control
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the numeric integrators."""
-
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        # written as `not ...` so that nan fails every check
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        if not 0.0 <= self.abs_tol < math.inf:
-            raise DomainError(f"abs_tol must be non-negative and finite, got {self.abs_tol!r}")
-
-
-#: Default tolerances for the purity quadrature. The refinement check is
-#: absolute-dominated: the Monte Carlo oracle at 1e6 samples resolves
-#: purity to a few 1e-4, so tighter defaults would buy nothing it can see.
-PURITY_QUAD = QuadratureSpec(rel_tol=1e-4, abs_tol=5e-5)
-

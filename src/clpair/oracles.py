@@ -3,6 +3,8 @@
 Each oracle recomputes a quantity (Monte Carlo sampling, the Gram-matrix
 Schmidt purity, discrete grid moments, finite differences) and reports
 the discrepancy against the primary value with an explicit tolerance.
+The primary values are the library's, at its own fixed tolerances, and
+the suite runs at zero phase.
 Most share no code path with the primary implementation. The Schmidt
 purity does: it compares the Gram-matrix purity with the overlap double
 sum, two sums over the same `photon_marginal_kx` samples, so it cannot
@@ -22,9 +24,7 @@ from .distributions import N_KX, JointGrid, joint_position, momentum_grid, photo
 from .errors import DomainError, ResolutionError
 from .measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
 from .model import (
-    PURITY_QUAD,
     BeamParams,
-    QuadratureSpec,
     SpectrumModel,
     eval_f,
     eval_g,
@@ -63,19 +63,12 @@ class OracleReport:
 # ---------------------------------------------------------------------------
 # Monte Carlo purity
 
-def mc_purity(
-    beam: BeamParams,
-    spectrum: SpectrumModel,
-    n: int = MC_SAMPLES,
-    seed: int = MC_SEED,
-    quad: QuadratureSpec = PURITY_QUAD,
-) -> OracleReport:
+def mc_purity(beam: BeamParams, spectrum: SpectrumModel, n: int = MC_SAMPLES, seed: int = MC_SEED) -> OracleReport:
     """Purity as a sampled expectation over independent photon pairs.
 
     Draws k, k' i.i.d. from the spectral density and averages the
     double-Gaussian overlap factor; agrees with the quadrature purity
-    within 3 standard errors by construction of the estimator. `quad`
-    sets the tolerances of the primary `purity_sc`.
+    within 3 standard errors by construction of the estimator.
     """
     if n < MC_MIN_SAMPLES:
         raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
@@ -109,7 +102,7 @@ def mc_purity(
     np.exp(vals, out=vals)
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    primary = purity_sc(beam, spectrum, quad)
+    primary = purity_sc(beam, spectrum)
     return OracleReport.compare(
         "purity_sc_mc", primary, estimate, 3.0 * stderr, n=n, seed=seed, stderr=stderr
     )
@@ -281,17 +274,12 @@ def momentum_factorization_check(spectrum: SpectrumModel) -> OracleReport:
 # ---------------------------------------------------------------------------
 # suite
 
-def run_suite(
-    beam: BeamParams,
-    spectrum: SpectrumModel,
-    quad: QuadratureSpec = PURITY_QUAD,
-    seed: int = MC_SEED,
-    mc_samples: int = MC_SAMPLES,
-) -> list[OracleReport]:
-    """All oracles at one parameter point; deterministic for fixed inputs.
-    `seed` sets the Monte Carlo draw and the finite-difference check's 100
-    points, which `GammaSampler` draws from Gamma itself, so that the
-    check looks where the density lives."""
+def run_suite(beam: BeamParams, spectrum: SpectrumModel, seed: int = MC_SEED) -> list[OracleReport]:
+    """All oracles at one parameter point, at zero phase; deterministic
+    for fixed inputs. `seed` sets the Monte Carlo draw of MC_SAMPLES pairs
+    and the finite-difference check's 100 points, which `GammaSampler`
+    draws from Gamma itself, so that the check looks where the density
+    lives."""
     k, cos_theta, phi = GammaSampler(spectrum).sample_k_cos_phi(100, np.random.default_rng(seed))
     sin_theta = np.sqrt(1.0 - cos_theta**2)
     fd_points = k[:, None] * np.stack((sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta), axis=-1)
@@ -299,7 +287,7 @@ def run_suite(
     # in this order, which `validate` prints; each grid is dropped once its
     # variance is taken, so no two are held
     return [
-        mc_purity(beam, spectrum, n=mc_samples, seed=seed, quad=quad),
+        mc_purity(beam, spectrum, n=MC_SAMPLES, seed=seed),
         longitudinal_term_identity(beam, spectrum),
         momentum_factorization_check(spectrum),
         fd_gradient_check(spectrum, fd_points),

@@ -1,7 +1,7 @@
 """Adaptive 1D Gauss-Legendre quadrature, a pure-numpy reference integrator.
 
 Bisects the worst panel of a nested GL32/GL16 pair until the summed error
-estimate meets the tolerance of a `QuadratureSpec`. The tests use it as a
+estimate meets its own relative and absolute tolerances. The tests use it as a
 reference for integrals over the model's densities; `TestIntegrate1D` in
 `test_quadrature.py` checks it on integrals with known values.
 """
@@ -15,7 +15,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from clpair.errors import ConvergenceError, DomainError
-from clpair.model import QuadratureSpec
 
 _RULES = {order: leggauss(order) for order in (32, 16)}
 
@@ -45,7 +44,8 @@ def integrate_1d(
     f,
     a: float,
     b: float,
-    quad: QuadratureSpec = QuadratureSpec(),
+    rel_tol: float = 1e-6,
+    abs_tol: float = 1e-9,
     *,
     vectorized: bool = False,
     max_evals: int = 2_000_000,
@@ -65,7 +65,7 @@ def integrate_1d(
     while True:
         total = sum(item[3] for item in heap)
         err = sum(item[4] for item in heap)
-        if err <= max(quad.abs_tol, quad.rel_tol * abs(total)):
+        if err <= max(abs_tol, rel_tol * abs(total)):
             return IntegrationResult(total, err, evals)
         if evals + 96 > max_evals:
             raise ConvergenceError(

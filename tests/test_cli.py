@@ -166,11 +166,6 @@ KEY_TARGETS = {
         "dk_ph_steps": ("4", "sweep.dk_ph_steps", 4),
     },
     "phase": {"variant": ("radial_kc", "phase.variant", "radial_kc"), "xi": ("2.5", "phase.xi", 2.5)},
-    "quadrature": {
-        "rel_tol": ("0.0002", "quadrature.rel_tol", 2e-4),
-        "abs_tol": ("3e-05", "quadrature.abs_tol", 3e-5),
-        "mc_samples": ("12345", "mc_samples", 12345),
-    },
 }
 # each length and the wavenumber it stands for
 LENGTHS = {"l_par_um": "dq_par_um_inv", "l_perp_um": "dq_perp_um_inv", "lambda_c_um": "k_c_um_inv", "dlambda_um": "dk_ph_um_inv"}
@@ -380,15 +375,34 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "measure.csv").exists() and (tmp_path / "measure.json").exists()
 
-    def test_validate(self, runner, tmp_path):
-        text = BASE_INI + "\n[quadrature]\nmc_samples = 20000\n"
-        cfg = write(tmp_path, text)
+    def test_validate(self, runner, tmp_path, monkeypatch):
+        import clpair.oracles as oracles
+
+        monkeypatch.setattr(oracles, "MC_SAMPLES", 20_000)
+        cfg = write(tmp_path, BASE_INI)
         out = str(tmp_path / "o")
         res = runner.invoke(main, ["validate", "--config", cfg, "--out", out, "--seed", "11"])
         assert res.exit_code == 0, res.output
         payload = json.loads((tmp_path / "o" / "validate.json").read_text())
         assert payload["seed"] == 11
         assert all(r["passed"] for r in payload["reports"])
+
+    @pytest.mark.parametrize("variant", ["polar_linear", "radial_kc", "radial_dk"])
+    def test_validate_phase_is_neglected(self, runner, tmp_path, monkeypatch, variant):
+        # the suite never reads [phase]: a non-zero phase gets the zero
+        # phase's reports, and validate.json says so
+        import clpair.oracles as oracles
+
+        monkeypatch.setattr(oracles, "MC_SAMPLES", 20_000)
+        payloads = {}
+        for name, phase in (("zero", ""), ("on", f"\n[phase]\nvariant = {variant}\nxi = 0.5\n")):
+            cfg = write(tmp_path, BASE_INI + phase, f"{name}.ini")
+            res = runner.invoke(main, ["validate", "--config", cfg, "--out", str(tmp_path / name), "--seed", "11"])
+            assert res.exit_code == 0, res.output
+            payloads[name] = json.loads((tmp_path / name / "validate.json").read_text())
+        assert payloads["on"]["reports"] == payloads["zero"]["reports"]
+        assert payloads["on"]["phase"] == payloads["zero"]["phase"] == "neglected"
+        assert f"variant = {variant}" in payloads["on"]["config"]
 
     def test_validate_narrow_beam(self, runner, tmp_path):
         # at dq_perp = 0.1 the Schmidt oracle's q grid needs 3810 points to
@@ -571,7 +585,7 @@ class TestSweepFailures:
         assert len(rows) == 4
         for r in rows:
             dq, dk = r["dq_perp_um_inv"], r["dk_ph_um_inv"]
-            res = measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase, cfg.quadrature)
+            res = measures.evaluate_point(cfg.beam(dq), cfg.spectrum(dk), cfg.phase)
             assert r == {
                 "dq_perp_um_inv": dq,
                 "dk_ph_um_inv": dk,
@@ -702,12 +716,9 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "section",
         [
-            "[quadrature]\ntruncation_sigmas = nan",
-            "[quadrature]\ntruncation_sigmas = 4",
-            "[quadrature]\nabs_tol = nan",
-            "[quadrature]\nabs_tol = -1",
-            "[quadrature]\nrel_tol = inf",
-            "[quadrature]\nmc_samples = 5000",
+            # the tolerances and sample count are the library's: even the
+            # old defaults are refused
+            "[quadrature]\nrel_tol = 0.0001\nabs_tol = 5e-05\nmc_samples = 200000",
             "[phase]\nvariant = radial_kc\nxi = inf",
             "[phase]\nxi = nan",
         ],
@@ -723,18 +734,13 @@ class TestInputValidation:
         assert_config_error(res)
         assert "seed" in res.output
 
-    def test_sample_floor_is_shared(self):
+    def test_sample_floor_is_shared(self, tmp_path):
         from clpair.constants import MC_MIN_SAMPLES
         from clpair.oracles import mc_purity
 
-        parser = configparser.ConfigParser()
-        parser.read_string(BASE_INI + f"\n[quadrature]\nmc_samples = {MC_MIN_SAMPLES}\n")
-        cfg = parse_config(parser)
-        assert cfg.mc_samples == MC_MIN_SAMPLES
+        cfg = load_config(write(tmp_path, BASE_INI))
         with pytest.raises(DomainError):
             mc_purity(cfg.beam(), cfg.spectrum(), n=MC_MIN_SAMPLES - 1)
-        with pytest.raises(ConfigError):
-            replace(cfg, mc_samples=MC_MIN_SAMPLES - 1)
 
 
 class TestWriteFactor:
@@ -884,7 +890,6 @@ class TestRuntimeImports:
         "model": (
             "BeamParams",
             "PhaseModel",
-            "QuadratureSpec",
             "SpectrumModel",
             "derive_kinematics",
             "eval_gamma",
@@ -925,20 +930,20 @@ class TestProvenancePinned:
     @pytest.mark.parametrize(
         "text,digest",
         [
-            (BASE_INI, "28ce9b34cdddc0fadf54c3b9bfdb4de6d217d0fe7e2e19e753fda9889f159efd"),
-            (SWEEP_INI, "31ad8814ff140206b6ebc512c364d997b5f33b6c5d851b56da644eeccf3f26c2"),
-            (BASE_INI + "\n[phase]\nvariant = zero\n", "28ce9b34cdddc0fadf54c3b9bfdb4de6d217d0fe7e2e19e753fda9889f159efd"),
+            (BASE_INI, "897c34d909f97e806ffbee8143b1aa19a9110a3e2c73c2af7217ea225b59fba7"),
+            (SWEEP_INI, "f93f0e6871287d069ff5829bec79f720805255d62961a25a44fdb103e495269b"),
+            (BASE_INI + "\n[phase]\nvariant = zero\n", "897c34d909f97e806ffbee8143b1aa19a9110a3e2c73c2af7217ea225b59fba7"),
             (
                 BASE_INI + "\n[phase]\nvariant = polar_linear\nxi = 0.25\n",
-                "e96af07ce2b8b74f7e0533788bbad2363abb648912564df0a65886ad1d6e4eff",
+                "b62f64a1095ac23867401ff6642512938be7a6f12b8de1f98d251361e62af5ec",
             ),
             (
                 BASE_INI + "\n[phase]\nvariant = radial_kc\nxi = 100\n",
-                "37097afa85428c83d7b19dbccbe3a665d9b8ee3c6966d049be6700beedd5288f",
+                "8e48526497763fed15fdc4cbd2705fa8f21b96bd215e681af9d34a9a828428f2",
             ),
             (
                 BASE_INI + "\n[phase]\nvariant = radial_dk\nxi = 2.5\n",
-                "5350b8ee0a7d25d571590930a86132d727d8fe3c3c5a8795c190a6eae0825ff8",
+                "8dfccb4fb98ac096452433843263e7afec10cf1efe190984b1afc2a132343943",
             ),
         ],
         ids=["base", "sweep", "zero", "polar_linear", "radial_kc", "radial_dk"],
@@ -1164,11 +1169,6 @@ _DOCUMENTED_KEYS = {
         "variant": st.sampled_from(["zero", "polar_linear", "radial_kc", "radial_dk", "spiral"]),
         "xi": st.floats(min_value=0.0, max_value=200.0).map(repr),
     },
-    "quadrature": {
-        "rel_tol": st.floats(min_value=0.0, max_value=1e-2).map(repr),
-        "abs_tol": st.floats(min_value=0.0, max_value=1e-3).map(repr),
-        "mc_samples": st.integers(min_value=5_000, max_value=10**6).map(str),
-    },
 }
 # alternatives of which a config must give at most (beam width: exactly) one
 _ALTERNATIVES = {"l_par_um": "dq_par_um_inv", "l_perp_um": "dq_perp_um_inv", "lambda_c_um": "k_c_um_inv", "dlambda_um": "dk_ph_um_inv"}
@@ -1256,11 +1256,8 @@ class TestUnknownKeys:
             ("spectrum", "dk_ph_um = 1.0"),
             ("sweep", "dk_ph_step = 2"),
             ("phase", "varient = zero"),
-            ("quadrature", "mc_seed = 20260824"),
-            ("quadrature", "rel_tl = 1e-4"),
-            ("quadrature", "truncation_sigmas = 8.0"),
         ],
-        ids=["beam", "spectrum", "sweep", "phase", "mc_seed", "quadrature", "truncation_sigmas"],
+        ids=["beam", "spectrum", "sweep", "phase"],
     )
     def test_unknown_key_exits_2(self, runner, tmp_path, section, line):
         header = f"[{section}]\n"
@@ -1281,6 +1278,20 @@ class TestUnknownKeys:
         res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
         assert_config_error(res)
         assert "[thresholds]: unknown section" in res.output
+
+    def test_quadrature_section_exits_2(self, runner, tmp_path):
+        # the purity tolerances are the library's: at L_par 13 um the point
+        # (3, 10) does not converge, and a [quadrature] that would loosen
+        # the check until it passes is refused before any output is made
+        text = BASE_INI.replace("l_par_um = 1.3", "l_par_um = 13").replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 10.0")
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "strict")])
+        assert res.exit_code == 1, res.output
+        assert "measure failed: purity quadrature did not converge (estimates 4.667247e-03, 3.570217e-03)" in res.output
+        loosened = text + "\n[quadrature]\nrel_tol = 0.5\nabs_tol = 0.5\n"
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, loosened), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[quadrature]: unknown section" in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_output_section_exits_2(self, runner, tmp_path):
         # --out alone chooses the output directory

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import textwrap
@@ -24,7 +23,6 @@ from clpair.measures import (
     _H_SMALL_X,
     _H_TAIL_C,
     _H_TAIL_X,
-    PURITY_QUAD,
     _purity_once,
     _purity_z_once,
     _sonine_h,
@@ -38,8 +36,8 @@ from clpair.measures import (
     rel_pos_variance_quadrature,
     total_wavevector_variance,
 )
-from clpair.constants import PURITY_THRESHOLD
-from clpair.model import QuadratureSpec, eval_f
+from clpair.constants import PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD
+from clpair.model import eval_f
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C, K_KEV
@@ -95,22 +93,25 @@ class TestPuritySc:
         # every factor of the integrand is non-negative and non-decreasing in
         # dq_perp, so P_sc is too, up to the quadrature's own tolerance; a
         # root search for P_sc = 2/3 along a row relies on this
-        s, quad = make_spectrum(dk), PURITY_QUAD
+        s = make_spectrum(dk)
         values = [purity_sc(make_beam(float(d)), s) for d in np.logspace(-1.0, 2.0, 7)]
         for lo, hi in zip(values, values[1:]):
-            assert hi >= lo - max(quad.abs_tol, quad.rel_tol * lo), values
+            assert hi >= lo - max(PURITY_ABS_TOL, PURITY_REL_TOL * lo), values
 
     def test_bounded(self, make_beam, make_spectrum):
         p = purity_sc(make_beam(5.0), make_spectrum(2.0))
         assert 0.0 < p <= 1.0
 
-    def test_unattainable_tolerance_raises(self, make_beam, make_spectrum):
-        quad = QuadratureSpec(rel_tol=1e-18, abs_tol=0.0)
+    def test_unattainable_tolerance_raises(self, make_beam, make_spectrum, monkeypatch):
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "PURITY_REL_TOL", 1e-18)
+        monkeypatch.setattr(measures, "PURITY_ABS_TOL", 0.0)
         with pytest.raises(ConvergenceError) as err:
-            purity_sc(make_beam(1.0), make_spectrum(1.0), quad)
+            purity_sc(make_beam(1.0), make_spectrum(1.0))
         assert err.value.best_estimate is not None
 
-    @pytest.mark.parametrize("excess,clipped", [(0.5 * PURITY_QUAD.rel_tol, True), (2.0 * PURITY_QUAD.rel_tol, False)])
+    @pytest.mark.parametrize("excess,clipped", [(0.5 * PURITY_REL_TOL, True), (2.0 * PURITY_REL_TOL, False)])
     def test_value_above_one(self, excess, clipped, make_beam, make_spectrum, monkeypatch):
         import clpair.measures as measures
 
@@ -190,13 +191,13 @@ class TestPuritySc:
         assert peak < 1e6
 
 
-def t_edges(monkeypatch, beam, spectrum, quad=PURITY_QUAD):
+def t_edges(monkeypatch, beam, spectrum):
     """The t-panel edges that `purity_sc`'s base and refined passes lay out."""
     import clpair.measures as measures
 
     seen, exact = [], measures.gauss_legendre_edges
     monkeypatch.setattr(measures, "gauss_legendre_edges", lambda edges, order: seen.append(edges) or exact(edges, order))
-    purity_sc(beam, spectrum, quad)
+    purity_sc(beam, spectrum)
     return seen
 
 
@@ -205,12 +206,14 @@ class TestPurityTGrid:
     on the edges np.linspace(0, 7/b, n_panels + 1) gives, bit for bit."""
 
     # at (3, 0.3) the base pass keeps 2 of 3 panels and the refined pass 3
-    # of 5; an abs_tol of zero keeps them all
-    @pytest.mark.parametrize("abs_tol,kept", [(PURITY_QUAD.abs_tol, (2, 3)), (0.0, (3, 5))])
+    # of 5; an absolute tolerance of zero keeps them all
+    @pytest.mark.parametrize("abs_tol,kept", [(PURITY_ABS_TOL, (2, 3)), (0.0, (3, 5))])
     def test_kept_panels_are_the_leading_ones(self, make_beam, make_spectrum, monkeypatch, abs_tol, kept):
-        quad = QuadratureSpec(rel_tol=PURITY_QUAD.rel_tol, abs_tol=abs_tol)
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "PURITY_ABS_TOL", abs_tol)
         t_max = 7.0 / 3.0
-        for edges, n_keep, n_panels in zip(t_edges(monkeypatch, make_beam(3.0), make_spectrum(0.3), quad), kept, (3, 5)):
+        for edges, n_keep, n_panels in zip(t_edges(monkeypatch, make_beam(3.0), make_spectrum(0.3)), kept, (3, 5)):
             exact = min(n_keep + 1, n_panels)
             assert edges.size == n_keep + 1
             assert np.array_equal(edges[:exact], np.linspace(0.0, t_max, n_panels + 1)[:exact])
@@ -236,16 +239,16 @@ class TestPurityScPanel:
     @pytest.mark.parametrize("dq_perp,dk,expected", PANEL_REFERENCE)
     def test_matches_frozen_panel(self, dq_perp, dk, expected, make_beam, make_spectrum):
         p = purity_sc(make_beam(dq_perp), make_spectrum(dk))
-        assert abs(p - expected) <= max(PURITY_QUAD.abs_tol, PURITY_QUAD.rel_tol * expected)
+        assert abs(p - expected) <= max(PURITY_ABS_TOL, PURITY_REL_TOL * expected)
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="abs_tol decides the check wherever P_sc < 0.5")
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="PURITY_ABS_TOL decides the check wherever P_sc < 0.5")
     def test_relative_tolerance_at_long_coherence(self, make_beam, make_spectrum):
         # at L_par 13 um, (0.1, 30) reads 1.0416e-6 against 3.9293e-7 from
-        # 768 radial nodes: far beyond rel_tol, yet |refined - base| is
-        # below abs_tol, so the convergence check passes it
+        # 768 radial nodes: far beyond PURITY_REL_TOL, yet |refined - base|
+        # is below PURITY_ABS_TOL, so the convergence check passes it
         b, s = make_beam(0.1, 2.0 * math.pi / 13.0), make_spectrum(30.0)
-        converged = _purity_once(b, s, PURITY_QUAD, n_rad=768)
-        assert purity_sc(b, s) == pytest.approx(converged, rel=PURITY_QUAD.rel_tol)
+        converged = _purity_once(b, s, n_rad=768)
+        assert purity_sc(b, s) == pytest.approx(converged, rel=PURITY_REL_TOL)
 
 
 class TestSonineH:
@@ -315,31 +318,40 @@ class TestSonineH:
 
 class TestPurityTailCut:
     """The t-sum stops where a bound on the integral's tail is below
-    1e-3 abs_tol; an abs_tol of zero keeps the whole 7/b grid."""
+    1e-3 PURITY_ABS_TOL; a tolerance of zero keeps the whole 7/b grid."""
 
     RESOLUTIONS = [(64, 1.0), (96, 1.5)]  # purity_sc's base and refined passes
-    UNCUT = dataclasses.replace(PURITY_QUAD, abs_tol=0.0)
 
-    def _cut_error(self, beam, spectrum, n_rad, refine):
-        cut = _purity_once(beam, spectrum, PURITY_QUAD, n_rad, refine)
-        return abs(cut - _purity_once(beam, spectrum, self.UNCUT, n_rad, refine))
+    @staticmethod
+    def _uncut(monkeypatch, beam, spectrum, n_rad, refine):
+        import clpair.measures as measures
+
+        with monkeypatch.context() as m:
+            m.setattr(measures, "PURITY_ABS_TOL", 0.0)
+            return _purity_once(beam, spectrum, n_rad, refine)
+
+    def _cut_error(self, monkeypatch, beam, spectrum, n_rad, refine):
+        cut = _purity_once(beam, spectrum, n_rad, refine)
+        return abs(cut - self._uncut(monkeypatch, beam, spectrum, n_rad, refine))
 
     @pytest.mark.parametrize("n_rad,refine", RESOLUTIONS)
     @pytest.mark.parametrize("dq_perp,dk,expected", PANEL_REFERENCE)
-    def test_cut_within_fraction_of_abs_tol(self, dq_perp, dk, expected, n_rad, refine, make_beam, make_spectrum):
-        err = self._cut_error(make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
-        assert err <= 1e-3 * PURITY_QUAD.abs_tol
+    def test_cut_within_fraction_of_abs_tol(
+        self, dq_perp, dk, expected, n_rad, refine, make_beam, make_spectrum, monkeypatch
+    ):
+        err = self._cut_error(monkeypatch, make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
+        assert err <= 1e-3 * PURITY_ABS_TOL
 
     def test_planted_defect_in_envelope(self, make_beam, make_spectrum, monkeypatch):
         import clpair.measures as measures
 
         monkeypatch.setattr(measures, "_H_TAIL_C", _H_TAIL_C / 100.0)
         worst = max(
-            self._cut_error(make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
+            self._cut_error(monkeypatch, make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
             for dq_perp, dk, _ in PANEL_REFERENCE
             for n_rad, refine in self.RESOLUTIONS
         )
-        assert worst > 1e-3 * PURITY_QUAD.abs_tol
+        assert worst > 1e-3 * PURITY_ABS_TOL
 
     def test_refined_pass_evaluates_under_a_quarter_of_the_grid(self, make_beam, make_spectrum, monkeypatch):
         # a count of the t-columns passed to _sonine_h, not a timing
@@ -353,10 +365,10 @@ class TestPurityTailCut:
 
         monkeypatch.setattr(measures, "_sonine_h", counting)
         beam, spectrum = make_beam(0.1), make_spectrum(30.0)
-        _purity_once(beam, spectrum, self.UNCUT, 96, 1.5)
+        self._uncut(monkeypatch, beam, spectrum, 96, 1.5)
         assert sum(columns) == 33_776
         columns.clear()
-        _purity_once(beam, spectrum, PURITY_QUAD, 96, 1.5)
+        _purity_once(beam, spectrum, 96, 1.5)
         assert sum(columns) <= 0.25 * 33_776
 
 
@@ -534,7 +546,7 @@ class TestRegimeBoundaries:
     def test_unconverged_purity_z_gives_reason(self, make_beam, monkeypatch):
         import clpair.measures as measures
 
-        def fails(beam, spectrum, quad):
+        def fails(beam, spectrum):
             raise ConvergenceError("longitudinal purity did not converge")
 
         monkeypatch.setattr(measures, "purity_z", fails)

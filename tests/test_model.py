@@ -18,7 +18,6 @@ from clpair import (
 )
 from clpair.constants import ELECTRON_REST_KEV, HBARC_KEV_UM
 from clpair.model import (
-    QuadratureSpec,
     eval_f,
     eval_g,
     eval_gamma,
@@ -202,27 +201,6 @@ class TestSpectrumModel:
                 SpectrumModel(k_c, dk_ph, **{name: 1.0})
 
 
-class TestQuadratureSpec:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": math.nan},
-            {"rel_tol": math.inf},
-            {"abs_tol": -1.0},
-            {"abs_tol": math.nan},
-            {"abs_tol": math.inf},
-        ],
-        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
-    )
-    def test_rejects_inadmissible(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)
-
-    def test_zero_abs_tol_allowed(self):
-        assert QuadratureSpec(abs_tol=0.0).abs_tol == 0.0
-
-
 class TestGammaDerivatives:
     def test_matches_finite_differences(self, make_spectrum):
         s = make_spectrum(1.0)
@@ -401,7 +379,7 @@ class TestPhases:
         assert np.all(PhaseModel(variant).gradient_sq(s, np.array([10.0, 12.0]), 0.7) == 0.0)
 
 
-def filter_norm(spectrum, weight, quad=QuadratureSpec(rel_tol=1e-10)):
+def filter_norm(spectrum, weight):
     """n_f = 1 / int d3k w(k, theta) Gamma(k, theta) for a filter weight w."""
     th_nodes, th_wts = gauss_legendre_panels(0.0, math.pi, 12, 16)
     ang = th_wts * np.sin(th_nodes) * eval_f(th_nodes)
@@ -410,7 +388,7 @@ def filter_norm(spectrum, weight, quad=QuadratureSpec(rel_tol=1e-10)):
         w = np.broadcast_to(weight(k[:, None], th_nodes[None, :]), (k.size, th_nodes.size))
         return 2.0 * math.pi * k**2 * eval_g(spectrum, k) * (w @ ang)
 
-    return 1.0 / integrate_1d(radial, spectrum.kmin, spectrum.kmax, quad, vectorized=True).value
+    return 1.0 / integrate_1d(radial, spectrum.kmin, spectrum.kmax, rel_tol=1e-10, vectorized=True).value
 
 
 class TestFilter:

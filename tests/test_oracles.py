@@ -7,8 +7,7 @@ import pytest
 from clpair import DomainError
 from clpair.distributions import momentum_grid, photon_marginal_kx
 from clpair.errors import ResolutionError
-from clpair.measures import purity_sc
-from clpair.model import QuadratureSpec, psi_ini_x_sq
+from clpair.model import psi_ini_x_sq
 from clpair.oracles import (
     OracleReport,
     _schmidt_axes,
@@ -41,11 +40,6 @@ class TestMcPurity:
     def test_sample_floor(self, make_beam, make_spectrum):
         with pytest.raises(DomainError):
             mc_purity(make_beam(3.0), make_spectrum(1.0), n=100)
-
-    def test_primary_value_uses_given_quadrature(self, make_beam, make_spectrum):
-        b, s = make_beam(1.0), make_spectrum(3.0)
-        quad = QuadratureSpec(rel_tol=1e-3, abs_tol=5e-4)
-        assert mc_purity(b, s, n=20_000, quad=quad).value == purity_sc(b, s, quad)
 
     def test_stderr_scaling(self, make_beam, make_spectrum):
         b, s = make_beam(3.0), make_spectrum(1.0)
@@ -232,7 +226,8 @@ class TestFdGradient:
         s, seen = make_spectrum(1.0), []
         exact = oracles.fd_gradient_check
         monkeypatch.setattr(oracles, "fd_gradient_check", lambda sp, pts: seen.append(pts) or exact(sp, pts))
-        run_suite(make_beam(0.3), s, seed=7, mc_samples=10_000)
+        monkeypatch.setattr(oracles, "MC_SAMPLES", 10_000)
+        run_suite(make_beam(0.3), s, seed=7)
         assert np.array_equal(seen[0], suite_points(s, 7))
         k = np.linalg.norm(seen[0], axis=1)
         assert seen[0].shape == (100, 3) and np.all((s.kmin <= k) & (k <= s.kmax))
@@ -296,8 +291,11 @@ class TestIdentities:
 
 
 class TestSuite:
-    def test_all_green_at_regime_b_point(self, make_beam, make_spectrum):
-        reports = run_suite(make_beam(3.0), make_spectrum(0.3), mc_samples=100_000)
+    def test_all_green_at_regime_b_point(self, make_beam, make_spectrum, monkeypatch):
+        import clpair.oracles as oracles
+
+        monkeypatch.setattr(oracles, "MC_SAMPLES", 100_000)
+        reports = run_suite(make_beam(3.0), make_spectrum(0.3))
         # the order is part of the output: `validate` prints the reports in
         # it, so a reorder changes which FAIL line comes first
         assert [r.quantity for r in reports] == [
@@ -337,5 +335,6 @@ class TestSuite:
         import clpair.oracles as oracles
 
         monkeypatch.setattr(oracles, "_SCHMIDT_MAX_Q", 197)
+        monkeypatch.setattr(oracles, "MC_SAMPLES", 10_000)
         with pytest.raises(ResolutionError, match="needs 198 q points"):
-            run_suite(make_beam(3.0), make_spectrum(0.3), mc_samples=10_000)
+            run_suite(make_beam(3.0), make_spectrum(0.3))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from clpair import ConvergenceError, DomainError, SpectrumModel
-from clpair.model import QuadratureSpec, eval_g
+from clpair.model import eval_g
 from clpair.quadrature import GammaSampler, gauss_legendre_panels
 
 from conftest import window
@@ -25,7 +25,8 @@ class TestIntegrate1D:
             lambda x: math.exp(-(x**2)),
             -8.0,
             8.0,
-            QuadratureSpec(rel_tol=1e-13, abs_tol=1e-14),
+            rel_tol=1e-13,
+            abs_tol=1e-14,
         )
         assert res.value == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
@@ -40,9 +41,8 @@ class TestIntegrate1D:
         assert abs(res.value - exact) <= max(res.error_estimate, 1e-12)
 
     def test_budget_exhaustion_carries_best_estimate(self):
-        quad = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError) as err:
-            integrate_1d(lambda x: abs(x - 0.317) ** 0.1, 0.0, 1.0, quad, max_evals=500)
+            integrate_1d(lambda x: abs(x - 0.317) ** 0.1, 0.0, 1.0, rel_tol=1e-15, abs_tol=1e-300, max_evals=500)
         assert err.value.best_estimate is not None
         assert err.value.best_estimate.value == pytest.approx(0.869, rel=0.05)
 
