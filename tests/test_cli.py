@@ -1293,6 +1293,15 @@ class TestUnknownKeys:
         assert "[quadrature]: unknown section" in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["measure", "sweep", "regime-map", "dist", "validate"])
+    def test_every_command_refuses_quadrature(self, runner, tmp_path, command):
+        # the parent's default block, which no command may read
+        text = SWEEP_INI + "\n[quadrature]\nrel_tol = 0.0001\nabs_tol = 5e-05\nmc_samples = 200000\n"
+        res = runner.invoke(main, [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "[quadrature]: unknown section" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_output_section_exits_2(self, runner, tmp_path):
         # --out alone chooses the output directory
         text = BASE_INI + "\n[output]\nout_dir = .\n"

@@ -23,6 +23,7 @@ from clpair.measures import (
     _H_SMALL_X,
     _H_TAIL_C,
     _H_TAIL_X,
+    _converged,
     _purity_once,
     _purity_z_once,
     _sonine_h,
@@ -71,6 +72,37 @@ PANEL_REFERENCE = [
     (3.0, 0.3, 0.15843415015592632),
 ]
 
+
+class TestConverged:
+    """The refined estimate passes when it lies within max(abs_tol,
+    rel_tol |refined|) of the base one, at the tolerances the caller gives."""
+
+    @pytest.mark.parametrize(
+        "base,refined,rel_tol,abs_tol,passed",
+        [
+            (0.5, 0.5 + 2.0**-20, 0.0, 2.0**-20, True),
+            (0.5, 0.5 + 2.0**-19, 0.0, 2.0**-20, False),
+            (0.25, 0.25 - 2.0**-12, 2.0**-9, 2.0**-30, True),
+            (0.25, 0.25 - 2.0**-10, 2.0**-9, 2.0**-30, False),
+        ],
+        ids=["at_abs_tol", "beyond_abs_tol", "within_rel_tol", "beyond_rel_tol"],
+    )
+    def test_bound(self, base, refined, rel_tol, abs_tol, passed):
+        if passed:
+            assert _converged("q", base, refined, rel_tol, abs_tol) == refined
+        else:
+            with pytest.raises(ConvergenceError, match=r"q did not converge \(estimates") as err:
+                _converged("q", base, refined, rel_tol, abs_tol)
+            assert (err.value.previous_estimate, err.value.best_estimate) == (base, refined)
+
+    def test_purity_tolerances_are_the_library_constants(self):
+        # the P_sc / P_z verdict reads these two numbers and nothing else
+        import clpair.measures as measures
+
+        assert (measures.PURITY_REL_TOL, measures.PURITY_ABS_TOL) == (1e-4, 5e-5)
+        assert (measures._VARIANCE_REL_TOL, measures._VARIANCE_ABS_TOL) == (1e-6, 1e-9)
+        for fn in (purity_sc, purity_z, evaluate_point, regime_boundaries, rel_pos_variance_quadrature, _purity_once):
+            assert "quad" not in inspect.signature(fn).parameters, fn.__name__
 
 class TestPuritySc:
     @pytest.mark.parametrize("dq_perp,dk,expected", PURITY_ANCHORS)

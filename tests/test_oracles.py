@@ -7,6 +7,7 @@ import pytest
 from clpair import DomainError
 from clpair.distributions import momentum_grid, photon_marginal_kx
 from clpair.errors import ResolutionError
+from clpair.measures import purity_sc
 from clpair.model import psi_ini_x_sq
 from clpair.oracles import (
     OracleReport,
@@ -40,6 +41,14 @@ class TestMcPurity:
     def test_sample_floor(self, make_beam, make_spectrum):
         with pytest.raises(DomainError):
             mc_purity(make_beam(3.0), make_spectrum(1.0), n=100)
+
+    @pytest.mark.parametrize("dq,dk", [(1.0, 3.0), (3.0, 0.3), (30.0, 1.0)])
+    def test_primary_value_is_purity_sc(self, dq, dk, make_beam, make_spectrum):
+        # the sample estimate is compared with the library's own P_sc, at
+        # the library's tolerances
+        b, s = make_beam(dq), make_spectrum(dk)
+        rep = mc_purity(b, s, n=20_000)
+        assert rep.value == purity_sc(b, s)
 
     def test_stderr_scaling(self, make_beam, make_spectrum):
         b, s = make_beam(3.0), make_spectrum(1.0)
