@@ -23,17 +23,17 @@ The config layer here (`SweepAxes`, `RunConfig`, `load_config`,
 `dump_config`, `csv_to_rows`) and `render` use no numpy. A command
 imports its numerical modules only once its config has been read and
 checked, so `render`, `--help` and a config error never load numpy.
+Likewise `hashlib`, `json` and `csv` are imported by the functions that
+use them, and neither `load_config` nor a config error loads any of them.
 """
 
 from __future__ import annotations
 
+import atexit
 import configparser
-import csv
-import hashlib
+import gc
 import io
-import json
 import math
-import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -258,6 +258,8 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib
+
     return hashlib.sha256(dump_config(cfg).encode()).hexdigest()
 
 
@@ -335,6 +337,8 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -346,6 +350,8 @@ def rows_to_csv(rows: list[dict]) -> str:
 def csv_to_rows(text: str) -> list[dict]:
     """The rows of a sweep CSV as `run_sweep` returns them, so that
     rows_to_csv writes the text back."""
+    import csv
+
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_HEADER:
@@ -379,7 +385,7 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
     carry none of it, so repeated runs still write identical CSVs."""
     return {
         "package_version": __version__,
-        "python_version": platform.python_version(),
+        "python_version": sys.version.split()[0],
         # every command that writes provenance has loaded numpy by now
         "numpy_version": sys.modules["numpy"].__version__,
         "wall_seconds": time.perf_counter() - click.get_current_context().meta[_STARTED],
@@ -401,6 +407,8 @@ def _out_dir(out: str) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    import json
+
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -439,10 +447,19 @@ class _Main(click.Group):
     domain, convergence or resolution failure exits 1 with
     `<command> failed: ...`. A failed internal cross-check
     (`ConsistencyError`) is a fault of the program and keeps its traceback.
+
+    A command makes little cyclic garbage, so the cyclic collector is off
+    while it runs and back in its previous state after. At exit the heap
+    is frozen, so the interpreter's last collection does not walk objects
+    that the process is about to release anyway.
     """
 
     def invoke(self, ctx):
         ctx.meta[_STARTED] = time.perf_counter()
+        atexit.unregister(gc.freeze)  # registered once however often main runs
+        atexit.register(gc.freeze)
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except ConfigError as exc:
@@ -451,6 +468,9 @@ class _Main(click.Group):
         except (DomainError, ConvergenceError, ResolutionError) as exc:
             click.echo(f"{ctx.invoked_subcommand} failed: {exc}", err=True)
             sys.exit(1)
+        finally:
+            if collecting:
+                gc.enable()
 
 
 @click.group(cls=_Main)
@@ -604,9 +624,9 @@ def _render_csv(text: str, field_name: str) -> str:
     """The SVG of one field of a sweep CSV, with the threshold contours."""
     from .render import ContourSpec, render_heatmap
 
-    rows = csv_to_rows(text)
     if field_name not in CSV_HEADER[2:]:
         raise ConfigError(f"unknown field {field_name!r}; choose from {CSV_HEADER[2:]}")
+    rows = csv_to_rows(text)
     xs = sorted({row["dq_perp_um_inv"] for row in rows})
     ys = sorted({row["dk_ph_um_inv"] for row in rows})
     if not all(0.0 < v < math.inf for v in xs + ys):

@@ -800,11 +800,20 @@ class TestRuntimeImports:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == str(["clpair.distributions"])
 
+    # stdlib modules that only reading or writing an artifact needs: `csv`
+    # for a sweep CSV, `json` for a JSON and `hashlib` for its config hash;
+    # `platform` none (the Python version comes from `sys.version`)
+    UNUSED = ("csv", "hashlib", "json", "platform")
+
     def test_no_numpy_before_numerical_work(self, tmp_path):
         # `render`, `--help`, and a config error in any command, whether in
         # the file, found once it is read or in its output directory, exit
         # before anything computes:
-        # none of them loads numpy, and neither does importing the package
+        # none of them loads numpy, and neither does importing the package.
+        # Neither does loading a config, and none of them but a `render`
+        # that reads its CSV loads a module of UNUSED that click has not
+        # loaded already (on Linux, click's `uuid` loads `platform`), so
+        # clpair.cli imports none of them at module level.
         import subprocess
         import sys
 
@@ -816,29 +825,37 @@ class TestRuntimeImports:
         out = ["--out", str(tmp_path)]
         # an output directory that cannot be made: a path under a file
         bad_out = ["--out", str(tmp_path / "good.ini" / "o")]
-        # (argv, exit status)
+        # (argv, exit status), the renders that read their CSV last
         calls = [
             (["--help"], 0),
-            (["render", "--config", good, "--field", "d2", *out], 0),
-            (["render", "--config", good, "--field", "regime", *out], 0),
             *(([cmd, "--config", bad, *out], 2) for cmd in ("measure", "sweep", "dist", "regime-map", "validate")),
             (["render", "--config", bad, "--field", "d2", *out], 2),
             *(([cmd, "--config", no_dq_perp, *out], 2) for cmd in ("measure", "dist", "validate")),
             *(([cmd, "--config", good, *out], 2) for cmd in ("sweep", "regime-map")),
             (["render", "--config", good, "--field", "nonesuch", *out], 2),
             *(([cmd, "--config", swept, *bad_out], 2) for cmd in ("measure", "sweep", "dist", "regime-map", "validate")),
+            (["render", "--config", good, "--field", "d2", *out], 0),
+            (["render", "--config", good, "--field", "regime", *out], 0),
         ]
         code = (
             "import sys\n"
+            "import click\n"
+            f"before = {{m for m in {self.UNUSED!r} if m in sys.modules}}\n"
+            "def loaded():\n"
+            f"    return [m for m in {self.UNUSED!r} if m in sys.modules and m not in before]\n"
             "import clpair\n"
-            "from clpair.cli import main\n"
-            "print('@import', 0, 'numpy' in sys.modules)\n"
+            "import clpair.cli\n"
+            "from clpair.cli import load_config, main\n"
+            "print('@import', 0, 'numpy' in sys.modules, loaded())\n"
+            f"print('@globals', [m for m in {self.UNUSED!r} if m in vars(clpair.cli)])\n"
+            f"load_config({good!r})\n"
+            "print('@load_config', 0, 'numpy' in sys.modules, loaded())\n"
             f"for argv in {[argv for argv, _ in calls]!r}:\n"
             "    try:\n"
             "        status = main(argv, standalone_mode=False) or 0\n"
             "    except SystemExit as exc:\n"
             "        status = exc.code\n"
-            "    print('@' + argv[0], status, 'numpy' in sys.modules)\n"
+            "    print('@' + argv[0], status, 'numpy' in sys.modules, loaded())\n"
             "import clpair.measures\n"
             "print('@measures', 0, 'numpy' in sys.modules)\n"
         )
@@ -846,8 +863,10 @@ class TestRuntimeImports:
         assert res.returncode == 0, res.stderr
         # the last line shows that the check sees numpy once it is loaded
         expected = [
-            "@import 0 False",
-            *(f"@{argv[0]} {status} False" for argv, status in calls),
+            "@import 0 False []",
+            "@globals []",
+            "@load_config 0 False []",
+            *(f"@{argv[0]} {status} False {['csv'] if status == 0 and argv[0] == 'render' else []}" for argv, status in calls),
             "@measures 0 True",
         ]
         assert [line for line in res.stdout.splitlines() if line.startswith("@")] == expected
@@ -924,6 +943,117 @@ class TestRuntimeImports:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(env), timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == expected
+
+
+# g1, the benchmark's wide-spectrum `dist` point, where the position
+# kernel's diagonal check raises ConsistencyError
+G1_INI = BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 31.2763").replace(
+    "dk_ph_um_inv = 1.0", "dk_ph_um_inv = 9.61536"
+)
+# a point whose purity quadrature does not converge: `measure` exits 1
+UNCONVERGED_INI = BASE_INI.replace("l_par_um = 1.3", "l_par_um = 13").replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 10.0")
+# the entry point that the `clpair` script runs
+ENTRY = "from clpair.cli import main; main(prog_name='clpair')"
+
+
+class TestProcessScope:
+    """`_Main.invoke` switches the cyclic collector off while a command runs
+    and restores it after, and freezes the heap only when the process exits."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "not-collecting"])
+    @pytest.mark.parametrize(
+        "command,text,ends",
+        [
+            ("measure", BASE_INI, 0),
+            ("measure", BASE_INI + "\n[output]\nout_dir = .\n", 2),
+            ("measure", UNCONVERGED_INI, 1),
+            ("dist", G1_INI, ConsistencyError),
+        ],
+        ids=["pass", "config-error", "failure", "consistency"],
+    )
+    def test_collector_state_is_the_callers(self, tmp_path, monkeypatch, enabled, command, text, ends):
+        import gc
+
+        import clpair.cli as cli
+
+        during, load = [], cli.load_config
+        monkeypatch.setattr(cli, "load_config", lambda path: during.append(gc.isenabled()) or load(path))
+        argv = [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]
+        was, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if ends is ConsistencyError:
+                with pytest.raises(ConsistencyError, match="kernel diagonal"):
+                    main(argv, standalone_mode=False)
+            else:
+                try:
+                    status = main(argv, standalone_mode=False) or 0
+                except SystemExit as exc:
+                    status = exc.code
+                assert status == ends
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
+        assert after is enabled
+        assert gc.get_freeze_count() == frozen
+
+    def test_exit_freeze_registered_once(self, tmp_path, monkeypatch):
+        # atexit's exit handlers kept in a list: register appends a
+        # function, unregister drops every occurrence of it
+        import atexit
+        import gc
+
+        handlers = []
+
+        def unregister(func):
+            handlers[:] = [f for f in handlers if f != func]
+
+        monkeypatch.setattr(atexit, "register", handlers.append)
+        monkeypatch.setattr(atexit, "unregister", unregister)
+        argv = ["measure", "--config", write(tmp_path, BASE_INI), "--out", str(tmp_path / "o")]
+        for _ in range(2):
+            main(argv, standalone_mode=False)
+        assert handlers == [gc.freeze]
+
+    def test_measure_subprocess_writes_what_a_call_does(self, tmp_path):
+        # the CSV is complete when the process exits; an exit handler that
+        # the test registers first runs last, after the heap is frozen
+        import subprocess
+        import sys
+
+        cfg = write(tmp_path, BASE_INI)
+        main(["measure", "--config", cfg, "--out", str(tmp_path / "call")], standalone_mode=False)
+        code = "import atexit, gc\natexit.register(lambda: print('@frozen', gc.get_freeze_count() > 0))\n" + ENTRY
+        res = subprocess.run(
+            [sys.executable, "-c", code, "measure", "--config", cfg, "--out", str(tmp_path / "process")],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        text = (tmp_path / "call" / "measure.csv").read_bytes()
+        assert (tmp_path / "process" / "measure.csv").read_bytes() == text
+        assert res.stdout == text.decode() + "@frozen True\n"
+
+    def test_consistency_error_keeps_its_traceback(self, tmp_path):
+        import subprocess
+        import sys
+
+        out = tmp_path / "o"
+        res = subprocess.run(
+            [sys.executable, "-c", ENTRY, "dist", "--config", write(tmp_path, G1_INI), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith("Traceback (most recent call last):")
+        last = "clpair.errors.ConsistencyError: position kernel diagonal disagrees with the photon marginal"
+        assert res.stderr.splitlines()[-1] == last
+        assert list(out.iterdir()) == []
 
 
 class TestProvenancePinned:
