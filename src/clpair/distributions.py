@@ -26,11 +26,10 @@ from .measures import rel_pos_variance_closed
 from .model import BeamParams, SpectrumModel, eval_g, psi_ini_x_sq
 from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
-# points of the k_x grid of both joint grids; even, so that the position
-# grid's T is a quadratic form of the kernel on the N_KX / 2 point half-axis
+# k_x points over [-kmax, kmax], with both endpoints on the momentum grid and
+# the Schmidt oracle's axis, at midpoints on the position grid; even, so that
+# the position grid's T is a quadratic form of the kernel on the half-axis
 N_KX = 512
-# least number of x_el points of the position grid
-N_X_EL = 141
 # lags of the position grid's T-lattice per block of its quadratic form,
 # which bounds its two (block, N_KX / 2) matrices held at once to 8 MB
 _LAG_BLOCK = 2048
@@ -129,8 +128,6 @@ def photon_marginal_kx(spectrum: SpectrumModel, kx) -> np.ndarray:
     kmin, kmax = spectrum.kmin, spectrum.kmax
     out = np.zeros_like(kx)
     live = np.abs(kx) < kmax
-    if not np.any(live):
-        return out
     kxl = np.abs(kx[live])
     lo = np.maximum(kmin, kxl)
     # per-point Gauss-Legendre nodes mapped onto [lo, kmax]
@@ -164,7 +161,7 @@ def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     """P(q_x, k_x) on a grid covering the support of both factors.
 
     The q axis spans kmax + 6 dq_perp each side at 8 points per dq_perp,
-    clipped to 65..4001 points. The cap keeps the grid under 16 MiB and
+    capped at 4001 points. The cap keeps the grid under 16 MiB and
     changes no verdict: at (0.1, 30), where the uncapped rule would take
     158 MiB, q points lie 1.27 dq_perp apart, and the variance of q_x + k_x
     still misses dq_perp^2 by only 2.2e-6 of its 0.5% tolerance.
@@ -173,7 +170,7 @@ def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     kxg = np.linspace(-kmax, kmax, N_KX)
     sig = beam.dq_perp
     span = kmax + 6.0 * sig
-    n_q = int(np.clip(math.ceil(2.0 * span / (sig / 8.0)), 65, 4001))
+    n_q = min(math.ceil(2.0 * span / (sig / 8.0)), 4001)
     qxg = np.linspace(-span, span, n_q)
     dens = joint_momentum(beam, spectrum, qxg[:, None], kxg[None, :])
     return _check_normalized(JointGrid(qxg, kxg, dens), "joint momentum grid")
@@ -256,9 +253,10 @@ def _kernel_diagonal(spectrum: SpectrumModel, ax: np.ndarray) -> np.ndarray:
         c2 *= -s2
         c2 += s1
         c2 *= f2
-        # node by node, the order in which h sums its diagonal
-        for node in c2:
-            diag[i0 : i0 + node.size] += node
+        # one reduction per node group, the running sum joining its first node
+        target = diag[i0 : i0 + c2.shape[1]]
+        c2[0] += target
+        np.add.reduce(c2, axis=0, out=target)
     g_ref = photon_marginal_kx(spectrum, ax)
     scale = float(np.max(g_ref))
     if scale > 0.0 and float(np.max(np.abs(diag - g_ref))) > 1e-8 * scale:
@@ -291,8 +289,7 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
     raises ConsistencyError before any off-diagonal work. Then the nodes
     of each group of `_kernel_nodes` are summed in one batched pass over
     the group's union band, upper triangle only, _KERNEL_ROWS rows at a
-    time; the nodes' blocks are added to h one after another, so each
-    entry is summed in node order, as one node at a time would. h is
+    time, each row block's node blocks added to h in one reduction. h is
     then mirrored, so it is exactly symmetric. M depends on |k_x| and
     |k_x'| only, so h holds the kernel on the whole mirrored grid
     [-ax[::-1], ax], and T is a quadratic form of h (see `joint_position`).
@@ -317,11 +314,11 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
             block *= -alpha
             np.exp(block, out=block)
             block *= np.matmul(ft[:, :, j : j + _KERNEL_ROWS].transpose(0, 2, 1), ft[:, :, j:])
-            # a node's block is zero outside its own band, so adding the
-            # blocks one at a time sums each entry in node order
+            # a node's block is zero outside its own band; the running sum
+            # joins the first node's block, so one reduction adds the group
             target = h[i0 + j : i0 + j + block.shape[1], i0 + j : i0 + k.shape[1]]
-            for node in block:
-                target += node
+            block[0] += target
+            np.add.reduce(block, axis=0, out=target)
     _mirror_upper(h)
     return h
 
@@ -375,7 +372,7 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     h = min(sig_el, sig_t) / 10.0
     m_el = max(1, int(sig_el / (10.0 * h)))
     m_ph = max(1, int(sig_t / (10.0 * h)))
-    i_el = max(N_X_EL // 2, math.ceil(7.0 * sig_el / (m_el * h)))
+    i_el = math.ceil(7.0 * sig_el / (m_el * h))
     i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
     x_el = np.arange(-i_el, i_el + 1) * (m_el * h)
     x_ph = np.arange(-i_ph, i_ph + 1) * (m_ph * h)

@@ -411,9 +411,15 @@ def regime_boundaries(beam: BeamParams, k_c: float, dk_values: list[float], phas
 
 def evaluate_point(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = PhaseModel()) -> MeasureResult:
     """All diagnostics at a single parameter point; a failed `purity_sc`
-    is reported before a failed `purity_z`."""
+    is reported before a failed `purity_z`.
+
+    P_sc's pair overlap is P_z's times a transverse factor <= 1, so a
+    `purity_sc` above `purity_z` (1 + PURITY_REL_TOL) raises
+    ConvergenceError, carrying P_sc as its best estimate."""
     p_sc = purity_sc(beam, spectrum)
     p_z = purity_z(beam, spectrum)
+    if p_sc > p_z * (1.0 + PURITY_REL_TOL):
+        raise ConvergenceError(f"purity_sc {p_sc:.6e} exceeds purity_z {p_z:.6e}", best_estimate=p_sc)
     var_x = rel_pos_variance_closed(beam, spectrum, phase)
     var_q = total_wavevector_variance(beam)
     d2 = var_x * var_q

@@ -577,6 +577,42 @@ class TestSweepFailures:
             }
         ]
 
+    def test_purity_sc_above_purity_z_is_an_error_row(self, runner, tmp_path, monkeypatch):
+        # a planted defect: purity_sc at 1.01 P_z in one cell; the sweep
+        # keeps that cell as an error row carrying P_sc and exits 1
+        import clpair.measures as measures
+
+        real = measures.purity_sc
+
+        def high(beam, spectrum, *args):
+            if beam.dq_perp == 10.0 and spectrum.dk_ph == 0.5:
+                return 1.01 * measures.purity_z(beam, spectrum)
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(measures, "purity_sc", high)
+        cfg, out = write(tmp_path, SWEEP_INI), tmp_path / "o"
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "cell (10.0, 0.5) failed: purity_sc " in res.output and " exceeds purity_z " in res.output
+        rows = json.loads((out / "sweep.json").read_text())["rows"]
+        failed = [r for r in rows if r["regime"] == "error"]
+        assert len(rows) == 4 and len(failed) == 1
+        run = load_config(cfg)
+        assert float(failed[0]["best_estimate"]) == high(run.beam(10.0), run.spectrum(0.5))
+        assert "previous_estimate" not in failed[0]
+
+    def test_measure_refuses_purity_sc_above_purity_z(self, runner, tmp_path):
+        # the real point where purity_sc reports 8.76e-5 against P_z 6.16e-5
+        cfg = write(
+            tmp_path,
+            "[beam]\nkinetic_energy_kev = 2.69\nl_par_um = 590\ndq_perp_um_inv = 1.24\n\n"
+            "[spectrum]\nk_c_um_inv = 49.3\ndk_ph_um_inv = 19.7\n",
+        )
+        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1, res.output
+        assert "measure failed: purity_sc 8.755276e-05 exceeds purity_z 6.156835e-05" in res.output
+        assert not (tmp_path / "o" / "measure.csv").exists()
+
     def test_every_row_is_evaluate_point_row(self, tmp_path):
         import clpair.measures as measures
 

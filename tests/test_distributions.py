@@ -373,10 +373,14 @@ def assert_matches_full_band(h, ref):
     assert float(np.max(np.abs(h - ref))) <= 1e-15 * float(np.max(np.abs(ref)))
 
 
+# h depends on dk_ph, not on dq_perp. At dk_ph 0.3, 0.1 and 0.03 summing
+# each node group in one reduction differs from summing in node order by
+# rounding (up to 1.4e-16 of max|h|, at 0.03), so the bound is checked
+# where the order of summation shows
 KERNEL_POINTS = pytest.mark.parametrize(
     "dq_perp,dk_ph",
-    [(0.263474, 0.210945), (1.0, 0.3), (10.0, 2.0), (100.0, 0.1), (1.0, 3.29)],
-    ids=["g0", "1-0.3", "10-2-kmin0", "100-0.1", "1-3.29"],
+    [(0.263474, 0.210945), (1.0, 0.3), (10.0, 2.0), (100.0, 0.1), (1.0, 3.29), (1.0, 0.03)],
+    ids=["g0", "1-0.3", "10-2-kmin0", "100-0.1", "1-3.29", "1-0.03"],
 )
 
 
@@ -414,7 +418,7 @@ class TestKernelDiagonalFirst:
 
     @KERNEL_POINTS
     def test_diagonal_is_the_checked_closed_form(self, make_beam, make_spectrum, dq_perp, dk_ph):
-        # the closed form sums each entry in node order, as h does: they
+        # the closed form and h add each node group in one reduction: they
         # agree within 7.0e-16 of max|h| at these points
         b, s = make_beam(dq_perp), make_spectrum(dk_ph)
         ax = half_axis(s)
@@ -601,6 +605,20 @@ class TestLatticeLags:
         monkeypatch.setattr(distributions, "_t_at_lags", counting)
         joint_position(make_beam(0.263474), make_spectrum(0.210945))
         np.testing.assert_array_equal(seen[0], np.arange(281))
+
+
+class TestLeastGridSizes:
+    @pytest.mark.parametrize("dk_ph", [0.1, 1.0])
+    @pytest.mark.parametrize("dq_perp", [0.1, 1.0, 10.0, 100.0])
+    def test_panel_cells(self, make_beam, make_spectrum, dq_perp, dk_ph):
+        # the panel cells where dist completes: the x_el axis spans 7
+        # electron widths each side at pitch at most 1/10 of one, so it
+        # holds at least 141 points (exactly 141 at five of these cells), and
+        # the q axis spans 2 (kmax + 6 dq_perp) at 8 points per dq_perp, so
+        # at least 97
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        assert joint_position(b, s)[0].axis1.size >= 141
+        assert momentum_grid(b, s).axis1.size >= 97
 
 
 def readme_rebuild():

@@ -707,6 +707,30 @@ class TestEvaluatePoint:
         assert r.var_rel_pos > 0.0
         assert r.regime in (Regime.A, Regime.B, Regime.C, Regime.ANOMALOUS)
 
+    def test_refuses_purity_sc_above_purity_z(self):
+        # P_sc's pair overlap is P_z's times a transverse factor <= 1; at
+        # L_par 590 um the radial nodes do not resolve the longitudinal
+        # Gaussian, and purity_sc reports 8.76e-5 against P_z 6.16e-5
+        beam, spectrum = BeamParams(2.69, 1.24, 2.0 * math.pi / 590.0), SpectrumModel(49.3, 19.7)
+        with pytest.raises(ConvergenceError, match="exceeds purity_z 6.156835e-05") as info:
+            evaluate_point(beam, spectrum)
+        assert info.value.best_estimate == purity_sc(beam, spectrum)
+        assert info.value.best_estimate == pytest.approx(8.755276e-5, rel=1e-6)
+
+    @pytest.mark.parametrize("factor,refused", [(1.01, True), (1.0 + PURITY_REL_TOL / 2.0, False)])
+    def test_catches_purity_sc_above_purity_z(self, make_beam, make_spectrum, monkeypatch, factor, refused):
+        # a planted defect: purity_sc returns factor * P_z at the README
+        # point; above P_z (1 + PURITY_REL_TOL) it is refused
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "purity_sc", lambda beam, spectrum: factor * purity_z(beam, spectrum))
+        b, s = make_beam(3.0), make_spectrum(0.3)
+        if refused:
+            with pytest.raises(ConvergenceError, match="exceeds purity_z"):
+                evaluate_point(b, s)
+        else:
+            assert evaluate_point(b, s).purity_sc == factor * purity_z(b, s)
+
     # the benchmark's session points s0, s1 and s2, the README point and
     # the panel's narrowest-spectrum corner
     @pytest.mark.parametrize("dq_perp,dk", [(0.3, 1.0), (10.0, 2.0), (1.0, 10.0), (3.0, 0.3), (100.0, 0.1)])
