@@ -13,9 +13,10 @@ alone: the beam, the spectrum, the phase and the sweep plane. The
 tolerances, the regime thresholds and the Monte Carlo sample count are
 the library's constants, which no input can set. `--out` (default: the
 current directory) is the one way to choose where a command writes, and
-no environment variable is read. A sweep evaluates its cells in
-row-major order in one process; `--threads` is accepted on `sweep` and
-`regime-map` and ignored. Exit codes: 0 success, 1 cell or oracle
+no environment variable is read. A sweep evaluates its cells on
+`--threads` worker threads of one process (default: one per usable
+core) and writes them in row-major order, the same bytes at any thread
+count. Exit codes: 0 success, 1 cell or oracle
 failure, 2 configuration error; `_Main.invoke` maps errors to them for
 every command.
 
@@ -34,7 +35,9 @@ import configparser
 import gc
 import io
 import math
+import os
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -307,16 +310,49 @@ def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
         return row
 
 
-def run_sweep(cfg: RunConfig) -> list[dict]:
-    """Evaluate every sweep cell in row-major order, in this process, each
-    on its own through `_cell_row`: no value is shared between cells."""
+def run_sweep(cfg: RunConfig, threads: Optional[int] = None) -> list[dict]:
+    """Every sweep cell's `_cell_row`, in row-major order, evaluated on
+    `threads` worker threads (by default one per usable core).
+
+    Each cell is computed on its own, so no value is shared between cells
+    and the rows do not depend on the thread count. Two cells run at once
+    because numpy's array operations and the one-thread OpenBLAS release
+    the GIL. The workers take the cells in row-major order, one at a time;
+    with threads=1 every cell runs on one and the same thread. An
+    exception that `_cell_row` does not turn into an error row stops the
+    workers taking cells, and is raised here once all of them have joined.
+    """
     if cfg.sweep is None:
         raise ConfigError("sweep commands need a [sweep] section")
-    return [
-        _cell_row(cfg, float(dqp), float(dkp))
-        for dqp in cfg.sweep.dq_perp_values()
-        for dkp in cfg.sweep.dk_ph_values()
-    ]
+    if threads is None:
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cells = [(float(dqp), float(dkp)) for dqp in cfg.sweep.dq_perp_values() for dkp in cfg.sweep.dk_ph_values()]
+    rows = [None] * len(cells)
+    todo, taking, failures = iter(range(len(cells))), threading.Lock(), []
+
+    def work():
+        while not failures:
+            with taking:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                rows[i] = _cell_row(cfg, *cells[i])
+            except BaseException as exc:
+                failures.append(exc)
+
+    workers = [threading.Thread(target=work, name=f"clpair-sweep-{n}") for n in range(min(threads, len(cells)))]
+    for worker in workers:
+        worker.start()
+    try:
+        for worker in workers:
+            worker.join()
+    except BaseException as exc:  # an interrupt here stops the workers after their current cell
+        failures.append(exc)
+        raise
+    if failures:
+        raise failures[0]
+    return rows
 
 
 def _report_failures(rows: list[dict]) -> None:
@@ -480,8 +516,9 @@ def main():
 
 _config_opt = click.option("--config", "config_path", required=True, type=click.Path(), help="Config file path.")
 _out_opt = click.option("--out", "out", default=".", type=click.Path(), help="Output directory.", show_default=True)
-# accepted for old command lines and ignored: a sweep runs in one process
-_threads_opt = click.option("--threads", type=int, hidden=True, expose_value=False)
+# the worker threads of run_sweep; 1 keeps every cell on one thread, as a
+# tracer with one span stack needs
+_threads_opt = click.option("--threads", type=click.IntRange(min=1), help="Worker threads (default: one per usable core).")
 
 
 @main.command()
@@ -500,18 +537,18 @@ def measure(config_path, out):
 @_config_opt
 @_out_opt
 @_threads_opt
-def sweep(config_path, out):
+def sweep(config_path, out, threads):
     """Evaluate the configured parameter-plane sweep to CSV + JSON."""
-    _sweep(load_config(config_path), out, "sweep")
+    _sweep(load_config(config_path), out, threads, "sweep")
 
 
-def _sweep(cfg: RunConfig, out: str, name: str, regimes: bool = False) -> None:
-    """Run the sweep and write `<name>.csv` and `<name>.json`; with
-    `regimes`, add the regime boundaries to the JSON and render the CSV's
-    regimes to `<name>.svg` as `render --field regime` does. Then name
-    each failed cell and exit 1 if any failed."""
+def _sweep(cfg: RunConfig, out: str, threads: Optional[int], name: str, regimes: bool = False) -> None:
+    """Run the sweep on `threads` worker threads and write `<name>.csv`
+    and `<name>.json`; with `regimes`, add the regime boundaries to the
+    JSON and render the CSV's regimes to `<name>.svg` as `render --field
+    regime` does. Then name each failed cell and exit 1 if any failed."""
     out_path = _out_dir(out)
-    rows = run_sweep(cfg)
+    rows = run_sweep(cfg, threads)
     boundaries = None
     if regimes:
         from .measures import regime_boundaries
@@ -567,9 +604,9 @@ def dist(config_path, out):
 @_config_opt
 @_out_opt
 @_threads_opt
-def regime_map(config_path, out):
+def regime_map(config_path, out, threads):
     """Sweep the plane to CSV + JSON and render the categorical regime map SVG."""
-    _sweep(load_config(config_path), out, "regime_map", regimes=True)
+    _sweep(load_config(config_path), out, threads, "regime_map", regimes=True)
 
 
 @main.command()

@@ -24,12 +24,14 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 # 1e-21, is t = 7/b, but the sum stops at the first panel edge past which
 # the certified tail bound of `_t_cut` is below _TAIL_FRACTION *
 # PURITY_ABS_TOL; at least 8 nodes per oscillation period of h(k t);
-# t-nodes per block, which bounds the (n_k, block) matrices held at once
-# (a 96 x 1024 block keeps one call's peak allocation near 6 MB).
+# t-nodes per block, which bounds the (n_k, block) matrices held at once:
+# over a 4 x 3 README plane a call's peak allocation is at most 1.3 MB
+# (4.8 MB with 1024-node blocks and a quadratic form per t-node), so two
+# sweep cells in flight hold less than one did.
 _T_SPAN = 7.0
 _TAIL_FRACTION = 1e-3
 _NODES_PER_PERIOD = 8
-_T_BLOCK = 1024
+_T_BLOCK = 256
 # the most t-nodes one pass may keep and lay out: its node and weight
 # arrays, two doubles a node, then fill MAX_ARRAY_BYTES. That is 124x the
 # 33,776 of the finest pass on the README plane, at (0.1, 30). Only the
@@ -155,7 +157,11 @@ def _t_cut(kn, r, b, t_max, n_panels, target):
 
 
 def _purity_once(beam, spectrum, n_rad, refine=1.0):
-    """8 pi^2 b^2 sum_t w_t t exp(-b^2 t^2) H_t^T E H_t on one resolution.
+    """8 pi^2 b^2 r^T (E o G) r on one resolution, G = sum_t c_t h_t h_t^T.
+
+    h_t is the polar factor `_sonine_h`(k t) at the radial nodes k, r their
+    weights times k^2 g(k), c_t = w_t t exp(-b^2 t^2) the t-rule's weight
+    and E the longitudinal kernel; o is the entrywise product.
 
     Weber's second exponential integral (Watson 13.31, DLMF 10.22.67)
     writes the azimuthally reduced transverse kernel
@@ -185,14 +191,17 @@ def _purity_once(beam, spectrum, n_rad, refine=1.0):
     # the leading n_keep + 1 edges of the n_panels equal panels, in
     # linspace's arithmetic j * step, without building the others
     tn, tw = gauss_legendre_edges(np.arange(n_keep + 1) * (t_max / n_panels), 16)
-    ct = tw * tn * np.exp(-((b * tn) ** 2))
-    elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
-    total = 0.0
+    # every c_t is positive: scaled by sqrt(c_t), the blocks of h sum to G
+    # as their Gram matrices
+    root_ct = np.sqrt(tw * tn * np.exp(-((b * tn) ** 2)))
+    gram = np.zeros((kn.size, kn.size))
     for s in range(0, tn.size, _T_BLOCK):
         h = _sonine_h(np.multiply.outer(kn, tn[s : s + _T_BLOCK]))
-        h *= r[:, None]
-        total += float(ct[s : s + _T_BLOCK] @ np.einsum("it,it->t", h, elong @ h))
-    return 8.0 * math.pi**2 * b**2 * total
+        h *= root_ct[s : s + _T_BLOCK]
+        gram += h @ h.T
+    elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
+    gram *= elong
+    return 8.0 * math.pi**2 * b**2 * float(r @ gram @ r)
 
 
 def _converged(what: str, base: float, refined: float, rel_tol: float, abs_tol: float) -> float:

@@ -246,17 +246,35 @@ class TestCsvRoundTrip:
         assert cli._REGIME_CELLS == (*(r.value for r in Regime), "error")
 
 
-class TestSweepDeterminism:
-    def test_threads_option_is_ignored(self, runner, tmp_path):
-        cfg = write(tmp_path, SWEEP_INI)
-        plain = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "a")])
-        threaded = runner.invoke(main, ["sweep", "--threads", "2", "--config", cfg, "--out", str(tmp_path / "b")])
-        assert plain.exit_code == 0 and threaded.exit_code == 0, (plain.output, threaded.output)
-        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+# a 3 x 3 plane at L_par 13 um whose dk_ph = 10 column does not converge:
+# three error rows among its nine
+ERROR_PLANE_INI = (
+    SWEEP_INI.replace("l_par_um = 1.3", "l_par_um = 13")
+    .replace("dk_ph_max = 2.0", "dk_ph_max = 10.0")
+    .replace("_steps = 2", "_steps = 3")
+)
 
+
+class TestSweepDeterminism:
+    @pytest.mark.parametrize("command,name", [("sweep", "sweep"), ("regime-map", "regime_map")])
+    def test_thread_count_does_not_change_the_output(self, runner, tmp_path, command, name):
+        cfg = write(tmp_path, ERROR_PLANE_INI)
+        csvs, outputs = [], []
+        for i, flag in enumerate([["--threads", "1"], ["--threads", "2"], []]):
+            out = tmp_path / str(i)
+            res = runner.invoke(main, [command, *flag, "--config", cfg, "--out", str(out)])
+            assert res.exit_code == 1, res.output
+            csvs.append((out / f"{name}.csv").read_bytes())
+            outputs.append(res.output.replace(str(out), "<out>"))
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert csvs[0].count(b",error,") == 3
+        # the failed cells are named in row-major order, whichever thread ran them
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
     @pytest.mark.parametrize("command", ["sweep", "regime-map"])
-    def test_non_integer_threads_exits_2(self, runner, tmp_path, command):
-        res = runner.invoke(main, [command, "--threads", "abc", "--config", write(tmp_path, SWEEP_INI)])
+    def test_non_integer_threads_exits_2(self, runner, tmp_path, command, value):
+        res = runner.invoke(main, [command, "--threads", value, "--config", write(tmp_path, SWEEP_INI)])
         assert res.exit_code == 2
         assert "--threads" in res.output
 
@@ -282,6 +300,121 @@ dk_ph_steps = 2
                 assert s[key] == pytest.approx(m[key], rel=1e-6), key
             else:
                 assert s[key] == m[key], key
+
+
+class TestRunSweepThreads:
+    """`run_sweep` on worker threads: a fault of the program propagates,
+    no worker outlives the call, and one thread runs every cell."""
+
+    @staticmethod
+    def watch(monkeypatch, fail_at=None):
+        """Record the thread of every evaluate_point call; raise a
+        RuntimeError at the cell (dq_perp, dk_ph) `fail_at`."""
+        import threading
+
+        import clpair.measures as measures
+
+        real, seen = measures.evaluate_point, []
+
+        def watched(beam, spectrum, *args):
+            seen.append(threading.get_ident())
+            if (beam.dq_perp, spectrum.dk_ph) == fail_at:
+                raise RuntimeError("planted fault")
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(measures, "evaluate_point", watched)
+        return seen
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fault_propagates_and_no_worker_outlives_it(self, tmp_path, monkeypatch, threads):
+        import threading
+
+        cfg = load_config(write(tmp_path, SWEEP_INI))
+        self.watch(monkeypatch, fail_at=(1.0, 2.0))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="planted fault"):
+            run_sweep(cfg, threads)
+        assert threading.active_count() == before
+
+    def test_a_fault_stops_the_workers(self, tmp_path, monkeypatch):
+        # the first cell fails, and the one worker takes no other
+        cfg = load_config(write(tmp_path, SWEEP_INI))
+        seen = self.watch(monkeypatch, fail_at=(1.0, 0.5))
+        with pytest.raises(RuntimeError, match="planted fault"):
+            run_sweep(cfg, 1)
+        assert len(seen) == 1
+
+    def test_an_interrupt_stops_the_workers(self, tmp_path, monkeypatch):
+        # an interrupt arrives while run_sweep waits for its workers: the
+        # one worker finishes the cell it holds and takes no other
+        import threading
+
+        import clpair.measures as measures
+
+        cfg = load_config(write(tmp_path, SWEEP_INI))
+        started, release, seen = threading.Event(), threading.Event(), []
+        real_evaluate, real_join = measures.evaluate_point, threading.Thread.join
+
+        def held(*args):
+            seen.append(args)
+            started.set()
+            release.wait(10)
+            return real_evaluate(*args)
+
+        def interrupted(thread, timeout=None):
+            started.wait(10)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(measures, "evaluate_point", held)
+        monkeypatch.setattr(threading.Thread, "join", interrupted)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cfg, 1)
+        (worker,) = set(threading.enumerate()) - before
+        release.set()
+        real_join(worker, 10)
+        assert not worker.is_alive()
+        assert len(seen) == 1
+
+    def test_every_cell_once_under_fast_switching(self, tmp_path, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # cell taken twice or never would show in the calls or the rows
+        import sys
+        import threading
+
+        import clpair.cli as cli
+
+        cfg = load_config(write(tmp_path, SWEEP_INI.replace("_steps = 2", "_steps = 20")))
+        cells = [(float(dq), float(dk)) for dq in cfg.sweep.dq_perp_values() for dk in cfg.sweep.dk_ph_values()]
+        calls, result = [], []
+        monkeypatch.setattr(cli, "_cell_row", lambda cfg, dq, dk: calls.append((dq, dk)) or {"cell": (dq, dk)})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweeping = threading.Thread(target=lambda: result.append(run_sweep(cfg, 8)))
+            sweeping.start()
+            sweeping.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not sweeping.is_alive()
+        assert [row["cell"] for row in result[0]] == cells
+        assert sorted(calls) == cells
+
+    @pytest.mark.parametrize("threads", [1, 2, None])
+    def test_rows_and_threads(self, tmp_path, monkeypatch, threads):
+        import threading
+
+        cfg = load_config(write(tmp_path, SWEEP_INI))
+        seen = self.watch(monkeypatch)
+        before = threading.active_count()
+        rows = run_sweep(cfg, threads)
+        assert threading.active_count() == before
+        assert [(r["dq_perp_um_inv"], r["dk_ph_um_inv"]) for r in rows] == [(1.0, 0.5), (1.0, 2.0), (10.0, 0.5), (10.0, 2.0)]
+        assert len(seen) == 4
+        if threads == 1:
+            # a tracer that keeps one span stack, as perfbench's traced
+            # replay does, relies on this
+            assert len(set(seen)) == 1
 
 
 class TestCommands:
@@ -1173,7 +1306,7 @@ class TestExitMapping:
         import clpair.cli as cli
 
         calls = []
-        monkeypatch.setattr(cli, "run_sweep", lambda cfg: calls.append(cfg) or [])
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg, threads: calls.append(cfg) or [])
         (tmp_path / "f").write_text("")
         res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(tmp_path / "f")])
         assert_config_error(res)

@@ -42,6 +42,7 @@ from clpair.model import eval_f
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C, K_KEV
+from reference_purity import einsum_purity_once
 
 # Regression anchors for the reference scenario, each cross-validated
 # against the 4x10^5-sample Monte Carlo oracle during development.
@@ -186,8 +187,9 @@ class TestPuritySc:
         # the refined pass at (1e-4, 1) spans 2.75e6 t-nodes, which the
         # tail cut trims to 576: a cheap point, not one to refuse. The
         # value is the one computed before the cap existed, when the whole
-        # span was laid out.
-        assert repr(purity_sc(make_beam(1e-4), make_spectrum(1.0))) == "2.5536443492252956e-10"
+        # span was laid out, less the 1 ulp by which the 256-node t-blocks
+        # of the Gram-form t-sum move it (it was 2.5536443492252956e-10).
+        assert repr(purity_sc(make_beam(1e-4), make_spectrum(1.0))) == "2.553644349225295e-10"
 
     def test_span_beyond_the_cap_is_computed_on_its_kept_nodes(self, make_beam, make_spectrum):
         # at (1e-7, 1) the refined pass spans 2.7e9 t-nodes, 20 GiB as
@@ -281,6 +283,20 @@ class TestPurityScPanel:
         b, s = make_beam(0.1, 2.0 * math.pi / 13.0), make_spectrum(30.0)
         converged = _purity_once(b, s, n_rad=768)
         assert purity_sc(b, s) == pytest.approx(converged, rel=PURITY_REL_TOL)
+
+
+class TestPurityGramForm:
+    """`_purity_once`'s Gram-matrix t-sum against the per-node quadratic
+    forms of `reference_purity`, on both passes at the 12-point panel.
+    The worst difference measured is 3 ulps, at (100, 0.1)'s refined pass;
+    the bound leaves room for another BLAS kernel's summation order."""
+
+    @pytest.mark.parametrize("n_rad,refine", [(64, 1.0), (96, 1.5)], ids=["base", "refined"])
+    @pytest.mark.parametrize("dq_perp,dk", [(dq, dk) for dq, dk, _ in PANEL_REFERENCE[:12]])
+    def test_matches_the_einsum_sum(self, dq_perp, dk, n_rad, refine, make_beam, make_spectrum):
+        beam, spectrum = make_beam(dq_perp), make_spectrum(dk)
+        expected = einsum_purity_once(beam, spectrum, n_rad, refine)
+        assert abs(_purity_once(beam, spectrum, n_rad, refine) - expected) <= 8 * np.spacing(expected)
 
 
 class TestSonineH:
