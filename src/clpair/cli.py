@@ -17,8 +17,8 @@ no environment variable is read. A sweep evaluates its cells on
 `--threads` worker threads of one process (default: one per usable
 core) and writes them in row-major order, the same bytes at any thread
 count. Exit codes: 0 success, 1 cell or oracle
-failure, 2 configuration error; `_Main.invoke` maps errors to them for
-every command.
+failure, 2 configuration error; `_Main.invoke` decides each of them
+from the error a command raises or the failure it returns.
 
 The config layer here (`SweepAxes`, `RunConfig`, `load_config`,
 `dump_config`, `csv_to_rows`) and `render` use no numpy. A command
@@ -47,7 +47,7 @@ import click
 
 from . import __version__
 from .constants import EPR_THRESHOLD, MC_SEED, PURITY_THRESHOLD, TWO_PI
-from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
+from .errors import ConfigError, ConvergenceError, DomainError, ResolutionError
 from .model import BeamParams, PhaseModel, SpectrumModel, wavelength_to_wavenumbers
 
 if TYPE_CHECKING:
@@ -68,6 +68,8 @@ CSV_HEADER = [
 # the regime cells rows_to_csv writes: a Regime value, or "error" for a
 # failed cell, whose longitudinal_entangled cell is empty
 _REGIME_CELLS = ("A", "B", "C", "anomalous", "error")
+# a computation's failures: an error row in a sweep, exit 1 in any other command
+_FAILURES = (DomainError, ConvergenceError, ResolutionError)
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,7 @@ def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
     converge, its last two estimates (JSON only, not CSV)."""
     try:
         return _point_row(cfg, dq_perp, dk_ph)
-    except (DomainError, ConvergenceError, ConsistencyError, ResolutionError) as exc:
+    except _FAILURES as exc:
         row = {
             "dq_perp_um_inv": dq_perp,
             "dk_ph_um_inv": dk_ph,
@@ -322,8 +324,6 @@ def run_sweep(cfg: RunConfig, threads: Optional[int] = None) -> list[dict]:
     exception that `_cell_row` does not turn into an error row stops the
     workers taking cells, and is raised here once all of them have joined.
     """
-    if cfg.sweep is None:
-        raise ConfigError("sweep commands need a [sweep] section")
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cells = [(float(dqp), float(dkp)) for dqp in cfg.sweep.dq_perp_values() for dkp in cfg.sweep.dk_ph_values()]
@@ -355,13 +355,12 @@ def run_sweep(cfg: RunConfig, threads: Optional[int] = None) -> list[dict]:
     return rows
 
 
-def _report_failures(rows: list[dict]) -> None:
-    """Name each failed cell and its reason on stderr; exit 1 if any failed."""
+def _report_failures(rows: list[dict]) -> bool:
+    """Name each failed cell and its reason on stderr; whether any failed."""
     failures = [r for r in rows if r["regime"] == "error"]
     for r in failures:
         click.echo(f"cell ({r['dq_perp_um_inv']}, {r['dk_ph_um_inv']}) failed: {r['error']}", err=True)
-    if failures:
-        sys.exit(1)
+    return bool(failures)
 
 
 def _fmt(value) -> str:
@@ -477,12 +476,13 @@ _STARTED = "clpair.started"
 
 
 class _Main(click.Group):
-    """The command group; the one place where errors become exit codes.
+    """The command group; the one place where outcomes become exit codes.
 
-    A bad config or input file exits 2 with `config error: ...`; a
-    domain, convergence or resolution failure exits 1 with
-    `<command> failed: ...`. A failed internal cross-check
-    (`ConsistencyError`) is a fault of the program and keeps its traceback.
+    A bad config or input file exits 2 with `config error: ...`; one of
+    `_FAILURES` exits 1 with `<command> failed: ...`; a command that
+    returns true (a failed sweep cell or oracle) exits 1. A failed
+    internal cross-check (`ConsistencyError`) is a fault of the program
+    and keeps its traceback in every command.
 
     A command makes little cyclic garbage, so the cyclic collector is off
     while it runs and back in its previous state after. At exit the heap
@@ -497,11 +497,12 @@ class _Main(click.Group):
         collecting = gc.isenabled()
         gc.disable()
         try:
-            return super().invoke(ctx)
+            if super().invoke(ctx):
+                sys.exit(1)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
-        except (DomainError, ConvergenceError, ResolutionError) as exc:
+        except _FAILURES as exc:
             click.echo(f"{ctx.invoked_subcommand} failed: {exc}", err=True)
             sys.exit(1)
         finally:
@@ -539,14 +540,16 @@ def measure(config_path, out):
 @_threads_opt
 def sweep(config_path, out, threads):
     """Evaluate the configured parameter-plane sweep to CSV + JSON."""
-    _sweep(load_config(config_path), out, threads, "sweep")
+    return _sweep(load_config(config_path), out, threads, "sweep")
 
 
-def _sweep(cfg: RunConfig, out: str, threads: Optional[int], name: str, regimes: bool = False) -> None:
+def _sweep(cfg: RunConfig, out: str, threads: Optional[int], name: str, regimes: bool = False) -> bool:
     """Run the sweep on `threads` worker threads and write `<name>.csv`
     and `<name>.json`; with `regimes`, add the regime boundaries to the
     JSON and render the CSV's regimes to `<name>.svg` as `render --field
-    regime` does. Then name each failed cell and exit 1 if any failed."""
+    regime` does. Then name each failed cell; returns whether any failed."""
+    if cfg.sweep is None:
+        raise ConfigError("sweep commands need a [sweep] section")
     out_path = _out_dir(out)
     rows = run_sweep(cfg, threads)
     boundaries = None
@@ -560,7 +563,7 @@ def _sweep(cfg: RunConfig, out: str, threads: Optional[int], name: str, regimes:
     if regimes:
         (out_path / f"{name}.svg").write_text(_render_csv(text, "regime"))
         click.echo(f"wrote {out_path / f'{name}.svg'}")
-    _report_failures(rows)
+    return _report_failures(rows)
 
 
 @main.command()
@@ -606,18 +609,16 @@ def dist(config_path, out):
 @_threads_opt
 def regime_map(config_path, out, threads):
     """Sweep the plane to CSV + JSON and render the categorical regime map SVG."""
-    _sweep(load_config(config_path), out, threads, "regime_map", regimes=True)
+    return _sweep(load_config(config_path), out, threads, "regime_map", regimes=True)
 
 
 @main.command()
 @_config_opt
-@click.option("--seed", default=MC_SEED, show_default=True, type=int, help="Monte Carlo seed, non-negative.")
+@click.option("--seed", default=MC_SEED, show_default=True, type=click.IntRange(min=0), help="Monte Carlo seed.")
 @_out_opt
 def validate(config_path, seed, out):
     """Run the oracle suite at the configured point."""
     cfg = load_config(config_path)
-    if seed < 0:
-        raise ConfigError(f"the Monte Carlo seed must be non-negative, got {seed!r}")
     beam = cfg.beam()
     out_path = _out_dir(out)
     from .oracles import run_suite
@@ -634,8 +635,7 @@ def validate(config_path, seed, out):
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         click.echo(f"{status} {r.quantity}: |{r.value:.6e} - {r.oracle_value:.6e}| = {r.discrepancy:.2e} <= {r.tolerance:.2e}")
-    if not all(r.passed for r in reports):
-        sys.exit(1)
+    return not all(r.passed for r in reports)
 
 
 @main.command()

@@ -520,6 +520,23 @@ class TestCommands:
         assert payload["seed"] == 11
         assert all(r["passed"] for r in payload["reports"])
 
+    def test_validate_fail_exits_1_after_writing(self, runner, tmp_path, monkeypatch):
+        # a planted FAIL: validate prints it, still writes its report, and exits 1
+        import clpair.oracles as oracles
+
+        planted = [
+            oracles.OracleReport("purity_z", 0.5, 0.5, 0.0, 1e-6, True),
+            oracles.OracleReport("purity_sc", 0.5, 0.25, 0.25, 1e-6, False),
+        ]
+        monkeypatch.setattr(oracles, "run_suite", lambda beam, spectrum, seed: planted)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["validate", "--config", write(tmp_path, BASE_INI), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "FAIL purity_sc: |5.000000e-01 - 2.500000e-01| = 2.50e-01 <= 1.00e-06" in res.output
+        assert "PASS purity_z: " in res.output
+        reports = json.loads((out / "validate.json").read_text())["reports"]
+        assert [(r["quantity"], r["passed"]) for r in reports] == [("purity_z", True), ("purity_sc", False)]
+
     @pytest.mark.parametrize("variant", ["polar_linear", "radial_kc", "radial_dk"])
     def test_validate_phase_is_neglected(self, runner, tmp_path, monkeypatch, variant):
         # the suite never reads [phase]: a non-zero phase gets the zero
@@ -604,11 +621,10 @@ class TestSweepFailures:
     @pytest.mark.parametrize(
         "exc",
         [
-            ConsistencyError("kernel symmetry violated"),
             ResolutionError("grid too coarse"),
             ConvergenceError("did not converge", best_estimate=0.25, previous_estimate=0.5),
         ],
-        ids=["consistency", "resolution", "convergence"],
+        ids=["resolution", "convergence"],
     )
     def test_failed_cell_keeps_reason(self, runner, tmp_path, monkeypatch, exc):
         import clpair.measures as measures
@@ -639,6 +655,26 @@ class TestSweepFailures:
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[1] == "1.0,0.5,nan,nan,nan,nan,nan,nan,error,"
         assert all(len(line.split(",")) == len(CSV_HEADER) for line in lines)
+
+    def test_consistency_error_in_a_cell_exits_1(self, runner, tmp_path, monkeypatch):
+        # a failed internal cross-check is a fault of the program, not an
+        # error row: the sweep stops, names no cell and writes no artifact
+        import clpair.measures as measures
+
+        real, planted = measures.purity_sc, ConsistencyError("kernel symmetry violated")
+
+        def flaky(beam, spectrum, *args):
+            if beam.dq_perp == 1.0 and spectrum.dk_ph == 0.5:
+                raise planted
+            return real(beam, spectrum, *args)
+
+        monkeypatch.setattr(measures, "purity_sc", flaky)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["sweep", "--config", write(tmp_path, SWEEP_INI), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert res.exception is planted
+        assert " failed: " not in res.output
+        assert list(out.iterdir()) == []
 
     def test_too_fine_t_grid_cells_are_error_rows(self, runner, tmp_path, monkeypatch):
         # the dk_ph = 1e9 cells span 1.1e11 t-nodes and keep 2,784, above a
@@ -783,7 +819,7 @@ class TestSweepFailures:
 
         def flaky_z(beam, spectrum, *args):
             calls.append(beam.dq_perp)
-            raise ConsistencyError("purity_z failed")
+            raise ConvergenceError("purity_z failed")
 
         monkeypatch.setattr(measures, "purity_sc", flaky_sc)
         monkeypatch.setattr(measures, "purity_z", flaky_z)
@@ -898,10 +934,13 @@ class TestInputValidation:
             assert_config_error(runner.invoke(main, [*argv, "--config", cfg, "--out", str(tmp_path / "o")]))
 
     def test_negative_seed_option(self, runner, tmp_path):
+        # click's range check, as for --threads: before any output or computation
         cfg = write(tmp_path, BASE_INI)
         res = runner.invoke(main, ["validate", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")])
-        assert_config_error(res)
-        assert "seed" in res.output
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--seed': -1 is not in the range x>=0." in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_sample_floor_is_shared(self, tmp_path):
         from clpair.constants import MC_MIN_SAMPLES
@@ -1278,6 +1317,21 @@ class TestExitMapping:
     def test_every_command_maps_bad_config_to_2(self, runner, tmp_path, argv):
         cfg = write(tmp_path, SWEEP_INI.replace("l_par_um = 1.3", "l_par_um = 1.3\ndq_par_um_inv = 4.8"))
         assert_config_error(runner.invoke(main, [*argv, "--config", cfg, "--out", str(tmp_path / "o")]))
+
+    def test_config_needs_spectrum(self, runner, tmp_path):
+        cfg = write(tmp_path, BASE_INI.split("[spectrum]")[0])
+        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "config must contain [beam] and [spectrum] sections" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "regime-map"])
+    def test_sweep_needs_sweep_section(self, runner, tmp_path, command):
+        # refused before --out is made
+        res = runner.invoke(main, [command, "--config", write(tmp_path, BASE_INI), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "config error: sweep commands need a [sweep] section" in res.output
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [["measure"], ["dist"], ["validate"]], ids=lambda argv: argv[0])
     def test_point_commands_need_dq_perp(self, runner, tmp_path, argv):

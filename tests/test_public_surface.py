@@ -13,6 +13,9 @@ Click commands are called by click.
 No module reads an environment variable, except that `__init__` sets
 OpenBLAS's thread count by default: a setting that the environment could
 change unseen would be missing from every artifact's provenance.
+
+`cli.py` calls `sys.exit` only in `_Main.invoke`, the one place where a
+command's outcome becomes an exit code.
 """
 
 import ast
@@ -236,3 +239,53 @@ def test_no_module_reads_the_environment():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert {"__init__", "cli"} <= trees.keys()
     assert environment_reads(trees) == set()
+
+
+def exit_sites(tree) -> set:
+    """`qualname:line` of each sys.exit call in `tree`; the qualname names
+    the innermost enclosing class or function ("" at module level)."""
+    found = set()
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{qualname}.{child.name}".lstrip("."))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "exit"
+                and getattr(child.func.value, "id", None) == "sys"
+            ):
+                found.add(f"{qualname}:{child.lineno}")
+            visit(child, qualname)
+
+    visit(tree, "")
+    return found
+
+
+def test_exit_detector():
+    tree = ast.parse(
+        "import sys\n"
+        "sys.exit(0)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        try:\n"
+        "            sys.exit(1)\n"
+        "        finally:\n"
+        "            pass\n"
+        "def g():\n"
+        "    def h():\n"
+        "        return sys.exit(2)\n"
+        "    click.exit(3)\n"
+    )
+    assert exit_sites(tree) == {":2", "A.f:6", "g.h:11"}
+
+
+def test_only_the_command_group_exits():
+    # a command returns its failures, and _Main.invoke alone turns them
+    # and the package's errors into exit codes
+    tree = ast.parse((ROOT / "src" / "clpair" / "cli.py").read_text())
+    sites = exit_sites(tree)
+    assert len(sites) == 3
+    assert {site.partition(":")[0] for site in sites} == {"_Main.invoke"}
