@@ -44,8 +44,9 @@ MC_SAMPLES = 200_000
 MC_MIN_SAMPLES = 10_000
 
 # The largest arrays one step may build, in bytes: the purity t-grid's
-# nodes and weights together, and the Schmidt oracle's amplitude. A step
-# that would exceed it is refused with ResolutionError.
+# nodes and weights together, the Schmidt oracle's amplitude, and the
+# position lattice's density and lags together. A step that would exceed
+# it is refused with ResolutionError.
 MAX_ARRAY_BYTES = 64 * 2**20
 
 # How far from one a density grid's integral may be, as `dist` and the

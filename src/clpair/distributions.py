@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ANGULAR_NORM, NORMALIZATION_TOL
-from .errors import ConsistencyError, DomainError
+from .constants import ANGULAR_NORM, MAX_ARRAY_BYTES, NORMALIZATION_TOL
+from .errors import ConsistencyError, DomainError, ResolutionError
 from .measures import rel_pos_variance_closed
 from .model import BeamParams, SpectrumModel, eval_g, psi_ini_x_sq
 from .quadrature import gauss_legendre_edges, gauss_legendre_panels
@@ -38,6 +38,9 @@ _LAG_BLOCK = 2048
 # 8 x 32 x 256 takes 0.5 MB
 _KERNEL_NODES = 8
 _KERNEL_ROWS = 32
+# the most cells the position lattice may hold: its density and lag arrays,
+# two 8-byte numbers a cell, then fill MAX_ARRAY_BYTES
+_LATTICE_MAX_CELLS = MAX_ARRAY_BYTES // 16
 
 
 @dataclass(frozen=True)
@@ -205,13 +208,6 @@ def _rho_rule(spectrum: SpectrumModel, r_max: float):
     return gauss_legendre_edges(np.concatenate((edges, np.linspace(e, r_max, n + 1))), 16)
 
 
-def _beta_rule():
-    """The position kernel's beta rule, 3 panels of 8 Gauss-Legendre nodes
-    on [0, pi/2], as sin^2 beta and sqrt(w_beta) sin beta at each node."""
-    bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 3, 8)
-    return np.sin(bn) ** 2, np.sqrt(bw) * np.sin(bn)
-
-
 def _kernel_nodes(spectrum: SpectrumModel, ax: np.ndarray):
     """The rho nodes of `_rho_rule` on [0, sqrt(kmax^2 - ax[0]^2)],
     _KERNEL_NODES consecutive ones at a time. For each group this yields
@@ -237,33 +233,6 @@ def _kernel_nodes(spectrum: SpectrumModel, ax: np.ndarray):
         yield i0, k, c2, f2
 
 
-def _kernel_diagonal(spectrum: SpectrumModel, ax: np.ndarray) -> np.ndarray:
-    """The position kernel's diagonal M(k_x, k_x) on `ax`, in closed form,
-    checked against the photon marginal G(k_x).
-
-    On the diagonal the longitudinal Gaussian is one and the beta sum of
-    F_r F_r^T is elementary: with c = rho / k and S_n = sum_beta w_beta
-    sin^(2n) beta, node rho adds f^2 (S_1 - c^2 S_2). M(k_x, k_x) = G(k_x)
-    exactly, so a sum more than 1e-8 max G from G raises ConsistencyError.
-    """
-    sb2, wb = _beta_rule()
-    s1, s2 = float(wb @ wb), float(wb @ (wb * sb2))
-    diag = np.zeros(ax.size)
-    for i0, _, c2, f2 in _kernel_nodes(spectrum, ax):
-        c2 *= -s2
-        c2 += s1
-        c2 *= f2
-        # one reduction per node group, the running sum joining its first node
-        target = diag[i0 : i0 + c2.shape[1]]
-        c2[0] += target
-        np.add.reduce(c2, axis=0, out=target)
-    g_ref = photon_marginal_kx(spectrum, ax)
-    scale = float(np.max(g_ref))
-    if scale > 0.0 and float(np.max(np.abs(diag - g_ref))) > 1e-8 * scale:
-        raise ConsistencyError("position kernel diagonal disagrees with the photon marginal")
-    return diag
-
-
 def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) -> np.ndarray:
     """Kernel M(k_x, k_x') (um^2 entries) on the ascending positive
     half-axis `ax`, as the block h[a, b] = M(ax[a], ax[b]).
@@ -280,22 +249,24 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
 
     one Gram matrix per radial node. The rho nodes are `_rho_rule`'s:
     16-node panels, each no wider than dk_ph max(1, kmin / rho) at its
-    outer edge rho. A row is zero where k_a leaves the spectrum's radial
+    outer edge rho; the beta rule is 3 panels of 8 Gauss-Legendre nodes on
+    [0, pi/2]. A row is zero where k_a leaves the spectrum's radial
     window [kmin, kmax]; at each node the live rows are one contiguous
     band of `ax`.
 
-    The diagonal is summed first, in closed form, and checked against the
-    photon marginal (`_kernel_diagonal`), so a point that fails the check
-    raises ConsistencyError before any off-diagonal work. Then the nodes
-    of each group of `_kernel_nodes` are summed in one batched pass over
-    the group's union band, upper triangle only, _KERNEL_ROWS rows at a
-    time, each row block's node blocks added to h in one reduction. h is
-    then mirrored, so it is exactly symmetric. M depends on |k_x| and
-    |k_x'| only, so h holds the kernel on the whole mirrored grid
-    [-ax[::-1], ax], and T is a quadratic form of h (see `joint_position`).
+    The nodes of each group of `_kernel_nodes` are summed in one batched
+    pass over the group's union band, upper triangle only, _KERNEL_ROWS
+    rows at a time, each row block's node blocks added to h in one
+    reduction. h is then mirrored, so it is exactly symmetric. M depends
+    on |k_x| and |k_x'| only, so h holds the kernel on the whole mirrored
+    grid [-ax[::-1], ax], and T is a quadratic form of h (see
+    `joint_position`). M(k_x, k_x) = G(k_x) exactly, so a diagonal of h
+    more than 1e-8 max G from the photon marginal raises ConsistencyError.
     """
-    _kernel_diagonal(spectrum, ax)
-    sb2, wb = _beta_rule()
+    # G before the walk, so that its temporaries are freed before h is built
+    g_ref = photon_marginal_kx(spectrum, ax)
+    bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 3, 8)
+    sb2, wb = np.sin(bn) ** 2, np.sqrt(bw) * np.sin(bn)
     alpha = beam.c_over_vz**2 / (8.0 * beam.dq_par**2)
     h = np.zeros((ax.size, ax.size))
     for i0, k, c2, f2 in _kernel_nodes(spectrum, ax):
@@ -320,6 +291,9 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
             block[0] += target
             np.add.reduce(block, axis=0, out=target)
     _mirror_upper(h)
+    scale = float(np.max(g_ref))
+    if scale > 0.0 and float(np.max(np.abs(np.diagonal(h) - g_ref))) > 1e-8 * scale:
+        raise ConsistencyError("position kernel diagonal disagrees with the photon marginal")
     return h
 
 
@@ -350,21 +324,15 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     `_position_kernel`). T is even, so it is evaluated at lags >= 0 only.
 
     The kernel's rho integral runs on 16-node panels no wider than
-    dk_ph max(1, kmin / rho) at their outer edge (`_rho_rule`). Its
-    diagonal is checked against the photon marginal first, so a point
-    that fails that check raises ConsistencyError before the kernel's
-    off-diagonal blocks, the lattice or T are built.
+    dk_ph max(1, kmin / rho) at their outer edge (`_rho_rule`), and its
+    diagonal is checked against the photon marginal. The lattice is sized
+    first: one whose density and lag arrays, 16 bytes a cell, would exceed
+    MAX_ARRAY_BYTES raises ResolutionError before the kernel is built.
 
     Also returns T itself: the ascending distinct |x_el - x_ph| (um) that
     the grid reads, and T (um^-1) at each, the values the envelope
     multiplies.
     """
-    # midpoint grid: uniform, excludes the exact endpoints; only its
-    # positive half is built, so the grid is exactly odd
-    dkx = 2.0 * spectrum.kmax / N_KX
-    ax = (np.arange(N_KX // 2) + 0.5) * dkx
-    kernel = _position_kernel(beam, spectrum, ax)
-
     sig_el = 1.0 / (2.0 * beam.dq_perp)
     sig_t = math.sqrt(rel_pos_variance_closed(beam, spectrum))
     # both axes live on a common lattice of pitch h so every difference
@@ -374,6 +342,15 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     m_ph = max(1, int(sig_t / (10.0 * h)))
     i_el = math.ceil(7.0 * sig_el / (m_el * h))
     i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
+    if (2 * i_el + 1) * (2 * i_ph + 1) > _LATTICE_MAX_CELLS:
+        raise ResolutionError(
+            f"the position lattice needs {2 * i_el + 1} x {2 * i_ph + 1} cells, more than its cap of {_LATTICE_MAX_CELLS}"
+        )
+    # midpoint grid: uniform, excludes the exact endpoints; only its
+    # positive half is built, so the grid is exactly odd
+    dkx = 2.0 * spectrum.kmax / N_KX
+    ax = (np.arange(N_KX // 2) + 0.5) * dkx
+    kernel = _position_kernel(beam, spectrum, ax)
     x_el = np.arange(-i_el, i_el + 1) * (m_el * h)
     x_ph = np.arange(-i_ph, i_ph + 1) * (m_ph * h)
     # |x_el - x_ph| in units of h at every grid point; T is even, so it is

@@ -1467,6 +1467,18 @@ class TestExitMapping:
         assert "Traceback" not in res.output
         assert not (tmp_path / "o" / "measure.csv").exists()
 
+    def test_dist_oversize_lattice_exits_1(self, runner, tmp_path):
+        # at (1e-3, 1) the position lattice needs 143 x 245231 cells, 535
+        # MiB of density and lags; joint_position refuses it first, so no
+        # file is written
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-3"))
+        res = runner.invoke(main, ["dist", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "dist failed: the position lattice needs 143 x 245231 cells, more than its cap of 4194304" in res.output
+        assert "Traceback" not in res.output
+        assert list((tmp_path / "o").glob("*")) == []
+
     def test_measure_wide_t_span_is_computed(self, runner, tmp_path):
         # dq_perp 1e-7 spans 2.7e9 t-nodes, of which purity_sc keeps and
         # lays out 576

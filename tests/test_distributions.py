@@ -14,7 +14,6 @@ import clpair.distributions as distributions
 from clpair.distributions import (
     JointGrid,
     _check_normalized,
-    _kernel_diagonal,
     _position_kernel,
     _rho_rule,
     _t_at_lags,
@@ -23,7 +22,7 @@ from clpair.distributions import (
     momentum_grid,
     photon_marginal_kx,
 )
-from clpair.errors import ConsistencyError
+from clpair.errors import ConsistencyError, ResolutionError
 from clpair.measures import rel_pos_variance_closed
 from clpair.model import eval_g
 
@@ -412,30 +411,50 @@ class TestPositionKernelBlocks:
         assert _traced_peak(lambda: _position_kernel(b, s, half_axis(s))) <= 2.5 * 2**20
 
 
-class TestKernelDiagonalFirst:
-    """The kernel's diagonal is summed in closed form and checked against
-    the photon marginal before any off-diagonal work."""
+class TestKernelDiagonalCheck:
+    """One walk over the radial nodes builds h, and the diagonal of that h
+    is checked against the photon marginal to 1e-8 of its peak; at
+    `KERNEL_POINTS` they agree within 2e-14 of it, and within 3.4e-10 at
+    (1, 3.29)."""
 
-    @KERNEL_POINTS
-    def test_diagonal_is_the_checked_closed_form(self, make_beam, make_spectrum, dq_perp, dk_ph):
-        # the closed form and h add each node group in one reduction: they
-        # agree within 7.0e-16 of max|h| at these points
-        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
-        ax = half_axis(s)
-        h = _position_kernel(b, s, ax)
-        assert float(np.max(np.abs(np.diagonal(h) - _kernel_diagonal(s, ax)))) <= 1e-15 * float(np.max(np.abs(h)))
+    def test_one_walk_over_the_nodes(self, make_beam, make_spectrum, monkeypatch):
+        walks = []
+        nodes = distributions._kernel_nodes
+
+        def counted(spectrum, ax):
+            walks.append(1)
+            return nodes(spectrum, ax)
+
+        monkeypatch.setattr(distributions, "_kernel_nodes", counted)
+        s = make_spectrum(0.210945)
+        _position_kernel(make_beam(0.263474), s, half_axis(s))
+        assert len(walks) == 1
 
     # the check fails from dk_ph = 4.683 on, at any dq_perp
     @pytest.mark.parametrize("dq_perp,dk_ph", [(1.0, 5.0), (31.2763, 9.61536)], ids=["1-5", "g1"])
-    def test_check_runs_before_the_blocks(self, make_beam, make_spectrum, monkeypatch, dq_perp, dk_ph):
-        # a planted defect after the block stage: a failing point raises
-        # ConsistencyError before it, so the mirror is never reached
-        def mirror(h):
-            raise AssertionError("the block stage ran before the diagonal check")
-
-        monkeypatch.setattr(distributions, "_mirror_upper", mirror)
+    def test_failing_points_raise(self, make_beam, make_spectrum, dq_perp, dk_ph):
         s = make_spectrum(dk_ph)
         with pytest.raises(ConsistencyError, match="position kernel diagonal disagrees with the photon marginal"):
+            _position_kernel(make_beam(dq_perp), s, half_axis(s))
+
+    @pytest.mark.parametrize("scale,raises", [(1.0 + 5e-9, False), (1.0 + 2e-8, True), (1.0 + 1e-7, True)])
+    @pytest.mark.parametrize("dq_perp,dk_ph", [(0.263474, 0.210945), (10.0, 2.0)], ids=["g0", "10-2-kmin0"])
+    def test_checks_the_returned_diagonal(self, make_beam, make_spectrum, monkeypatch, dq_perp, dk_ph, scale, raises):
+        # a planted defect after the block pass: a mirror that also scales
+        # the diagonal of h; the check reads that diagonal, to 1e-8 of the
+        # marginal's peak
+        mirror = distributions._mirror_upper
+
+        def scaled(h):
+            mirror(h)
+            h[np.diag_indices_from(h)] *= scale
+
+        monkeypatch.setattr(distributions, "_mirror_upper", scaled)
+        s = make_spectrum(dk_ph)
+        if raises:
+            with pytest.raises(ConsistencyError, match="position kernel diagonal disagrees with the photon marginal"):
+                _position_kernel(make_beam(dq_perp), s, half_axis(s))
+        else:
             _position_kernel(make_beam(dq_perp), s, half_axis(s))
 
     def test_catches_a_marginal_off_by_1e_7(self, make_beam, make_spectrum, monkeypatch):
@@ -619,6 +638,38 @@ class TestLeastGridSizes:
         b, s = make_beam(dq_perp), make_spectrum(dk_ph)
         assert joint_position(b, s)[0].axis1.size >= 141
         assert momentum_grid(b, s).axis1.size >= 97
+
+
+class TestLatticeCap:
+    """The position lattice is sized before the kernel is built, and one
+    whose density and lag arrays, 16 bytes a cell, would exceed
+    MAX_ARRAY_BYTES is refused."""
+
+    @pytest.mark.parametrize(
+        "dq_perp,dk_ph,shape",
+        [(1e-3, 1.0, "143 x 245231"), (3e-3, 3.0, "143 x 174551")],
+        ids=["1e-3-1", "3e-3-3"],
+    )
+    def test_oversize_lattice_is_refused_before_the_kernel(self, make_beam, make_spectrum, dq_perp, dk_ph, shape):
+        # 535 and 381 MiB of density and lags; the refusal builds nothing
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+
+        def refused():
+            with pytest.raises(ResolutionError, match=f"the position lattice needs {shape} cells, more than its cap of 4194304"):
+                joint_position(b, s)
+
+        assert _traced_peak(refused) < 2**20
+
+    @pytest.mark.parametrize("cap,refused", [(211 * 351, False), (211 * 351 - 1, True)])
+    def test_cap_counts_the_cells(self, make_beam, make_spectrum, monkeypatch, cap, refused):
+        # g0's lattice is 211 x 351 cells
+        monkeypatch.setattr(distributions, "_LATTICE_MAX_CELLS", cap)
+        b, s = make_beam(0.263474), make_spectrum(0.210945)
+        if refused:
+            with pytest.raises(ResolutionError, match="needs 211 x 351 cells"):
+                joint_position(b, s)
+        else:
+            assert joint_position(b, s)[0].density.shape == (211, 351)
 
 
 def readme_rebuild():

@@ -794,3 +794,28 @@ class TestWideBeamLimit:
             return purity_sc(BeamParams(beam.kinetic_energy_kev, beam.dq_perp, 2.0 * beam.dq_par), spectrum)
 
         assert wide_beam_falloff(doubled, l_par, dk) != pytest.approx(100.0, rel=0.01)
+
+
+# the narrow-beam limit of P_sc / dq_perp^2 at dk_ph 0.3 and L_par 1.3 um,
+# from a 3D Gauss-Legendre sum, known to 10 digits
+NARROW_BEAM_C = 0.0290515684
+
+
+class TestNarrowBeamLimit:
+    """P_sc / dq_perp^2 -> C(dk_ph) as dq_perp -> 0: the transverse overlap
+    factor tends to 4 pi dq_perp^2 times a delta in the transverse
+    wavevectors. The value is pinned, not `_checked_purity`'s verdict,
+    which PURITY_ABS_TOL decides at these points."""
+
+    # measured -1.3e-9 at 1e-4 and +4.5e-10 at 1e-5 (-1.7e-7 at 1e-3)
+    @pytest.mark.parametrize("dq_perp", [1e-4, 1e-5])
+    def test_p_sc_over_dq_perp_squared(self, make_beam, make_spectrum, dq_perp):
+        p = purity_sc(make_beam(dq_perp), make_spectrum(0.3))
+        assert p / dq_perp**2 == pytest.approx(NARROW_BEAM_C, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("dq_perp", [1e-4, 1e-5])
+    def test_planted_defect_is_caught(self, make_beam, make_spectrum, dq_perp):
+        # a planted defect: the spectral width off by 1e-6 of itself moves
+        # the limit by 3.8e-8
+        p = purity_sc(make_beam(dq_perp), make_spectrum(0.3 * (1.0 + 1e-6)))
+        assert p / dq_perp**2 != pytest.approx(NARROW_BEAM_C, rel=1e-8, abs=0.0)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -22,7 +23,7 @@ from clpair.oracles import (
 )
 from clpair.quadrature import GammaSampler
 
-from conftest import schmidt_gaussian_closed
+from conftest import SRC, schmidt_gaussian_closed
 
 
 class TestOracleReport:
@@ -272,11 +273,33 @@ class TestFdGradient:
         assert not fd_gradient_check(s, pts).passed
 
 
+# the longitudinal identity's coherence lengths (um) and spectral widths
+LONGITUDINAL_CASES = [(l_par, dk) for l_par in (0.13, 1.3, 13.0) for dk in (0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)]
+
+
 class TestIdentities:
     def test_longitudinal_term(self, make_beam, make_spectrum):
         rep = longitudinal_term_identity(make_beam(1.0), make_spectrum(0.7))
         assert rep.passed
         assert rep.value == pytest.approx(rep.oracle_value, rel=1e-6)
+
+    @pytest.mark.parametrize("l_par,dk", LONGITUDINAL_CASES)
+    def test_longitudinal_term_to_its_error_model(self, make_beam, make_spectrum, l_par, dk):
+        # the discrepancy is the radial window's tail share: 1-3e-15 up to
+        # dk_ph 3, 2.2e-14 at 10 and 4.9e-14 at 30 (kmin = 0), against a
+        # tolerance of 1e-12
+        rep = longitudinal_term_identity(make_beam(1.0, 2.0 * math.pi / l_par), make_spectrum(dk))
+        assert rep.tolerance == 1e-12 * abs(rep.value)
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("l_par,dk", [(0.13, 0.3), (1.3, 30.0), (13.0, 1.0)])
+    def test_longitudinal_term_catches_a_planted_1e_10(self, make_beam, make_spectrum, monkeypatch, l_par, dk):
+        # a planted defect: the angular profile off by 1e-10 of itself
+        import clpair.oracles as oracles
+
+        exact = oracles.eval_f
+        monkeypatch.setattr(oracles, "eval_f", lambda theta: exact(theta) * (1.0 + 1e-10))
+        assert not longitudinal_term_identity(make_beam(1.0, 2.0 * math.pi / l_par), make_spectrum(dk)).passed
 
     # the check reads only the spectrum, so the three dk_ph columns cover
     # the 12-point panel; on the marginal's own domain the two sides agree
@@ -318,6 +341,16 @@ class TestSuite:
         ]
         failed = [r for r in reports if not r.passed]
         assert not failed, failed
+
+    def test_names_match_the_benchmark_reference(self, make_beam, make_spectrum):
+        # the benchmark judges each `validate` report against the frozen
+        # perfbench/reference.json, and stops the whole run at a report
+        # name it does not hold, so a renamed or added oracle fails here
+        # first; read at the session point s0 (0.3, 1), seeds 7, 11, 12
+        reference = json.loads((SRC.parent / "perfbench" / "reference.json").read_text())["validate"]
+        frozen = [sorted(reference[f"0.3|1.0@{seed}"]["reports"]) for seed in (7, 11, 12)]
+        assert frozen[0] == frozen[1] == frozen[2] and len(frozen[0]) == 7
+        assert sorted(r.quantity for r in run_suite(make_beam(0.3), make_spectrum(1.0), seed=7)) == frozen[0]
 
     def test_all_green_at_10_2(self, make_beam, make_spectrum):
         # the suite of `validate --seed 7` at (10, 2), the benchmark's
