@@ -257,11 +257,15 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
     The nodes of each group of `_kernel_nodes` are summed in one batched
     pass over the group's union band, upper triangle only, _KERNEL_ROWS
     rows at a time, each row block's node blocks added to h in one
-    reduction. h is then mirrored, so it is exactly symmetric. M depends
-    on |k_x| and |k_x'| only, so h holds the kernel on the whole mirrored
-    grid [-ax[::-1], ax], and T is a quadratic form of h (see
-    `joint_position`). M(k_x, k_x) = G(k_x) exactly, so a diagonal of h
-    more than 1e-8 max G from the photon marginal raises ConsistencyError.
+    reduction. Each (node, row, band) block and its Gram matrices are
+    written into two buffers allocated once, at the largest block's shape
+    (_KERNEL_NODES, _KERNEL_ROWS, ax.size), so no block allocates or
+    faults in fresh pages. h is then mirrored, so it is exactly
+    symmetric. M depends on |k_x| and |k_x'| only, so h holds the kernel
+    on the whole mirrored grid [-ax[::-1], ax], and T is a quadratic form
+    of h (see `joint_position`). M(k_x, k_x) = G(k_x) exactly, so a
+    diagonal of h more than 1e-8 max G from the photon marginal raises
+    ConsistencyError.
     """
     # G before the walk, so that its temporaries are freed before h is built
     g_ref = photon_marginal_kx(spectrum, ax)
@@ -269,6 +273,8 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
     sb2, wb = np.sin(bn) ** 2, np.sqrt(bw) * np.sin(bn)
     alpha = beam.c_over_vz**2 / (8.0 * beam.dq_par**2)
     h = np.zeros((ax.size, ax.size))
+    # the two block buffers, each of the largest block's size
+    block_buf, gram_buf = np.empty((2, _KERNEL_NODES * _KERNEL_ROWS * ax.size))
     for i0, k, c2, f2 in _kernel_nodes(spectrum, ax):
         # F of every node, transposed, as the (node, beta, band) array ft,
         # scaled by sqrt(w_beta sin^2 beta) so that F F^T needs no weight
@@ -279,12 +285,19 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
         ft *= wb[:, None]
         for j in range(0, k.shape[1], _KERNEL_ROWS):
             # the block's Gram matrices, one per node, times the
-            # longitudinal Gaussian, built in place in one buffer
-            block = k[:, j : j + _KERNEL_ROWS, None] - k[:, None, j:]
+            # longitudinal Gaussian, built in place in views of the buffers;
+            # k_a - k_b is the rows copied in, less the band, since
+            # np.subtract into a given out runs slower on these shapes
+            rows = k[:, j : j + _KERNEL_ROWS]
+            shape = (k.shape[0], rows.shape[1], k.shape[1] - j)
+            block = block_buf[: math.prod(shape)].reshape(shape)
+            gram = gram_buf[: block.size].reshape(shape)
+            np.copyto(block, rows[:, :, None])
+            block -= k[:, None, j:]
             np.square(block, out=block)
             block *= -alpha
             np.exp(block, out=block)
-            block *= np.matmul(ft[:, :, j : j + _KERNEL_ROWS].transpose(0, 2, 1), ft[:, :, j:])
+            block *= np.matmul(ft[:, :, j : j + _KERNEL_ROWS].transpose(0, 2, 1), ft[:, :, j:], out=gram)
             # a node's block is zero outside its own band; the running sum
             # joins the first node's block, so one reduction adds the group
             target = h[i0 + j : i0 + j + block.shape[1], i0 + j : i0 + k.shape[1]]
@@ -338,10 +351,16 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     # both axes live on a common lattice of pitch h so every difference
     # x_el - x_ph is itself a lattice point; T is evaluated once per lag
     h = min(sig_el, sig_t) / 10.0
-    m_el = max(1, int(sig_el / (10.0 * h)))
-    m_ph = max(1, int(sig_t / (10.0 * h)))
-    i_el = math.ceil(7.0 * sig_el / (m_el * h))
-    i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
+    try:
+        m_el = max(1, int(sig_el / (10.0 * h)))
+        m_ph = max(1, int(sig_t / (10.0 * h)))
+        i_el = math.ceil(7.0 * sig_el / (m_el * h))
+        i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
+    except (OverflowError, ValueError):
+        # a count that overflows to inf (OverflowError), as sigma_el does at
+        # a dq_perp near 0, or is inf / inf = nan (ValueError) where sigma_t
+        # overflows too, at a dq_par near 0 as well
+        raise ResolutionError(f"the position lattice needs inf cells, more than its cap of {_LATTICE_MAX_CELLS}") from None
     if (2 * i_el + 1) * (2 * i_ph + 1) > _LATTICE_MAX_CELLS:
         raise ResolutionError(
             f"the position lattice needs {2 * i_el + 1} x {2 * i_ph + 1} cells, more than its cap of {_LATTICE_MAX_CELLS}"

@@ -72,6 +72,8 @@ def mc_purity(beam: BeamParams, spectrum: SpectrumModel, n: int = MC_SAMPLES, se
     """
     if n < MC_MIN_SAMPLES:
         raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
+    # the primary first: a point purity_sc refuses draws no sample
+    primary = purity_sc(beam, spectrum)
     sampler = GammaSampler(spectrum)
     rng = np.random.default_rng(seed)
     k1, a1, ph1 = sampler.sample_k_cos_phi(n, rng)
@@ -100,9 +102,10 @@ def mc_purity(beam: BeamParams, spectrum: SpectrumModel, n: int = MC_SAMPLES, se
     k1 *= beam.c_over_vz**2 / (4.0 * beam.dq_par**2)
     vals -= k1
     np.exp(vals, out=vals)
+    # the draws are freed before np.std takes its temporaries
+    del k1, k2, a1, a2, ph2
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    primary = purity_sc(beam, spectrum)
     return OracleReport.compare(
         "purity_sc_mc", primary, estimate, 3.0 * stderr, n=n, seed=seed, stderr=stderr
     )

@@ -5,8 +5,9 @@ The integrands in this package are smooth Gaussians times polynomials
 panels converge quickly; `gauss_legendre_panels` gives the composite
 rules the measures build their grids from.
 `GammaSampler` draws photon wavevectors exactly from the spectral
-density via a tabulated inverse CDF in k and rejection in cos(theta);
-the Monte Carlo oracles average over its draws.
+density: a tabulated inverse CDF in k, located by a guide table, and a
+closed-form product of uniforms for cos(theta); the Monte Carlo oracles
+average over its draws.
 """
 
 from __future__ import annotations
@@ -46,9 +47,12 @@ class GammaSampler:
     """Draws photon wavevectors from the spectral density.
 
     Radial part: 4096-point tabulated inverse CDF of k^2 g(k) on the
-    spectrum's radial window. Polar part: rejection in u = cos(theta)
-    against the exact profile (1 - u^2) u^2, the law sin^3(theta)
-    cos^2(theta) d(theta) written in u, with no trig; azimuth uniform.
+    spectrum's radial window, located by a guide table (Devroye 1986,
+    III.2.4) and interpolated by np.interp's own formula. Polar part: the
+    law (15/4)(1 - u^2) u^2 of u = cos(theta) makes u^2 a Beta(3/2, 2)
+    variate, the product of Beta(3/2, 1) and Beta(5/2, 1) ones, so
+    u = cbrt(U) V^(1/5) with U uniform on [-1, 1) and V on [0, 1), with no
+    trig and no rejection; azimuth uniform. Four uniforms a draw.
     """
 
     def __init__(self, spectrum: SpectrumModel):
@@ -58,35 +62,58 @@ class GammaSampler:
         if cdf[-1] <= 0.0:
             raise DomainError("spectral density vanishes on the truncated support")
         self._ktab = kk
-        self._cdf = cdf / cdf[-1]
+        self._cdf = cdf = cdf / cdf[-1]
+        # np.interp's slope of each interval; zero where the interval has
+        # no width, which no level ever falls in
+        dc = np.diff(cdf)
+        self._slope = np.divide(np.diff(kk), dc, out=np.zeros_like(dc), where=dc > 0.0)
+        # the guide table: a level x falls in cell int(x cells), one cell per
+        # interval. That map is monotone in x, so a table point in a lower
+        # cell lies at or below x and one in a higher cell above it: only
+        # the points in x's own cell are open. `_guide` is the last point
+        # below the cell (point 0, cdf 0, for the first), so with at most
+        # one point in the cell the interval is _guide, or the next one
+        # where cdf[_guide + 1] <= x. Cells with more points, in the flat
+        # tails, are searched in full (`_multi`).
+        self._cells = cells = dc.size
+        first = np.searchsorted((cdf * cells).astype(np.intp), np.arange(cells + 2), side="left")
+        self._guide = np.maximum(first[:-1] - 1, 0)
+        self._multi = np.diff(first) > 1
+
+    def _interval(self, level: np.ndarray) -> np.ndarray:
+        """The index j with cdf[j] <= level < cdf[j + 1] of each level in
+        [0, 1), what np.searchsorted(cdf, level, "right") - 1 returns."""
+        cell = (level * self._cells).astype(np.intp)
+        multi = np.flatnonzero(self._multi[cell])
+        j = np.take(self._guide, cell, mode="clip")
+        del cell
+        j += np.take(self._cdf[1:], j, mode="clip") <= level
+        j[multi] = np.searchsorted(self._cdf, level[multi], side="right") - 1
+        return j
 
     def sample_k_cos_phi(self, n: int, rng: np.random.Generator):
         """Return (k, cos(theta), phi) arrays of n exact draws."""
-        # the inverse-CDF lookup runs on the uniforms in ascending order,
-        # where each search starts next to the last one, and is scattered
-        # back into draw order in the buffer of the sorted uniforms
-        level = rng.random(n)
-        order = np.argsort(level)
-        k = level[order]
-        k[order] = np.interp(k, self._cdf, self._ktab)
-        del level, order
-        # each round draws one candidate u on [-1, 1) and then one height on
-        # [0, 1/4), the sup of (1 - u^2) u^2 at u^2 = 1/2, per draw still
-        # missing; 8 of 15 candidates are accepted
-        cos_theta = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = n - filled
-            cand = rng.uniform(-1.0, 1.0, m)
-            y = rng.uniform(0.0, 0.25, m)
-            u2 = np.square(cand)
-            bound = 1.0 - u2
-            bound *= u2
-            del u2
-            acc = cand[y < bound]
-            cos_theta[filled : filled + acc.size] = acc
-            filled += acc.size
-        phi = rng.random(n)
+        # k = slope[j] (level - cdf[j]) + ktab[j] on the level's interval j,
+        # np.interp's formula and order, so k is bitwise np.interp(level,
+        # cdf, ktab); built in place on the levels in one scratch buffer.
+        # Every index is in range; mode="clip" lets take write into `out`
+        # without the buffered copy its default mode makes
+        k = rng.random(n)
+        j = self._interval(k)
+        buf = np.empty(n)
+        k -= np.take(self._cdf, j, out=buf, mode="clip")
+        k *= np.take(self._slope, j, out=buf, mode="clip")
+        k += np.take(self._ktab, j, out=buf, mode="clip")
+        del j
+        # cos(theta) = cbrt(U) V^(1/5), U = 2 r - 1 uniform on [-1, 1)
+        cos_theta = rng.random(n, out=buf)
+        cos_theta *= 2.0
+        cos_theta -= 1.0
+        np.cbrt(cos_theta, out=cos_theta)
+        v = rng.random(n)
+        np.power(v, 0.2, out=v)
+        cos_theta *= v
+        phi = rng.random(n, out=v)
         phi *= 2.0
         phi *= math.pi
         return k, cos_theta, phi

@@ -823,7 +823,8 @@ class TestSweepFailures:
 
         monkeypatch.setattr(measures, "purity_sc", flaky_sc)
         monkeypatch.setattr(measures, "purity_z", flaky_z)
-        rows = run_sweep(load_config(write(tmp_path, SWEEP_INI)))
+        # one thread takes the cells in row-major order, so the calls come in it
+        rows = run_sweep(load_config(write(tmp_path, SWEEP_INI)), threads=1)
         errors = {(r["dq_perp_um_inv"], r["dk_ph_um_inv"]): r["error"] for r in rows}
         assert errors == {
             (1.0, 0.5): "purity_z failed",
@@ -1478,6 +1479,41 @@ class TestExitMapping:
         assert "dist failed: the position lattice needs 143 x 245231 cells, more than its cap of 4194304" in res.output
         assert "Traceback" not in res.output
         assert list((tmp_path / "o").glob("*")) == []
+
+    @pytest.mark.parametrize("l_par", ["1.3", "6e160"])
+    def test_dist_overflowing_lattice_exits_1(self, runner, tmp_path, l_par):
+        # at dq_perp 1e-320 sigma_el = 1 / (2 dq_perp) overflows to inf, so
+        # the lattice's cell count does too: over the cap, and nothing
+        # written. At L_par 6e160 um (dq_par 1e-160) sigma_t is inf as
+        # well, and the count inf / inf is nan: the same refusal
+        ini = BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320")
+        cfg = write(tmp_path, ini.replace("l_par_um = 1.3", f"l_par_um = {l_par}"))
+        res = runner.invoke(main, ["dist", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "dist failed: the position lattice needs inf cells, more than its cap of 4194304" in res.output
+        assert "Traceback" not in res.output
+        assert list((tmp_path / "o").glob("*")) == []
+
+    def test_validate_refused_point_prints_no_warning(self, tmp_path):
+        # the Monte Carlo oracle takes its primary purity_sc before it draws,
+        # so at dq_perp 1e-320, which purity_sc refuses, no sample is
+        # divided by dq_perp^2 = 0; run in a child, where numpy's warnings
+        # reach stderr as they do for a user
+        import subprocess
+        import sys
+
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320"))
+        res = subprocess.run(
+            [sys.executable, "-c", "from clpair.cli import main; main()", "validate", "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert res.returncode == 1
+        assert "validate failed: the purity t-grid needs inf nodes, more than its cap of 4194304" in res.stderr
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
 
     def test_measure_wide_t_span_is_computed(self, runner, tmp_path):
         # dq_perp 1e-7 spans 2.7e9 t-nodes, of which purity_sc keeps and

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -400,6 +401,14 @@ class TestPositionKernelBlocks:
         monkeypatch.setattr(distributions, "_mirror_upper", lambda h: None)
         with pytest.raises(AssertionError):
             assert_matches_full_band(_position_kernel(b, s, ax), position_kernel_full_band(b, s, ax))
+
+    def test_pinned_at_g0(self, make_beam, make_spectrum):
+        # sha256 of h at g0, taken with numpy 2.4 and its OpenBLAS on
+        # x86-64: a change to the kernel's arithmetic or to the order of its
+        # sums moves h, and with it every position grid
+        b, s = make_beam(0.263474), make_spectrum(0.210945)
+        h = _position_kernel(b, s, half_axis(s))
+        assert hashlib.sha256(h.tobytes()).hexdigest() == "abc90b8f3113811c767cf599cb93aa269b550f9b984c268793999a5537b1281b"
 
     @pytest.mark.parametrize("dq_perp,dk_ph", [(0.3, 1.0), (0.263474, 0.210945)], ids=["s0", "g0"])
     def test_traced_peak(self, make_beam, make_spectrum, dq_perp, dk_ph):

@@ -68,6 +68,20 @@ def assert_cos_theta_law(u):
         assert np.mean(v) == pytest.approx(mean, abs=4.0 * np.std(v) / math.sqrt(u.size))
 
 
+class _Levels:
+    """A stand-in for np.random.Generator whose first `random` call returns
+    the given levels; later calls return uniforms of a fixed seed."""
+
+    def __init__(self, levels):
+        self._levels, self._rng = levels, np.random.default_rng(0)
+
+    def random(self, n, out=None):
+        if self._levels is None:
+            return self._rng.random(n, out=out)
+        levels, self._levels = self._levels.copy(), None
+        return levels
+
+
 class TestGammaSampler:
     def test_cos_theta_moments(self):
         s = SpectrumModel(12.566, 1.0)
@@ -82,6 +96,15 @@ class TestGammaSampler:
         u = rng.uniform(-1.0, 1.0, 4 * n)
         u = u[rng.random(4 * n) < 1.0 - u**2][:n]
         assert u.size == n
+        with pytest.raises(AssertionError):
+            assert_cos_theta_law(u)
+
+    def test_moments_catch_a_wrong_root(self):
+        # a planted defect: cbrt(U) V^(1/4) in place of V^(1/5) makes u^2
+        # Beta(3/2, 1) Beta(2, 1), with E[u^2] = 2/5 for 3/7
+        rng = np.random.default_rng(3)
+        n = 200_000
+        u = np.cbrt(rng.uniform(-1.0, 1.0, n)) * rng.random(n) ** 0.25
         with pytest.raises(AssertionError):
             assert_cos_theta_law(u)
 
@@ -101,14 +124,34 @@ class TestGammaSampler:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
-    def test_sorted_lookup_matches_plain_interp(self):
-        # the ascending-order lookup must give bitwise the draws of a
-        # direct np.interp on the same uniforms
+    def test_guide_table_matches_plain_interp(self):
+        # the guide-table lookup must give bitwise the draws of a direct
+        # np.interp on the same uniforms
         s = SpectrumModel(12.566, 1.0)
         sampler = GammaSampler(s)
         u = np.random.default_rng(11).random(200_000)
         k, _, _ = sampler.sample_k_cos_phi(200_000, np.random.default_rng(11))
         np.testing.assert_array_equal(k, np.interp(u, sampler._cdf, sampler._ktab))
+
+    @pytest.mark.parametrize("dk_ph", [1.0, 30.0], ids=["s0", "kmin=0"])
+    def test_guide_table_is_exact_at_edges_and_tails(self, dk_ph):
+        # k is np.interp(level, cdf, ktab) bit for bit where the lookup can
+        # slip: at the guide cells' edges c / cells and the floats either
+        # side, at the CDF's nodes and the floats either side, and on the
+        # flat tails, where a cell holds several nodes
+        sampler = GammaSampler(SpectrumModel(2.0 * math.pi / 0.5, dk_ph))
+        cdf, cells = sampler._cdf, sampler._cells
+        edges = np.arange(cells) / cells
+        tails = np.random.default_rng(5).random(20_000) * 1e-3
+        levels = np.concatenate(
+            [edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0), cdf[:-1], np.nextafter(cdf[:-1], 1.0),
+             np.nextafter(cdf[1:], 0.0), tails, 1.0 - tails]
+        )
+        levels = levels[levels < 1.0]
+        # the tails reach cells of several nodes, which the lookup searches
+        assert np.count_nonzero(sampler._multi[(levels * cells).astype(int)]) > 1000
+        k, _, _ = sampler.sample_k_cos_phi(levels.size, _Levels(levels))
+        np.testing.assert_array_equal(k, np.interp(levels, cdf, sampler._ktab))
 
     def test_draws_pinned(self):
         # sha256 of (k, cos(theta), phi) for a fixed seed, taken with numpy
@@ -117,7 +160,7 @@ class TestGammaSampler:
         sampler = GammaSampler(SpectrumModel(2.0 * math.pi / 0.5, 1.0))
         k, cos_theta, phi = sampler.sample_k_cos_phi(10_000, np.random.default_rng(20261018))
         digest = hashlib.sha256(k.tobytes() + cos_theta.tobytes() + phi.tobytes()).hexdigest()
-        assert digest == "0d23ca2b03c798995fea866da2839fd56b89ac4070b8413cc787f9be34197022"
+        assert digest == "14b007542699bc5e9fc848338207666c113419533de01cf93e9a149552d9e651"
 
     def test_filtered_sampling(self):
         s = SpectrumModel(12.566, 1.0)
