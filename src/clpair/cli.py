@@ -48,7 +48,7 @@ import click
 from . import __version__
 from .constants import EPR_THRESHOLD, MC_SEED, PURITY_THRESHOLD, TWO_PI
 from .errors import ConfigError, ConvergenceError, DomainError, ResolutionError
-from .model import BeamParams, PhaseModel, SpectrumModel, wavelength_to_wavenumbers
+from .model import BeamParams, PhaseModel, SpectrumModel, check_admissible, wavelength_to_wavenumbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,13 +118,18 @@ class RunConfig:
     sweep: Optional[SweepAxes] = None
 
     def __post_init__(self):
-        # fail fast with the model's own checks, at dq_perp and at the
-        # sweep's largest dq_perp (the small-recoil bound is an upper one);
-        # without either, dq_par stands in to check the energy and dq_par
-        self.spectrum()
-        given = [dq for dq in (self.dq_perp, self.sweep and self.sweep.dq_perp_max) if dq is not None]
-        for dq in given or [self.dq_par]:
-            self.beam(dq)
+        # fail fast with the model's checks and its admissible box, at the
+        # configured point and the sweep plane's four corners: w grows with
+        # dk_ph, u with dq_perp and l with neither, so the corners bound
+        # every cell. Without a dq_perp, dq_par stands in; as u it is
+        # l c/v_z >= l, so it trips no edge that l does not
+        points = [(self.dq_perp, self.dk_ph)]
+        if self.sweep is not None:
+            axes = self.sweep
+            points += [(dq, dk) for dq in (axes.dq_perp_min, axes.dq_perp_max) for dk in (axes.dk_ph_min, axes.dk_ph_max)]
+        for dq, dk in points:
+            spectrum = self.spectrum(dk)
+            check_admissible(self.beam(self.dq_par if dq is None else dq), spectrum)
 
     def beam(self, dq_perp: Optional[float] = None) -> BeamParams:
         dq = dq_perp if dq_perp is not None else self.dq_perp
@@ -198,8 +203,6 @@ def load_config(path: str) -> RunConfig:
         return parse_config(parser)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    except ArithmeticError as exc:  # a value whose derived quantities overflow
-        raise ConfigError(f"a parameter is out of range: {exc}") from exc
 
 
 def _check_known_keys(parser: configparser.ConfigParser) -> None:
@@ -239,8 +242,10 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
                 raise ConfigError(f"[{where}] {' / '.join(k for k, (f, _) in keys.items() if f == field)}: missing")
     fields, spectrum = held.pop(""), parser["spectrum"]
     if "dlambda_um" in spectrum:
-        # dk_ph = 2 pi dlambda / lambda_c^2, with lambda_c as given if it was
-        lam = float(spectrum["lambda_c_um"]) if "lambda_c_um" in spectrum else TWO_PI / fields["k_c"]
+        # dk_ph = 2 pi dlambda / lambda_c^2, with lambda_c as given if it was;
+        # a k_c of 0 has no wavelength, and the conversion refuses 0 as one
+        k_c = fields["k_c"]
+        lam = float(spectrum["lambda_c_um"]) if "lambda_c_um" in spectrum else (TWO_PI / k_c if k_c else 0.0)
         _, fields["dk_ph"] = wavelength_to_wavenumbers(lam, float(spectrum["dlambda_um"]))
     return RunConfig(**fields, **{holder: _HOLDERS[holder](**attrs) for holder, attrs in held.items()})
 

@@ -52,3 +52,45 @@ MAX_ARRAY_BYTES = 64 * 2**20
 # How far from one a density grid's integral may be, as `dist` and the
 # oracle suite's grid variances require.
 NORMALIZATION_TOL = 0.01
+
+# The admissible box. Every diagnostic depends on the beam and the spectrum
+# only through three dimensionless groups (Buckingham's Pi theorem):
+# u = dq_perp / k_c, w = dk_ph / k_c and l = dq_par (v/c) / k_c; k_c and
+# the energy only set the doubles that carry them. `model` refuses a point
+# outside the box with DomainError, and the CLI does so at load (exit 2).
+# Inside it, every count a builder forms and every quantity the model
+# derives (n_g, kmin, kmax, q0, c/v_z, alpha and the products named below)
+# is a finite double; a finite count that is merely large is the array
+# caps' to refuse (MAX_ARRAY_BYTES). Each edge is where the quantity named
+# beside it, computed as the library computes it, stops being finite (or
+# positive), measured by bisection and rounded inward to a power of ten.
+# The upper edges of u and l are the beam's small-recoil check, dq < q0.
+#
+# Kinetic energy (keV): below 10^-305.85, (c/v_z)^2, alpha's numerator,
+# overflows. q0 is the upper edge of dq_par, and above 10^73.67 P_z's
+# p alpha = (c/v_z)^2 / (8 dk_ph^2 dq_par^2), at dq_par = q0 and
+# dk_ph = K_C_MAX W_MAX, leaves the normal doubles.
+ENERGY_KEV_MIN = 1e-305
+ENERGY_KEV_MAX = 1e73
+# k_c from below: rel_pos_variance_quadrature squares dGamma/dk_x, which
+# goes as 1 / (w^2 k_c^4), and at w = W_MIN that overflows below
+# k_c = 10^-31.01; k_c's range is symmetric about 1 um^-1.
+K_C_MIN = 1e-30
+K_C_MAX = 1e30
+# l from below: D^2 = V dq_perp^2 holds 1 / (l k_c)^2 in V, and at the top
+# energy, with dq_perp at q0 and k_c = K_C_MIN, it overflows below
+# l = 10^-48.00.
+L_MIN = 1e-47
+# w from above: photon_marginal_kx forms kmax^4, kmax = k_c (1 + 8 w), which
+# at k_c = K_C_MAX overflows from w = 10^46.16.
+W_MAX = 1e46
+# w from below: the radial window k_c +- 8 dk_ph narrows to a few doubles,
+# and Gamma, which rel_pos_variance_quadrature divides by at each radial
+# node, underflows to zero at some node below w = 10^-17.30 (the worst of
+# eight k_c from K_C_MIN to K_C_MAX); a node one ulp off k_c would need
+# 10^-17.24, and the edge leaves room for two.
+W_MIN = 1e-16
+# u from below: at k_c = K_C_MIN, dq_perp^2 (P_sc's b^2, D^2's
+# var(q_x + k_x), the electron envelope's 2 dq_perp^2) leaves the normal
+# doubles below u = 10^-123.83. dq_perp 1e-7 at the README k_c is u = 8e-9.
+U_MIN = 1e-123

@@ -23,7 +23,7 @@ import numpy as np
 from .constants import ANGULAR_NORM, MAX_ARRAY_BYTES, NORMALIZATION_TOL
 from .errors import ConsistencyError, DomainError, ResolutionError
 from .measures import rel_pos_variance_closed
-from .model import BeamParams, SpectrumModel, eval_g, psi_ini_x_sq
+from .model import BeamParams, SpectrumModel, check_admissible, eval_g, psi_ini_x_sq
 from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 # k_x points over [-kmax, kmax], with both endpoints on the momentum grid and
@@ -39,8 +39,11 @@ _LAG_BLOCK = 2048
 _KERNEL_NODES = 8
 _KERNEL_ROWS = 32
 # the most cells the position lattice may hold: its density and lag arrays,
-# two 8-byte numbers a cell, then fill MAX_ARRAY_BYTES
+# two 8-byte numbers a cell, then fill MAX_ARRAY_BYTES; and the most lags
+# its lag index may span: a flag and an 8-byte rank a lag, `used` and its
+# cumsum, then fill MAX_ARRAY_BYTES as well
 _LATTICE_MAX_CELLS = MAX_ARRAY_BYTES // 16
+_LATTICE_MAX_LAGS = MAX_ARRAY_BYTES // 9
 
 
 @dataclass(frozen=True)
@@ -271,7 +274,8 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
     g_ref = photon_marginal_kx(spectrum, ax)
     bn, bw = gauss_legendre_panels(0.0, math.pi / 2.0, 3, 8)
     sb2, wb = np.sin(bn) ** 2, np.sqrt(bw) * np.sin(bn)
-    alpha = beam.c_over_vz**2 / (8.0 * beam.dq_par**2)
+    # the kernel's longitudinal Gaussian is the square root of P_z's
+    half_alpha = 0.5 * beam.alpha
     h = np.zeros((ax.size, ax.size))
     # the two block buffers, each of the largest block's size
     block_buf, gram_buf = np.empty((2, _KERNEL_NODES * _KERNEL_ROWS * ax.size))
@@ -295,7 +299,7 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
             np.copyto(block, rows[:, :, None])
             block -= k[:, None, j:]
             np.square(block, out=block)
-            block *= -alpha
+            block *= -half_alpha
             np.exp(block, out=block)
             block *= np.matmul(ft[:, :, j : j + _KERNEL_ROWS].transpose(0, 2, 1), ft[:, :, j:], out=gram)
             # a node's block is zero outside its own band; the running sum
@@ -339,32 +343,34 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     The kernel's rho integral runs on 16-node panels no wider than
     dk_ph max(1, kmin / rho) at their outer edge (`_rho_rule`), and its
     diagonal is checked against the photon marginal. The lattice is sized
-    first: one whose density and lag arrays, 16 bytes a cell, would exceed
-    MAX_ARRAY_BYTES raises ResolutionError before the kernel is built.
+    first: one whose density and lag arrays, 16 bytes a cell, or whose
+    index of used lags, 9 bytes for each lag up to the largest, would
+    exceed MAX_ARRAY_BYTES raises ResolutionError before the kernel is
+    built. A point outside the admissible box (`check_admissible`) raises
+    DomainError before the lattice is sized.
 
     Also returns T itself: the ascending distinct |x_el - x_ph| (um) that
     the grid reads, and T (um^-1) at each, the values the envelope
     multiplies.
     """
+    check_admissible(beam, spectrum)
     sig_el = 1.0 / (2.0 * beam.dq_perp)
     sig_t = math.sqrt(rel_pos_variance_closed(beam, spectrum))
     # both axes live on a common lattice of pitch h so every difference
     # x_el - x_ph is itself a lattice point; T is evaluated once per lag
     h = min(sig_el, sig_t) / 10.0
-    try:
-        m_el = max(1, int(sig_el / (10.0 * h)))
-        m_ph = max(1, int(sig_t / (10.0 * h)))
-        i_el = math.ceil(7.0 * sig_el / (m_el * h))
-        i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
-    except (OverflowError, ValueError):
-        # a count that overflows to inf (OverflowError), as sigma_el does at
-        # a dq_perp near 0, or is inf / inf = nan (ValueError) where sigma_t
-        # overflows too, at a dq_par near 0 as well
-        raise ResolutionError(f"the position lattice needs inf cells, more than its cap of {_LATTICE_MAX_CELLS}") from None
+    m_el = max(1, int(sig_el / (10.0 * h)))
+    m_ph = max(1, int(sig_t / (10.0 * h)))
+    i_el = math.ceil(7.0 * sig_el / (m_el * h))
+    i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
     if (2 * i_el + 1) * (2 * i_ph + 1) > _LATTICE_MAX_CELLS:
         raise ResolutionError(
             f"the position lattice needs {2 * i_el + 1} x {2 * i_ph + 1} cells, more than its cap of {_LATTICE_MAX_CELLS}"
         )
+    # the index of the used lags spans every lag up to the largest
+    n_lags = i_el * m_el + i_ph * m_ph + 1
+    if n_lags > _LATTICE_MAX_LAGS:
+        raise ResolutionError(f"the position lattice spans {n_lags} lags, more than its cap of {_LATTICE_MAX_LAGS}")
     # midpoint grid: uniform, excludes the exact endpoints; only its
     # positive half is built, so the grid is exactly odd
     dkx = 2.0 * spectrum.kmax / N_KX
@@ -376,12 +382,13 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     # evaluated once at each distinct |lag| the grid holds, ascending
     lag = np.arange(-i_el, i_el + 1)[:, None] * m_el - np.arange(-i_ph, i_ph + 1)[None, :] * m_ph
     np.abs(lag, out=lag)
-    used = np.zeros(i_el * m_el + i_ph * m_ph + 1, dtype=bool)
+    used = np.zeros(n_lags, dtype=bool)
     used[lag] = True
     lags = np.flatnonzero(used)
     t = 4.0 * dkx**2 * _t_at_lags(kernel, ax, lags, h)
     # the rank of each |lag| among the used ones indexes its T
-    rank = np.cumsum(used) - 1
+    rank = np.cumsum(used)
+    rank -= 1
     t_grid = t[np.take(rank, lag, out=lag)]
     dens = (beam.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * beam.dq_perp**2 * x_el[:, None] ** 2) * t_grid
     floor = float(np.min(dens))

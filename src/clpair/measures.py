@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import EPR_THRESHOLD, MAX_ARRAY_BYTES, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, TWO_PI
 from .errors import ConvergenceError, DomainError, ResolutionError
-from .model import BeamParams, PhaseModel, SpectrumModel, eval_g, gamma_transverse_gradient
+from .model import BeamParams, PhaseModel, SpectrumModel, check_admissible, eval_g, gamma_transverse_gradient
 from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 # t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
@@ -37,7 +37,8 @@ _T_BLOCK = 256
 # 33,776 of the finest pass on the README plane, at (0.1, 30). Only the
 # panels the tail cut keeps are built, so a fine grid that the cut trims
 # is cheap: at `dq_perp` 1e-7, `dk_ph` 1 the refined pass spans 2.7e9
-# nodes and keeps 576. A t-span that overflows is refused.
+# nodes and keeps 576. Inside the admissible box the span is a finite
+# count: at most 1.1e171 nodes, at u = U_MIN and w = W_MAX.
 _T_MAX_NODES = MAX_ARRAY_BYTES // 16
 # below this argument _sonine_h sums ten terms of its Taylor series,
 # (-x^2/2)^k / k! * (2k + 2) / (2k + 5)!!, which are within 3e-16 of h(0)
@@ -180,12 +181,8 @@ def _purity_once(beam, spectrum, n_rad, refine=1.0):
     # h(k t) oscillates with period 2 pi / k in t
     n_t = refine * _NODES_PER_PERIOD * spectrum.kmax * t_max / TWO_PI
     r = kw * kn**2 * eval_g(spectrum, kn)
-    # n_t is inf when t_max or the product overflows, and inf has no ceil
-    if n_t < math.inf:
-        n_panels = max(2, math.ceil(n_t / 16))
-        n_keep = _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * PURITY_ABS_TOL)
-    else:
-        n_panels = n_keep = math.inf
+    n_panels = max(2, math.ceil(n_t / 16))
+    n_keep = _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * PURITY_ABS_TOL)
     if 16 * n_keep > _T_MAX_NODES:
         raise ResolutionError(f"the purity t-grid needs {16 * n_keep} nodes, more than its cap of {_T_MAX_NODES}")
     # the leading n_keep + 1 edges of the n_panels equal panels, in
@@ -199,7 +196,7 @@ def _purity_once(beam, spectrum, n_rad, refine=1.0):
         h = _sonine_h(np.multiply.outer(kn, tn[s : s + _T_BLOCK]))
         h *= root_ct[s : s + _T_BLOCK]
         gram += h @ h.T
-    elong = np.exp(-beam.c_over_vz**2 * (kn[:, None] - kn[None, :]) ** 2 / (4.0 * beam.dq_par**2))
+    elong = np.exp(-beam.alpha * (kn[:, None] - kn[None, :]) ** 2)
     gram *= elong
     return 8.0 * math.pi**2 * b**2 * float(r @ gram @ r)
 
@@ -245,8 +242,11 @@ def purity_sc(beam: BeamParams, spectrum: SpectrumModel) -> float:
     tail falls below 1e-3 PURITY_ABS_TOL.
     Evaluated at n_rad 64 with the base t-grid and at n_rad 96 with a
     1.5x finer one; their difference is the convergence check of
-    `_checked_purity`, which also clips a result just above one.
+    `_checked_purity`, which also clips a result just above one. A point
+    outside the admissible box (`check_admissible`) raises DomainError
+    before any grid is sized.
     """
+    check_admissible(beam, spectrum)
     base = _purity_once(beam, spectrum, n_rad=64)
     refined = _purity_once(beam, spectrum, n_rad=96, refine=1.5)
     return _checked_purity("purity quadrature", base, refined)
@@ -261,7 +261,7 @@ def _purity_z_once(beam: BeamParams, spectrum: SpectrumModel, n_rad: int) -> flo
     """
     k_c = spectrum.k_c
     un, uw = gauss_legendre_panels(spectrum.kmin - k_c, spectrum.kmax - k_c, max(1, n_rad // 16), 16)
-    p, a = 0.5 / spectrum.dk_ph**2, beam.c_over_vz**2 / (4.0 * beam.dq_par**2)
+    p, a = 0.5 / spectrum.dk_ph**2, beam.alpha
     big_a = p + a
     mu = k_c + (a / big_a) * un
     lo, hi = spectrum.kmin - mu, spectrum.kmax - mu
@@ -301,7 +301,7 @@ def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: Ph
         math.sqrt(TWO_PI) * ng / 56.0 * (19.0 * dk + 2.0 * kc**2 / dk) * (math.erf(z) + 1.0)
         + ng / 14.0 * kc * math.exp(-(z**2))
     )
-    longitudinal = beam.c_over_vz**2 / (14.0 * beam.dq_par**2)
+    longitudinal = 2.0 * beam.alpha / 7.0
     return float(angular + longitudinal + phase.d_eta(spectrum))
 
 
@@ -309,9 +309,12 @@ def rel_pos_variance_quadrature(beam: BeamParams, spectrum: SpectrumModel, phase
     """Relative-position variance by direct quadrature of the 3D integrand.
 
     Spherical coordinates with the azimuth integrated analytically. The
-    integrand is (|grad_perp Gamma|^2 / Gamma + (c/v)^2 kperp^2 Gamma /
-    (dq_par^2 k^2)) / 8 from the analytic transverse gradient, plus the
-    transverse phase-gradient term for non-trivial phases. The variance's
+    integrand is (|grad_perp Gamma|^2 / Gamma + 4 alpha kperp^2 Gamma /
+    k^2) / 8 from the analytic transverse gradient, plus the transverse
+    phase-gradient term for non-trivial phases. The nodes lie on k_y = 0,
+    where dGamma/dk_y vanishes, so |grad_perp Gamma|^2 is (dGamma/dk_x)^2;
+    Gamma is positive at every node of a spectrum inside the admissible
+    box, so the ratio needs no guard. The variance's
     other term, -2 laplacian_perp(Gamma) / 8, is a transverse divergence: it
     integrates to the flux of grad_perp Gamma through the radial window's
     edges, where g is exp(-TRUNCATION_SIGMAS^2 / 2) of its peak, so it is
@@ -329,9 +332,8 @@ def rel_pos_variance_quadrature(beam: BeamParams, spectrum: SpectrumModel, phase
             [np.broadcast_to(kperp, kperp.shape), np.zeros_like(kperp), kk * np.cos(tt)],
             axis=-1,
         )
-        gam, gx, gy = gamma_transverse_gradient(spectrum, pts)
-        grad_ratio = np.where(gam > 0.0, (gx**2 + gy**2) / np.where(gam > 0.0, gam, 1.0), 0.0)
-        core = (grad_ratio + beam.c_over_vz**2 * kperp**2 * gam / (beam.dq_par**2 * kk**2)) / 8.0
+        gam, gx, _ = gamma_transverse_gradient(spectrum, pts)
+        core = (gx**2 / gam + 4.0 * beam.alpha * kperp**2 * gam / kk**2) / 8.0
         core = core + 0.5 * gam * phase.gradient_sq(spectrum, kk, tt)
         meas = kw[:, None] * tw[None, :] * kk**2 * np.sin(tt)
         return TWO_PI * float(np.sum(meas * core))

@@ -19,11 +19,35 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .constants import ANGULAR_NORM, ELECTRON_REST_KEV, HBARC_KEV_UM, TRUNCATION_SIGMAS, TWO_PI
+from .constants import (
+    ANGULAR_NORM,
+    ELECTRON_REST_KEV,
+    ENERGY_KEV_MAX,
+    ENERGY_KEV_MIN,
+    HBARC_KEV_UM,
+    K_C_MAX,
+    K_C_MIN,
+    L_MIN,
+    TRUNCATION_SIGMAS,
+    TWO_PI,
+    U_MIN,
+    W_MAX,
+    W_MIN,
+)
 from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# the admissible box
+
+def _check_edge(group: str, value: float, lo: float, hi: float = math.inf) -> None:
+    """Refuse a value outside [lo, hi], nan included, with a DomainError
+    that names the group, its value and the edge it crosses."""
+    if not lo <= value <= hi:
+        raise DomainError(f"{group} = {value!r} is outside the admissible box, past its edge {hi if value > hi else lo!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +68,14 @@ def derive_kinematics(kinetic_energy_kev: float) -> tuple[float, float]:
 
 
 def wavelength_to_wavenumbers(lambda_c: float, dlambda: float) -> tuple[float, float]:
-    """Convert central wavelength and spectral width (um) to k_c, dk_ph (um^-1)."""
+    """Convert central wavelength and spectral width (um) to k_c, dk_ph (um^-1).
+
+    k_c is checked against its edges first, so that lambda_c^2 is a
+    positive finite double."""
     if not (lambda_c > 0.0 and dlambda > 0.0):
         raise DomainError("wavelength and width must be positive")
     k_c = TWO_PI / lambda_c
+    _check_edge("k_c", k_c, K_C_MIN, K_C_MAX)
     dk_ph = TWO_PI * dlambda / lambda_c**2
     return k_c, dk_ph
 
@@ -71,8 +99,11 @@ def spectrum_normalization(k_c: float, dk_ph: float) -> float:
 class BeamParams:
     """Electron kinematics plus transverse/longitudinal wavenumber widths.
 
-    `q0` and `c_over_vz` are derived from the kinetic energy at
-    construction and cannot be set.
+    `q0`, `c_over_vz` and the longitudinal scale `alpha` = (c/v_z)^2 /
+    (4 dq_par^2) (um^2), the one coefficient of every longitudinal
+    Gaussian exp(-alpha (k - k')^2), are derived at construction and cannot
+    be set. The energy is checked against its edges before the kinematics
+    are computed, and alpha must be a positive finite double.
     """
 
     kinetic_energy_kev: float
@@ -80,8 +111,10 @@ class BeamParams:
     dq_par: float
     q0: float = field(init=False)
     c_over_vz: float = field(init=False)
+    alpha: float = field(init=False)
 
     def __post_init__(self):
+        _check_edge("kinetic energy (keV)", self.kinetic_energy_kev, ENERGY_KEV_MIN, ENERGY_KEV_MAX)
         q0, c_over_vz = derive_kinematics(self.kinetic_energy_kev)
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "c_over_vz", c_over_vz)
@@ -99,6 +132,16 @@ class BeamParams:
                     "small-recoil approximation is marginal",
                     stacklevel=2,
                 )
+        # a dq_par whose square underflows to zero leaves alpha no finite value
+        scale = 4.0 * self.dq_par**2
+        alpha = self.c_over_vz**2 / scale if scale > 0.0 else math.inf
+        if not 0.0 < alpha < math.inf:
+            # alpha = 1 / (4 l^2 k_c^2) overflows only where l is below L_MIN at every admissible k_c
+            raise DomainError(
+                f"l = dq_par (v/c) / k_c is outside the admissible box, below its edge {L_MIN!r} at every admissible k_c: "
+                f"dq_par = {self.dq_par!r} leaves alpha = (c/v_z)^2 / 4 dq_par^2 = {alpha!r}"
+            )
+        object.__setattr__(self, "alpha", alpha)
 
 
 def psi_ini_x_sq(dq_perp: float, qx, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -127,7 +170,9 @@ class SpectrumModel:
     Derived from k_c and dk_ph at construction, and not settable: the
     normalization `n_g` and the radial window [`kmin`, `kmax`] =
     [max(0, k_c - s dk_ph), k_c + s dk_ph], s = TRUNCATION_SIGMAS, on
-    which every integral over the spectrum runs.
+    which every integral over the spectrum runs. k_c and w = dk_ph / k_c
+    are checked against the admissible box's edges before either is
+    derived.
     """
 
     k_c: float
@@ -137,11 +182,22 @@ class SpectrumModel:
     kmax: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.k_c < math.inf and 0.0 < self.dk_ph < math.inf):
-            raise DomainError(f"k_c and dk_ph must be positive and finite, got {self.k_c!r}, {self.dk_ph!r}")
+        _check_edge("k_c", self.k_c, K_C_MIN, K_C_MAX)
+        _check_edge("w = dk_ph / k_c", self.dk_ph / self.k_c, W_MIN, W_MAX)
         object.__setattr__(self, "n_g", spectrum_normalization(self.k_c, self.dk_ph))
         object.__setattr__(self, "kmin", max(0.0, self.k_c - TRUNCATION_SIGMAS * self.dk_ph))
         object.__setattr__(self, "kmax", self.k_c + TRUNCATION_SIGMAS * self.dk_ph)
+
+
+def check_admissible(beam: BeamParams, spectrum: SpectrumModel) -> None:
+    """Refuse a point below the admissible box's lower edges in
+    u = dq_perp / k_c and l = dq_par (v/c) / k_c (`U_MIN`, `L_MIN`).
+
+    Their upper edges are the beam's small-recoil check, and k_c, w and the
+    energy are checked by the spectrum and the beam themselves.
+    """
+    _check_edge("u = dq_perp / k_c", beam.dq_perp / spectrum.k_c, U_MIN)
+    _check_edge("l = dq_par (v/c) / k_c", beam.dq_par / beam.c_over_vz / spectrum.k_c, L_MIN)
 
 
 def eval_g(spectrum: SpectrumModel, k) -> np.ndarray:

@@ -99,7 +99,7 @@ def mc_purity(beam: BeamParams, spectrum: SpectrumModel, n: int = MC_SAMPLES, se
     vals /= -4.0 * beam.dq_perp**2
     k1 -= k2
     np.square(k1, out=k1)
-    k1 *= beam.c_over_vz**2 / (4.0 * beam.dq_par**2)
+    k1 *= beam.alpha
     vals -= k1
     np.exp(vals, out=vals)
     # the draws are freed before np.std takes its temporaries
@@ -238,8 +238,8 @@ def longitudinal_term_identity(beam: BeamParams, spectrum: SpectrumModel) -> Ora
     tn, tw = gauss_legendre_panels(0.0, math.pi, 8, 16)
     radial = float(np.sum(kw * kn**2 * eval_g(spectrum, kn)))
     angular = 2.0 * math.pi * float(np.sum(tw * np.sin(tn) ** 3 * eval_f(tn)))
-    lhs = beam.c_over_vz**2 / (8.0 * beam.dq_par**2) * radial * angular
-    rhs = beam.c_over_vz**2 / (14.0 * beam.dq_par**2)
+    lhs = 0.5 * beam.alpha * radial * angular
+    rhs = 2.0 * beam.alpha / 7.0
     return OracleReport.compare("longitudinal_variance_term", rhs, lhs, 1e-12 * abs(rhs))
 
 

@@ -29,7 +29,7 @@ from clpair.cli import (
     run_sweep,
 )
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
-from clpair.model import PhaseModel, derive_kinematics
+from clpair.model import PhaseModel, check_admissible, derive_kinematics
 from conftest import PLANE_CSV, README, readme_section, src_env
 
 BASE_INI = """\
@@ -1457,17 +1457,6 @@ class TestExitMapping:
         assert "dist failed: grid out of range" in res.output
         assert sorted(p.name for p in (tmp_path / "o").glob("*")) == left
 
-    def test_measure_too_fine_t_grid_exits_1(self, runner, tmp_path):
-        # at dq_perp 1e-320 the t-span 7/dq_perp overflows, and purity_sc
-        # refuses it with a ResolutionError before building a node
-        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320"))
-        res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        assert "measure failed: the purity t-grid needs inf nodes, more than its cap of 4194304" in res.output
-        assert "Traceback" not in res.output
-        assert not (tmp_path / "o" / "measure.csv").exists()
-
     def test_dist_oversize_lattice_exits_1(self, runner, tmp_path):
         # at (1e-3, 1) the position lattice needs 143 x 245231 cells, 535
         # MiB of density and lags; joint_position refuses it first, so no
@@ -1480,40 +1469,18 @@ class TestExitMapping:
         assert "Traceback" not in res.output
         assert list((tmp_path / "o").glob("*")) == []
 
-    @pytest.mark.parametrize("l_par", ["1.3", "6e160"])
-    def test_dist_overflowing_lattice_exits_1(self, runner, tmp_path, l_par):
-        # at dq_perp 1e-320 sigma_el = 1 / (2 dq_perp) overflows to inf, so
-        # the lattice's cell count does too: over the cap, and nothing
-        # written. At L_par 6e160 um (dq_par 1e-160) sigma_t is inf as
-        # well, and the count inf / inf is nan: the same refusal
-        ini = BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320")
-        cfg = write(tmp_path, ini.replace("l_par_um = 1.3", f"l_par_um = {l_par}"))
+    def test_dist_lag_index_over_cap_exits_1(self, runner, tmp_path):
+        # at L_par 1e10 um the lattice is 141 x 141 cells, but its lags
+        # span 2.6e11 values: the index of the used ones, a flag and a rank
+        # a lag, would take 2.1 TiB, and joint_position refuses it before
+        # it allocates, so no file is written
+        cfg = write(tmp_path, BASE_INI.replace("l_par_um = 1.3", "l_par_um = 1e10"))
         res = runner.invoke(main, ["dist", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert res.exit_code == 1
+        assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
-        assert "dist failed: the position lattice needs inf cells, more than its cap of 4194304" in res.output
+        assert re.search(r"dist failed: the position lattice spans \d+ lags, more than its cap of 7456540", res.output)
         assert "Traceback" not in res.output
         assert list((tmp_path / "o").glob("*")) == []
-
-    def test_validate_refused_point_prints_no_warning(self, tmp_path):
-        # the Monte Carlo oracle takes its primary purity_sc before it draws,
-        # so at dq_perp 1e-320, which purity_sc refuses, no sample is
-        # divided by dq_perp^2 = 0; run in a child, where numpy's warnings
-        # reach stderr as they do for a user
-        import subprocess
-        import sys
-
-        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320"))
-        res = subprocess.run(
-            [sys.executable, "-c", "from clpair.cli import main; main()", "validate", "--config", cfg, "--out", str(tmp_path / "o")],
-            capture_output=True,
-            text=True,
-            env=src_env(),
-            timeout=120,
-        )
-        assert res.returncode == 1
-        assert "validate failed: the purity t-grid needs inf nodes, more than its cap of 4194304" in res.stderr
-        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
 
     def test_measure_wide_t_span_is_computed(self, runner, tmp_path):
         # dq_perp 1e-7 spans 2.7e9 t-nodes, of which purity_sc keeps and
@@ -1538,6 +1505,95 @@ class TestExitMapping:
         )
         assert res.returncode == 2
         assert res.stderr.startswith("config error: ") and "Traceback" not in res.stderr
+
+
+# inputs outside the admissible box, each a list of (old, new) edits of
+# SWEEP_INI, with the group its config error names; before the box each
+# ended in a traceback, a wrong NaN, an exit 1 from a builder's overflow
+# branch, or exit 2 only through a catch-all ArithmeticError handler
+_OUTSIDE_BOX = {
+    "l_par-1e200": ([("l_par_um = 1.3", "l_par_um = 1e200")], "l = dq_par (v/c) / k_c"),
+    "l_par-1e160": ([("l_par_um = 1.3", "l_par_um = 1e160")], "l = dq_par (v/c) / k_c"),
+    "l_par-1e50": ([("l_par_um = 1.3", "l_par_um = 1e50")], "l = dq_par (v/c) / k_c = 3.47"),
+    "dq_perp-1e-320": ([("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320")], "u = dq_perp / k_c = 7.95e-322"),
+    "dq_perp-1e-320-l_par-6e160": (
+        [("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320"), ("l_par_um = 1.3", "l_par_um = 6e160")],
+        "l = dq_par (v/c) / k_c",
+    ),
+    "sweep-dk_ph_min-1e-200": ([("dk_ph_min = 0.5", "dk_ph_min = 1e-200")], "w = dk_ph / k_c = 7.95"),
+    "sweep-dq_perp_min-1e-130": ([("dq_perp_min = 1.0", "dq_perp_min = 1e-130")], "u = dq_perp / k_c = 7.95"),
+    "energy-1e200": ([("kinetic_energy_kev = 200.0", "kinetic_energy_kev = 1e200")], "kinetic energy (keV) = 1e+200"),
+    "lambda_c-1e-300": ([("lambda_c_um = 0.5", "lambda_c_um = 1e-300")], "k_c = 6.28"),
+    "lambda_c-1e300": ([("lambda_c_um = 0.5", "lambda_c_um = 1e300")], "k_c = 6.28"),
+    "dk_ph-1e200": ([("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 1e200")], "w = dk_ph / k_c = 7.95"),
+    "dk_ph-1e-200": ([("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 1e-200")], "w = dk_ph / k_c = 7.95"),
+    "dlambda-1e300": ([("dk_ph_um_inv = 1.0", "dlambda_um = 1e300")], "w = dk_ph / k_c = 2"),
+    "dlambda-1e-300": ([("dk_ph_um_inv = 1.0", "dlambda_um = 1e-300")], "w = dk_ph / k_c = 1.99"),
+    "lambda_c-1e-170-dlambda": (
+        [("lambda_c_um = 0.5", "lambda_c_um = 1e-170"), ("dk_ph_um_inv = 1.0", "dlambda_um = 0.01")],
+        "k_c = 6.28",
+    ),
+}
+
+
+def outside_box_ini(edits) -> str:
+    text = SWEEP_INI
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+class TestAdmissibleBox:
+    """A config outside the admissible box in u, w, l, k_c or the energy
+    is a config error while it loads: exit 2 naming the group, no
+    traceback, and no output directory made, in every command."""
+
+    @pytest.mark.parametrize("command", ["measure", "dist", "validate", "sweep", "regime-map"])
+    @pytest.mark.parametrize("case", list(_OUTSIDE_BOX))
+    def test_exits_2_at_load(self, runner, tmp_path, case, command):
+        edits, group = _OUTSIDE_BOX[case]
+        res = runner.invoke(main, [command, "--config", write(tmp_path, outside_box_ini(edits)), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "outside the admissible box" in res.output
+        assert group in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_k_c_with_dlambda_exits_2(self, runner, tmp_path):
+        # k_c = 0 has no wavelength to convert dlambda_um with
+        text = outside_box_ini([("lambda_c_um = 0.5", "k_c_um_inv = 0"), ("dk_ph_um_inv = 1.0", "dlambda_um = 0.01")])
+        res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert_config_error(res)
+        assert "wavelength and width must be positive" in res.output
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-7"), ("l_par_um = 1.3", "l_par_um = 1e10")],
+        ids=["dq_perp-1e-7", "l_par-1e10"],
+    )
+    def test_loads_inside_the_box(self, tmp_path, old, new):
+        # both are computed (or refused by a size cap) rather than refused at load
+        load_config(write(tmp_path, SWEEP_INI.replace(old, new)))
+
+    def test_child_process_prints_no_warning(self, tmp_path):
+        # dq_perp 1e-320 once divided Monte Carlo samples by dq_perp^2 = 0;
+        # now it stops at load, in a child where numpy's warnings reach
+        # stderr as they do for a user
+        import subprocess
+        import sys
+
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1e-320"))
+        res = subprocess.run(
+            [sys.executable, "-c", "from clpair.cli import main; main()", "validate", "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("config error: u = dq_perp / k_c = 7.95e-322 is outside the admissible box, past its edge 1e-123")
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
 
 
 _WILD = st.one_of(
@@ -1624,6 +1680,8 @@ class TestConfigProperty:
     @example(text=_SWEEP_AT.format(dq_perp="", dq_max=_Q0_200_KEV))
     @example(text=_SWEEP_AT.format(dq_perp="dq_perp_um_inv = 1.0\n", dq_max=_Q0_200_KEV))
     @example(text=_SWEEP_AT.format(dq_perp="dq_perp_um_inv = 1.0\n", dq_max=1e7))
+    # a plane corner outside the box in w, behind an admissible [spectrum] dk_ph
+    @example(text=_SWEEP_AT.format(dq_perp="", dq_max=2.0).replace("dk_ph_min = 0.5", "dk_ph_min = 1e-200"))
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_parses_to_admissible_config_or_config_error(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "property.ini"
@@ -1634,13 +1692,15 @@ class TestConfigProperty:
                 cfg = load_config(str(path))
             except ConfigError:
                 return
-            cfg.spectrum()
             replace(cfg.phase)  # PhaseModel checks itself again
             if cfg.dq_perp is not None:
-                cfg.beam()
+                check_admissible(cfg.beam(), cfg.spectrum())
             if cfg.sweep is not None:
-                # every sweep cell's beam is admissible, the widest included
-                cfg.beam(cfg.sweep.dq_perp_max)
+                # every plane corner's beam and spectrum are admissible and
+                # inside the box, so every cell's are
+                for dq in (cfg.sweep.dq_perp_min, cfg.sweep.dq_perp_max):
+                    for dk in (cfg.sweep.dk_ph_min, cfg.sweep.dk_ph_max):
+                        check_admissible(cfg.beam(dq), cfg.spectrum(dk))
             parser = configparser.ConfigParser()
             parser.read_string(dump_config(cfg))
             assert parse_config(parser) == cfg
@@ -1742,6 +1802,16 @@ def test_documented_keys_match_the_parser():
     parser_keys = {section: set(names) for section, names in _CONFIG_KEYS.items()}
     assert readme_config_keys() == parser_keys
     assert {section: set(names) for section, names in _DOCUMENTED_KEYS.items()} == parser_keys
+
+
+def test_readme_config_block_loads_as_written(runner, tmp_path):
+    # copied verbatim, README's block runs: configparser would keep an
+    # inline "; comment" in the value before it, so each comment has its
+    # own line
+    block = README.read_text().split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    res = runner.invoke(main, ["measure", "--config", write(tmp_path, block), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "o" / "measure.csv").exists()
 
 
 def test_readme_lists_every_command():

@@ -12,6 +12,7 @@ from scipy.special import j0
 
 from clpair import (
     BeamParams,
+    ConsistencyError,
     ConvergenceError,
     DomainError,
     PhaseModel,
@@ -37,8 +38,8 @@ from clpair.measures import (
     rel_pos_variance_quadrature,
     total_wavevector_variance,
 )
-from clpair.constants import PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD
-from clpair.model import eval_f
+from clpair.constants import ENERGY_KEV_MAX, K_C_MAX, K_C_MIN, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, W_MAX, W_MIN
+from clpair.model import check_admissible, derive_kinematics, eval_f
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C, K_KEV
@@ -205,14 +206,12 @@ class TestPuritySc:
         assert value == pytest.approx(1e-6 * purity_sc(make_beam(1e-4), spectrum), rel=1e-7)
         assert peak < 4e6
 
-    # at 1e-320 the t-span 7/dq_perp overflows; at 1e-7 the base pass keeps
-    # 384 nodes, above a cap of 383
-    @pytest.mark.parametrize("dq_perp,cap,nodes", [(1e-320, None, "inf"), (1e-7, 383, "384")])
+    # at 1e-7 the base pass keeps 384 nodes, above a cap of 383
+    @pytest.mark.parametrize("dq_perp,cap,nodes", [(1e-7, 383, "384")])
     def test_too_fine_t_grid_is_refused_before_it_is_built(self, make_beam, make_spectrum, monkeypatch, dq_perp, cap, nodes):
         import clpair.measures as measures
 
-        if cap is not None:
-            monkeypatch.setattr(measures, "_T_MAX_NODES", cap)
+        monkeypatch.setattr(measures, "_T_MAX_NODES", cap)
         beam, spectrum = make_beam(dq_perp), make_spectrum(1.0)
         tracemalloc.start()
         try:
@@ -223,6 +222,18 @@ class TestPuritySc:
             tracemalloc.stop()
         # the refused base pass builds no t-node; 384 of them would take 6 kB
         assert peak < 1e6
+
+    def test_point_outside_the_box_is_refused_before_any_grid(self, make_beam, make_spectrum):
+        # at dq_perp 1e-320 the t-span 7/dq_perp overflows to inf; u =
+        # dq_perp / k_c is far below U_MIN, and purity_sc says so first
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"u = dq_perp / k_c = 7\.95e-322 is outside the admissible box, past its edge 1e-123"):
+                purity_sc(make_beam(1e-320), make_spectrum(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 def t_edges(monkeypatch, beam, spectrum):
@@ -637,6 +648,34 @@ class TestRelPosVariance:
         rest = rel_pos_variance_closed(b, s) - angular
         assert rest == pytest.approx(b.c_over_vz**2 / (14.0 * b.dq_par**2), rel=1e-12)
 
+    @pytest.mark.parametrize("k_c", [K_C_MIN, K_C_MAX], ids=["k_c-min", "k_c-max"])
+    @pytest.mark.parametrize("w", [W_MIN, W_MAX], ids=["w-min", "w-max"])
+    def test_gamma_is_positive_at_every_node_at_the_box_corners(self, monkeypatch, k_c, w):
+        # the gradient ratio divides by Gamma at each node unguarded: at the
+        # box's corners in k_c and w, Gamma is positive at all of them and
+        # no division or product leaves the finite doubles
+        import clpair.measures as measures
+
+        smallest, exact = [], measures.gamma_transverse_gradient
+
+        def recorded(spectrum, pts):
+            gam, gx, gy = exact(spectrum, pts)
+            smallest.append(float(gam.min()))
+            return gam, gx, gy
+
+        monkeypatch.setattr(measures, "gamma_transverse_gradient", recorded)
+        # the top energy's q0, 5e76, admits u = 1 and l = 0.01 at k_c = K_C_MAX
+        beam, spectrum = BeamParams(ENERGY_KEV_MAX, k_c, 0.01 * k_c), SpectrumModel(k_c, w * k_c)
+        check_admissible(beam, spectrum)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            try:
+                value = rel_pos_variance_quadrature(beam, spectrum)
+            except ConvergenceError as exc:
+                # at w = W_MIN the radial window is a few doubles wide
+                value = exc.best_estimate
+        assert len(smallest) == 2 and min(smallest) > 0.0
+        assert 0.0 < value < math.inf
+
 
 class TestTotalWavevectorVariance:
     def test_square(self, make_beam):
@@ -733,7 +772,9 @@ class TestEvaluatePoint:
         assert info.value.best_estimate == purity_sc(beam, spectrum)
         assert info.value.best_estimate == pytest.approx(8.755276e-5, rel=1e-6)
 
-    @pytest.mark.parametrize("factor,refused", [(1.01, True), (1.0 + PURITY_REL_TOL / 2.0, False)])
+    @pytest.mark.parametrize(
+        "factor,refused", [(1.01, True), (1.0 + 2.0 * PURITY_REL_TOL, True), (1.0 + PURITY_REL_TOL / 2.0, False)]
+    )
     def test_catches_purity_sc_above_purity_z(self, make_beam, make_spectrum, monkeypatch, factor, refused):
         # a planted defect: purity_sc returns factor * P_z at the README
         # point; above P_z (1 + PURITY_REL_TOL) it is refused
@@ -760,6 +801,66 @@ class TestEvaluatePoint:
         scaled = evaluate_point(make_beam(scale * dq_perp, scale * DQ_PAR), make_spectrum(scale * dk, scale * K_C))
         for name in ("purity_sc", "purity_z", "d2"):
             assert getattr(scaled, name) == pytest.approx(getattr(r, name), rel=1e-12, abs=0.0), name
+
+
+def traded_beam(kinetic_energy_kev, dq_perp):
+    """The reference beam at another energy, with dq_par scaled by c/v_z so
+    that l = dq_par (v/c) / k_c is the reference's."""
+    reference, other = (derive_kinematics(e)[1] for e in (K_KEV, kinetic_energy_kev))
+    return BeamParams(kinetic_energy_kev, dq_perp, DQ_PAR * other / reference)
+
+
+def assert_same(a, b, what):
+    assert b == pytest.approx(a, rel=1e-12, abs=0.0), what
+
+
+class TestEnergyTrade:
+    """The energy enters only through l = dq_par (v/c) / k_c: at fixed u,
+    w and l, a 30, 200 or 1000 keV beam gives `measure`'s numbers, `dist`'s
+    factors and `validate`'s lines within 1e-12 of each other, or the same
+    failure. A rule that reads c/v_z or dq_par on its own fails here."""
+
+    @pytest.mark.parametrize("dq_perp,dk", [(dq, dk) for dq, dk, _ in PANEL_REFERENCE])
+    def test_same_numbers_at_fixed_l(self, make_spectrum, dq_perp, dk):
+        from clpair.distributions import joint_position
+        from clpair.oracles import run_suite
+
+        spectrum = make_spectrum(dk)
+
+        def outputs(kinetic_energy_kev):
+            beam = traded_beam(kinetic_energy_kev, dq_perp)
+            r = evaluate_point(beam, spectrum)
+            numbers = [r.purity_sc, r.purity_z, r.var_rel_pos, r.var_tot_wavevector, r.d2, r.schmidt_number]
+            try:
+                _, s, t = joint_position(beam, spectrum)
+                factors = [s, t]
+            except ConsistencyError as exc:
+                factors = [type(exc).__name__, str(exc)]
+            try:
+                lines = [(rep.quantity, rep.value, rep.oracle_value, rep.tolerance) for rep in run_suite(beam, spectrum)]
+            except ConsistencyError as exc:
+                lines = [type(exc).__name__, str(exc)]
+            return r.regime, numbers, factors, lines
+
+        regime, numbers, factors, lines = outputs(K_KEV)
+        for energy in (30.0, 1000.0):
+            other = outputs(energy)
+            assert other[0] == regime
+            for a, b, name in zip(numbers, other[1], ("purity_sc", "purity_z", "var_rel_pos", "var_tot_wv", "d2", "schmidt")):
+                assert_same(a, b, name)
+            if isinstance(factors[0], str):
+                assert other[2] == factors
+            else:
+                for a, b, name in zip(factors, other[2], ("s", "T")):
+                    assert a.shape == b.shape
+                    np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0, err_msg=name)
+            if isinstance(lines[0], str):
+                assert other[3] == lines
+            else:
+                for a, b in zip(lines, other[3]):
+                    assert a[0] == b[0]
+                    for x, y in zip(a[1:], b[1:]):
+                        assert_same(x, y, a[0])
 
 
 # the wide-beam limit of P_sc at each longitudinal coherence length (um)

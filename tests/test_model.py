@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,21 @@ from clpair import (
     spectrum_normalization,
     wavelength_to_wavenumbers,
 )
-from clpair.constants import ELECTRON_REST_KEV, HBARC_KEV_UM
+from clpair.constants import (
+    ELECTRON_REST_KEV,
+    ENERGY_KEV_MAX,
+    ENERGY_KEV_MIN,
+    HBARC_KEV_UM,
+    K_C_MAX,
+    K_C_MIN,
+    L_MIN,
+    TWO_PI,
+    U_MIN,
+    W_MAX,
+    W_MIN,
+)
 from clpair.model import (
+    check_admissible,
     eval_f,
     eval_g,
     eval_gamma,
@@ -26,7 +40,7 @@ from clpair.model import (
     psi_ini_x_sq,
 )
 from clpair.distributions import joint_momentum
-from clpair.measures import _H_SMALL_X, _sonine_h
+from clpair.measures import _H_SMALL_X, _sonine_h, rel_pos_variance_closed
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C, window
@@ -279,6 +293,107 @@ class TestBeam:
         b = BeamParams(200.0, 2.0, 3.0)
         qx, wx = gauss_legendre_panels(-16.0, 16.0, 8, 16)
         assert np.sum(wx * psi_ini_x_sq(b.dq_perp, qx)) == pytest.approx(1.0, abs=1e-12)
+
+
+def readme_point(kinetic_energy_kev=200.0, dq_perp=3.0, dq_par=DQ_PAR, k_c=K_C, dk_ph=1.0):
+    """The library's beam and spectrum at the README point with one input
+    changed, and the box check at them."""
+    spectrum = SpectrumModel(k_c, dk_ph)
+    beam = BeamParams(kinetic_energy_kev, dq_perp, dq_par)
+    check_admissible(beam, spectrum)
+    return beam, spectrum
+
+
+# the CLI's outside-the-box inputs (tests/test_cli.py `_OUTSIDE_BOX`) as
+# library calls, each with the group its DomainError names
+OUTSIDE_BOX = {
+    "l_par-1e200": (lambda: readme_point(dq_par=TWO_PI / 1e200), "l = dq_par (v/c) / k_c"),
+    "l_par-1e160": (lambda: readme_point(dq_par=TWO_PI / 1e160), "l = dq_par (v/c) / k_c"),
+    "l_par-1e50": (lambda: readme_point(dq_par=TWO_PI / 1e50), "l = dq_par (v/c) / k_c"),
+    "dq_perp-1e-320": (lambda: readme_point(dq_perp=1e-320), "u = dq_perp / k_c"),
+    "dk_ph-1e-200": (lambda: readme_point(dk_ph=1e-200), "w = dk_ph / k_c"),
+    "dk_ph-1e200": (lambda: readme_point(dk_ph=1e200), "w = dk_ph / k_c"),
+    "energy-1e200": (lambda: readme_point(kinetic_energy_kev=1e200), "kinetic energy (keV)"),
+    "lambda_c-1e-300": (lambda: readme_point(k_c=TWO_PI / 1e-300), "k_c"),
+    "lambda_c-1e300": (lambda: readme_point(k_c=TWO_PI / 1e300), "k_c"),
+    "dlambda-1e300": (lambda: readme_point(dk_ph=wavelength_to_wavenumbers(0.5, 1e300)[1]), "w = dk_ph / k_c"),
+    "dlambda-1e-300": (lambda: readme_point(dk_ph=wavelength_to_wavenumbers(0.5, 1e-300)[1]), "w = dk_ph / k_c"),
+    "lambda_c-1e-170-dlambda": (lambda: wavelength_to_wavenumbers(1e-170, 0.01), "k_c"),
+}
+
+ABOVE, BELOW = 1.0 + 1e-12, 1.0 - 1e-12
+
+
+class TestAdmissibleBox:
+    """The box in u, w, l, k_c and the energy: a point outside it raises
+    DomainError naming the group, and none inside it derives a quantity
+    that is not a positive finite double."""
+
+    @pytest.mark.parametrize("case", list(OUTSIDE_BOX))
+    def test_outside_raises_domain_error(self, case):
+        build, group = OUTSIDE_BOX[case]
+        with pytest.raises(DomainError, match="outside the admissible box") as info:
+            build()
+        assert str(info.value).startswith(group)
+
+    @pytest.mark.parametrize(
+        "inside,outside,group",
+        [
+            (lambda f: SpectrumModel(K_C_MIN * f, K_C_MIN), BELOW, "k_c"),
+            (lambda f: SpectrumModel(K_C_MAX * f, K_C_MAX), ABOVE, "k_c"),
+            (lambda f: SpectrumModel(1.0, W_MIN * f), BELOW, "w"),
+            (lambda f: SpectrumModel(1.0, W_MAX * f), ABOVE, "w"),
+            (lambda f: readme_point(dq_perp=U_MIN * K_C * f), BELOW, "u"),
+            (lambda f: readme_point(dq_par=L_MIN * derive_kinematics(200.0)[1] * K_C * f), BELOW, "l"),
+            (lambda f: BeamParams(ENERGY_KEV_MAX * f, 1.0, 1.0), ABOVE, "kinetic energy"),
+        ],
+        ids=["k_c-min", "k_c-max", "w-min", "w-max", "u-min", "l-min", "energy-max"],
+    )
+    def test_each_edge(self, inside, outside, group):
+        # a hair inside the edge is admitted, a hair outside refused
+        inside(ABOVE if outside == BELOW else BELOW)
+        with pytest.raises(DomainError, match=f"^{group}"):
+            inside(outside)
+
+    def test_lowest_energy_is_refused_by_its_edge_or_by_l(self):
+        # below ENERGY_KEV_MIN (c/v_z)^2 would overflow; just above it q0 is
+        # so small that the small-recoil check leaves no finite alpha
+        with pytest.raises(DomainError, match="^kinetic energy"):
+            BeamParams(ENERGY_KEV_MIN * BELOW, 1e-160, 1e-160)
+        with pytest.raises(DomainError, match=r"^l = dq_par \(v/c\) / k_c is outside the admissible box"):
+            BeamParams(ENERGY_KEV_MIN * ABOVE, 1e-160, 1e-160)
+
+    @pytest.mark.parametrize("k_c", [K_C_MIN * ABOVE, K_C_MAX * BELOW], ids=["k_c-min", "k_c-max"])
+    @pytest.mark.parametrize("w", [W_MIN * ABOVE, W_MAX * BELOW], ids=["w-min", "w-max"])
+    @pytest.mark.parametrize("u", [U_MIN * ABOVE, "q0"], ids=["u-min", "u-max"])
+    @pytest.mark.parametrize("l", [L_MIN * ABOVE, "q0"], ids=["l-min", "l-max"])
+    def test_corners_derive_finite_quantities(self, k_c, w, u, l):
+        # at the top energy, whose q0 is the upper edge of u and l: the
+        # model's derived quantities and the products the builders form
+        # with the highest powers stay positive finite doubles
+        q0, c = derive_kinematics(ENERGY_KEV_MAX * BELOW)
+        dq_perp = q0 * BELOW if u == "q0" else u * k_c
+        dq_par = q0 * BELOW if l == "q0" else l * c * k_c
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a width at q0 is not small-recoil
+            beam, spectrum = readme_point(ENERGY_KEV_MAX * BELOW, dq_perp, dq_par, k_c, w * k_c)
+        p = 0.5 / spectrum.dk_ph**2
+        quantities = {
+            "n_g": spectrum.n_g,
+            "kmax": spectrum.kmax,
+            "q0": beam.q0,
+            "c_over_vz": beam.c_over_vz,
+            "alpha": beam.alpha,
+            "P_z's p alpha": p * beam.alpha,
+            "kmax^4": spectrum.kmax**4,
+            "dq_perp^2": beam.dq_perp**2,
+        }
+        for name, value in quantities.items():
+            assert 0.0 < value < math.inf, name
+        # D^2 goes as (u / w)^2 + (u / l)^2, which underflows to zero where u
+        # is at its edge and w and l at their tops; it never overflows
+        assert 0.0 <= rel_pos_variance_closed(beam, spectrum) * beam.dq_perp**2 < math.inf
+        assert 0.0 <= spectrum.kmin < spectrum.kmax
 
 
 class TestPhases:
