@@ -43,10 +43,10 @@ MC_SEED = 20260824
 MC_SAMPLES = 200_000
 MC_MIN_SAMPLES = 10_000
 
-# The largest arrays one step may build, in bytes: the purity t-grid's
-# nodes and weights together, the Schmidt oracle's amplitude, and the
-# position lattice's density and lags together. A step that would exceed
-# it is refused with ResolutionError.
+# The largest grid one step may build, in bytes; `quadrature.check_budget`
+# alone reads it. Its callers give each grid's count and bytes an item: 16
+# a purity t-node, 16 a lattice cell, 9 a lag, 32 a kernel rho node and
+# 8 N_KX a Schmidt q point. A grid over it raises ResolutionError.
 MAX_ARRAY_BYTES = 64 * 2**20
 
 # How far from one a density grid's integral may be, as `dist` and the
@@ -60,8 +60,8 @@ NORMALIZATION_TOL = 0.01
 # outside the box with DomainError, and the CLI does so at load (exit 2).
 # Inside it, every count a builder forms and every quantity the model
 # derives (n_g, kmin, kmax, q0, c/v_z, alpha and the products named below)
-# is a finite double; a finite count that is merely large is the array
-# caps' to refuse (MAX_ARRAY_BYTES). Each edge is where the quantity named
+# is a finite double; a finite count that is merely large is
+# MAX_ARRAY_BYTES's to refuse. Each edge is where the quantity named
 # beside it, computed as the library computes it, stops being finite (or
 # positive), measured by bisection and rounded inward to a power of ten.
 # The upper edges of u and l are the beam's small-recoil check, dq < q0.

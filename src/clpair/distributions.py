@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ANGULAR_NORM, MAX_ARRAY_BYTES, NORMALIZATION_TOL
-from .errors import ConsistencyError, DomainError, ResolutionError
+from .constants import ANGULAR_NORM, NORMALIZATION_TOL
+from .errors import ConsistencyError, DomainError
 from .measures import rel_pos_variance_closed
 from .model import BeamParams, SpectrumModel, check_admissible, eval_g, psi_ini_x_sq
-from .quadrature import gauss_legendre_edges, gauss_legendre_panels
+from .quadrature import check_budget, gauss_legendre_edges, gauss_legendre_panels
 
 # k_x points over [-kmax, kmax], with both endpoints on the momentum grid and
 # the Schmidt oracle's axis, at midpoints on the position grid; even, so that
@@ -38,12 +38,6 @@ _LAG_BLOCK = 2048
 # 8 x 32 x 256 takes 0.5 MB
 _KERNEL_NODES = 8
 _KERNEL_ROWS = 32
-# the most cells the position lattice may hold: its density and lag arrays,
-# two 8-byte numbers a cell, then fill MAX_ARRAY_BYTES; and the most lags
-# its lag index may span: a flag and an 8-byte rank a lag, `used` and its
-# cumsum, then fill MAX_ARRAY_BYTES as well
-_LATTICE_MAX_CELLS = MAX_ARRAY_BYTES // 16
-_LATTICE_MAX_LAGS = MAX_ARRAY_BYTES // 9
 
 
 @dataclass(frozen=True)
@@ -200,6 +194,10 @@ def _rho_rule(spectrum: SpectrumModel, r_max: float):
     kmin, dk = spectrum.kmin, spectrum.dk_ph
     edges = [0.0]
     while edges[-1] + dk < kmin:
+        # about kmin / (2 dk_ph) graded panels, so the budget is asked as they
+        # are laid out, with a count the rule never falls below; 32 bytes a
+        # node: rn, rw and `_kernel_nodes`' band ends lo and hi
+        check_budget("position kernel rho nodes", 16 * len(edges), 32)
         e = edges[-1]
         # the positive root of w (e + w) = dk kmin, in a form without cancellation
         nxt = e + 2.0 * dk * kmin / (math.sqrt(e * e + 4.0 * dk * kmin) + e)
@@ -208,6 +206,7 @@ def _rho_rule(spectrum: SpectrumModel, r_max: float):
         edges.append(nxt)
     e = edges.pop()
     n = max(1, math.ceil((r_max - e) / dk))
+    check_budget("position kernel rho nodes", 16 * (len(edges) + n), 32)
     return gauss_legendre_edges(np.concatenate((edges, np.linspace(e, r_max, n + 1))), 16)
 
 
@@ -343,11 +342,9 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     The kernel's rho integral runs on 16-node panels no wider than
     dk_ph max(1, kmin / rho) at their outer edge (`_rho_rule`), and its
     diagonal is checked against the photon marginal. The lattice is sized
-    first: one whose density and lag arrays, 16 bytes a cell, or whose
-    index of used lags, 9 bytes for each lag up to the largest, would
-    exceed MAX_ARRAY_BYTES raises ResolutionError before the kernel is
-    built. A point outside the admissible box (`check_admissible`) raises
-    DomainError before the lattice is sized.
+    first, and `check_budget` passes its cells and its lags before the
+    kernel is built. A point outside the admissible box
+    (`check_admissible`) raises DomainError before the lattice is sized.
 
     Also returns T itself: the ascending distinct |x_el - x_ph| (um) that
     the grid reads, and T (um^-1) at each, the values the envelope
@@ -363,14 +360,12 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     m_ph = max(1, int(sig_t / (10.0 * h)))
     i_el = math.ceil(7.0 * sig_el / (m_el * h))
     i_ph = math.ceil((7.0 * sig_el + 7.0 * sig_t) / (m_ph * h))
-    if (2 * i_el + 1) * (2 * i_ph + 1) > _LATTICE_MAX_CELLS:
-        raise ResolutionError(
-            f"the position lattice needs {2 * i_el + 1} x {2 * i_ph + 1} cells, more than its cap of {_LATTICE_MAX_CELLS}"
-        )
-    # the index of the used lags spans every lag up to the largest
+    # the density and the lag of each cell, two 8-byte numbers a cell
+    check_budget("position lattice cells", (2 * i_el + 1) * (2 * i_ph + 1), 16)
+    # the index of the used lags spans every lag up to the largest: a flag
+    # and an 8-byte rank a lag, `used` and its cumsum
     n_lags = i_el * m_el + i_ph * m_ph + 1
-    if n_lags > _LATTICE_MAX_LAGS:
-        raise ResolutionError(f"the position lattice spans {n_lags} lags, more than its cap of {_LATTICE_MAX_LAGS}")
+    check_budget("position lattice lags", n_lags, 9)
     # midpoint grid: uniform, excludes the exact endpoints; only its
     # positive half is built, so the grid is exactly odd
     dkx = 2.0 * spectrum.kmax / N_KX

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPR_THRESHOLD, MAX_ARRAY_BYTES, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, TWO_PI
-from .errors import ConvergenceError, DomainError, ResolutionError
+from .constants import EPR_THRESHOLD, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, TWO_PI
+from .errors import ConvergenceError, DomainError
 from .model import BeamParams, PhaseModel, SpectrumModel, check_admissible, eval_g, gamma_transverse_gradient
-from .quadrature import gauss_legendre_edges, gauss_legendre_panels
+from .quadrature import check_budget, gauss_legendre_edges, gauss_legendre_panels
 
 # t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
 # 1e-21, is t = 7/b, but the sum stops at the first panel edge past which
@@ -32,14 +32,6 @@ _T_SPAN = 7.0
 _TAIL_FRACTION = 1e-3
 _NODES_PER_PERIOD = 8
 _T_BLOCK = 256
-# the most t-nodes one pass may keep and lay out: its node and weight
-# arrays, two doubles a node, then fill MAX_ARRAY_BYTES. That is 124x the
-# 33,776 of the finest pass on the README plane, at (0.1, 30). Only the
-# panels the tail cut keeps are built, so a fine grid that the cut trims
-# is cheap: at `dq_perp` 1e-7, `dk_ph` 1 the refined pass spans 2.7e9
-# nodes and keeps 576. Inside the admissible box the span is a finite
-# count: at most 1.1e171 nodes, at u = U_MIN and w = W_MAX.
-_T_MAX_NODES = MAX_ARRAY_BYTES // 16
 # below this argument _sonine_h sums ten terms of its Taylor series,
 # (-x^2/2)^k / k! * (2k + 2) / (2k + 5)!!, which are within 3e-16 of h(0)
 # there; above it the elementary form's cancellation costs under 3e-15 h(0)
@@ -86,10 +78,6 @@ class MeasureResult:
 
 # ---------------------------------------------------------------------------
 # purity
-
-def _radial_nodes(spectrum: SpectrumModel, n_rad: int):
-    return gauss_legendre_panels(spectrum.kmin, spectrum.kmax, max(1, n_rad // 16), 16)
-
 
 def _sonine_h(x) -> np.ndarray:
     """Polar factor h(x) = int_0^pi f(alpha) sin(alpha) J0(x sin(alpha)) d alpha.
@@ -157,12 +145,13 @@ def _t_cut(kn, r, b, t_max, n_panels, target):
     return lo
 
 
-def _purity_once(beam, spectrum, n_rad, refine=1.0):
+def _purity_once(beam, spectrum, radial_panels, refine=1.0):
     """8 pi^2 b^2 r^T (E o G) r on one resolution, G = sum_t c_t h_t h_t^T.
 
-    h_t is the polar factor `_sonine_h`(k t) at the radial nodes k, r their
-    weights times k^2 g(k), c_t = w_t t exp(-b^2 t^2) the t-rule's weight
-    and E the longitudinal kernel; o is the entrywise product.
+    h_t is the polar factor `_sonine_h`(k t) at the nodes k of
+    `radial_panels` 16-node panels, r their weights times k^2 g(k),
+    c_t = w_t t exp(-b^2 t^2) the t-rule's weight and E the longitudinal
+    kernel; o is the entrywise product.
 
     Weber's second exponential integral (Watson 13.31, DLMF 10.22.67)
     writes the azimuthally reduced transverse kernel
@@ -172,10 +161,10 @@ def _purity_once(beam, spectrum, n_rad, refine=1.0):
     The t-grid spans [0, 7/b]; the sum stops at the first panel edge past
     which the tail bound of `_t_cut` is below _TAIL_FRACTION *
     PURITY_ABS_TOL (a tolerance of zero keeps the whole grid), and only
-    the panels before that edge are laid out. More than _T_MAX_NODES kept
-    nodes raise ResolutionError before they are built.
+    the panels before that edge are laid out, once `check_budget` has
+    passed their nodes.
     """
-    kn, kw = _radial_nodes(spectrum, n_rad)
+    kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, radial_panels)
     b = beam.dq_perp
     t_max = _T_SPAN / b
     # h(k t) oscillates with period 2 pi / k in t
@@ -183,8 +172,12 @@ def _purity_once(beam, spectrum, n_rad, refine=1.0):
     r = kw * kn**2 * eval_g(spectrum, kn)
     n_panels = max(2, math.ceil(n_t / 16))
     n_keep = _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * PURITY_ABS_TOL)
-    if 16 * n_keep > _T_MAX_NODES:
-        raise ResolutionError(f"the purity t-grid needs {16 * n_keep} nodes, more than its cap of {_T_MAX_NODES}")
+    # two doubles a node; the budget is 124x the 33,776 nodes of the finest
+    # pass on the README plane, at (0.1, 30). Only kept panels count: at
+    # `dq_perp` 1e-7, `dk_ph` 1 the refined pass spans 2.7e9 nodes and keeps
+    # 576. Inside the admissible box the span is finite: at most 1.1e171
+    # nodes, at u = U_MIN and w = W_MAX.
+    check_budget("purity t-nodes", 16 * n_keep, 16)
     # the leading n_keep + 1 edges of the n_panels equal panels, in
     # linspace's arithmetic j * step, without building the others
     tn, tw = gauss_legendre_edges(np.arange(n_keep + 1) * (t_max / n_panels), 16)
@@ -240,27 +233,27 @@ def purity_sc(beam: BeamParams, spectrum: SpectrumModel) -> float:
     in the radial nodes (`_purity_once`); the polar integral is the
     closed-form `_sonine_h`. The t-integral stops where a bound on its
     tail falls below 1e-3 PURITY_ABS_TOL.
-    Evaluated at n_rad 64 with the base t-grid and at n_rad 96 with a
+    Evaluated on 4 radial panels with the base t-grid and on 6 with a
     1.5x finer one; their difference is the convergence check of
     `_checked_purity`, which also clips a result just above one. A point
     outside the admissible box (`check_admissible`) raises DomainError
     before any grid is sized.
     """
     check_admissible(beam, spectrum)
-    base = _purity_once(beam, spectrum, n_rad=64)
-    refined = _purity_once(beam, spectrum, n_rad=96, refine=1.5)
+    base = _purity_once(beam, spectrum, radial_panels=4)
+    refined = _purity_once(beam, spectrum, radial_panels=6, refine=1.5)
     return _checked_purity("purity quadrature", base, refined)
 
 
-def _purity_z_once(beam: BeamParams, spectrum: SpectrumModel, n_rad: int) -> float:
-    """P_z as a sum over `n_rad` radial nodes of the closed inner integral.
+def _purity_z_once(beam: BeamParams, spectrum: SpectrumModel, radial_panels: int) -> float:
+    """P_z as a sum over `radial_panels` 16-node panels of the closed inner integral.
 
     The nodes are in the offset u = k - k_c, and both Gaussians are formed
     from u: k - k_c taken from nodes near k_c would keep their rounding
     (about 1e-15), which a narrow spectrum amplifies to 2e-14 in P_z.
     """
     k_c = spectrum.k_c
-    un, uw = gauss_legendre_panels(spectrum.kmin - k_c, spectrum.kmax - k_c, max(1, n_rad // 16), 16)
+    un, uw = gauss_legendre_panels(spectrum.kmin - k_c, spectrum.kmax - k_c, radial_panels)
     p, a = 0.5 / spectrum.dk_ph**2, beam.alpha
     big_a = p + a
     mu = k_c + (a / big_a) * un
@@ -283,10 +276,10 @@ def purity_z(beam: BeamParams, spectrum: SpectrumModel) -> float:
     N_g exp(-(p a/A)(k - k_c)^2) [(mu^2 + 1/2A) sqrt(pi/A)/2 erf(sqrt(A) y)
     - (y + 2 mu) exp(-A y^2)/2A] between y = kmin - mu and kmax - mu.
     mu lies in [kmin, kmax], so the erf difference does not cancel.
-    The outer sum at 128 and at 256 nodes is the convergence check.
+    The outer sum on 8 and on 16 panels is the convergence check.
     """
-    base = _purity_z_once(beam, spectrum, 128)
-    refined = _purity_z_once(beam, spectrum, 256)
+    base = _purity_z_once(beam, spectrum, 8)
+    refined = _purity_z_once(beam, spectrum, 16)
     return _checked_purity("longitudinal purity", base, refined)
 
 
@@ -318,13 +311,13 @@ def rel_pos_variance_quadrature(beam: BeamParams, spectrum: SpectrumModel, phase
     other term, -2 laplacian_perp(Gamma) / 8, is a transverse divergence: it
     integrates to the flux of grad_perp Gamma through the radial window's
     edges, where g is exp(-TRUNCATION_SIGMAS^2 / 2) of its peak, so it is
-    not summed. Evaluated on 96 and on 144 nodes per axis; their
+    not summed. Evaluated on 6 and on 9 16-node panels per axis; their
     difference is the convergence check, at _VARIANCE_REL_TOL and
     _VARIANCE_ABS_TOL.
     """
-    def value(n_rad, n_theta):
-        kn, kw = _radial_nodes(spectrum, n_rad)
-        tn, tw = gauss_legendre_panels(0.0, math.pi, max(2, n_theta // 16), 16)
+    def value(n_panels):
+        kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, n_panels)
+        tn, tw = gauss_legendre_panels(0.0, math.pi, n_panels)
         kk = kn[:, None]
         tt = tn[None, :]
         kperp = kk * np.sin(tt)
@@ -338,7 +331,7 @@ def rel_pos_variance_quadrature(beam: BeamParams, spectrum: SpectrumModel, phase
         meas = kw[:, None] * tw[None, :] * kk**2 * np.sin(tt)
         return TWO_PI * float(np.sum(meas * core))
 
-    return _converged("variance quadrature", value(96, 96), value(144, 144), _VARIANCE_REL_TOL, _VARIANCE_ABS_TOL)
+    return _converged("variance quadrature", value(6), value(9), _VARIANCE_REL_TOL, _VARIANCE_ABS_TOL)
 
 
 def total_wavevector_variance(beam: BeamParams) -> float:

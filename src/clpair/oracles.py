@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import MAX_ARRAY_BYTES, MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, NORMALIZATION_TOL
+from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, NORMALIZATION_TOL
 from .distributions import N_KX, JointGrid, joint_position, momentum_grid, photon_marginal_kx
 from .errors import DomainError, ResolutionError
 from .measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
@@ -32,12 +32,8 @@ from .model import (
     gamma_transverse_gradient,
     psi_ini_x_sq,
 )
-from .quadrature import GammaSampler, gauss_legendre_panels
+from .quadrature import GammaSampler, check_budget, gauss_legendre_panels
 
-
-# the most q points the suite's Schmidt oracle takes: its amplitude, n_q x
-# N_KX doubles, then fills MAX_ARRAY_BYTES
-_SCHMIDT_MAX_Q = MAX_ARRAY_BYTES // (8 * N_KX)
 # central-difference step of `fd_gradient_check`, in units of the scale on
 # which Gamma varies at the point, min(dk_ph, |k|): dk_ph radially, |k| in
 # angle. The difference's error then scales as _FD_STEP^2 everywhere.
@@ -313,6 +309,6 @@ def _schmidt_axes(beam: BeamParams, spectrum: SpectrumModel) -> tuple[np.ndarray
     kmax = spectrum.kmax
     span = 6.0 * beam.dq_perp + kmax
     n_q = math.ceil(2.0 * span / (beam.dq_perp / 9.0))
-    if n_q > _SCHMIDT_MAX_Q:
-        raise ResolutionError(f"the Schmidt oracle needs {n_q} q points, more than its cap of {_SCHMIDT_MAX_Q}")
+    # the oracle's amplitude holds N_KX doubles a q point
+    check_budget("Schmidt oracle q points", n_q, 8 * N_KX)
     return np.linspace(-kmax, kmax, N_KX), np.linspace(-span, span, n_q)

@@ -3,7 +3,8 @@
 The integrands in this package are smooth Gaussians times polynomials
 (plus spherical Bessel factors), so fixed high-order Gauss-Legendre
 panels converge quickly; `gauss_legendre_panels` gives the composite
-rules the measures build their grids from.
+rules the measures build their grids from, and `check_budget` decides
+for every builder whether its grid fits in MAX_ARRAY_BYTES.
 `GammaSampler` draws photon wavevectors exactly from the spectral
 density: a tabulated inverse CDF in k, located by a guide table, and a
 closed-form product of uniforms for cos(theta); the Monte Carlo oracles
@@ -18,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError
+from .constants import MAX_ARRAY_BYTES
+from .errors import DomainError, ResolutionError
 from .model import SpectrumModel, eval_g
 
 
@@ -26,6 +28,17 @@ from .model import SpectrumModel, eval_g
 def _leggauss(order: int):
     x, w = leggauss(order)
     return x, w
+
+
+def check_budget(grid: str, count: int, item_bytes: int) -> None:
+    """Raise ResolutionError if `count` items of `grid`, `item_bytes` bytes
+    each, would take more than MAX_ARRAY_BYTES; every builder calls it
+    before it allocates. The message names the grid and its count to four
+    significant digits."""
+    if count * item_bytes > MAX_ARRAY_BYTES:
+        raise ResolutionError(
+            f"{count:.4g} {grid} at {item_bytes} bytes each exceed the {MAX_ARRAY_BYTES / 2**20:.4g} MiB array budget"
+        )
 
 
 def gauss_legendre_panels(a: float, b: float, n_panels: int, order: int = 16):

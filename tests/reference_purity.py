@@ -17,16 +17,16 @@ import math
 import numpy as np
 
 from clpair.constants import PURITY_ABS_TOL, TWO_PI
-from clpair.measures import _NODES_PER_PERIOD, _T_SPAN, _TAIL_FRACTION, _radial_nodes, _sonine_h, _t_cut
+from clpair.measures import _NODES_PER_PERIOD, _T_SPAN, _TAIL_FRACTION, _sonine_h, _t_cut
 from clpair.model import eval_g
-from clpair.quadrature import gauss_legendre_edges
+from clpair.quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 BLOCK = 1024
 
 
-def einsum_purity_once(beam, spectrum, n_rad, refine=1.0):
+def einsum_purity_once(beam, spectrum, radial_panels, refine=1.0):
     """8 pi^2 b^2 sum_t c_t H_t^T E H_t, H_t = r h_t, on `_purity_once`'s grid."""
-    kn, kw = _radial_nodes(spectrum, n_rad)
+    kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, radial_panels, 16)
     b = beam.dq_perp
     t_max = _T_SPAN / b
     n_t = refine * _NODES_PER_PERIOD * spectrum.kmax * t_max / TWO_PI

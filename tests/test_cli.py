@@ -3,6 +3,7 @@ import json
 import math
 import platform
 import re
+import time
 import warnings
 from dataclasses import replace
 from operator import attrgetter
@@ -677,12 +678,13 @@ class TestSweepFailures:
         assert list(out.iterdir()) == []
 
     def test_too_fine_t_grid_cells_are_error_rows(self, runner, tmp_path, monkeypatch):
-        # the dk_ph = 1e9 cells span 1.1e11 t-nodes and keep 2,784, above a
-        # cap of 1,000 (the dk_ph = 0.5 cells keep at most 96); they fail on
-        # their own and every other cell is still written
-        import clpair.measures as measures
+        # the dk_ph = 1e9 cells span 1.1e11 t-nodes, and the base pass keeps
+        # 1,856 (the refined 2,784), above a budget of 1,000 t-nodes at 16
+        # bytes (the dk_ph = 0.5 cells keep at most 96); they fail on their
+        # own and every other cell is still written
+        import clpair.quadrature as quadrature
 
-        monkeypatch.setattr(measures, "_T_MAX_NODES", 1000)
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", 16 * 1000)
         out = tmp_path / "o"
         cfg = write(tmp_path, SWEEP_INI.replace("dk_ph_max = 2.0", "dk_ph_max = 1e9"))
         res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
@@ -695,7 +697,7 @@ class TestSweepFailures:
             (10.0, 1e9, True),
         ]
         for dq in (1.0, 10.0):
-            assert f"cell ({dq}, 1000000000.0) failed: the purity t-grid needs " in res.output
+            assert f"cell ({dq}, 1000000000.0) failed: 1856 purity t-nodes at 16 bytes each exceed" in res.output
         assert "Traceback" not in res.output
 
     def test_regime_map_names_failed_cells(self, runner, tmp_path, monkeypatch):
@@ -1465,12 +1467,12 @@ class TestExitMapping:
         res = runner.invoke(main, ["dist", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
-        assert "dist failed: the position lattice needs 143 x 245231 cells, more than its cap of 4194304" in res.output
+        assert "dist failed: 3.507e+07 position lattice cells at 16 bytes each exceed the 64 MiB array budget" in res.output
         assert "Traceback" not in res.output
         assert list((tmp_path / "o").glob("*")) == []
 
     def test_dist_lag_index_over_cap_exits_1(self, runner, tmp_path):
-        # at L_par 1e10 um the lattice is 141 x 141 cells, but its lags
+        # at L_par 1e10 um the lattice is 20,163 cells, but its lags
         # span 2.6e11 values: the index of the used ones, a flag and a rank
         # a lag, would take 2.1 TiB, and joint_position refuses it before
         # it allocates, so no file is written
@@ -1478,9 +1480,38 @@ class TestExitMapping:
         res = runner.invoke(main, ["dist", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
-        assert re.search(r"dist failed: the position lattice spans \d+ lags, more than its cap of 7456540", res.output)
+        assert "dist failed: 2.606e+11 position lattice lags at 9 bytes each exceed the 64 MiB array budget" in res.output
         assert "Traceback" not in res.output
         assert list((tmp_path / "o").glob("*")) == []
+
+    def test_dist_rho_rule_over_budget_exits_1(self, runner, tmp_path):
+        # at u = 2e-8, w = 1e-8 the lattice is 141 x 281 cells, but the
+        # kernel's rho rule would lay out about 8e8 nodes (26 GB at 32 bytes
+        # a node); _rho_rule refuses once the panels it has laid out pass
+        # the budget, before any array of its size exists
+        cfg = write(
+            tmp_path,
+            BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 2.5e-7").replace(
+                "dk_ph_um_inv = 1.0", "dk_ph_um_inv = 1.2566e-7"
+            ),
+        )
+        start = time.perf_counter()
+        res = runner.invoke(main, ["dist", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 5.0
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert re.search(r"dist failed: [\d.e+]+ position kernel rho nodes at 32 bytes each exceed the 64 MiB array budget", res.output)
+        assert "Traceback" not in res.output
+        assert list((tmp_path / "o").glob("*")) == []
+
+    def test_refusal_rounds_the_count(self, runner, tmp_path):
+        # at u = 1.03e-123, just inside the box, the lattice's cell count has
+        # 126 digits; the refusal states it to four significant digits
+        cfg = write(tmp_path, BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 1.3e-122"))
+        res = runner.invoke(main, ["dist", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1, res.output
+        assert "position lattice cells at 16 bytes each exceed the 64 MiB array budget" in res.output
+        assert max(map(len, re.findall(r"\d+", res.output))) <= 4
 
     def test_measure_wide_t_span_is_computed(self, runner, tmp_path):
         # dq_perp 1e-7 spans 2.7e9 t-nodes, of which purity_sc keeps and
@@ -1572,7 +1603,7 @@ class TestAdmissibleBox:
         ids=["dq_perp-1e-7", "l_par-1e10"],
     )
     def test_loads_inside_the_box(self, tmp_path, old, new):
-        # both are computed (or refused by a size cap) rather than refused at load
+        # both are computed (or refused by the array budget) rather than refused at load
         load_config(write(tmp_path, SWEEP_INI.replace(old, new)))
 
     def test_child_process_prints_no_warning(self, tmp_path):

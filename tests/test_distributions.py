@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,9 @@ from scipy.signal import argrelextrema
 
 from clpair import DomainError
 from clpair.cli import load_config, main
-from clpair.constants import ANGULAR_NORM
+from clpair.constants import ANGULAR_NORM, NORMALIZATION_TOL
 import clpair.distributions as distributions
+import clpair.quadrature as quadrature
 from clpair.distributions import (
     JointGrid,
     _check_normalized,
@@ -648,11 +650,22 @@ class TestLeastGridSizes:
         assert joint_position(b, s)[0].axis1.size >= 141
         assert momentum_grid(b, s).axis1.size >= 97
 
+    @pytest.mark.xfail(
+        raises=ConsistencyError, strict=True, reason="the position grid does not normalize below the README plane (ROADMAP item 1)"
+    )
+    @pytest.mark.parametrize("dk_ph", [0.3, 1.0])
+    def test_normalizes_below_the_plane(self, make_beam, make_spectrum, dk_ph):
+        # dq_perp 0.03, a third of the README plane's smallest, with the
+        # example config otherwise: the grid integrates to 2.646485 at
+        # dk_ph 0.3 and to 3.009806 at 1, and _check_normalized refuses it
+        grid = joint_position(make_beam(0.03), make_spectrum(dk_ph))[0]
+        assert grid.integral() == pytest.approx(1.0, abs=NORMALIZATION_TOL)
+
 
 class TestLatticeCap:
     """The position lattice is sized before the kernel is built, and one
     whose density and lag arrays, 16 bytes a cell, would exceed
-    MAX_ARRAY_BYTES is refused."""
+    MAX_ARRAY_BYTES is refused by `check_budget`."""
 
     @pytest.mark.parametrize(
         "dq_perp,dk_ph,shape",
@@ -662,20 +675,23 @@ class TestLatticeCap:
     def test_oversize_lattice_is_refused_before_the_kernel(self, make_beam, make_spectrum, dq_perp, dk_ph, shape):
         # 535 and 381 MiB of density and lags; the refusal builds nothing
         b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        n, m = map(int, shape.split(" x "))
+        message = f"{n * m:.4g} position lattice cells at 16 bytes each exceed the 64 MiB array budget"
 
         def refused():
-            with pytest.raises(ResolutionError, match=f"the position lattice needs {shape} cells, more than its cap of 4194304"):
+            with pytest.raises(ResolutionError, match=f"^{re.escape(message)}$"):
                 joint_position(b, s)
 
         assert _traced_peak(refused) < 2**20
 
     @pytest.mark.parametrize("cap,refused", [(211 * 351, False), (211 * 351 - 1, True)])
     def test_cap_counts_the_cells(self, make_beam, make_spectrum, monkeypatch, cap, refused):
-        # g0's lattice is 211 x 351 cells
-        monkeypatch.setattr(distributions, "_LATTICE_MAX_CELLS", cap)
+        # g0's lattice is 211 x 351 cells, at 16 bytes a cell; its lags and
+        # its kernel's rho nodes take less
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", 16 * cap)
         b, s = make_beam(0.263474), make_spectrum(0.210945)
         if refused:
-            with pytest.raises(ResolutionError, match="needs 211 x 351 cells"):
+            with pytest.raises(ResolutionError, match="^7.406e\\+04 position lattice cells"):
                 joint_position(b, s)
         else:
             assert joint_position(b, s)[0].density.shape == (211, 351)

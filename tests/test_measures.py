@@ -173,13 +173,13 @@ class TestPuritySc:
     @pytest.mark.parametrize("cap,refused", [(47, True), (48, False)])
     def test_t_grid_cap_names_the_size(self, make_beam, make_spectrum, monkeypatch, cap, refused):
         # at (3, 0.3) the refined pass keeps and lays out 48 of its 80
-        # t-nodes (the base pass 32 of 48); below a cap of that many
-        # purity_sc refuses the grid
-        import clpair.measures as measures
+        # t-nodes (the base pass 32 of 48); below a budget of that many
+        # t-nodes, 16 bytes each, purity_sc refuses the grid
+        import clpair.quadrature as quadrature
 
-        monkeypatch.setattr(measures, "_T_MAX_NODES", cap)
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", 16 * cap)
         if refused:
-            with pytest.raises(ResolutionError, match="the purity t-grid needs 48 nodes, more than its cap of 47"):
+            with pytest.raises(ResolutionError, match="^48 purity t-nodes at 16 bytes each exceed"):
                 purity_sc(make_beam(3.0), make_spectrum(0.3))
         else:
             assert 0.0 < purity_sc(make_beam(3.0), make_spectrum(0.3)) <= 1.0
@@ -206,16 +206,16 @@ class TestPuritySc:
         assert value == pytest.approx(1e-6 * purity_sc(make_beam(1e-4), spectrum), rel=1e-7)
         assert peak < 4e6
 
-    # at 1e-7 the base pass keeps 384 nodes, above a cap of 383
+    # at 1e-7 the base pass keeps 384 nodes, above a budget of 383 t-nodes
     @pytest.mark.parametrize("dq_perp,cap,nodes", [(1e-7, 383, "384")])
     def test_too_fine_t_grid_is_refused_before_it_is_built(self, make_beam, make_spectrum, monkeypatch, dq_perp, cap, nodes):
-        import clpair.measures as measures
+        import clpair.quadrature as quadrature
 
-        monkeypatch.setattr(measures, "_T_MAX_NODES", cap)
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", 16 * cap)
         beam, spectrum = make_beam(dq_perp), make_spectrum(1.0)
         tracemalloc.start()
         try:
-            with pytest.raises(ResolutionError, match=f"needs {nodes} nodes"):
+            with pytest.raises(ResolutionError, match=f"^{nodes} purity t-nodes at 16 bytes each"):
                 purity_sc(beam, spectrum)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -289,10 +289,11 @@ class TestPurityScPanel:
     @pytest.mark.xfail(raises=AssertionError, strict=True, reason="PURITY_ABS_TOL decides the check wherever P_sc < 0.5")
     def test_relative_tolerance_at_long_coherence(self, make_beam, make_spectrum):
         # at L_par 13 um, (0.1, 30) reads 1.0416e-6 against 3.9293e-7 from
-        # 768 radial nodes: far beyond PURITY_REL_TOL, yet |refined - base|
-        # is below PURITY_ABS_TOL, so the convergence check passes it
+        # 48 radial panels (768 nodes): far beyond PURITY_REL_TOL, yet
+        # |refined - base| is below PURITY_ABS_TOL, so the convergence
+        # check passes it
         b, s = make_beam(0.1, 2.0 * math.pi / 13.0), make_spectrum(30.0)
-        converged = _purity_once(b, s, n_rad=768)
+        converged = _purity_once(b, s, radial_panels=48)
         assert purity_sc(b, s) == pytest.approx(converged, rel=PURITY_REL_TOL)
 
 
@@ -302,12 +303,12 @@ class TestPurityGramForm:
     The worst difference measured is 3 ulps, at (100, 0.1)'s refined pass;
     the bound leaves room for another BLAS kernel's summation order."""
 
-    @pytest.mark.parametrize("n_rad,refine", [(64, 1.0), (96, 1.5)], ids=["base", "refined"])
+    @pytest.mark.parametrize("radial_panels,refine", [(4, 1.0), (6, 1.5)], ids=["base", "refined"])
     @pytest.mark.parametrize("dq_perp,dk", [(dq, dk) for dq, dk, _ in PANEL_REFERENCE[:12]])
-    def test_matches_the_einsum_sum(self, dq_perp, dk, n_rad, refine, make_beam, make_spectrum):
+    def test_matches_the_einsum_sum(self, dq_perp, dk, radial_panels, refine, make_beam, make_spectrum):
         beam, spectrum = make_beam(dq_perp), make_spectrum(dk)
-        expected = einsum_purity_once(beam, spectrum, n_rad, refine)
-        assert abs(_purity_once(beam, spectrum, n_rad, refine) - expected) <= 8 * np.spacing(expected)
+        expected = einsum_purity_once(beam, spectrum, radial_panels, refine)
+        assert abs(_purity_once(beam, spectrum, radial_panels, refine) - expected) <= 8 * np.spacing(expected)
 
 
 class TestSonineH:
@@ -379,26 +380,26 @@ class TestPurityTailCut:
     """The t-sum stops where a bound on the integral's tail is below
     1e-3 PURITY_ABS_TOL; a tolerance of zero keeps the whole 7/b grid."""
 
-    RESOLUTIONS = [(64, 1.0), (96, 1.5)]  # purity_sc's base and refined passes
+    RESOLUTIONS = [(4, 1.0), (6, 1.5)]  # purity_sc's base and refined passes, in radial panels
 
     @staticmethod
-    def _uncut(monkeypatch, beam, spectrum, n_rad, refine):
+    def _uncut(monkeypatch, beam, spectrum, radial_panels, refine):
         import clpair.measures as measures
 
         with monkeypatch.context() as m:
             m.setattr(measures, "PURITY_ABS_TOL", 0.0)
-            return _purity_once(beam, spectrum, n_rad, refine)
+            return _purity_once(beam, spectrum, radial_panels, refine)
 
-    def _cut_error(self, monkeypatch, beam, spectrum, n_rad, refine):
-        cut = _purity_once(beam, spectrum, n_rad, refine)
-        return abs(cut - self._uncut(monkeypatch, beam, spectrum, n_rad, refine))
+    def _cut_error(self, monkeypatch, beam, spectrum, radial_panels, refine):
+        cut = _purity_once(beam, spectrum, radial_panels, refine)
+        return abs(cut - self._uncut(monkeypatch, beam, spectrum, radial_panels, refine))
 
-    @pytest.mark.parametrize("n_rad,refine", RESOLUTIONS)
+    @pytest.mark.parametrize("radial_panels,refine", RESOLUTIONS)
     @pytest.mark.parametrize("dq_perp,dk,expected", PANEL_REFERENCE)
     def test_cut_within_fraction_of_abs_tol(
-        self, dq_perp, dk, expected, n_rad, refine, make_beam, make_spectrum, monkeypatch
+        self, dq_perp, dk, expected, radial_panels, refine, make_beam, make_spectrum, monkeypatch
     ):
-        err = self._cut_error(monkeypatch, make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
+        err = self._cut_error(monkeypatch, make_beam(dq_perp), make_spectrum(dk), radial_panels, refine)
         assert err <= 1e-3 * PURITY_ABS_TOL
 
     def test_planted_defect_in_envelope(self, make_beam, make_spectrum, monkeypatch):
@@ -406,9 +407,9 @@ class TestPurityTailCut:
 
         monkeypatch.setattr(measures, "_H_TAIL_C", _H_TAIL_C / 100.0)
         worst = max(
-            self._cut_error(monkeypatch, make_beam(dq_perp), make_spectrum(dk), n_rad, refine)
+            self._cut_error(monkeypatch, make_beam(dq_perp), make_spectrum(dk), radial_panels, refine)
             for dq_perp, dk, _ in PANEL_REFERENCE
-            for n_rad, refine in self.RESOLUTIONS
+            for radial_panels, refine in self.RESOLUTIONS
         )
         assert worst > 1e-3 * PURITY_ABS_TOL
 
@@ -424,10 +425,10 @@ class TestPurityTailCut:
 
         monkeypatch.setattr(measures, "_sonine_h", counting)
         beam, spectrum = make_beam(0.1), make_spectrum(30.0)
-        self._uncut(monkeypatch, beam, spectrum, 96, 1.5)
+        self._uncut(monkeypatch, beam, spectrum, 6, 1.5)
         assert sum(columns) == 33_776
         columns.clear()
-        _purity_once(beam, spectrum, 96, 1.5)
+        _purity_once(beam, spectrum, 6, 1.5)
         assert sum(columns) <= 0.25 * 33_776
 
 
@@ -544,7 +545,7 @@ class TestPurityZReference:
     def test_planted_defects_are_caught(self, old, new, purity_z_reference):
         mutant = _purity_z_mutant(old, new)
         errors = [
-            abs(mutant(_purity_z_beam(l_par), SpectrumModel(K_C, dk), 256) - purity_z_reference[(l_par, dk)])
+            abs(mutant(_purity_z_beam(l_par), SpectrumModel(K_C, dk), 16) - purity_z_reference[(l_par, dk)])
             for l_par, dk in PURITY_Z_POINTS
         ]
         assert max(errors) > 1e-13

@@ -377,11 +377,13 @@ class TestSuite:
         assert qx[1] - qx[0] <= dq_perp / 8.0
 
     def test_schmidt_grid_cap_names_the_size(self, make_beam, make_spectrum, monkeypatch):
-        # at (3, 0.3) the Schmidt oracle needs 198 q points; below a cap of
-        # that many the suite refuses the grid rather than build it
+        # at (3, 0.3) the Schmidt oracle needs 198 q points of 512 doubles;
+        # below a budget of that many the suite refuses the grid rather
+        # than build it
         import clpair.oracles as oracles
+        import clpair.quadrature as quadrature
 
-        monkeypatch.setattr(oracles, "_SCHMIDT_MAX_Q", 197)
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", 8 * 512 * 197)
         monkeypatch.setattr(oracles, "MC_SAMPLES", 10_000)
-        with pytest.raises(ResolutionError, match="needs 198 q points"):
+        with pytest.raises(ResolutionError, match="^198 Schmidt oracle q points at 4096 bytes each"):
             run_suite(make_beam(3.0), make_spectrum(0.3))

@@ -16,9 +16,13 @@ change unseen would be missing from every artifact's provenance.
 
 `cli.py` calls `sys.exit` only in `_Main.invoke`, the one place where a
 command's outcome becomes an exit code.
+
+One module reads MAX_ARRAY_BYTES, and `constants` alone defines a
+module-level size cap: whether a grid fits is decided in one place.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -289,3 +293,47 @@ def test_only_the_command_group_exits():
     sites = exit_sites(tree)
     assert len(sites) == 3
     assert {site.partition(":")[0] for site in sites} == {"_Main.invoke"}
+
+
+def budget_readers(trees: dict) -> set:
+    """Modules in `trees` ({module: ast}) that read MAX_ARRAY_BYTES: import
+    it, or load it as a name or an attribute."""
+    def reads(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "MAX_ARRAY_BYTES" for alias in node.names)
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name == "MAX_ARRAY_BYTES" and isinstance(node.ctx, ast.Load)
+
+    return {module for module, tree in trees.items() if any(map(reads, ast.walk(tree)))}
+
+
+def size_caps(trees: dict) -> set:
+    """`module.name` of each module-level name in `trees` that is a size
+    cap: one spelt MAX_* or *_MAX_*."""
+    return {
+        f"{module}.{name.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and re.search(r"(^|_)MAX_", name.id)
+    }
+
+
+def test_budget_detectors():
+    trees = {
+        "constants": ast.parse("MAX_ARRAY_BYTES = 64\nK_C_MAX = 1e30\n"),
+        "a": ast.parse("from constants import MAX_ARRAY_BYTES\n_CELLS_MAX_N, _W = MAX_ARRAY_BYTES // 16, 0\n"),
+        "b": ast.parse("import constants\ndef f(n):\n    _T_MAX_NODES = 1\n    return n > constants.MAX_ARRAY_BYTES\n"),
+        "c": ast.parse("W_MAX = 1\nx: int = 0\n"),
+    }
+    assert budget_readers(trees) == {"a", "b"}
+    assert size_caps(trees) == {"constants.MAX_ARRAY_BYTES", "a._CELLS_MAX_N"}
+
+
+def test_one_module_decides_every_grid_size():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert {"constants", "quadrature"} <= trees.keys()
+    assert budget_readers(trees) == {"quadrature"}
+    assert size_caps(trees) == {"constants.MAX_ARRAY_BYTES"}

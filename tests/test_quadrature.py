@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from clpair import ConvergenceError, DomainError, SpectrumModel
+import clpair.measures as measures
+import clpair.quadrature as quadrature
+from clpair.constants import MAX_ARRAY_BYTES
+from clpair.distributions import N_KX, _rho_rule, joint_position
+from clpair.errors import ResolutionError
 from clpair.model import eval_g
-from clpair.quadrature import GammaSampler, gauss_legendre_panels
+from clpair.oracles import _schmidt_axes
+from clpair.quadrature import GammaSampler, check_budget, gauss_legendre_panels
 
 from conftest import window
 from reference_quadrature import integrate_1d
@@ -185,3 +192,82 @@ class TestPanels:
     def test_cosine_integral(self):
         nodes, wts = gauss_legendre_panels(0.0, math.pi, 4, 16)
         assert np.sum(wts * np.cos(nodes)) == pytest.approx(0.0, abs=1e-13)
+
+
+def _t_grid(make_beam, make_spectrum, monkeypatch):
+    # (0.1, 30) with the tail cut off: the base pass keeps its whole 7/b span
+    monkeypatch.setattr(measures, "PURITY_ABS_TOL", 0.0)
+    measures.purity_sc(make_beam(0.1), make_spectrum(30.0))
+
+
+def _rho_nodes(make_beam, make_spectrum, monkeypatch):
+    # w = 1e-5: the graded panels below kmin number about 1/(2w)
+    s = make_spectrum(1e-5 * make_spectrum(1.0).k_c)
+    return _rho_rule(s, s.kmax)[0]
+
+
+def _schmidt_q(make_beam, make_spectrum, monkeypatch):
+    return _schmidt_axes(make_beam(1e-3), make_spectrum(1.0))[1]
+
+
+# each builder's guard at one fixed point: the builder, the grid its
+# refusal names, its count there and the bytes it holds per item
+GUARDS = {
+    "t-grid": (_t_grid, "purity t-nodes", 22_512, 16),
+    "lattice-cells": (
+        lambda make_beam, make_spectrum, _: joint_position(make_beam(1e-3), make_spectrum(1.0)),
+        "position lattice cells",
+        143 * 245_231,
+        16,
+    ),
+    # L_par 1e10 um: 20,163 cells whose lags span 2.6e11 values
+    "lattice-lags": (
+        lambda make_beam, make_spectrum, _: joint_position(make_beam(3.0, 2.0 * math.pi / 1e10), make_spectrum(0.3)),
+        "position lattice lags",
+        260_606_028_240,
+        9,
+    ),
+    "schmidt-q": (_schmidt_q, "Schmidt oracle q points", 370_303, 8 * N_KX),
+    "rho-nodes": (_rho_nodes, "position kernel rho nodes", 800_256, 32),
+}
+
+
+class TestArrayBudget:
+    """`check_budget` alone decides whether a grid fits in MAX_ARRAY_BYTES.
+    At one fixed point per builder, a budget one byte short of the grid's
+    need refuses it, naming the grid and its count, before anything near
+    its size is allocated."""
+
+    @pytest.mark.parametrize("item_bytes", [9, 16, 32, 8 * N_KX])
+    def test_threshold_is_the_count_that_fills_the_budget(self, item_bytes):
+        # n items fit exactly when n <= MAX_ARRAY_BYTES // item_bytes
+        fits = MAX_ARRAY_BYTES // item_bytes
+        check_budget("cells", fits, item_bytes)
+        with pytest.raises(ResolutionError):
+            check_budget("cells", fits + 1, item_bytes)
+
+    def test_message_rounds_the_count(self):
+        # a 129-digit count reads as four significant digits
+        with pytest.raises(ResolutionError) as err:
+            check_budget("position lattice cells", 141 * 18_852_950_712_528_379_525 * 10**108, 16)
+        assert str(err.value) == "2.658e+129 position lattice cells at 16 bytes each exceed the 64 MiB array budget"
+
+    @pytest.mark.parametrize("guard", list(GUARDS))
+    def test_one_byte_short_is_refused_before_the_grid(self, guard, make_beam, make_spectrum, monkeypatch):
+        build, grid, count, item_bytes = GUARDS[guard]
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", count * item_bytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError) as err:
+                build(make_beam, make_spectrum, monkeypatch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).startswith(f"{count:.4g} {grid} at {item_bytes} bytes each exceed")
+        assert peak < 0.1 * count * item_bytes
+
+    @pytest.mark.parametrize("guard", ["schmidt-q", "rho-nodes"])
+    def test_a_budget_of_the_need_admits_the_grid(self, guard, make_beam, make_spectrum, monkeypatch):
+        build, _, count, item_bytes = GUARDS[guard]
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", count * item_bytes)
+        assert build(make_beam, make_spectrum, monkeypatch).size == count
