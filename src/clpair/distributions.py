@@ -68,31 +68,24 @@ class JointGrid:
         """Trapezoidal double integral of the density."""
         return float(_trapezoid_weights(self.axis1) @ (self.density @ _trapezoid_weights(self.axis2)))
 
-    def moments(self, combine) -> tuple[float, float]:
-        """Mean and variance of combine(axis1, axis2) under the density.
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean (a 2-vector) and covariance (2 x 2) of (axis1, axis2) under
+        the density, with the trapezoid weights of `integral`.
 
-        `combine` is evaluated on one block of rows at a time, a
-        1/_MOMENT_BLOCKS share of the grid, so no temporary is larger.
+        One product of the density with w2 b^j (j = 0, 1, 2), for axis1 a,
+        axis2 b and trapezoid weights w1, w2, gives its weighted sums rj
+        over b, and the dot products of rj with w1 a^i every sum that is
+        needed, so no temporary is as large as the grid. The variance of
+        a + g b is then u C u with u = (1, g). Dot products of vectors,
+        not a matrix product, take the sums over a: at the momentum grid's
+        4001 rows that rounds var(q_x + k_x) 16 times less.
         """
-        w1, w2 = _trapezoid_weights(self.axis1), _trapezoid_weights(self.axis2)
-        rows = max(1, -(-self.axis1.size // _MOMENT_BLOCKS))
-        first = second = 0.0
-        for i in range(0, self.axis1.size, rows):
-            v = combine(self.axis1[i : i + rows, None], self.axis2[None, :])
-            dv = self.density[i : i + rows] * v
-            first += float(w1[i : i + rows] @ (dv @ w2))
-            dv *= v
-            second += float(w1[i : i + rows] @ (dv @ w2))
-            # freed here, or they would still be held while the next
-            # block's are built
-            del v, dv
-        norm = self.integral()
-        mean = first / norm
-        return mean, second / norm - mean**2
-
-
-# JointGrid.moments splits the rows into this many blocks
-_MOMENT_BLOCKS = 16
+        powers = np.arange(3)[:, None]
+        r0, r1, r2 = (_trapezoid_weights(self.axis2) * self.axis2**powers) @ self.density.T
+        v0, v1, v2 = _trapezoid_weights(self.axis1) * self.axis1**powers
+        norm = v0 @ r0
+        mean = np.array([v1 @ r0, v0 @ r1]) / norm
+        return mean, np.array([[v2 @ r0, v1 @ r1], [v1 @ r1, v0 @ r2]]) / norm - np.outer(mean, mean)
 
 
 def _trapezoid_weights(x) -> np.ndarray:
@@ -307,8 +300,7 @@ def _position_kernel(beam: BeamParams, spectrum: SpectrumModel, ax: np.ndarray) 
             block[0] += target
             np.add.reduce(block, axis=0, out=target)
     _mirror_upper(h)
-    scale = float(np.max(g_ref))
-    if scale > 0.0 and float(np.max(np.abs(np.diagonal(h) - g_ref))) > 1e-8 * scale:
+    if float(np.max(np.abs(np.diagonal(h) - g_ref))) > 1e-8 * float(np.max(g_ref)):
         raise ConsistencyError("position kernel diagonal disagrees with the photon marginal")
     return h
 

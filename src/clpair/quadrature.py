@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import MAX_ARRAY_BYTES
-from .errors import DomainError, ResolutionError
+from .errors import ResolutionError
 from .model import SpectrumModel, eval_g
 
 
@@ -72,8 +72,6 @@ class GammaSampler:
         kk = np.linspace(spectrum.kmin, spectrum.kmax, 4096)
         pdf = kk**2 * eval_g(spectrum, kk)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(kk))])
-        if cdf[-1] <= 0.0:
-            raise DomainError("spectral density vanishes on the truncated support")
         self._ktab = kk
         self._cdf = cdf = cdf / cdf[-1]
         # np.interp's slope of each interval; zero where the interval has

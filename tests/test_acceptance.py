@@ -50,8 +50,9 @@ class TestCriterion02TotalMomentumVariance:
     def test_grid_variance_equals_dq_perp_squared(self, l_perp):
         beam = BeamParams(K_KEV, 2.0 * math.pi / l_perp, DQ_PAR)
         grid = momentum_grid(beam, SpectrumModel(K_C, 0.3))
-        _, var = grid.moments(lambda qx, kx: qx + kx)
-        assert var == pytest.approx(beam.dq_perp**2, rel=0.005)
+        # var(q_x + k_x) is the sum of the covariance's entries
+        _, cov = grid.moments()
+        assert cov.sum() == pytest.approx(beam.dq_perp**2, rel=0.005)
 
 
 class TestCriterion03ClosedFormVariance:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from clpair.constants import ANGULAR_NORM, NORMALIZATION_TOL
 import clpair.distributions as distributions
 import clpair.quadrature as quadrature
 from clpair.distributions import (
+    N_KX,
     JointGrid,
     _check_normalized,
     _position_kernel,
@@ -38,9 +40,10 @@ class TestJointGrid:
         with pytest.raises(DomainError):
             JointGrid(np.arange(3.0), np.arange(4.0), np.zeros((4, 3)))
 
-    def test_non_monotone_axis(self):
+    @pytest.mark.parametrize("axis", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]], ids=["decreasing", "repeated"])
+    def test_non_monotone_axis(self, axis):
         with pytest.raises(DomainError):
-            JointGrid(np.array([0.0, 2.0, 1.0]), np.arange(3.0), np.zeros((3, 3)))
+            JointGrid(np.array(axis), np.arange(3.0), np.zeros((3, 3)))
 
     def test_negative_density(self):
         d = np.zeros((3, 3))
@@ -49,12 +52,17 @@ class TestJointGrid:
             JointGrid(np.arange(3.0), np.arange(3.0), d)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("where", ["axis1", "axis2", "density"])
-    def test_non_finite_rejected(self, where, bad):
-        # a planted value at the end of an axis, or inside the density; a
-        # nan fails every comparison, so no ordering test catches it
+    @pytest.mark.parametrize(
+        "where,at",
+        [("axis1", -1), ("axis2", -1), ("axis1", 0), ("axis2", 0), ("density", (1, 1))],
+        ids=["axis1", "axis2", "axis1-first", "axis2-first", "density"],
+    )
+    def test_non_finite_rejected(self, where, at, bad):
+        # a planted value at either end of an axis, or inside the density;
+        # a nan fails every comparison, so no ordering test catches it, and
+        # -inf first keeps the steps increasing
         arrays = {"axis1": np.arange(3.0), "axis2": np.arange(3.0), "density": np.ones((3, 3))}
-        arrays[where][(1, 1) if where == "density" else -1] = bad
+        arrays[where][at] = bad
         with pytest.raises(DomainError):
             JointGrid(**arrays)
 
@@ -76,9 +84,32 @@ class TestJointGrid:
         d = 4.0 * np.outer(x, x)
         g = JointGrid(x, x, d)
         assert g.integral() == pytest.approx(1.0, abs=1e-4)
-        mean, var = g.moments(lambda a, b: a + b)
-        assert mean == pytest.approx(4.0 / 3.0, abs=1e-3)
-        assert var == pytest.approx(2.0 / 18.0, abs=1e-3)
+        # the mean and variance of a + b, the sums of the mean's and the
+        # covariance's entries
+        mean, cov = g.moments()
+        assert mean.sum() == pytest.approx(4.0 / 3.0, abs=1e-3)
+        assert cov.sum() == pytest.approx(2.0 / 18.0, abs=1e-3)
+
+    def test_moments_of_an_unnormalized_grid(self):
+        # the moments are normalized by the grid's own integral: the
+        # density 4 a b on the unit square, three times over, has means
+        # 2/3 and variances 1/18, and the axes are independent
+        x = np.linspace(0.0, 1.0, 201)
+        mean, cov = JointGrid(x, x, 12.0 * np.outer(x, x)).moments()
+        np.testing.assert_allclose(mean, [2.0 / 3.0, 2.0 / 3.0], atol=1e-4)
+        np.testing.assert_allclose(cov, [[1.0 / 18.0, 0.0], [0.0, 1.0 / 18.0]], atol=1e-4)
+
+    @pytest.mark.parametrize("total,refused", [(0.9901, False), (1.0099, False), (0.9899, True), (1.0101, True)])
+    def test_normalization_window(self, total, refused):
+        # a grid is admitted when its integral is within NORMALIZATION_TOL
+        # of one, on either side
+        x = np.linspace(0.0, 1.0, 5)
+        grid = JointGrid(x, x, np.full((5, 5), total))
+        if refused:
+            with pytest.raises(ConsistencyError):
+                _check_normalized(grid, "planted grid")
+        else:
+            assert _check_normalized(grid, "planted grid") is grid
 
 
 class TestPhotonMarginal:
@@ -119,8 +150,19 @@ class TestMomentumGrid:
     def test_total_momentum_variance(self, make_beam, make_spectrum):
         b = make_beam(4.19)
         g = momentum_grid(b, make_spectrum(0.3))
-        _, var = g.moments(lambda qx, kx: qx + kx)
-        assert var == pytest.approx(b.dq_perp**2, rel=5e-3)
+        _, cov = g.moments()
+        assert cov.sum() == pytest.approx(b.dq_perp**2, rel=5e-3)
+
+    def test_q_axis_rule(self, make_beam, make_spectrum):
+        # the q axis spans kmax + 6 dq_perp each side at 8 points per
+        # dq_perp, 3387 points at (0.1, 1), and is capped at 4001 points,
+        # which keeps the (0.1, 30) grid under 16 MiB
+        b, s = make_beam(0.1), make_spectrum(1.0)
+        q = momentum_grid(b, s).axis1
+        assert q[-1] == -q[0] == s.kmax + 6.0 * b.dq_perp
+        assert q.size == 3387
+        capped = momentum_grid(b, make_spectrum(30.0)).density
+        assert capped.shape == (4001, N_KX) and capped.nbytes < 16 * 2**20
 
     def test_parity(self, make_beam, make_spectrum):
         g = momentum_grid(make_beam(2.0), make_spectrum(0.5))
@@ -189,7 +231,7 @@ class TestGridMemory:
 
     def test_moments_peak(self, beam_spectrum_grid):
         _, _, g = beam_spectrum_grid
-        assert _traced_peak(lambda: g.moments(lambda qx, kx: qx + kx)) <= 0.25 * g.density.nbytes
+        assert _traced_peak(g.moments) <= 0.25 * g.density.nbytes
 
     def test_dist_peak(self, tmp_path):
         # dist drops each grid before it computes and writes its factor:
@@ -223,9 +265,17 @@ class TestGridMemory:
         cfg = write_dist_config(tmp_path, 0.263474, 0.210945)
         assert _traced_peak(lambda: run_dist(cfg, tmp_path / "o")) > 4 * 2**20
 
-    def test_moments_match_full_grid_trapezoid(self, beam_spectrum_grid):
-        # the blocked moments against the full-grid form they replace
-        _, _, g = beam_spectrum_grid
+    # var(q_x + k_x), the sum of the covariance's entries, cancels
+    # C_11 + C_22 against 2 |C_12| and rounds by about eps (C_11 + C_22),
+    # 0.93 of that at (0.1, 30), where q_x's axis is clipped at 4001
+    # points and C_11 + C_22 is 1.9e5 times the variance, so the model
+    # gives 4.3e-11 there (measured 4.0e-11) and the bound is 2e-10;
+    # at g0, where it is 1302 times, the bound is 1e-12
+    @pytest.mark.parametrize("dq_perp,dk_ph,rel", [(0.263474, 0.210945, 1e-12), (0.1, 30.0, 2e-10)], ids=["g0", "0.1-30"])
+    def test_moments_match_full_grid_trapezoid(self, make_beam, make_spectrum, dq_perp, dk_ph, rel):
+        # the covariance against the full-grid trapezoid of (q_x + k_x)^2,
+        # which has no such cancellation
+        g = momentum_grid(make_beam(dq_perp), make_spectrum(dk_ph))
         v = g.axis1[:, None] + g.axis2[None, :]
 
         def trap(f):
@@ -234,10 +284,10 @@ class TestGridMemory:
         norm = trap(g.density)
         mean = trap(g.density * v) / norm
         var = trap(g.density * v**2) / norm - mean**2
-        got_mean, got_var = g.moments(lambda qx, kx: qx + kx)
+        got_mean, cov = g.moments()
         assert g.integral() == pytest.approx(norm, rel=1e-13)
-        assert got_mean == pytest.approx(mean, rel=1e-10, abs=1e-13)
-        assert got_var == pytest.approx(var, rel=1e-12)
+        assert got_mean.sum() == pytest.approx(mean, rel=1e-10, abs=1e-13)
+        assert cov.sum() == pytest.approx(var, rel=rel)
 
 
 @pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2], ids=["wide", "mid", "narrow"], scope="class")
@@ -260,15 +310,16 @@ class TestJointPosition:
 
     def test_relative_position_variance(self, grid_and_params):
         b, s, g = grid_and_params
-        mean, var = g.moments(lambda xe, xp: xe - xp)
-        assert mean == pytest.approx(0.0, abs=1e-8)
-        assert var == pytest.approx(rel_pos_variance_closed(b, s), rel=2e-3)
+        # var(x_el - x_ph) = C_11 - 2 C_12 + C_22
+        mean, cov = g.moments()
+        assert mean[0] - mean[1] == pytest.approx(0.0, abs=1e-8)
+        assert cov[0, 0] - 2.0 * cov[0, 1] + cov[1, 1] == pytest.approx(rel_pos_variance_closed(b, s), rel=2e-3)
 
     def test_electron_marginal_width(self, grid_and_params):
         b, _, g = grid_and_params
-        mean, var = g.moments(lambda xe, xp: xe + 0.0 * xp)
-        assert mean == pytest.approx(0.0, abs=1e-10)
-        assert var == pytest.approx(1.0 / (4.0 * b.dq_perp**2), rel=2e-3)
+        mean, cov = g.moments()
+        assert mean[0] == pytest.approx(0.0, abs=1e-10)
+        assert cov[0, 0] == pytest.approx(1.0 / (4.0 * b.dq_perp**2), rel=2e-3)
 
     def test_parity(self, grid_and_params):
         _, _, g = grid_and_params
@@ -525,6 +576,23 @@ class TestRhoRule:
         b, s, ax, _, fine = kernels
         assert self.deviation(position_kernel_full_band(b, s, ax, uniform_rho_rule(2.0)), fine) > 4e-9
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="ρ panels straddle the rows' band edges (ROADMAP items 1, 18)")
+    def test_converges_at_second_order(self, make_beam, make_spectrum, monkeypatch):
+        # the kernel at g0 on the rule's panels and on panels 2, 4 and 8
+        # times narrower (the rule at dk_ph / 2, / 4, / 8 and the same
+        # kmin): each halving must shrink the change in h at least 4 times.
+        # The changes are 3.0e-9, 1.7e-9 and 9.2e-10 of max|h|, each
+        # halving shrinking them by 1.7 and 1.9: first order
+        b, s = make_beam(0.263474), make_spectrum(0.210945)
+        ax = half_axis(s)
+        kernels = []
+        for parts in (1, 2, 4, 8):
+            narrow = SimpleNamespace(kmin=s.kmin, dk_ph=s.dk_ph / parts)
+            monkeypatch.setattr(distributions, "_rho_rule", lambda spectrum, r_max: _rho_rule(narrow, r_max))
+            kernels.append(_position_kernel(b, s, ax))
+        changes = [self.deviation(coarse, fine) for coarse, fine in zip(kernels, kernels[1:])]
+        assert changes[1] <= changes[0] / 4.0 and changes[2] <= changes[1] / 4.0
+
 
 # The 24-node beta rule does not resolve sqrt(1 - (rho/k)^2 sin^2 beta)
 # for small |k_x|, where that factor bends sharply at beta = pi/2 on a
@@ -635,6 +703,24 @@ class TestLatticeLags:
         monkeypatch.setattr(distributions, "_t_at_lags", counting)
         joint_position(make_beam(0.263474), make_spectrum(0.210945))
         np.testing.assert_array_equal(seen[0], np.arange(281))
+
+
+class TestLatticeStrides:
+    @pytest.mark.parametrize("dq_perp,dk_ph,axis", [(2.4, 1.0, "axis1"), (0.2, 0.63, "axis2")], ids=["x_el", "x_ph"])
+    def test_a_stride_that_rounds_to_zero_is_one(self, make_beam, make_spectrum, dq_perp, dk_ph, axis):
+        # the pitch h is min(sigma_el, sigma_t) / 10, and at these points
+        # sigma / (10 h) for the narrower width rounds to just below one,
+        # which int() takes to zero: that axis still steps one pitch
+        grid, s, _ = joint_position(make_beam(dq_perp), make_spectrum(dk_ph))
+        assert np.diff(getattr(grid, axis))[0] == pytest.approx(s[1], rel=1e-12)
+
+    def test_negative_density_refused(self, make_beam, make_spectrum, monkeypatch):
+        # a planted defect: T lowered by 4 dkx^2 dips the grid far below
+        # the -1e-9 that the check admits as rounding
+        t_at_lags = distributions._t_at_lags
+        monkeypatch.setattr(distributions, "_t_at_lags", lambda *args: t_at_lags(*args) - 1.0)
+        with pytest.raises(ConsistencyError, match="joint position density has negative values"):
+            joint_position(make_beam(0.263474), make_spectrum(0.210945))
 
 
 class TestLeastGridSizes:

@@ -39,9 +39,9 @@ from clpair.model import (
     gamma_transverse_gradient,
     psi_ini_x_sq,
 )
-from clpair.distributions import joint_momentum
+from clpair.distributions import N_KX, joint_momentum, photon_marginal_kx
 from clpair.measures import _H_SMALL_X, _sonine_h, rel_pos_variance_closed
-from clpair.quadrature import gauss_legendre_panels
+from clpair.quadrature import GammaSampler, gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C, window
 from reference_quadrature import integrate_1d
@@ -394,6 +394,22 @@ class TestAdmissibleBox:
         # is at its edge and w and l at their tops; it never overflows
         assert 0.0 <= rel_pos_variance_closed(beam, spectrum) * beam.dq_perp**2 < math.inf
         assert 0.0 <= spectrum.kmin < spectrum.kmax
+
+    @pytest.mark.parametrize("k_c", [K_C_MIN * ABOVE, K_C_MAX * BELOW], ids=["k_c-min", "k_c-max"])
+    @pytest.mark.parametrize("w", [W_MIN * ABOVE, W_MAX * BELOW], ids=["w-min", "w-max"])
+    def test_corners_keep_the_spectrum_positive(self, k_c, w):
+        # g > 0 on the whole radial window, so neither GammaSampler's CDF
+        # total nor the largest photon marginal on joint_position's half
+        # axis, the scale of the kernel's diagonal check, is zero or
+        # infinite, and neither needs a guard. The sampler divides its CDF
+        # by the total: a zero or infinite one would raise here, and a
+        # positive finite one ends the CDF at exactly one
+        spectrum = SpectrumModel(k_c, w * k_c)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            cdf = GammaSampler(spectrum)._cdf
+            g_max = float(np.max(photon_marginal_kx(spectrum, (np.arange(N_KX // 2) + 0.5) * (2.0 * spectrum.kmax / N_KX))))
+        assert cdf[-1] == 1.0 and np.all(np.isfinite(cdf))
+        assert 0.0 < g_max < math.inf
 
 
 class TestPhases:

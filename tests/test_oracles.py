@@ -165,7 +165,7 @@ class TestSchmidt1D:
 
 def total_wavevector_report(grid, dq_perp):
     """The suite's variance check of q_x + k_x on `grid`."""
-    return variance_from_grid("variance_total_wavevector", grid, np.add, dq_perp**2, 0.005)
+    return variance_from_grid("variance_total_wavevector", grid, 1.0, dq_perp**2, 0.005)
 
 
 class TestVarianceFromGrid:
@@ -179,7 +179,7 @@ class TestVarianceFromGrid:
         # the grid's variance of q_x + k_x is dq_perp^2; 1% above it is
         # outside the check's 0.5%
         b, s = make_beam(4.19), make_spectrum(0.3)
-        rep = variance_from_grid("v", momentum_grid(b, s), np.add, 1.01 * b.dq_perp**2, 0.005)
+        rep = variance_from_grid("v", momentum_grid(b, s), 1.0, 1.01 * b.dq_perp**2, 0.005)
         assert not rep.passed
 
     def test_unnormalized_grid_rejected(self, make_beam, make_spectrum):
