@@ -281,19 +281,20 @@ def _point_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
     coordinates and `evaluate_point`'s diagnostics, keyed by CSV column."""
     from .measures import evaluate_point
 
-    result = evaluate_point(cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase)
-    return {
-        "dq_perp_um_inv": dq_perp,
-        "dk_ph_um_inv": dk_ph,
-        "purity_sc": result.purity_sc,
-        "purity_z": result.purity_z,
-        "var_rel_pos_um2": result.var_rel_pos,
-        "var_tot_wv_um_inv2": result.var_tot_wavevector,
-        "d2": result.d2,
-        "schmidt_number": result.schmidt_number,
-        "regime": result.regime.value,
-        "longitudinal_entangled": result.longitudinal_entangled,
-    }
+    r = evaluate_point(cfg.beam(dq_perp), cfg.spectrum(dk_ph), cfg.phase)
+    values = (
+        dq_perp,
+        dk_ph,
+        r.purity_sc,
+        r.purity_z,
+        r.var_rel_pos,
+        r.var_tot_wavevector,
+        r.d2,
+        r.schmidt_number,
+        r.regime.value,
+        r.longitudinal_entangled,
+    )
+    return dict(zip(CSV_HEADER, values, strict=True))
 
 
 def _cell_row(cfg: RunConfig, dq_perp: float, dk_ph: float) -> dict:
@@ -328,7 +329,14 @@ def run_sweep(cfg: RunConfig, threads: Optional[int] = None) -> list[dict]:
     with threads=1 every cell runs on one and the same thread. An
     exception that `_cell_row` does not turn into an error row stops the
     workers taking cells, and is raised here once all of them have joined.
+    A plane over the array budget is refused before either axis is built.
     """
+    from .quadrature import check_budget
+
+    # a cell's row and what the writers make of it take 4207 bytes: the
+    # tracemalloc peak of a 25 x 25 README-plane sweep on one thread and
+    # its writers, 2.63 MB, over its 625 cells
+    check_budget("sweep cells", cfg.sweep.dq_perp_steps * cfg.sweep.dk_ph_steps, 4207)
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cells = [(float(dqp), float(dkp)) for dqp in cfg.sweep.dq_perp_values() for dkp in cfg.sweep.dk_ph_values()]
@@ -579,12 +587,11 @@ def dist(config_path, out):
     cfg = load_config(config_path)
     beam, spectrum = cfg.beam(), cfg.spectrum()
     out_path = _out_dir(out)
-    from .distributions import joint_position, momentum_grid, photon_marginal_kx
+    from .distributions import joint_position, momentum_grid
 
     # The position grid goes first, so that a failure in joint_position
     # leaves no CSV behind. Each grid is summarized and dropped before its
-    # factor is written: the momentum grid and G's temporaries are never
-    # held at once.
+    # factor is written.
     grid, s, t = joint_position(beam, spectrum)
     summary = {
         "position_shape": list(grid.density.shape),
@@ -596,13 +603,13 @@ def dist(config_path, out):
     }
     del grid
     _write_factor(out_path / "dist_relative.csv", "s_um,T_um_inv", s, t)
-    grid = momentum_grid(beam, spectrum)
+    grid, g = momentum_grid(beam, spectrum)
     summary.update(
         momentum_shape=list(grid.density.shape), momentum_integral=grid.integral(), qx_um_inv=grid.axis1.tolist()
     )
     kx = grid.axis2
     del grid
-    _write_factor(out_path / "dist_marginal.csv", "kx_um_inv,G_um", kx, photon_marginal_kx(spectrum, kx))
+    _write_factor(out_path / "dist_marginal.csv", "kx_um_inv,G_um", kx, g)
     # neither grid reads the config's [phase]
     _write_json(out_path / "dist.json", _provenance(cfg, phase="neglected", **summary))
     click.echo(f"wrote distribution factors to {out_path}")

@@ -44,9 +44,8 @@ MC_SAMPLES = 200_000
 MC_MIN_SAMPLES = 10_000
 
 # The largest grid one step may build, in bytes; `quadrature.check_budget`
-# alone reads it. Its callers give each grid's count and bytes an item: 16
-# a purity t-node, 16 a lattice cell, 9 a lag, 32 a kernel rho node and
-# 8 N_KX a Schmidt q point. A grid over it raises ResolutionError.
+# alone reads it. Each caller gives a grid's count and states the bytes an
+# item holds at the call. A grid over it raises ResolutionError.
 MAX_ARRAY_BYTES = 64 * 2**20
 
 # How far from one a density grid's integral may be, as `dist` and the

@@ -136,22 +136,11 @@ def photon_marginal_kx(spectrum: SpectrumModel, kx) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # joint momentum distribution
 
-def joint_momentum(beam: BeamParams, spectrum: SpectrumModel, qx, kx) -> np.ndarray:
-    """Joint density P(q_x, k_x) (um^2): electron momentum envelope at
-    q_x + k_x times the photon marginal; independent of the phase."""
-    qx = np.asarray(qx, dtype=float)
-    kxa = np.atleast_1d(np.asarray(kx, dtype=float))
-    # one full-size buffer: the sum q_x + k_x, turned into the envelope
-    # and scaled by the marginal in place
-    g = photon_marginal_kx(spectrum, kxa)
-    dens = qx + kxa
-    psi_ini_x_sq(beam.dq_perp, dens, out=dens)
-    dens *= g
-    return dens
-
-
-def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
-    """P(q_x, k_x) on a grid covering the support of both factors.
+def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid, np.ndarray]:
+    """P(q_x, k_x) (um^2), the electron momentum envelope at q_x + k_x
+    times the photon marginal G, on a grid covering the support of both
+    factors; independent of the phase. Also returns G (um) on the grid's
+    k axis.
 
     The q axis spans kmax + 6 dq_perp each side at 8 points per dq_perp,
     capped at 4001 points. The cap keeps the grid under 16 MiB and
@@ -165,8 +154,14 @@ def momentum_grid(beam: BeamParams, spectrum: SpectrumModel) -> JointGrid:
     span = kmax + 6.0 * sig
     n_q = min(math.ceil(2.0 * span / (sig / 8.0)), 4001)
     qxg = np.linspace(-span, span, n_q)
-    dens = joint_momentum(beam, spectrum, qxg[:, None], kxg[None, :])
-    return _check_normalized(JointGrid(qxg, kxg, dens), "joint momentum grid")
+    # G before the grid, so that its temporaries are freed first; one
+    # full-size buffer: the sum q_x + k_x, turned into the envelope and
+    # scaled by G in place
+    g = photon_marginal_kx(spectrum, kxg)
+    dens = qxg[:, None] + kxg
+    psi_ini_x_sq(beam.dq_perp, dens, out=dens)
+    dens *= g
+    return _check_normalized(JointGrid(qxg, kxg, dens), "joint momentum grid"), g
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,14 @@ The primary values are the library's, at its own fixed tolerances, and
 the suite runs at zero phase.
 Most share no code path with the primary implementation. The Schmidt
 purity does: it compares the Gram-matrix purity with the overlap double
-sum, two sums over the same `photon_marginal_kx` samples, so it cannot
-detect a defect in the marginal.
+sum, two sums over the same samples of G, those of the momentum grid, so
+it cannot detect a defect in the marginal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .constants import MC_MIN_SAMPLES, MC_SAMPLES, MC_SEED, NORMALIZATION_TOL
@@ -110,25 +108,20 @@ def mc_purity(beam: BeamParams, spectrum: SpectrumModel, n: int = MC_SAMPLES, se
 # ---------------------------------------------------------------------------
 # 1D Schmidt purity
 
-def schmidt_purity_1d(
-    dq_perp: float,
-    g_kx: Callable[[np.ndarray], np.ndarray],
-    kx_grid: np.ndarray,
-    qx_grid: np.ndarray,
-) -> OracleReport:
+def schmidt_purity_1d(dq_perp: float, g: np.ndarray, kx: np.ndarray, qx: np.ndarray) -> OracleReport:
     """Schmidt purity of the 1D amplitude psi(q, k) = psi_x(q + k) sqrt(G(k)).
 
     Compares the singular-value purity sum(s^4)/sum(s^2)^2 against the
     overlap formula int int G(k) G(k') exp(-(k - k')^2 / (4 dq_perp^2)).
-    `g_kx` must be a normalized 1D density on the k axis.
+    `g` must be the samples on `kx` of a normalized 1D density.
     """
-    kx = np.asarray(kx_grid, dtype=float)
-    qx = np.asarray(qx_grid, dtype=float)
+    kx = np.asarray(kx, dtype=float)
+    qx = np.asarray(qx, dtype=float)
     if kx.size < 16 or qx.size < 16:
         raise ResolutionError("grids must have at least 16 points")
     dk = float(kx[1] - kx[0])
     dq = float(qx[1] - qx[0])
-    gk = np.asarray(g_kx(kx), dtype=float)
+    gk = np.asarray(g, dtype=float)
     # resolution contract: >= 8 points per Gaussian width on both axes
     if dq > dq_perp / 8.0:
         raise ResolutionError("q grid under-resolves the electron width")
@@ -288,27 +281,31 @@ def run_suite(beam: BeamParams, spectrum: SpectrumModel, seed: int = MC_SEED) ->
     sin_theta = np.sqrt(1.0 - cos_theta**2)
     fd_points = k[:, None] * np.stack((sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta), axis=-1)
     var_q, var_x = total_wavevector_variance(beam), rel_pos_variance_closed(beam, spectrum)
-    # in this order, which `validate` prints; each grid is dropped once its
-    # variance is taken, so no two are held
-    return [
+    # in this order, which `validate` prints
+    reports = [
         mc_purity(beam, spectrum, n=MC_SAMPLES, seed=seed),
         longitudinal_term_identity(beam, spectrum),
         momentum_factorization_check(spectrum),
         fd_gradient_check(spectrum, fd_points),
-        variance_from_grid("variance_total_wavevector", momentum_grid(beam, spectrum), 1.0, var_q, 0.005),
+    ]
+    # each grid is dropped once its variance is taken, so no two are held;
+    # the momentum grid's k axis and G on it are the Schmidt oracle's
+    grid, g = momentum_grid(beam, spectrum)
+    kx = grid.axis2
+    reports.append(variance_from_grid("variance_total_wavevector", grid, 1.0, var_q, 0.005))
+    del grid
+    return reports + [
         variance_from_grid("variance_relative_position", joint_position(beam, spectrum)[0], -1.0, var_x, 0.02),
-        # on the model's own transverse marginal
-        schmidt_purity_1d(beam.dq_perp, lambda k: photon_marginal_kx(spectrum, k), *_schmidt_axes(beam, spectrum)),
+        schmidt_purity_1d(beam.dq_perp, g, kx, _schmidt_axes(beam, spectrum)),
     ]
 
 
-def _schmidt_axes(beam: BeamParams, spectrum: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
-    """The suite's k_x and q_x axes for `schmidt_purity_1d`: N_KX points over
-    the spectrum, and 9 q points per electron width where it needs 8. The
-    q axis spans 2 (6 dq_perp + kmax), so it holds at least 108 points."""
-    kmax = spectrum.kmax
-    span = 6.0 * beam.dq_perp + kmax
+def _schmidt_axes(beam: BeamParams, spectrum: SpectrumModel) -> np.ndarray:
+    """The suite's q_x axis for `schmidt_purity_1d`, whose k_x axis is the
+    momentum grid's: 9 q points per electron width where it needs 8. The
+    axis spans 2 (6 dq_perp + kmax), so it holds at least 108 points."""
+    span = 6.0 * beam.dq_perp + spectrum.kmax
     n_q = math.ceil(2.0 * span / (beam.dq_perp / 9.0))
     # the oracle's amplitude holds N_KX doubles a q point
     check_budget("Schmidt oracle q points", n_q, 8 * N_KX)
-    return np.linspace(-kmax, kmax, N_KX), np.linspace(-span, span, n_q)
+    return np.linspace(-span, span, n_q)

@@ -63,6 +63,26 @@ def schmidt_gaussian_closed(sig_g: float, dq_perp: float) -> float:
     return 1.0 / math.sqrt(1.0 + sig_g**2 / dq_perp**2)
 
 
+@pytest.fixture()
+def marginal_calls(monkeypatch):
+    """The number of k_x points of each `photon_marginal_kx` call that
+    `distributions` or `oracles` makes while the test runs."""
+    import numpy as np
+
+    import clpair.distributions as distributions
+    import clpair.oracles as oracles
+
+    sizes, exact = [], distributions.photon_marginal_kx
+
+    def counted(spectrum, kx):
+        sizes.append(np.size(kx))
+        return exact(spectrum, kx)
+
+    for module in (distributions, oracles):
+        monkeypatch.setattr(module, "photon_marginal_kx", counted)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def make_beam():
     def _make(dq_perp: float, dq_par: float = DQ_PAR) -> BeamParams:

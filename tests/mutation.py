@@ -57,6 +57,13 @@ SELECTIONS = {
         "tests/test_quadrature.py",
         "tests/test_cli.py",
     ],
+    "oracles.py": [
+        "tests/test_oracles.py",
+        "tests/test_acceptance.py",
+        "tests/test_measures.py",
+        "tests/test_quadrature.py",
+        "tests/test_cli.py",
+    ],
 }
 
 SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*="}

@@ -49,7 +49,7 @@ class TestCriterion02TotalMomentumVariance:
     @pytest.mark.parametrize("l_perp", [20.0, 1.5, 0.2])
     def test_grid_variance_equals_dq_perp_squared(self, l_perp):
         beam = BeamParams(K_KEV, 2.0 * math.pi / l_perp, DQ_PAR)
-        grid = momentum_grid(beam, SpectrumModel(K_C, 0.3))
+        grid, _ = momentum_grid(beam, SpectrumModel(K_C, 0.3))
         # var(q_x + k_x) is the sum of the covariance's entries
         _, cov = grid.moments()
         assert cov.sum() == pytest.approx(beam.dq_perp**2, rel=0.005)
@@ -104,9 +104,7 @@ class TestCriterion06SchmidtOracle:
         sig = dq = 1.7
         kx = np.linspace(-8.0 * sig, 8.0 * sig, 500)
         qx = np.linspace(-16.0 * sig, 16.0 * sig, 1000)
-        density = lambda k: np.exp(-(k**2) / (2.0 * sig**2)) / (
-            math.sqrt(2.0 * math.pi) * sig
-        )
+        density = np.exp(-(kx**2) / (2.0 * sig**2)) / (math.sqrt(2.0 * math.pi) * sig)
         rep = schmidt_purity_1d(dq, density, kx, qx)
         assert rep.discrepancy <= 1e-3  # SVD vs overlap formula
         closed = schmidt_gaussian_closed(sig, dq)

@@ -677,14 +677,27 @@ class TestSweepFailures:
         assert " failed: " not in res.output
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["sweep", "regime-map"])
+    def test_oversize_plane_exits_1(self, runner, tmp_path, command):
+        # 1e11 x 3 cells would take 1.3 PB at 4207 bytes a cell; the plane is
+        # refused before either axis is built, so nothing is written
+        text = SWEEP_INI.replace("dq_perp_steps = 2", "dq_perp_steps = 100000000000").replace("dk_ph_steps = 2", "dk_ph_steps = 3")
+        res = runner.invoke(main, [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"{command} failed: 3e+11 sweep cells at 4207 bytes each exceed the 64 MiB array budget" in res.output
+        assert "Traceback" not in res.output
+        assert list((tmp_path / "o").glob("*")) == []
+
     def test_too_fine_t_grid_cells_are_error_rows(self, runner, tmp_path, monkeypatch):
         # the dk_ph = 1e9 cells span 1.1e11 t-nodes, and the base pass keeps
-        # 1,856 (the refined 2,784), above a budget of 1,000 t-nodes at 16
-        # bytes (the dk_ph = 0.5 cells keep at most 96); they fail on their
-        # own and every other cell is still written
+        # 1,856 (the refined 2,784), above a budget of 1,100 t-nodes at 16
+        # bytes (the dk_ph = 0.5 cells keep at most 96, and the plane's 4
+        # cells take 16,828 bytes); they fail on their own and every other
+        # cell is still written
         import clpair.quadrature as quadrature
 
-        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", 16 * 1000)
+        monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", 16 * 1100)
         out = tmp_path / "o"
         cfg = write(tmp_path, SWEEP_INI.replace("dk_ph_max = 2.0", "dk_ph_max = 1e9"))
         res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])

@@ -22,14 +22,13 @@ from clpair.distributions import (
     _position_kernel,
     _rho_rule,
     _t_at_lags,
-    joint_momentum,
     joint_position,
     momentum_grid,
     photon_marginal_kx,
 )
 from clpair.errors import ConsistencyError, ResolutionError
 from clpair.measures import rel_pos_variance_closed
-from clpair.model import eval_g
+from clpair.model import eval_g, psi_ini_x_sq
 
 from conftest import DQ_PAR, readme_section
 from reference_kernel import position_kernel_full_band, uniform_rho_rule
@@ -144,12 +143,12 @@ class TestPhotonMarginal:
 
 class TestMomentumGrid:
     def test_normalized(self, make_beam, make_spectrum):
-        g = momentum_grid(make_beam(4.19), make_spectrum(0.3))
+        g, _ = momentum_grid(make_beam(4.19), make_spectrum(0.3))
         assert abs(g.integral() - 1.0) <= 0.01
 
     def test_total_momentum_variance(self, make_beam, make_spectrum):
         b = make_beam(4.19)
-        g = momentum_grid(b, make_spectrum(0.3))
+        g, _ = momentum_grid(b, make_spectrum(0.3))
         _, cov = g.moments()
         assert cov.sum() == pytest.approx(b.dq_perp**2, rel=5e-3)
 
@@ -158,22 +157,24 @@ class TestMomentumGrid:
         # dq_perp, 3387 points at (0.1, 1), and is capped at 4001 points,
         # which keeps the (0.1, 30) grid under 16 MiB
         b, s = make_beam(0.1), make_spectrum(1.0)
-        q = momentum_grid(b, s).axis1
+        q = momentum_grid(b, s)[0].axis1
         assert q[-1] == -q[0] == s.kmax + 6.0 * b.dq_perp
         assert q.size == 3387
-        capped = momentum_grid(b, make_spectrum(30.0)).density
+        capped = momentum_grid(b, make_spectrum(30.0))[0].density
         assert capped.shape == (4001, N_KX) and capped.nbytes < 16 * 2**20
 
     def test_parity(self, make_beam, make_spectrum):
-        g = momentum_grid(make_beam(2.0), make_spectrum(0.5))
+        g, _ = momentum_grid(make_beam(2.0), make_spectrum(0.5))
         np.testing.assert_allclose(g.density, g.density[::-1, ::-1], rtol=1e-10, atol=1e-14)
 
     def test_matches_pointwise_product(self, make_beam, make_spectrum):
         b, s = make_beam(1.0), make_spectrum(1.0)
-        g = momentum_grid(b, s)
+        g, marginal = momentum_grid(b, s)
+        # the G returned is the marginal on the grid's k axis, bit for bit
+        assert np.array_equal(marginal, photon_marginal_kx(s, g.axis2))
         i, j = 10, 100
         assert g.density[i, j] == pytest.approx(
-            joint_momentum(b, s, g.axis1[i], g.axis2[j]).item(), rel=1e-12
+            float(psi_ini_x_sq(b.dq_perp, g.axis1[i] + g.axis2[j])) * photon_marginal_kx(s, g.axis2[j]).item(), rel=1e-12
         )
 
 
@@ -218,7 +219,7 @@ class TestGridMemory:
     @pytest.fixture(scope="class")
     def beam_spectrum_grid(self, make_beam, make_spectrum):
         b, s = make_beam(0.263474), make_spectrum(0.210945)
-        return b, s, momentum_grid(b, s)
+        return b, s, momentum_grid(b, s)[0]
 
     def test_momentum_grid_peak(self, beam_spectrum_grid):
         # the density and one temporary of its size, the sum q_x + k_x
@@ -249,9 +250,9 @@ class TestGridMemory:
             build = distributions.momentum_grid
 
             def held(beam, spectrum):
-                grid = build(beam, spectrum)
+                grid, g = build(beam, spectrum)
                 distributions.photon_marginal_kx(spectrum, grid.axis2)
-                return grid
+                return grid, g
 
             monkeypatch.setattr(distributions, "momentum_grid", held)
         else:
@@ -275,7 +276,7 @@ class TestGridMemory:
     def test_moments_match_full_grid_trapezoid(self, make_beam, make_spectrum, dq_perp, dk_ph, rel):
         # the covariance against the full-grid trapezoid of (q_x + k_x)^2,
         # which has no such cancellation
-        g = momentum_grid(make_beam(dq_perp), make_spectrum(dk_ph))
+        g, _ = momentum_grid(make_beam(dq_perp), make_spectrum(dk_ph))
         v = g.axis1[:, None] + g.axis2[None, :]
 
         def trap(f):
@@ -734,7 +735,7 @@ class TestLeastGridSizes:
         # at least 97
         b, s = make_beam(dq_perp), make_spectrum(dk_ph)
         assert joint_position(b, s)[0].axis1.size >= 141
-        assert momentum_grid(b, s).axis1.size >= 97
+        assert momentum_grid(b, s)[0].axis1.size >= 97
 
     @pytest.mark.xfail(
         raises=ConsistencyError, strict=True, reason="the position grid does not normalize below the README plane (ROADMAP item 1)"
@@ -802,7 +803,7 @@ class TestDistFactors:
         momentum, position = readme_rebuild()(tmp_path / "o")
         run = load_config(cfg)
         beam, spectrum = run.beam(), run.spectrum()
-        grid = momentum_grid(beam, spectrum)
+        grid, _ = momentum_grid(beam, spectrum)
         assert np.array_equal(momentum, grid.density)
         grid, _, _ = joint_position(beam, spectrum)
         assert np.array_equal(position, grid.density)
@@ -811,6 +812,26 @@ class TestDistFactors:
         # the envelope in x_el integrates to 1 / (2 pi), so T to 2 pi, to
         # the 1% that each grid's normalization is held to
         assert info["relative_integral"] == pytest.approx(2.0 * math.pi, rel=0.01)
+
+    def test_factor_files_pinned_at_g0(self, tmp_path):
+        # sha256 of the two factor files at g0, taken with numpy 2.4 and its
+        # OpenBLAS on x86-64: T's sums run through BLAS, so another build may
+        # move their last bits. A change to G, T or their formatting moves them
+        run_dist(write_dist_config(tmp_path, 0.263474, 0.210945), tmp_path / "o")
+        digests = {
+            name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+            for name in ("dist_marginal.csv", "dist_relative.csv")
+        }
+        assert digests == {
+            "dist_marginal.csv": "bb7e53aa356a47fc8ca4b10195584d9339c8fdb7aab0c1e49b943aa56100041d",
+            "dist_relative.csv": "c224f96b6be60594bb5275e8ac183e68b712d8a34c0ab8b3ec936d7a9220f219",
+        }
+
+    def test_one_marginal_call_per_k_axis(self, tmp_path, marginal_calls):
+        # at g0 G is evaluated once on each k_x axis: the position kernel's
+        # N_KX / 2 points and the momentum grid's N_KX, whose G dist writes
+        run_dist(write_dist_config(tmp_path, 0.263474, 0.210945), tmp_path / "o")
+        assert sorted(marginal_calls) == [N_KX // 2, N_KX]
 
     @pytest.mark.parametrize("variant", ["polar_linear", "radial_kc", "radial_dk"])
     def test_phase_is_neglected(self, tmp_path, variant):

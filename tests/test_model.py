@@ -39,7 +39,7 @@ from clpair.model import (
     gamma_transverse_gradient,
     psi_ini_x_sq,
 )
-from clpair.distributions import N_KX, joint_momentum, photon_marginal_kx
+from clpair.distributions import N_KX, momentum_grid, photon_marginal_kx
 from clpair.measures import _H_SMALL_X, _sonine_h, rel_pos_variance_closed
 from clpair.quadrature import GammaSampler, gauss_legendre_panels
 
@@ -575,7 +575,10 @@ class TestScatteredState:
         s = make_spectrum(0.5)
         kmin, kmax = s.kmin, s.kmax
         bn, bw = gauss_legendre_panels(0.0, 2.0 * math.pi, 8, 16)
-        for qx, kx in ((8.0, -9.0), (-1.0, 2.0), (-6.0, 7.5)):
+        grid, _ = momentum_grid(b, s)
+        # the grid's cells nearest (8, -9), (-1, 2) and (-6, 7.5)
+        for i, j in ((113, 117), (89, 286), (76, 371)):
+            qx, kx = grid.axis1[i], grid.axis2[j]
             rn, rw = gauss_legendre_panels(math.sqrt(max(kmin**2 - kx**2, 0.0)), math.sqrt(kmax**2 - kx**2), 16, 16)
             kv = np.stack(
                 np.broadcast_arrays(kx, rn[:, None] * np.cos(bn)[None, :], rn[:, None] * np.sin(bn)[None, :]),
@@ -583,4 +586,4 @@ class TestScatteredState:
             )
             marginal = np.einsum("i,j,ij->", rw * rn, bw, eval_gamma_cartesian(s, kv))
             expect = float(psi_ini_x_sq(b.dq_perp, qx + kx)) * marginal
-            assert joint_momentum(b, s, qx, kx)[0] == pytest.approx(expect, rel=1e-8), (qx, kx)
+            assert grid.density[i, j] == pytest.approx(expect, rel=1e-8), (qx, kx)

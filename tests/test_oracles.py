@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from clpair import DomainError
-from clpair.distributions import momentum_grid, photon_marginal_kx
+from clpair.distributions import N_KX, joint_position, momentum_grid
 from clpair.errors import ResolutionError
-from clpair.measures import purity_sc
+from clpair.measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
 from clpair.model import psi_ini_x_sq
 from clpair.oracles import (
     OracleReport,
@@ -32,6 +32,9 @@ class TestOracleReport:
         bad = OracleReport.compare("q", 1.0, 1.01, 1e-3)
         assert ok.passed and not bad.passed
         assert ok.discrepancy == pytest.approx(5e-4)
+
+    def test_discrepancy_at_the_tolerance_passes(self):
+        assert OracleReport.compare("q", 1.0, 1.5, 0.5).passed
 
 
 class TestMcPurity:
@@ -101,34 +104,63 @@ class TestMcPurity:
         vals = np.exp(-dperp2 / (4.0 * b.dq_perp**2) - b.c_over_vz**2 * (r1 - r2) ** 2 / (4.0 * b.dq_par**2))
         rep = mc_purity(b, s, n=n, seed=seed)
         assert rep.oracle_value == pytest.approx(float(np.mean(vals)), rel=1e-14)
+        # the standard error of the mean, with n - 1 in the variance, and a
+        # tolerance of three of them
+        assert rep.metadata["stderr"] == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(n), rel=1e-9)
+        assert rep.tolerance == 3.0 * rep.metadata["stderr"]
+
+
+def _suite_kx_and_g(beam, spectrum):
+    """The Schmidt oracle's k_x axis and G on it, which `run_suite` takes
+    from the momentum grid."""
+    grid, g = momentum_grid(beam, spectrum)
+    return grid.axis2, g
 
 
 class TestSchmidt1D:
     @staticmethod
-    def _gaussian_density(sig):
-        return lambda k: np.exp(-(k**2) / (2.0 * sig**2)) / (math.sqrt(2.0 * math.pi) * sig)
+    def _gaussian_density(sig, k):
+        return np.exp(-(k**2) / (2.0 * sig**2)) / (math.sqrt(2.0 * math.pi) * sig)
 
     def test_gaussian_closed_form(self):
         sig, dq = 1.0, 1.0
         kx = np.linspace(-8.0, 8.0, 400)
         qx = np.linspace(-16.0, 16.0, 800)
-        rep = schmidt_purity_1d(dq, self._gaussian_density(sig), kx, qx)
+        rep = schmidt_purity_1d(dq, self._gaussian_density(sig, kx), kx, qx)
         assert rep.passed
         closed = schmidt_gaussian_closed(sig, dq)
         assert closed == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-        assert rep.oracle_value == pytest.approx(closed, abs=1e-3)
-        assert rep.value == pytest.approx(closed, abs=1e-3)
+        # both sums hold the closed form to rounding on these grids (1.3e-15
+        # and 2.2e-16), far inside the report's tolerance
+        assert rep.oracle_value == pytest.approx(closed, abs=1e-12)
+        assert rep.value == pytest.approx(closed, abs=1e-12)
+        assert rep.tolerance == 1e-3
+
+    def test_marginal_on_one_point_is_pure(self):
+        # all of G on k = 0: a width of zero needs no k resolution, and the
+        # amplitude psi_x(q) sqrt(G(k)) is a product, of purity one
+        kx = np.linspace(-8.0, 8.0, 401)
+        g = np.where(kx == 0.0, 1.0 / (kx[1] - kx[0]), 0.0)
+        rep = schmidt_purity_1d(1.0, g, kx, np.linspace(-16.0, 16.0, 800))
+        assert rep.value == pytest.approx(1.0, abs=1e-12) and rep.oracle_value == pytest.approx(1.0, abs=1e-12)
+
+    def test_gram_purity_is_scale_free(self):
+        # sum(s^4) / sum(s^2)^2 does not change when the amplitude is scaled
+        kx = np.linspace(-8.0, 8.0, 400)
+        qx = np.linspace(-16.0, 16.0, 800)
+        g = self._gaussian_density(1.0, kx)
+        assert schmidt_purity_1d(1.0, 2.0 * g, kx, qx).oracle_value == schmidt_purity_1d(1.0, g, kx, qx).oracle_value
 
     @pytest.mark.parametrize("dq_perp,dk", [(0.3, 1.0), (10.0, 2.0)])
     def test_matches_svd(self, dq_perp, dk, make_beam, make_spectrum):
         # the Gram-matrix purity against the singular values of the
         # amplitude, on the grids the oracle suite uses
         b, s = make_beam(dq_perp), make_spectrum(dk)
-        kx, qx = _schmidt_axes(b, s)
-        g = photon_marginal_kx(s, kx)
+        kx, g = _suite_kx_and_g(b, s)
+        qx = _schmidt_axes(b, s)
         amp = np.sqrt(psi_ini_x_sq(dq_perp, qx[:, None] + kx[None, :]) * g) * math.sqrt((qx[1] - qx[0]) * (kx[1] - kx[0]))
         s2 = np.linalg.svd(amp, compute_uv=False) ** 2
-        rep = schmidt_purity_1d(dq_perp, lambda k: photon_marginal_kx(s, k), kx, qx)
+        rep = schmidt_purity_1d(dq_perp, g, kx, qx)
         assert rep.oracle_value == pytest.approx(float(np.sum(s2**2) / np.sum(s2) ** 2), abs=1e-13)
 
     def test_traced_peak(self, make_beam, make_spectrum):
@@ -137,10 +169,11 @@ class TestSchmidt1D:
         # 7.3 MiB, where the amplitude's own temporary and the overlap's
         # made 13.3 MiB
         b, s = make_beam(0.3), make_spectrum(1.0)
-        kx, qx = _schmidt_axes(b, s)
+        kx, g = _suite_kx_and_g(b, s)
+        qx = _schmidt_axes(b, s)
         tracemalloc.start()
         try:
-            schmidt_purity_1d(b.dq_perp, lambda k: photon_marginal_kx(s, k), kx, qx)
+            schmidt_purity_1d(b.dq_perp, g, kx, qx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -150,17 +183,54 @@ class TestSchmidt1D:
         kx = np.linspace(-8.0, 8.0, 400)
         qx = np.linspace(-16.0, 16.0, 20)
         with pytest.raises(ResolutionError):
-            schmidt_purity_1d(1.0, self._gaussian_density(1.0), kx, qx)
+            schmidt_purity_1d(1.0, self._gaussian_density(1.0, kx), kx, qx)
 
     def test_coarse_k_grid_rejected(self):
         kx = np.linspace(-8.0, 8.0, 17)
         qx = np.linspace(-16.0, 16.0, 800)
         with pytest.raises(ResolutionError):
-            schmidt_purity_1d(1.0, self._gaussian_density(1.0), kx, qx)
+            schmidt_purity_1d(1.0, self._gaussian_density(1.0, kx), kx, qx)
+
+    @pytest.mark.parametrize("n_q,accepted", [(16, True), (15, False)])
+    def test_q_point_floor(self, n_q, accepted):
+        # 16 q points at the finest pitch the contract needs of dq_perp 1
+        kx = np.linspace(-8.0, 8.0, 400)
+        qx = np.arange(n_q) / 8.0
+        if accepted:
+            schmidt_purity_1d(1.0, self._gaussian_density(1.0, kx), kx, qx)
+        else:
+            with pytest.raises(ResolutionError, match="at least 16 points"):
+                schmidt_purity_1d(1.0, self._gaussian_density(1.0, kx), kx, qx)
+
+    @pytest.mark.parametrize("pitch,accepted", [(1.0, True), (1.0005, False)])
+    def test_q_pitch_bound(self, pitch, accepted):
+        # q points dq_perp / 8 apart meet the contract exactly; 0.05% wider do not
+        kx = np.linspace(-8.0, 8.0, 400)
+        qx = np.arange(800) * (pitch / 8.0)
+        if accepted:
+            schmidt_purity_1d(1.0, self._gaussian_density(1.0, kx), kx, qx)
+        else:
+            with pytest.raises(ResolutionError, match="q grid"):
+                schmidt_purity_1d(1.0, self._gaussian_density(1.0, kx), kx, qx)
+
+    @pytest.mark.parametrize("pitch,accepted", [(0.9995, True), (1.0005, False)])
+    def test_k_pitch_bound_off_centre(self, pitch, accepted):
+        # a marginal of width 0.5 centred at k = 5 on [0, 10]: its width is
+        # taken about its own mean, so k points sig_g / 8 apart, 0.05%
+        # either side, decide
+        kx = np.arange(math.ceil(160.0 / pitch) + 1) * (pitch / 16.0)
+        qx = np.linspace(-16.0, 16.0, 800)
+        g = self._gaussian_density(0.5, kx - 5.0)
+        if accepted:
+            schmidt_purity_1d(1.0, g, kx, qx)
+        else:
+            with pytest.raises(ResolutionError, match="k grid"):
+                schmidt_purity_1d(1.0, g, kx, qx)
 
     def test_tiny_grids_rejected(self):
         with pytest.raises(ResolutionError):
-            schmidt_purity_1d(1.0, self._gaussian_density(1.0), np.linspace(-1, 1, 8), np.linspace(-1, 1, 8))
+            kx = np.linspace(-1, 1, 8)
+            schmidt_purity_1d(1.0, self._gaussian_density(1.0, kx), kx, np.linspace(-1, 1, 8))
 
 
 def total_wavevector_report(grid, dq_perp):
@@ -171,15 +241,24 @@ def total_wavevector_report(grid, dq_perp):
 class TestVarianceFromGrid:
     def test_total_wavevector(self, make_beam, make_spectrum):
         b, s = make_beam(4.19), make_spectrum(0.3)
-        rep = total_wavevector_report(momentum_grid(b, s), b.dq_perp)
+        rep = total_wavevector_report(momentum_grid(b, s)[0], b.dq_perp)
         assert rep.passed and rep.quantity == "variance_total_wavevector"
         assert rep.tolerance == 0.005 * b.dq_perp**2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_variance_of_the_signed_sum(self, make_beam, make_spectrum, sign):
+        # var(a + sign b) = C_aa + 2 sign C_ab + C_bb
+        b, s = make_beam(4.19), make_spectrum(0.3)
+        grid = momentum_grid(b, s)[0]
+        _, c = grid.moments()
+        rep = variance_from_grid("v", grid, sign, 1.0, 0.005)
+        assert rep.oracle_value == pytest.approx(c[0, 0] + 2.0 * sign * c[0, 1] + c[1, 1], rel=1e-12)
 
     def test_catches_a_wrong_reference(self, make_beam, make_spectrum):
         # the grid's variance of q_x + k_x is dq_perp^2; 1% above it is
         # outside the check's 0.5%
         b, s = make_beam(4.19), make_spectrum(0.3)
-        rep = variance_from_grid("v", momentum_grid(b, s), 1.0, 1.01 * b.dq_perp**2, 0.005)
+        rep = variance_from_grid("v", momentum_grid(b, s)[0], 1.0, 1.01 * b.dq_perp**2, 0.005)
         assert not rep.passed
 
     def test_unnormalized_grid_rejected(self, make_beam, make_spectrum):
@@ -190,10 +269,24 @@ class TestVarianceFromGrid:
         with pytest.raises(DomainError):
             total_wavevector_report(g, 1.0)
 
+    @pytest.mark.parametrize("total,refused", [(0.9901, False), (1.0099, False), (0.9899, True), (1.0101, True)])
+    def test_normalization_window(self, total, refused):
+        # a grid is admitted when its integral is within NORMALIZATION_TOL
+        # of one, on either side
+        from clpair.distributions import JointGrid
+
+        x = np.linspace(0.0, 1.0, 5)
+        grid = JointGrid(x, x, np.full((5, 5), total))
+        if refused:
+            with pytest.raises(DomainError):
+                total_wavevector_report(grid, 1.0)
+        else:
+            total_wavevector_report(grid, 1.0)
+
     def test_nan_grid_rejected(self, make_beam, make_spectrum):
         # a nan planted after construction makes the integral nan
         b, s = make_beam(4.19), make_spectrum(0.3)
-        g = momentum_grid(b, s)
+        g, _ = momentum_grid(b, s)
         g.density[g.density.shape[0] // 2, 0] = np.nan
         with pytest.raises(DomainError):
             total_wavevector_report(g, b.dq_perp)
@@ -212,7 +305,10 @@ class TestFdGradient:
         s = make_spectrum(1.0)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-15.0, 15.0, (50, 3))
-        assert fd_gradient_check(s, pts).passed
+        rep = fd_gradient_check(s, pts)
+        assert rep.passed and rep.tolerance == 1e-6
+        # README's step, 1e-4 min(dk_ph, |k|), at a point further than dk_ph from 0
+        assert rep.metadata["max_step"] == 1e-4 * s.dk_ph and rep.metadata["n_points"] == 50
 
     def test_error_scales_with_step(self, make_spectrum, monkeypatch):
         # central differences: discrepancy should drop ~4x per step halving
@@ -292,6 +388,9 @@ class TestIdentities:
         rep = longitudinal_term_identity(make_beam(1.0, 2.0 * math.pi / l_par), make_spectrum(dk))
         assert rep.tolerance == 1e-12 * abs(rep.value)
         assert rep.passed, rep
+        # the window misses both tails, so the sum falls short (by 1.1e-15
+        # to 4.9e-14 of the right side over these cases)
+        assert rep.oracle_value < rep.value
 
     @pytest.mark.parametrize("l_par,dk", [(0.13, 0.3), (1.3, 30.0), (13.0, 1.0)])
     def test_longitudinal_term_catches_a_planted_1e_10(self, make_beam, make_spectrum, monkeypatch, l_par, dk):
@@ -343,6 +442,32 @@ class TestSuite:
         failed = [r for r in reports if not r.passed]
         assert not failed, failed
 
+    def test_grid_reports_at_regime_b_point(self, make_beam, make_spectrum, monkeypatch):
+        # var(q_x + k_x) and var(x_el - x_ph) from each grid's covariance,
+        # within 0.5% and 2% of their closed forms, and G within 1e-8
+        import clpair.oracles as oracles
+
+        monkeypatch.setattr(oracles, "MC_SAMPLES", 10_000)
+        b, s = make_beam(3.0), make_spectrum(0.3)
+        by = {r.quantity: r for r in run_suite(b, s)}
+        (_, cq), (_, cx) = momentum_grid(b, s)[0].moments(), joint_position(b, s)[0].moments()
+        total, relative = by["variance_total_wavevector"], by["variance_relative_position"]
+        assert total.oracle_value == pytest.approx(cq[0, 0] + 2.0 * cq[0, 1] + cq[1, 1], rel=1e-12)
+        assert total.tolerance == 0.005 * total_wavevector_variance(b)
+        assert relative.oracle_value == pytest.approx(cx[0, 0] - 2.0 * cx[0, 1] + cx[1, 1], rel=1e-12)
+        assert relative.tolerance == 0.02 * rel_pos_variance_closed(b, s)
+        assert by["momentum_factorization"].tolerance == 1e-8
+
+    def test_one_marginal_call_per_k_axis(self, make_beam, make_spectrum, monkeypatch, marginal_calls):
+        # at s0 G is evaluated once on each k_x axis: the momentum grid's
+        # N_KX points, whose G the Schmidt oracle takes too, the position
+        # kernel's N_KX / 2, and each of the factorization check's 3 points
+        import clpair.oracles as oracles
+
+        monkeypatch.setattr(oracles, "MC_SAMPLES", 10_000)
+        run_suite(make_beam(0.3), make_spectrum(1.0))
+        assert sorted(marginal_calls) == [1, 1, 1, N_KX // 2, N_KX]
+
     def test_names_match_the_benchmark_reference(self, make_beam, make_spectrum):
         # the benchmark judges each `validate` report against the frozen
         # perfbench/reference.json, and stops the whole run at a report
@@ -370,7 +495,7 @@ class TestSuite:
         # each side, 9 q points per width, where schmidt_purity_1d needs 8,
         # so at least 9 * 12 = 108 points
         b, s = make_beam(dq_perp), make_spectrum(dk_ph)
-        kx, qx = _schmidt_axes(b, s)
+        kx, qx = momentum_grid(b, s)[0].axis2, _schmidt_axes(b, s)
         assert kx.size == 512 and kx[0] == -s.kmax and kx[-1] == s.kmax
         assert qx[-1] == -qx[0] == 6.0 * dq_perp + s.kmax
         assert qx.size == n_q >= 9.0 * (qx[-1] - qx[0]) / dq_perp >= 108

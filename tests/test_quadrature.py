@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from clpair import ConvergenceError, DomainError, SpectrumModel
+import clpair.cli as cli
 import clpair.measures as measures
 import clpair.quadrature as quadrature
 from clpair.constants import MAX_ARRAY_BYTES
@@ -18,7 +19,7 @@ from clpair.model import eval_g
 from clpair.oracles import _schmidt_axes
 from clpair.quadrature import GammaSampler, check_budget, gauss_legendre_panels
 
-from conftest import window
+from conftest import DQ_PAR, K_C, K_KEV, window
 from reference_quadrature import integrate_1d
 
 
@@ -207,7 +208,14 @@ def _rho_nodes(make_beam, make_spectrum, monkeypatch):
 
 
 def _schmidt_q(make_beam, make_spectrum, monkeypatch):
-    return _schmidt_axes(make_beam(1e-3), make_spectrum(1.0))[1]
+    return _schmidt_axes(make_beam(1e-3), make_spectrum(1.0))
+
+
+def _sweep_plane(make_beam, make_spectrum, monkeypatch):
+    # the benchmark's 4 x 3 README plane, its cells not evaluated
+    monkeypatch.setattr(cli, "_cell_row", lambda cfg, dq_perp, dk_ph: dq_perp)
+    cfg = cli.RunConfig(K_KEV, DQ_PAR, K_C, 1.0, 1.0, sweep=cli.SweepAxes(0.1, 100.0, 4, 0.1, 30.0, 3))
+    return np.array(cli.run_sweep(cfg, threads=1))
 
 
 # each builder's guard at one fixed point: the builder, the grid its
@@ -229,6 +237,7 @@ GUARDS = {
     ),
     "schmidt-q": (_schmidt_q, "Schmidt oracle q points", 370_303, 8 * N_KX),
     "rho-nodes": (_rho_nodes, "position kernel rho nodes", 800_256, 32),
+    "sweep-cells": (_sweep_plane, "sweep cells", 12, 4207),
 }
 
 
@@ -266,7 +275,7 @@ class TestArrayBudget:
         assert str(err.value).startswith(f"{count:.4g} {grid} at {item_bytes} bytes each exceed")
         assert peak < 0.1 * count * item_bytes
 
-    @pytest.mark.parametrize("guard", ["schmidt-q", "rho-nodes"])
+    @pytest.mark.parametrize("guard", ["schmidt-q", "rho-nodes", "sweep-cells"])
     def test_a_budget_of_the_need_admits_the_grid(self, guard, make_beam, make_spectrum, monkeypatch):
         build, _, count, item_bytes = GUARDS[guard]
         monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", count * item_bytes)
