@@ -193,7 +193,7 @@ def _rho_rule(spectrum: SpectrumModel, r_max: float):
             break
         edges.append(nxt)
     e = edges.pop()
-    n = max(1, math.ceil((r_max - e) / dk))
+    n = math.ceil((r_max - e) / dk)
     check_budget("position kernel rho nodes", 16 * (len(edges) + n), 32)
     return gauss_legendre_edges(np.concatenate((edges, np.linspace(e, r_max, n + 1))), 16)
 

@@ -1279,6 +1279,18 @@ class TestProcessScope:
         assert res.stderr.splitlines()[-1] == last
         assert list(out.iterdir()) == []
 
+    def test_validate_at_a_failing_point_draws_and_writes_nothing(self, tmp_path, monkeypatch):
+        # the position grid is the suite's first oracle: at g1 `validate`
+        # raises from it before the Monte Carlo sampler is built
+        import clpair.oracles as oracles
+
+        sampled = []
+        monkeypatch.setattr(oracles, "GammaSampler", lambda spectrum: sampled.append(spectrum))
+        out = tmp_path / "o"
+        with pytest.raises(ConsistencyError, match="kernel diagonal"):
+            main(["validate", "--config", write(tmp_path, G1_INI), "--out", str(out)], standalone_mode=False)
+        assert sampled == [] and list(out.iterdir()) == []
+
 
 class TestProvenancePinned:
     @pytest.mark.parametrize(
