@@ -66,9 +66,10 @@ NORMALIZATION_TOL = 0.01
 # The upper edges of u and l are the beam's small-recoil check, dq < q0.
 #
 # Kinetic energy (keV): below 10^-305.85, (c/v_z)^2, alpha's numerator,
-# overflows. q0 is the upper edge of dq_par, and above 10^73.67 P_z's
-# p alpha = (c/v_z)^2 / (8 dk_ph^2 dq_par^2), at dq_par = q0 and
-# dk_ph = K_C_MAX W_MAX, leaves the normal doubles.
+# overflows. q0 is the upper edge of dq_par, and above 10^111.96 the
+# purity passes' g = alpha (width / 2)^2 on 6 radial panels
+# (`longitudinal_weights`) underflows to zero, at dq_par = dq_perp = q0,
+# k_c = K_C_MIN and w = W_MIN; the edge stays at 10^73, inside it.
 ENERGY_KEV_MIN = 1e-305
 ENERGY_KEV_MAX = 1e73
 # k_c from below: rel_pos_variance_quadrature squares dGamma/dk_x, which

@@ -18,15 +18,15 @@ import numpy as np
 from .constants import EPR_THRESHOLD, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .model import BeamParams, PhaseModel, SpectrumModel, check_admissible, eval_g, gamma_transverse_gradient
-from .quadrature import check_budget, gauss_legendre_edges, gauss_legendre_panels
+from .quadrature import check_budget, gauss_legendre_edges, gauss_legendre_panels, longitudinal_weights
 
 # t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
 # 1e-21, is t = 7/b, but the sum stops at the first panel edge past which
 # the certified tail bound of `_t_cut` is below _TAIL_FRACTION *
 # PURITY_ABS_TOL; at least 8 nodes per oscillation period of h(k t);
 # t-nodes per block, which bounds the (n_k, block) matrices held at once:
-# over a 4 x 3 README plane a call's peak allocation is at most 1.3 MB
-# (4.8 MB with 1024-node blocks and a quadratic form per t-node), so two
+# over a 4 x 3 README plane a call's peak allocation is at most 1.3 MB, 1.4
+# while it builds W (4.8 with 1024-node blocks and a form per t-node), so two
 # sweep cells in flight hold less than one did.
 _T_SPAN = 7.0
 _TAIL_FRACTION = 1e-3
@@ -121,9 +121,10 @@ def _t_cut(kn, r, b, t_max, n_panels, target):
     """Number of t-panels after which the purity integral's tail is below target.
 
     With |h(x)| <= env(x), env = h(0) below _H_TAIL_X and c/x^2
-    (`_H_TAIL_C`) from there on, and every entry of the longitudinal
-    kernel at most one, |H_t^T E H_t| <= S(t)^2, where
-    S(t) = sum_k r_k env(k t) does not increase in t. The integral
+    (`_H_TAIL_C`) from there on, and |W_kl| <= sqrt(W_kk W_ll) for the
+    positive semidefinite longitudinal weights, |H_t^T W H_t| <= S(t)^2 for
+    H_t = phi h_t, where S(t) = sum_k r_k env(k t), r_k >= |phi_k|
+    sqrt(W_kk), does not increase in t. The integral
     beyond T is then at most 4 pi^2 S(T)^2 exp(-b^2 T^2), which decreases
     in T, so the first panel edge where it is below target is found by
     bisection, one n_k-vector per probe. Returns n_panels (the outer
@@ -146,31 +147,33 @@ def _t_cut(kn, r, b, t_max, n_panels, target):
 
 
 def _purity_once(beam, spectrum, radial_panels, refine=1.0):
-    """8 pi^2 b^2 r^T (E o G) r on one resolution, G = sum_t c_t h_t h_t^T.
+    """8 pi^2 b^2 phi^T (G o W) phi on one resolution, G = sum_t c_t h_t h_t^T.
 
     h_t is the polar factor `_sonine_h`(k t) at the nodes k of
-    `radial_panels` 16-node panels, r their weights times k^2 g(k),
-    c_t = w_t t exp(-b^2 t^2) the t-rule's weight and E the longitudinal
-    kernel; o is the entrywise product.
+    `radial_panels` 16-node panels, phi = k^2 g(k) there, c_t = w_t t
+    exp(-b^2 t^2) the t-rule's weight and W the `longitudinal_weights` of
+    the panels; o is the entrywise product.
 
     Weber's second exponential integral (Watson 13.31, DLMF 10.22.67)
     writes the azimuthally reduced transverse kernel
     exp(-(u^2 + u'^2)/4b^2) I0(u u'/2b^2) as
     2b^2 int_0^inf t exp(-b^2 t^2) J0(u t) J0(u' t) dt, which factorizes
     the double integral over the two photon wavevectors at each t.
-    The t-grid spans [0, 7/b]; the sum stops at the first panel edge past
-    which the tail bound of `_t_cut` is below _TAIL_FRACTION *
-    PURITY_ABS_TOL (a tolerance of zero keeps the whole grid), and only
-    the panels before that edge are laid out, once `check_budget` has
-    passed their nodes.
+    Only the t-panels before `_t_cut`'s edge are laid out (a tolerance of
+    zero keeps them all), once `check_budget` has passed their nodes.
     """
     kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, radial_panels)
+    weights = longitudinal_weights(radial_panels, (spectrum.kmax - spectrum.kmin) / radial_panels, beam.alpha)
     b = beam.dq_perp
     t_max = _T_SPAN / b
     # h(k t) oscillates with period 2 pi / k in t
     n_t = refine * _NODES_PER_PERIOD * spectrum.kmax * t_max / TWO_PI
-    r = kw * kn**2 * eval_g(spectrum, kn)
+    phi = kn**2 * eval_g(spectrum, kn)
     n_panels = max(2, math.ceil(n_t / 16))
+    # sqrt(diag W) alone would cut the 590 um point's t-sum at 10 of 93
+    # panels, 1.9e-3 off P_sc though within the absolute target; the Gauss
+    # weights w keep the cut where sampling E put it
+    r = phi * np.maximum(kw, np.sqrt(np.diagonal(weights)))
     n_keep = _t_cut(kn, r, b, t_max, n_panels, _TAIL_FRACTION * PURITY_ABS_TOL)
     # two doubles a node; the budget is 124x the 33,776 nodes of the finest
     # pass on the README plane, at (0.1, 30). Only kept panels count: at
@@ -189,9 +192,8 @@ def _purity_once(beam, spectrum, radial_panels, refine=1.0):
         h = _sonine_h(np.multiply.outer(kn, tn[s : s + _T_BLOCK]))
         h *= root_ct[s : s + _T_BLOCK]
         gram += h @ h.T
-    elong = np.exp(-beam.alpha * (kn[:, None] - kn[None, :]) ** 2)
-    gram *= elong
-    return 8.0 * math.pi**2 * b**2 * float(r @ gram @ r)
+    gram *= weights
+    return 8.0 * math.pi**2 * b**2 * float(phi @ gram @ phi)
 
 
 def _converged(what: str, base: float, refined: float, rel_tol: float, abs_tol: float) -> float:
@@ -245,42 +247,20 @@ def purity_sc(beam: BeamParams, spectrum: SpectrumModel) -> float:
     return _checked_purity("purity quadrature", base, refined)
 
 
-def _purity_z_once(beam: BeamParams, spectrum: SpectrumModel, radial_panels: int) -> float:
-    """P_z as a sum over `radial_panels` 16-node panels of the closed inner integral.
-
-    The nodes are in the offset u = k - k_c, and both Gaussians are formed
-    from u: k - k_c taken from nodes near k_c would keep their rounding
-    (about 1e-15), which a narrow spectrum amplifies to 2e-14 in P_z.
-    """
-    k_c = spectrum.k_c
-    un, uw = gauss_legendre_panels(spectrum.kmin - k_c, spectrum.kmax - k_c, radial_panels)
-    p, a = 0.5 / spectrum.dk_ph**2, beam.alpha
-    big_a = p + a
-    mu = k_c + (a / big_a) * un
-    lo, hi = spectrum.kmin - mu, spectrum.kmax - mu
-    # numpy has no erf; the nodes are few
-    erf = np.array([math.erf(v) - math.erf(u) for u, v in zip(math.sqrt(big_a) * lo, math.sqrt(big_a) * hi)])
-    edge = (hi + 2.0 * mu) * np.exp(-big_a * hi**2) - (lo + 2.0 * mu) * np.exp(-big_a * lo**2)
-    inner = (mu**2 + 0.5 / big_a) * 0.5 * math.sqrt(math.pi / big_a) * erf - edge / (2.0 * big_a)
-    inner *= spectrum.n_g * np.exp(-(p * a / big_a) * un**2)
-    return float((uw * (k_c + un) ** 2 * spectrum.n_g * np.exp(-p * un**2)) @ inner)
-
-
 def purity_z(beam: BeamParams, spectrum: SpectrumModel) -> float:
     """Purity of the electron's longitudinal degree of freedom.
 
-    Independent of dq_perp and of the phase: the integral of k^2 g(k) I(k)
-    over the radial window, I(k) = int k'^2 g(k') exp(-a (k - k')^2) dk'
-    on the same window, a = (c/v_z)^2 / 4dq_par^2. With p = 1/2dk^2,
-    A = p + a, mu = (p k_c + a k)/A and y = k' - mu, I(k) is closed:
-    N_g exp(-(p a/A)(k - k_c)^2) [(mu^2 + 1/2A) sqrt(pi/A)/2 erf(sqrt(A) y)
-    - (y + 2 mu) exp(-A y^2)/2A] between y = kmin - mu and kmax - mu.
-    mu lies in [kmin, kmax], so the erf difference does not cancel.
-    The outer sum on 8 and on 16 panels is the convergence check.
+    Independent of dq_perp and of the phase: phi^T W phi, phi = k^2 g(k)
+    and W `purity_sc`'s `longitudinal_weights`, on 4 and on 6 panels as
+    the convergence check. phi is formed from u = k - k_c at the nodes
+    (k - k_c would keep their 1e-15 rounding, 2e-14 in a narrow P_z).
     """
-    base = _purity_z_once(beam, spectrum, 8)
-    refined = _purity_z_once(beam, spectrum, 16)
-    return _checked_purity("longitudinal purity", base, refined)
+    def once(radial_panels):
+        un, _ = gauss_legendre_panels(spectrum.kmin - spectrum.k_c, spectrum.kmax - spectrum.k_c, radial_panels)
+        phi = (spectrum.k_c + un) ** 2 * spectrum.n_g * np.exp(-(0.5 / spectrum.dk_ph**2) * un**2)
+        return float(phi @ longitudinal_weights(radial_panels, (spectrum.kmax - spectrum.kmin) / radial_panels, beam.alpha) @ phi)
+
+    return _checked_purity("longitudinal purity", once(4), once(6))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The integrands in this package are smooth Gaussians times polynomials
 (plus spherical Bessel factors), so fixed high-order Gauss-Legendre
 panels converge quickly; `gauss_legendre_panels` gives the composite
-rules the measures build their grids from, and `check_budget` decides
-for every builder whether its grid fits in MAX_ARRAY_BYTES.
+rules the measures build their grids from (and `longitudinal_weights`
+on them), and `check_budget` decides for every builder whether its grid
+fits in MAX_ARRAY_BYTES.
 `GammaSampler` draws photon wavevectors exactly from the spectral
 density: a tabulated inverse CDF in k, located by a guide table, and a
 closed-form product of uniforms for cos(theta); the Monte Carlo oracles
@@ -54,6 +55,53 @@ def gauss_legendre_edges(edges: np.ndarray, order: int = 16):
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
+
+
+def _lagrange_basis(order: int, y: np.ndarray) -> np.ndarray:
+    """The `order`-node Gauss-Legendre rule's Lagrange basis at `y`, on a new
+    last axis, in barycentric form (Berrut & Trefethen, SIAM Rev. 46 (2004)
+    501); a point on a node gets its unit row."""
+    x, _ = _leggauss(order)
+    diff = np.subtract.outer(y, x)
+    hit = diff == 0.0
+    basis = 1.0 / np.prod(np.subtract.outer(x, x) + np.eye(order), axis=1) / np.where(hit, 1.0, diff)
+    basis /= basis.sum(axis=-1, keepdims=True)
+    return np.where(hit.any(axis=-1, keepdims=True), hit, basis)
+
+
+@lru_cache(maxsize=1)
+def _overlap_table() -> np.ndarray:
+    """C(s)[i, j] = int L_i(x) L_j(x - s) dx for the 16-node basis L, a row
+    of 256 at each of the 32 Gauss nodes of 0 <= s <= 2, which fix C, of
+    degree 31 in s; the 16-node rule on the overlap [s - 1, 1] is exact."""
+    x, w = _leggauss(16)
+    s = (_leggauss(32)[0] + 1.0)[:, None]
+    xs, ws = 0.5 * s + (1.0 - 0.5 * s) * x, (1.0 - 0.5 * s) * w
+    return np.einsum("kmi,km,kmj->kij", _lagrange_basis(16, xs), ws, _lagrange_basis(16, xs - s)).reshape(32, 256)
+
+
+@lru_cache(maxsize=64)
+def longitudinal_weights(n_panels: int, width: float, alpha: float) -> np.ndarray:
+    """W[i, j] = int int l_i(k) l_j(k') exp(-alpha (k - k')^2) dk dk' for the
+    Lagrange bases l of `n_panels` equal 16-node panels of `width` (product
+    integration, Atkinson 1997, 4.2): exact however narrow the Gaussian,
+    w w^T o E to rounding where the nodes resolve it. Read-only; cached for
+    a 25 x 25 plane's 50 keys. Block (p, q) is R_(q-p) + R_(p-q)^T, R_d =
+    h^2 int_0^2 exp(-g (s - 2d)^2) C(s) ds in panel coordinates (h = width/2,
+    g = alpha h^2, C `_overlap_table`), summed where it exceeds e^-42."""
+    h = 0.5 * width
+    g = alpha * h * h
+    d = np.arange(1 - n_panels, n_panels)[:, None]
+    lo, hi = (np.clip(v * math.sqrt(42.0 / g), -2.0 * d, 2.0 - 2.0 * d) for v in (-1.0, 1.0))
+    u, wu = gauss_legendre_panels(0.0, 1.0, 8)
+    offset = lo + (hi - lo) * u
+    moments = np.einsum("dm,dmk->dk", (hi - lo) * wu * np.exp(-g * offset**2), _lagrange_basis(32, offset + 2.0 * d - 1.0))
+    # r[n_panels - 1 + d] is R_d
+    r = (h * h * moments @ _overlap_table()).reshape(-1, 16, 16)
+    at = np.subtract.outer(np.arange(n_panels), np.arange(n_panels)) + (n_panels - 1)
+    weights = (r[2 * (n_panels - 1) - at] + r[at].transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3).reshape(16 * n_panels, -1)
+    weights.flags.writeable = False
+    return weights
 
 
 class GammaSampler:

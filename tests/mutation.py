@@ -64,6 +64,14 @@ SELECTIONS = {
         "tests/test_quadrature.py",
         "tests/test_cli.py",
     ],
+    "quadrature.py": [
+        "tests/test_quadrature.py",
+        "tests/test_measures.py",
+        "tests/test_distributions.py",
+        "tests/test_oracles.py",
+        "tests/test_acceptance.py",
+        "tests/test_cli.py",
+    ],
 }
 
 SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*="}

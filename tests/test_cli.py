@@ -29,6 +29,7 @@ from clpair.cli import (
     rows_to_csv,
     run_sweep,
 )
+from clpair.constants import PURITY_REL_TOL
 from clpair.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError, ResolutionError
 from clpair.model import PhaseModel, check_admissible, derive_kinematics
 from conftest import PLANE_CSV, README, readme_section, src_env
@@ -247,8 +248,8 @@ class TestCsvRoundTrip:
         assert cli._REGIME_CELLS == (*(r.value for r in Regime), "error")
 
 
-# a 3 x 3 plane at L_par 13 um whose dk_ph = 10 column does not converge:
-# three error rows among its nine
+# a 3 x 3 plane at L_par 13 um whose dk_ph = 10 column does not converge
+# once `unconverged_at` plants it: three error rows among its nine
 ERROR_PLANE_INI = (
     SWEEP_INI.replace("l_par_um = 1.3", "l_par_um = 13")
     .replace("dk_ph_max = 2.0", "dk_ph_max = 10.0")
@@ -256,9 +257,27 @@ ERROR_PLANE_INI = (
 )
 
 
+def unconverged_at(monkeypatch, dk_ph):
+    """Plant a purity_sc that does not converge at `dk_ph`, with the
+    estimates that L_par 13 um, (3, 10) gave before the longitudinal
+    Gaussian was product-integrated; no point of the README planes fails
+    since, so the failure paths need a planted one."""
+    import clpair.measures as measures
+
+    real = measures.purity_sc
+
+    def planted(beam, spectrum):
+        if spectrum.dk_ph == dk_ph:
+            return measures._checked_purity("purity quadrature", 4.667247e-03, 3.570217e-03)
+        return real(beam, spectrum)
+
+    monkeypatch.setattr(measures, "purity_sc", planted)
+
+
 class TestSweepDeterminism:
     @pytest.mark.parametrize("command,name", [("sweep", "sweep"), ("regime-map", "regime_map")])
-    def test_thread_count_does_not_change_the_output(self, runner, tmp_path, command, name):
+    def test_thread_count_does_not_change_the_output(self, runner, tmp_path, monkeypatch, command, name):
+        unconverged_at(monkeypatch, 10.0)
         cfg = write(tmp_path, ERROR_PLANE_INI)
         csvs, outputs = [], []
         for i, flag in enumerate([["--threads", "1"], ["--threads", "2"], []]):
@@ -785,17 +804,20 @@ class TestSweepFailures:
         assert float(failed[0]["best_estimate"]) == high(run.beam(10.0), run.spectrum(0.5))
         assert "previous_estimate" not in failed[0]
 
-    def test_measure_refuses_purity_sc_above_purity_z(self, runner, tmp_path):
-        # the real point where purity_sc reports 8.76e-5 against P_z 6.16e-5
+    def test_measure_at_long_coherence_is_below_purity_z(self, runner, tmp_path):
+        # at L_par 590 um the longitudinal Gaussian is far narrower than the
+        # radial nodes; pointwise it gave purity_sc 8.76e-5 against P_z
+        # 6.16e-5, product-integrated it gives the delta-limit's 1.2917235e-7
         cfg = write(
             tmp_path,
             "[beam]\nkinetic_energy_kev = 2.69\nl_par_um = 590\ndq_perp_um_inv = 1.24\n\n"
             "[spectrum]\nk_c_um_inv = 49.3\ndk_ph_um_inv = 19.7\n",
         )
         res = runner.invoke(main, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert res.exit_code == 1, res.output
-        assert "measure failed: purity_sc 8.755276e-05 exceeds purity_z 6.156835e-05" in res.output
-        assert not (tmp_path / "o" / "measure.csv").exists()
+        assert res.exit_code == 0, res.output
+        (row,) = csv_to_rows((tmp_path / "o" / "measure.csv").read_text())
+        assert row["purity_sc"] == pytest.approx(1.2917235e-7, rel=PURITY_REL_TOL, abs=0.0)
+        assert row["purity_sc"] < row["purity_z"]
 
     def test_every_row_is_evaluate_point_row(self, tmp_path):
         import clpair.measures as measures
@@ -1174,7 +1196,8 @@ class TestRuntimeImports:
 G1_INI = BASE_INI.replace("dq_perp_um_inv = 3.0", "dq_perp_um_inv = 31.2763").replace(
     "dk_ph_um_inv = 1.0", "dk_ph_um_inv = 9.61536"
 )
-# a point whose purity quadrature does not converge: `measure` exits 1
+# a point whose purity quadrature does not converge once `unconverged_at`
+# plants it: `measure` exits 1
 UNCONVERGED_INI = BASE_INI.replace("l_par_um = 1.3", "l_par_um = 13").replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 10.0")
 # the entry point that the `clpair` script runs
 ENTRY = "from clpair.cli import main; main(prog_name='clpair')"
@@ -1202,6 +1225,7 @@ class TestProcessScope:
 
         during, load = [], cli.load_config
         monkeypatch.setattr(cli, "load_config", lambda path: during.append(gc.isenabled()) or load(path))
+        unconverged_at(monkeypatch, 10.0)
         argv = [command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]
         was, frozen = gc.isenabled(), gc.get_freeze_count()
         (gc.enable if enabled else gc.disable)()
@@ -1796,10 +1820,12 @@ class TestUnknownKeys:
         assert_config_error(res)
         assert "[thresholds]: unknown section" in res.output
 
-    def test_quadrature_section_exits_2(self, runner, tmp_path):
-        # the purity tolerances are the library's: at L_par 13 um the point
-        # (3, 10) does not converge, and a [quadrature] that would loosen
-        # the check until it passes is refused before any output is made
+    def test_quadrature_section_exits_2(self, runner, tmp_path, monkeypatch):
+        # the purity tolerances are the library's: where the purity
+        # quadrature does not converge (planted at L_par 13 um, (3, 10)), a
+        # [quadrature] that would loosen the check until it passes is
+        # refused before any output is made
+        unconverged_at(monkeypatch, 10.0)
         text = BASE_INI.replace("l_par_um = 1.3", "l_par_um = 13").replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 10.0")
         res = runner.invoke(main, ["measure", "--config", write(tmp_path, text), "--out", str(tmp_path / "strict")])
         assert res.exit_code == 1, res.output

@@ -26,7 +26,6 @@ from clpair.measures import (
     _H_TAIL_X,
     _converged,
     _purity_once,
-    _purity_z_once,
     _sonine_h,
     Regime,
     classify_regime,
@@ -286,15 +285,104 @@ class TestPurityScPanel:
         p = purity_sc(make_beam(dq_perp), make_spectrum(dk))
         assert abs(p - expected) <= max(PURITY_ABS_TOL, PURITY_REL_TOL * expected)
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="PURITY_ABS_TOL decides the check wherever P_sc < 0.5")
-    def test_relative_tolerance_at_long_coherence(self, make_beam, make_spectrum):
-        # at L_par 13 um, (0.1, 30) reads 1.0416e-6 against 3.9293e-7 from
-        # 48 radial panels (768 nodes): far beyond PURITY_REL_TOL, yet
-        # |refined - base| is below PURITY_ABS_TOL, so the convergence
-        # check passes it
-        b, s = make_beam(0.1, 2.0 * math.pi / 13.0), make_spectrum(30.0)
-        converged = _purity_once(b, s, radial_panels=48)
-        assert purity_sc(b, s) == pytest.approx(converged, rel=PURITY_REL_TOL)
+
+# converged P_sc at the panel points for L_par 0.13, 1.3 and 13 um, keyed by
+# (L_par um, dq_perp, dk_ph): `_purity_once` on 48 radial panels with a t-grid
+# twice as fine as the base one and no tail cut (PURITY_ABS_TOL 0).
+# Cross-checked against the pointwise w w^T o E on radial rules that resolve
+# the longitudinal Gaussian, doubled from 48 panels until two agree to 1e-7:
+# within 6.6e-6 relative at (13, 0.1, 30), 4.7e-7 at the other two dk_ph 30,
+# dq_perp 0.1 cells and 6e-15 elsewhere.
+CONVERGED_P_SC = {
+    (0.13, 0.1, 0.1): 0.00029530986837835365,
+    (0.13, 0.1, 1.0): 0.0002644582379564661,
+    (0.13, 0.1, 30.0): 9.55204841911138e-06,
+    (0.13, 1.0, 0.1): 0.026190647207001115,
+    (0.13, 1.0, 1.0): 0.024386174426821113,
+    (0.13, 1.0, 30.0): 0.0009533531183050934,
+    (0.13, 10.0, 0.1): 0.6730221537188233,
+    (0.13, 10.0, 1.0): 0.6661158184310427,
+    (0.13, 10.0, 30.0): 0.08302827707506631,
+    (0.13, 100.0, 0.1): 0.9954984270232708,
+    (0.13, 100.0, 1.0): 0.9949280354847732,
+    (0.13, 100.0, 30.0): 0.7702806921762864,
+    (0.13, 3.0, 0.3): 0.15905508490548162,
+    (1.3, 0.1, 0.1): 0.00029518105061806133,
+    (1.3, 0.1, 1.0): 0.00025511866772864926,
+    (1.3, 0.1, 30.0): 3.397410980371889e-06,
+    (1.3, 1.0, 0.1): 0.02617919223546013,
+    (1.3, 1.0, 1.0): 0.023489038599509716,
+    (1.3, 1.0, 30.0): 0.00033610921854182257,
+    (1.3, 10.0, 0.1): 0.6727274123102988,
+    (1.3, 10.0, 1.0): 0.6391315268852064,
+    (1.3, 10.0, 30.0): 0.02133170482962303,
+    (1.3, 100.0, 0.1): 0.995062447697512,
+    (1.3, 100.0, 1.0): 0.95450518548166,
+    (1.3, 100.0, 30.0): 0.14256514823445668,
+    (1.3, 3.0, 0.3): 0.15843415015592646,
+    (13.0, 0.1, 0.1): 0.0002830931304148285,
+    (13.0, 0.1, 1.0): 9.180294180646624e-05,
+    (13.0, 0.1, 30.0): 3.929339042055438e-07,
+    (13.0, 1.0, 0.1): 0.025104447712920704,
+    (13.0, 1.0, 1.0): 0.008216001276352958,
+    (13.0, 1.0, 30.0): 3.821789364422639e-05,
+    (13.0, 10.0, 0.1): 0.6450759697422797,
+    (13.0, 10.0, 1.0): 0.21377873371562028,
+    (13.0, 10.0, 30.0): 0.0022026894479469194,
+    (13.0, 100.0, 0.1): 0.9541607152969016,
+    (13.0, 100.0, 1.0): 0.31885842835605427,
+    (13.0, 100.0, 30.0): 0.014434484271522694,
+    (13.0, 3.0, 0.3): 0.11877628914662106,
+}
+# the 590 um point (2.69 keV, k_c 49.3, dk_ph 19.7, dq_perp 1.24), the same
+# way; the delta-limit sqrt(pi/alpha) 8 pi^2 b^2 int phi^2 G(k, k) dk of its
+# alpha -> infinity asymptote gives 1.29172353e-7, 1.2e-8 above it
+LONG_COHERENCE_POINT = (BeamParams(2.69, 1.24, 2.0 * math.pi / 590.0), SpectrumModel(49.3, 19.7))
+LONG_COHERENCE_P_SC = 1.291723517323256e-07
+# cells where 6 radial panels do not resolve G's oscillation over a wide
+# window at small dq_perp, with the relative error measured there
+G_LIMITED = {(1.3, 0.1, 30.0): 1.9e-3, (13.0, 0.1, 30.0): 1.1e-3, (0.13, 0.1, 30.0): 6.0e-4, (1.3, 1.0, 30.0): 1.6e-4}
+
+
+def assert_within_rel_tol(value, expected):
+    assert abs(value - expected) <= PURITY_REL_TOL * expected, (value, expected)
+
+
+class TestPurityScConverged:
+    """P_sc within PURITY_REL_TOL of converged values. The convergence
+    check's PURITY_ABS_TOL decides wherever P_sc < 0.5, so it passes a
+    tenfold error at (0.1, 30), where P_sc is 3.4e-6; this pin does not."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            pytest.param(
+                key,
+                marks=pytest.mark.xfail(
+                    raises=AssertionError,
+                    strict=True,
+                    reason=f"G-limited, {G_LIMITED[key]:+.1e}: radial panel doubling (ROADMAP item 12)",
+                ),
+            )
+            if key in G_LIMITED
+            else key
+            for key in CONVERGED_P_SC
+        ],
+        ids=lambda key: "-".join(map(str, key)),
+    )
+    def test_matches_converged_value(self, key, make_beam, make_spectrum):
+        l_par, dq_perp, dk = key
+        assert_within_rel_tol(purity_sc(make_beam(dq_perp, 2.0 * math.pi / l_par), make_spectrum(dk)), CONVERGED_P_SC[key])
+
+    def test_long_coherence_point(self):
+        assert_within_rel_tol(purity_sc(*LONG_COHERENCE_POINT), LONG_COHERENCE_P_SC)
+
+    def test_planted_defect_is_caught(self, make_beam, make_spectrum):
+        # 1 + 2 PURITY_REL_TOL times P_sc at (0.1, 1), L_par 1.3 um, where
+        # P_sc is 2.6e-4 and the absolute tolerance is 20% of it
+        p = purity_sc(make_beam(0.1), make_spectrum(1.0))
+        with pytest.raises(AssertionError):
+            assert_within_rel_tol((1.0 + 2.0 * PURITY_REL_TOL) * p, CONVERGED_P_SC[(1.3, 0.1, 1.0)])
 
 
 class TestPurityGramForm:
@@ -500,19 +588,21 @@ def purity_z_reference():
     return {point: _purity_z_nested_quad(*point) for point in PURITY_Z_POINTS}
 
 
-def _purity_z_mutant(old: str, new: str):
-    """`_purity_z_once` with `old` (found once in its source) replaced by `new`."""
-    import clpair.measures as measures
+def _weights_mutant(*edits):
+    """`longitudinal_weights` with each (old, new) edit made once in its source."""
+    import clpair.quadrature as quadrature
 
-    source = textwrap.dedent(inspect.getsource(_purity_z_once))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(measures))
-    exec(compile(source.replace(old, new), "purity_z_mutant", "exec"), namespace)
-    return namespace["_purity_z_once"]
+    source = textwrap.dedent(inspect.getsource(quadrature.longitudinal_weights))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(quadrature))
+    exec(compile(source, "weights_mutant", "exec"), namespace)
+    return namespace["longitudinal_weights"]
 
 
 class TestPurityZReference:
-    """The closed inner integral against scipy's nested quad."""
+    """phi^T W phi against scipy's nested quad and mpmath."""
 
     def test_kmin_cases_covered(self):
         kmins = [SpectrumModel(K_C, dk).kmin for _, dk in PURITY_Z_POINTS]
@@ -530,29 +620,33 @@ class TestPurityZReference:
         assert abs(value - float(PURITY_Z_MPMATH[point])) <= 1e-15
 
     @pytest.mark.parametrize(
-        "old,new",
+        "edits",
         [
-            # the inner window widened to (-inf, inf): the kmin = 0 cut ignored
-            (
-                "lo, hi = spectrum.kmin - mu, spectrum.kmax - mu",
-                "lo, hi = np.full_like(mu, -50.0) / math.sqrt(big_a), np.full_like(mu, 50.0) / math.sqrt(big_a)",
-            ),
-            # the boundary term of the integration by parts dropped
-            (" - edge / (2.0 * big_a)", ""),
+            # s < 0 not split off: block -d's half added untransposed, as if
+            # C(-s) were C(s); 7.6e-5 off at least
+            [("r[at].transpose(0, 1, 3, 2)", "r[at]")],
+            # the Gaussian cut where it falls below e^-4, not e^-42: 1.6e-5
+            # off at least, except at (1.3, 1), where both reaches span the window
+            [("math.sqrt(42.0 / g)", "math.sqrt(4.0 / g)")],
         ],
-        ids=["infinite-window", "no-edge-term"],
+        ids=["no-split-at-0", "reach-e-4"],
     )
-    def test_planted_defects_are_caught(self, old, new, purity_z_reference):
-        mutant = _purity_z_mutant(old, new)
-        errors = [
-            abs(mutant(_purity_z_beam(l_par), SpectrumModel(K_C, dk), 16) - purity_z_reference[(l_par, dk)])
-            for l_par, dk in PURITY_Z_POINTS
-        ]
+    def test_planted_defects_are_caught(self, edits, purity_z_reference, monkeypatch):
+        import clpair.measures as measures
+
+        monkeypatch.setattr(measures, "longitudinal_weights", _weights_mutant(*edits))
+        errors = []
+        for l_par, dk in PURITY_Z_POINTS:
+            try:
+                value = purity_z(_purity_z_beam(l_par), SpectrumModel(K_C, dk))
+            except ConvergenceError as exc:
+                value = exc.best_estimate
+            errors.append(abs(value - purity_z_reference[(l_par, dk)]))
         assert max(errors) > 1e-13
 
     def test_peak_allocation_under_1_mb(self):
         beam, spectrum = _purity_z_beam(13.0), SpectrumModel(K_C, 30.0)
-        purity_z(beam, spectrum)  # the cached Gauss-Legendre rule is not counted
+        purity_z(beam, spectrum)  # the cached rules and longitudinal weights are not counted
         tracemalloc.start()
         try:
             purity_z(beam, spectrum)
@@ -763,15 +857,14 @@ class TestEvaluatePoint:
         assert r.var_rel_pos > 0.0
         assert r.regime in (Regime.A, Regime.B, Regime.C, Regime.ANOMALOUS)
 
-    def test_refuses_purity_sc_above_purity_z(self):
-        # P_sc's pair overlap is P_z's times a transverse factor <= 1; at
-        # L_par 590 um the radial nodes do not resolve the longitudinal
-        # Gaussian, and purity_sc reports 8.76e-5 against P_z 6.16e-5
-        beam, spectrum = BeamParams(2.69, 1.24, 2.0 * math.pi / 590.0), SpectrumModel(49.3, 19.7)
-        with pytest.raises(ConvergenceError, match="exceeds purity_z 6.156835e-05") as info:
-            evaluate_point(beam, spectrum)
-        assert info.value.best_estimate == purity_sc(beam, spectrum)
-        assert info.value.best_estimate == pytest.approx(8.755276e-5, rel=1e-6)
+    def test_long_coherence_point_is_below_purity_z(self):
+        # at L_par 590 um the longitudinal Gaussian is far narrower than the
+        # radial nodes: sampled at them it gave purity_sc 8.76e-5 against P_z
+        # 6.16e-5, which the guard refused; integrated against the panels'
+        # interpolants it gives the delta-limit's 1.2917235e-7
+        r = evaluate_point(*LONG_COHERENCE_POINT)
+        assert r.purity_sc == pytest.approx(1.2917235e-7, rel=PURITY_REL_TOL, abs=0.0)
+        assert r.purity_sc < r.purity_z
 
     @pytest.mark.parametrize(
         "factor,refused", [(1.01, True), (1.0 + 2.0 * PURITY_REL_TOL, True), (1.0 + PURITY_REL_TOL / 2.0, False)]
@@ -865,9 +958,8 @@ class TestEnergyTrade:
 
 
 # the wide-beam limit of P_sc at each longitudinal coherence length (um)
-# and dk_ph where the quadrature converges; at L_par 13, dk_ph >= 3 raises
-# ConvergenceError (ROADMAP item 12)
-WIDE_BEAM_CASES = [(l_par, dk) for l_par in (0.13, 1.3) for dk in (0.1, 1.0, 3.0, 30.0)] + [(13.0, 0.1), (13.0, 1.0)]
+# and dk_ph
+WIDE_BEAM_CASES = [(l_par, dk) for l_par in (0.13, 1.3, 13.0) for dk in (0.1, 1.0, 3.0, 30.0)]
 
 
 def wide_beam_falloff(p_sc, l_par, dk):

@@ -377,14 +377,15 @@ class TestAdmissibleBox:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a width at q0 is not small-recoil
             beam, spectrum = readme_point(ENERGY_KEV_MAX * BELOW, dq_perp, dq_par, k_c, w * k_c)
-        p = 0.5 / spectrum.dk_ph**2
         quantities = {
             "n_g": spectrum.n_g,
             "kmax": spectrum.kmax,
             "q0": beam.q0,
             "c_over_vz": beam.c_over_vz,
             "alpha": beam.alpha,
-            "P_z's p alpha": p * beam.alpha,
+            # W's g = alpha (width / 2)^2 on the purity passes' 4 and 6 radial
+            # panels, whose reach sqrt(42 / g) needs g > 0
+            **{f"W's g, {n} panels": beam.alpha * (0.5 * (spectrum.kmax - spectrum.kmin) / n) ** 2 for n in (4, 6)},
             "kmax^4": spectrum.kmax**4,
             "dq_perp^2": beam.dq_perp**2,
         }

@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from clpair import ConvergenceError, DomainError, SpectrumModel
+from clpair import BeamParams, ConvergenceError, DomainError, SpectrumModel
 import clpair.cli as cli
 import clpair.measures as measures
 import clpair.quadrature as quadrature
@@ -17,7 +18,7 @@ from clpair.distributions import N_KX, _rho_rule, joint_position
 from clpair.errors import ResolutionError
 from clpair.model import eval_g
 from clpair.oracles import _schmidt_axes
-from clpair.quadrature import GammaSampler, check_budget, gauss_legendre_panels
+from clpair.quadrature import GammaSampler, check_budget, gauss_legendre_panels, longitudinal_weights
 
 from conftest import DQ_PAR, K_C, K_KEV, window
 from reference_quadrature import integrate_1d
@@ -264,6 +265,12 @@ class TestArrayBudget:
     @pytest.mark.parametrize("guard", list(GUARDS))
     def test_one_byte_short_is_refused_before_the_grid(self, guard, make_beam, make_spectrum, monkeypatch):
         build, grid, count, item_bytes = GUARDS[guard]
+        if guard == "t-grid":
+            # the tail cut reads the base pass's longitudinal weights before
+            # the count is known: a cached 64 x 64 table, sized by the radial
+            # panels alone, whose build is not the grid's allocation
+            spectrum = make_spectrum(30.0)
+            longitudinal_weights(4, (spectrum.kmax - spectrum.kmin) / 4, make_beam(0.1).alpha)
         monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", count * item_bytes - 1)
         tracemalloc.start()
         try:
@@ -280,3 +287,86 @@ class TestArrayBudget:
         build, _, count, item_bytes = GUARDS[guard]
         monkeypatch.setattr(quadrature, "MAX_ARRAY_BYTES", count * item_bytes)
         assert build(make_beam, make_spectrum, monkeypatch).size == count
+
+
+def legendre_basis(order, y):
+    """The `order`-node Gauss-Legendre rule's Lagrange basis at `y` by its
+    Legendre expansion, whose coefficients (n + 1/2) w_i P_n(x_i) the rule
+    gives exactly: a form that shares nothing with the barycentric one."""
+    x, w = quadrature._leggauss(order)
+    return legvander(y, order - 1) @ ((np.arange(order) + 0.5)[:, None] * legvander(x, order - 1).T * w)
+
+
+class TestLagrangeBasis:
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_unit_rows_on_the_nodes_and_the_expansion_between_them(self, order):
+        x, _ = quadrature._leggauss(order)
+        y = np.concatenate([np.linspace(-1.0, 1.0, 9), x])
+        basis = quadrature._lagrange_basis(order, y)
+        np.testing.assert_array_equal(basis[9:], np.eye(order))
+        # the expansion's rounding: 9e-15 here at 16 nodes, 1e-13 at 32
+        assert np.max(np.abs(basis[:9] - legendre_basis(order, y[:9]))) <= 2e-13
+
+
+def brute_force_weights(n_panels, width, alpha, fine_panels):
+    """W by a fine composite rule in both variables: each panel's 16-node
+    `legendre_basis` sampled on `fine_panels` 16-node panels of that panel."""
+    fx, fw = gauss_legendre_panels(-1.0, 1.0, fine_panels)
+    basis = legendre_basis(16, fx) * fw[:, None]
+    h = 0.5 * width
+    blocks = [
+        h * h * basis.T @ np.exp(-alpha * (h * (fx[:, None] - fx[None, :]) - 2.0 * h * d) ** 2) @ basis
+        for d in range(n_panels)
+    ]
+    weights = np.zeros((16 * n_panels, 16 * n_panels))
+    for p in range(n_panels):
+        for q in range(n_panels):
+            weights[16 * p : 16 * p + 16, 16 * q : 16 * q + 16] = blocks[q - p] if q >= p else blocks[p - q].T
+    return weights
+
+
+def spectrum_weights(l_par, dk_ph, n_panels):
+    """`longitudinal_weights` of a README spectrum at L_par um, its panel
+    width and alpha, and the pointwise w w^T o E on the same nodes."""
+    beam, spectrum = BeamParams(K_KEV, 1.0, 2.0 * math.pi / l_par), SpectrumModel(K_C, dk_ph)
+    width = (spectrum.kmax - spectrum.kmin) / n_panels
+    kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, n_panels)
+    pointwise = np.outer(kw, kw) * np.exp(-beam.alpha * np.subtract.outer(kn, kn) ** 2)
+    return longitudinal_weights(n_panels, width, beam.alpha), width, beam.alpha, pointwise
+
+
+class TestLongitudinalWeights:
+    """W[i, j], the longitudinal Gaussian integrated against two panels'
+    Lagrange bases, which P_sc and P_z share."""
+
+    @pytest.mark.parametrize("dk_ph", [1.0, 30.0])
+    def test_matches_brute_force_at_long_coherence(self, dk_ph):
+        # L_par 13 um: at dk_ph 30 the Gaussian's width is 1/40 of a panel,
+        # which 64 fine panels a panel resolve
+        weights, width, alpha, _ = spectrum_weights(13.0, dk_ph, 6)
+        brute = brute_force_weights(6, width, alpha, 64)
+        assert np.max(np.abs(weights - brute)) <= 1e-14 * np.max(np.abs(brute))
+
+    @pytest.mark.parametrize("l_par,dk_ph", [(0.13, 1.0), (1.3, 1.0), (1.3, 0.3), (13.0, 0.1)])
+    @pytest.mark.parametrize("n_panels", [4, 6])
+    def test_is_the_pointwise_rule_where_it_resolves_the_gaussian(self, l_par, dk_ph, n_panels):
+        # to rounding: 9e-15 of the largest entry at worst, about 40 ulps
+        weights, _, _, pointwise = spectrum_weights(l_par, dk_ph, n_panels)
+        assert np.max(np.abs(weights - pointwise)) <= 2e-14 * np.max(pointwise)
+
+    @pytest.mark.parametrize("l_par,dk_ph", [(0.13, 30.0), (13.0, 30.0), (590.0, 30.0)])
+    def test_symmetric_with_a_positive_diagonal(self, l_par, dk_ph):
+        weights, _, _, _ = spectrum_weights(l_par, dk_ph, 6)
+        assert np.array_equal(weights, weights.T)
+        assert np.all(np.diagonal(weights) > 0.0)
+        # positive semidefinite, which `_t_cut`'s bound |W_ij| <= sqrt(W_ii W_jj) needs
+        # (to rounding: at L_par 0.13 um W has rank about 10, and its least
+        # eigenvalue is -3.5e-16 of its largest)
+        eigenvalues = np.linalg.eigvalsh(weights)
+        assert eigenvalues[0] >= -1e-14 * eigenvalues[-1]
+
+    def test_cached_and_read_only(self):
+        weights = longitudinal_weights(4, 1.0, 2.0)
+        assert longitudinal_weights(4, 1.0, 2.0) is weights
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.0
