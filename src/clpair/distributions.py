@@ -371,10 +371,12 @@ def joint_position(beam: BeamParams, spectrum: SpectrumModel) -> tuple[JointGrid
     # the rank of each |lag| among the used ones indexes its T
     rank = np.cumsum(used)
     rank -= 1
-    t_grid = t[np.take(rank, lag, out=lag)]
-    dens = (beam.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * beam.dq_perp**2 * x_el[:, None] ** 2) * t_grid
+    dens = t[np.take(rank, lag, out=lag)]
+    del lag
+    # the envelope times T, multiplied and clipped in T's lattice buffer
+    dens *= (beam.dq_perp / math.sqrt(2.0 * math.pi**3)) * np.exp(-2.0 * beam.dq_perp**2 * x_el[:, None] ** 2)
     floor = float(np.min(dens))
     if floor < -1e-9:
         raise ConsistencyError(f"joint position density has negative values down to {floor:.3e}")
-    dens = np.maximum(dens, 0.0)
+    np.maximum(dens, 0.0, out=dens)
     return _check_normalized(JointGrid(x_el, x_ph, dens), "joint position grid"), lags * h, t

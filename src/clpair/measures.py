@@ -52,8 +52,9 @@ _H_TAIL_C = 15.0 / (4.0 * math.pi)
 # tolerances of `rel_pos_variance_quadrature`'s convergence check
 _VARIANCE_REL_TOL = 1e-6
 _VARIANCE_ABS_TOL = 1e-9
-# relative width of the bracket at which `regime_boundaries` stops
-# bisecting for P_z = 2/3: about 33 halvings of a 300x dk_ph range
+# relative width of the bracket at which `regime_boundaries` stops its
+# search for P_z = 2/3: 33 halvings of a 1000x dk_ph range, where Brent's
+# search takes 9 to 11 P_z evaluations, the range's ends included
 _KNEE_REL_WIDTH = 1e-9
 
 
@@ -357,10 +358,11 @@ def regime_boundaries(beam: BeamParams, k_c: float, dk_values: list[float], phas
     ("d2"). V is the sweep's `var_rel_pos_um2` column, so this is
     var_rel_pos_um2^(-1/2) at that dk_ph; it is given here as well for a
     dk_ph whose every cell failed. P_z does not increase in dk_ph, so
-    P_z = PURITY_THRESHOLD is one root, bisected in log dk_ph on the range
-    of `dk_values` until its bracket [lo, hi], with P_z(lo) >= 2/3 >
-    P_z(hi), is narrower than _KNEE_REL_WIDTH relative ("purity_z"). A range with no crossing, or a
-    P_z that does not converge, gives that entry a `reason` instead.
+    P_z = PURITY_THRESHOLD is one root, searched for by `_log_brent` on the
+    range of `dk_values` until its bracket [lo, hi], with P_z(lo) >= 2/3 >
+    P_z(hi), is narrower than _KNEE_REL_WIDTH relative ("purity_z"). A
+    range with no crossing, or a P_z that does not converge, gives that
+    entry a `reason` instead.
     """
     d2 = [
         {
@@ -371,26 +373,67 @@ def regime_boundaries(beam: BeamParams, k_c: float, dk_values: list[float], phas
     ]
     knee = {"dq_par_um_inv": beam.dq_par}
 
-    def entangled(dk):
-        return purity_z(beam, SpectrumModel(k_c, dk)) < PURITY_THRESHOLD
+    def excess(dk):
+        return purity_z(beam, SpectrumModel(k_c, dk)) - PURITY_THRESHOLD
 
     lo, hi = min(dk_values), max(dk_values)
     try:
-        if entangled(lo):
+        f_lo = excess(lo)
+        if f_lo < 0.0:
             knee["reason"] = f"P_z is below 2/3 already at the smallest dk_ph, {lo!r}"
-        elif not entangled(hi):
+        elif (f_hi := excess(hi)) >= 0.0:
             knee["reason"] = f"P_z is not below 2/3 at the largest dk_ph, {hi!r}"
         else:
-            while hi - lo > _KNEE_REL_WIDTH * lo:
-                mid = math.sqrt(lo * hi)
-                if entangled(mid):
-                    hi = mid
-                else:
-                    lo = mid
+            lo, hi = _log_brent(excess, (lo, f_lo), (hi, f_hi), _KNEE_REL_WIDTH)
             knee.update(dk_ph_um_inv=math.sqrt(lo * hi), bracket_um_inv=[lo, hi])
     except ConvergenceError as exc:
         knee["reason"] = str(exc)
     return {"d2": d2, "purity_z": knee}
+
+
+def _log_brent(f, lo: tuple, hi: tuple, rel_width: float) -> tuple[float, float]:
+    """The bracket [v_lo, v_hi] of a sign change of f, with f(v_lo) >= 0 >
+    f(v_hi) and v_hi - v_lo <= rel_width v_lo, from the (v, f(v)) ends `lo`
+    and `hi` of one: Brent's search (Brent 1973, ch. 4) in x = log v, whose
+    every step is inverse quadratic or secant interpolation from the point
+    of smaller |f| where that lands toward the other end and less than half
+    as far as the step before last, and halves the bracket otherwise. Every
+    step moves at least 0.4 log(1 + rel_width), so it stays inside a bracket
+    not yet narrow enough and shrinks it."""
+    delta = 0.4 * math.log1p(rel_width)
+    # cur is the point of smaller |f|, blk the end of opposite sign, pre the
+    # point before cur; each a (x, v, f(v)) triple
+    pre = (math.log(lo[0]), *lo)
+    cur = (math.log(hi[0]), *hi)
+    step = prior = 0.0
+    while True:
+        if (pre[2] >= 0.0) != (cur[2] >= 0.0):
+            blk = pre
+            step = prior = cur[0] - pre[0]
+        v_lo, v_hi = (cur[1], blk[1]) if cur[2] >= 0.0 else (blk[1], cur[1])
+        if v_hi - v_lo <= rel_width * v_lo:
+            return v_lo, v_hi
+        if abs(blk[2]) < abs(cur[2]):
+            pre, cur, blk = cur, blk, cur
+        (x_pre, _, f_pre), (x_cur, _, f_cur), (x_blk, _, f_blk) = pre, cur, blk
+        half = 0.5 * (x_blk - x_cur)
+        interpolate = abs(prior) > delta and abs(f_cur) < abs(f_pre)
+        if interpolate:
+            if x_pre == x_blk:
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            # toward blk (a zero f_cur steps the least), and short
+            interpolate = trial * half >= 0.0 and 2.0 * abs(trial) < min(abs(prior), 3.0 * abs(half) - delta)
+        if interpolate:
+            prior, step = step, trial
+        else:
+            prior = step = half
+        x = x_cur + (step if abs(step) > delta else math.copysign(delta, half))
+        v = math.exp(x)
+        pre, cur = cur, (x, v, f(v))
 
 
 def evaluate_point(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = PhaseModel()) -> MeasureResult:

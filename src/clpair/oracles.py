@@ -36,6 +36,13 @@ from .quadrature import GammaSampler, check_budget, gauss_legendre_panels
 # which Gamma varies at the point, min(dk_ph, |k|): dk_ph radially, |k| in
 # angle. The difference's error then scales as _FD_STEP^2 everywhere.
 _FD_STEP = 1e-4
+# pairs a block of `mc_purity`: the block's eight uniform segments, which
+# become its draws and its factors in place, are 1 MiB at any sample count
+_MC_BLOCK = 1 << 14
+# rows a block of `schmidt_purity_1d`'s sums: q rows of its Gram sum, whose
+# amplitude block is 0.5 MiB beside the N_KX^2 Gram matrix and the block's
+# own, and k rows of its overlap sum
+_SCHMIDT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -62,47 +69,79 @@ def mc_purity(beam: BeamParams, spectrum: SpectrumModel, n: int = MC_SAMPLES, se
 
     Draws k, k' i.i.d. from the spectral density and averages the
     double-Gaussian overlap factor; agrees with the quadrature purity
-    within 3 standard errors by construction of the estimator.
+    within 3 standard errors by construction of the estimator. The pairs
+    are drawn and reduced in blocks (`_pair_blocks`), so the memory held
+    does not grow with n.
     """
     if n < MC_MIN_SAMPLES:
         raise DomainError(f"mc_purity requires at least {MC_MIN_SAMPLES} sample pairs, got {n}")
     # the primary first: a point purity_sc refuses draws no sample
     primary = purity_sc(beam, spectrum)
-    sampler = GammaSampler(spectrum)
-    rng = np.random.default_rng(seed)
-    k1, a1, ph1 = sampler.sample_k_cos_phi(n, rng)
-    k2, a2, ph2 = sampler.sample_k_cos_phi(n, rng)
-    # in place on the draws: |k| is the drawn k, and with a = k sin(theta)
-    # = k sqrt(1 - cos^2(theta)) the transverse distance is
-    # (a1 - a2)^2 + 4 a1 a2 sin^2((phi1 - phi2)/2), the law of cosines in
-    # the form that does not cancel for close pairs
-    for a, k in ((a1, k1), (a2, k2)):
-        np.square(a, out=a)
-        np.subtract(1.0, a, out=a)
-        np.sqrt(a, out=a)
-        a *= k
-    vals = np.subtract(ph1, ph2, out=ph1)
-    vals *= 0.5
-    np.sin(vals, out=vals)
-    np.square(vals, out=vals)
-    vals *= a1
-    vals *= a2
-    vals *= 4.0
-    a1 -= a2
-    vals += np.square(a1, out=a1)
-    vals /= -4.0 * beam.dq_perp**2
-    k1 -= k2
-    np.square(k1, out=k1)
-    k1 *= beam.alpha
-    vals -= k1
-    np.exp(vals, out=vals)
-    # the draws are freed before np.std takes its temporaries
-    del k1, k2, a1, a2, ph2
-    estimate = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
+    count, mean, m2 = 0, 0.0, 0.0
+    for (k1, a1, ph1), (k2, a2, ph2) in _pair_blocks(GammaSampler(spectrum), n, seed):
+        # in place on the draws: |k| is the drawn k, and with a = k sin(theta)
+        # = k sqrt(1 - cos^2(theta)) the transverse distance is
+        # (a1 - a2)^2 + 4 a1 a2 sin^2((phi1 - phi2)/2), the law of cosines in
+        # the form that does not cancel for close pairs
+        for a, k in ((a1, k1), (a2, k2)):
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            np.sqrt(a, out=a)
+            a *= k
+        vals = np.subtract(ph1, ph2, out=ph1)
+        vals *= 0.5
+        np.sin(vals, out=vals)
+        np.square(vals, out=vals)
+        vals *= a1
+        vals *= a2
+        vals *= 4.0
+        a1 -= a2
+        vals += np.square(a1, out=a1)
+        vals /= -4.0 * beam.dq_perp**2
+        k1 -= k2
+        np.square(k1, out=k1)
+        k1 *= beam.alpha
+        vals -= k1
+        np.exp(vals, out=vals)
+        # the block's mean and sum of squared deviations, merged into the
+        # running ones by the pairwise update of Chan, Golub & LeVeque
+        # (1983), which never forms sum(v^2) - n mean^2
+        size = vals.size
+        block_mean = float(np.mean(vals))
+        vals -= block_mean
+        block_m2 = float(np.sum(np.square(vals, out=vals)))
+        delta = block_mean - mean
+        total = count + size
+        mean += delta * size / total
+        m2 += block_m2 + delta * delta * count * size / total
+        count = total
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return OracleReport.compare(
-        "purity_sc_mc", primary, estimate, 3.0 * stderr, n=n, seed=seed, stderr=stderr
+        "purity_sc_mc", primary, mean, 3.0 * stderr, n=n, seed=seed, stderr=stderr
     )
+
+
+def _segment_streams(seed: int, n: int, count: int) -> list:
+    """Generators at the starts of the first `count` segments of n uniforms
+    of `np.random.default_rng(seed)`: segment j is PCG64(seed) advanced by
+    j n draws (jump-ahead, O'Neill 2014), one 64-bit draw a uniform."""
+    return [np.random.Generator(np.random.PCG64(seed).advance(j * n)) for j in range(count)]
+
+
+def _pair_blocks(sampler: GammaSampler, n: int, seed: int):
+    """The draws of two `sampler.sample_k_cos_phi(n, default_rng(seed))`
+    calls, bit for bit, as ((k, cos(theta), phi), (k', cos(theta'), phi'))
+    blocks of at most _MC_BLOCK pairs. The two calls read eight
+    consecutive segments of n uniforms, so each block reads its slice of
+    all eight (`_segment_streams`); every block reuses one (8, _MC_BLOCK)
+    buffer, which the caller may overwrite."""
+    streams = _segment_streams(seed, n, 8)
+    buf = np.empty((len(streams), min(n, _MC_BLOCK)))
+    for start in range(0, n, _MC_BLOCK):
+        uniforms = buf[:, : min(_MC_BLOCK, n - start)]
+        for stream, row in zip(streams, uniforms):
+            stream.random(out=row)
+        yield sampler.from_uniforms(*uniforms[:4]), sampler.from_uniforms(*uniforms[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -131,30 +170,38 @@ def schmidt_purity_1d(dq_perp: float, g: np.ndarray, kx: np.ndarray, qx: np.ndar
     if sig_g > 0.0 and dk > sig_g / 8.0:
         raise ResolutionError("k grid under-resolves the spectral marginal")
 
-    # one n_q x n_k buffer: the sum q + k, turned into the amplitude in place;
-    # it needs no quadrature weight sqrt(dq dk), since the purity is scale-free
-    amp = qx[:, None] + kx[None, :]
-    psi_ini_x_sq(dq_perp, amp, out=amp)
-    np.sqrt(amp, out=amp)
-    amp *= np.sqrt(gk)
+    # the Gram matrix amp^T amp of the amplitude, summed over blocks of q
+    # rows, each block built in place on the sum q + k; it needs no
+    # quadrature weight sqrt(dq dk), since the purity is scale-free
+    root_g = np.sqrt(gk)
+    gram = np.zeros((kx.size, kx.size))
+    for start in range(0, qx.size, _SCHMIDT_BLOCK):
+        amp = qx[start : start + _SCHMIDT_BLOCK, None] + kx
+        psi_ini_x_sq(dq_perp, amp, out=amp)
+        np.sqrt(amp, out=amp)
+        amp *= root_g
+        gram += amp.T @ amp
+    del amp
     # the singular values s of amp are the square roots of the eigenvalues
     # of amp^T amp, so sum(s^2) is its trace and sum(s^4) its squared
     # Frobenius norm: no SVD is needed
-    gram = amp.T @ amp
-    del amp
     trace = np.trace(gram)
     schmidt = float(np.sum(np.square(gram, out=gram)) / trace**2)
     del gram
 
-    # G(k) G(k') exp(-(k - k')^2 / (4 dq_perp^2)), built in place in one
-    # n_k x n_k buffer
-    pairs = np.subtract.outer(kx, kx)
-    np.square(pairs, out=pairs)
-    np.negative(pairs, out=pairs)
-    pairs /= 4.0 * dq_perp**2
-    np.exp(pairs, out=pairs)
-    pairs *= np.multiply.outer(gk, gk)
-    overlap = float(np.sum(pairs) * dk * dk)
+    # G(k) G(k') exp(-(k - k')^2 / (4 dq_perp^2)), summed over blocks of k
+    # rows, each built in place
+    overlap = 0.0
+    for start in range(0, kx.size, _SCHMIDT_BLOCK):
+        rows = slice(start, start + _SCHMIDT_BLOCK)
+        pairs = np.subtract.outer(kx[rows], kx)
+        np.square(pairs, out=pairs)
+        np.negative(pairs, out=pairs)
+        pairs /= 4.0 * dq_perp**2
+        np.exp(pairs, out=pairs)
+        pairs *= np.multiply.outer(gk[rows], gk)
+        overlap += float(np.sum(pairs))
+    overlap *= dk * dk
     return OracleReport.compare(
         "schmidt_purity_1d", overlap, schmidt, 1e-3, n_q=qx.size, n_k=kx.size
     )
@@ -305,6 +352,7 @@ def _schmidt_axes(beam: BeamParams, spectrum: SpectrumModel) -> np.ndarray:
     axis spans 2 (6 dq_perp + kmax), so it holds at least 108 points."""
     span = 6.0 * beam.dq_perp + spectrum.kmax
     n_q = math.ceil(2.0 * span / (beam.dq_perp / 9.0))
-    # the oracle's amplitude holds N_KX doubles a q point
+    # the oracle's amplitude has N_KX doubles a q point; it is summed in
+    # blocks, but the budget still bounds its whole size, and so the work
     check_budget("Schmidt oracle q points", n_q, 8 * N_KX)
     return np.linspace(-span, span, n_q)

@@ -113,7 +113,8 @@ class GammaSampler:
     law (15/4)(1 - u^2) u^2 of u = cos(theta) makes u^2 a Beta(3/2, 2)
     variate, the product of Beta(3/2, 1) and Beta(5/2, 1) ones, so
     u = cbrt(U) V^(1/5) with U uniform on [-1, 1) and V on [0, 1), with no
-    trig and no rejection; azimuth uniform. Four uniforms a draw.
+    trig and no rejection; azimuth uniform. Four uniforms a draw, which
+    `from_uniforms` maps to it.
     """
 
     def __init__(self, spectrum: SpectrumModel):
@@ -151,28 +152,32 @@ class GammaSampler:
         return j
 
     def sample_k_cos_phi(self, n: int, rng: np.random.Generator):
-        """Return (k, cos(theta), phi) arrays of n exact draws."""
-        # k = slope[j] (level - cdf[j]) + ktab[j] on the level's interval j,
-        # np.interp's formula and order, so k is bitwise np.interp(level,
-        # cdf, ktab); built in place on the levels in one scratch buffer.
-        # Every index is in range; mode="clip" lets take write into `out`
-        # without the buffered copy its default mode makes
-        k = rng.random(n)
-        j = self._interval(k)
-        buf = np.empty(n)
-        k -= np.take(self._cdf, j, out=buf, mode="clip")
-        k *= np.take(self._slope, j, out=buf, mode="clip")
-        k += np.take(self._ktab, j, out=buf, mode="clip")
-        del j
-        # cos(theta) = cbrt(U) V^(1/5), U = 2 r - 1 uniform on [-1, 1)
-        cos_theta = rng.random(n, out=buf)
+        """Return (k, cos(theta), phi) arrays of n exact draws, from four
+        arrays of n uniforms drawn one after another."""
+        return self.from_uniforms(*(rng.random(n) for _ in range(4)))
+
+    def from_uniforms(self, level: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+        """(k, cos(theta), phi) from four equal arrays of uniforms on [0, 1),
+        in place: k on `level`, cos(theta) on `u` and phi on `w`; `v` is
+        spent."""
+        # cos(theta) = cbrt(U) V^(1/5), U = 2 u - 1 uniform on [-1, 1)
+        cos_theta = u
         cos_theta *= 2.0
         cos_theta -= 1.0
         np.cbrt(cos_theta, out=cos_theta)
-        v = rng.random(n)
         np.power(v, 0.2, out=v)
         cos_theta *= v
-        phi = rng.random(n, out=v)
+        # k = slope[j] (level - cdf[j]) + ktab[j] on the level's interval j,
+        # np.interp's formula and order, so k is bitwise np.interp(level,
+        # cdf, ktab); built in place on the levels, with v as the scratch
+        # buffer. Every index is in range; mode="clip" lets take write into
+        # `out` without the buffered copy its default mode makes
+        k = level
+        j = self._interval(k)
+        k -= np.take(self._cdf, j, out=v, mode="clip")
+        k *= np.take(self._slope, j, out=v, mode="clip")
+        k += np.take(self._ktab, j, out=v, mode="clip")
+        phi = w
         phi *= 2.0
         phi *= math.pi
         return k, cos_theta, phi

@@ -665,6 +665,17 @@ class TestLagBlocks:
         assert _traced_peak(lambda: joint_position(b, s)) <= 32 * 2**20
 
 
+class TestPositionDensityPeak:
+    @pytest.mark.parametrize("dq_perp,dk_ph,bound_mib", [(0.3, 1.0, 5.3), (0.263474, 0.210945, 2.3)], ids=["s0", "g0"])
+    def test_traced_peak(self, make_beam, make_spectrum, dq_perp, dk_ph, bound_mib):
+        # the density is multiplied and clipped in T's lattice buffer, so one
+        # lattice of floats lives beside `lag`: the peak is T's lag blocks
+        # at s0 (5.22 MiB, 1.2 MiB lattices) and the kernel's at g0 (2.18),
+        # where three lattices of floats beside `lag` made 5.36 and 2.78
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        assert _traced_peak(lambda: joint_position(b, s)) <= bound_mib * 2**20
+
+
 class TestLatticeLags:
     def test_only_the_lags_the_grid_reads(self, make_beam, make_spectrum, monkeypatch):
         # at (100, 0.1) the 141 x 143 grid reads 10,082 distinct |lag|s of

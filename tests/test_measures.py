@@ -657,7 +657,8 @@ class TestPurityZReference:
 
 
 # P_z = 2/3 on the README spectrum at L_par 0.13, 1.3 and 13 um, bisected
-# to 1e-9 relative in dk_ph on dq_par * [10^-1.5, 10^1.5]
+# to 1e-9 relative in dk_ph on dq_par * [10^-1.5, 10^1.5]; Brent's search
+# finds them within 5e-10
 PURITY_Z_KNEES = {0.13: 53.88787952538428, 1.3: 4.078740505078521, 13.0: 0.37606323757188337}
 
 
@@ -668,7 +669,7 @@ def _knee_range(beam: BeamParams) -> list[float]:
 class TestRegimeBoundaries:
     @pytest.mark.parametrize("l_par", list(PURITY_Z_KNEES))
     def test_purity_z_decreases_in_dk(self, l_par):
-        # the knee's bisection relies on P_z not increasing in dk_ph, as a
+        # the knee's search relies on P_z not increasing in dk_ph, as a
         # P_sc root along a row relies on
         # TestPuritySc::test_does_not_decrease_in_dq_perp; on these grids it
         # strictly decreases
@@ -687,6 +688,19 @@ class TestRegimeBoundaries:
         lo, hi = found["bracket_um_inv"]
         assert lo <= found["dk_ph_um_inv"] <= hi and hi - lo <= 1e-9 * lo
         assert purity_z(beam, SpectrumModel(K_C, lo)) >= PURITY_THRESHOLD > purity_z(beam, SpectrumModel(K_C, hi))
+
+    @pytest.mark.parametrize("l_par", list(PURITY_Z_KNEES))
+    def test_purity_z_knee_takes_few_evaluations(self, l_par, monkeypatch):
+        # Brent's search takes 10 or 11 purity_z calls, the range's two ends
+        # included, where bisection in log dk_ph took 35
+        import clpair.measures as measures
+
+        calls = []
+        exact = measures.purity_z
+        monkeypatch.setattr(measures, "purity_z", lambda beam, spectrum: calls.append(spectrum.dk_ph) or exact(beam, spectrum))
+        beam = _purity_z_beam(l_par)
+        assert "dk_ph_um_inv" in regime_boundaries(beam, K_C, _knee_range(beam))["purity_z"]
+        assert len(calls) <= 12
 
     @pytest.mark.parametrize(
         "dks,reason",

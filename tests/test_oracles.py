@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from clpair import DomainError
+from clpair.constants import MC_SAMPLES
 from clpair.distributions import N_KX, JointGrid, joint_position, momentum_grid
 from clpair.errors import ConsistencyError, ResolutionError
 from clpair.measures import purity_sc, rel_pos_variance_closed, total_wavevector_variance
 from clpair.model import psi_ini_x_sq
 from clpair.oracles import (
+    _MC_BLOCK,
     OracleReport,
+    _pair_blocks,
     _schmidt_axes,
     fd_gradient_check,
     longitudinal_term_identity,
@@ -60,22 +63,21 @@ class TestMcPurity:
         r2 = mc_purity(b, s, n=200_000, seed=3)
         assert r2.metadata["stderr"] == pytest.approx(r1.metadata["stderr"] / 2.0, rel=0.1)
 
-    def test_traced_peak(self, make_beam, make_spectrum):
-        # two draws of the default 200,000 pairs, each sampled into reused
-        # buffers: 10.0 MB at (0.3, 1), six arrays of 200,000 numbers (the
-        # first draw's three, and three while the second locates its k)
-        # and a few small ones, where the rejection sampler with its sorted
-        # lookup, and the draws still held when np.std ran, peaked at
-        # 14.47 MB; one more such array passes 10.1 MB
+    @pytest.mark.parametrize("n", [200_000, 400_000])
+    def test_traced_peak(self, make_beam, make_spectrum, n):
+        # the pairs are drawn and reduced in blocks of _MC_BLOCK, in one
+        # (8, _MC_BLOCK) buffer of 1 MiB: 1.48 MB at (0.3, 1) at both counts,
+        # where the draws of all n pairs took 10.0 MB at 200,000 and 19.9 MB
+        # at 400,000
         b, s = make_beam(0.3), make_spectrum(1.0)
-        mc_purity(b, s, seed=7)
+        mc_purity(b, s, n=n, seed=7)
         tracemalloc.start()
         try:
-            mc_purity(b, s, seed=7)
+            mc_purity(b, s, n=n, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10.1e6
+        assert peak <= 2.5e6
 
     def test_deterministic(self, make_beam, make_spectrum):
         b, s = make_beam(3.0), make_spectrum(1.0)
@@ -108,6 +110,71 @@ class TestMcPurity:
         # tolerance of three of them
         assert rep.metadata["stderr"] == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(n), rel=1e-9)
         assert rep.tolerance == 3.0 * rep.metadata["stderr"]
+
+
+def _concatenated_blocks(n, seed, spectrum):
+    """The draws of `_pair_blocks`, each block copied out of the buffer the
+    next one reuses, joined into the six arrays of two whole draws."""
+    blocks = [[a.copy() for draw in pair for a in draw] for pair in _pair_blocks(GammaSampler(spectrum), n, seed)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _sequential_draws(n, seed, spectrum):
+    """Two `sample_k_cos_phi(n, default_rng(seed))` calls, one generator."""
+    sampler, rng = GammaSampler(spectrum), np.random.default_rng(seed)
+    return [*sampler.sample_k_cos_phi(n, rng), *sampler.sample_k_cos_phi(n, rng)]
+
+
+class _LateSegment:
+    """A stream whose second block, and every one after it, reads one block
+    late: a planted defect."""
+
+    def __init__(self, stream):
+        self.stream, self.calls = stream, 0
+
+    def random(self, out):
+        self.calls += 1
+        if self.calls == 2:
+            self.stream.random(out.size)
+        return self.stream.random(out=out)
+
+
+class TestPairBlocks:
+    # 200,000 pairs are 12 whole blocks and one of 3,392; 3 blocks and 7
+    # pairs end in a block of 7
+    @pytest.mark.parametrize("n", [200_000, 3 * _MC_BLOCK + 7])
+    def test_blocks_are_the_sequential_draws(self, make_spectrum, n):
+        s = make_spectrum(1.0)
+        got, want = _concatenated_blocks(n, 11, s), _sequential_draws(n, 11, s)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_catches_a_late_segment(self, make_spectrum, monkeypatch):
+        # cos(theta) of the first draw, segment 1, read one block late
+        import clpair.oracles as oracles
+
+        exact = oracles._segment_streams
+        monkeypatch.setattr(
+            oracles, "_segment_streams", lambda seed, n, count: [_LateSegment(g) if j == 1 else g for j, g in enumerate(exact(seed, n, count))]
+        )
+        s, n = make_spectrum(1.0), 3 * _MC_BLOCK + 7
+        got, want = _concatenated_blocks(n, 11, s), _sequential_draws(n, 11, s)
+        assert [np.array_equal(a, b) for a, b in zip(got, want)] == [True, False, True, True, True, True]
+
+    @pytest.mark.parametrize("seed", [7, 11, 12])
+    @pytest.mark.parametrize("dq_perp,dk_ph", [(0.3, 1.0), (10.0, 2.0)], ids=["s0", "s1"])
+    def test_block_sums_match_one_pass(self, make_beam, make_spectrum, dq_perp, dk_ph, seed):
+        # the merged block means and squared deviations against np.mean and
+        # np.std over the whole sequential draws, each factor formed in
+        # mc_purity's order of operations, so only the sums differ: by at
+        # most 4.5e-16 and 3.4e-16 relative at these points and seeds
+        b, s = make_beam(dq_perp), make_spectrum(dk_ph)
+        k1, c1, p1, k2, c2, p2 = _sequential_draws(MC_SAMPLES, seed, s)
+        a1, a2 = np.sqrt(1.0 - c1**2) * k1, np.sqrt(1.0 - c2**2) * k2
+        perp = np.sin((p1 - p2) * 0.5) ** 2 * a1 * a2 * 4.0 + (a1 - a2) ** 2
+        vals = np.exp(perp / (-4.0 * b.dq_perp**2) - (k1 - k2) ** 2 * b.alpha)
+        rep = mc_purity(b, s, seed=seed)
+        assert rep.oracle_value == pytest.approx(float(np.mean(vals)), rel=1e-15, abs=0.0)
+        assert rep.metadata["stderr"] == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(MC_SAMPLES), rel=1e-12, abs=0.0)
 
 
 def _suite_kx_and_g(beam, spectrum):
@@ -166,10 +233,10 @@ class TestSchmidt1D:
         assert rep.oracle_value == pytest.approx(float(np.sum(s2**2) / np.sum(s2) ** 2), abs=1e-13)
 
     def test_traced_peak(self, make_beam, make_spectrum):
-        # at (0.3, 1) on the suite's grids (1342 x 512) the amplitude is one
-        # 5.2 MiB buffer, dropped before the n_k x n_k overlap is built:
-        # 7.3 MiB, where the amplitude's own temporary and the overlap's
-        # made 13.3 MiB
+        # at (0.3, 1) on the suite's grids (1342 x 512) the Gram matrix and
+        # one block's, 2 MiB each, beside the block's 128 x 512 amplitude:
+        # 4.5 MiB (4.72e6 bytes), where the whole 5.2 MiB amplitude beside
+        # one Gram matrix made 7.2 MiB
         b, s = make_beam(0.3), make_spectrum(1.0)
         kx, g = _suite_kx_and_g(b, s)
         qx = _schmidt_axes(b, s)
@@ -179,7 +246,7 @@ class TestSchmidt1D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert qx.size == 1342 and peak <= 9 * 2**20
+        assert qx.size == 1342 and peak <= 5e6
 
     def test_coarse_q_grid_rejected(self):
         kx = np.linspace(-8.0, 8.0, 400)

@@ -162,6 +162,20 @@ class TestGammaSampler:
         k, _, _ = sampler.sample_k_cos_phi(levels.size, _Levels(levels))
         np.testing.assert_array_equal(k, np.interp(levels, cdf, sampler._ktab))
 
+    @pytest.mark.parametrize("dk_ph", [1.0, 30.0], ids=["s0", "kmin=0"])
+    def test_full_search_takes_only_crowded_cells(self, dk_ph, monkeypatch):
+        # only levels in cells of several CDF nodes are searched in full:
+        # 3.5% and 4.4% of uniform levels here (145 and 180 of 4095 cells);
+        # a lookup that searches every occupied cell, or puts every level
+        # in cell 0, gives the same k by searching most or all of them
+        sampler = GammaSampler(SpectrumModel(2.0 * math.pi / 0.5, dk_ph))
+        searched = []
+        exact = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda a, v, side: searched.append(np.size(v)) or exact(a, v, side=side))
+        levels = np.random.default_rng(3).random(200_000)
+        sampler._interval(levels)
+        assert sum(searched) <= 0.05 * levels.size
+
     def test_draws_pinned(self):
         # sha256 of (k, cos(theta), phi) for a fixed seed, taken with numpy
         # 2.4 on x86-64: a change to the sampler's operations or their order
