@@ -44,7 +44,6 @@ _EXPORTS = {
     "purity_sc": "measures",
     "purity_z": "measures",
     "rel_pos_variance_closed": "measures",
-    "rel_pos_variance_quadrature": "measures",
     "total_wavevector_variance": "measures",
 }
 

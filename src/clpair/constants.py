@@ -72,9 +72,14 @@ NORMALIZATION_TOL = 0.01
 # k_c = K_C_MIN and w = W_MIN; the edge stays at 10^73, inside it.
 ENERGY_KEV_MIN = 1e-305
 ENERGY_KEV_MAX = 1e73
-# k_c from below: rel_pos_variance_quadrature squares dGamma/dk_x, which
-# goes as 1 / (w^2 k_c^4), and at w = W_MIN that overflows below
-# k_c = 10^-31.01; k_c's range is symmetric about 1 um^-1.
+# k_c from below: the edges of u and l are measured at k_c = K_C_MIN, so
+# they bind first below it: at u = U_MIN, dq_perp^2 leaves the normal
+# doubles below k_c = 10^-30.83, and at l = L_MIN, the top energy and
+# dq_perp at q0, D^2 overflows below 10^-31.00. With u and l inside their
+# edges, the first is the bracket of gamma_transverse_gradient (validate's
+# gamma_partials_fd), which goes as 1 / (w^2 k_c^5) and at w = W_MIN
+# overflows below k_c = 10^-55.58. The edge stays at 1e-30, so that k_c's
+# range is symmetric about 1 um^-1.
 K_C_MIN = 1e-30
 K_C_MAX = 1e30
 # l from below: D^2 = V dq_perp^2 holds 1 / (l k_c)^2 in V, and at the top
@@ -85,10 +90,13 @@ L_MIN = 1e-47
 # at k_c = K_C_MAX overflows from w = 10^46.16.
 W_MAX = 1e46
 # w from below: the radial window k_c +- 8 dk_ph narrows to a few doubles,
-# and Gamma, which rel_pos_variance_quadrature divides by at each radial
-# node, underflows to zero at some node below w = 10^-17.30 (the worst of
-# eight k_c from K_C_MIN to K_C_MAX); a node one ulp off k_c would need
-# 10^-17.24, and the edge leaves room for two.
+# and below w = 10^-16.91 (the worst of eight k_c from K_C_MIN to K_C_MAX)
+# it is the one double k_c. longitudinal_weights, which both purities
+# call, then divides by its g = alpha (width / 2)^2 = 0, and GammaSampler's
+# CDF is 0 / 0. The edge stays at 1e-16, inside it. Within the box,
+# purity_sc fails first: it forms phi from the absolute nodes k, rounded to
+# an ulp of k_c, so at w = 1e-14 (k_c 12.566, dq_perp 0.3) its two passes
+# differ and measure raises ConvergenceError (ROADMAP item 12).
 W_MIN = 1e-16
 # u from below: at k_c = K_C_MIN, dq_perp^2 (P_sc's b^2, D^2's
 # var(q_x + k_x), the electron envelope's 2 dq_perp^2) leaves the normal

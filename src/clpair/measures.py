@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import EPR_THRESHOLD, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, TWO_PI
 from .errors import ConvergenceError, DomainError
-from .model import BeamParams, PhaseModel, SpectrumModel, check_admissible, eval_g, gamma_transverse_gradient
+from .model import BeamParams, PhaseModel, SpectrumModel, check_admissible, eval_g
 from .quadrature import check_budget, gauss_legendre_edges, gauss_legendre_panels, longitudinal_weights
 
 # t-grid of the purity integral: its outer limit, where exp(-b^2 t^2) <
@@ -49,9 +49,6 @@ _H_SERIES = tuple(
 _H0 = 1.0 / TWO_PI
 _H_TAIL_X = 3.0
 _H_TAIL_C = 15.0 / (4.0 * math.pi)
-# tolerances of `rel_pos_variance_quadrature`'s convergence check
-_VARIANCE_REL_TOL = 1e-6
-_VARIANCE_ABS_TOL = 1e-9
 # relative width of the bracket at which `regime_boundaries` stops its
 # search for P_z = 2/3: 33 halvings of a 1000x dk_ph range, where Brent's
 # search takes 9 to 11 P_z evaluations, the range's ends included
@@ -197,28 +194,21 @@ def _purity_once(beam, spectrum, radial_panels, refine=1.0):
     return 8.0 * math.pi**2 * b**2 * float(phi @ gram @ phi)
 
 
-def _converged(what: str, base: float, refined: float, rel_tol: float, abs_tol: float) -> float:
-    """The refined estimate, if it is within max(abs_tol, rel_tol |refined|)
-    of the base one; otherwise ConvergenceError, carrying both estimates."""
-    if abs(refined - base) > max(abs_tol, rel_tol * abs(refined)):
+def _checked_purity(what: str, base: float, refined: float) -> float:
+    """The refined estimate once it is within max(PURITY_ABS_TOL,
+    PURITY_REL_TOL |refined|) of the base one.
+
+    Raises ConvergenceError (carrying both estimates) if the two differ by
+    more than that, if the value is not positive, or if it exceeds one by
+    more than max(PURITY_ABS_TOL, PURITY_REL_TOL); within that band a
+    value above one is clipped to one.
+    """
+    if abs(refined - base) > max(PURITY_ABS_TOL, PURITY_REL_TOL * abs(refined)):
         raise ConvergenceError(
             f"{what} did not converge (estimates {base:.6e}, {refined:.6e})",
             best_estimate=refined,
             previous_estimate=base,
         )
-    return refined
-
-
-def _checked_purity(what: str, base: float, refined: float) -> float:
-    """The refined estimate once it has `_converged` on the base one at
-    PURITY_REL_TOL and PURITY_ABS_TOL.
-
-    Raises ConvergenceError (carrying both estimates) if the two differ by
-    more than the tolerance, if the value is not positive, or if it
-    exceeds one by more than max(PURITY_ABS_TOL, PURITY_REL_TOL); within
-    that band a value above one is clipped to one.
-    """
-    _converged(what, base, refined, PURITY_REL_TOL, PURITY_ABS_TOL)
     if refined <= 0.0 or refined > 1.0 + max(PURITY_ABS_TOL, PURITY_REL_TOL):
         raise ConvergenceError(
             f"{what} produced {refined:.6e}, outside (0, 1]",
@@ -277,42 +267,6 @@ def rel_pos_variance_closed(beam: BeamParams, spectrum: SpectrumModel, phase: Ph
     )
     longitudinal = 2.0 * beam.alpha / 7.0
     return float(angular + longitudinal + phase.d_eta(spectrum))
-
-
-def rel_pos_variance_quadrature(beam: BeamParams, spectrum: SpectrumModel, phase: PhaseModel = PhaseModel()) -> float:
-    """Relative-position variance by direct quadrature of the 3D integrand.
-
-    Spherical coordinates with the azimuth integrated analytically. The
-    integrand is (|grad_perp Gamma|^2 / Gamma + 4 alpha kperp^2 Gamma /
-    k^2) / 8 from the analytic transverse gradient, plus the transverse
-    phase-gradient term for non-trivial phases. The nodes lie on k_y = 0,
-    where dGamma/dk_y vanishes, so |grad_perp Gamma|^2 is (dGamma/dk_x)^2;
-    Gamma is positive at every node of a spectrum inside the admissible
-    box, so the ratio needs no guard. The variance's
-    other term, -2 laplacian_perp(Gamma) / 8, is a transverse divergence: it
-    integrates to the flux of grad_perp Gamma through the radial window's
-    edges, where g is exp(-TRUNCATION_SIGMAS^2 / 2) of its peak, so it is
-    not summed. Evaluated on 6 and on 9 16-node panels per axis; their
-    difference is the convergence check, at _VARIANCE_REL_TOL and
-    _VARIANCE_ABS_TOL.
-    """
-    def value(n_panels):
-        kn, kw = gauss_legendre_panels(spectrum.kmin, spectrum.kmax, n_panels)
-        tn, tw = gauss_legendre_panels(0.0, math.pi, n_panels)
-        kk = kn[:, None]
-        tt = tn[None, :]
-        kperp = kk * np.sin(tt)
-        pts = np.stack(
-            [np.broadcast_to(kperp, kperp.shape), np.zeros_like(kperp), kk * np.cos(tt)],
-            axis=-1,
-        )
-        gam, gx, _ = gamma_transverse_gradient(spectrum, pts)
-        core = (gx**2 / gam + 4.0 * beam.alpha * kperp**2 * gam / kk**2) / 8.0
-        core = core + 0.5 * gam * phase.gradient_sq(spectrum, kk, tt)
-        meas = kw[:, None] * tw[None, :] * kk**2 * np.sin(tt)
-        return TWO_PI * float(np.sum(meas * core))
-
-    return _converged("variance quadrature", value(6), value(9), _VARIANCE_REL_TOL, _VARIANCE_ABS_TOL)
 
 
 def total_wavevector_variance(beam: BeamParams) -> float:

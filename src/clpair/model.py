@@ -7,7 +7,7 @@ with width dk_ph, times the transition-radiation angular profile
 integral of the density is one.
 
 The parameter types, kinematics and checks use only `math`, so building a
-run's parameters loads no numpy; the densities and phase gradients, which
+run's parameters loads no numpy; the densities and their gradient, which
 take arrays, import it when they are called. No type here holds a
 numerical tolerance: those are constants of `constants`.
 """
@@ -292,10 +292,6 @@ class PhaseModel:
         if self.variant == "zero" and self.xi != 0.0:
             raise DomainError(f"phase xi = {self.xi!r} needs a variant other than zero")
 
-    def _radial_scale(self, spectrum: SpectrumModel) -> float:
-        """s of a radial eta = sqrt(xi) k / s."""
-        return spectrum.k_c if self.variant == "radial_kc" else spectrum.dk_ph
-
     def d_eta(self, spectrum: SpectrumModel) -> float:
         """Phase contribution D_eta (um^2) to the relative-position variance."""
         if self.variant == "zero":
@@ -303,17 +299,6 @@ class PhaseModel:
         if self.variant == "polar_linear":
             z = spectrum.k_c / (math.sqrt(2.0) * spectrum.dk_ph)
             return float(self.xi * math.sqrt(math.pi / 2.0) * spectrum.n_g * spectrum.dk_ph * (math.erf(z) + 1.0))
-        return 2.0 * self.xi / (7.0 * self._radial_scale(spectrum) ** 2)
-
-    def gradient_sq(self, spectrum: SpectrumModel, k, theta) -> np.ndarray:
-        """(d eta/d k_x)^2 + (d eta/d k_y)^2 at (k, theta), in the broadcast
-        shape of the two: zero, (a cos(theta) / k)^2 for polar_linear, and
-        (xi / s^2) sin^2(theta) for a radial eta."""
-        import numpy as np
-
-        if self.variant == "zero":
-            return np.zeros(np.broadcast(k, theta).shape)
-        if self.variant == "polar_linear":
-            return (14.0 * self.xi / 3.0) * (np.cos(theta) / k) ** 2
-        _, theta = np.broadcast_arrays(k, theta)
-        return (self.xi / self._radial_scale(spectrum) ** 2) * np.sin(theta) ** 2
+        # s of a radial eta = sqrt(xi) k / s
+        scale = spectrum.k_c if self.variant == "radial_kc" else spectrum.dk_ph
+        return 2.0 * self.xi / (7.0 * scale**2)

@@ -129,12 +129,13 @@ def _segment_streams(seed: int, n: int, count: int) -> list:
 
 
 def _pair_blocks(sampler: GammaSampler, n: int, seed: int):
-    """The draws of two `sampler.sample_k_cos_phi(n, default_rng(seed))`
-    calls, bit for bit, as ((k, cos(theta), phi), (k', cos(theta'), phi'))
-    blocks of at most _MC_BLOCK pairs. The two calls read eight
-    consecutive segments of n uniforms, so each block reads its slice of
-    all eight (`_segment_streams`); every block reuses one (8, _MC_BLOCK)
-    buffer, which the caller may overwrite."""
+    """n pairs of draws as ((k, cos(theta), phi), (k', cos(theta'), phi'))
+    blocks of at most _MC_BLOCK pairs. The first 8n uniforms of
+    `np.random.default_rng(seed)` are eight consecutive segments of n:
+    segments 0-3 are the four `sampler.from_uniforms` arguments of the
+    draws k, and segments 4-7 those of the draws k'. Each block reads its
+    slice of all eight (`_segment_streams`); every block reuses one
+    (8, _MC_BLOCK) buffer, which the caller may overwrite."""
     streams = _segment_streams(seed, n, 8)
     buf = np.empty((len(streams), min(n, _MC_BLOCK)))
     for start in range(0, n, _MC_BLOCK):
@@ -329,7 +330,7 @@ def run_suite(beam: BeamParams, spectrum: SpectrumModel, seed: int = MC_SEED) ->
         "variance_relative_position", joint_position(beam, spectrum)[0], -1.0, rel_pos_variance_closed(beam, spectrum), 0.02
     )
     qx = _schmidt_axes(beam, spectrum)
-    k, cos_theta, phi = GammaSampler(spectrum).sample_k_cos_phi(100, np.random.default_rng(seed))
+    k, cos_theta, phi = GammaSampler(spectrum).from_uniforms(*np.random.default_rng(seed).random((4, 100)))
     sin_theta = np.sqrt(1.0 - cos_theta**2)
     fd_points = k[:, None] * np.stack((sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta), axis=-1)
     reports = [

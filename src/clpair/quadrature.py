@@ -93,7 +93,9 @@ def longitudinal_weights(n_panels: int, width: float, alpha: float) -> np.ndarra
     g = alpha * h * h
     d = np.arange(1 - n_panels, n_panels)[:, None]
     lo, hi = (np.clip(v * math.sqrt(42.0 / g), -2.0 * d, 2.0 - 2.0 * d) for v in (-1.0, 1.0))
-    u, wu = gauss_legendre_panels(0.0, 1.0, 8)
+    # 4 panels of 16 s-nodes reach rounding: within 3.9e-15 of max|W| of
+    # 32 panels, at 4 and 6 radial panels and g from 1e-12 to 1e8
+    u, wu = gauss_legendre_panels(0.0, 1.0, 4)
     offset = lo + (hi - lo) * u
     moments = np.einsum("dm,dmk->dk", (hi - lo) * wu * np.exp(-g * offset**2), _lagrange_basis(32, offset + 2.0 * d - 1.0))
     # r[n_panels - 1 + d] is R_d
@@ -150,11 +152,6 @@ class GammaSampler:
         j += np.take(self._cdf[1:], j, mode="clip") <= level
         j[multi] = np.searchsorted(self._cdf, level[multi], side="right") - 1
         return j
-
-    def sample_k_cos_phi(self, n: int, rng: np.random.Generator):
-        """Return (k, cos(theta), phi) arrays of n exact draws, from four
-        arrays of n uniforms drawn one after another."""
-        return self.from_uniforms(*(rng.random(n) for _ in range(4)))
 
     def from_uniforms(self, level: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         """(k, cos(theta), phi) from four equal arrays of uniforms on [0, 1),

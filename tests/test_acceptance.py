@@ -20,7 +20,6 @@ from clpair.measures import (
     purity_sc,
     purity_z,
     rel_pos_variance_closed,
-    rel_pos_variance_quadrature,
 )
 from clpair.model import PhaseModel, eval_f, eval_g
 from clpair.oracles import (
@@ -31,6 +30,7 @@ from clpair.oracles import (
 from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C, K_KEV, schmidt_gaussian_closed, window
+from reference_variance import rel_pos_variance_quadrature
 
 
 class TestCriterion01Normalization:

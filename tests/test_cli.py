@@ -927,7 +927,8 @@ class TestInputValidation:
         assert load_config(write(tmp_path, dump_config(cfg), "dumped.ini")) == cfg
 
     def test_polar_linear_phase_is_consistent(self, tmp_path):
-        from clpair.measures import rel_pos_variance_closed, rel_pos_variance_quadrature
+        from clpair.measures import rel_pos_variance_closed
+        from reference_variance import rel_pos_variance_quadrature
 
         ini = BASE_INI.replace("dk_ph_um_inv = 1.0", "dk_ph_um_inv = 0.3") + "\n[phase]\nvariant = polar_linear\nxi = 1.0\n"
         cfg = load_config(write(tmp_path, ini))
@@ -1169,7 +1170,6 @@ class TestRuntimeImports:
             "purity_sc",
             "purity_z",
             "rel_pos_variance_closed",
-            "rel_pos_variance_quadrature",
             "total_wavevector_variance",
         ),
     }

@@ -24,7 +24,7 @@ from clpair.measures import (
     _H_SMALL_X,
     _H_TAIL_C,
     _H_TAIL_X,
-    _converged,
+    _checked_purity,
     _purity_once,
     _sonine_h,
     Regime,
@@ -34,7 +34,6 @@ from clpair.measures import (
     purity_z,
     regime_boundaries,
     rel_pos_variance_closed,
-    rel_pos_variance_quadrature,
     total_wavevector_variance,
 )
 from clpair.constants import ENERGY_KEV_MAX, K_C_MAX, K_C_MIN, PURITY_ABS_TOL, PURITY_REL_TOL, PURITY_THRESHOLD, W_MAX, W_MIN
@@ -43,6 +42,7 @@ from clpair.quadrature import gauss_legendre_panels
 
 from conftest import DQ_PAR, K_C, K_KEV
 from reference_purity import einsum_purity_once
+from reference_variance import rel_pos_variance_quadrature
 
 # Regression anchors for the reference scenario, each cross-validated
 # against the 4x10^5-sample Monte Carlo oracle during development.
@@ -74,26 +74,28 @@ PANEL_REFERENCE = [
 ]
 
 
-class TestConverged:
-    """The refined estimate passes when it lies within max(abs_tol,
-    rel_tol |refined|) of the base one, at the tolerances the caller gives."""
+class TestCheckedPurity:
+    """The refined estimate passes when it lies within max(PURITY_ABS_TOL,
+    PURITY_REL_TOL |refined|) of the base one. fl(1e-4) = 2 fl(5e-5), so
+    1e-4 - 5e-5 is exactly PURITY_ABS_TOL, and one ulp lower is one ulp
+    beyond it."""
 
     @pytest.mark.parametrize(
-        "base,refined,rel_tol,abs_tol,passed",
+        "base,refined,passed",
         [
-            (0.5, 0.5 + 2.0**-20, 0.0, 2.0**-20, True),
-            (0.5, 0.5 + 2.0**-19, 0.0, 2.0**-20, False),
-            (0.25, 0.25 - 2.0**-12, 2.0**-9, 2.0**-30, True),
-            (0.25, 0.25 - 2.0**-10, 2.0**-9, 2.0**-30, False),
+            (1e-4, 5e-5, True),
+            (1e-4, math.nextafter(5e-5, 0.0), False),
+            (0.75, 0.75 - 2.0**-14, True),
+            (0.75, 0.75 - 2.0**-13, False),
         ],
         ids=["at_abs_tol", "beyond_abs_tol", "within_rel_tol", "beyond_rel_tol"],
     )
-    def test_bound(self, base, refined, rel_tol, abs_tol, passed):
+    def test_bound(self, base, refined, passed):
         if passed:
-            assert _converged("q", base, refined, rel_tol, abs_tol) == refined
+            assert _checked_purity("q", base, refined) == refined
         else:
             with pytest.raises(ConvergenceError, match=r"q did not converge \(estimates") as err:
-                _converged("q", base, refined, rel_tol, abs_tol)
+                _checked_purity("q", base, refined)
             assert (err.value.previous_estimate, err.value.best_estimate) == (base, refined)
 
     def test_purity_tolerances_are_the_library_constants(self):
@@ -101,8 +103,7 @@ class TestConverged:
         import clpair.measures as measures
 
         assert (measures.PURITY_REL_TOL, measures.PURITY_ABS_TOL) == (1e-4, 5e-5)
-        assert (measures._VARIANCE_REL_TOL, measures._VARIANCE_ABS_TOL) == (1e-6, 1e-9)
-        for fn in (purity_sc, purity_z, evaluate_point, regime_boundaries, rel_pos_variance_quadrature, _purity_once):
+        for fn in (purity_sc, purity_z, evaluate_point, regime_boundaries, _purity_once):
             assert "quad" not in inspect.signature(fn).parameters, fn.__name__
 
 class TestPuritySc:
@@ -760,19 +761,19 @@ class TestRelPosVariance:
     @pytest.mark.parametrize("k_c", [K_C_MIN, K_C_MAX], ids=["k_c-min", "k_c-max"])
     @pytest.mark.parametrize("w", [W_MIN, W_MAX], ids=["w-min", "w-max"])
     def test_gamma_is_positive_at_every_node_at_the_box_corners(self, monkeypatch, k_c, w):
-        # the gradient ratio divides by Gamma at each node unguarded: at the
-        # box's corners in k_c and w, Gamma is positive at all of them and
-        # no division or product leaves the finite doubles
-        import clpair.measures as measures
+        # the reference's gradient ratio divides by Gamma at each node
+        # unguarded: at the box's corners in k_c and w, Gamma is positive at
+        # all of them and no division or product leaves the finite doubles
+        import reference_variance
 
-        smallest, exact = [], measures.gamma_transverse_gradient
+        smallest, exact = [], reference_variance.gamma_transverse_gradient
 
         def recorded(spectrum, pts):
             gam, gx, gy = exact(spectrum, pts)
             smallest.append(float(gam.min()))
             return gam, gx, gy
 
-        monkeypatch.setattr(measures, "gamma_transverse_gradient", recorded)
+        monkeypatch.setattr(reference_variance, "gamma_transverse_gradient", recorded)
         # the top energy's q0, 5e76, admits u = 1 and l = 0.01 at k_c = K_C_MAX
         beam, spectrum = BeamParams(ENERGY_KEV_MAX, k_c, 0.01 * k_c), SpectrumModel(k_c, w * k_c)
         check_admissible(beam, spectrum)

